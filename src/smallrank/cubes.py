@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
-from .exactlattice import lattice_intersect, mat_inv, mat_mul
+from .exactlattice import lattice_intersect, mat2_det, mat_inv, mat_mul
 from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
@@ -79,7 +79,7 @@ def xi_actions(q):
     for f in (f1, f3, f2):
         x = _xi_from_form(f, ring.t)
         assert x[0][0] + x[1][1] == ring.t
-        assert x[0][0] * x[1][1] - x[0][1] * x[1][0] == ring.u
+        assert mat2_det(x) == ring.u
         out.append(x)
     return tuple(out)
 
@@ -117,16 +117,16 @@ def triple_from_cube(q) -> BalancedTriple:
                 (r, s)
                 for r in range(4)
                 for s in range(r + 1, 4)
-                if rows[r][0] * rows[s][1] != rows[r][1] * rows[s][0]
+                if mat2_det((rows[r], rows[s]))
             ),
             None,
         )
         if piv is None:
             raise Degenerate("product lattice does not determine a third ideal")
         r, s = piv
-        det = rows[r][0] * rows[s][1] - rows[r][1] * rows[s][0]
-        z0 = (rhs[r] * rows[s][1] - rhs[s] * rows[r][1]) / det
-        z1 = (rows[r][0] * rhs[s] - rows[s][0] * rhs[r]) / det
+        det = mat2_det((rows[r], rows[s]))
+        z0 = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1]))) / det
+        z1 = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s]))) / det
         z = (z0, z1)
         assert all(
             _xi_coeff(ring, ring.mul(xs[i], ys[j]), z) == rhs[2 * i + j]
@@ -204,7 +204,7 @@ def gamma_act(ms, q):
     m1, m2, m3 = ms
     dets = []
     for m in ms:
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        det = mat2_det(m)
         if det not in (1, -1):
             raise NotInGamma("matrix determinant %d" % det)
         dets.append(det)

@@ -16,7 +16,7 @@ the generators.
 from math import gcd
 
 from .errors import DomainError, NotUnimodular
-from .exactlattice import mat_det
+from .exactlattice import mat2_det, mat_det
 
 
 class CubicRing:
@@ -139,7 +139,7 @@ def values_mod(form, m) -> frozenset:
 
 def cubic_twisted_act(mat, form):
     """Substitute (x, y) -> (x, y) * mat and divide by det(mat)."""
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    det = mat2_det(mat)
     if det not in (1, -1):
         raise NotUnimodular("determinant %r not a unit" % (det,))
     m00, m01 = mat[0]

@@ -37,10 +37,6 @@ class NotPositiveDefinite(SmallRankError):
     """Form is negative definite; negate it before reducing."""
 
 
-class NotUnit(SmallRankError):
-    """Form does not take the value 1 at the given vector."""
-
-
 class ZeroForm(SmallRankError):
     """The zero form defines no ideal."""
 

@@ -3,6 +3,10 @@
 Lattices are given by generating sets of row vectors with rational entries.
 The canonical form is the row-style HNF: pivots positive and on the diagonal
 of the surviving rows, entries above each pivot reduced into [0, pivot).
+
+All elimination runs on integers: the rows are scaled once to integer rows
+over one common denominator, HNF reduces those, and determinant and inverse
+share one fraction-free Gauss-Jordan pass; results are scaled back.
 """
 
 from fractions import Fraction
@@ -75,40 +79,55 @@ def _hnf_int(rows):
     return [row for row in rows[:r]]
 
 
+def _scaled(rows):
+    # integer rows and one positive denominator den with rows == int_rows / den
+    rows = [[Fraction(e) for e in row] for row in rows]
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _bareiss(a):
+    # fraction-free Gauss-Jordan (Bareiss 1968) on integer rows a, n x m with
+    # m >= n, in place; returns the determinant d of the leading n x n block.
+    # Row swaps negate the incoming row, so when d != 0 the leading block
+    # ends as d*I and the trailing columns as adj(leading block) times them.
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = [-e for e in a[p]], a[k]
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * e - f * b) // prev for e, b in zip(a[i], pivot_row)]
+        prev = pk
+    return prev
+
+
 def hnf_canonicalize(basis) -> LatticeBasis:
     """Canonical full-rank HNF basis of the lattice generated by the rows."""
     basis = LatticeBasis(basis)
     if not basis:
         raise RankError("empty generating set")
     n = basis.ambient
-    scale = lcm(*(e.denominator for row in basis for e in row))
-    ints = [[int(e * scale) for e in row] for row in basis]
+    ints, den = _scaled(basis)
     hnf = _hnf_int(ints)
     if len(hnf) < n:
         raise RankError("rank %d < ambient dimension %d" % (len(hnf), n))
-    return LatticeBasis([[Fraction(e, scale) for e in row] for row in hnf])
+    return LatticeBasis([[Fraction(e, den) for e in row] for row in hnf])
 
 
 def mat_det(rows):
     """Determinant of a square rational matrix, as a Fraction."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    n = len(rows)
-    assert all(len(row) == n for row in rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
+    ints, den = _scaled(rows)
+    n = len(ints)
+    assert all(len(row) == n for row in ints)
+    return Fraction(_bareiss(ints), den**n)
 
 
 def mat_mul(a, b):
@@ -119,23 +138,21 @@ def mat_mul(a, b):
     )
 
 
+def mat2_det(m):
+    """Determinant of a 2x2 matrix, in the type of its entries."""
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
 def mat_inv(rows):
     """Inverse of a square rational matrix (RankError if singular)."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    n = len(rows)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise RankError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    ints, den = _scaled(rows)
+    n = len(ints)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints)]
+    det = _bareiss(aug)
+    if not det:
+        raise RankError("singular matrix")
+    # (M/den)^-1 = den * adj(M) / det(M)
+    return tuple(tuple(Fraction(den * e, det) for e in row[n:]) for row in aug)
 
 
 def solve_left(basis, v):
@@ -193,14 +210,19 @@ def factorize(n):
     return out
 
 
+def divisors(n):
+    """The positive divisors of n >= 1, in increasing order."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def divisor_sigma(n) -> int:
     """Sum of the positive divisors of n."""
     if not isinstance(n, int) or n <= 0:
         raise DomainError("divisor_sigma needs a positive integer")
-    total = 1
-    for p, e in factorize(n).items():
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
+    return sum(divisors(n))
 
 
 def is_prime(n) -> bool:

@@ -15,7 +15,7 @@ from .errors import (
     NotUnimodular,
     UnsupportedDiscriminant,
 )
-from .exactlattice import xgcd
+from .exactlattice import mat2_det, xgcd
 
 IDENTITY = ((1, 0), (0, 1))
 
@@ -35,10 +35,6 @@ def mat2_mul(m1, m2):
         (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0], m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
         (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0], m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
     )
-
-
-def mat2_det(m) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def twisted_act(m, f):
@@ -125,6 +121,8 @@ def compose(f, g):
     if content(f) != 1 or content(g) != 1:
         raise NotPrimitive("composition needs primitive forms")
     d = discriminant(f)
+    if d >= 0:
+        raise UnsupportedDiscriminant("composition implemented for negative discriminants only")
     a1, b1, c1 = f
     a2, b2, c2 = g
     s = (b1 + b2) // 2

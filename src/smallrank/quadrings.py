@@ -12,13 +12,12 @@ from fractions import Fraction
 from .errors import (
     FormRingMismatch,
     NotAModule,
-    NotUnit,
     RankError,
     RingMismatch,
     UnsupportedDiscriminant,
     ZeroForm,
 )
-from .exactlattice import LatticeBasis, hnf_canonicalize, mat_det, mat_inv, mat_mul, xgcd
+from .exactlattice import LatticeBasis, hnf_canonicalize, mat2_det, mat_det, mat_inv, mat_mul
 from .quadforms import content, discriminant, reduce, twisted_act
 
 
@@ -76,20 +75,6 @@ def ring_from_disc(d) -> QuadraticRing:
     raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
 
 
-def ring_from_norm_form(f, v) -> QuadraticRing:
-    """Ring whose norm form is GL2(Z)-equivalent to f via a vector of value 1."""
-    a, b, c = f
-    x0, y0 = v
-    if a * x0 * x0 + b * x0 * y0 + c * y0 * y0 != 1:
-        raise NotUnit("form value at %r is not 1" % (v,))
-    g, alpha, beta = xgcd(x0, y0)
-    assert g == 1  # value 1 forces a primitive vector
-    m = ((x0, y0), (-beta, alpha))
-    one, q, r = twisted_act(m, f)
-    assert one == 1
-    return QuadraticRing(q, r).normalized()
-
-
 class QuadIdeal:
     """Fractional ideal of a quadratic ring, basis rows stored as given."""
 
@@ -100,15 +85,12 @@ class QuadIdeal:
             raise RankError("an ideal basis is two row vectors of length 2")
         if mat_det(self.basis) == 0:
             raise RankError("basis rows are dependent")
-        x = self.xi_action()
-        if any(e.denominator != 1 for row in x for e in row):
-            raise NotAModule("lattice is not xi-stable over %r" % ring)
-
-    def xi_action(self):
         # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2
         p = self.basis
-        xp = mat_mul(mat_mul(p, self.ring.xi_matrix()), mat_inv(p))
-        return tuple(zip(*xp))
+        x = tuple(zip(*mat_mul(mat_mul(p, ring.xi_matrix()), mat_inv(p))))
+        if any(e.denominator != 1 for row in x for e in row):
+            raise NotAModule("lattice is not xi-stable over %r" % ring)
+        self.xi = tuple(tuple(int(e) for e in row) for row in x)
 
     def hnf(self) -> LatticeBasis:
         return hnf_canonicalize(self.basis)
@@ -136,10 +118,9 @@ def unit_ideal(ring) -> QuadIdeal:
 
 def raw_form(ideal):
     """Associated form of the stored basis, before any reduction."""
-    x = ideal.xi_action()
-    (a, b), (c, d) = x
-    f = (int(c), int(d - a), int(-b))
-    assert a + d == ideal.ring.t and a * d - b * c == ideal.ring.u
+    (a, b), (c, d) = ideal.xi
+    f = (c, d - a, -b)
+    assert a + d == ideal.ring.t and mat2_det(ideal.xi) == ideal.ring.u
     assert discriminant(f) == ideal.ring.disc
     return f
 
@@ -232,7 +213,10 @@ def class_semigroup(d):
     ring = ring_from_disc(d)
     elements = enumerate_reduced(d)
     ideals = [ideal_from_form(f, ring) for f in elements]
-    table = [
-        [elements.index(form_from_ideal(multiply(a, b))) for b in ideals] for a in ideals
-    ]
+    index = {f: i for i, f in enumerate(elements)}
+    table = [[None] * len(ideals) for _ in ideals]
+    for i, a in enumerate(ideals):
+        for j in range(i, len(ideals)):
+            # the product is commutative, so fill both halves at once
+            table[i][j] = table[j][i] = index[form_from_ideal(multiply(a, ideals[j]))]
     return elements, table

@@ -35,8 +35,11 @@ from math import gcd
 from .errors import DegenerateRing, DomainError, RankError, TrivialRing
 from .exactlattice import (
     divisor_sigma,
+    divisors,
     factorize,
     hnf_canonicalize,
+    is_prime,
+    mat2_det,
     mat_det,
     mat_inv,
     mat_mul,
@@ -56,7 +59,6 @@ __all__ = [
     "count_numerical_resolvents",
     "enumerate_numerical_resolvents",
     "cubic_resolvent_form",
-    "disc_quartic",
     "disc_match",
     "resolvent_identity_check",
     "is_maximal_at_p",
@@ -393,8 +395,9 @@ def _resolvent_data(ring):
         mu[z] = (Fraction(-_lam_get(lam, y, z), d), Fraction(_lam_get(lam, x, z)))
     for u in range(6):
         for v in range(u + 1, 6):
-            det = mu[u][0] * mu[v][1] - mu[u][1] * mu[v][0]
-            assert det == lam[(u, v)], "mu realization does not reproduce the minors"
+            assert mat2_det((mu[u], mu[v])) == lam[(u, v)], (
+                "mu realization does not reproduce the minors"
+            )
 
     rows = [mu[z] for z in range(6) if mu[z] != (0, 0)]
     basis0 = hnf_canonicalize(tuple(rows))
@@ -427,7 +430,7 @@ def enumerate_numerical_resolvents(ring):
     # sublattices S = n*M of it (S automatically contains n times the
     # lattice); S runs over row-style Hermite forms H with det n, which are
     # pairwise distinct by left-multiplication canonicity.
-    for d in sorted(_divisors(n)):
+    for d in divisors(n):
         a = n // d
         for b in range(d):
             h = ((a, b), (0, d))
@@ -437,13 +440,6 @@ def enumerate_numerical_resolvents(ring):
     assert len(out) == divisor_sigma(n)
     assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
     return out
-
-
-def _divisors(n):
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
 
 
 def pair_from_ring(ring):
@@ -504,18 +500,9 @@ def cubic_resolvent_form(pair):
     return tuple(total)
 
 
-def disc_quartic(ring):
-    """Discriminant of a quartic ring (trace-pairing determinant)."""
-    if not isinstance(ring, QuarticRing):
-        raise DomainError("expected a QuarticRing")
-    return ring.disc()
-
-
 def disc_match(pair):
     """Whether the ring discriminant equals the resolvent form discriminant."""
-    return disc_quartic(ring_from_pair(pair)) == cubic_form_disc(
-        cubic_resolvent_form(pair)
-    )
+    return ring_from_pair(pair).disc() == cubic_form_disc(cubic_resolvent_form(pair))
 
 
 def resolvent_identity_check(pair, x):
@@ -544,7 +531,7 @@ def resolvent_identity_check(pair, x):
     cub = ring_from_cubic_form(cubic_resolvent_form(pair))
     y = (0, bv, -av)
     y2 = cub.mul(y, y)
-    rhs = y[1] * y2[2] - y[2] * y2[1]
+    rhs = mat2_det((y[1:], y2[1:]))
     return lhs == rhs
 
 
@@ -589,7 +576,7 @@ def is_maximal_at_p(ring, p):
         raise DomainError("expected a QuarticRing")
     if ring.disc() == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
-    if not _is_prime_int(p):
+    if not is_prime(p):
         raise DomainError("maximality test requires a prime")
 
     identity_rows = [
@@ -622,12 +609,6 @@ def is_maximal_at_p(ring, p):
         if closed:
             return (False, basis)
     return (True, None)
-
-
-def _is_prime_int(p):
-    from .exactlattice import is_prime
-
-    return isinstance(p, int) and is_prime(p)
 
 
 def is_maximal(ring):

@@ -1,9 +1,11 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
+import smallrank
 from smallrank.cli import main
 
 
@@ -159,6 +161,14 @@ def test_domain_error_exit_code(capsys):
     assert "Degenerate" in err
 
 
+def test_compose_indefinite_exit_code(capsys):
+    code, out, err = run(capsys, "compose", "--", "9", "-1", "3", "0", "0", "-3", "2")
+    assert code == 1
+    assert "UnsupportedDiscriminant" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -195,10 +205,14 @@ def test_json_determinism(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "smallrank.cli", "classgroup", "--json", "--", "-23"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

@@ -11,6 +11,7 @@ from smallrank.exactlattice import (
     LatticeBasis,
     contains,
     divisor_sigma,
+    divisors,
     factorize,
     hnf_canonicalize,
     is_prime,
@@ -24,6 +25,78 @@ from smallrank.exactlattice import (
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+# Reference Gaussian eliminations over Fraction, the implementation that the
+# fraction-free integer kernel replaced; kept as the oracle for it.
+def _oracle_det(rows):
+    rows = [[Fraction(e) for e in row] for row in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return det
+
+
+def _oracle_inv(rows):
+    rows = [[Fraction(e) for e in row] for row in rows]
+    n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [e * inv for e in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def square_matrices(draw, entries=rationals):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # overwrite one row with a combination of the others: singular
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        c = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+        rows[i] = [sum(c[k] * rows[k][j] for k in range(n) if k != i) for j in range(n)]
+    return rows
+
+
+@given(square_matrices())
+def test_det_and_inverse_agree_with_fraction_oracle(m):
+    det = _oracle_det(m)
+    assert mat_det(m) == det
+    if det == 0:
+        with pytest.raises(RankError):
+            mat_inv(m)
+    else:
+        assert mat_inv(m) == _oracle_inv(m)
+
+
+@given(square_matrices(st.integers(min_value=-50, max_value=50)))
+def test_det_of_integer_matrix_is_an_integral_fraction(m):
+    det = mat_det(m)
+    assert isinstance(det, Fraction)
+    assert det.denominator == 1
+    assert det == _oracle_det(m)
 
 
 @given(ints, ints)
@@ -166,6 +239,11 @@ def test_factorize_reconstructs(n):
         prod *= p**e
     assert prod == n
     assert list(factors) == sorted(factors)
+
+
+@given(st.integers(min_value=1, max_value=10**5))
+def test_divisors_match_trial_division(n):
+    assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_divisor_sigma_spots():

@@ -137,6 +137,17 @@ def test_compose_disc_mismatch():
         compose((1, 0, 1), (1, 1, 6))
 
 
+def test_compose_indefinite_is_a_domain_error():
+    # this pair once divided by zero inside the composition formula
+    with pytest.raises(UnsupportedDiscriminant):
+        compose((-1, 3, 0), (0, -3, 2))
+    with pytest.raises(UnsupportedDiscriminant):
+        compose((1, 3, 1), (1, 3, 1))
+    # negative definite forms still compose, to a reduced positive form
+    assert compose((-2, 1, -3), (-2, -1, -3)) == (1, 1, 6)
+    assert compose((-1, 1, -6), (-2, 1, -3)) == (2, 1, 3)
+
+
 def test_class_group_structures():
     assert class_group(-23)[2] == (3,)
     assert class_group(-4)[2] == ()

@@ -196,3 +196,14 @@ def test_semigroup_agrees_with_principal():
         assert all(table[pi][i] == i for i in range(len(elements)))
         for f in elements:
             assert discriminant(f) == d
+
+
+def test_class_semigroup_table_matches_products_in_both_orders():
+    for d in (-100, -108, -300, -392, -612):
+        elements, table = class_semigroup(d)
+        ring = ring_from_disc(d)
+        ideals = [ideal_from_form(f, ring) for f in elements]
+        for i, a in enumerate(ideals):
+            for j, b in enumerate(ideals):
+                assert elements[table[i][j]] == form_from_ideal(multiply(a, b))
+                assert elements[table[j][i]] == form_from_ideal(multiply(b, a))
