@@ -10,7 +10,7 @@ where t and u are the symmetric cube invariants below.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
 from .exactlattice import lattice_intersect, mat2_det, mat_inv, mat_mul
@@ -244,10 +244,7 @@ def _scalar_candidates(ring, src, dst):
     aa = ring.norm(v1)
     bb = ring.trace(ring.mul(v1, ring.conj(v2)))
     cc = ring.norm(v2)
-    s = 1
-    for val in (aa, bb, cc, target):
-        den = Fraction(val).denominator
-        s = s * den // gcd(s, den)
+    s = lcm(*(Fraction(val).denominator for val in (aa, bb, cc, target)))
     fi = (int(aa * s), int(bb * s), int(cc * s))
     out = []
     for (m, n) in represent(fi, int(target * s)):

@@ -1,4 +1,4 @@
-"""Exact lattices over Q: Hermite normal form, indices, membership.
+"""Exact lattices over Q: Hermite normal form, coordinates, intersection.
 
 Lattices are given by generating sets of row vectors with rational entries.
 The canonical form is the row-style HNF: pivots positive and on the diagonal
@@ -155,27 +155,26 @@ def mat_inv(rows):
     return tuple(tuple(Fraction(den * e, det) for e in row[n:]) for row in aug)
 
 
-def solve_left(basis, v):
-    """Solve x * basis = v over Q; x as a tuple of Fractions."""
-    inv = mat_inv(basis)
-    return tuple(sum(Fraction(v[k]) * inv[k][j] for k in range(len(v))) for j in range(len(v)))
+def lattice_coords(basis, vectors):
+    """Integer coordinate rows x with x * basis == v, one per vector v.
 
-
-def lattice_index(sub, sup) -> Fraction:
-    """Generalized index [sup : sub] = |det sub| / |det sup|."""
-    sub = hnf_canonicalize(sub)
-    sup = hnf_canonicalize(sup)
-    if sub.ambient != sup.ambient:
-        raise DimensionError("ambient dimensions differ")
-    return abs(mat_det(sub)) / abs(mat_det(sup))
-
-
-def contains(lat, v) -> bool:
-    """Is the vector v in the lattice spanned by the given basis?"""
-    lat = hnf_canonicalize(lat)
-    if len(v) != lat.ambient:
-        raise DimensionError("vector length differs from ambient dimension")
-    return all(c.denominator == 1 for c in solve_left(lat, v))
+    None if some v is off the lattice.  ``basis`` is a square, full-rank
+    rational matrix (RankError if singular or empty) and every vector has
+    its length (DimensionError otherwise).
+    """
+    n = len(basis)
+    rows = [*basis, *vectors]
+    if any(len(row) != n for row in rows):
+        raise DimensionError("lattice_coords needs a square basis and vectors of its length")
+    ints, _ = _scaled(rows)  # the common denominator cancels
+    # basis^T x^T = v^T: Bareiss on [basis^T | vectors^T] leaves det * x^T
+    aug = [list(col) for col in zip(*ints)]
+    det = _bareiss(aug)
+    if not n or not det:
+        raise RankError("singular or empty basis")
+    if any(e % det for row in aug for e in row[n:]):
+        return None
+    return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
 
 
 def lattice_intersect(b1, b2) -> LatticeBasis:

@@ -17,7 +17,15 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroForm,
 )
-from .exactlattice import LatticeBasis, hnf_canonicalize, mat2_det, mat_det, mat_inv, mat_mul
+from .exactlattice import (
+    LatticeBasis,
+    hnf_canonicalize,
+    lattice_coords,
+    mat2_det,
+    mat_det,
+    mat_inv,
+    mat_mul,
+)
 from .quadforms import content, discriminant, reduce, twisted_act
 
 
@@ -52,10 +60,6 @@ class QuadraticRing:
     def trace(self, x):
         return 2 * x[0] + self.t * x[1]
 
-    def xi_matrix(self):
-        # right-multiplication matrix of xi on row coordinates (x, y)
-        return ((0, 1), (-self.u, self.t))
-
     def __eq__(self, other):
         return isinstance(other, QuadraticRing) and (self.t, self.u) == (other.t, other.u)
 
@@ -83,14 +87,12 @@ class QuadIdeal:
         self.basis = tuple(tuple(Fraction(e) for e in row) for row in basis)
         if len(self.basis) != 2 or any(len(r) != 2 for r in self.basis):
             raise RankError("an ideal basis is two row vectors of length 2")
-        if mat_det(self.basis) == 0:
-            raise RankError("basis rows are dependent")
-        # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2
-        p = self.basis
-        x = tuple(zip(*mat_mul(mat_mul(p, ring.xi_matrix()), mat_inv(p))))
-        if any(e.denominator != 1 for row in x for e in row):
+        # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2; RankError
+        # if the rows are dependent
+        x = lattice_coords(self.basis, [ring.mul((0, 1), row) for row in self.basis])
+        if x is None:
             raise NotAModule("lattice is not xi-stable over %r" % ring)
-        self.xi = tuple(tuple(int(e) for e in row) for row in x)
+        self.xi = tuple(zip(*x))
 
     def hnf(self) -> LatticeBasis:
         return hnf_canonicalize(self.basis)

@@ -32,18 +32,19 @@ from fractions import Fraction
 from collections import namedtuple
 from math import gcd
 
-from .errors import DegenerateRing, DomainError, RankError, TrivialRing
+from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
+    LatticeBasis,
+    _hnf_int,
     divisor_sigma,
     divisors,
     factorize,
     hnf_canonicalize,
     is_prime,
+    lattice_coords,
     mat2_det,
     mat_det,
-    mat_inv,
     mat_mul,
-    solve_left,
 )
 from .cubicrings import cubic_form_disc, ring_from_cubic_form
 
@@ -127,12 +128,10 @@ def _lam_get(lam, x, y):
 
 
 def plucker_check(lam):
-    """Whether a 15-tuple / dict of minors satisfies all Plucker relations.
+    """Whether a dict of minors from :func:`lambda_system` satisfies all Plucker relations.
 
-    Accepts either the dict produced by :func:`lambda_system` or a flat
-    sequence of 15 integers in lexicographic key order.  For every choice of
-    four distinct indices ``w < x < y < z`` among the six coefficient slots
-    the alternating relation
+    For every choice of four distinct indices ``w < x < y < z`` among the
+    six coefficient slots the alternating relation
 
         lam(w,x)*lam(y,z) - lam(w,y)*lam(x,z) + lam(w,z)*lam(x,y) == 0
 
@@ -140,11 +139,7 @@ def plucker_check(lam):
     an actual 2x6 matrix.
     """
     if not isinstance(lam, dict):
-        flat = tuple(int(v) for v in lam)
-        if len(flat) != 15:
-            raise DomainError("a minor system is a dict or a flat 15-tuple")
-        keys = [(x, y) for x in range(6) for y in range(x + 1, 6)]
-        lam = dict(zip(keys, flat))
+        raise DomainError("a minor system is the dict made by lambda_system")
     for w in range(6):
         for x in range(w + 1, 6):
             for y in range(x + 1, 6):
@@ -452,15 +447,9 @@ def pair_from_ring(ring):
     """
     lam, content, mu, basis0 = _resolvent_data(ring)
     chosen = enumerate_numerical_resolvents(ring)[0]
-    a = []
-    b = []
-    for z in range(6):
-        coords = solve_left(chosen, mu[z])
-        for t in coords:
-            assert t.denominator == 1, "mu-vectors must be integral in lattice coords"
-        a.append(int(coords[0]))
-        b.append(int(coords[1]))
-    witness = (tuple(a), tuple(b))
+    coords = lattice_coords(chosen, [mu[z] for z in range(6)])
+    assert coords is not None, "mu-vectors must be integral in lattice coords"
+    witness = tuple(zip(*coords))
     rebuilt = ring_from_pair(witness)
     assert rebuilt == ring, "witness pair must rebuild the identical table"
     return MinimalResolvent(lattice=basis0, content=content), witness
@@ -579,35 +568,18 @@ def is_maximal_at_p(ring, p):
     if not is_prime(p):
         raise DomainError("maximality test requires a prime")
 
-    identity_rows = [
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-    ]
+    p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
     for rows in _subspaces_avoiding_one(p):
-        cand = list(identity_rows)
-        for v in rows:
-            cand.append(tuple(Fraction(t, p) for t in v))
-        try:
-            basis = hnf_canonicalize(tuple(cand))
-        except RankError:
-            continue
-        inv = mat_inv(basis)
-        closed = True
-        for i in range(4):
-            for j in range(i, 4):
-                w = ring.mul(basis[i], basis[j])
-                coords = tuple(
-                    sum(w[k] * inv[k][t] for k in range(4)) for t in range(4)
-                )
-                if any(co.denominator != 1 for co in coords):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            return (False, basis)
+        # Q' = H/p with H the integer HNF of pQ + L; Q' is a ring iff every
+        # H_i*H_j lies in pH.  One product per call keeps the early exit.
+        h = _hnf_int(p_rows + rows)
+        ph = [[p * e for e in row] for row in h]
+        if all(
+            lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
+            for i in range(4)
+            for j in range(i, 4)
+        ):
+            return (False, LatticeBasis([[Fraction(e, p) for e in row] for row in h]))
     return (True, None)
 
 

@@ -169,6 +169,16 @@ def test_compose_indefinite_exit_code(capsys):
     assert out == ""
 
 
+def test_ideal_form_non_module_exit_code(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"ring": {"t": "0", "u": "1"}, "basis": [["1", "0"], ["0", "2"]]}))
+    code, out, err = run(capsys, "ideal-form", "--json", str(path))
+    assert code == 1
+    assert "NotAModule" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

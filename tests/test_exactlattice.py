@@ -9,18 +9,16 @@ from hypothesis import given, strategies as st
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     LatticeBasis,
-    contains,
     divisor_sigma,
     divisors,
     factorize,
     hnf_canonicalize,
     is_prime,
-    lattice_index,
+    lattice_coords,
     lattice_intersect,
     mat_det,
     mat_inv,
     mat_mul,
-    solve_left,
     xgcd,
 )
 
@@ -65,12 +63,26 @@ def _oracle_inv(rows):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+# Rational solve through the inverse, the implementation (solve_left and the
+# inverse-and-denominator loops) that lattice_coords replaced; kept as its
+# oracle.  mat_inv itself is checked against _oracle_inv.
+def _oracle_coords(basis, vectors):
+    inv = mat_inv(basis)
+    out = []
+    for v in vectors:
+        x = tuple(sum(Fraction(v[k]) * inv[k][j] for k in range(len(v))) for j in range(len(v)))
+        if any(c.denominator != 1 for c in x):
+            return None
+        out.append(tuple(int(c) for c in x))
+    return tuple(out)
+
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
 @st.composite
-def square_matrices(draw, entries=rationals):
-    n = draw(st.integers(min_value=1, max_value=5))
+def square_matrices(draw, entries=rationals, max_size=5):
+    n = draw(st.integers(min_value=1, max_value=max_size))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         # overwrite one row with a combination of the others: singular
@@ -89,6 +101,43 @@ def test_det_and_inverse_agree_with_fraction_oracle(m):
             mat_inv(m)
     else:
         assert mat_inv(m) == _oracle_inv(m)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    # a basis, integer combinations of its rows and arbitrary rational vectors
+    basis = draw(square_matrices(max_size=4))
+    n = len(basis)
+    combos = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=3))
+    others = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=3))
+    return basis, combos, others
+
+
+@given(bases_and_vectors())
+def test_lattice_coords_agrees_with_inverse_oracle(case):
+    basis, combos, others = case
+    n = len(basis)
+    on = [[sum(c[i] * basis[i][j] for i in range(n)) for j in range(n)] for c in combos]
+    with pytest.raises(DimensionError):
+        lattice_coords(basis, on + [[0] * (n + 1)])
+    if _oracle_det(basis) == 0:
+        with pytest.raises(RankError):
+            lattice_coords(basis, on + others)
+        return
+    assert lattice_coords(basis, on) == tuple(tuple(c) for c in combos)
+    coords = lattice_coords(basis, on + others)
+    assert coords == _oracle_coords(basis, on + others)
+    if coords is None:
+        assert any(lattice_coords(basis, [v]) is None for v in others)
+
+
+def test_lattice_coords_errors():
+    with pytest.raises(RankError):
+        lattice_coords((), [])
+    with pytest.raises(DimensionError):
+        lattice_coords(((1, 0),), [])
+    assert lattice_coords(((2, 0), (0, 2)), [(1, 0)]) is None
+    assert lattice_coords(((2, 0), (1, 1)), []) == ()
 
 
 @given(square_matrices(st.integers(min_value=-50, max_value=50)))
@@ -184,11 +233,9 @@ def test_mat_inverse_and_solve():
         )
         assert mat_mul(m, inv) == ident
         assert mat_mul(inv, m) == ident
-        v = tuple(rng.randint(-9, 9) for _ in range(n))
-        x = solve_left(m, v)
-        assert tuple(
-            sum(x[i] * m[i][j] for i in range(n)) for j in range(n)
-        ) == tuple(Fraction(t) for t in v)
+        c = tuple(rng.randint(-9, 9) for _ in range(n))
+        v = tuple(sum(c[i] * m[i][j] for i in range(n)) for j in range(n))
+        assert lattice_coords(m, [v]) == (c,)
 
 
 def test_det_multiplicative():
@@ -202,9 +249,9 @@ def test_det_multiplicative():
 def test_index_contains_intersect():
     ident = ((1, 0), (0, 1))
     double = ((2, 0), (0, 2))
-    assert lattice_index(double, ident) == 4
-    assert contains(ident, (7, -3))
-    assert not contains(double, (1, 0))
+    assert mat_det(double) / mat_det(ident) == 4
+    assert lattice_coords(ident, [(7, -3)]) == ((7, -3),)
+    assert lattice_coords(double, [(1, 0)]) is None
     assert hnf_canonicalize(lattice_intersect(double, ((3, 0), (0, 3)))) == (
         (6, 0),
         (0, 6),
@@ -221,12 +268,11 @@ def test_intersection_is_largest_common_sublattice():
         if mat_det(b1) == 0 or mat_det(b2) == 0:
             continue
         meet = lattice_intersect(b1, b2)
-        for row in meet:
-            assert contains(b1, row)
-            assert contains(b2, row)
+        assert lattice_coords(b1, meet) is not None
+        assert lattice_coords(b2, meet) is not None
         # the index in either factor is integral
-        assert lattice_index(meet, b1).denominator == 1
-        assert lattice_index(meet, b2).denominator == 1
+        assert (mat_det(meet) / mat_det(b1)).denominator == 1
+        assert (mat_det(meet) / mat_det(b2)).denominator == 1
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from smallrank.errors import RingMismatch, UnsupportedDiscriminant
+from smallrank.errors import NotAModule, RankError, RingMismatch, UnsupportedDiscriminant
 from smallrank.quadforms import (
     class_group,
     discriminant,
@@ -124,6 +124,14 @@ def test_noninvertible_ideal():
     # B * B = B up to the scalar 1/5: the absorbing class
     bb = multiply(b, b)
     assert form_from_ideal(bb) == (5, 0, 5)
+
+
+def test_ideal_rejects_non_module_and_dependent_rows():
+    ring = QuadraticRing(0, 1)
+    with pytest.raises(NotAModule):
+        QuadIdeal(ring, ((1, 0), (0, 2)))  # Z + 2iZ does not contain i
+    with pytest.raises(RankError):
+        QuadIdeal(ring, ((1, 2), (2, 4)))
 
 
 def test_endomorphism_ring_of_invertible_is_the_ring():

@@ -7,7 +7,7 @@ import pytest
 
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
 from smallrank.cubicrings import cubic_eval
-from smallrank.exactlattice import contains, lattice_index, mat_det
+from smallrank.exactlattice import hnf_canonicalize, lattice_coords, mat_det, mat_inv
 from smallrank.quarticrings import (
     SIX,
     count_numerical_resolvents,
@@ -24,6 +24,7 @@ from smallrank.quarticrings import (
     ring_from_pair,
     ternary_eval,
 )
+from smallrank.quarticrings import _subspaces_avoiding_one
 
 P_A = (0, 0, 0, 1, 0, -1)
 P_B = (0, 0, 0, 0, 1, -1)
@@ -64,6 +65,8 @@ def test_lambda_system_spots():
 def test_plucker():
     assert plucker_check(lambda_system(P_Z4))
     assert not plucker_check({k: 1 for k in lambda_system(P_Z4)})
+    with pytest.raises(DomainError):
+        plucker_check(tuple(lambda_system(P_Z4).values()))
     for pair in _random_pairs(41, 40):
         assert plucker_check(lambda_system(pair))
 
@@ -175,12 +178,48 @@ def test_non_maximality_with_witness():
         ring = ring_from_pair(scaled)
         ok, witness = is_maximal_at_p(ring, p)
         assert not ok
-        index = lattice_index(I4, witness)
+        index = 1 / abs(mat_det(witness))
         assert index.denominator == 1 and int(index) % p == 0
-        for v in I4:
-            assert contains(witness, v)
+        assert lattice_coords(witness, I4) is not None
     two = ring_from_pair((tuple(2 * v for v in P_A), P_B))
     assert not is_maximal(two)
+
+
+# The Fraction candidate loop that is_maximal_at_p ran before it moved to
+# integer HNF rows and lattice_coords; kept as its oracle.
+def _oracle_is_maximal_at_p(ring, p):
+    identity_rows = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    for rows in _subspaces_avoiding_one(p):
+        cand = identity_rows + [tuple(Fraction(t, p) for t in v) for v in rows]
+        basis = hnf_canonicalize(tuple(cand))
+        inv = mat_inv(basis)
+        closed = True
+        for i in range(4):
+            for j in range(i, 4):
+                w = ring.mul(basis[i], basis[j])
+                coords = tuple(sum(w[k] * inv[k][t] for k in range(4)) for t in range(4))
+                if any(co.denominator != 1 for co in coords):
+                    closed = False
+                    break
+            if not closed:
+                break
+        if closed:
+            return (False, basis)
+    return (True, None)
+
+
+def test_maximality_agrees_with_fraction_oracle():
+    answers = []
+    for pair in _random_pairs(47, 12):
+        for p in (2, 3):
+            for a in (pair[0], tuple(p * v for v in pair[0])):
+                ring = ring_from_pair((a, pair[1]))
+                if ring.disc() == 0:
+                    continue
+                result = is_maximal_at_p(ring, p)
+                assert result == _oracle_is_maximal_at_p(ring, p)
+                answers.append(result[0])
+    assert len(answers) >= 40 and set(answers) == {True, False}
 
 
 def test_condition_tags():
