@@ -58,7 +58,7 @@ def _parse_int(text):
     sign = 1
     if text.startswith("-"):
         sign, text = -1, text[1:]
-    if not text.isdigit():
+    if not text.isdecimal():
         raise _UsageError("expected an integer, got %r" % (text,))
     return sign * int(text)
 
@@ -78,7 +78,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as e:
         raise _UsageError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON or bytes that are not UTF-8
         raise _UsageError("malformed JSON in %s: %s" % (path, e))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
-from .exactlattice import lattice_intersect, mat2_det, mat_inv, mat_mul
+from .exactlattice import lattice_intersect, mat2_det
 from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
@@ -149,13 +149,9 @@ def is_balanced(i1, i2, i3) -> bool:
         raise RingMismatch("ideals live over different rings")
     if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
         return False
-    for x in i1.basis:
-        for y in i2.basis:
-            for z in i3.basis:
-                w = ring.mul(ring.mul(x, y), z)
-                if w[0].denominator != 1 or w[1].denominator != 1:
-                    return False
-    return True
+    den = i1.den * i2.den * i3.den
+    products = (ring.mul(ring.mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows)
+    return all(c % den == 0 for w in products for c in w)
 
 
 def cube_from_triple(triple, bases=None):
@@ -229,18 +225,17 @@ def gamma_act(ms, q):
     return new
 
 
-def _mult_matrix(ring, b):
-    # right-multiplication by b on row coordinates
-    return ((b[0], b[1]), (-ring.u * b[1], b[0] + ring.t * b[1]))
+def _ring_inverse(ring, b):
+    # b^-1 = conj(b) / norm(b) for a ring element b of nonzero norm
+    n = ring.norm(b)
+    return tuple(Fraction(c) / n for c in ring.conj(b))
 
 
 def _scalar_candidates(ring, src, dst):
     # all gamma with gamma*src == dst, via the containment lattice and norms
     target = ideal_norm(dst) / ideal_norm(src)
-    lats = [
-        mat_mul(dst.basis, mat_inv(_mult_matrix(ring, b))) for b in src.basis
-    ]
-    v1, v2 = lattice_intersect(lats[0], lats[1])
+    lats = [scale(dst, _ring_inverse(ring, b)).basis for b in src.basis]
+    v1, v2 = lattice_intersect(*lats)
     aa = ring.norm(v1)
     bb = ring.trace(ring.mul(v1, ring.conj(v2)))
     cc = ring.norm(v2)
@@ -269,10 +264,7 @@ def triples_equivalent(t1, t2) -> bool:
     j3 = t2.ideals[2].canonical()
     for g1 in c1:
         for g2 in c2:
-            g12 = ring.mul(g1, g2)
-            n12 = ring.norm(g12)
-            conj = ring.conj(g12)
-            g3 = (Fraction(conj[0], 1) / n12, Fraction(conj[1], 1) / n12)
+            g3 = _ring_inverse(ring, ring.mul(g1, g2))
             if scale(t1.ideals[2], g3) == j3:
                 return True
     return False

@@ -4,9 +4,10 @@ Lattices are given by generating sets of row vectors with rational entries.
 The canonical form is the row-style HNF: pivots positive and on the diagonal
 of the surviving rows, entries above each pivot reduced into [0, pivot).
 
-All elimination runs on integers: the rows are scaled once to integer rows
-over one common denominator, HNF reduces those, and determinant and inverse
-share one fraction-free Gauss-Jordan pass; results are scaled back.
+One representation: integer rows over one positive denominator, produced
+by ``_scaled``.  All elimination runs on those integers (HNF, and one
+fraction-free Gauss-Jordan pass for determinant and coordinates), and
+``_unscaled`` builds the ``Fraction`` rows that public functions return.
 """
 
 from fractions import Fraction
@@ -26,22 +27,6 @@ def xgcd(a, b):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-class LatticeBasis(tuple):
-    """Immutable matrix of rational row vectors."""
-
-    def __new__(cls, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        if rows:
-            n = len(rows[0])
-            if any(len(row) != n for row in rows):
-                raise DimensionError("rows of unequal length")
-        return super().__new__(cls, rows)
-
-    @property
-    def ambient(self):
-        return len(self[0]) if self else 0
 
 
 def _hnf_int(rows):
@@ -80,10 +65,18 @@ def _hnf_int(rows):
 
 
 def _scaled(rows):
-    # integer rows and one positive denominator den with rows == int_rows / den
-    rows = [[Fraction(e) for e in row] for row in rows]
+    # integer rows and the least positive denominator den with
+    # rows == int_rows / den; DimensionError for rows of unequal length
+    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionError("rows of unequal length")
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _unscaled(rows, den):
+    # the Fraction rows of int_rows / den, as a tuple of tuples
+    return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
 
 def _bareiss(a):
@@ -109,24 +102,24 @@ def _bareiss(a):
     return prev
 
 
-def hnf_canonicalize(basis) -> LatticeBasis:
+def hnf_canonicalize(basis):
     """Canonical full-rank HNF basis of the lattice generated by the rows."""
-    basis = LatticeBasis(basis)
-    if not basis:
-        raise RankError("empty generating set")
-    n = basis.ambient
     ints, den = _scaled(basis)
+    if not ints:
+        raise RankError("empty generating set")
+    n = len(ints[0])
     hnf = _hnf_int(ints)
     if len(hnf) < n:
         raise RankError("rank %d < ambient dimension %d" % (len(hnf), n))
-    return LatticeBasis([[Fraction(e, den) for e in row] for row in hnf])
+    return _unscaled(hnf, den)
 
 
 def mat_det(rows):
     """Determinant of a square rational matrix, as a Fraction."""
     ints, den = _scaled(rows)
     n = len(ints)
-    assert all(len(row) == n for row in ints)
+    if ints and len(ints[0]) != n:
+        raise DimensionError("mat_det needs a square matrix")
     return Fraction(_bareiss(ints), den**n)
 
 
@@ -141,18 +134,6 @@ def mat_mul(a, b):
 def mat2_det(m):
     """Determinant of a 2x2 matrix, in the type of its entries."""
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def mat_inv(rows):
-    """Inverse of a square rational matrix (RankError if singular)."""
-    ints, den = _scaled(rows)
-    n = len(ints)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints)]
-    det = _bareiss(aug)
-    if not det:
-        raise RankError("singular matrix")
-    # (M/den)^-1 = den * adj(M) / det(M)
-    return tuple(tuple(Fraction(den * e, det) for e in row[n:]) for row in aug)
 
 
 def lattice_coords(basis, vectors):
@@ -177,21 +158,27 @@ def lattice_coords(basis, vectors):
     return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
 
 
-def lattice_intersect(b1, b2) -> LatticeBasis:
-    """Intersection of two full-rank lattices via the dual-sum trick."""
-    b1 = hnf_canonicalize(b1)
-    b2 = hnf_canonicalize(b2)
-    if b1.ambient != b2.ambient:
-        raise DimensionError("ambient dimensions differ")
-    d1 = tuple(zip(*mat_inv(b1)))  # rows of (B^-1)^T span the dual
-    d2 = tuple(zip(*mat_inv(b2)))
-    dsum = hnf_canonicalize(d1 + d2)
-    return hnf_canonicalize(tuple(zip(*mat_inv(dsum))))
+def lattice_intersect(b1, b2):
+    """Canonical HNF basis of the intersection of two full-rank lattices.
+
+    The rows [B1 | B1] and [B2 | 0] span {(x + y, x) : x in L1, y in L2}.
+    Its HNF has n pivots in the first n columns (L1 + L2); the rows after
+    them are (0, x) with x in L1 and -x in L2, already the HNF of L1 & L2.
+    """
+    ints, den = _scaled([*b1, *b2])
+    if not ints:
+        raise RankError("empty generating set")
+    n, k = len(ints[0]), len(b1)
+    h = _hnf_int([row + row for row in ints[:k]] + [row + [0] * n for row in ints[k:]])
+    if len(h) < 2 * n:
+        raise RankError("both lattices must have full rank %d" % n)
+    return _unscaled([row[n:] for row in h[n:]], den)
 
 
 def factorize(n):
     """Prime factorization of n >= 1 as a dict {p: exponent}."""
-    assert n >= 1
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("factorize needs a positive integer")
     out = {}
     for p in [2, 3]:
         while n % p == 0:

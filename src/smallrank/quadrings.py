@@ -4,7 +4,8 @@ A ring is Z[xi] with xi^2 = t*xi - u, stored as the pair (t, u) exactly as
 given (no silent normalization, so raw presentations coming out of cube
 computations survive round trips).  Elements are coordinate pairs (x, y)
 meaning x + y*xi.  Ideals are rank-2 lattices in Q^2 stable under
-multiplication by xi, stored with the basis rows exactly as given.
+multiplication by xi, stored with the basis rows exactly as given and,
+for all arithmetic, as integer rows over one denominator.
 """
 
 from fractions import Fraction
@@ -17,15 +18,7 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroForm,
 )
-from .exactlattice import (
-    LatticeBasis,
-    hnf_canonicalize,
-    lattice_coords,
-    mat2_det,
-    mat_det,
-    mat_inv,
-    mat_mul,
-)
+from .exactlattice import _hnf_int, _scaled, _unscaled, lattice_coords, mat2_det, mat_mul
 from .quadforms import content, discriminant, reduce, twisted_act
 
 
@@ -80,22 +73,30 @@ def ring_from_disc(d) -> QuadraticRing:
 
 
 class QuadIdeal:
-    """Fractional ideal of a quadratic ring, basis rows stored as given."""
+    """Fractional ideal of a quadratic ring.
+
+    ``basis`` holds the basis rows exactly as given, as Fractions.  ``rows``
+    and ``den`` hold the same basis as integer rows over one denominator,
+    ``basis == rows / den`` with ``den`` the least positive such; the ideal
+    arithmetic runs on them.
+    """
 
     def __init__(self, ring, basis):
         self.ring = ring
         self.basis = tuple(tuple(Fraction(e) for e in row) for row in basis)
         if len(self.basis) != 2 or any(len(r) != 2 for r in self.basis):
             raise RankError("an ideal basis is two row vectors of length 2")
+        rows, self.den = _scaled(self.basis)
+        self.rows = tuple(map(tuple, rows))
         # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2; RankError
         # if the rows are dependent
-        x = lattice_coords(self.basis, [ring.mul((0, 1), row) for row in self.basis])
+        x = lattice_coords(self.rows, [ring.mul((0, 1), row) for row in self.rows])
         if x is None:
             raise NotAModule("lattice is not xi-stable over %r" % ring)
         self.xi = tuple(zip(*x))
 
-    def hnf(self) -> LatticeBasis:
-        return hnf_canonicalize(self.basis)
+    def hnf(self):
+        return _unscaled(_hnf_int(self.rows), self.den)
 
     def canonical(self):
         return QuadIdeal(self.ring, self.hnf())
@@ -149,38 +150,44 @@ def ideal_from_form(f, ring) -> QuadIdeal:
         basis = ((Fraction(1), Fraction(0)), (Fraction(-a, p), Fraction(1, p)))
     else:
         # move a nonzero value into the leading slot, build there, pull back
+        # through the adjugate of m, which is m^-1 since det m == 1
         m = ((0, 1), (-1, 0)) if r != 0 else ((1, 1), (0, 1))
         g = twisted_act(m, f)
         assert g[0] != 0
         inner = ideal_from_form(g, ring)
-        basis = mat_mul(mat_inv(m), inner.basis)
+        basis = mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.basis)
     ideal = QuadIdeal(ring, basis)
     assert raw_form(ideal) == f
     return ideal
+
+
+def _span(ring, rows, den):
+    # the ideal spanned by integer rows over den, canonical (HNF) basis
+    return QuadIdeal(ring, _unscaled(_hnf_int(rows), den))
 
 
 def multiply(i, j) -> QuadIdeal:
     """Product ideal, canonical (HNF) basis."""
     if i.ring != j.ring:
         raise RingMismatch("%r vs %r" % (i.ring, j.ring))
-    rows = [i.ring.mul(bi, bj) for bi in i.basis for bj in j.basis]
-    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+    rows = [i.ring.mul(a, b) for a in i.rows for b in j.rows]
+    return _span(i.ring, rows, i.den * j.den)
 
 
 def conjugate(i) -> QuadIdeal:
     """Image under the nontrivial ring involution, canonical basis."""
-    return QuadIdeal(i.ring, hnf_canonicalize([i.ring.conj(row) for row in i.basis]))
+    return _span(i.ring, [i.ring.conj(row) for row in i.rows], i.den)
 
 
 def ideal_norm(i) -> Fraction:
     """Covolume relative to the ring of coefficients, always positive."""
-    return abs(mat_det(i.basis))
+    return Fraction(abs(mat2_det(i.rows)), i.den**2)
 
 
 def scale(i, elt) -> QuadIdeal:
     """The ideal elt * I for a ring element elt = (x, y), canonical basis."""
-    rows = [i.ring.mul(elt, row) for row in i.basis]
-    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+    (e,), e_den = _scaled([elt])
+    return _span(i.ring, [i.ring.mul(e, row) for row in i.rows], i.den * e_den)
 
 
 def endomorphism_ring(i) -> QuadraticRing:
@@ -196,10 +203,9 @@ def is_invertible(i) -> bool:
 
 def inverse(i) -> QuadIdeal:
     """Inverse of an invertible ideal: conjugate divided by the norm."""
-    n = ideal_norm(i)
-    conj = conjugate(i)
-    rows = [[e / n for e in row] for row in conj.basis]
-    inv = QuadIdeal(i.ring, hnf_canonicalize(rows))
+    # conj(rows/den) / (det/den^2) == den * conj(rows) / det
+    rows = [[i.den * e for e in i.ring.conj(row)] for row in i.rows]
+    inv = _span(i.ring, rows, abs(mat2_det(i.rows)))
     assert multiply(i, inv) == unit_ideal(i.ring).canonical()
     return inv
 

@@ -34,8 +34,9 @@ from math import gcd
 
 from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
-    LatticeBasis,
     _hnf_int,
+    _scaled,
+    _unscaled,
     divisor_sigma,
     divisors,
     factorize,
@@ -421,6 +422,7 @@ def enumerate_numerical_resolvents(ring):
     _, content, _, basis0 = _resolvent_data(ring)
     out = []
     n = content
+    rows0, den0 = _scaled(basis0)
     # Index-n enlargements M of the mu-lattice biject with index-n
     # sublattices S = n*M of it (S automatically contains n times the
     # lattice); S runs over row-style Hermite forms H with det n, which are
@@ -428,10 +430,8 @@ def enumerate_numerical_resolvents(ring):
     for d in divisors(n):
         a = n // d
         for b in range(d):
-            h = ((a, b), (0, d))
-            s = mat_mul(h, basis0)
-            m = tuple(tuple(Fraction(t, n) for t in row) for row in s)
-            out.append(hnf_canonicalize(m))
+            s = mat_mul(((a, b), (0, d)), rows0)
+            out.append(_unscaled(_hnf_int(s), den0 * n))
     assert len(out) == divisor_sigma(n)
     assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
     return out
@@ -579,7 +579,7 @@ def is_maximal_at_p(ring, p):
             for i in range(4)
             for j in range(i, 4)
         ):
-            return (False, LatticeBasis([[Fraction(e, p) for e in row] for row in h]))
+            return (False, _unscaled(h, p))
     return (True, None)
 
 

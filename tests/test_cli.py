@@ -179,6 +179,28 @@ def test_ideal_form_non_module_exit_code(capsys, tmp_path):
     assert out == ""
 
 
+def test_non_decimal_digit_is_a_usage_error(capsys, tmp_path):
+    # "\u00b2".isdigit() is true, but int() rejects it
+    path = tmp_path / "ideal.json"
+    ideal = {"ring": {"t": "\u00b2", "u": "1"}, "basis": [["1", "0"], ["0", "1"]]}
+    path.write_text(json.dumps(ideal))
+    code, out, err = run(capsys, "ideal-form", str(path))
+    assert code == 2
+    assert "usage error" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "resolvent", str(path))
+    assert code == 2
+    assert "usage error" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -24,12 +24,14 @@ from smallrank.cubes import (
     triples_equivalent,
     xi_actions,
 )
+from smallrank.quadforms import enumerate_reduced
 from smallrank.quadrings import (
     QuadIdeal,
     QuadraticRing,
     conjugate,
     ideal_from_form,
     ideal_norm,
+    ring_from_disc,
     scale,
     unit_ideal,
 )
@@ -137,6 +139,47 @@ def test_balancedness():
     assert associated_forms(q) == ((1, 0, 25), (5, 0, 5), (5, 0, 5))
     with pytest.raises(NotBalanced):
         cube_from_triple(BalancedTriple(r0, (s, s, b)))
+
+
+# The Fraction-row balancedness test that the integer-row one replaced; kept
+# as its oracle.
+def _oracle_is_balanced(i1, i2, i3):
+    ring = i1.ring
+    if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
+        return False
+    for x in i1.basis:
+        for y in i2.basis:
+            for z in i3.basis:
+                w = ring.mul(ring.mul(x, y), z)
+                if w[0].denominator != 1 or w[1].denominator != 1:
+                    return False
+    return True
+
+
+def test_balancedness_agrees_with_fraction_oracle():
+    rng = random.Random(29)
+    answers = []
+    triples = [triple_from_cube(q).ideals for q in _random_cubes(37, 30)]
+    for d in (-23, -100, -300, -392):
+        ring = ring_from_disc(d)
+        ideals = [ideal_from_form(f, ring) for f in enumerate_reduced(d)]
+        # i1 * i2 * conj(i3) / N(i3) has norm product 1 when N(i2) == N(i3)
+        for i2 in ideals:
+            for i3 in ideals:
+                if ideal_norm(i2) == ideal_norm(i3):
+                    inv3 = scale(conjugate(i3), (1 / ideal_norm(i3), 0))
+                    triples.append((unit_ideal(ring), i2, inv3))
+    for i1, i2, i3 in list(triples):
+        # move a rational scalar between two ideals, or scale one alone
+        c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        triples.append((scale(i1, (c, 0)), scale(i2, (1 / c, 0)), i3))
+        if i3.ring.norm((c, 1)):
+            triples.append((i1, i2, scale(i3, (c, 1))))
+    for tr in [t[k:] + t[:k] for t in triples for k in range(3)]:  # balancedness is symmetric
+        result = is_balanced(*tr)
+        assert result == _oracle_is_balanced(*tr)
+        answers.append(result)
+    assert set(answers) == {True, False}
 
 
 def test_invertible_triple_forms_compose_to_principal():

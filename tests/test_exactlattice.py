@@ -1,14 +1,18 @@
 """Exact integer/rational lattice arithmetic."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+import smallrank
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
-    LatticeBasis,
     divisor_sigma,
     divisors,
     factorize,
@@ -17,7 +21,6 @@ from smallrank.exactlattice import (
     lattice_coords,
     lattice_intersect,
     mat_det,
-    mat_inv,
     mat_mul,
     xgcd,
 )
@@ -65,9 +68,9 @@ def _oracle_inv(rows):
 
 # Rational solve through the inverse, the implementation (solve_left and the
 # inverse-and-denominator loops) that lattice_coords replaced; kept as its
-# oracle.  mat_inv itself is checked against _oracle_inv.
+# oracle.
 def _oracle_coords(basis, vectors):
-    inv = mat_inv(basis)
+    inv = _oracle_inv(basis)
     out = []
     for v in vectors:
         x = tuple(sum(Fraction(v[k]) * inv[k][j] for k in range(len(v))) for j in range(len(v)))
@@ -92,15 +95,25 @@ def square_matrices(draw, entries=rationals, max_size=5):
     return rows
 
 
+def _identity(n, scalar=1):
+    return [[scalar * int(i == j) for j in range(n)] for i in range(n)]
+
+
 @given(square_matrices())
 def test_det_and_inverse_agree_with_fraction_oracle(m):
     det = _oracle_det(m)
     assert mat_det(m) == det
+    n = len(m)
     if det == 0:
         with pytest.raises(RankError):
-            mat_inv(m)
+            lattice_coords(m, _identity(n))
     else:
-        assert mat_inv(m) == _oracle_inv(m)
+        # the coordinates of s*I are s*m^-1, integral once s clears denominators
+        inv = _oracle_inv(m)
+        s = lcm(*(e.denominator for row in inv for e in row))
+        assert lattice_coords(m, _identity(n, s)) == tuple(
+            tuple(s * e for e in row) for row in inv
+        )
 
 
 @st.composite
@@ -214,7 +227,22 @@ def test_hnf_errors():
     with pytest.raises(RankError):
         hnf_canonicalize(())
     with pytest.raises(DimensionError):
-        LatticeBasis(((1, 2), (1,)))
+        hnf_canonicalize(((1, 2), (1,)))
+    with pytest.raises(DimensionError):
+        lattice_intersect(((1, 2),), ((1, 2, 3),))
+    with pytest.raises(RankError):
+        lattice_intersect((), ())
+    # plain tuples of Fraction tuples, not a subclass
+    h = hnf_canonicalize(((2, 0), (1, 1)))
+    assert type(h) is tuple and type(h[0]) is tuple
+    assert repr(h) == "((Fraction(1, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(2, 1)))"
+
+
+def test_mat_det_rejects_non_square():
+    with pytest.raises(DimensionError):
+        mat_det(((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(DimensionError):
+        mat_det(((1, 2), (3,)))
 
 
 def test_mat_inverse_and_solve():
@@ -222,11 +250,14 @@ def test_mat_inverse_and_solve():
     for _ in range(50):
         n = rng.choice((2, 3, 4))
         m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        if mat_det(m) == 0:
+        det = mat_det(m)
+        if det == 0:
             with pytest.raises(RankError):
-                mat_inv(m)
+                lattice_coords(m, _identity(n))
             continue
-        inv = mat_inv(m)
+        # the coordinates of det*I are adj(m), so m^-1 = adj / det
+        adj = lattice_coords(m, _identity(n, int(det)))
+        inv = tuple(tuple(Fraction(e) / det for e in row) for row in adj)
         ident = tuple(
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
             for i in range(n)
@@ -275,6 +306,46 @@ def test_intersection_is_largest_common_sublattice():
         assert (mat_det(meet) / mat_det(b2)).denominator == 1
 
 
+# The dual-sum intersection that the one block HNF replaced, on the Fraction
+# inverse oracle; kept as the oracle for lattice_intersect.
+def _oracle_intersect(b1, b2):
+    b1 = hnf_canonicalize(b1)
+    b2 = hnf_canonicalize(b2)
+    if len(b1[0]) != len(b2[0]):
+        raise DimensionError("ambient dimensions differ")
+    d1 = tuple(zip(*_oracle_inv(b1)))  # rows of (B^-1)^T span the dual
+    d2 = tuple(zip(*_oracle_inv(b2)))
+    dsum = hnf_canonicalize(d1 + d2)
+    return hnf_canonicalize(tuple(zip(*_oracle_inv(dsum))))
+
+
+@st.composite
+def generating_sets(draw, n):
+    # n or n + 1 rational rows; sometimes every row is a combination of n - 1
+    # of them, so the set is rank-deficient
+    k = draw(st.integers(min_value=n, max_value=n + 1))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(k)]
+    if draw(st.booleans()):
+        for i in range(n - 1, k):
+            c = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+            rows[i] = [sum(c[r] * rows[r][j] for r in range(n - 1)) for j in range(n)]
+    return rows
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(generating_sets(n), generating_sets(n))))
+def test_lattice_intersect_agrees_with_dual_sum_oracle(pair):
+    b1, b2 = pair
+    try:
+        expected = _oracle_intersect(b1, b2)
+    except RankError:
+        with pytest.raises(RankError):
+            lattice_intersect(b1, b2)
+        return
+    meet = lattice_intersect(b1, b2)
+    assert meet == expected
+    assert repr(meet) == repr(expected)
+
+
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorize_reconstructs(n):
     factors = factorize(n)
@@ -290,6 +361,34 @@ def test_factorize_reconstructs(n):
 @given(st.integers(min_value=1, max_value=10**5))
 def test_divisors_match_trial_division(n):
     assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_factorize_rejects_non_positive_input():
+    for bad in (0, -5, 2.0, "7"):
+        with pytest.raises(DomainError):
+            factorize(bad)
+    with pytest.raises(DomainError):
+        divisors(0)
+
+
+def test_factorize_domain_check_survives_optimize_flag():
+    # under python -O an assert would vanish and factorize(0) loop forever
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    code = (
+        "from smallrank.errors import DomainError\n"
+        "from smallrank.exactlattice import factorize\n"
+        "for n in (0, -5):\n"
+        "    try:\n"
+        "        factorize(n)\n"
+        "    except DomainError:\n"
+        "        print('DomainError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["DomainError", "DomainError"]
 
 
 def test_divisor_sigma_spots():

@@ -1,11 +1,14 @@
 """Quadratic rings, fractional ideals, and the form-ideal dictionary."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from smallrank.errors import NotAModule, RankError, RingMismatch, UnsupportedDiscriminant
+from smallrank.exactlattice import hnf_canonicalize, mat_det
 from smallrank.quadforms import (
     class_group,
     discriminant,
@@ -215,3 +218,82 @@ def test_class_semigroup_table_matches_products_in_both_orders():
             for j, b in enumerate(ideals):
                 assert elements[table[i][j]] == form_from_ideal(multiply(a, b))
                 assert elements[table[j][i]] == form_from_ideal(multiply(b, a))
+
+
+# The Fraction-row ideal operations that integer rows over one denominator
+# replaced; kept as their oracle.
+def _oracle_multiply(i, j):
+    rows = [i.ring.mul(bi, bj) for bi in i.basis for bj in j.basis]
+    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+
+
+def _oracle_conjugate(i):
+    return QuadIdeal(i.ring, hnf_canonicalize([i.ring.conj(row) for row in i.basis]))
+
+
+def _oracle_norm(i):
+    return abs(mat_det(i.basis))
+
+
+def _oracle_scale(i, elt):
+    return QuadIdeal(i.ring, hnf_canonicalize([i.ring.mul(elt, row) for row in i.basis]))
+
+
+def _oracle_inverse(i):
+    n = _oracle_norm(i)
+    rows = [[e / n for e in row] for row in _oracle_conjugate(i).basis]
+    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+# a few forms of each positive discriminant, non-primitive ones included
+INDEFINITE_FORMS = {
+    5: ((1, 1, -1), (-1, 1, 1), (1, 3, 1)),
+    12: ((1, 0, -3), (-1, 0, 3), (2, 2, -1), (3, 0, -1)),
+    20: ((1, 0, -5), (2, 2, -2), (-2, 2, 2), (1, 4, -1)),
+}
+
+
+def _random_ideals(rng, d, count):
+    # ideals of forms of d (all reduced ones when d < 0), on a random basis
+    # of the same lattice, times a random nonzero rational
+    ring = ring_from_disc(d)
+    forms = enumerate_reduced(d) if d < 0 else INDEFINITE_FORMS[d]
+    base = [ideal_from_form(f, ring) for f in forms]
+    out = []
+    while len(out) < count:
+        (x0, x1), (y0, y1) = rng.choice(base).basis
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        c = _random_rational(rng) or Fraction(1)
+        rows = ((x0 + a * y0, x1 + a * y1), (y0 + b * (x0 + a * y0), y1 + b * (x1 + a * y1)))
+        out.append(QuadIdeal(ring, [[c * e for e in row] for row in rows]))
+    return out
+
+
+def _same(a, b):
+    return a.ring == b.ring and repr(a) == repr(b)
+
+
+def test_ideal_operations_agree_with_fraction_oracle():
+    rng = random.Random(31)
+    for d in (-3, -4, -23, -100, -108, -300, -392, 5, 12, 20):
+        ideals = _random_ideals(rng, d, 12)
+        for i in ideals:
+            assert i.basis == tuple(tuple(Fraction(e, i.den) for e in row) for row in i.rows)
+            assert i.den > 0 and gcd(i.den, *(e for row in i.rows for e in row)) == 1
+            assert ideal_norm(i) == _oracle_norm(i)
+            assert _same(conjugate(i), _oracle_conjugate(i))
+            j = rng.choice(ideals)
+            assert _same(multiply(i, j), _oracle_multiply(i, j))
+            elt = (_random_rational(rng), _random_rational(rng))
+            if elt == (0, 0):
+                elt = (Fraction(1, 2), Fraction(0))
+            assert _same(scale(i, elt), _oracle_scale(i, elt))
+            assert _same(scale(i, (3, -2)), _oracle_scale(i, (3, -2)))
+            with pytest.raises(RankError):
+                scale(i, (0, 0))
+            if is_invertible(i):
+                assert _same(inverse(i), _oracle_inverse(i))
