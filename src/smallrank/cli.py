@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import log10
 
 from .errors import DiscriminantMismatch, SmallRankError
 from . import quadforms
@@ -60,7 +61,10 @@ def _parse_int(text):
         sign, text = -1, text[1:]
     if not text.isdecimal():
         raise _UsageError("expected an integer, got %r" % (text,))
-    return sign * int(text)
+    try:
+        return sign * int(text)
+    except ValueError:  # more digits than int() converts
+        raise _UsageError("an integer of %d digits is too long" % len(text))
 
 
 def _parse_frac(text):
@@ -391,6 +395,12 @@ def _cmd_maximal(args):
 
 
 def _cmd_padic_count(args):
+    # the count is at most (p+1)*p^(i-1); refuse, before computing it, one
+    # with more digits than int -> str converts
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.p > 1 and 0 < args.i <= args.n:
+        if (args.i - 1) * log10(args.p) + log10(args.p + 1) >= limit:
+            raise _UsageError("the count may exceed %d digits: (p+1)*p^(i-1) does" % limit)
     u = args.u if args.u is not None else padic.least_nonresidue(args.p)
     cfg = padic.PadicConfig(args.p, args.n, u)
     count = padic.balanced_count(cfg, (args.i, args.j, args.k))

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
+from .errors import Degenerate, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
 from .exactlattice import lattice_intersect, mat2_det
 from .quadforms import discriminant, represent
 from .quadrings import (
@@ -84,11 +84,6 @@ def xi_actions(q):
     return tuple(out)
 
 
-def _xi_coeff(ring, w, z):
-    # xi-coefficient of w*z as a linear function of z, and the value
-    return w[1] * z[0] + (w[0] + ring.t * w[1]) * z[1]
-
-
 def triple_from_cube(q) -> BalancedTriple:
     """Reconstruct the balanced ideal triple of a nondegenerate cube.
 
@@ -102,44 +97,44 @@ def triple_from_cube(q) -> BalancedTriple:
     ring = QuadraticRing(*cube_invariants(q))
     i1 = ideal_from_form(f1, ring)
     i2 = ideal_from_form(f2, ring)
-    xs, ys = i1.basis, i2.basis
-
+    # xi-coeff(w*z) = w[1]*z0 + (w[0] + t*w[1])*z1 with w = x_i*y_j; on the
+    # integer rows, over den = den1*den2, z_k solves rows * z_k = den * a_ijk.
+    den = i1.den * i2.den
+    rows = []
+    for x in i1.rows:
+        for y in i2.rows:
+            w = ring.mul(x, y)
+            rows.append((w[1], w[0] + ring.t * w[1]))
+    piv = next(
+        ((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s]))),
+        None,
+    )
+    if piv is None:
+        raise Degenerate("product lattice does not determine a third ideal")
+    r, s = piv
+    det = mat2_det((rows[r], rows[s]))
     zs = []
     for k in range(2):
-        rows, rhs = [], []
-        for i in range(2):
-            for j in range(2):
-                w = ring.mul(xs[i], ys[j])
-                rows.append((w[1], w[0] + ring.t * w[1]))
-                rhs.append(Fraction(q[4 * i + 2 * j + k]))
-        piv = next(
-            (
-                (r, s)
-                for r in range(4)
-                for s in range(r + 1, 4)
-                if mat2_det((rows[r], rows[s]))
-            ),
-            None,
-        )
-        if piv is None:
-            raise Degenerate("product lattice does not determine a third ideal")
-        r, s = piv
-        det = mat2_det((rows[r], rows[s]))
-        z0 = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1]))) / det
-        z1 = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s]))) / det
-        z = (z0, z1)
-        assert all(
-            _xi_coeff(ring, ring.mul(xs[i], ys[j]), z) == rhs[2 * i + j]
-            for i in range(2)
-            for j in range(2)
-        )
-        zs.append(z)
+        rhs = [den * q[2 * n + k] for n in range(4)]  # n = 2i + j
+        # Cramer: z = (u, v) / det, checked against all four equations
+        u = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1])))
+        v = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s])))
+        assert all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs))
+        zs.append((Fraction(u, det), Fraction(v, det)))
 
     i3 = QuadIdeal(ring, zs)
     assert raw_form(i3) == f3
     triple = BalancedTriple(ring, (i1, i2, i3))
     assert is_balanced(*triple.ideals)
     return triple
+
+
+def _triple_products(i1, i2, i3):
+    # the eight products x_i*y_j*z_k of the integer rows, in cube order, and
+    # the product of the three denominators they are over
+    mul = i1.ring.mul
+    products = [mul(mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows]
+    return products, i1.den * i2.den * i3.den
 
 
 def is_balanced(i1, i2, i3) -> bool:
@@ -149,50 +144,23 @@ def is_balanced(i1, i2, i3) -> bool:
         raise RingMismatch("ideals live over different rings")
     if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
         return False
-    den = i1.den * i2.den * i3.den
-    products = (ring.mul(ring.mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows)
+    products, den = _triple_products(i1, i2, i3)
     return all(c % den == 0 for w in products for c in w)
 
 
-def cube_from_triple(triple, bases=None):
-    """Cube of a balanced triple with respect to the given bases.
-
-    bases defaults to the stored bases of the three ideals; alternative bases
-    must span the same lattices.
-    """
-    ring, ideals = triple.ring, triple.ideals
-    if not is_balanced(*ideals):
+def cube_from_triple(triple):
+    """Cube of a balanced triple with respect to the stored ideal bases."""
+    if not is_balanced(*triple.ideals):
         raise NotBalanced("triple fails the balancedness conditions")
-    if bases is None:
-        bases = tuple(i.basis for i in ideals)
-    else:
-        bases = tuple(tuple(tuple(Fraction(e) for e in row) for row in b) for b in bases)
-        for b, ideal in zip(bases, ideals):
-            if QuadIdeal(ring, b) != ideal:
-                raise DomainError("replacement basis spans a different lattice")
-    xs, ys, zs = bases
-    cube = []
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                w = ring.mul(ring.mul(xs[i], ys[j]), zs[k])
-                coeff = w[1]
-                assert coeff.denominator == 1
-                cube.append(int(coeff))
-    return tuple(cube)
+    products, den = _triple_products(*triple.ideals)
+    return tuple(w[1] // den for w in products)
 
 
 def tau_system(q):
     """All eight products tau[i][j][k] = x_i * y_j * z_k of the triple bases."""
-    ring, (i1, i2, i3) = triple_from_cube(q)
-    xs, ys, zs = i1.basis, i2.basis, i3.basis
-    return tuple(
-        tuple(
-            tuple(ring.mul(ring.mul(xs[i], ys[j]), zs[k]) for k in range(2))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+    products, den = _triple_products(*triple_from_cube(q).ideals)
+    t = [tuple(Fraction(c, den) for c in w) for w in products]
+    return ((tuple(t[0:2]), tuple(t[2:4])), (tuple(t[4:6]), tuple(t[6:8])))
 
 
 def gamma_act(ms, q):

@@ -11,6 +11,7 @@ for all arithmetic, as integer rows over one denominator.
 from fractions import Fraction
 
 from .errors import (
+    DomainError,
     FormRingMismatch,
     NotAModule,
     RankError,
@@ -203,6 +204,8 @@ def is_invertible(i) -> bool:
 
 def inverse(i) -> QuadIdeal:
     """Inverse of an invertible ideal: conjugate divided by the norm."""
+    if not is_invertible(i):
+        raise DomainError("ideal is not invertible over %r" % i.ring)
     # conj(rows/den) / (det/den^2) == den * conj(rows) / det
     rows = [[i.den * e for e in i.ring.conj(row)] for row in i.rows]
     inv = _span(i.ring, rows, abs(mat2_det(i.rows)))

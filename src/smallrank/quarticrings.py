@@ -28,19 +28,16 @@ choice of rank-2 quotient lattice), the associated cubic resolvent form,
 discriminant comparisons, and a maximality test for the ring at a prime.
 """
 
-from fractions import Fraction
 from collections import namedtuple
 from math import gcd
 
 from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
     _hnf_int,
-    _scaled,
     _unscaled,
     divisor_sigma,
     divisors,
     factorize,
-    hnf_canonicalize,
     is_prime,
     lattice_coords,
     mat2_det,
@@ -244,64 +241,50 @@ class QuarticRing:
         return int(d)
 
 
+# The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
+# under the normalization c_12^1 = c_23^2 = c_13^3 = 0.  Each entry
+# (key, sign, minor, diag) reads c[key] = sign * lam[minor] + c[diag], with
+# c[diag] taken as 0 when diag is None.  Minor indices refer to SIX:
+# 0=(1,1), 1=(2,2), 2=(3,3), 3=(1,2), 4=(1,3), 5=(2,3).
+#
+# Orientation note: the entries are the unique solution (under the chosen
+# normalization) of the determinant identity
+#   det[x | y | sum_c] = sum lam^{ij}_{kl} x_i x_j y_k y_l ,
+# checked by exact linear solve; summaries of this system elsewhere can
+# differ by pair-orientation in the first two equation families.
+_C_FROM_LAMBDA = (
+    ((1, 1, 2), -1, (0, 4), None),
+    ((1, 1, 3), 1, (0, 3), None),
+    ((2, 2, 1), 1, (1, 5), None),
+    ((2, 2, 3), -1, (1, 3), None),
+    ((3, 3, 1), -1, (2, 5), None),
+    ((3, 3, 2), 1, (2, 4), None),
+    ((1, 2, 3), 1, (0, 1), None),
+    ((1, 3, 2), -1, (0, 2), None),
+    ((2, 3, 1), 1, (1, 2), None),
+    ((1, 2, 2), -1, (0, 5), None),
+    ((2, 3, 3), -1, (1, 4), None),
+    ((1, 3, 1), -1, (2, 3), None),
+    ((1, 1, 1), 1, (3, 4), (1, 2, 2)),
+    ((2, 2, 2), -1, (3, 5), (2, 3, 3)),
+    ((3, 3, 3), 1, (4, 5), (1, 3, 1)),
+)
+
+
 def _c_linear_from_lambda(lam):
-    """The xi-coefficients c_ij^k (k >= 1) as linear expressions in minors.
-
-    Uses the normalization c_12^1 = c_23^2 = c_13^3 = 0.  Index pairs refer
-    to :data:`SIX`: 0=(1,1), 1=(2,2), 2=(3,3), 3=(1,2), 4=(1,3), 5=(2,3).
-    """
-
-    def lg(x, y):
-        return _lam_get(lam, x, y)
-
-    # Orientation note: the entries below are the unique solution (under the
-    # chosen normalization) of the determinant identity
-    #   det[x | y | sum_c] = sum lam^{ij}_{kl} x_i x_j y_k y_l ,
-    # checked by exact linear solve; summaries of this system elsewhere can
-    # differ by pair-orientation in the first two equation families.
-    c = {
-        (1, 2, 1): 0,
-        (2, 3, 2): 0,
-        (1, 3, 3): 0,
-        (1, 1, 2): -lg(0, 4),
-        (1, 1, 3): lg(0, 3),
-        (2, 2, 1): lg(1, 5),
-        (2, 2, 3): -lg(1, 3),
-        (3, 3, 1): -lg(2, 5),
-        (3, 3, 2): lg(2, 4),
-        (1, 2, 3): lg(0, 1),
-        (1, 3, 2): -lg(0, 2),
-        (2, 3, 1): lg(1, 2),
-        (1, 2, 2): -lg(0, 5),
-        (2, 3, 3): -lg(1, 4),
-        (1, 3, 1): -lg(2, 3),
-    }
-    c[(1, 1, 1)] = lg(3, 4) + c[(1, 2, 2)]
-    c[(2, 2, 2)] = -lg(3, 5) + c[(2, 3, 3)]
-    c[(3, 3, 3)] = lg(4, 5) + c[(1, 3, 1)]
+    """The xi-coefficients c_ij^k (k >= 1) of the table, from the minors."""
+    c = {(1, 2, 1): 0, (2, 3, 2): 0, (1, 3, 3): 0}
+    for key, sign, minor, diag in _C_FROM_LAMBDA:
+        c[key] = sign * lam[minor] + (c[diag] if diag else 0)
     return c
 
 
 def _lambda_from_c(c):
     """Inverse of :func:`_c_linear_from_lambda`: read the minors off a table."""
-    lam = {
-        (0, 4): -c[(1, 1, 2)],
-        (0, 3): c[(1, 1, 3)],
-        (1, 5): c[(2, 2, 1)],
-        (1, 3): -c[(2, 2, 3)],
-        (2, 5): -c[(3, 3, 1)],
-        (2, 4): c[(3, 3, 2)],
-        (0, 1): c[(1, 2, 3)],
-        (0, 2): -c[(1, 3, 2)],
-        (1, 2): c[(2, 3, 1)],
-        (0, 5): -c[(1, 2, 2)],
-        (1, 4): -c[(2, 3, 3)],
-        (2, 3): -c[(1, 3, 1)],
-        (3, 4): c[(1, 1, 1)] - c[(1, 2, 2)],
-        (3, 5): c[(2, 3, 3)] - c[(2, 2, 2)],
-        (4, 5): c[(3, 3, 3)] - c[(1, 3, 1)],
+    return {
+        minor: sign * (c[key] - (c[diag] if diag else 0))
+        for key, sign, minor, diag in _C_FROM_LAMBDA
     }
-    return lam
 
 
 def _getc(c, i, j, k):
@@ -359,12 +342,13 @@ def ring_from_pair(pair):
 
 
 def _resolvent_data(ring):
-    """Minors, content, mu-vectors and minimal lattice for a quartic ring.
+    """Content, mu-vectors and minimal lattice of a quartic ring, on integers.
 
-    Returns ``(lam, content, mu, basis0)`` where ``mu`` maps each of the six
-    coefficient slots to a rational vector in Q^2 whose pairwise dets are
-    exactly the minors, and ``basis0`` is the canonical basis of the lattice
-    the mu's span (its covolume equals the content).
+    Returns ``(content, mu, h, den)``: ``content`` is the gcd of the minors,
+    ``mu`` lists, for the six coefficient slots, integer rows over ``den``
+    whose pairwise dets are exactly the minors, and ``h`` is the integer HNF
+    of the lattice the mu's span, over the same ``den`` (its covolume equals
+    the content).
     """
     if not isinstance(ring, QuarticRing):
         raise DomainError("expected a QuarticRing")
@@ -376,30 +360,39 @@ def _resolvent_data(ring):
     for v in lam.values():
         content = gcd(content, abs(v))
 
-    first = next(
+    # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
+    # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
+    x, y = next(
         (x, y) for x in range(6) for y in range(x + 1, 6) if lam[(x, y)] != 0
     )
-    x, y = first
     d = lam[(x, y)]
-    mu = {
-        x: (Fraction(1), Fraction(0)),
-        y: (Fraction(0), Fraction(d)),
-    }
-    for z in range(6):
-        if z in mu:
-            continue
-        mu[z] = (Fraction(-_lam_get(lam, y, z), d), Fraction(_lam_get(lam, x, z)))
+    s, den = (1 if d > 0 else -1), abs(d)
+    mu = [(-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6)]
     for u in range(6):
         for v in range(u + 1, 6):
-            assert mat2_det((mu[u], mu[v])) == lam[(u, v)], (
+            assert mat2_det((mu[u], mu[v])) == lam[(u, v)] * d * d, (
                 "mu realization does not reproduce the minors"
             )
 
-    rows = [mu[z] for z in range(6) if mu[z] != (0, 0)]
-    basis0 = hnf_canonicalize(tuple(rows))
-    d0 = mat_det(basis0)
-    assert d0 == content, "covolume of the mu-lattice must equal the minor gcd"
-    return lam, content, mu, basis0
+    h = _hnf_int(mu)
+    assert mat2_det(h) == content * d * d, "covolume of the mu-lattice must equal the minor gcd"
+    return content, mu, h, den
+
+
+def _resolvent_lattices(n, h, den):
+    # Index-n enlargements M of the mu-lattice (integer HNF h over den)
+    # biject with index-n sublattices S = n*M of it (S automatically
+    # contains n times the lattice); S runs over row-style Hermite forms H
+    # with det n, which are pairwise distinct by left-multiplication
+    # canonicity.  Each M is returned as integer HNF rows over den * n.
+    out = []
+    for d in divisors(n):
+        a = n // d
+        for b in range(d):
+            out.append(tuple(map(tuple, _hnf_int(mat_mul(((a, b), (0, d)), h)))))
+    assert len(out) == divisor_sigma(n)
+    assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
+    return out
 
 
 def count_numerical_resolvents(ring):
@@ -408,7 +401,7 @@ def count_numerical_resolvents(ring):
     Equals the sum of divisors of the minor gcd.  Raises
     :class:`~smallrank.errors.TrivialRing` when all minors vanish.
     """
-    _, content, _, _ = _resolvent_data(ring)
+    content = _resolvent_data(ring)[0]
     return divisor_sigma(content)
 
 
@@ -419,22 +412,8 @@ def enumerate_numerical_resolvents(ring):
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
     """
-    _, content, _, basis0 = _resolvent_data(ring)
-    out = []
-    n = content
-    rows0, den0 = _scaled(basis0)
-    # Index-n enlargements M of the mu-lattice biject with index-n
-    # sublattices S = n*M of it (S automatically contains n times the
-    # lattice); S runs over row-style Hermite forms H with det n, which are
-    # pairwise distinct by left-multiplication canonicity.
-    for d in divisors(n):
-        a = n // d
-        for b in range(d):
-            s = mat_mul(((a, b), (0, d)), rows0)
-            out.append(_unscaled(_hnf_int(s), den0 * n))
-    assert len(out) == divisor_sigma(n)
-    assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
-    return out
+    n, _, h, den = _resolvent_data(ring)
+    return [_unscaled(rows, den * n) for rows in _resolvent_lattices(n, h, den)]
 
 
 def pair_from_ring(ring):
@@ -445,14 +424,15 @@ def pair_from_ring(ring):
     quadratic map in the coordinates of the first enumerated lattice; by
     construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly.
     """
-    lam, content, mu, basis0 = _resolvent_data(ring)
-    chosen = enumerate_numerical_resolvents(ring)[0]
-    coords = lattice_coords(chosen, [mu[z] for z in range(6)])
+    n, mu, h, den = _resolvent_data(ring)
+    chosen = _resolvent_lattices(n, h, den)[0]
+    # both over den * n, so the common denominator cancels
+    coords = lattice_coords(chosen, [(n * e, n * f) for e, f in mu])
     assert coords is not None, "mu-vectors must be integral in lattice coords"
     witness = tuple(zip(*coords))
     rebuilt = ring_from_pair(witness)
     assert rebuilt == ring, "witness pair must rebuild the identical table"
-    return MinimalResolvent(lattice=basis0, content=content), witness
+    return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 
 
 def _tri_product(u, v, w):

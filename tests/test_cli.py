@@ -249,3 +249,31 @@ def test_entry_point_subprocess():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["structure"] == ["3"]
+
+
+def test_overlong_json_integer_is_a_usage_error(capsys, tmp_path):
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    big = "7" * 5000
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"A": [big, "0", "0", "0", "0", "0"], "B": ["0"] * 6}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"ring": {"t": big, "u": "1"}, "basis": [["1", "0"], ["0", "1"]]}))
+    for argv in (("resolvent", str(pair)), ("ideal-form", str(ideal))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "usage error" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+def test_padic_count_too_long_to_print_is_a_usage_error(capsys):
+    # 4 * 3^9999 has 4772 digits, over the default limit of 4300
+    code, out, err = run(capsys, "padic-count", "3", "30000", "10000", "10000", "10000")
+    assert code == 2
+    assert "usage error" in err
+    assert "Traceback" not in err
+    assert out == ""
+    # 4 * 3^8999 has 4295 digits and still prints
+    code, out, err = run(capsys, "padic-count", "3", "30000", "9000", "9000", "12000")
+    assert code == 0
+    assert out == str(4 * 3**8999) + "\n"

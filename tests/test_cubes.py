@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smallrank.errors import Degenerate, NotBalanced, NotInGamma
 from smallrank.quadforms import compose, discriminant, principal_form, twisted_act
@@ -24,6 +25,7 @@ from smallrank.cubes import (
     triples_equivalent,
     xi_actions,
 )
+from smallrank.exactlattice import mat2_det
 from smallrank.quadforms import enumerate_reduced
 from smallrank.quadrings import (
     QuadIdeal,
@@ -31,6 +33,7 @@ from smallrank.quadrings import (
     conjugate,
     ideal_from_form,
     ideal_norm,
+    raw_form,
     ring_from_disc,
     scale,
     unit_ideal,
@@ -296,3 +299,103 @@ def test_tau_projection_and_trilinearity():
                     w = taus[i][j][k]
                     assert w[1] == q[4 * i + 2 * j + k]
                     assert w == ring.mul(ring.mul(xs[i], ys[j]), zs[k])
+
+
+# The Fraction-basis cube code that integer rows over one denominator
+# replaced; kept as its oracle.
+def _oracle_xi_coeff(ring, w, z):
+    return w[1] * z[0] + (w[0] + ring.t * w[1]) * z[1]
+
+
+def _oracle_triple_from_cube(q):
+    f1, f3, f2 = associated_forms(q)
+    if (0, 0, 0) in (f1, f2, f3):
+        raise Degenerate("a pair of opposite faces is linearly dependent")
+    ring = QuadraticRing(*cube_invariants(q))
+    i1 = ideal_from_form(f1, ring)
+    i2 = ideal_from_form(f2, ring)
+    xs, ys = i1.basis, i2.basis
+    zs = []
+    for k in range(2):
+        rows, rhs = [], []
+        for i in range(2):
+            for j in range(2):
+                w = ring.mul(xs[i], ys[j])
+                rows.append((w[1], w[0] + ring.t * w[1]))
+                rhs.append(Fraction(q[4 * i + 2 * j + k]))
+        piv = next(
+            ((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s]))),
+            None,
+        )
+        if piv is None:
+            raise Degenerate("product lattice does not determine a third ideal")
+        r, s = piv
+        det = mat2_det((rows[r], rows[s]))
+        z0 = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1]))) / det
+        z1 = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s]))) / det
+        z = (z0, z1)
+        assert all(
+            _oracle_xi_coeff(ring, ring.mul(xs[i], ys[j]), z) == rhs[2 * i + j]
+            for i in range(2)
+            for j in range(2)
+        )
+        zs.append(z)
+    i3 = QuadIdeal(ring, zs)
+    assert raw_form(i3) == f3
+    return BalancedTriple(ring, (i1, i2, i3))
+
+
+def _oracle_tau_system(triple):
+    ring, (i1, i2, i3) = triple
+    return tuple(
+        tuple(
+            tuple(ring.mul(ring.mul(i1.basis[i], i2.basis[j]), i3.basis[k]) for k in range(2))
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+
+
+def _oracle_cube_from_triple(triple):
+    if not _oracle_is_balanced(*triple.ideals):
+        raise NotBalanced("triple fails the balancedness conditions")
+    taus = _oracle_tau_system(triple)
+    cube = []
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                coeff = taus[i][j][k][1]
+                assert coeff.denominator == 1
+                cube.append(int(coeff))
+    return tuple(cube)
+
+
+def _outcome(f, *args):
+    # repr of the value, or the name of the SmallRankError raised
+    try:
+        return repr(f(*args))
+    except (Degenerate, NotBalanced) as e:
+        return type(e).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-4, 4)] * 8))
+@example((0,) * 8)
+@example((0, 0, 0, 0, 0, 0, 0, 1))
+@example((1, 0, 0, 0, 0, 0, 0, 1))
+@example(BOX1)
+@example(identity_cube(-4))
+def test_cube_triple_and_taus_agree_with_fraction_oracle(q):
+    result = _outcome(triple_from_cube, q)
+    assert result == _outcome(_oracle_triple_from_cube, q)
+    if result == "Degenerate":
+        with pytest.raises(Degenerate):
+            tau_system(q)
+        return
+    triple = triple_from_cube(q)
+    assert repr(tau_system(q)) == repr(_oracle_tau_system(triple))
+    assert cube_from_triple(triple) == _oracle_cube_from_triple(triple) == q
+    i1, i2, i3 = triple.ideals
+    for ideals in ((i1, i1, i3), (i2, i1, i3), (i3, i2, i1)):
+        other = BalancedTriple(triple.ring, ideals)
+        assert _outcome(cube_from_triple, other) == _outcome(_oracle_cube_from_triple, other)

@@ -1,13 +1,23 @@
 """Quadratic rings, fractional ideals, and the form-ideal dictionary."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from smallrank.errors import NotAModule, RankError, RingMismatch, UnsupportedDiscriminant
+import smallrank
+from smallrank.errors import (
+    DomainError,
+    NotAModule,
+    RankError,
+    RingMismatch,
+    UnsupportedDiscriminant,
+)
 from smallrank.exactlattice import hnf_canonicalize, mat_det
 from smallrank.quadforms import (
     class_group,
@@ -127,6 +137,28 @@ def test_noninvertible_ideal():
     # B * B = B up to the scalar 1/5: the absorbing class
     bb = multiply(b, b)
     assert form_from_ideal(bb) == (5, 0, 5)
+    with pytest.raises(DomainError):
+        inverse(b)
+
+
+def test_inverse_check_survives_optimize_flag():
+    # under python -O a self-check assert would vanish and inverse return
+    # a lattice that is not an inverse
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    code = (
+        "from smallrank.errors import DomainError\n"
+        "from smallrank.quadrings import ideal_from_form, inverse, ring_from_disc\n"
+        "try:\n"
+        "    inverse(ideal_from_form((5, 0, 5), ring_from_disc(-100)))\n"
+        "except DomainError:\n"
+        "    print('DomainError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["DomainError"]
 
 
 def test_ideal_rejects_non_module_and_dependent_rows():

@@ -2,13 +2,24 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_exactlattice import _oracle_inv
 
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
 from smallrank.cubicrings import cubic_eval
-from smallrank.exactlattice import hnf_canonicalize, lattice_coords, mat_det
+from smallrank.exactlattice import (
+    _unscaled,
+    divisor_sigma,
+    divisors,
+    hnf_canonicalize,
+    lattice_coords,
+    mat2_det,
+    mat_det,
+    mat_mul,
+)
 from smallrank.quarticrings import (
     SIX,
     count_numerical_resolvents,
@@ -25,7 +36,14 @@ from smallrank.quarticrings import (
     ring_from_pair,
     ternary_eval,
 )
-from smallrank.quarticrings import _subspaces_avoiding_one
+from smallrank.quarticrings import (
+    MinimalResolvent,
+    _c_linear_from_lambda,
+    _lam_get,
+    _lambda_from_c,
+    _resolvent_data,
+    _subspaces_avoiding_one,
+)
 
 P_A = (0, 0, 0, 1, 0, -1)
 P_B = (0, 0, 0, 0, 1, -1)
@@ -273,3 +291,136 @@ def test_error_paths():
         is_maximal_at_p(degenerate, 2)
     with pytest.raises(DegenerateRing):
         is_maximal(degenerate)
+
+
+# The literal minor <-> table maps and the Fraction-basis resolvent code that
+# one shared table and integer rows over |d| replaced; kept as their oracle.
+def _oracle_c_linear_from_lambda(lam):
+    def lg(x, y):
+        return _lam_get(lam, x, y)
+
+    c = {
+        (1, 2, 1): 0,
+        (2, 3, 2): 0,
+        (1, 3, 3): 0,
+        (1, 1, 2): -lg(0, 4),
+        (1, 1, 3): lg(0, 3),
+        (2, 2, 1): lg(1, 5),
+        (2, 2, 3): -lg(1, 3),
+        (3, 3, 1): -lg(2, 5),
+        (3, 3, 2): lg(2, 4),
+        (1, 2, 3): lg(0, 1),
+        (1, 3, 2): -lg(0, 2),
+        (2, 3, 1): lg(1, 2),
+        (1, 2, 2): -lg(0, 5),
+        (2, 3, 3): -lg(1, 4),
+        (1, 3, 1): -lg(2, 3),
+    }
+    c[(1, 1, 1)] = lg(3, 4) + c[(1, 2, 2)]
+    c[(2, 2, 2)] = -lg(3, 5) + c[(2, 3, 3)]
+    c[(3, 3, 3)] = lg(4, 5) + c[(1, 3, 1)]
+    return c
+
+
+def _oracle_lambda_from_c(c):
+    return {
+        (0, 4): -c[(1, 1, 2)],
+        (0, 3): c[(1, 1, 3)],
+        (1, 5): c[(2, 2, 1)],
+        (1, 3): -c[(2, 2, 3)],
+        (2, 5): -c[(3, 3, 1)],
+        (2, 4): c[(3, 3, 2)],
+        (0, 1): c[(1, 2, 3)],
+        (0, 2): -c[(1, 3, 2)],
+        (1, 2): c[(2, 3, 1)],
+        (0, 5): -c[(1, 2, 2)],
+        (1, 4): -c[(2, 3, 3)],
+        (2, 3): -c[(1, 3, 1)],
+        (3, 4): c[(1, 1, 1)] - c[(1, 2, 2)],
+        (3, 5): c[(2, 3, 3)] - c[(2, 2, 2)],
+        (4, 5): c[(3, 3, 3)] - c[(1, 3, 1)],
+    }
+
+
+def _oracle_resolvent_data(ring):
+    lam = _oracle_lambda_from_c(ring.c)
+    assert plucker_check(lam)
+    if all(v == 0 for v in lam.values()):
+        raise TrivialRing("all minors vanish")
+    content = 0
+    for v in lam.values():
+        content = gcd(content, abs(v))
+    x, y = next((x, y) for x in range(6) for y in range(x + 1, 6) if lam[(x, y)] != 0)
+    d = lam[(x, y)]
+    mu = {x: (Fraction(1), Fraction(0)), y: (Fraction(0), Fraction(d))}
+    for z in range(6):
+        if z not in mu:
+            mu[z] = (Fraction(-_lam_get(lam, y, z), d), Fraction(_lam_get(lam, x, z)))
+    for u in range(6):
+        for v in range(u + 1, 6):
+            assert mat2_det((mu[u], mu[v])) == lam[(u, v)]
+    basis0 = hnf_canonicalize(tuple(mu[z] for z in range(6) if mu[z] != (0, 0)))
+    assert mat_det(basis0) == content
+    return lam, content, mu, basis0
+
+
+def _oracle_enumerate_numerical_resolvents(ring):
+    _, n, _, basis0 = _oracle_resolvent_data(ring)
+    out = []
+    for d in divisors(n):
+        for b in range(d):
+            shrunk = mat_mul(((n // d, b), (0, d)), basis0)
+            out.append(hnf_canonicalize([[e / n for e in row] for row in shrunk]))
+    assert len(out) == len(set(out)) == divisor_sigma(n)
+    return out
+
+
+def _oracle_pair_from_ring(ring):
+    _, content, mu, basis0 = _oracle_resolvent_data(ring)
+    chosen = _oracle_enumerate_numerical_resolvents(ring)[0]
+    coords = lattice_coords(chosen, [mu[z] for z in range(6)])
+    witness = tuple(zip(*coords))
+    assert ring_from_pair(witness) == ring
+    return MinimalResolvent(lattice=basis0, content=content), witness
+
+
+def _outcome(f, *args):
+    # repr of the value, or the name of the SmallRankError raised
+    try:
+        return repr(f(*args))
+    except TrivialRing as e:
+        return type(e).__name__
+
+
+forms = st.tuples(*[st.integers(-3, 3)] * 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms, forms, st.sampled_from([1, 2, 3, 4, 6]))
+@example((0,) * 6, (0,) * 6, 1)
+@example(P_A, P_B, 1)
+@example(P_A, P_B, 5)
+@example((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0), 1)
+@example((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), 1)
+def test_resolvents_agree_with_fraction_oracle(a, b, k):
+    pair = (tuple(k * v for v in a), b)
+    lam = lambda_system(pair)
+    assert repr(_c_linear_from_lambda(lam)) == repr(_oracle_c_linear_from_lambda(lam))
+    ring = ring_from_pair(pair)
+    assert repr(_lambda_from_c(ring.c)) == repr(_oracle_lambda_from_c(ring.c))
+    assert _lambda_from_c(ring.c) == lam
+    result = _outcome(pair_from_ring, ring)
+    assert result == _outcome(_oracle_pair_from_ring, ring)
+    assert _outcome(enumerate_numerical_resolvents, ring) == _outcome(
+        _oracle_enumerate_numerical_resolvents, ring
+    )
+    if result == "TrivialRing":
+        with pytest.raises(TrivialRing):
+            count_numerical_resolvents(ring)
+        return
+    content, mu, h, den = _resolvent_data(ring)
+    _, content0, mu0, basis0 = _oracle_resolvent_data(ring)
+    assert content == content0
+    assert count_numerical_resolvents(ring) == divisor_sigma(content)
+    assert _unscaled(mu, den) == tuple(mu0[z] for z in range(6))
+    assert _unscaled(h, den) == basis0
