@@ -33,9 +33,12 @@ class _UsageError(Exception):
 
 def _s(v):
     """Serialize an int or Fraction as a decimal / 'p/q' string."""
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(int(v))
+    try:
+        return str(v) if isinstance(v, Fraction) else str(int(v))
+    except ValueError:  # more digits than int -> str converts
+        raise _UsageError(
+            "a result has more than %d digits, too long to print" % sys.get_int_max_str_digits()
+        )
 
 
 def _form_json(f):
@@ -166,8 +169,8 @@ def _cmd_compose(args):
     g = (args.a2, args.b2, args.c2)
     if quadforms.discriminant(f) != args.D:
         raise DiscriminantMismatch(
-            "first form has discriminant %d, not %d"
-            % (quadforms.discriminant(f), args.D)
+            "first form has discriminant %s, not %s"
+            % (_s(quadforms.discriminant(f)), _s(args.D))
         )
     h = quadforms.compose(f, g)
     return {"form": _form_json(h)}, ["composed: %s" % _fmt_form(h)]

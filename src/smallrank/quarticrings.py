@@ -425,7 +425,8 @@ def pair_from_ring(ring):
     construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly.
     """
     n, mu, h, den = _resolvent_data(ring)
-    chosen = _resolvent_lattices(n, h, den)[0]
+    # the first of _resolvent_lattices (divisor 1, offset 0), alone
+    chosen = _hnf_int(mat_mul(((n, 0), (0, 1)), h))
     # both over den * n, so the common denominator cancels
     coords = lattice_coords(chosen, [(n * e, n * f) for e, f in mu])
     assert coords is not None, "mu-vectors must be integral in lattice coords"
@@ -504,42 +505,91 @@ def resolvent_identity_check(pair, x):
     return lhs == rhs
 
 
-def _subspaces_avoiding_one(p):
-    """Row-reduced bases of subspaces of F_p^4 not containing (1,0,0,0).
+def _rref_mod_p(rows, p):
+    # reduced row echelon form over F_p of integer rows: the nonzero rows,
+    # entries in [0, p), in pivot order, each pivot 1 and alone in its column
+    rows = [[e % p for e in row] for row in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        inv = pow(piv[col], -1, p)
+        piv = [e * inv % p for e in piv]
+        rows = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in rows]
+        out = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in out]
+        out.append(piv)
+    return [tuple(row) for row in out]
 
-    Yields lists of integer row vectors (entries in [0, p)) in reduced
-    echelon form, one list per subspace of dimension 1, 2 or 3.
+
+def _subspaces(p, s):
+    """RREF bases of the nonzero subspaces of F_p^s.
+
+    Yields tuples of integer rows (entries in [0, p)) ordered by dimension,
+    then pivot columns, then the free entries in row-major order.
     """
     from itertools import combinations, product as iproduct
 
-    for r in range(1, 4):
-        for pivots in combinations(range(4), r):
-            free_positions = []
-            for row, piv in enumerate(pivots):
-                for col in range(piv + 1, 4):
-                    if col not in pivots:
-                        free_positions.append((row, col))
-            for values in iproduct(range(p), repeat=len(free_positions)):
-                rows = [[0] * 4 for _ in range(r)]
-                for row, piv in enumerate(pivots):
-                    rows[row][piv] = 1
-                for (row, col), v in zip(free_positions, values):
+    for r in range(1, s + 1):
+        for pivots in combinations(range(s), r):
+            free = [
+                (row, col)
+                for row, piv in enumerate(pivots)
+                for col in range(piv + 1, s)
+                if col not in pivots
+            ]
+            for values in iproduct(range(p), repeat=len(free)):
+                rows = [[int(col == piv) for col in range(s)] for piv in pivots]
+                for (row, col), v in zip(free, values):
                     rows[row][col] = v
-                # (1,0,0,0) lies in the span iff the first pivot column is 0
-                # and that row vanishes elsewhere
-                if pivots[0] == 0 and all(v == 0 for v in rows[0][1:]):
-                    continue
-                yield [tuple(row) for row in rows]
+                yield tuple(map(tuple, rows))
+
+
+def _radical_subspaces(ring, p):
+    """The nonzero subspaces of the nilradical R of Q/pQ, as RREF rows over F_p.
+
+    R is the kernel of x -> x^q, with q the least power of p that is >= 4
+    (a nilpotent element of a rank-4 algebra has x^4 = 0).  That map is
+    Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
+    and the RREF of [matrix | I] ends with an RREF basis B of its kernel.
+    If C is in RREF then so is C*B, with pivot columns those of B picked by
+    C's pivots, and an entry of C*B off B's pivot columns depends only on
+    the entries of C to its left.  So the subspaces come out in the order
+    of dimension, pivot columns and free entries in row-major order, both
+    of C over F_p^s and of C*B over F_p^4.
+    """
+    q = p
+    while q < 4:
+        q *= p
+    rows = []
+    for i in range(4):
+        e = tuple(int(i == j) for j in range(4))
+        power, x, k = (1, 0, 0, 0), e, q
+        while k:
+            if k & 1:
+                power = tuple(t % p for t in ring.mul(power, x))
+            x = tuple(t % p for t in ring.mul(x, x))
+            k >>= 1
+        rows.append(power + e)
+    radical = [row[4:] for row in _rref_mod_p(rows, p) if not any(row[:4])]
+    for coeffs in _subspaces(p, len(radical)):
+        yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
 
 
 def is_maximal_at_p(ring, p):
     """Decide whether a nondegenerate quartic ring is maximal at a prime.
 
-    Enumerates every candidate enlargement ``Q' = Q + (1/p) L`` where
-    ``L/pQ`` runs over the subspaces of Q/pQ not containing the image of 1,
-    and tests multiplicative closure of Q'.  Returns ``(True, None)`` if no
-    enlargement is closed, else ``(False, basis)`` with the canonical basis
-    of the first ring found.
+    Candidate enlargements are ``Q' = Q + (1/p) L`` with ``L/pQ`` a nonzero
+    subspace of Q/pQ, and each is tested for multiplicative closure.  Only
+    subspaces of the nilradical R of Q/pQ need testing: if Q' is closed,
+    then for v in L, (v/p)^2 lies in Q', so v^2 lies in p^2 Q' within pQ and
+    v is nilpotent mod p; hence L/pQ lies in R, which never contains 1.
+    Since dim R <= 3, at most 2p^2 + 2p + 3 candidates are tested (none when
+    p does not divide the discriminant), in the order of dimension, pivot
+    columns and free entries of their RREF over F_p.  Returns
+    ``(True, None)`` if no enlargement is closed, else ``(False, basis)``
+    with the canonical basis of the first ring found in that order.
     """
     if not isinstance(ring, QuarticRing):
         raise DomainError("expected a QuarticRing")
@@ -549,7 +599,7 @@ def is_maximal_at_p(ring, p):
         raise DomainError("maximality test requires a prime")
 
     p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
-    for rows in _subspaces_avoiding_one(p):
+    for rows in _radical_subspaces(ring, p):
         # Q' = H/p with H the integer HNF of pQ + L; Q' is a ring iff every
         # H_i*H_j lies in pH.  One product per call keeps the early exit.
         h = _hnf_int(p_rows + rows)

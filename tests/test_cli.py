@@ -277,3 +277,46 @@ def test_padic_count_too_long_to_print_is_a_usage_error(capsys):
     code, out, err = run(capsys, "padic-count", "3", "30000", "9000", "9000", "12000")
     assert code == 0
     assert out == str(4 * 3**8999) + "\n"
+
+
+def test_result_too_long_to_print_is_a_usage_error(capsys):
+    # the cube forms, and the discriminant of the first form in the compose
+    # error, have ~6000 digits, over the default limit of 4300
+    big = "9" * 3000
+    for argv in (
+        ("cube-forms", "1", big, big, "1", "1", "1", "1", "1"),
+        ("cube-forms", "--json", "1", big, big, "1", "1", "1", "1", "1"),
+        ("compose", "--", "-4", big, "1", big, "1", "0", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("usage error")
+        assert out == ""
+
+
+def test_maximal_at_a_large_prime_finishes(tmp_path):
+    # a walk over all ~p^4 subspaces of Q/pQ would take hours at p = 101
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    a, b = ["0", "0", "0", "1", "0", "-1"], ["0", "0", "0", "0", "1", "-1"]
+    # the Z^4 pair, and both forms scaled by p: there Q/pQ has a 3-dimensional
+    # nilradical, so the restricted walk has the most subspaces to choose from
+    for scale, maximal in ((1, True), (101, False)):
+        path = tmp_path / ("pair%d.json" % scale)
+        path.write_text(
+            json.dumps({"A": [str(scale * int(v)) for v in a], "B": [str(scale * int(v)) for v in b]})
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallrank.cli", "maximal", "--json", str(path), "101"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)["results"]
+        assert row["p"] == "101" and row["maximal"] is maximal
+        if maximal:
+            assert row["witness"] is None
+        else:
+            assert len(row["witness"]) == 4 and all(len(r) == 4 for r in row["witness"])

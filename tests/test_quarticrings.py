@@ -11,6 +11,7 @@ from test_exactlattice import _oracle_inv
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
 from smallrank.cubicrings import cubic_eval
 from smallrank.exactlattice import (
+    _hnf_int,
     _unscaled,
     divisor_sigma,
     divisors,
@@ -41,14 +42,16 @@ from smallrank.quarticrings import (
     _c_linear_from_lambda,
     _lam_get,
     _lambda_from_c,
+    _radical_subspaces,
     _resolvent_data,
-    _subspaces_avoiding_one,
 )
 
 P_A = (0, 0, 0, 1, 0, -1)
 P_B = (0, 0, 0, 0, 1, -1)
 P_Z4 = (P_A, P_B)
 I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+forms = st.tuples(*[st.integers(-3, 3)] * 6)
 
 
 def _random_pairs(seed, count, bound=3):
@@ -160,6 +163,24 @@ def test_pair_round_trip():
         assert ring_from_pair(witness) == ring
 
 
+def _witness_in_first_lattice(ring):
+    # the pair in the coordinates of the first enumerated resolvent lattice
+    _, mu, _, den = _resolvent_data(ring)
+    first = enumerate_numerical_resolvents(ring)[0]
+    return tuple(zip(*lattice_coords(first, _unscaled(mu, den))))
+
+
+def test_pair_from_ring_uses_the_first_resolvent_lattice():
+    for pair in _random_pairs(49, 30, bound=4):
+        ring = ring_from_pair(pair)
+        assert pair_from_ring(ring)[1] == _witness_in_first_lattice(ring)
+    ring = ring_from_pair((tuple(5040 * v for v in P_A), P_B))
+    resolvent, witness = pair_from_ring(ring)
+    assert resolvent.content == 5040
+    assert witness == _witness_in_first_lattice(ring)
+    assert ring_from_pair(witness) == ring
+
+
 def test_resolvent_counting():
     for p in (2, 3, 5):
         scaled = (tuple(p * v for v in P_A), P_B)
@@ -204,6 +225,51 @@ def test_non_maximality_with_witness():
     assert not is_maximal(two)
 
 
+def _subspaces_avoiding_one(p):
+    """Row-reduced bases of subspaces of F_p^4 not containing (1,0,0,0).
+
+    Yields lists of integer row vectors (entries in [0, p)) in reduced
+    echelon form, one list per subspace of dimension 1, 2 or 3.
+    """
+    from itertools import combinations, product as iproduct
+
+    for r in range(1, 4):
+        for pivots in combinations(range(4), r):
+            free_positions = []
+            for row, piv in enumerate(pivots):
+                for col in range(piv + 1, 4):
+                    if col not in pivots:
+                        free_positions.append((row, col))
+            for values in iproduct(range(p), repeat=len(free_positions)):
+                rows = [[0] * 4 for _ in range(r)]
+                for row, piv in enumerate(pivots):
+                    rows[row][piv] = 1
+                for (row, col), v in zip(free_positions, values):
+                    rows[row][col] = v
+                # (1,0,0,0) lies in the span iff the first pivot column is 0
+                # and that row vanishes elsewhere
+                if pivots[0] == 0 and all(v == 0 for v in rows[0][1:]):
+                    continue
+                yield [tuple(row) for row in rows]
+
+
+# The walk over all ~p^4 subspaces of Q/pQ avoiding 1 that is_maximal_at_p
+# ran before it was restricted to the subspaces of the nilradical; kept as
+# its oracle.
+def _oracle_walk_is_maximal_at_p(ring, p):
+    p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
+    for rows in _subspaces_avoiding_one(p):
+        h = _hnf_int(p_rows + rows)
+        ph = [[p * e for e in row] for row in h]
+        if all(
+            lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
+            for i in range(4)
+            for j in range(i, 4)
+        ):
+            return (False, _unscaled(h, p))
+    return (True, None)
+
+
 # The Fraction candidate loop that is_maximal_at_p ran before it moved to
 # integer HNF rows and lattice_coords; kept as its oracle.
 def _oracle_is_maximal_at_p(ring, p):
@@ -239,6 +305,47 @@ def test_maximality_agrees_with_fraction_oracle():
                 assert result == _oracle_is_maximal_at_p(ring, p)
                 answers.append(result[0])
     assert len(answers) >= 40 and set(answers) == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms, forms, st.sampled_from([2, 3, 5]), st.sampled_from([(1, 1), (0, 1), (1, 0), (0, 0)]))
+@example(P_A, P_B, 5, (1, 1))
+@example(P_A, P_B, 5, (0, 1))
+def test_maximality_agrees_with_full_walk(a, b, p, scale):
+    pair = (tuple(p**scale[0] * v for v in a), tuple(p**scale[1] * v for v in b))
+    ring = ring_from_pair(pair)
+    if ring.disc() == 0:
+        return
+    assert is_maximal_at_p(ring, p) == _oracle_walk_is_maximal_at_p(ring, p)
+
+
+def _nilpotent_mod_p(ring, v, p):
+    # v^4 = 0 in Q/pQ; a nilpotent element of a rank-4 algebra has v^4 = 0
+    v2 = ring.mul(v, v)
+    return all(t % p == 0 for t in ring.mul(v2, v2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms, forms, st.sampled_from([2, 3, 5]), st.booleans())
+@example(P_A, P_B, 2, False)
+@example(P_A, P_B, 3, True)
+def test_radical_subspaces(a, b, p, scaled):
+    pair = (tuple(p * v for v in a) if scaled else a, b)
+    ring = ring_from_pair(pair)
+    if ring.disc() == 0:
+        return
+    walk = list(_radical_subspaces(ring, p))
+    # exactly the nilpotent subspaces, in the order of the full walk
+    assert walk == [
+        rows
+        for rows in _subspaces_avoiding_one(p)
+        if all(_nilpotent_mod_p(ring, v, p) for v in rows)
+    ]
+    # Q/pQ has a nonzero nilradical iff p divides the discriminant; R lies
+    # in the kernel of the trace form mod p, so p^(dim R) divides it
+    assert (len(walk) > 0) == (ring.disc() % p == 0)
+    dim = max((len(rows) for rows in walk), default=0)
+    assert ring.disc() % p**dim == 0
 
 
 def test_condition_tags():
@@ -391,8 +498,6 @@ def _outcome(f, *args):
     except TrivialRing as e:
         return type(e).__name__
 
-
-forms = st.tuples(*[st.integers(-3, 3)] * 6)
 
 
 @settings(max_examples=200, deadline=None)
