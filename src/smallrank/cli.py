@@ -198,10 +198,7 @@ def _cmd_classgroup(args):
 
 def _cmd_semigroup(args):
     elements, table = quadrings.class_semigroup(args.D)
-    ring = quadrings.ring_from_disc(args.D)
-    invertible = [
-        quadrings.is_invertible(quadrings.ideal_from_form(f, ring)) for f in elements
-    ]
+    invertible = [quadforms.content(f) == 1 for f in elements]
     principal = quadforms.principal_form(args.D)
     labels = _labels(elements, principal)
     payload = {

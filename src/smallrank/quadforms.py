@@ -15,7 +15,7 @@ from .errors import (
     NotUnimodular,
     UnsupportedDiscriminant,
 )
-from .exactlattice import mat2_det, xgcd
+from .exactlattice import factorize, mat2_det, xgcd
 
 IDENTITY = ((1, 0), (0, 1))
 
@@ -146,42 +146,39 @@ def principal_form(d):
     return (1, 1, (1 - d) // 4)
 
 
-def _structure(elements, table):
-    # invariant factors d1 | d2 | ... with product h, matched against
-    # the statistics of solutions of x^m = identity
-    h = len(elements)
-    ident = elements.index(reduce(principal_form(discriminant(elements[0])))[0])
-    orders = []
-    for i in range(h):
-        k, j = 1, i
-        while j != ident:
-            j = table[j][i]
-            k += 1
-        orders.append(k)
+def _monoid_table(n, ident, product):
+    # table[x][y] of a finite commutative monoid on range(n).  Each g not yet
+    # reached is a generator: "times g" reads column g of the reached rows and
+    # calls product(g, j) for the others; closing the reached set under it,
+    # row(x*g) = times_g o row(x), suffices because the product commutes.
+    rows = {ident: list(range(n))}
+    for g in range(n):
+        if g not in rows:
+            times_g = [rows[j][g] if j in rows else product(g, j) for j in range(n)]
+            todo = list(rows)
+            while todo:
+                x = todo.pop()
+                y = times_g[x]
+                if y not in rows:
+                    rows[y] = [times_g[k] for k in rows[x]]
+                    todo.append(y)
+    table = [rows[x] for x in range(n)]
+    assert table == [list(col) for col in zip(*table)], "monoid table must be symmetric"
+    return table
 
-    def counts_match(factors):
-        for m in range(1, h + 1):
-            expected = 1
-            for dd in factors:
-                expected *= gcd(dd, m)
-            if expected != sum(1 for o in orders if m % o == 0):
-                return False
-        return True
 
-    def divisor_chains(h, least):
-        if h == 1:
-            yield ()
-            return
-        for dd in range(least, h + 1):
-            if h % dd == 0:
-                for rest in divisor_chains(h // dd, dd):
-                    yield (dd,) + tuple(r for r in rest)
-
-    for factors in divisor_chains(h, 2):
-        if all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)):
-            if counts_match(factors):
-                return factors
-    raise AssertionError("no invariant factor decomposition matched")
+def _structure(orders):
+    # invariant factors d1 | d2 | ... of a finite abelian group from the
+    # orders of its elements: p^k divides exactly the r largest factors,
+    # where p^r = #{x : x^(p^k) = 1} / #{x : x^(p^(k-1)) = 1}
+    largest_first = [1] * len(orders).bit_length()
+    for p, e in factorize(len(orders)).items():
+        n = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
+        for k in range(1, e + 1):
+            for j in range(len(largest_first)):
+                if n[k] > n[k - 1] * p**j:
+                    largest_first[j] *= p
+    return tuple(reversed([f for f in largest_first if f > 1]))
 
 
 def class_group(d):
@@ -189,12 +186,22 @@ def class_group(d):
 
     Returns (elements, table, structure) where table[i][j] is the index of
     elements[i] * elements[j] and structure is the tuple of invariant factors.
+    Each class not reached from the earlier ones is a generator and costs at
+    most h compositions, one per unreached column; the rest is h^2 table
+    lookups, and the table holds h^2 ints.
     """
     _check_disc(d)
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
     index = {f: i for i, f in enumerate(elements)}
-    table = [[index[compose(f, g)] for g in elements] for f in elements]
-    return elements, table, _structure(elements, table)
+    h, ident = len(elements), index[principal_form(d)]
+    table = _monoid_table(h, ident, lambda i, j: index[compose(elements[i], elements[j])])
+    orders = []
+    for i in range(h):
+        k, j = 1, i
+        while j != ident:
+            j, k = table[j][i], k + 1
+        orders.append(k)
+    return elements, table, _structure(orders)
 
 
 def represent(f, value):

@@ -20,7 +20,9 @@ from .errors import (
     ZeroForm,
 )
 from .exactlattice import _hnf_int, _scaled, _unscaled, lattice_coords, mat2_det, mat_mul
-from .quadforms import content, discriminant, reduce, twisted_act
+from .quadforms import (
+    _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce, twisted_act
+)
 
 
 class QuadraticRing:
@@ -217,17 +219,17 @@ def class_semigroup(d):
     """All reduced forms of discriminant d and their ideal-class product table.
 
     Returns (elements, table): table[i][j] is the index of the reduced form of
-    the product of the ideals of elements[i] and elements[j].
+    the product of the ideals of elements[i] and elements[j].  Each class not
+    reached from the earlier ones is a generator and costs at most h ideal
+    products, one per unreached column; the rest is h^2 table lookups, and
+    the table holds h^2 ints.
     """
-    from .quadforms import enumerate_reduced
-
     ring = ring_from_disc(d)
     elements = enumerate_reduced(d)
     ideals = [ideal_from_form(f, ring) for f in elements]
     index = {f: i for i, f in enumerate(elements)}
-    table = [[None] * len(ideals) for _ in ideals]
-    for i, a in enumerate(ideals):
-        for j in range(i, len(ideals)):
-            # the product is commutative, so fill both halves at once
-            table[i][j] = table[j][i] = index[form_from_ideal(multiply(a, ideals[j]))]
-    return elements, table
+
+    def product(i, j):
+        return index[form_from_ideal(multiply(ideals[i], ideals[j]))]
+
+    return elements, _monoid_table(len(elements), index[principal_form(d)], product)

@@ -379,22 +379,6 @@ def _resolvent_data(ring):
     return content, mu, h, den
 
 
-def _resolvent_lattices(n, h, den):
-    # Index-n enlargements M of the mu-lattice (integer HNF h over den)
-    # biject with index-n sublattices S = n*M of it (S automatically
-    # contains n times the lattice); S runs over row-style Hermite forms H
-    # with det n, which are pairwise distinct by left-multiplication
-    # canonicity.  Each M is returned as integer HNF rows over den * n.
-    out = []
-    for d in divisors(n):
-        a = n // d
-        for b in range(d):
-            out.append(tuple(map(tuple, _hnf_int(mat_mul(((a, b), (0, d)), h)))))
-    assert len(out) == divisor_sigma(n)
-    assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
-    return out
-
-
 def count_numerical_resolvents(ring):
     """Number of rank-2 lattices receiving the ring's quadratic structure.
 
@@ -413,7 +397,17 @@ def enumerate_numerical_resolvents(ring):
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
     """
     n, _, h, den = _resolvent_data(ring)
-    return [_unscaled(rows, den * n) for rows in _resolvent_lattices(n, h, den)]
+    # Index-n enlargements M of the mu-lattice (integer HNF h over den) biject
+    # with its index-n sublattices S = n*M: one per row-style Hermite form
+    # ((n/d, b), (0, d)), 0 <= b < d, distinct by left-multiplication canonicity.
+    out = [
+        tuple(map(tuple, _hnf_int(mat_mul(((n // d, b), (0, d)), h))))
+        for d in divisors(n)
+        for b in range(d)
+    ]
+    assert len(out) == divisor_sigma(n)
+    assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
+    return [_unscaled(rows, den * n) for rows in out]
 
 
 def pair_from_ring(ring):
@@ -425,7 +419,7 @@ def pair_from_ring(ring):
     construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly.
     """
     n, mu, h, den = _resolvent_data(ring)
-    # the first of _resolvent_lattices (divisor 1, offset 0), alone
+    # the first of enumerate_numerical_resolvents (divisor 1, offset 0), alone
     chosen = _hnf_int(mat_mul(((n, 0), (0, 1)), h))
     # both over den * n, so the common denominator cancels
     coords = lattice_coords(chosen, [(n * e, n * f) for e, f in mu])

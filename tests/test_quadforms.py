@@ -1,9 +1,12 @@
 """Binary quadratic forms: reduction, composition, class groups."""
 
 import random
+from collections import Counter
+from itertools import product
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smallrank.errors import (
     DiscriminantMismatch,
@@ -11,6 +14,7 @@ from smallrank.errors import (
     UnsupportedDiscriminant,
 )
 from smallrank.quadforms import (
+    _structure,
     class_group,
     compose,
     content,
@@ -155,6 +159,98 @@ def test_class_group_structures():
     assert class_group(-47)[2] == (5,)
     assert class_group(-84)[2] == (2, 2)
     assert class_group(-56)[2] == (4,)
+    assert class_group(-420)[2] == (2, 2, 2)
+    assert class_group(-972)[2] == (3, 3)
+    assert class_group(-1356)[2] == (3, 6)
+    assert class_group(-3299)[2] == (3, 9)
+    assert class_group(-3360)[2] == (2, 2, 2, 2)
+
+
+# The h^2 composition table and the divisor-chain structure search that the
+# monoid-table builder and the order-count formula replaced; kept as oracles.
+def _oracle_structure(orders):
+    # the first divisor chain whose statistics of solutions of x^m = 1
+    # match those of the element orders
+    h = len(orders)
+    counts = Counter(orders)
+
+    def counts_match(factors):
+        for m in range(1, h + 1):
+            expected = 1
+            for dd in factors:
+                expected *= gcd(dd, m)
+            if expected != sum(c for o, c in counts.items() if m % o == 0):
+                return False
+        return True
+
+    def divisor_chains(h, least):
+        if h == 1:
+            yield ()
+            return
+        for dd in range(least, h + 1):
+            if h % dd == 0:
+                for rest in divisor_chains(h // dd, dd):
+                    yield (dd,) + rest
+
+    for factors in divisor_chains(h, 2):
+        if all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)):
+            if counts_match(factors):
+                return factors
+    raise AssertionError("no invariant factor decomposition matched")
+
+
+def _oracle_class_group(d):
+    elements = [f for f in enumerate_reduced(d) if content(f) == 1]
+    index = {f: i for i, f in enumerate(elements)}
+    table = [[index[compose(f, g)] for g in elements] for f in elements]
+    ident = elements.index(reduce(principal_form(d))[0])
+    orders = []
+    for i in range(len(elements)):
+        k, j = 1, i
+        while j != ident:
+            j = table[j][i]
+            k += 1
+        orders.append(k)
+    return elements, table, _oracle_structure(orders)
+
+
+def test_class_group_agrees_with_composition_oracle():
+    for d in range(-3, -2001, -1):
+        if d % 4 in (0, 1):
+            assert class_group(d) == _oracle_class_group(d), d
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=501, max_value=5000), st.sampled_from((0, 1)))
+def test_class_group_agrees_with_composition_oracle_sampled(k, r):
+    d = -4 * k + r
+    assert class_group(d) == _oracle_class_group(d)
+
+
+@st.composite
+def _invariant_factor_chains(draw):
+    # d1 | d2 | ... | dk with every di >= 2 and the product at most 2000
+    chain, total = [], 1
+    for step in draw(st.lists(st.integers(min_value=1, max_value=12), max_size=6)):
+        d = chain[-1] * step if chain else step + 1
+        if total * d > 2000:
+            break
+        chain.append(d)
+        total *= d
+    return tuple(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invariant_factor_chains(), st.randoms(use_true_random=False))
+def test_structure_recovers_invariant_factor_chains(chain, rng):
+    # the element orders of Z/d1 x ... x Z/dk, in a random order
+    orders = [
+        lcm(*(dd // gcd(a, dd) for a, dd in zip(x, chain)))
+        for x in product(*(range(dd) for dd in chain))
+    ]
+    rng.shuffle(orders)
+    assert _structure(orders) == chain
+    assert _oracle_structure(orders) == chain
 
 
 def test_class_group_excludes_imprimitive():

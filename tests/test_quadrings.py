@@ -5,10 +5,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import smallrank
 from smallrank.errors import (
@@ -20,6 +21,7 @@ from smallrank.errors import (
 )
 from smallrank.exactlattice import hnf_canonicalize, mat_det
 from smallrank.quadforms import (
+    _monoid_table,
     class_group,
     discriminant,
     enumerate_reduced,
@@ -250,6 +252,57 @@ def test_class_semigroup_table_matches_products_in_both_orders():
             for j, b in enumerate(ideals):
                 assert elements[table[i][j]] == form_from_ideal(multiply(a, b))
                 assert elements[table[j][i]] == form_from_ideal(multiply(b, a))
+
+
+# The product loop over all h(h+1)/2 pairs of ideals that the monoid-table
+# builder replaced; kept as its oracle.
+def _oracle_class_semigroup(d):
+    ring = ring_from_disc(d)
+    elements = enumerate_reduced(d)
+    ideals = [ideal_from_form(f, ring) for f in elements]
+    index = {f: i for i, f in enumerate(elements)}
+    table = [[None] * len(ideals) for _ in ideals]
+    for i, a in enumerate(ideals):
+        for j in range(i, len(ideals)):
+            table[i][j] = table[j][i] = index[form_from_ideal(multiply(a, ideals[j]))]
+    return elements, table
+
+
+def test_class_semigroup_agrees_with_product_oracle():
+    for d in range(-3, -401, -1):
+        if d % 4 in (0, 1):
+            assert class_semigroup(d) == _oracle_class_semigroup(d), d
+
+
+def _is_disc(d):
+    return d % 4 in (0, 1)
+
+
+NON_FUNDAMENTAL = [
+    d
+    for d in range(-3, -1500, -1)
+    if _is_disc(d)
+    and any(d % (f * f) == 0 and _is_disc(d // (f * f)) for f in range(2, 39))
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(NON_FUNDAMENTAL))
+def test_class_semigroup_agrees_with_product_oracle_non_fundamental(d):
+    assert class_semigroup(d) == _oracle_class_semigroup(d)
+
+
+def test_monoid_table_rejects_a_non_commutative_product():
+    # composition in the symmetric group S3: the table the builder derives
+    # from the generators is not symmetric, and the self-check says so
+    perms = sorted(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def compose_perms(i, j):
+        return index[tuple(perms[i][k] for k in perms[j])]
+
+    with pytest.raises(AssertionError, match="symmetric"):
+        _monoid_table(len(perms), index[(0, 1, 2)], compose_perms)
 
 
 # The Fraction-row ideal operations that integer rows over one denominator
