@@ -53,10 +53,6 @@ def _basis_json(basis):
     return [[_s(t) for t in row] for row in basis]
 
 
-def _ideal_json(ideal):
-    return {"ring": _ring_json(ideal.ring), "basis": _basis_json(ideal.basis)}
-
-
 def _parse_int(text):
     text = str(text).strip()
     sign = 1
@@ -85,7 +81,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as e:
         raise _UsageError("cannot read %s: %s" % (path, e))
-    except ValueError as e:  # malformed JSON or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # malformed, not UTF-8, or nested too deep
         raise _UsageError("malformed JSON in %s: %s" % (path, e))
 
 
@@ -122,124 +118,121 @@ def _json_pair(payload):
     return (a, b)
 
 
-def _labels(elements, principal):
-    """Single-letter class labels: S for the principal class, then A, B, ..."""
-    letters = [ch for ch in "ABCDEFGHIJKLMNOPQRTUVWXYZ"]  # S reserved
-    out = []
-    used = 0
-    for f in elements:
-        if f == principal:
-            out.append("S")
-        else:
-            out.append(letters[used] if used < len(letters) else "K%d" % used)
-            used += 1
-    return out
-
-
-def _table_lines(labels, table):
-    width = max(len(l) for l in labels)
-    head = " ".join(l.rjust(width) for l in labels)
-    lines = ["%s  %s" % ("*".rjust(width), head)]
-    for i, row in enumerate(table):
-        cells = " ".join(labels[t].rjust(width) for t in row)
-        lines.append("%s  %s" % (labels[i].rjust(width), cells))
-    return lines
-
-
 def _fmt_form(f):
     return "(%s)" % (", ".join(_s(t) for t in f))
 
 
-# ------------------------------------------------------------ subcommands
+def _fmt_matrix(m):
+    return "((%s, %s), (%s, %s))" % tuple(_s(v) for row in m for v in row)
 
-def _cmd_reduce(args):
-    f = (args.a, args.b, args.c)
-    g, m = quadforms.reduce(f)
-    payload = {"form": _form_json(g), "matrix": _basis_json(m)}
-    lines = [
-        "reduced: %s" % _fmt_form(g),
-        "matrix:  ((%s, %s), (%s, %s))"
-        % (_s(m[0][0]), _s(m[0][1]), _s(m[1][0]), _s(m[1][1])),
-    ]
+
+def _ring_line(ring):
+    return "ring: xi^2 = %s xi - %s" % (_s(ring.t), _s(ring.u))
+
+
+def _class_table(D, elements, table, notes, payload, footer):
+    """Payload and lines of a class table over discriminant D.
+
+    ``notes[i]`` ends the line of element i, ``payload`` gains the elements
+    and the table, and the ``footer`` lines go between the elements and the
+    table.  S labels the principal class, then A, B, ... (S skipped).
+    """
+    letters = "ABCDEFGHIJKLMNOPQRTUVWXYZ"  # S reserved
+    principal = quadforms.principal_form(D)
+    labels, used = [], 0
+    for f in elements:
+        if f == principal:
+            labels.append("S")
+        else:
+            labels.append(letters[used] if used < len(letters) else "K%d" % used)
+            used += 1
+    payload["elements"] = [_form_json(f) for f in elements]
+    payload["table"] = [[_s(t) for t in row] for row in table]
+    lines = ["discriminant: %d" % D, "classes: %d" % len(elements)]
+    lines += ["%s = %s%s" % (l, _fmt_form(f), n) for l, f, n in zip(labels, elements, notes)]
+    lines += footer
+    width = max(len(l) for l in labels)
+    lines.append("%s  %s" % ("*".rjust(width), " ".join(l.rjust(width) for l in labels)))
+    for l, row in zip(labels, table):
+        lines.append("%s  %s" % (l.rjust(width), " ".join(labels[t].rjust(width) for t in row)))
     return payload, lines
 
 
-def _cmd_compose(args):
-    f = (args.a1, args.b1, args.c1)
-    g = (args.a2, args.b2, args.c2)
-    if quadforms.discriminant(f) != args.D:
+# ------------------------------------------------------------ subcommands
+
+# (name, handler, help text, params) in --help order; the handler gets the
+# values of params in order and returns (JSON payload, text lines)
+_COMMANDS = []
+
+# add_argument keywords of the params that are not an int positional
+_PARAM_KWARGS = {
+    "file": {"help": "JSON file path or - for stdin"},
+    "primes": {"type": int, "nargs": "+"},
+    "--u": {"type": int, "default": None, "help": "non-residue (default: least)"},
+}
+
+
+def _command(name, help_text, *params):
+    def register(handler):
+        _COMMANDS.append((name, handler, help_text, params))
+        return handler
+
+    return register
+
+
+@_command("reduce", "reduce a positive definite binary form", *"abc")
+def _cmd_reduce(*f):
+    g, m = quadforms.reduce(f)
+    payload = {"form": _form_json(g), "matrix": _basis_json(m)}
+    return payload, ["reduced: %s" % _fmt_form(g), "matrix:  %s" % _fmt_matrix(m)]
+
+
+@_command(
+    "compose", "compose two forms of discriminant D", "D", "a1", "b1", "c1", "a2", "b2", "c2"
+)
+def _cmd_compose(D, *coeffs):
+    f, g = coeffs[:3], coeffs[3:]
+    if quadforms.discriminant(f) != D:
         raise DiscriminantMismatch(
-            "first form has discriminant %s, not %s"
-            % (_s(quadforms.discriminant(f)), _s(args.D))
+            "first form has discriminant %s, not %s" % (_s(quadforms.discriminant(f)), _s(D))
         )
     h = quadforms.compose(f, g)
     return {"form": _form_json(h)}, ["composed: %s" % _fmt_form(h)]
 
 
-def _cmd_classgroup(args):
-    elements, table, structure = quadforms.class_group(args.D)
-    principal = quadforms.principal_form(args.D)
-    labels = _labels(elements, principal)
-    payload = {
-        "elements": [_form_json(f) for f in elements],
-        "table": [[_s(t) for t in row] for row in table],
-        "structure": [_s(t) for t in structure],
-    }
-    lines = ["discriminant: %d" % args.D, "classes: %d" % len(elements)]
-    for lab, f in zip(labels, elements):
-        lines.append("%s = %s" % (lab, _fmt_form(f)))
-    lines.append(
-        "structure: %s"
-        % (" x ".join("Z/%s" % _s(t) for t in structure) if structure else "trivial")
-    )
-    lines.extend(_table_lines(labels, table))
-    return payload, lines
+@_command("classgroup", "class group of a discriminant", "D")
+def _cmd_classgroup(D):
+    elements, table, structure = quadforms.class_group(D)
+    text = " x ".join("Z/%s" % _s(t) for t in structure) if structure else "trivial"
+    payload = {"structure": [_s(t) for t in structure]}
+    return _class_table(D, elements, table, [""] * len(elements), payload, ["structure: " + text])
 
 
-def _cmd_semigroup(args):
-    elements, table = quadrings.class_semigroup(args.D)
+@_command("semigroup", "class semigroup incl. non-invertible", "D")
+def _cmd_semigroup(D):
+    elements, table = quadrings.class_semigroup(D)
     invertible = [quadforms.content(f) == 1 for f in elements]
-    principal = quadforms.principal_form(args.D)
-    labels = _labels(elements, principal)
-    payload = {
-        "elements": [_form_json(f) for f in elements],
-        "table": [[_s(t) for t in row] for row in table],
-        "invertible": invertible,
-    }
-    lines = ["discriminant: %d" % args.D, "classes: %d" % len(elements)]
-    for lab, f, inv in zip(labels, elements, invertible):
-        lines.append(
-            "%s = %s%s" % (lab, _fmt_form(f), "" if inv else "  (not invertible)")
-        )
-    lines.extend(_table_lines(labels, table))
-    return payload, lines
+    notes = ["" if inv else "  (not invertible)" for inv in invertible]
+    return _class_table(D, elements, table, notes, {"invertible": invertible}, [])
 
 
-def _cmd_ideal_form(args):
-    ideal = _json_ideal(_read_json(args.file))
+@_command("ideal-form", "form of a JSON ideal", "file")
+def _cmd_ideal_form(file):
+    ideal = _json_ideal(_read_json(file))
     f = quadrings.form_from_ideal(ideal)
     return {"form": _form_json(f)}, ["form: %s" % _fmt_form(f)]
 
 
-def _cmd_form_ideal(args):
-    f = (args.a, args.b, args.c)
+@_command("form-ideal", "ideal of a form (JSON out)", *"abc")
+def _cmd_form_ideal(*f):
     ring = quadrings.ring_from_disc(quadforms.discriminant(f))
     ideal = quadrings.ideal_from_form(f, ring)
-    payload = _ideal_json(ideal)
-    lines = [
-        "ring: xi^2 = %s xi - %s" % (_s(ring.t), _s(ring.u)),
-        "basis: ((%s, %s), (%s, %s))"
-        % tuple(_s(v) for row in ideal.basis for v in row),
-    ]
-    return payload, lines
+    payload = {"ring": _ring_json(ring), "basis": _basis_json(ideal.basis)}
+    return payload, [_ring_line(ring), "basis: %s" % _fmt_matrix(ideal.basis)]
 
 
-def _cube_arg(args):
-    return tuple(getattr(args, ch) for ch in "abcdefgh")
-
-
-def _cmd_cube_forms(args):
-    q = _cube_arg(args)
+@_command("cube-forms", "three quadratic forms of a 2x2x2 cube", *"abcdefgh")
+def _cmd_cube_forms(*q):
     f1, f3, f2 = cubes.associated_forms(q)
     payload = {"forms": [_form_json(f1), _form_json(f3), _form_json(f2)]}
     lines = [
@@ -250,52 +243,42 @@ def _cmd_cube_forms(args):
     return payload, lines
 
 
-def _cmd_cube_ring(args):
-    ring = cubes.ring_of_cube(_cube_arg(args))
-    payload = _ring_json(ring)
-    lines = [
-        "ring: xi^2 = %s xi - %s" % (_s(ring.t), _s(ring.u)),
-        "disc: %s" % _s(ring.disc),
-    ]
-    return payload, lines
+@_command("cube-ring", "quadratic ring of a cube", *"abcdefgh")
+def _cmd_cube_ring(*q):
+    ring = cubes.ring_of_cube(q)
+    return _ring_json(ring), [_ring_line(ring), "disc: %s" % _s(ring.disc)]
 
 
-def _cmd_cube_triple(args):
-    triple = cubes.triple_from_cube(_cube_arg(args))
+@_command("cube-triple", "balanced ideal triple of a cube", *"abcdefgh")
+def _cmd_cube_triple(*q):
+    triple = cubes.triple_from_cube(q)
     payload = {
         "ring": _ring_json(triple.ring),
         "ideals": [_basis_json(i.basis) for i in triple.ideals],
     }
-    lines = ["ring: xi^2 = %s xi - %s" % (_s(triple.ring.t), _s(triple.ring.u))]
+    lines = [_ring_line(triple.ring)]
     for n, ideal in enumerate(triple.ideals, 1):
-        lines.append(
-            "I%d basis: ((%s, %s), (%s, %s))"
-            % ((n,) + tuple(_s(v) for row in ideal.basis for v in row))
-        )
+        lines.append("I%d basis: %s" % (n, _fmt_matrix(ideal.basis)))
     return payload, lines
 
 
-def _cmd_triple_cube(args):
-    payload_in = _read_json(args.file)
+@_command("triple-cube", "cube of a balanced triple (JSON in)", "file")
+def _cmd_triple_cube(file):
+    payload_in = _read_json(file)
     try:
         ring = _json_ring(payload_in["ring"])
         bases = payload_in["ideals"]
+        if len(bases) != 3:
+            raise _UsageError("a triple has exactly 3 ideal bases")
     except (KeyError, TypeError):
         raise _UsageError('a triple is {"ring": {...}, "ideals": [b1, b2, b3]}')
-    if len(bases) != 3:
-        raise _UsageError("a triple has exactly 3 ideal bases")
-    ideals = tuple(
-        _json_ideal({"ring": payload_in["ring"], "basis": b}) for b in bases
-    )
-    for i in ideals[1:]:
-        if i.ring != ring:
-            raise _UsageError("all ideals must share the ring")
+    ideals = tuple(_json_ideal({"ring": payload_in["ring"], "basis": b}) for b in bases)
     q = cubes.cube_from_triple(cubes.BalancedTriple(ring, ideals))
     return {"cube": [_s(t) for t in q]}, ["cube: %s" % " ".join(_s(t) for t in q)]
 
 
-def _cmd_cubic_ring(args):
-    form = (args.p, args.q, args.r, args.s)
+@_command("cubic-ring", "cubic ring of a binary cubic form", *"pqrs")
+def _cmd_cubic_ring(*form):
     ring = cubicrings.ring_from_cubic_form(form)
     payload = {
         "a": _s(ring.a),
@@ -312,8 +295,9 @@ def _cmd_cubic_ring(args):
     return payload, lines
 
 
-def _cmd_cubic_form(args):
-    payload_in = _read_json(args.file)
+@_command("cubic-form", "binary cubic form of a ring (JSON in)", "file")
+def _cmd_cubic_form(file):
+    payload_in = _read_json(file)
     try:
         ring = cubicrings.CubicRing(
             _parse_int(payload_in["a"]),
@@ -327,32 +311,23 @@ def _cmd_cubic_form(args):
     return {"form": _form_json(form)}, ["form: %s" % _fmt_form(form)]
 
 
-def _quartic_json(ring):
-    c = {}
+@_command("quartic-ring", "quartic ring of a ternary pair", "file")
+def _cmd_quartic_ring(file):
+    ring = quarticrings.ring_from_pair(_json_pair(_read_json(file)))
+    c, lines = {}, []
     for i in range(1, 4):
         for j in range(i, 4):
-            for k in range(4):
-                c["%d%d,%d" % (i, j, k)] = _s(ring.c[(i, j, k)])
-    return {"c": c}
-
-
-def _cmd_quartic_ring(args):
-    pair = _json_pair(_read_json(args.file))
-    ring = quarticrings.ring_from_pair(pair)
-    payload = _quartic_json(ring)
-    lines = []
-    for i in range(1, 4):
-        for j in range(i, 4):
-            terms = [_s(ring.c[(i, j, 0)])]
-            for k in range(1, 4):
-                terms.append("%s xi%d" % (_s(ring.c[(i, j, k)]), k))
+            v = [_s(ring.c[(i, j, k)]) for k in range(4)]
+            c.update(("%d%d,%d" % (i, j, k), v[k]) for k in range(4))
+            terms = [v[0]] + ["%s xi%d" % (v[k], k) for k in range(1, 4)]
             lines.append("xi%d*xi%d = %s" % (i, j, " + ".join(terms)))
     lines.append("disc: %s" % _s(ring.disc()))
-    return payload, lines
+    return {"c": c}, lines
 
 
-def _cmd_resolvent(args):
-    pair = _json_pair(_read_json(args.file))
+@_command("resolvent", "resolvent data of a ternary pair", "file")
+def _cmd_resolvent(file):
+    pair = _json_pair(_read_json(file))
     ring = quarticrings.ring_from_pair(pair)
     resolvent, _witness = quarticrings.pair_from_ring(ring)
     count = quarticrings.count_numerical_resolvents(ring)
@@ -370,12 +345,13 @@ def _cmd_resolvent(args):
     return payload, lines
 
 
-def _cmd_maximal(args):
-    pair = _json_pair(_read_json(args.file))
+@_command("maximal", "maximality of the pair's ring at primes", "file", "primes")
+def _cmd_maximal(file, primes):
+    pair = _json_pair(_read_json(file))
     ring = quarticrings.ring_from_pair(pair)
     results = []
     lines = []
-    for p in args.primes:
+    for p in primes:
         ok, witness = quarticrings.is_maximal_at_p(ring, p)
         tag = quarticrings.nonmaximality_conditions_witness(pair, p)
         entry = {
@@ -394,23 +370,23 @@ def _cmd_maximal(args):
     return {"results": results}, lines
 
 
-def _cmd_padic_count(args):
+@_command("padic-count", "balanced triple count", "p", "n", "i", "j", "k", "--u")
+def _cmd_padic_count(p, n, i, j, k, u):
     # the count is at most (p+1)*p^(i-1); refuse, before computing it, one
     # with more digits than int -> str converts
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.p > 1 and 0 < args.i <= args.n:
-        if (args.i - 1) * log10(args.p) + log10(args.p + 1) >= limit:
+    if limit and p > 1 and 0 < i <= n:
+        if (i - 1) * log10(p) + log10(p + 1) >= limit:
             raise _UsageError("the count may exceed %d digits: (p+1)*p^(i-1) does" % limit)
-    u = args.u if args.u is not None else padic.least_nonresidue(args.p)
-    cfg = padic.PadicConfig(args.p, args.n, u)
-    count = padic.balanced_count(cfg, (args.i, args.j, args.k))
+    cfg = padic.PadicConfig(p, n, u if u is not None else padic.least_nonresidue(p))
+    count = padic.balanced_count(cfg, (i, j, k))
     return {"count": _s(count)}, [_s(count)]
 
 
-def _cmd_stella(args):
-    inside, label = padic.stella_membership(args.n, (args.i, args.j, args.k))
-    label_json = None if label is None else str(label)
-    payload = {"inside": inside, "tetrahedron": label_json}
+@_command("stella", "two-tetrahedra membership of a signed index", *"nijk")
+def _cmd_stella(n, *index):
+    inside, label = padic.stella_membership(n, index)
+    payload = {"inside": inside, "tetrahedron": None if label is None else str(label)}
     if not inside:
         lines = ["outside"]
     elif label == "boundary":
@@ -429,86 +405,23 @@ def _build_parser():
         "and the rings they parameterize.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text):
+    for name, handler, help_text, params in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("reduce", _cmd_reduce, "reduce a positive definite binary form")
-    for ch in "abc":
-        p.add_argument(ch, type=int)
-
-    p = add("compose", _cmd_compose, "compose two forms of discriminant D")
-    p.add_argument("D", type=int)
-    for ch in ("a1", "b1", "c1", "a2", "b2", "c2"):
-        p.add_argument(ch, type=int)
-
-    p = add("classgroup", _cmd_classgroup, "class group of a discriminant")
-    p.add_argument("D", type=int)
-
-    p = add("semigroup", _cmd_semigroup, "class semigroup incl. non-invertible")
-    p.add_argument("D", type=int)
-
-    p = add("ideal-form", _cmd_ideal_form, "form of a JSON ideal")
-    p.add_argument("file", help="JSON file path or - for stdin")
-
-    p = add("form-ideal", _cmd_form_ideal, "ideal of a form (JSON out)")
-    for ch in "abc":
-        p.add_argument(ch, type=int)
-
-    for name, handler, help_text in (
-        ("cube-forms", _cmd_cube_forms, "three quadratic forms of a 2x2x2 cube"),
-        ("cube-ring", _cmd_cube_ring, "quadratic ring of a cube"),
-        ("cube-triple", _cmd_cube_triple, "balanced ideal triple of a cube"),
-    ):
-        p = add(name, handler, help_text)
-        for ch in "abcdefgh":
-            p.add_argument(ch, type=int)
-
-    p = add("triple-cube", _cmd_triple_cube, "cube of a balanced triple (JSON in)")
-    p.add_argument("file", help="JSON file path or - for stdin")
-
-    p = add("cubic-ring", _cmd_cubic_ring, "cubic ring of a binary cubic form")
-    for ch in "pqrs":
-        p.add_argument(ch, type=int)
-
-    p = add("cubic-form", _cmd_cubic_form, "binary cubic form of a ring (JSON in)")
-    p.add_argument("file", help="JSON file path or - for stdin")
-
-    p = add("quartic-ring", _cmd_quartic_ring, "quartic ring of a ternary pair")
-    p.add_argument("file", help="JSON file path or - for stdin")
-
-    p = add("resolvent", _cmd_resolvent, "resolvent data of a ternary pair")
-    p.add_argument("file", help="JSON file path or - for stdin")
-
-    p = add("maximal", _cmd_maximal, "maximality of the pair's ring at primes")
-    p.add_argument("file", help="JSON file path or - for stdin")
-    p.add_argument("primes", type=int, nargs="+")
-
-    p = add("padic-count", _cmd_padic_count, "balanced triple count")
-    for ch in ("p", "n", "i", "j", "k"):
-        p.add_argument(ch, type=int)
-    p.add_argument("--u", type=int, default=None, help="non-residue (default: least)")
-
-    p = add("stella", _cmd_stella, "two-tetrahedra membership of a signed index")
-    for ch in ("n", "i", "j", "k"):
-        p.add_argument(ch, type=int)
-
+        for param in params:
+            p.add_argument(param, **_PARAM_KWARGS.get(param, {"type": int}))
+        p.set_defaults(handler=handler, params=params)
     return parser
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        payload, lines = args.handler(args)
+        payload, lines = args.handler(*(getattr(args, p.lstrip("-")) for p in args.params))
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

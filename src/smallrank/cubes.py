@@ -65,23 +65,10 @@ def ring_of_cube(q) -> QuadraticRing:
     return QuadraticRing(*cube_invariants(q))
 
 
-def _xi_from_form(f, t):
-    p, qq, r = f
-    assert (t - qq) % 2 == 0
-    return ((t - qq) // 2, -r), (p, (t + qq) // 2)
-
-
 def xi_actions(q):
     """Matrices of xi on the three reconstructed ideals, display order."""
     ring = ring_of_cube(q)
-    f1, f3, f2 = associated_forms(q)
-    out = []
-    for f in (f1, f3, f2):
-        x = _xi_from_form(f, ring.t)
-        assert x[0][0] + x[1][1] == ring.t
-        assert mat2_det(x) == ring.u
-        out.append(x)
-    return tuple(out)
+    return tuple(ideal_from_form(f, ring).xi for f in associated_forms(q))
 
 
 def triple_from_cube(q) -> BalancedTriple:

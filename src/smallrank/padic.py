@@ -167,6 +167,7 @@ def unit_coset_reps(p, t, i):
     has ``p^(i-1) (p+1)`` entries for ``t = 0 < i``, ``p^(i-t)`` entries for
     ``0 < t <= i``, and a single entry when the quotient is trivial
     (``i <= t``).  Representatives are exact integers independent of ``u``.
+    Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
     """
     if t < 0 or i < 0:
         raise DomainError("order levels must be nonnegative")
@@ -188,6 +189,9 @@ def enumerate_balanced_oracle(cfg, idx, m):
     of the module generators ``{1, p^i sqrt(u)} x {1, p^j sqrt(u)} x
     {1, p^k sqrt(u)}``.  Requires ``m >= 2n + 2`` so that every valuation
     comparison is decided exactly.
+
+    Cost: one pass over at most ``p^(i-1) (p+1)`` coset representatives
+    (``unit_coset_reps``), each tested on up to 8 products modulo ``p^m``.
     """
     if not isinstance(cfg, PadicConfig):
         raise DomainError("expected a PadicConfig")

@@ -1,11 +1,19 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import smallrank
+from smallrank import cli
 from smallrank.cli import main
 
 
@@ -217,6 +225,19 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_json_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
+    # len() of a non-list, and nesting deeper than the decoder recurses
+    ideals = tmp_path / "ideals.json"
+    ideals.write_text(json.dumps({"ring": {"t": "0", "u": "1"}, "ideals": 5}))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in (("triple-cube", str(ideals)), ("resolvent", str(deep))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("usage error")
+        assert out == ""
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -320,3 +341,94 @@ def test_maximal_at_a_large_prime_finishes(tmp_path):
             assert row["witness"] is None
         else:
             assert len(row["witness"]) == 4 and all(len(r) == 4 for r in row["witness"])
+
+
+# ------------------------------------------------------------ golden bytes
+
+# every subcommand in text and --json, exits 1 and 2 for each input kind, and
+# all help texts: [command line, exit code, stdout, stderr] as the CLI printed
+# them before its parser was built from a registry
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+
+# the input files the golden command lines name, in the working directory
+GOLDEN_FILES = {
+    "pair.json": '{"A": ["5","0","0","5","0","-5"], "B": ["0","0","0","0","1","-1"]}',
+    "trivial.json": '{"A": ["1","0","0","1","0","-1"], "B": ["1","0","0","1","0","-1"]}',
+    "ideal.json": '{"basis": [["1", "0"], ["1/2", "1/2"]], "ring": {"t": "0", "u": "25"}}',
+    "nonmodule.json": '{"ring": {"t": "0", "u": "1"}, "basis": [["1", "0"], ["0", "2"]]}',
+    "triple.json": '{"ideals": [[["1", "0"], ["4/5", "1/5"]], [["1", "0"], ["4/5", "1/5"]], '
+    '[["14", "1"], ["3", "2"]]], "ring": {"t": "-8", "u": "41"}}',
+    "two-ideals.json": '{"ideals": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]], '
+    '"ring": {"t": "0", "u": "1"}}',
+    "ring.json": '{"a": "0", "b": "1", "e": "-1", "f": "1"}',
+    "missing-key.json": '{"A": ["1", "1", "1", "1", "1", "1"]}',
+    "list.json": "[1, 2]",
+    "bad.json": "not json",
+}
+
+
+@pytest.mark.parametrize(
+    "command,code,out,err", GOLDEN["cases"], ids=[case[0] for case in GOLDEN["cases"]]
+)
+def test_golden_output(command, code, out, err, capsys, tmp_path, monkeypatch):
+    if "usage:" in out + err and "%d.%d" % sys.version_info[:2] != GOLDEN["python"]:
+        pytest.skip("argparse words its help and errors differently in other Pythons")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(capsys, *shlex.split(command)) == (code, out, err)
+
+
+def test_golden_output_covers_every_subcommand():
+    commands = {case[0] for case in GOLDEN["cases"]}
+    for name, _handler, _help, _params in cli._COMMANDS:
+        assert name + " --help" in commands
+        assert any(c.startswith(name + " ") and "--json" not in c for c in commands), name
+        assert any(c.startswith(name + " --json ") for c in commands), name
+
+
+# ------------------------------------------------------------ exit codes
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    # the golden inputs, plus shapes that once escaped as a traceback
+    root = tmp_path_factory.mktemp("fuzz")
+    files = dict(GOLDEN_FILES)
+    files["ideals.json"] = '{"ring": {"t": "0", "u": "1"}, "ideals": 5}'
+    files["deep.json"] = "[" * 100000 + "]" * 100000
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return [str(root / name) for name in files] + [str(root / "missing.json")]
+
+
+# the int params with a range of their own; the others take [-9, 9]
+FUZZ_BOUNDS = {"D": 400, "p": 7, "primes": 7, "--u": 7}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_argv_exits_0_1_or_2(fuzz_files, data):
+    name, _handler, _help, params = data.draw(st.sampled_from(cli._COMMANDS))
+    options, values = data.draw(st.sampled_from([[], ["--json"]])), []
+    for param in params:
+        ints = st.integers(-FUZZ_BOUNDS.get(param, 9), FUZZ_BOUNDS.get(param, 9)).map(str)
+        if param == "file":
+            values.append(data.draw(st.sampled_from(fuzz_files)))
+        elif param == "primes":
+            values += data.draw(st.lists(ints, min_size=1, max_size=3))
+        elif param.startswith("--"):
+            if data.draw(st.booleans()):
+                options += [param, data.draw(ints)]
+        else:
+            values.append(data.draw(ints))
+    argv = [name] + options + ["--"] + values
+    noise = st.one_of(st.sampled_from(["--json", "--", "-h", "--u"]), st.text(max_size=4))
+    for token in data.draw(st.lists(noise, max_size=2)):
+        argv.insert(data.draw(st.integers(0, len(argv))), token)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

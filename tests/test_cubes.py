@@ -86,6 +86,30 @@ def test_xi_action_matrices_have_trace_t_det_u():
             assert x[0][0] * x[1][1] - x[0][1] * x[1][0] == u
 
 
+# xi on the ideal of a form, read off the form by inverting
+# quadrings.raw_form, which xi_actions used before it built the ideals; kept
+# as its oracle.
+def _oracle_xi_from_form(f, t):
+    p, qq, r = f
+    assert (t - qq) % 2 == 0
+    return ((t - qq) // 2, -r), (p, (t + qq) // 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-4, 4)] * 8))
+@example(BOX1)
+@example(identity_cube(-4))
+def test_xi_actions_agree_with_form_oracle(q):
+    try:
+        ring = ring_of_cube(q)
+    except Degenerate:
+        with pytest.raises(Degenerate):
+            xi_actions(q)
+        return
+    expected = tuple(_oracle_xi_from_form(f, ring.t) for f in associated_forms(q))
+    assert repr(xi_actions(q)) == repr(expected)
+
+
 def test_degenerate_cube():
     with pytest.raises(Degenerate):
         ring_of_cube((0, 0, 0, 0, 0, 0, 0, 1))
