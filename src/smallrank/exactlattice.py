@@ -31,45 +31,47 @@ def xgcd(a, b):
 
 def _hnf_int(rows):
     # row-style HNF of integer rows, echelon with positive pivots,
-    # entries above each pivot reduced; zero rows dropped
+    # entries above each pivot reduced; zero rows dropped.  One unimodular
+    # step [[x, y], [-b/g, a/g]], a*x + b*y = g, clears each b below pivot a
     rows = [list(r) for r in rows]
     if not rows:
         return []
-    n = len(rows[0])
     r = 0
-    for col in range(n):
-        # clear everything below position r in this column
-        while True:
-            live = [i for i in range(r, len(rows)) if rows[i][col]]
-            if not live:
-                break
-            i = min(live, key=lambda i: abs(rows[i][col]))
-            rows[r], rows[i] = rows[i], rows[r]
-            if len(live) == 1:
-                break
-            p = rows[r][col]
-            for i in range(r + 1, len(rows)):
-                if rows[i][col]:
-                    q = rows[i][col] // p
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        if r < len(rows) and rows[r][col]:
-            if rows[r][col] < 0:
-                rows[r] = [-a for a in rows[r]]
-            p = rows[r][col]
-            for k in range(r):
-                q = rows[k][col] // p
-                if q:
-                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[r])]
-            r += 1
-    return [row for row in rows[:r]]
+    for col in range(len(rows[0])):
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r]
+        for i, row in enumerate(rows[r + 1 :], r + 1):
+            b = row[col]
+            if b:
+                g, x, y = xgcd(piv[col], b)
+                a, b = piv[col] // g, b // g
+                piv, rows[i] = (
+                    [x * u + y * v for u, v in zip(piv, row)],
+                    [a * v - b * u for u, v in zip(piv, row)],
+                )
+        if piv[col] < 0:
+            piv = [-a for a in piv]
+        rows[r] = piv
+        for k in range(r):
+            q = rows[k][col] // piv[col]
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], piv)]
+        r += 1
+    return rows[:r]
 
 
 def _scaled(rows):
     # integer rows and the least positive denominator den with
     # rows == int_rows / den; DimensionError for rows of unequal length
-    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
+    rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
+    if all(type(e) is int for row in rows for e in row):
+        return rows, 1
+    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
@@ -221,21 +223,79 @@ def divisor_sigma(n) -> int:
     return sum(divisors(n))
 
 
-def is_prime(n) -> bool:
-    """Deterministic primality by trial division (intended for small n).
+# the first 13 primes; a composite that passes the strong test to all of
+# them is at least psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
-    Cost: about sqrt(n)/3 divisions when n is prime (2, 3, then 6k +- 1 up
-    to sqrt(n)).
+
+def is_prime(n) -> bool:
+    """Primality: trial division by the primes up to 41, then strong tests.
+
+    Below psi_13 ~ 3.3e24 the answer is proven: the strong Miller-Rabin test
+    to those 13 prime bases.  Above it the answer is the Baillie-PSW test
+    (strong base 2 and strong Lucas): unproven, but no composite is known
+    to pass it.  Cost: at most 13 modular powers, O(log(n)^3) bit operations.
     """
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _PSI_13:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    # strong Fermat test to base a of odd n > a: n - 1 = d * 2^s, d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
         return True
-    if n % 2 == 0 or n % 3 == 0:
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _jacobi(a, n):
+    # Jacobi symbol (a/n) for odd n > 0
+    a, out = a % n, 1
+    while a:
+        t = (a & -a).bit_length() - 1
+        a >>= t
+        if t % 2 and n % 8 in (3, 5):
+            out = -out
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a, n = n % a, a
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    # strong Lucas test of odd n with no prime factor below 43, with P = 1
+    # and Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... with (D/n) = -1
+    if isqrt(n) ** 2 == n:
         return False
-    f = 5
-    while f <= isqrt(n):
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(d, n) since |d| < n
+        d = -d - 2 if d > 0 else -d + 2
+    q, half = (1 - d) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_m, V_m, Q^m mod n for m the leading bits of (n + 1) / 2^s
+    u, v, qm = 1, 1, q
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v, qm = (u + v) * half % n, (d * u + v) * half % n, qm * q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+    return False

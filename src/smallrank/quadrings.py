@@ -9,6 +9,7 @@ for all arithmetic, as integer rows over one denominator.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DomainError,
@@ -78,19 +79,31 @@ def ring_from_disc(d) -> QuadraticRing:
 class QuadIdeal:
     """Fractional ideal of a quadratic ring.
 
-    ``basis`` holds the basis rows exactly as given, as Fractions.  ``rows``
-    and ``den`` hold the same basis as integer rows over one denominator,
-    ``basis == rows / den`` with ``den`` the least positive such; the ideal
-    arithmetic runs on them.
+    ``rows`` and ``den`` hold the basis as integer rows over one
+    denominator, ``den`` the least positive such; the ideal arithmetic runs
+    on them.  ``basis`` is the same basis as ``Fraction`` rows: exactly as
+    given to the constructor, or ``rows / den`` for an ideal computed here.
     """
 
     def __init__(self, ring, basis):
-        self.ring = ring
-        self.basis = tuple(tuple(Fraction(e) for e in row) for row in basis)
-        if len(self.basis) != 2 or any(len(r) != 2 for r in self.basis):
+        self._basis = tuple(tuple(Fraction(e) for e in row) for row in basis)
+        if len(self._basis) != 2 or any(len(r) != 2 for r in self._basis):
             raise RankError("an ideal basis is two row vectors of length 2")
-        rows, self.den = _scaled(self.basis)
-        self.rows = tuple(map(tuple, rows))
+        self._set(ring, *_scaled(self._basis))
+
+    @classmethod
+    def _from_rows(cls, ring, rows, den):
+        # the ideal with basis integer rows / den, den > 0
+        if len(rows) != 2:
+            raise RankError("an ideal basis is two row vectors of length 2")
+        g = gcd(den, *(e for row in rows for e in row))
+        ideal = cls.__new__(cls)
+        ideal._basis = None
+        ideal._set(ring, [[e // g for e in row] for row in rows], den // g)
+        return ideal
+
+    def _set(self, ring, rows, den):
+        self.ring, self.rows, self.den = ring, tuple(map(tuple, rows)), den
         # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2; RankError
         # if the rows are dependent
         x = lattice_coords(self.rows, [ring.mul((0, 1), row) for row in self.rows])
@@ -98,28 +111,34 @@ class QuadIdeal:
             raise NotAModule("lattice is not xi-stable over %r" % ring)
         self.xi = tuple(zip(*x))
 
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = _unscaled(self.rows, self.den)
+        return self._basis
+
     def hnf(self):
         return _unscaled(_hnf_int(self.rows), self.den)
 
     def canonical(self):
-        return QuadIdeal(self.ring, self.hnf())
+        return QuadIdeal._from_rows(self.ring, _hnf_int(self.rows), self.den)
+
+    def _key(self):
+        # canonical: den is least, and the HNF keeps the gcd of the entries
+        return self.ring, tuple(map(tuple, _hnf_int(self.rows))), self.den
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuadIdeal)
-            and self.ring == other.ring
-            and self.hnf() == other.hnf()
-        )
+        return isinstance(other, QuadIdeal) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ring, self.hnf()))
+        return hash(self._key())
 
     def __repr__(self):
         return "QuadIdeal(%r, %r)" % (self.ring, self.basis)
 
 
 def unit_ideal(ring) -> QuadIdeal:
-    return QuadIdeal(ring, ((1, 0), (0, 1)))
+    return QuadIdeal._from_rows(ring, ((1, 0), (0, 1)), 1)
 
 
 def raw_form(ideal):
@@ -149,8 +168,9 @@ def ideal_from_form(f, ring) -> QuadIdeal:
         raise FormRingMismatch("form disc %d != ring disc %d" % (discriminant(f), ring.disc))
     p, q, r = f
     if p != 0:
-        a = (ring.t - q) // 2
-        basis = ((Fraction(1), Fraction(0)), (Fraction(-a, p), Fraction(1, p)))
+        # basis (1, 0), (-a/p, 1/p) over the denominator |p|
+        a, sign = (ring.t - q) // 2, (1 if p > 0 else -1)
+        ideal = QuadIdeal._from_rows(ring, ((abs(p), 0), (-a * sign, sign)), abs(p))
     else:
         # move a nonzero value into the leading slot, build there, pull back
         # through the adjugate of m, which is m^-1 since det m == 1
@@ -158,15 +178,15 @@ def ideal_from_form(f, ring) -> QuadIdeal:
         g = twisted_act(m, f)
         assert g[0] != 0
         inner = ideal_from_form(g, ring)
-        basis = mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.basis)
-    ideal = QuadIdeal(ring, basis)
+        rows = mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.rows)
+        ideal = QuadIdeal._from_rows(ring, rows, inner.den)
     assert raw_form(ideal) == f
     return ideal
 
 
 def _span(ring, rows, den):
     # the ideal spanned by integer rows over den, canonical (HNF) basis
-    return QuadIdeal(ring, _unscaled(_hnf_int(rows), den))
+    return QuadIdeal._from_rows(ring, _hnf_int(rows), den)
 
 
 def multiply(i, j) -> QuadIdeal:

@@ -5,14 +5,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import smallrank
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
+    _MR_BASES,
+    _PSI_13,
+    _hnf_int,
+    _scaled,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     divisor_sigma,
     divisors,
     factorize,
@@ -409,3 +415,146 @@ def test_is_prime_agrees_with_sieve():
                 sieve[j] = False
     for n in range(200):
         assert is_prime(n) == sieve[n]
+
+
+# Euclid rounds with a search for the least live entry, the HNF kernel that
+# one xgcd step per row replaced; kept as its oracle.
+def _oracle_hnf_int(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    n = len(rows[0])
+    r = 0
+    for col in range(n):
+        while True:
+            live = [i for i in range(r, len(rows)) if rows[i][col]]
+            if not live:
+                break
+            i = min(live, key=lambda i: abs(rows[i][col]))
+            rows[r], rows[i] = rows[i], rows[r]
+            if len(live) == 1:
+                break
+            p = rows[r][col]
+            for i in range(r + 1, len(rows)):
+                if rows[i][col]:
+                    q = rows[i][col] // p
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        if r < len(rows) and rows[r][col]:
+            if rows[r][col] < 0:
+                rows[r] = [-a for a in rows[r]]
+            p = rows[r][col]
+            for k in range(r):
+                q = rows[k][col] // p
+                if q:
+                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[r])]
+            r += 1
+    return [row for row in rows[:r]]
+
+
+@st.composite
+def integer_generating_sets(draw):
+    # up to 16 x 4 and 8 x 8, with zero rows, rows that combine earlier ones
+    # (so rank-deficient sets too), negative entries and entries up to 10^12
+    n, m = draw(st.sampled_from([(16, 4), (8, 8), (4, 2), (6, 3), (3, 5)]))
+    bound = draw(st.sampled_from([1, 10, 10**4, 10**12]))
+    entry = st.integers(-bound, bound)
+    rows = []
+    for _ in range(draw(st.integers(0, n))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * m)
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(m)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_generating_sets())
+def test_hnf_int_agrees_with_euclid_oracle(rows):
+    assert _hnf_int(rows) == _oracle_hnf_int(rows)
+
+
+def test_scaled_integer_rows():
+    rows = [[3, -4], [0, 7]]
+    ints, den = _scaled(rows)
+    assert (ints, den) == (rows, 1) and ints[0] is not rows[0]
+    assert all(type(e) is int for row in ints for e in row)
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [(1, 2, 3), (4, 5)]):
+        with pytest.raises(DimensionError):
+            _scaled(ragged)
+    assert _scaled([[Fraction(1, 2), 3], [True, 0]]) == ([[1, 6], [2, 0]], 2)
+
+
+# Trial division by 2, 3 and 6k +- 1, the primality test that strong
+# probable-prime tests replaced; kept as their oracle.
+def _oracle_is_prime(n):
+    if not isinstance(n, int) or n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    f = 5
+    while f <= isqrt(n):
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _oracle_is_prime(n)
+    ]
+    for bad in (-7, 0, 1, 2.0, "7", None):
+        assert is_prime(bad) is False
+
+
+@given(st.integers(min_value=10**5, max_value=10**10))
+def test_is_prime_agrees_with_trial_division(n):
+    assert is_prime(n) == _oracle_is_prime(n)
+
+
+# composites that pass the strong test to every base in a prefix of the
+# primes: the least for 1, 2, ..., 13 bases (psi_1, ..., psi_13)
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, _PSI_13,
+]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161, 1436697831295441,
+              60977817398996785, 7156857700403137441, 1791562810662585767521]
+# the least strong Lucas pseudoprimes with Selfridge's parameters (A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+
+
+def test_strong_pseudoprimes_and_carmichael_numbers_are_composite():
+    for k, n in enumerate(STRONG_PSEUDOPRIMES, start=1):
+        assert not is_prime(n), n
+        assert all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
+    for n in CARMICHAEL + STRONG_LUCAS_PSEUDOPRIMES:
+        assert not is_prime(n), n
+    # the Lucas half of the test is the standard one: it is fooled exactly
+    # where the published list says, so base 2 must catch these
+    assert all(_strong_lucas_probable_prime(n) for n in STRONG_LUCAS_PSEUDOPRIMES)
+    assert _MR_BASES[-1] == 41 and len(_MR_BASES) == 13
+
+
+def test_is_prime_cross_checks_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    cases = STRONG_PSEUDOPRIMES + CARMICHAEL + STRONG_LUCAS_PSEUDOPRIMES
+    cases += [2**k - 1 for k in (61, 67, 89, 107, 127, 521)]
+    for lo in (10**12, 10**18, _PSI_13 // 10, _PSI_13, 10**40):
+        cases += [rng.randrange(lo, 10 * lo) for _ in range(40)]
+        primes = [sympy.randprime(lo, 10 * lo) for _ in range(6)]
+        cases += primes + [p * q for p in primes[:3] for q in primes[3:]]
+        cases += [p * p for p in primes[:2]] + [p * (2 * (p - 1) + 1) for p in primes[:3]]
+    cases += [_PSI_13 + k for k in range(-200, 200)]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n

@@ -17,9 +17,18 @@ from smallrank.errors import (
     NotAModule,
     RankError,
     RingMismatch,
+    SmallRankError,
     UnsupportedDiscriminant,
 )
-from smallrank.exactlattice import hnf_canonicalize, mat_det
+from smallrank.exactlattice import (
+    _hnf_int,
+    _scaled,
+    _unscaled,
+    hnf_canonicalize,
+    mat2_det,
+    mat_det,
+    mat_mul,
+)
 from smallrank.quadforms import (
     _monoid_table,
     class_group,
@@ -27,6 +36,7 @@ from smallrank.quadforms import (
     enumerate_reduced,
     principal_form,
     reduce,
+    twisted_act,
 )
 from smallrank.quadrings import (
     QuadIdeal,
@@ -382,3 +392,141 @@ def test_ideal_operations_agree_with_fraction_oracle():
                 scale(i, (0, 0))
             if is_invertible(i):
                 assert _same(inverse(i), _oracle_inverse(i))
+
+
+# The Fraction round trip that construction from integer rows replaced:
+# every computed ideal went to Fraction rows and back through
+# QuadIdeal(ring, basis).  Kept as the oracle for ideal_from_form,
+# multiply, conjugate, scale and inverse.
+def _round_trip_span(ring, rows, den):
+    return QuadIdeal(ring, _unscaled(_hnf_int(rows), den))
+
+
+def _round_trip_ideal_from_form(f, ring):
+    p, q, r = f
+    if p != 0:
+        a = (ring.t - q) // 2
+        return QuadIdeal(ring, ((Fraction(1), Fraction(0)), (Fraction(-a, p), Fraction(1, p))))
+    m = ((0, 1), (-1, 0)) if r != 0 else ((1, 1), (0, 1))
+    inner = _round_trip_ideal_from_form(twisted_act(m, f), ring)
+    return QuadIdeal(ring, mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.basis))
+
+
+def _round_trip_multiply(i, j):
+    rows = [i.ring.mul(a, b) for a in i.rows for b in j.rows]
+    return _round_trip_span(i.ring, rows, i.den * j.den)
+
+
+def _round_trip_conjugate(i):
+    return _round_trip_span(i.ring, [i.ring.conj(row) for row in i.rows], i.den)
+
+
+def _round_trip_scale(i, elt):
+    (e,), e_den = _scaled([elt])
+    return _round_trip_span(i.ring, [i.ring.mul(e, row) for row in i.rows], i.den * e_den)
+
+
+def _round_trip_inverse(i):
+    if not is_invertible(i):
+        raise DomainError("not invertible")
+    rows = [[i.den * e for e in i.ring.conj(row)] for row in i.rows]
+    return _round_trip_span(i.ring, rows, abs(mat2_det(i.rows)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SmallRankError, AssertionError) as e:
+        return type(e)
+
+
+def _identical(a, b):
+    # the same basis tuple, Fraction types included, and the same integer state
+    if not (isinstance(a, QuadIdeal) and isinstance(b, QuadIdeal)):
+        return a == b
+    return (
+        a.ring == b.ring
+        and a.basis == b.basis
+        and all(type(e) is Fraction for row in a.basis + b.basis for e in row)
+        and (a.rows, a.den, a.xi) == (b.rows, b.den, b.xi)
+        and all(type(e) is int for row in a.rows + a.xi for e in row)
+    )
+
+
+# all forms in a box of each discriminant: p = 0 or r = 0 needs a square d
+FORMS_BY_DISC = {
+    d: [
+        (p, q, r)
+        for p in range(-8, 9)
+        for q in range(-8, 9)
+        for r in range(-30, 31)
+        if q * q - 4 * p * r == d and (p, q, r) != (0, 0, 0)
+    ]
+    for d in (-3, -4, -15, -23, -36, -100, -108, 0, 1, 4, 9, 16, 25, 5, 12, 13, 20, 45)
+}
+
+
+@st.composite
+def ideal_cases(draw):
+    # a presentation t = d mod 2 of a ring of discriminant d, two of its
+    # forms, a rational change of basis and an element to scale by
+    d = draw(st.sampled_from(sorted(FORMS_BY_DISC)))
+    t = d % 2 + 2 * draw(st.integers(-2, 2))
+    ring = QuadraticRing(t, (t * t - d) // 4)
+    f, g = draw(st.sampled_from(FORMS_BY_DISC[d])), draw(st.sampled_from(FORMS_BY_DISC[d]))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+    small = st.integers(-4, 4)
+    elt = draw(st.tuples(small, small) | st.tuples(small, small).map(
+        lambda xy: (Fraction(xy[0], 3), Fraction(xy[1], 2))))
+    return ring, f, g, (a, b, c), elt
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_cases())
+def test_integer_ideals_agree_with_fraction_round_trip(case):
+    ring, f, g, (a, b, c), elt = case
+    i = _outcome(ideal_from_form, f, ring)
+    assert _identical(i, _outcome(_round_trip_ideal_from_form, f, ring))
+    j = _outcome(ideal_from_form, g, ring)
+    if not isinstance(i, QuadIdeal) or not isinstance(j, QuadIdeal):
+        return
+    (x0, x1), (y0, y1) = j.basis
+    rows = ((x0 + a * y0, x1 + a * y1), (y0 + b * (x0 + a * y0), y1 + b * (x1 + a * y1)))
+    k = QuadIdeal(ring, [[c * e for e in row] for row in rows])  # basis as given
+    ideals = [i, j, k]
+    for x in ideals:
+        assert _identical(_outcome(conjugate, x), _outcome(_round_trip_conjugate, x))
+        assert _identical(_outcome(scale, x, elt), _outcome(_round_trip_scale, x, elt))
+        assert _identical(_outcome(inverse, x), _outcome(_round_trip_inverse, x))
+        for y in ideals:
+            assert _identical(_outcome(multiply, x, y), _outcome(_round_trip_multiply, x, y))
+    # equality is the old comparison of Fraction HNFs, and equal ideals hash
+    # alike; the list holds equal ideals on different bases
+    ideals += [k.canonical(), scale(k, (1, 0)), multiply(k, unit_ideal(ring))]
+    ideals += [scale(i, (c, 0)), scale(j, (c, 0)), QuadIdeal(ring, rows)]
+    for x in ideals:
+        for y in ideals:
+            assert (x == y) == (x.hnf() == y.hnf())
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_class_semigroup_constructs_no_fraction():
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        # -100, -108 and -300 have classes that are not invertible
+        for d in (-3, -23, -100, -108, -300, -999):
+            class_semigroup(d)
+        found = list(made)
+        Fraction(1, 3)  # the counter does count
+    finally:
+        Fraction.__new__ = original
+    assert found == [] and made == [(1, 3)]
