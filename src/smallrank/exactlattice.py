@@ -69,7 +69,7 @@ def _scaled(rows):
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
-    if all(type(e) is int for row in rows for e in row):
+    if all(type(e) is int for row in rows for e in row):  # the usual input
         return rows, 1
     rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))

@@ -16,7 +16,6 @@ from smallrank.exactlattice import (
     _MR_BASES,
     _PSI_13,
     _hnf_int,
-    _scaled,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     divisor_sigma,
@@ -232,8 +231,9 @@ def test_hnf_errors():
         hnf_canonicalize(((1, 2), (2, 4)))
     with pytest.raises(RankError):
         hnf_canonicalize(())
-    with pytest.raises(DimensionError):
-        hnf_canonicalize(((1, 2), (1,)))
+    for ragged in (((1, 2), (1,)), ((1,), (2, 3)), ((1, 2, 3), (4, 5))):
+        with pytest.raises(DimensionError):
+            hnf_canonicalize(ragged)
     with pytest.raises(DimensionError):
         lattice_intersect(((1, 2),), ((1, 2, 3),))
     with pytest.raises(RankError):
@@ -476,17 +476,6 @@ def integer_generating_sets(draw):
 @given(integer_generating_sets())
 def test_hnf_int_agrees_with_euclid_oracle(rows):
     assert _hnf_int(rows) == _oracle_hnf_int(rows)
-
-
-def test_scaled_integer_rows():
-    rows = [[3, -4], [0, 7]]
-    ints, den = _scaled(rows)
-    assert (ints, den) == (rows, 1) and ints[0] is not rows[0]
-    assert all(type(e) is int for row in ints for e in row)
-    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [(1, 2, 3), (4, 5)]):
-        with pytest.raises(DimensionError):
-            _scaled(ragged)
-    assert _scaled([[Fraction(1, 2), 3], [True, 0]]) == ([[1, 6], [2, 0]], 2)
 
 
 # Trial division by 2, 3 and 6k +- 1, the primality test that strong
