@@ -100,6 +100,7 @@ def triple_from_cube(q) -> BalancedTriple:
         raise Degenerate("product lattice does not determine a third ideal")
     r, s = piv
     det = mat2_det((rows[r], rows[s]))
+    sign = 1 if det > 0 else -1
     zs = []
     for k in range(2):
         rhs = [den * q[2 * n + k] for n in range(4)]  # n = 2i + j
@@ -107,9 +108,9 @@ def triple_from_cube(q) -> BalancedTriple:
         u = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1])))
         v = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s])))
         assert all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs))
-        zs.append((Fraction(u, det), Fraction(v, det)))
+        zs.append((sign * u, sign * v))  # over |det|
 
-    i3 = QuadIdeal(ring, zs)
+    i3 = QuadIdeal._from_rows(ring, zs, abs(det))
     assert raw_form(i3) == f3
     triple = BalancedTriple(ring, (i1, i2, i3))
     assert is_balanced(*triple.ideals)

@@ -16,7 +16,7 @@ the generators.
 from math import gcd
 
 from .errors import DomainError, NotUnimodular
-from .exactlattice import mat2_det, mat_det
+from .exactlattice import _trace_disc, mat2_det
 
 
 class CubicRing:
@@ -72,17 +72,9 @@ class CubicRing:
         x0, x1, x2 = x
         return 3 * x0 + x1 * self.a + x2 * self.f
 
-    def trace_matrix(self):
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return tuple(
-            tuple(self.trace(self.mul(u, v)) for v in basis) for u in basis
-        )
-
     def disc(self) -> int:
         """Determinant of the trace form on the basis (1, xi1, xi2)."""
-        d = mat_det(self.trace_matrix())
-        assert d.denominator == 1
-        return int(d)
+        return _trace_disc(self, 3)
 
     def __eq__(self, other):
         return isinstance(other, CubicRing) and (
@@ -127,7 +119,7 @@ def cubic_form_disc(form) -> int:
 def cubic_content(form) -> int:
     """gcd of the four coefficients (0 for the zero form)."""
     p, q, r, s = form
-    return gcd(gcd(abs(p), abs(q)), gcd(abs(r), abs(s)))
+    return gcd(p, q, r, s)
 
 
 def values_mod(form, m) -> frozenset:

@@ -5,9 +5,10 @@ The canonical form is the row-style HNF: pivots positive and on the diagonal
 of the surviving rows, entries above each pivot reduced into [0, pivot).
 
 One representation: integer rows over one positive denominator, produced
-by ``_scaled``.  All elimination runs on those integers (HNF, and one
-fraction-free Gauss-Jordan pass for determinant and coordinates), and
-``_unscaled`` builds the ``Fraction`` rows that public functions return.
+by ``_scaled``.  All elimination in the package runs here, on those
+integers (HNF, and one fraction-free Gauss-Jordan pass for determinant,
+trace-form discriminant and coordinates), and ``_unscaled`` builds the
+``Fraction`` rows that public functions return.
 """
 
 from fractions import Fraction
@@ -102,6 +103,13 @@ def _bareiss(a):
                 a[i] = [(pk * e - f * b) // prev for e, b in zip(a[i], pivot_row)]
         prev = pk
     return prev
+
+
+def _trace_disc(ring, n):
+    # discriminant of a ring of rank n: the determinant of its trace form
+    # Tr(e_i * e_j) on the unit basis, an int
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _bareiss([[ring.trace(ring.mul(u, v)) for v in basis] for u in basis])
 
 
 def hnf_canonicalize(basis):

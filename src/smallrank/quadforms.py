@@ -27,7 +27,7 @@ def discriminant(f) -> int:
 
 def content(f) -> int:
     a, b, c = f
-    return gcd(gcd(abs(a), abs(b)), abs(c))
+    return gcd(a, b, c)
 
 
 def mat2_mul(m1, m2):

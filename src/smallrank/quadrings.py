@@ -4,8 +4,8 @@ A ring is Z[xi] with xi^2 = t*xi - u, stored as the pair (t, u) exactly as
 given (no silent normalization, so raw presentations coming out of cube
 computations survive round trips).  Elements are coordinate pairs (x, y)
 meaning x + y*xi.  Ideals are rank-2 lattices in Q^2 stable under
-multiplication by xi, stored with the basis rows exactly as given and,
-for all arithmetic, as integer rows over one denominator.
+multiplication by xi, stored as integer rows over their least
+denominator.
 """
 
 from fractions import Fraction
@@ -81,15 +81,14 @@ class QuadIdeal:
 
     ``rows`` and ``den`` hold the basis as integer rows over one
     denominator, ``den`` the least positive such; the ideal arithmetic runs
-    on them.  ``basis`` is the same basis as ``Fraction`` rows: exactly as
-    given to the constructor, or ``rows / den`` for an ideal computed here.
+    on them.  ``basis`` is the same basis as ``Fraction`` rows, ``rows / den``.
     """
 
     def __init__(self, ring, basis):
-        self._basis = tuple(tuple(Fraction(e) for e in row) for row in basis)
-        if len(self._basis) != 2 or any(len(r) != 2 for r in self._basis):
+        basis = [tuple(row) for row in basis]
+        if len(basis) != 2 or any(len(r) != 2 for r in basis):
             raise RankError("an ideal basis is two row vectors of length 2")
-        self._set(ring, *_scaled(self._basis))
+        self._set(ring, *_scaled(basis))
 
     @classmethod
     def _from_rows(cls, ring, rows, den):
@@ -98,7 +97,6 @@ class QuadIdeal:
             raise RankError("an ideal basis is two row vectors of length 2")
         g = gcd(den, *(e for row in rows for e in row))
         ideal = cls.__new__(cls)
-        ideal._basis = None
         ideal._set(ring, [[e // g for e in row] for row in rows], den // g)
         return ideal
 
@@ -113,12 +111,7 @@ class QuadIdeal:
 
     @property
     def basis(self):
-        if self._basis is None:
-            self._basis = _unscaled(self.rows, self.den)
-        return self._basis
-
-    def hnf(self):
-        return _unscaled(_hnf_int(self.rows), self.den)
+        return _unscaled(self.rows, self.den)
 
     def canonical(self):
         return QuadIdeal._from_rows(self.ring, _hnf_int(self.rows), self.den)

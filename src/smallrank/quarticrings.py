@@ -34,6 +34,7 @@ from math import gcd
 from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
     _hnf_int,
+    _trace_disc,
     _unscaled,
     divisor_sigma,
     divisors,
@@ -222,23 +223,9 @@ class QuarticRing:
                 t += x[i] * sum(self.c[(min(i, j), max(i, j), j)] for j in range(1, 4))
         return t
 
-    def trace_matrix(self):
-        """The 4x4 matrix of traces of pairwise products of 1, xi1, xi2, xi3."""
-        basis = [
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
-        ]
-        return tuple(
-            tuple(self.trace(self.mul(u, v)) for v in basis) for u in basis
-        )
-
     def disc(self):
         """Discriminant: determinant of the trace pairing on 1, xi1..xi3."""
-        d = mat_det(self.trace_matrix())
-        assert d == int(d)
-        return int(d)
+        return _trace_disc(self, 4)
 
 
 # The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
@@ -356,9 +343,7 @@ def _resolvent_data(ring):
     assert plucker_check(lam), "ring table minors violate the Plucker relations"
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
-    content = 0
-    for v in lam.values():
-        content = gcd(content, abs(v))
+    content = gcd(*lam.values())
 
     # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
     # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
@@ -499,24 +484,6 @@ def resolvent_identity_check(pair, x):
     return lhs == rhs
 
 
-def _rref_mod_p(rows, p):
-    # reduced row echelon form over F_p of integer rows: the nonzero rows,
-    # entries in [0, p), in pivot order, each pivot 1 and alone in its column
-    rows = [[e % p for e in row] for row in rows]
-    out = []
-    for col in range(len(rows[0]) if rows else 0):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
-        if i is None:
-            continue
-        piv = rows.pop(i)
-        inv = pow(piv[col], -1, p)
-        piv = [e * inv % p for e in piv]
-        rows = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in rows]
-        out = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in out]
-        out.append(piv)
-    return [tuple(row) for row in out]
-
-
 def _subspaces(p, s):
     """RREF bases of the nonzero subspaces of F_p^s.
 
@@ -547,6 +514,9 @@ def _radical_subspaces(ring, p):
     (a nilpotent element of a rank-4 algebra has x^4 = 0).  That map is
     Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
     and the RREF of [matrix | I] ends with an RREF basis B of its kernel.
+    That RREF is read off the integer HNF of [matrix | I] and p*I_8: each
+    column has a pivot 1 or p, and the rows with pivot 1 are the RREF, with
+    the entries above a pivot 1 cleared and those above a pivot p in [0, p).
     If C is in RREF then so is C*B, with pivot columns those of B picked by
     C's pivots, and an entry of C*B off B's pivot columns depends only on
     the entries of C to its left.  So the subspaces come out in the order
@@ -566,7 +536,9 @@ def _radical_subspaces(ring, p):
             x = tuple(t % p for t in ring.mul(x, x))
             k >>= 1
         rows.append(power + e)
-    radical = [row[4:] for row in _rref_mod_p(rows, p) if not any(row[:4])]
+    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(8)] for i in range(8)])
+    rref = [row for row in echelon if next(filter(None, row)) == 1]
+    radical = [row[4:] for row in rref if not any(row[:4])]
     for coeffs in _subspaces(p, len(radical)):
         yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smallrank.errors import DomainError, NotUnimodular
+from smallrank.exactlattice import mat_det
 from smallrank.cubicrings import (
     CubicRing,
     cubic_content,
@@ -86,6 +87,22 @@ def test_from_table_rejects_non_associative():
 @given(forms)
 def test_disc_equals_trace_form_disc(form):
     assert ring_from_cubic_form(form).disc() == cubic_form_disc(form)
+
+
+# The trace-matrix determinant that CubicRing.disc and QuarticRing.disc
+# took, as a Fraction, before both moved to one integer Bareiss pass; kept
+# as their oracle.
+def _oracle_trace_disc(ring, n):
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    d = mat_det([[ring.trace(ring.mul(u, v)) for v in basis] for u in basis])
+    assert d.denominator == 1
+    return int(d)
+
+
+@given(forms)
+def test_disc_agrees_with_trace_matrix_oracle(form):
+    d = ring_from_cubic_form(form).disc()
+    assert type(d) is int and d == _oracle_trace_disc(ring_from_cubic_form(form), 3)
 
 
 def test_disc_spots():

@@ -199,8 +199,32 @@ def test_ideal_equality_and_canonicalization():
         ),
     )
     assert resc == ideal
-    assert resc.hnf() == ideal.hnf()
+    assert resc.canonical().basis == ideal.canonical().basis
     assert QuadIdeal(ring, ((2, 0), (0, 2))) != unit_ideal(ring)
+
+
+@pytest.mark.parametrize(
+    "d, given",
+    [
+        (-4, ((1, 0), (0, 1))),
+        (-4, ((2, 2), (2, -2))),
+        (-4, (("1/2", "1/2"), ("1/2", "-1/2"))),
+        (-4, (("3", "-3"), ("6/2", "3"))),
+        # the least common denominator 6 is not the product of the entries'
+        (-4, ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(1, 2)))),
+        (-4, ((Fraction(4, 6), Fraction(4, 6)), (Fraction(-4, 6), Fraction(4, 6)))),
+        (-4, ((Fraction(5, 4), 0), (0, "5/4"))),
+        (-100, ((Fraction(9, 8), "3/8"), ("6/16", Fraction(3, 8)))),
+    ],
+)
+def test_constructor_basis_is_the_given_values(d, given):
+    ring = ring_from_disc(d)
+    ideal = QuadIdeal(ring, given)
+    assert ideal.basis == tuple(tuple(Fraction(e) for e in row) for row in given)
+    assert all(type(e) is Fraction for row in ideal.basis for e in row)
+    assert repr(ideal) == "QuadIdeal(%r, %r)" % (
+        ring, tuple(tuple(Fraction(e) for e in row) for row in given)
+    )
 
 
 def test_scale_changes_norm_by_element_norm():
@@ -507,7 +531,7 @@ def test_integer_ideals_agree_with_fraction_round_trip(case):
     ideals += [scale(i, (c, 0)), scale(j, (c, 0)), QuadIdeal(ring, rows)]
     for x in ideals:
         for y in ideals:
-            assert (x == y) == (x.hnf() == y.hnf())
+            assert (x == y) == (x.canonical().basis == y.canonical().basis)
             if x == y:
                 assert hash(x) == hash(y)
 

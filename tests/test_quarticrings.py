@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import _oracle_inv
 
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
@@ -44,6 +45,7 @@ from smallrank.quarticrings import (
     _lambda_from_c,
     _radical_subspaces,
     _resolvent_data,
+    _subspaces,
 )
 
 P_A = (0, 0, 0, 1, 0, -1)
@@ -138,6 +140,14 @@ def test_resolvent_form_spot():
     assert cubic_resolvent_form(P_Z4) == (0, -1, -1, 0)
     scaled = (tuple(5 * v for v in P_A), P_B)
     assert cubic_resolvent_form(scaled) == (0, -25, -5, 0)
+
+
+def test_disc_agrees_with_trace_matrix_oracle():
+    pairs = _random_pairs(48, 60) + [P_Z4, ((0,) * 6, (0,) * 6)]
+    for a, b in pairs:
+        for pair in ((a, b), (tuple(3 * v for v in a), b)):
+            d = ring_from_pair(pair).disc()
+            assert type(d) is int and d == _oracle_trace_disc(ring_from_pair(pair), 4)
 
 
 def test_disc_match_and_identity():
@@ -346,6 +356,96 @@ def test_radical_subspaces(a, b, p, scaled):
     assert (len(walk) > 0) == (ring.disc() % p == 0)
     dim = max((len(rows) for rows in walk), default=0)
     assert ring.disc() % p**dim == 0
+
+
+# The reduced row echelon form over F_p that _radical_subspaces computed
+# before it read the echelon form off the integer HNF; kept as its oracle.
+def _rref_mod_p(rows, p):
+    # the nonzero rows, entries in [0, p), in pivot order, each pivot 1 and
+    # alone in its column
+    rows = [[e % p for e in row] for row in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        inv = pow(piv[col], -1, p)
+        piv = [e * inv % p for e in piv]
+        rows = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in rows]
+        out = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in out]
+        out.append(piv)
+    return [tuple(row) for row in out]
+
+
+@st.composite
+def matrices_mod_p(draw):
+    # up to 12 rows of n <= 8 integers: random, zero, or a combination of
+    # two earlier rows
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+    n = draw(st.integers(1, 8))
+    entries, coeffs = st.integers(-3 * p, 3 * p), st.integers(-p, p)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "dependent" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(coeffs), draw(coeffs)
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return rows, n, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_p())
+@example(([], 4, 2))
+@example(([[0] * 8] * 3, 8, 101))
+def test_rref_mod_p_is_the_pivot_one_rows_of_the_hnf(case):
+    rows, n, p = case
+    p_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    hnf = _hnf_int(rows + p_rows)
+    # full rank: a pivot in every column, each pivot 1 or p
+    assert len(hnf) == n
+    assert all(not any(row[:i]) and row[i] in (1, p) for i, row in enumerate(hnf))
+    pivot_one = [tuple(row) for row in hnf if next(filter(None, row)) == 1]
+    assert pivot_one == _rref_mod_p(rows, p)
+
+
+def _oracle_radical_subspaces(ring, p):
+    # _radical_subspaces on _rref_mod_p
+    q = p
+    while q < 4:
+        q *= p
+    rows = []
+    for i in range(4):
+        e = tuple(int(i == j) for j in range(4))
+        power, x, k = (1, 0, 0, 0), e, q
+        while k:
+            if k & 1:
+                power = tuple(t % p for t in ring.mul(power, x))
+            x = tuple(t % p for t in ring.mul(x, x))
+            k >>= 1
+        rows.append(power + e)
+    radical = [row[4:] for row in _rref_mod_p(rows, p) if not any(row[:4])]
+    for coeffs in _subspaces(p, len(radical)):
+        yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
+
+
+def test_radical_subspaces_agree_with_rref_oracle():
+    dims = set()
+    for p in (7, 11, 13):
+        for a, b in _random_pairs(49 + p, 8) + [P_Z4]:
+            for pair in ((a, b), (tuple(p * v for v in a), b), (a, tuple(p * v for v in b))):
+                ring = ring_from_pair(pair)
+                if ring.disc() == 0:
+                    continue
+                walk = list(_radical_subspaces(ring, p))
+                assert walk == list(_oracle_radical_subspaces(ring, p))
+                dims.add(max((len(rows) for rows in walk), default=0))
+    assert dims == {0, 1, 2, 3}
 
 
 def test_condition_tags():
