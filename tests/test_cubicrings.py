@@ -101,8 +101,9 @@ def _oracle_trace_disc(ring, n):
 
 @given(forms)
 def test_disc_agrees_with_trace_matrix_oracle(form):
-    d = ring_from_cubic_form(form).disc()
-    assert type(d) is int and d == _oracle_trace_disc(ring_from_cubic_form(form), 3)
+    ring = ring_from_cubic_form(form)
+    d = ring.disc()
+    assert type(d) is int and d == _oracle_trace_disc(ring, 3)
 
 
 def test_disc_spots():

@@ -220,11 +220,10 @@ def test_ideal_equality_and_canonicalization():
 def test_constructor_basis_is_the_given_values(d, given):
     ring = ring_from_disc(d)
     ideal = QuadIdeal(ring, given)
-    assert ideal.basis == tuple(tuple(Fraction(e) for e in row) for row in given)
+    expected = tuple(tuple(Fraction(e) for e in row) for row in given)
+    assert ideal.basis == expected
     assert all(type(e) is Fraction for row in ideal.basis for e in row)
-    assert repr(ideal) == "QuadIdeal(%r, %r)" % (
-        ring, tuple(tuple(Fraction(e) for e in row) for row in given)
-    )
+    assert repr(ideal) == "QuadIdeal(%r, %r)" % (ring, expected)
 
 
 def test_scale_changes_norm_by_element_norm():

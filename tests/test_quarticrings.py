@@ -146,8 +146,9 @@ def test_disc_agrees_with_trace_matrix_oracle():
     pairs = _random_pairs(48, 60) + [P_Z4, ((0,) * 6, (0,) * 6)]
     for a, b in pairs:
         for pair in ((a, b), (tuple(3 * v for v in a), b)):
-            d = ring_from_pair(pair).disc()
-            assert type(d) is int and d == _oracle_trace_disc(ring_from_pair(pair), 4)
+            ring = ring_from_pair(pair)
+            d = ring.disc()
+            assert type(d) is int and d == _oracle_trace_disc(ring, 4)
 
 
 def test_disc_match_and_identity():
