@@ -398,14 +398,18 @@ def _cmd_stella(n, *index):
 
 # ---------------------------------------------------------------- parser
 
-def _build_parser():
+def _build_parser(argv):
+    # only the subparser that argv[0] names, if it names one: a subparser's
+    # prog, usage, help and errors do not depend on its siblings
     parser = argparse.ArgumentParser(
         prog="smallrank",
         description="Exact arithmetic for quadratic forms, cubes of integers, "
         "and the rings they parameterize.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, handler, help_text, params in _COMMANDS:
+    first = argv[0] if argv else None
+    commands = [c for c in _COMMANDS if c[0] == first] or _COMMANDS
+    for name, handler, help_text, params in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
         for param in params:
@@ -415,7 +419,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -86,6 +86,8 @@ def reduce(f):
 
 
 def _check_disc(d):
+    if not isinstance(d, int):
+        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
     if d >= 0:
         raise UnsupportedDiscriminant("need a negative discriminant")
     if d % 4 not in (0, 1):

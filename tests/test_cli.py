@@ -1,5 +1,6 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -417,29 +418,82 @@ def fuzz_files(tmp_path_factory):
 FUZZ_BOUNDS = {"D": 400, "p": 7, "primes": 7, "--u": 7}
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_random_argv_exits_0_1_or_2(fuzz_files, data):
-    name, _handler, _help, params = data.draw(st.sampled_from(cli._COMMANDS))
-    options, values = data.draw(st.sampled_from([[], ["--json"]])), []
+@st.composite
+def random_argv(draw, files):
+    # a well-formed call of a random subcommand, then up to two noise tokens
+    # anywhere, the first position included
+    name, _handler, _help, params = draw(st.sampled_from(cli._COMMANDS))
+    options, values = draw(st.sampled_from([[], ["--json"]])), []
     for param in params:
         ints = st.integers(-FUZZ_BOUNDS.get(param, 9), FUZZ_BOUNDS.get(param, 9)).map(str)
         if param == "file":
-            values.append(data.draw(st.sampled_from(fuzz_files)))
+            values.append(draw(st.sampled_from(files)))
         elif param == "primes":
-            values += data.draw(st.lists(ints, min_size=1, max_size=3))
+            values += draw(st.lists(ints, min_size=1, max_size=3))
         elif param.startswith("--"):
-            if data.draw(st.booleans()):
-                options += [param, data.draw(ints)]
+            if draw(st.booleans()):
+                options += [param, draw(ints)]
         else:
-            values.append(data.draw(ints))
+            values.append(draw(ints))
     argv = [name] + options + ["--"] + values
     noise = st.one_of(st.sampled_from(["--json", "--", "-h", "--u"]), st.text(max_size=4))
-    for token in data.draw(st.lists(noise, max_size=2)):
-        argv.insert(data.draw(st.integers(0, len(argv))), token)
+    for token in draw(st.lists(noise, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_argv_exits_0_1_or_2(fuzz_files, data):
+    argv = data.draw(random_argv(fuzz_files))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+
+
+# ------------------------------------------------------------ parser per call
+
+def parse(parser, argv):
+    """vars() of the namespace, the handler by name, or the exit code; and
+    what parsing printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+            result["handler"] = result["handler"].__name__
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parser_for_argv_parses_as_the_full_parser(fuzz_files, data):
+    # the parser of all subcommands, built for no argv, is the oracle
+    argv = data.draw(random_argv(fuzz_files))
+    assert parse(cli._build_parser(argv), argv) == parse(cli._build_parser([]), argv)
+
+
+def subparser_names(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_for_a_subcommand_builds_only_its_subparser():
+    names = [name for name, _handler, _help, _params in cli._COMMANDS]
+    assert len(names) == 17
+    for name in names:
+        assert subparser_names(cli._build_parser([name])) == [name]
+    for argv in ([], ["--help"], ["--json", "reduce"], ["no-such-command"]):
+        assert subparser_names(cli._build_parser(argv)) == names
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the [project.scripts] entry point calls main() with no argument
+    golden = {case[0]: case[1:] for case in GOLDEN["cases"]}["reduce --json 15 27 13"]
+    monkeypatch.setattr(sys, "argv", ["smallrank", "reduce", "--json", "15", "27", "13"])
+    assert main() == 0
+    assert tuple(capsys.readouterr()) == (golden[1], golden[2])

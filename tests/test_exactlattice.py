@@ -406,6 +406,18 @@ def test_divisor_sigma_spots():
         divisor_sigma(0)
 
 
+def test_divisor_sigma_matches_the_divisor_sum():
+    # sigma comes from the factorization, so this compares two computations
+    for n in range(1, 2001):
+        assert divisor_sigma(n) == sum(divisors(n)), n
+
+
+def test_divisor_sigma_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in list(range(1, 2001)) + [55440, 3**40 * 7**5, (10**9 + 7) * 97]:
+        assert divisor_sigma(n) == sympy.divisor_sigma(n), n
+
+
 def test_is_prime_agrees_with_sieve():
     sieve = [True] * 200
     sieve[0] = sieve[1] = False

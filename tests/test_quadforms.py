@@ -166,6 +166,12 @@ def test_class_group_structures():
     assert class_group(-3360)[2] == (2, 2, 2, 2)
 
 
+def test_class_group_of_a_float_is_a_domain_error():
+    # unless rejected first, -3.0 reaches range() and raises a TypeError
+    with pytest.raises(UnsupportedDiscriminant):
+        class_group(-3.0)
+
+
 # The h^2 composition table and the divisor-chain structure search that the
 # monoid-table builder and the order-count formula replaced; kept as oracles.
 def _oracle_structure(orders):

@@ -254,6 +254,12 @@ def test_class_semigroup_minus_100():
     assert table[ai][ai] == pi
 
 
+def test_class_semigroup_of_a_float_is_a_domain_error():
+    # unless rejected first, -4.0 yields ([(1, 0, 1.0)], [[0]])
+    with pytest.raises(UnsupportedDiscriminant):
+        class_semigroup(-4.0)
+
+
 def test_class_semigroup_contains_class_group():
     for d in (-23, -100, -84):
         elements, table = class_semigroup(d)
