@@ -23,7 +23,9 @@ class CubicRing:
     """Cubic ring with normalized multiplication table, determined by (a, b, e, f)."""
 
     def __init__(self, a, b, e, f):
-        self.a, self.b, self.e, self.f = int(a), int(b), int(e), int(f)
+        if not all(isinstance(v, int) for v in (a, b, e, f)):
+            raise DomainError("need integer coefficients, got %r" % ((a, b, e, f),))
+        self.a, self.b, self.e, self.f = a, b, e, f
 
     @property
     def ell(self):

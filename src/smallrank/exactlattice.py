@@ -8,7 +8,10 @@ One representation: integer rows over one positive denominator, produced
 by ``_scaled``.  All elimination in the package runs here, on those
 integers (HNF, and one fraction-free Gauss-Jordan pass for determinant,
 trace-form discriminant and coordinates), and ``_unscaled`` builds the
-``Fraction`` rows that public functions return.
+``Fraction`` rows that public functions return.  Two special cases skip the
+elimination: ``_hnf_coords`` solves against a basis already in HNF by
+substitution, column by column, and ``_coords2`` solves a 2x2 system by
+Cramer's rule on ``mat2_det``.
 """
 
 from fractions import Fraction
@@ -168,6 +171,41 @@ def lattice_coords(basis, vectors):
     return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
 
 
+def _hnf_coords(h, v):
+    # integer coordinates x with x * h == v, for h square integer rows in
+    # HNF with nonzero pivots (h[i][j] == 0 for j < i) and v an integer
+    # vector; None if v is off the lattice.  Column j of x * h involves
+    # x_0..x_j only, so x_j follows from the residual of v in column j.
+    r = list(v)
+    x = []
+    for j, row in enumerate(h):
+        q, rem = divmod(r[j], row[j])
+        if rem:
+            return None
+        if q:
+            r = [a - q * b for a, b in zip(r, row)]
+        x.append(q)
+    return tuple(x)
+
+
+def _coords2(rows, vectors):
+    # lattice_coords for a 2x2 basis, by Cramer's rule: x * rows == v has
+    # x = (v0*d - v1*c, a*v1 - b*v0) / det for rows ((a, b), (c, d)), all
+    # integers; RankError if det == 0, None if some v is off the lattice
+    (a, b), (c, d) = rows
+    det = mat2_det(rows)
+    if not det:
+        raise RankError("singular or empty basis")
+    out = []
+    for v0, v1 in vectors:
+        x0, r0 = divmod(v0 * d - v1 * c, det)
+        x1, r1 = divmod(a * v1 - b * v0, det)
+        if r0 or r1:
+            return None
+        out.append((x0, x1))
+    return tuple(out)
+
+
 def lattice_intersect(b1, b2):
     """Canonical HNF basis of the intersection of two full-rank lattices.
 
@@ -189,9 +227,11 @@ def factorize(n):
     """Prime factorization of n >= 1 as a dict {p: exponent}.
 
     Cost: trial division by 2, 3 and the numbers 6k +- 1 up to the square
-    root of what is left of n, so about sqrt(n)/3 divisions when n is prime
-    or has two large prime factors: (10^9 + 7)(10^9 + 9) took 61 s on a
-    2-core Xeon.
+    root of what is left of n.  Once the trial divisor passes 1000, each new
+    cofactor gets one ``is_prime`` test, and a prime cofactor ends the
+    search: 2^61 - 1 takes 332 divisions and one ``is_prime``.  A cofactor
+    with two large prime factors still costs about sqrt(n)/3 divisions:
+    (10^9 + 7)(10^9 + 9) took 61 s on a 2-core Xeon.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("factorize needs a positive integer")
@@ -200,8 +240,12 @@ def factorize(n):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
+    f, composite = 5, None  # composite: the last cofactor found not prime
     while f * f <= n:
+        if f > 1000 and n != composite:
+            if is_prime(n):
+                break
+            composite = n
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroForm,
 )
-from .exactlattice import _hnf_int, _scaled, _unscaled, lattice_coords, mat2_det, mat_mul
+from .exactlattice import _coords2, _hnf_int, _scaled, _unscaled, mat2_det, mat_mul
 from .quadforms import (
     _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce, twisted_act
 )
@@ -30,8 +30,9 @@ class QuadraticRing:
     """Z[xi] with xi^2 = t*xi - u."""
 
     def __init__(self, t, u):
-        self.t = int(t)
-        self.u = int(u)
+        if not (isinstance(t, int) and isinstance(u, int)):
+            raise DomainError("need integer coefficients, got t=%r, u=%r" % (t, u))
+        self.t, self.u = t, u
 
     @property
     def disc(self):
@@ -69,6 +70,8 @@ class QuadraticRing:
 
 def ring_from_disc(d) -> QuadraticRing:
     """The quadratic ring of discriminant d in normalized presentation."""
+    if not isinstance(d, int):
+        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
     if d % 4 == 0:
         return QuadraticRing(0, -d // 4)
     if d % 4 == 1:
@@ -104,7 +107,7 @@ class QuadIdeal:
         self.ring, self.rows, self.den = ring, tuple(map(tuple, rows)), den
         # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2; RankError
         # if the rows are dependent
-        x = lattice_coords(self.rows, [ring.mul((0, 1), row) for row in self.rows])
+        x = _coords2(self.rows, [ring.mul((0, 1), row) for row in self.rows])
         if x is None:
             raise NotAModule("lattice is not xi-stable over %r" % ring)
         self.xi = tuple(zip(*x))

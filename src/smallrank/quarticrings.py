@@ -33,6 +33,8 @@ from math import gcd
 
 from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
+    _coords2,
+    _hnf_coords,
     _hnf_int,
     _trace_disc,
     _unscaled,
@@ -40,7 +42,6 @@ from .exactlattice import (
     divisors,
     factorize,
     is_prime,
-    lattice_coords,
     mat2_det,
     mat_det,
     mat_mul,
@@ -284,8 +285,11 @@ def ring_from_pair(pair):
     The xi-coefficients of the multiplication table are linear in the 2x2
     minors of the pair; the constant coefficients are then forced by
     associativity and are asserted to be consistent (independent of which
-    associativity instance computes them) before the full 27-triple
-    associativity check.
+    associativity instance computes them).  The table is then checked for
+    associativity on the 9 basis triples (xi_x, xi_y, xi_z) with x < z: the
+    associator changes sign when x and z swap, since the table is
+    commutative, so the other 18 triples add nothing
+    (:func:`_check_associative`).
     """
     lam = lambda_system(pair)
     c = _c_linear_from_lambda(lam)
@@ -317,15 +321,30 @@ def ring_from_pair(pair):
         c[(i, i, 0)] = v
 
     ring = QuarticRing(c)
-    basis = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    for x in basis:
-        for y in basis:
-            xy = ring.mul(x, y)
-            for z in basis:
-                assert ring.mul(xy, z) == ring.mul(x, ring.mul(y, z)), (
+    _check_associative(ring)
+    return ring
+
+
+def _check_associative(ring):
+    """Assert that the table of a QuarticRing is associative.
+
+    The associator a(x, y, z) = (xy)z - x(yz) is trilinear and vanishes when
+    an argument is 1, so the ring is associative iff it vanishes on the 27
+    triples of xi1, xi2, xi3.  Multiplication is commutative, as ``mul``
+    reads xi_i*xi_j and xi_j*xi_i from the same table entry, so
+    a(z, y, x) = (zy)x - z(yx) = x(yz) - (xy)z = -a(x, y, z).  Hence
+    a(x, y, x) = 0, and a(x, y, z) with x > z is minus a(z, y, x): the 9
+    triples with x < z suffice.  The products xi_x*xi_y are table rows, so
+    the check costs two ``mul`` calls per triple.
+    """
+    e = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    prod = ring._prod
+    for x in range(1, 3):
+        for z in range(x + 1, 4):
+            for y in range(1, 4):
+                assert ring.mul(prod[(x, y)], e[z - 1]) == ring.mul(e[x - 1], prod[(y, z)]), (
                     "associativity failure in constructed table"
                 )
-    return ring
 
 
 def _resolvent_data(ring):
@@ -407,7 +426,7 @@ def pair_from_ring(ring):
     # the first of enumerate_numerical_resolvents (divisor 1, offset 0), alone
     chosen = _hnf_int(mat_mul(((n, 0), (0, 1)), h))
     # both over den * n, so the common denominator cancels
-    coords = lattice_coords(chosen, [(n * e, n * f) for e, f in mu])
+    coords = _coords2(chosen, [(n * e, n * f) for e, f in mu])
     assert coords is not None, "mu-vectors must be integral in lattice coords"
     witness = tuple(zip(*coords))
     rebuilt = ring_from_pair(witness)
@@ -553,7 +572,10 @@ def is_maximal_at_p(ring, p):
     v is nilpotent mod p; hence L/pQ lies in R, which never contains 1.
     Since dim R <= 3, at most 2p^2 + 2p + 3 candidates are tested (none when
     p does not divide the discriminant), in the order of dimension, pivot
-    columns and free entries of their RREF over F_p.  Returns
+    columns and free entries of their RREF over F_p.  A candidate with
+    integer HNF basis H (so Q' = H/p) is closed iff every H_i*H_j lies in
+    pH; p*H is again an HNF, so each membership is one substitution pass,
+    column by column, and the first product off pH ends the test.  Returns
     ``(True, None)`` if no enlargement is closed, else ``(False, basis)``
     with the canonical basis of the first ring found in that order.
     """
@@ -566,12 +588,11 @@ def is_maximal_at_p(ring, p):
 
     p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
     for rows in _radical_subspaces(ring, p):
-        # Q' = H/p with H the integer HNF of pQ + L; Q' is a ring iff every
-        # H_i*H_j lies in pH.  One product per call keeps the early exit.
+        # Q' = H/p with H the integer HNF of pQ + L
         h = _hnf_int(p_rows + rows)
         ph = [[p * e for e in row] for row in h]
         if all(
-            lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
+            _hnf_coords(ph, ring.mul(h[i], h[j])) is not None
             for i in range(4)
             for j in range(i, 4)
         ):

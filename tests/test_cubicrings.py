@@ -79,6 +79,13 @@ def test_from_table_normalizes_translations():
         assert CubicRing.from_table(*shifted) == ring
 
 
+def test_cubic_ring_rejects_non_integer_coefficients():
+    # int() used to truncate: CubicRing(0.5, 1, -1, 1).disc() was -31
+    for coeffs in ((0.5, 1, -1, 1), (0, 1, -1, 1.0), (0, 1, "-1", 1)):
+        with pytest.raises(DomainError):
+            CubicRing(*coeffs)
+
+
 def test_from_table_rejects_non_associative():
     with pytest.raises(DomainError):
         CubicRing.from_table(1, 2, 3, 4, 5, 0, 0, 6, 7)

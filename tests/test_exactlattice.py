@@ -4,17 +4,20 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import smallrank
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     _MR_BASES,
     _PSI_13,
+    _coords2,
+    _hnf_coords,
     _hnf_int,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -25,6 +28,7 @@ from smallrank.exactlattice import (
     is_prime,
     lattice_coords,
     lattice_intersect,
+    mat2_det,
     mat_det,
     mat_mul,
     xgcd,
@@ -147,6 +151,70 @@ def test_lattice_coords_agrees_with_inverse_oracle(case):
     assert coords == _oracle_coords(basis, on + others)
     if coords is None:
         assert any(lattice_coords(basis, [v]) is None for v in others)
+
+
+@st.composite
+def hnfs_and_vectors(draw):
+    # a full-rank integer HNF, integer combinations of its rows (on the
+    # lattice), and those plus a small shift (mostly off it)
+    n = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([3, 30, 10**6]))
+    entry = st.integers(-bound, bound)
+    extra = draw(st.integers(0, 2))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n + extra)]
+    h = _hnf_int(rows)
+    assume(len(h) == n)
+    combos = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3))
+    on = [[sum(c[i] * h[i][j] for i in range(n)) for j in range(n)] for c in combos]
+    shifts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3))
+    off = [[a + b for a, b in zip(v, s)] for v, s in zip(on, shifts)]
+    return h, on + off
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnfs_and_vectors())
+def test_hnf_coords_agrees_with_lattice_coords(case):
+    h, vectors = case
+    for v in vectors:
+        x = _hnf_coords(h, v)
+        expected = lattice_coords(h, [v])
+        assert x == (None if expected is None else expected[0])
+
+
+small = st.integers(-12, 12)
+vectors2 = st.tuples(small, small)
+bases2 = st.one_of(
+    st.tuples(st.tuples(small, small), st.tuples(small, small)),
+    # singular: the second row an integer multiple of the first
+    st.tuples(st.tuples(small, small), st.integers(-3, 3), st.integers(1, 3)).map(
+        lambda t: (t[0], tuple(t[1] * e * t[2] for e in t[0]))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases2, st.lists(vectors2, max_size=3), st.lists(vectors2, max_size=3))
+def test_coords2_agrees_with_lattice_coords(rows, combos, others):
+    on = [tuple(x * a + y * c for a, c in zip(*rows)) for x, y in combos]
+    vectors = on + others
+    if mat2_det(rows) == 0:
+        for f in (_coords2, lattice_coords):
+            with pytest.raises(RankError):
+                f(rows, vectors)
+        return
+    assert _coords2(rows, vectors) == lattice_coords(rows, vectors)
+    assert _coords2(rows, on) == lattice_coords(rows, on) == tuple(map(tuple, combos))
+
+
+def test_coords2_spots():
+    # negative determinant, off-lattice vector, empty vector list
+    rows = ((0, 1), (2, 0))
+    assert mat2_det(rows) == -2
+    assert _coords2(rows, [(4, 3), (-2, 0)]) == ((3, 2), (0, -1))
+    assert _coords2(rows, [(4, 3), (1, 0)]) is None
+    assert _coords2(rows, []) == ()
+    with pytest.raises(RankError):
+        _coords2(((1, 2), (2, 4)), [(1, 2)])
 
 
 def test_lattice_coords_errors():
@@ -395,6 +463,51 @@ def test_factorize_domain_check_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["DomainError", "DomainError"]
+
+
+# Trial division by 2, 3 and 6k +- 1 to the square root of the cofactor,
+# the factorize that stops at a prime cofactor replaced; kept as its oracle.
+def _oracle_factorize(n):
+    out = {}
+    for p in [2, 3]:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_agrees_with_trial_division_to_5000():
+    for n in range(1, 5001):
+        assert factorize(n) == _oracle_factorize(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 40000), min_size=1, max_size=4))
+def test_factorize_agrees_with_trial_division_past_the_primality_cutoff(factors):
+    # products of factors up to 4 * 10^4: cofactors above 10^6 reach the
+    # is_prime test after trial division passes 1000
+    n = 1
+    for f in factors:
+        n *= f
+    assert factorize(n) == _oracle_factorize(n)
+
+
+def test_factorize_stops_at_a_large_prime():
+    m61 = 2**61 - 1
+    start = time.perf_counter()
+    assert divisor_sigma(m61) == 2**61
+    assert factorize(3 * 1009**2 * m61) == {3: 1, 1009: 2, m61: 1}
+    assert factorize(1013 * 1019 * m61) == {1013: 1, 1019: 1, m61: 1}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_divisor_sigma_spots():

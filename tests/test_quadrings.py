@@ -254,6 +254,15 @@ def test_class_semigroup_minus_100():
     assert table[ai][ai] == pi
 
 
+def test_quadratic_ring_rejects_non_integer_coefficients():
+    # int() used to truncate: QuadraticRing(0.5, 2) was t = 0, disc -8
+    for t, u in ((0.5, 2), (0, 2.0), (Fraction(1), 2), ("1", 2)):
+        with pytest.raises(DomainError):
+            QuadraticRing(t, u)
+    with pytest.raises(UnsupportedDiscriminant):
+        ring_from_disc(-4.0)
+
+
 def test_class_semigroup_of_a_float_is_a_domain_error():
     # unless rejected first, -4.0 yields ([(1, 0, 1.0)], [[0]])
     with pytest.raises(UnsupportedDiscriminant):

@@ -24,6 +24,7 @@ from smallrank.exactlattice import (
 )
 from smallrank.quarticrings import (
     SIX,
+    QuarticRing,
     count_numerical_resolvents,
     cubic_resolvent_form,
     disc_match,
@@ -41,6 +42,7 @@ from smallrank.quarticrings import (
 from smallrank.quarticrings import (
     MinimalResolvent,
     _c_linear_from_lambda,
+    _check_associative,
     _lam_get,
     _lambda_from_c,
     _radical_subspaces,
@@ -114,6 +116,68 @@ def test_ring_axioms_on_random_pairs():
             assert ring.mul(one, x) == x
             assert ring.mul(x, y) == ring.mul(y, x)
             assert ring.mul(ring.mul(x, y), z) == ring.mul(x, ring.mul(y, z))
+
+
+# The check over all 27 triples of xi1, xi2, xi3, which the 9 triples of
+# _check_associative replaced; kept as its oracle.
+def _oracle_associative(ring):
+    basis = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    for x in basis:
+        for y in basis:
+            xy = ring.mul(x, y)
+            for z in basis:
+                if ring.mul(xy, z) != ring.mul(x, ring.mul(y, z)):
+                    return False
+    return True
+
+
+TABLE_KEYS = [(i, j, k) for i in range(1, 4) for j in range(i, 4) for k in range(4)]
+
+
+def _associative_by_check(ring):
+    try:
+        _check_associative(ring)
+    except AssertionError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=len(TABLE_KEYS), max_size=len(TABLE_KEYS)))
+@example([0] * len(TABLE_KEYS))
+@example([int(k == (i, j)[0] == j) for i, j, k in TABLE_KEYS])  # xi_i^2 = xi_i: Z^4
+def test_associativity_check_agrees_with_27_triple_oracle(entries):
+    ring = QuarticRing(dict(zip(TABLE_KEYS, entries)))
+    assert _associative_by_check(ring) == _oracle_associative(ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms, forms, st.sampled_from(TABLE_KEYS), st.integers(-2, 2))
+@example(P_A, P_B, (1, 2, 0), 1)
+def test_associativity_check_on_perturbed_tables(a, b, key, delta):
+    c = dict(ring_from_pair((a, b)).c)
+    c[key] += delta
+    ring = QuarticRing(c)
+    assert _associative_by_check(ring) == _oracle_associative(ring)
+    if delta == 0:
+        assert _associative_by_check(ring)
+
+
+def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
+    # structural guard for the reduced associativity check: 90 calls with
+    # all 27 triples; counted, not timed
+    calls = []
+    mul = QuarticRing.mul
+
+    def counting_mul(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(QuarticRing, "mul", counting_mul)
+    for pair in _random_pairs(50, 5) + [P_Z4]:
+        calls.clear()
+        ring_from_pair(pair)
+        assert len(calls) <= 18
 
 
 def test_resolvent_form_is_four_times_determinant():
@@ -316,6 +380,28 @@ def test_maximality_agrees_with_fraction_oracle():
                 assert result == _oracle_is_maximal_at_p(ring, p)
                 answers.append(result[0])
     assert len(answers) >= 40 and set(answers) == {True, False}
+
+
+def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
+    # structural guard: the closure tests and the ideal constructor use the
+    # substitution and 2x2 helpers, never the generic Bareiss solve
+    import sys
+
+    from smallrank.quadrings import class_semigroup
+
+    def fail(*args):
+        raise RuntimeError("generic lattice_coords called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "smallrank" and hasattr(module, "lattice_coords"):
+            monkeypatch.setattr(module, "lattice_coords", fail)
+    # totally ramified and maximal at 3: every candidate's closure is tested
+    ramified = ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0)))
+    assert is_maximal_at_p(ramified, 3) == (True, None)
+    scaled = ring_from_pair((tuple(2 * v for v in P_A), P_B))
+    assert not is_maximal_at_p(scaled, 2)[0]
+    elements, table = class_semigroup(-300)
+    assert len(table) == len(elements) > 1
 
 
 @settings(max_examples=60, deadline=None)
