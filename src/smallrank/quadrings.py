@@ -236,9 +236,10 @@ def class_semigroup(d):
 
     Returns (elements, table): table[i][j] is the index of the reduced form of
     the product of the ideals of elements[i] and elements[j].  Each class not
-    reached from the earlier ones is a generator and costs at most h ideal
-    products, one per unreached column; the rest is h^2 table lookups, and
-    the table holds h^2 ints.
+    reached from the earlier ones is a generator and costs one ideal product
+    per orbit of the classes reached so far that is not yet filled in (a
+    coset, and fewer than 2h products in all, when the classes form a
+    group); the rest is h^2 table lookups, and the table holds h^2 ints.
     """
     ring = ring_from_disc(d)
     elements = enumerate_reduced(d)

@@ -83,10 +83,11 @@ def _coerce_pair(pair):
     """Validate a pair of ternary forms and return it as two int 6-tuples."""
     try:
         a, b = pair
-        a = tuple(int(v) for v in a)
-        b = tuple(int(v) for v in b)
+        a, b = tuple(a), tuple(b)
     except (TypeError, ValueError):
         raise DomainError("a pair of ternary forms must be two 6-tuples of integers")
+    if not all(isinstance(v, int) for v in a + b):
+        raise DomainError("need integer coefficients, got %r" % ((a, b),))
     if len(a) != 6 or len(b) != 6:
         raise DomainError("each ternary form needs exactly 6 coefficients")
     return a, b
@@ -171,11 +172,14 @@ class QuarticRing:
             for j in range(i, 4):
                 for k in range(4):
                     try:
-                        table[(i, j, k)] = int(c[(i, j, k)])
+                        v = c[(i, j, k)]
                     except KeyError:
                         raise DomainError(
                             "multiplication table is missing entry %r" % ((i, j, k),)
                         )
+                    if not isinstance(v, int):
+                        raise DomainError("need integer table entries, got %r" % (v,))
+                    table[(i, j, k)] = v
         self.c = table
         prod = {}
         for i in range(1, 4):

@@ -6,8 +6,9 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from smallrank import quadforms
 from smallrank.errors import (
     DiscriminantMismatch,
     NotPositiveDefinite,
@@ -111,6 +112,41 @@ def test_enumerate_reduced_is_complete_and_reduced():
             m = ((1, rng.randint(-3, 3)), (0, 1))
             g = twisted_act(m, f)
             assert reduce(g)[0] == f
+
+
+# The scan over every (a, b) with |b| <= a <= sqrt(|d|/3) that the divisor
+# walk replaced; kept as its oracle.
+def _oracle_enumerate_reduced(d):
+    forms = []
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            if (b - d) % 2:
+                continue
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue
+            forms.append((a, b, c))
+        a += 1
+    return sorted(forms)
+
+
+def test_enumerate_reduced_agrees_with_scan_oracle():
+    for d in range(-3, -3001, -1):
+        if d % 4 in (0, 1):
+            assert enumerate_reduced(d) == _oracle_enumerate_reduced(d), d
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=751, max_value=250000), st.sampled_from((0, 1)))
+def test_enumerate_reduced_agrees_with_scan_oracle_sampled(k, r):
+    d = -4 * k + r
+    assert enumerate_reduced(d) == _oracle_enumerate_reduced(d)
 
 
 def test_compose_group_laws():
@@ -231,6 +267,41 @@ def test_class_group_agrees_with_composition_oracle():
 def test_class_group_agrees_with_composition_oracle_sampled(k, r):
     d = -4 * k + r
     assert class_group(d) == _oracle_class_group(d)
+
+
+def _count_compositions(monkeypatch):
+    calls = []
+
+    def counting_compose(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(quadforms, "compose", counting_compose)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5000), st.sampled_from((0, 1)))
+@example(840, 0)  # -3360, (2, 2, 2, 2): 49 compositions with one per unreached column
+def test_class_group_makes_fewer_than_2h_compositions(k, r):
+    # structural guard: one composition per coset of the classes reached so
+    # far, and the reached set at least doubles with each generator; counted,
+    # not timed
+    d = -4 * k + r
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_compositions(monkeypatch)
+        elements, _, _ = class_group(d)
+    assert len(calls) < 2 * len(elements)
+
+
+def test_class_group_composition_counts(monkeypatch):
+    # h^2 compositions in the oracle; 3,837 and 1,754 with one composition
+    # per unreached column
+    calls = _count_compositions(monkeypatch)
+    for d, h, expected in ((-999999, 912, 951), (-299999, 780, 783)):
+        calls.clear()
+        assert len(class_group(d)[0]) == h
+        assert len(calls) == expected, d
 
 
 @st.composite

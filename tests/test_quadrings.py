@@ -353,6 +353,34 @@ def test_monoid_table_rejects_a_non_commutative_product():
         _monoid_table(len(perms), index[(0, 1, 2)], compose_perms)
 
 
+def test_monoid_table_rejects_a_commutative_product_with_one_pair_changed():
+    # addition on Z/n with 1 + j and j + 1 both changed to j + 2, for
+    # 1 <= j <= n - 2: the product commutes and the table derived from it is
+    # symmetric, so only the check that an entry reached twice agrees sees it
+    for n in range(3, 13):
+        for j in range(1, n - 1):
+
+            def add(x, y):
+                return (j + 2) % n if sorted((x, y)) == [1, j] else (x + y) % n
+
+            with pytest.raises(AssertionError, match="symmetric"):
+                _monoid_table(n, 0, add)
+
+
+def test_class_semigroup_makes_at_most_348_ideal_products(monkeypatch):
+    # structural guard: 1,119 with one product per unreached column;
+    # counted, not timed
+    calls = []
+
+    def counting_multiply(i, j):
+        calls.append(1)
+        return multiply(i, j)
+
+    monkeypatch.setattr(smallrank.quadrings, "multiply", counting_multiply)
+    assert len(class_semigroup(-99999)[0]) == 336
+    assert len(calls) <= 348
+
+
 # The Fraction-row ideal operations that integer rows over one denominator
 # replaced; kept as their oracle.
 def _oracle_multiply(i, j):

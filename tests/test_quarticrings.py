@@ -180,6 +180,27 @@ def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
         assert len(calls) <= 18
 
 
+def test_ring_from_pair_rejects_non_integer_coefficients():
+    # int() used to truncate: this pair gave the Z^4 ring, disc 1
+    for pair in (
+        ((0.5, 0, 0, 1, 0, -1), P_B),
+        (P_A, (0, 0, 0, 0, 1, -1.0)),
+        (P_A, (0, 0, 0, 0, "1", -1)),
+    ):
+        with pytest.raises(DomainError):
+            ring_from_pair(pair)
+        with pytest.raises(DomainError):
+            cubic_resolvent_form(pair)
+
+
+def test_quartic_ring_rejects_non_integer_table_entries():
+    # int() used to store an entry 1.7 as 1
+    c = dict(ring_from_pair(P_Z4).c)
+    for bad in (1.7, 1.0, Fraction(1), "1"):
+        with pytest.raises(DomainError):
+            QuarticRing({**c, (1, 2, 3): bad})
+
+
 def test_resolvent_form_is_four_times_determinant():
     for pair in _random_pairs(44, 25):
         a, b = pair
