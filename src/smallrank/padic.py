@@ -48,9 +48,8 @@ class PadicConfig:
     __slots__ = ("p", "n", "u")
 
     def __init__(self, p, n, u):
-        p = int(p)
-        n = int(n)
-        u = int(u)
+        if not all(isinstance(v, int) for v in (p, n, u)):
+            raise DomainError("need integers, got p=%r, n=%r, u=%r" % (p, n, u))
         if p < 3 or not is_prime(p):
             raise DomainError("p must be an odd prime, got %r" % (p,))
         if n < 0:
@@ -84,11 +83,18 @@ def least_nonresidue(p):
     raise DomainError("no non-residue found; p is not an odd prime")
 
 
-def _split_index(cfg, idx):
+def _three_ints(idx, what):
     try:
-        i, j, k = (int(v) for v in idx)
+        x, y, z = idx
     except (TypeError, ValueError):
-        raise DomainError("a triple index is three integers")
+        raise DomainError("%s is three integers" % what)
+    if not all(isinstance(v, int) for v in (x, y, z)):
+        raise DomainError("%s is three integers, got %r" % (what, (x, y, z)))
+    return x, y, z
+
+
+def _split_index(cfg, idx):
+    i, j, k = _three_ints(idx, "a triple index")
     if not (0 <= i <= j <= k <= cfg.n):
         raise DomainError(
             "balanced_count requires a sorted index 0 <= i <= j <= k <= n"
@@ -128,13 +134,11 @@ def stella_membership(n, idx):
     geometry alone: ``1`` or ``2`` when the point is in exactly one
     tetrahedron, ``"boundary"`` when in both, ``None`` when in neither.
     """
-    n = int(n)
+    if not isinstance(n, int):
+        raise DomainError("the level n must be an integer, got %r" % (n,))
     if n < 0:
         raise DomainError("the level n must be nonnegative")
-    try:
-        x, y, z = (int(v) for v in idx)
-    except (TypeError, ValueError):
-        raise DomainError("a signed triple index is three integers")
+    x, y, z = _three_ints(idx, "a signed triple index")
 
     in1 = (
         x + y + z >= -n

@@ -22,7 +22,8 @@ from .errors import (
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce, twisted_act
+    _compose, _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce,
+    twisted_act,
 )
 
 
@@ -235,18 +236,19 @@ def class_semigroup(d):
     """All reduced forms of discriminant d and their ideal-class product table.
 
     Returns (elements, table): table[i][j] is the index of the reduced form of
-    the product of the ideals of elements[i] and elements[j].  Each class not
-    reached from the earlier ones is a generator and costs one ideal product
-    per orbit of the classes reached so far that is not yet filled in (a
-    coset, and fewer than 2h products in all, when the classes form a
-    group); the rest is h^2 table lookups, and the table holds h^2 ints.
+    the product of the ideals of elements[i] and elements[j].  Each product is
+    one ``_compose`` of the two forms, primitive or not, and no ideal is
+    built.  Each class not reached from the earlier ones is a generator and
+    costs one composition per orbit of the classes reached so far that is
+    not yet filled in (a coset, and fewer than 2h compositions in all, when
+    the classes form a group); the rest is h^2 table lookups, and the table
+    holds h^2 ints.
     """
-    ring = ring_from_disc(d)
+    ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)
-    ideals = [ideal_from_form(f, ring) for f in elements]
     index = {f: i for i, f in enumerate(elements)}
 
     def product(i, j):
-        return index[form_from_ideal(multiply(ideals[i], ideals[j]))]
+        return index[_compose(elements[i], elements[j], d)]
 
     return elements, _monoid_table(len(elements), index[principal_form(d)], product)

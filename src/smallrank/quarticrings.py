@@ -491,7 +491,12 @@ def resolvent_identity_check(pair, x):
     pairs (any other sign/order combination fails).
     """
     a, b = _coerce_pair(pair)
-    x1, x2, x3 = (int(v) for v in x)
+    try:
+        x1, x2, x3 = x
+    except (TypeError, ValueError):
+        raise DomainError("x is three integer coordinates")
+    if not all(isinstance(v, int) for v in (x1, x2, x3)):
+        raise DomainError("need integer coordinates, got x=%r" % ((x1, x2, x3),))
     ring = ring_from_pair(pair)
     e = (0, x1, x2, x3)
     e2 = ring.mul(e, e)

@@ -30,6 +30,13 @@ def test_config_validation():
         PadicConfig(5, 1, 4)  # 4 is a square
 
 
+
+def test_config_rejects_non_integers():
+    # truncation would make PadicConfig(3.7, 1.9, 2.2) p = 3, n = 1, u = 2
+    for args in ((3.7, 1.9, 2.2), (3, 1.0, 2), (3, 1, "2"), (5.0, 1, 2)):
+        with pytest.raises(DomainError):
+            PadicConfig(*args)
+
 def test_config_equality():
     assert PadicConfig(3, 2, 2) == PadicConfig(3, 2, 2)
     assert PadicConfig(3, 2, 2) != PadicConfig(3, 1, 2)
@@ -64,6 +71,16 @@ def test_balanced_count_requires_sorted_index():
     with pytest.raises(DomainError):
         balanced_count(cfg, (-1, 0, 0))
 
+
+
+def test_balanced_count_rejects_a_non_integer_index():
+    # truncation would count (1, 1, 2.9) as (1, 1, 2)
+    cfg = PadicConfig(3, 4, 2)
+    for idx in ((1, 1, 2.9), (1, 1, 2.0), ("1", 1, 2), (1, 1), None):
+        with pytest.raises(DomainError):
+            balanced_count(cfg, idx)
+        with pytest.raises(DomainError):
+            enumerate_balanced_oracle(cfg, idx, 10)
 
 def test_formula_matches_oracle_small():
     for p in (3, 5):
@@ -104,6 +121,13 @@ def test_stella_spots():
     inside, label = stella_membership(2, (0, 0, 2))
     assert inside and label == "boundary"
 
+
+
+def test_stella_rejects_non_integers():
+    # truncation would place (1.5, (1, 1, 1.9)) at (True, 1)
+    for n, idx in ((1.5, (1, 1, 1.9)), (1, (1, 1, 1.9)), (1.0, (1, 1, 1)), (1, (1, 1))):
+        with pytest.raises(DomainError):
+            stella_membership(n, idx)
 
 coord = st.integers(min_value=-6, max_value=6)
 

@@ -1,6 +1,9 @@
 """Binary quadratic forms: reduction, composition, class groups."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import gcd, lcm
@@ -12,9 +15,11 @@ from smallrank import quadforms
 from smallrank.errors import (
     DiscriminantMismatch,
     NotPositiveDefinite,
+    NotPrimitive,
     UnsupportedDiscriminant,
 )
 from smallrank.quadforms import (
+    _compose,
     _structure,
     class_group,
     compose,
@@ -187,6 +192,45 @@ def test_compose_indefinite_is_a_domain_error():
     assert compose((-2, 1, -3), (-2, -1, -3)) == (1, 1, 6)
     assert compose((-1, 1, -6), (-2, 1, -3)) == (2, 1, 3)
 
+
+
+def test_compose_keeps_its_checks_and_the_kernel_takes_imprimitive_forms():
+    # (5, 0, 5) is not invertible at -100 and its ideal is idempotent
+    with pytest.raises(NotPrimitive):
+        compose((5, 0, 5), (5, 0, 5))
+    assert _compose((5, 0, 5), (5, 0, 5), -100) == (5, 0, 5)
+    assert _compose((5, 0, 5), (2, 2, 13), -100) == (5, 0, 5)
+    assert _compose((2, 2, 13), (2, 2, 13), -100) == compose((2, 2, 13), (2, 2, 13))
+
+
+def _principal_reduce(f):
+    return principal_form(discriminant(f)), quadforms.IDENTITY
+
+
+def test_compose_content_check_catches_a_wrong_reduction(monkeypatch):
+    # fault injection: a reduction that returns the principal form gives
+    # content 1, not lcm(5, 5) = 5
+    monkeypatch.setattr(quadforms, "reduce", _principal_reduce)
+    with pytest.raises(AssertionError, match="lcm"):
+        _compose((5, 0, 5), (5, 0, 5), -100)
+
+
+def test_compose_content_check_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(quadforms.__file__))
+    code = (
+        "from smallrank import quadforms\n"
+        "quadforms.reduce = lambda f: ((1, 0, 25), quadforms.IDENTITY)\n"
+        "try:\n"
+        "    quadforms._compose((5, 0, 5), (5, 0, 5), -100)\n"
+        "except AssertionError:\n"
+        "    print('AssertionError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["AssertionError"]
 
 def test_class_group_structures():
     assert class_group(-23)[2] == (3,)

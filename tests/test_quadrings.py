@@ -9,7 +9,7 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smallrank
 from smallrank.errors import (
@@ -30,6 +30,7 @@ from smallrank.exactlattice import (
     mat_mul,
 )
 from smallrank.quadforms import (
+    _compose,
     _monoid_table,
     class_group,
     discriminant,
@@ -379,6 +380,64 @@ def test_class_semigroup_makes_at_most_348_ideal_products(monkeypatch):
     monkeypatch.setattr(smallrank.quadrings, "multiply", counting_multiply)
     assert len(class_semigroup(-99999)[0]) == 336
     assert len(calls) <= 348
+
+
+@st.composite
+def _reduced_form_pairs(draw):
+    # (f, g, d): D = D0 * m^2 with m <= 25 and |D| <= 2 * 10^5, and each form
+    # drawn from the imprimitive reduced forms half the time, when D has any
+    m = draw(st.integers(min_value=1, max_value=25))
+    q = draw(st.integers(min_value=0, max_value=(200000 // (m * m) - 3) // 4))
+    d0 = -(4 * q + 3) if draw(st.booleans()) or q == 0 else -4 * q
+    d = d0 * m * m
+    forms = enumerate_reduced(d)
+    imprimitive = [f for f in forms if gcd(*f) > 1]
+    pair = []
+    for _ in range(2):
+        pool = imprimitive if imprimitive and draw(st.booleans()) else forms
+        pair.append(pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))])
+    return pair[0], pair[1], d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reduced_form_pairs())
+@example(((5, 0, 5), (5, 0, 5), -100))
+def test_compose_kernel_agrees_with_ideal_product_oracle(case):
+    # the lattice product that the composition kernel replaced in
+    # class_semigroup is its oracle, for primitive and imprimitive forms
+    f, g, d = case
+    ring = ring_from_disc(d)
+    product = multiply(ideal_from_form(f, ring), ideal_from_form(g, ring))
+    assert _compose(f, g, d) == form_from_ideal(product)
+
+
+def test_class_semigroup_makes_348_compositions(monkeypatch):
+    # structural guard: one composition per unreached orbit; counted, not timed
+    calls = []
+
+    def counting_compose(f, g, d):
+        calls.append(1)
+        return _compose(f, g, d)
+
+    monkeypatch.setattr(smallrank.quadrings, "_compose", counting_compose)
+    assert len(class_semigroup(-99999)[0]) == 336
+    assert len(calls) == 348
+
+
+def test_class_semigroup_builds_no_ideal(monkeypatch):
+    # structural guard: the lattice path is not reached at all
+    expected = {d: class_semigroup(d) for d in (-100, -300, -99999)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_semigroup reached the lattice path")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("smallrank."):
+            for name in ("multiply", "ideal_from_form", "form_from_ideal", "_hnf_int"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    for d, result in expected.items():
+        assert class_semigroup(d) == result
 
 
 # The Fraction-row ideal operations that integer rows over one denominator

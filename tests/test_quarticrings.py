@@ -245,6 +245,14 @@ def test_disc_match_and_identity():
             assert resolvent_identity_check(pair, x)
 
 
+
+def test_resolvent_identity_check_rejects_non_integer_x():
+    # truncation would check x = (0.5, 1, 2) as (0, 1, 2), which holds
+    assert resolvent_identity_check(P_Z4, (0, 1, 2))
+    for x in ((0.5, 1, 2), (0, 1.0, 2), (0, 1), 5):
+        with pytest.raises(DomainError):
+            resolvent_identity_check(P_Z4, x)
+
 def test_minimal_resolvent_of_z4():
     resolvent, witness = pair_from_ring(ring_from_pair(P_Z4))
     assert resolvent.content == 1
