@@ -109,10 +109,14 @@ def _bareiss(a):
 
 
 def _trace_disc(ring, n):
-    # discriminant of a ring of rank n: the determinant of its trace form
-    # Tr(e_i * e_j) on the unit basis, an int
+    # discriminant of a ring of rank n, an int: the determinant of its trace
+    # form Tr(e_i * e_j) on the unit basis.  Tr is linear, so the n basis
+    # traces, taken once, fill the form: Tr(e_i*e_j) = sum_k (e_i*e_j)_k Tr(e_k)
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _bareiss([[ring.trace(ring.mul(u, v)) for v in basis] for u in basis])
+    tr = [ring.trace(u) for u in basis]
+    return _bareiss(
+        [[sum(a * b for a, b in zip(ring.mul(u, v), tr)) for v in basis] for u in basis]
+    )
 
 
 def hnf_canonicalize(basis):

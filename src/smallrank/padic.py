@@ -75,7 +75,7 @@ class PadicConfig:
 
 def least_nonresidue(p):
     """The smallest positive quadratic non-residue modulo an odd prime."""
-    if p < 3 or not is_prime(p):
+    if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise DomainError("p must be an odd prime, got %r" % (p,))
     for u in range(2, p):
         if pow(u, (p - 1) // 2, p) == p - 1:
@@ -170,9 +170,13 @@ def unit_coset_reps(p, t, i):
     Elements are pairs ``(a, b)`` standing for ``a + b sqrt(u)``; the list
     has ``p^(i-1) (p+1)`` entries for ``t = 0 < i``, ``p^(i-t)`` entries for
     ``0 < t <= i``, and a single entry when the quotient is trivial
-    (``i <= t``).  Representatives are exact integers independent of ``u``.
-    Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
+    (``i <= t``).  Representatives are exact integers independent of ``u``;
+    ``p`` must be an odd prime.  Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
     """
+    if not all(isinstance(v, int) for v in (p, t, i)):
+        raise DomainError("need integers, got p=%r, t=%r, i=%r" % (p, t, i))
+    if p < 3 or not is_prime(p):
+        raise DomainError("p must be an odd prime, got %r" % (p,))
     if t < 0 or i < 0:
         raise DomainError("order levels must be nonnegative")
     if i <= t:
@@ -201,6 +205,8 @@ def enumerate_balanced_oracle(cfg, idx, m):
         raise DomainError("expected a PadicConfig")
     i, j, k = _split_index(cfg, idx)
     p, n, u = cfg.p, cfg.n, cfg.u
+    if not isinstance(m, int):
+        raise DomainError("the precision m must be an integer, got %r" % (m,))
     if m < 2 * n + 2:
         raise PrecisionError("precision m must be at least 2n + 2")
     if (i + j + k - n) % 2 != 0:

@@ -29,6 +29,7 @@ discriminant comparisons, and a maximality test for the ring at a prime.
 """
 
 from collections import namedtuple
+from itertools import combinations, product as iproduct
 from math import gcd
 
 from .errors import DegenerateRing, DomainError, TrivialRing
@@ -128,6 +129,14 @@ def _lam_get(lam, x, y):
     return -lam[(y, x)]
 
 
+#: The 15 Plucker relations, one per four slots w < x < y < z among the six,
+#: as the keys (w,x), (y,z), (w,y), (x,z), (w,z), (x,y) of their six minors.
+_PLUCKER = tuple(
+    ((w, x), (y, z), (w, y), (x, z), (w, z), (x, y))
+    for w, x, y, z in combinations(range(6), 4)
+)
+
+
 def plucker_check(lam):
     """Whether a dict of minors from :func:`lambda_system` satisfies all Plucker relations.
 
@@ -141,18 +150,29 @@ def plucker_check(lam):
     """
     if not isinstance(lam, dict):
         raise DomainError("a minor system is the dict made by lambda_system")
-    for w in range(6):
-        for x in range(w + 1, 6):
-            for y in range(x + 1, 6):
-                for z in range(y + 1, 6):
-                    s = (
-                        _lam_get(lam, w, x) * _lam_get(lam, y, z)
-                        - _lam_get(lam, w, y) * _lam_get(lam, x, z)
-                        + _lam_get(lam, w, z) * _lam_get(lam, x, y)
-                    )
-                    if s != 0:
-                        return False
+    try:
+        for wx, yz, wy, xz, wz, xy in _PLUCKER:
+            if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
+                return False
+    except KeyError as e:
+        raise DomainError("the minor system has no minor %r" % (e.args[0],))
     return True
+
+
+#: The unit basis 1, xi1, xi2, xi3; row i is also the table row 1 * e_i.
+_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+#: The keys (i, j) with i <= j of the six table rows xi_i * xi_j.
+_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def _rows(c):
+    # the 4x4 table of e_i * e_j for e_0 = 1, e_i = xi_i, read off a dict c
+    # keyed (i, j, k) with i <= j: unit row and both orders included
+    a, b, d, e, f, g = [(c[(i, j, 0)], c[(i, j, 1)], c[(i, j, 2)], c[(i, j, 3)]) for i, j in _PAIRS]
+    _, u1, u2, u3 = _UNIT
+    return (_UNIT, (u1, a, b, d), (u2, b, e, f), (u3, d, f, g))
 
 
 class QuarticRing:
@@ -161,32 +181,29 @@ class QuarticRing:
     Elements are 4-tuples ``(x0, x1, x2, x3)`` standing for
     ``x0 + x1*xi1 + x2*xi2 + x3*xi3``.  The full multiplication table is
     supplied as a dict ``c`` with keys ``(i, j, k)`` for ``1 <= i <= j <= 3``
-    and ``0 <= k <= 3``.
+    and ``0 <= k <= 3``; a non-dict, a missing key or a non-``int`` entry is
+    a :class:`~smallrank.errors.DomainError`.  The constructor derives from
+    ``c`` the one table that products, traces and the self-checks read:
+    ``_t[i][j]`` is the coordinate tuple of ``e_i * e_j`` in the basis
+    ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and both orders
+    included, so ``_t[i]`` is the matrix of multiplication by ``e_i``.
+    Associativity is not checked here (:func:`ring_from_pair` does).
     """
 
-    __slots__ = ("c", "_prod")
+    __slots__ = ("c", "_t")
 
     def __init__(self, c):
-        table = {}
-        for i in range(1, 4):
-            for j in range(i, 4):
-                for k in range(4):
-                    try:
-                        v = c[(i, j, k)]
-                    except KeyError:
-                        raise DomainError(
-                            "multiplication table is missing entry %r" % ((i, j, k),)
-                        )
-                    if not isinstance(v, int):
-                        raise DomainError("need integer table entries, got %r" % (v,))
-                    table[(i, j, k)] = v
+        if not isinstance(c, dict):
+            raise DomainError("a multiplication table is a dict keyed by (i, j, k)")
+        try:
+            table = {(i, j, k): c[(i, j, k)] for i, j in _PAIRS for k in range(4)}
+        except KeyError as e:
+            raise DomainError("multiplication table is missing entry %r" % (e.args[0],))
+        for v in table.values():
+            if not isinstance(v, int):
+                raise DomainError("need integer table entries, got %r" % (v,))
         self.c = table
-        prod = {}
-        for i in range(1, 4):
-            for j in range(1, 4):
-                a, b = (i, j) if i <= j else (j, i)
-                prod[(i, j)] = tuple(table[(a, b, k)] for k in range(4))
-        self._prod = prod
+        self._t = _rows(table)
 
     def __eq__(self, other):
         return isinstance(other, QuarticRing) and self.c == other.c
@@ -198,35 +215,33 @@ class QuarticRing:
         return "QuarticRing(%r)" % (self.c,)
 
     def mul(self, x, y):
-        """Product of two elements given as length-4 coordinate tuples."""
+        """Product of two elements given as length-4 coordinate tuples.
+
+        The table is commutative, so the terms x_i*y_j and x_j*y_i share the
+        row xi_i*xi_j: the xi-part is six symmetric products against six rows.
+        """
         x0, x1, x2, x3 = x
         y0, y1, y2, y3 = y
-        out = [x0 * y0, x0 * y1 + y0 * x1, x0 * y2 + y0 * x2, x0 * y3 + y0 * x3]
-        xs = (x1, x2, x3)
-        ys = (y1, y2, y3)
-        for i in range(1, 4):
-            xi = xs[i - 1]
-            if not xi:
-                continue
-            for j in range(1, 4):
-                yj = ys[j - 1]
-                if not yj:
-                    continue
-                t = xi * yj
-                pr = self._prod[(i, j)]
-                out[0] += t * pr[0]
-                out[1] += t * pr[1]
-                out[2] += t * pr[2]
-                out[3] += t * pr[3]
-        return tuple(out)
+        _, (_, a, b, c), (_, _, d, e), (_, _, _, f) = self._t
+        s11 = x1 * y1
+        s12 = x1 * y2 + x2 * y1
+        s13 = x1 * y3 + x3 * y1
+        s22 = x2 * y2
+        s23 = x2 * y3 + x3 * y2
+        s33 = x3 * y3
+        return (
+            x0 * y0 + s11 * a[0] + s12 * b[0] + s13 * c[0] + s22 * d[0] + s23 * e[0] + s33 * f[0],
+            x0 * y1 + x1 * y0 + s11 * a[1] + s12 * b[1] + s13 * c[1] + s22 * d[1] + s23 * e[1] + s33 * f[1],
+            x0 * y2 + x2 * y0 + s11 * a[2] + s12 * b[2] + s13 * c[2] + s22 * d[2] + s23 * e[2] + s33 * f[2],
+            x0 * y3 + x3 * y0 + s11 * a[3] + s12 * b[3] + s13 * c[3] + s22 * d[3] + s23 * e[3] + s33 * f[3],
+        )
 
     def trace(self, x):
-        """Trace of multiplication by the element ``x``."""
-        t = 4 * x[0]
-        for i in range(1, 4):
-            if x[i]:
-                t += x[i] * sum(self.c[(min(i, j), max(i, j), j)] for j in range(1, 4))
-        return t
+        """Trace of multiplication by the element ``x``.
+
+        Tr(e_i) is the trace of the matrix ``_t[i]``, and Tr is linear in ``x``.
+        """
+        return sum(xi * (m[0][0] + m[1][1] + m[2][2] + m[3][3]) for xi, m in zip(x, self._t))
 
     def disc(self):
         """Discriminant: determinant of the trace pairing on 1, xi1..xi3."""
@@ -279,49 +294,45 @@ def _lambda_from_c(c):
     }
 
 
-def _getc(c, i, j, k):
-    return c[(i, j, k) if i <= j else (j, i, k)]
-
-
 def ring_from_pair(pair):
     """The quartic ring attached to a pair of integral ternary forms.
 
     The xi-coefficients of the multiplication table are linear in the 2x2
     minors of the pair; the constant coefficients are then forced by
-    associativity and are asserted to be consistent (independent of which
+    associativity and are checked to be consistent (independent of which
     associativity instance computes them).  The table is then checked for
     associativity on the 9 basis triples (xi_x, xi_y, xi_z) with x < z: the
     associator changes sign when x and z swap, since the table is
     commutative, so the other 18 triples add nothing
-    (:func:`_check_associative`).
+    (:func:`_check_associative`).  Both checks raise ``AssertionError``,
+    also under ``python -O``.
     """
     lam = lambda_system(pair)
     c = _c_linear_from_lambda(lam)
+    for i, j in _PAIRS:
+        c[(i, j, 0)] = 0
+    t = _rows(c)
 
-    def c0_off(i, j):
-        # constant term of xi_i * xi_j (i != j), from the (i,i,j) instance
-        return sum(
-            _getc(c, i, i, m) * _getc(c, m, j, i) - _getc(c, i, j, m) * _getc(c, m, i, i)
-            for m in range(1, 4)
-        )
+    def const(u, v, w):
+        # the constant term of xi_u*xi_v forced by (xi_u*xi_v)*xi_w =
+        # (xi_u*xi_w)*xi_v at the coordinate of xi_w, w != v: there the left
+        # side is that constant plus terms in the xi-parts of t, the right
+        # side such terms alone
+        _, a1, a2, a3 = t[u][w]
+        _, b1, b2, b3 = t[u][v]
+        _, m1, m2, m3 = t[v]
+        _, n1, n2, n3 = t[w]
+        return a1 * m1[w] + a2 * m2[w] + a3 * m3[w] - b1 * n1[w] - b2 * n2[w] - b3 * n3[w]
 
-    def c0_diag(i, j):
-        # constant term of xi_i^2, from the (i,j,i)-flavoured instance; any
-        # j != i must give the same value
-        return sum(
-            _getc(c, i, j, m) * _getc(c, m, i, j) - _getc(c, i, i, m) * _getc(c, m, j, j)
-            for m in range(1, 4)
-        )
-
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            v = c0_off(i, j)
-            assert v == c0_off(j, i), "inconsistent constant term for xi%d*xi%d" % (i, j)
-            c[(i, j, 0)] = v
-    for i in range(1, 4):
-        others = [j for j in range(1, 4) if j != i]
-        v = c0_diag(i, others[0])
-        assert v == c0_diag(i, others[1]), "inconsistent constant term for xi%d^2" % i
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        v = const(i, j, i)
+        if v != const(j, i, j):
+            raise AssertionError("inconsistent constant term for xi%d*xi%d" % (i, j))
+        c[(i, j, 0)] = v
+    for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+        v = const(i, i, j)
+        if v != const(i, i, k):
+            raise AssertionError("inconsistent constant term for xi%d^2" % i)
         c[(i, i, 0)] = v
 
     ring = QuarticRing(c)
@@ -329,8 +340,20 @@ def ring_from_pair(pair):
     return ring
 
 
+def _times(r, m):
+    # the row vector r times the 4x4 matrix m: the sum of r[k] * m[k]
+    r0, r1, r2, r3 = r
+    a, b, c, d = m
+    return (
+        r0 * a[0] + r1 * b[0] + r2 * c[0] + r3 * d[0],
+        r0 * a[1] + r1 * b[1] + r2 * c[1] + r3 * d[1],
+        r0 * a[2] + r1 * b[2] + r2 * c[2] + r3 * d[2],
+        r0 * a[3] + r1 * b[3] + r2 * c[3] + r3 * d[3],
+    )
+
+
 def _check_associative(ring):
-    """Assert that the table of a QuarticRing is associative.
+    """Raise ``AssertionError`` unless the table of a QuarticRing is associative.
 
     The associator a(x, y, z) = (xy)z - x(yz) is trilinear and vanishes when
     an argument is 1, so the ring is associative iff it vanishes on the 27
@@ -338,17 +361,17 @@ def _check_associative(ring):
     reads xi_i*xi_j and xi_j*xi_i from the same table entry, so
     a(z, y, x) = (zy)x - z(yx) = x(yz) - (xy)z = -a(x, y, z).  Hence
     a(x, y, x) = 0, and a(x, y, z) with x > z is minus a(z, y, x): the 9
-    triples with x < z suffice.  The products xi_x*xi_y are table rows, so
-    the check costs two ``mul`` calls per triple.
+    triples with x < z suffice.  Each side is a table row times one xi:
+    (xi_x*xi_y)*xi_z is the row ``_t[x][y]`` times the matrix ``_t[z]`` of
+    multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``_t[y][z]`` times
+    ``_t[x]``.  The check runs under ``python -O`` too.
     """
-    e = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    prod = ring._prod
-    for x in range(1, 3):
+    t = ring._t
+    for x in (1, 2):
         for z in range(x + 1, 4):
-            for y in range(1, 4):
-                assert ring.mul(prod[(x, y)], e[z - 1]) == ring.mul(e[x - 1], prod[(y, z)]), (
-                    "associativity failure in constructed table"
-                )
+            for y in (1, 2, 3):
+                if _times(t[x][y], t[z]) != _times(t[y][z], t[x]):
+                    raise AssertionError("associativity failure in constructed table")
 
 
 def _resolvent_data(ring):
@@ -518,8 +541,6 @@ def _subspaces(p, s):
     Yields tuples of integer rows (entries in [0, p)) ordered by dimension,
     then pivot columns, then the free entries in row-major order.
     """
-    from itertools import combinations, product as iproduct
-
     for r in range(1, s + 1):
         for pivots in combinations(range(s), r):
             free = [
@@ -579,9 +600,11 @@ def is_maximal_at_p(ring, p):
     subspaces of the nilradical R of Q/pQ need testing: if Q' is closed,
     then for v in L, (v/p)^2 lies in Q', so v^2 lies in p^2 Q' within pQ and
     v is nilpotent mod p; hence L/pQ lies in R, which never contains 1.
-    Since dim R <= 3, at most 2p^2 + 2p + 3 candidates are tested (none when
-    p does not divide the discriminant), in the order of dimension, pivot
-    columns and free entries of their RREF over F_p.  A candidate with
+    Since dim R <= 3, at most 2p^2 + 2p + 3 candidates are tested, in the
+    order of dimension, pivot columns and free entries of their RREF over
+    F_p.  None is tested, and the radical is not computed, when p^2 does not
+    divide the discriminant: an overring Q' of index p^k has
+    disc(Q) = p^(2k) disc(Q'), so there is none.  A candidate with
     integer HNF basis H (so Q' = H/p) is closed iff every H_i*H_j lies in
     pH; p*H is again an HNF, so each membership is one substitution pass,
     column by column, and the first product off pH ends the test.  Returns
@@ -590,10 +613,13 @@ def is_maximal_at_p(ring, p):
     """
     if not isinstance(ring, QuarticRing):
         raise DomainError("expected a QuarticRing")
-    if ring.disc() == 0:
+    d = ring.disc()
+    if d == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
     if not is_prime(p):
         raise DomainError("maximality test requires a prime")
+    if d % (p * p):
+        return (True, None)
 
     p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
     for rows in _radical_subspaces(ring, p):
@@ -635,9 +661,11 @@ def nonmaximality_conditions_witness(pair, p):
     earlier ones for some inputs, and this order keeps the returned tag the
     most specific).  Returns ``"none"`` when no pattern matches; the patterns
     are sufficient but not necessary, so ``"none"`` carries no maximality
-    claim.
+    claim.  ``p`` must be a prime, as for :func:`is_maximal_at_p`.
     """
     a, b = _coerce_pair(pair)
+    if not is_prime(p):
+        raise DomainError("maximality test requires a prime")
     a11, a22, a33, a12, a13, a23 = a
     b11, b22, b33, b12, b13, b23 = b
     p2 = p * p

@@ -158,3 +158,37 @@ def test_stella_label_flips_under_sign_change():
     # coordinate flips sign
     assert stella_membership(3, (3, 1, 1)) == (True, 1)
     assert stella_membership(3, (-3, 1, 1)) == (True, 2)
+
+
+def test_unit_coset_reps_rejects_a_non_integer_level():
+    # range() used to let a TypeError escape
+    with pytest.raises(DomainError):
+        unit_coset_reps(3, 0, 1.5)
+
+
+def test_unit_coset_reps_rejects_a_non_integer_prime():
+    with pytest.raises(DomainError):
+        unit_coset_reps(3.0, 0, 2)
+
+
+def test_unit_coset_reps_rejects_a_p_that_is_not_an_odd_prime():
+    # p = 0 let a ValueError escape from range(0, 0, 0); p = 4 returned a list
+    for p in (0, 1, 2, 4, -3):
+        with pytest.raises(DomainError):
+            unit_coset_reps(p, 0, 2)
+
+
+def test_least_nonresidue_rejects_a_non_integer():
+    # the comparison p < 3 used to let a TypeError escape
+    with pytest.raises(DomainError):
+        least_nonresidue("7")
+
+
+def test_oracle_rejects_a_non_integer_precision():
+    # a float m used to run, with a float modulus, and return 0
+    with pytest.raises(DomainError):
+        enumerate_balanced_oracle(PadicConfig(3, 2, 2), (1, 1, 1), 6.5)
+    cfg = PadicConfig(3, 3, 2)
+    assert enumerate_balanced_oracle(cfg, (1, 1, 1), 8) == balanced_count(cfg, (1, 1, 1)) == 4
+    with pytest.raises(DomainError):
+        enumerate_balanced_oracle(cfg, (1, 1, 1), 8.0)

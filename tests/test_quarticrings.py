@@ -1,14 +1,18 @@
 """Quartic rings from pairs of integral ternary quadratic forms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import _oracle_inv
 
+from smallrank import quarticrings
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
 from smallrank.cubicrings import cubic_eval
 from smallrank.exactlattice import (
@@ -745,3 +749,180 @@ def test_resolvents_agree_with_fraction_oracle(a, b, k):
     assert count_numerical_resolvents(ring) == divisor_sigma(content)
     assert _unscaled(mu, den) == tuple(mu0[z] for z in range(6))
     assert _unscaled(h, den) == basis0
+
+
+# The double-loop product and the trace over the dict c that QuarticRing
+# computed before it read one 4x4 table; kept as their oracle.
+def _oracle_mul(ring, x, y):
+    c = ring.c
+    out = [x[0] * y[0], x[0] * y[1] + y[0] * x[1], x[0] * y[2] + y[0] * x[2], x[0] * y[3] + y[0] * x[3]]
+    for i in range(1, 4):
+        if not x[i]:
+            continue
+        for j in range(1, 4):
+            if not y[j]:
+                continue
+            t = x[i] * y[j]
+            for k in range(4):
+                out[k] += t * c[(min(i, j), max(i, j), k)]
+    return tuple(out)
+
+
+def _oracle_trace(ring, x):
+    t = 4 * x[0]
+    for i in range(1, 4):
+        if x[i]:
+            t += x[i] * sum(ring.c[(min(i, j), max(i, j), j)] for j in range(1, 4))
+    return t
+
+
+tables = st.lists(st.integers(-2, 2), min_size=len(TABLE_KEYS), max_size=len(TABLE_KEYS))
+elements = st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables, elements, elements)
+@example([0] * len(TABLE_KEYS), (1, 0, 0, 0), (0, 0, 0, 0))
+@example([int(k == (i, j)[0] == j) for i, j, k in TABLE_KEYS], (0, 1, 0, 2), (3, 0, 1, 0))
+def test_table_product_trace_and_disc_agree_with_oracles(entries, x, y):
+    # any table, associative or not: the product, the trace and the trace
+    # form filled from the basis traces are linear algebra on the table
+    ring = QuarticRing(dict(zip(TABLE_KEYS, entries)))
+    assert ring.mul(x, y) == _oracle_mul(ring, x, y)
+    assert ring.trace(x) == _oracle_trace(ring, x)
+    d = ring.disc()
+    assert type(d) is int and d == _oracle_trace_disc(ring, 4)
+
+
+# The nested-loop check that plucker_check ran before it looped over the 15
+# index sextuples; kept as its oracle.
+def _oracle_plucker_check(lam):
+    for w in range(6):
+        for x in range(w + 1, 6):
+            for y in range(x + 1, 6):
+                for z in range(y + 1, 6):
+                    s = (
+                        _lam_get(lam, w, x) * _lam_get(lam, y, z)
+                        - _lam_get(lam, w, y) * _lam_get(lam, x, z)
+                        + _lam_get(lam, w, z) * _lam_get(lam, x, y)
+                    )
+                    if s != 0:
+                        return False
+    return True
+
+
+MINOR_KEYS = sorted(lambda_system(P_Z4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=15, max_size=15),
+    forms,
+    forms,
+    st.sampled_from(MINOR_KEYS),
+    st.integers(-2, 2),
+)
+@example([0] * 15, P_A, P_B, (4, 5), 0)
+def test_plucker_check_agrees_with_nested_loop_oracle(values, a, b, key, delta):
+    lam = dict(zip(MINOR_KEYS, values))
+    assert plucker_check(lam) == _oracle_plucker_check(lam)
+    lam = lambda_system((a, b))
+    assert plucker_check(lam) and _oracle_plucker_check(lam)
+    lam[key] += delta
+    assert plucker_check(lam) == _oracle_plucker_check(lam)
+
+
+def test_plucker_check_rejects_a_missing_minor():
+    # the KeyError of a missing minor used to escape
+    with pytest.raises(DomainError):
+        plucker_check({})
+    lam = lambda_system(P_Z4)
+    del lam[(4, 5)]
+    with pytest.raises(DomainError):
+        plucker_check(lam)
+
+
+def test_quartic_ring_rejects_a_table_that_is_not_a_dict():
+    # indexing a list or None used to let a TypeError escape
+    for bad in ([], None, tuple(ring_from_pair(P_Z4).c.items())):
+        with pytest.raises(DomainError):
+            QuarticRing(bad)
+
+
+def test_condition_tags_require_a_prime():
+    # p = 0 raised ZeroDivisionError, and p = 1.5 returned "none"
+    for p in (0, 1.5, 1, 4, -2, "2"):
+        with pytest.raises(DomainError, match="maximality test requires a prime"):
+            nonmaximality_conditions_witness(P_Z4, p)
+
+
+def test_maximality_answers_without_the_radical_when_p_squared_does_not_divide_disc(monkeypatch):
+    # structural guard: an overring of index p^k has disc(Q) = p^(2k) disc(Q'),
+    # so p^2 not dividing disc(Q) answers at once; counted, not timed
+    def fail(ring, p):
+        raise RuntimeError("radical computed")
+
+    monkeypatch.setattr(quarticrings, "_radical_subspaces", fail)
+    answered = {}
+    for p in (2, 3, 5, 7):
+        for pair in _random_pairs(60 + p, 40) + [P_Z4]:
+            ring = ring_from_pair(pair)
+            d = ring.disc()
+            if d and d % (p * p):
+                assert is_maximal_at_p(ring, p) == (True, None)
+                answered[p] = answered.get(p, 0) + 1
+    assert min(answered.values()) >= 10 and sum(answered.values()) >= 80
+    # the error types and their order are unchanged
+    degenerate = ring_from_pair(((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0)))
+    with pytest.raises(DegenerateRing):
+        is_maximal_at_p(degenerate, 6)
+    with pytest.raises(DomainError):
+        is_maximal_at_p(ring_from_pair(P_Z4), 6)
+    with pytest.raises(RuntimeError):
+        is_maximal_at_p(ring_from_pair((tuple(2 * v for v in P_A), P_B)), 2)
+
+
+# the oracle walks all ~p^4 candidates of a maximal ring, 0.3 s at p = 7
+@settings(max_examples=12, deadline=None)
+@given(forms, forms, st.sampled_from([2, 3, 5, 7]))
+@example(P_A, P_B, 7)
+def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a, b, p):
+    ring = ring_from_pair((a, b))
+    d = ring.disc()
+    assume(d and d % (p * p))
+    assert is_maximal_at_p(ring, p) == _oracle_walk_is_maximal_at_p(ring, p) == (True, None)
+
+
+def test_table_self_checks_survive_optimize_flag():
+    # a perturbed constant fails the associativity check, and a perturbed
+    # xi-coefficient the constant-term check, under python -O too
+    src = os.path.dirname(os.path.dirname(quarticrings.__file__))
+    code = (
+        "from smallrank import quarticrings as q\n"
+        "pair = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))\n"
+        "c = dict(q.ring_from_pair(pair).c)\n"
+        "c[(1, 2, 0)] += 1\n"
+        "try:\n"
+        "    q._check_associative(q.QuarticRing(c))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "linear = q._c_linear_from_lambda\n"
+        "def perturbed(lam):\n"
+        "    c = linear(lam)\n"
+        "    c[(1, 1, 2)] += 1\n"
+        "    return c\n"
+        "q._c_linear_from_lambda = perturbed\n"
+        "try:\n"
+        "    q.ring_from_pair(pair)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "associativity failure in constructed table",
+        "inconsistent constant term for xi1^2",
+    ]
