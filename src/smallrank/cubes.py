@@ -228,6 +228,8 @@ def triples_equivalent(t1, t2) -> bool:
 
 def identity_cube(d):
     """Cube whose three associated forms are the principal form of d."""
+    if not isinstance(d, int):
+        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
     if d % 4 == 0:
         return (0, 1, 1, 0, 1, 0, 0, d // 4)
     if d % 4 == 1:

@@ -16,28 +16,26 @@ the generators.
 from math import gcd
 
 from .errors import DomainError, NotUnimodular
-from .exactlattice import _trace_disc, mat2_det
+from .exactlattice import _trace, _trace_disc, mat2_det
 
 
 class CubicRing:
-    """Cubic ring with normalized multiplication table, determined by (a, b, e, f)."""
+    """Cubic ring with normalized multiplication table, determined by (a, b, e, f).
+
+    ``ell``, ``m`` and ``n`` are the constant terms of xi1^2, xi1*xi2 and
+    xi2^2, and ``_t`` is the table over (1, xi1, xi2).
+    """
 
     def __init__(self, a, b, e, f):
         if not all(isinstance(v, int) for v in (a, b, e, f)):
             raise DomainError("need integer coefficients, got %r" % ((a, b, e, f),))
         self.a, self.b, self.e, self.f = a, b, e, f
-
-    @property
-    def ell(self):
-        return -self.b * self.f
-
-    @property
-    def m(self):
-        return self.b * self.e
-
-    @property
-    def n(self):
-        return -self.a * self.e
+        self.ell, self.m, self.n = -b * f, b * e, -a * e
+        self._t = (
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (self.ell, a, b), (self.m, 0, 0)),
+            ((0, 0, 1), (self.m, 0, 0), (self.n, e, f)),
+        )
 
     @classmethod
     def from_table(cls, ell, m, n, a, b, c, d, e, f):
@@ -69,14 +67,8 @@ class CubicRing:
             x0 * y2 + x2 * y0 + x1 * y1 * self.b + x2 * y2 * self.f,
         )
 
-    def trace(self, x):
-        """Trace of the multiplication-by-x endomorphism."""
-        x0, x1, x2 = x
-        return 3 * x0 + x1 * self.a + x2 * self.f
-
-    def disc(self) -> int:
-        """Determinant of the trace form on the basis (1, xi1, xi2)."""
-        return _trace_disc(self, 3)
+    trace = _trace
+    disc = _trace_disc
 
     def __eq__(self, other):
         return isinstance(other, CubicRing) and (
@@ -129,6 +121,8 @@ def values_mod(form, m) -> frozenset:
 
     Cost: m^2 evaluations, one for each (x, y) modulo m.
     """
+    if not isinstance(m, int):
+        raise DomainError("need an integer modulus, got %r" % (m,))
     if m < 2:
         raise DomainError("modulus %r below 2" % (m,))
     return frozenset(cubic_eval(form, x, y) % m for x in range(m) for y in range(m))

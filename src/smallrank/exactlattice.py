@@ -108,15 +108,20 @@ def _bareiss(a):
     return prev
 
 
-def _trace_disc(ring, n):
-    # discriminant of a ring of rank n, an int: the determinant of its trace
-    # form Tr(e_i * e_j) on the unit basis.  Tr is linear, so the n basis
-    # traces, taken once, fill the form: Tr(e_i*e_j) = sum_k (e_i*e_j)_k Tr(e_k)
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    tr = [ring.trace(u) for u in basis]
-    return _bareiss(
-        [[sum(a * b for a, b in zip(ring.mul(u, v), tr)) for v in basis] for u in basis]
-    )
+def _trace(ring, x):
+    """Trace of multiplication by the element ``x``.
+
+    A ring's table ``_t[i][j]`` is e_i*e_j in its basis e_0 = 1, e_1, ...,
+    so ``_t[i]`` is the matrix of multiplication by e_i, and Tr is linear.
+    """
+    return sum(xi * sum(row[k] for k, row in enumerate(m)) for xi, m in zip(x, ring._t))
+
+
+def _trace_disc(ring):
+    """Discriminant: det of the trace form, Tr(e_i*e_j) = sum_k _t[i][j][k] Tr(e_k)."""
+    t = ring._t
+    tr = [_trace(ring, e) for e in t[0]]
+    return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
 
 
 def hnf_canonicalize(basis):

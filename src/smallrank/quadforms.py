@@ -10,6 +10,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import (
     DiscriminantMismatch,
+    DomainError,
     NotPositiveDefinite,
     NotPrimitive,
     NotUnimodular,
@@ -258,6 +259,8 @@ def class_group(d):
 
 def represent(f, value):
     """All integer (x, y) with f(x, y) == value, for positive definite f."""
+    if not isinstance(value, int):
+        raise DomainError("need an integer value, got %r" % (value,))
     a, b, c = f
     d = discriminant(f)
     if d >= 0:

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroForm,
 )
-from .exactlattice import _coords2, _hnf_int, _scaled, _unscaled, mat2_det, mat_mul
+from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
     _compose, _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce,
     twisted_act,
@@ -28,12 +28,13 @@ from .quadforms import (
 
 
 class QuadraticRing:
-    """Z[xi] with xi^2 = t*xi - u."""
+    """Z[xi] with xi^2 = t*xi - u, and its table ``_t`` over (1, xi)."""
 
     def __init__(self, t, u):
         if not (isinstance(t, int) and isinstance(u, int)):
             raise DomainError("need integer coefficients, got t=%r, u=%r" % (t, u))
         self.t, self.u = t, u
+        self._t = (((1, 0), (0, 1)), ((0, 1), (-u, t)))
 
     @property
     def disc(self):
@@ -56,8 +57,7 @@ class QuadraticRing:
     def norm(self, x):
         return x[0] * x[0] + self.t * x[0] * x[1] + self.u * x[1] * x[1]
 
-    def trace(self, x):
-        return 2 * x[0] + self.t * x[1]
+    trace = _trace
 
     def __eq__(self, other):
         return isinstance(other, QuadraticRing) and (self.t, self.u) == (other.t, other.u)

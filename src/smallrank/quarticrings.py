@@ -37,6 +37,7 @@ from .exactlattice import (
     _coords2,
     _hnf_coords,
     _hnf_int,
+    _trace,
     _trace_disc,
     _unscaled,
     divisor_sigma,
@@ -70,8 +71,6 @@ __all__ = [
 
 #: Index pairs (i, j) of the six ternary-form coefficients, in storage order.
 SIX = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
-
-_SIX_INDEX = {ij: n for n, ij in enumerate(SIX)}
 
 #: A distinguished rank-2 quotient lattice of a quartic ring: ``lattice`` is
 #: the canonical basis of the minimal rank-2 lattice receiving the quadratic
@@ -236,16 +235,8 @@ class QuarticRing:
             x0 * y3 + x3 * y0 + s11 * a[3] + s12 * b[3] + s13 * c[3] + s22 * d[3] + s23 * e[3] + s33 * f[3],
         )
 
-    def trace(self, x):
-        """Trace of multiplication by the element ``x``.
-
-        Tr(e_i) is the trace of the matrix ``_t[i]``, and Tr is linear in ``x``.
-        """
-        return sum(xi * (m[0][0] + m[1][1] + m[2][2] + m[3][3]) for xi, m in zip(x, self._t))
-
-    def disc(self):
-        """Discriminant: determinant of the trace pairing on 1, xi1..xi3."""
-        return _trace_disc(self, 4)
+    trace = _trace
+    disc = _trace_disc
 
 
 # The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
@@ -559,35 +550,37 @@ def _subspaces(p, s):
 def _radical_subspaces(ring, p):
     """The nonzero subspaces of the nilradical R of Q/pQ, as RREF rows over F_p.
 
-    R is the kernel of x -> x^q, with q the least power of p that is >= 4
-    (a nilpotent element of a rank-4 algebra has x^4 = 0).  That map is
+    The ring may have any rank n; its table row ``_t[0]`` is the unit basis.
+    R is the kernel of x -> x^q, with q the least power of p that is >= n
+    (a nilpotent element of a rank-n algebra has x^n = 0).  That map is
     Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
     and the RREF of [matrix | I] ends with an RREF basis B of its kernel.
-    That RREF is read off the integer HNF of [matrix | I] and p*I_8: each
+    That RREF is read off the integer HNF of [matrix | I] and p*I_2n: each
     column has a pivot 1 or p, and the rows with pivot 1 are the RREF, with
     the entries above a pivot 1 cleared and those above a pivot p in [0, p).
     If C is in RREF then so is C*B, with pivot columns those of B picked by
     C's pivots, and an entry of C*B off B's pivot columns depends only on
     the entries of C to its left.  So the subspaces come out in the order
     of dimension, pivot columns and free entries in row-major order, both
-    of C over F_p^s and of C*B over F_p^4.
+    of C over F_p^s and of C*B over F_p^n.
     """
+    unit = ring._t[0]
+    n = len(unit)
     q = p
-    while q < 4:
+    while q < n:
         q *= p
     rows = []
-    for i in range(4):
-        e = tuple(int(i == j) for j in range(4))
-        power, x, k = (1, 0, 0, 0), e, q
+    for e in unit:
+        power, x, k = unit[0], e, q
         while k:
             if k & 1:
                 power = tuple(t % p for t in ring.mul(power, x))
             x = tuple(t % p for t in ring.mul(x, x))
             k >>= 1
         rows.append(power + e)
-    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(8)] for i in range(8)])
+    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(2 * n)] for i in range(2 * n)])
     rref = [row for row in echelon if next(filter(None, row)) == 1]
-    radical = [row[4:] for row in rref if not any(row[:4])]
+    radical = [row[n:] for row in rref if not any(row[:n])]
     for coeffs in _subspaces(p, len(radical)):
         yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
 
@@ -618,18 +611,23 @@ def is_maximal_at_p(ring, p):
         raise DegenerateRing("maximality is undefined for discriminant zero")
     if not is_prime(p):
         raise DomainError("maximality test requires a prime")
+    return _maximal_at_p(ring, p, d)
+
+
+def _maximal_at_p(ring, p, d):
+    # is_maximal_at_p on a ring of any rank, with discriminant d != 0, p prime
     if d % (p * p):
         return (True, None)
-
-    p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
+    n = len(ring._t)
+    p_rows = [tuple(p * e for e in row) for row in ring._t[0]]
     for rows in _radical_subspaces(ring, p):
         # Q' = H/p with H the integer HNF of pQ + L
         h = _hnf_int(p_rows + rows)
         ph = [[p * e for e in row] for row in h]
         if all(
             _hnf_coords(ph, ring.mul(h[i], h[j])) is not None
-            for i in range(4)
-            for j in range(i, 4)
+            for i in range(n)
+            for j in range(i, n)
         ):
             return (False, _unscaled(h, p))
     return (True, None)
@@ -647,7 +645,7 @@ def is_maximal(ring):
     if d == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
     for p, e in factorize(abs(d)).items():
-        if e >= 2 and not is_maximal_at_p(ring, p)[0]:
+        if e >= 2 and not _maximal_at_p(ring, p, d)[0]:
             return False
     return True
 

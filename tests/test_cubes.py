@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smallrank.errors import Degenerate, NotBalanced, NotInGamma
+from smallrank.errors import Degenerate, NotBalanced, NotInGamma, UnsupportedDiscriminant
 from smallrank.quadforms import compose, discriminant, principal_form, twisted_act
 from smallrank.quadforms import reduce as qreduce
 from smallrank.cubes import (
@@ -124,6 +124,12 @@ def test_identity_cubes():
         tr = triple_from_cube(q)
         s = unit_ideal(tr.ring)
         assert tr.ideals == (s, s, s)
+
+
+def test_identity_cube_rejects_a_non_integer_discriminant():
+    # -3.0 used to give the cube (0, 1, 1, 1, 1, 1, 1, 0.0)
+    with pytest.raises(UnsupportedDiscriminant, match="need an integer discriminant"):
+        identity_cube(-3.0)
 
 
 def test_unit_triple_reproduces_identity_cube():

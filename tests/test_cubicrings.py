@@ -125,6 +125,10 @@ def test_values_mod():
     assert values_mod((0, 1, 1, 0), 2) == {0}
     with pytest.raises(DomainError):
         values_mod((1, 0, 0, 0), 1)
+    # '3' and 2.5 used to let a TypeError escape
+    for m in ("3", 2.5):
+        with pytest.raises(DomainError, match="need an integer modulus"):
+            values_mod((1, 0, 0, 1), m)
 
 
 def test_content():

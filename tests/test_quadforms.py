@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from smallrank import quadforms
 from smallrank.errors import (
     DiscriminantMismatch,
+    DomainError,
     NotPositiveDefinite,
     NotPrimitive,
     UnsupportedDiscriminant,
@@ -392,3 +393,6 @@ def test_represent():
         represent((1, 5, 1), 10)
     with pytest.raises(NotPositiveDefinite):
         represent((-1, 0, -1), 10)
+    # 2.5 used to let a TypeError escape from isqrt
+    with pytest.raises(DomainError, match="need an integer value"):
+        represent((1, 0, 1), 2.5)

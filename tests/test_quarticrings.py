@@ -14,7 +14,7 @@ from test_exactlattice import _oracle_inv
 
 from smallrank import quarticrings
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
-from smallrank.cubicrings import cubic_eval
+from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
 from smallrank.exactlattice import (
     _hnf_int,
     _unscaled,
@@ -26,6 +26,7 @@ from smallrank.exactlattice import (
     mat_det,
     mat_mul,
 )
+from smallrank.quadrings import QuadraticRing
 from smallrank.quarticrings import (
     SIX,
     QuarticRing,
@@ -49,6 +50,7 @@ from smallrank.quarticrings import (
     _check_associative,
     _lam_get,
     _lambda_from_c,
+    _maximal_at_p,
     _radical_subspaces,
     _resolvent_data,
     _subspaces,
@@ -926,3 +928,161 @@ def test_table_self_checks_survive_optimize_flag():
         "associativity failure in constructed table",
         "inconsistent constant term for xi1^2",
     ]
+
+
+# maximal at 2 and at 3, with 2^4 * 3^2 = disc
+P_144 = ((1, -2, -2, -2, -2, 2), (0, 0, 0, 0, 0, 1))
+
+
+def test_is_maximal_computes_the_discriminant_once(monkeypatch):
+    # counted, not timed: every prime that is_maximal tests reuses one disc
+    calls = []
+    disc = QuarticRing.disc
+
+    def counted(ring):
+        calls.append(ring)
+        return disc(ring)
+
+    monkeypatch.setattr(QuarticRing, "disc", counted)
+    six = ring_from_pair((tuple(6 * v for v in P_A), P_B))
+    assert not is_maximal(six)
+    assert len(calls) == 1
+    ring = ring_from_pair(P_144)
+    assert ring.disc() == 144 and len(calls) == 2
+    assert is_maximal(ring)
+    assert len(calls) == 3
+    assert is_maximal_at_p(ring, 2) == is_maximal_at_p(ring, 3) == (True, None)
+
+
+def test_trace_and_disc_read_the_table(monkeypatch):
+    # structural guard: one trace for every rank, and a discriminant that
+    # makes no product
+    assert QuadraticRing.trace is CubicRing.trace is QuarticRing.trace
+
+    def fail(*args):
+        raise RuntimeError("mul called")
+
+    form = (1, -3, 1, 2)
+    cubic = ring_from_cubic_form(form)
+    quartic = ring_from_pair(P_144)
+    monkeypatch.setattr(CubicRing, "mul", fail)
+    monkeypatch.setattr(QuarticRing, "mul", fail)
+    assert cubic.disc() == cubic_form_disc(form) == 5
+    assert quartic.disc() == cubic_form_disc(cubic_resolvent_form(P_144)) == 144
+    assert QuadraticRing(1, 5).trace((3, 4)) == 10
+
+
+def _nonmaximal_quadratic(d, p):
+    # Z[xi] of discriminant d is non-maximal at p exactly when p^2 | d and
+    # d/p^2 is again a discriminant, 0 or 1 mod 4
+    return d % (p * p) == 0 and (d // (p * p)) % 4 in (0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-6, 6), st.integers(-30, 30), st.sampled_from([2, 3, 5, 7]))
+@example(0, 1, 2)  # Z[i], disc -4: maximal
+@example(0, 4, 2)  # Z[2i], disc -16: not maximal
+@example(1, 2, 2)  # disc -7: maximal, 2^2 does not divide
+def test_walk_on_quadratic_rings_agrees_with_the_discriminant_criterion(t, u, p):
+    ring = QuadraticRing(t, u)
+    d = ring.disc
+    assume(d)
+    ok, witness = _maximal_at_p(ring, p, d)
+    assert ok == (not _nonmaximal_quadratic(d, p))
+    if witness is not None:
+        # the overring has the integral discriminant d / [Q' : Q]^2
+        assert (d * mat_det(witness) ** 2).denominator == 1
+
+
+def _nonmaximal_cubic(form, p):
+    # the ring of a binary cubic form f is non-maximal at p exactly when
+    # f = 0 mod p, or some g in GL2(Z/p^2) carries f to a form with p^2 | a
+    # and p | b (Davenport-Heilbronn).  Substituting x -> al*x + ga*y,
+    # y -> be*x + de*y makes a = f(al, be) and b = ga*f_x(al, be) +
+    # de*f_y(al, be); a needs (al, be) mod p^2, b only (ga, de) mod p.
+    a, b, c, d = form
+    if all(v % p == 0 for v in form):
+        return True
+    for al in range(p * p):
+        for be in range(p * p):
+            if (al % p or be % p) and cubic_eval(form, al, be) % (p * p) == 0:
+                fx = 3 * a * al * al + 2 * b * al * be + c * be * be
+                fy = b * al * al + 2 * c * al * be + 3 * d * be * be
+                for ga in range(p):
+                    for de in range(p):
+                        if (al * de - be * ga) % p and (ga * fx + de * fy) % p == 0:
+                            return True
+    return False
+
+
+cubic_forms = st.tuples(*[st.integers(-4, 4)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubic_forms, st.sampled_from([2, 3, 5]), st.booleans())
+@example((1, 0, 1, 1), 2, False)  # disc -31: maximal, q = 4
+@example((1, 0, 0, 2), 2, True)  # (4, 0, 0, 2): p^2 | a and p | b, q = 4
+@example((1, 0, 0, -3), 3, False)  # Eisenstein at 3: maximal, q = 3
+@example((1, 0, 0, -10), 3, False)  # 10 = 1 mod 9: not maximal, q = 3
+def test_walk_on_cubic_rings_agrees_with_the_davenport_heilbronn_criterion(form, p, tilt):
+    if tilt:
+        form = (p * p * form[0], p * form[1], form[2], form[3])
+    d = cubic_form_disc(form)
+    assume(d)
+    ring = ring_from_cubic_form(form)
+    ok, witness = _maximal_at_p(ring, p, d)
+    assert ok == (not _nonmaximal_cubic(form, p))
+    if witness is not None:
+        assert (d * mat_det(witness) ** 2).denominator == 1
+
+
+def _substitute(form, g):
+    # the ternary form x -> form(g x), coefficients read off its values
+    def value(x):
+        return ternary_eval(form, [sum(gij * xj for gij, xj in zip(row, x)) for row in g])
+
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    diag = [value(v) for v in e]
+    cross = [
+        value([a + b for a, b in zip(e[i], e[j])]) - diag[i] - diag[j]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    return tuple(diag + cross)
+
+
+# GL2(Z) matrices, three of determinant -1
+GL2 = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, -1)), ((2, 1), (1, 1)), ((1, 2), (0, -1)))
+# elementary SL3(Z) moves: add k times column j to column i
+OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
+sl3_moves = st.lists(st.tuples(st.sampled_from(OFF_DIAGONAL), st.integers(-2, 2)), max_size=4)
+
+
+def _invariants(pair):
+    ring = ring_from_pair(pair)
+    d = ring.disc()
+    try:
+        count = count_numerical_resolvents(ring)
+    except TrivialRing:
+        count = None
+    maximal = [is_maximal_at_p(ring, p)[0] for p in (2, 3, 5)] if d else None
+    return d, count, maximal
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms, forms, st.sampled_from(GL2), st.integers(-2, 2), sl3_moves)
+@example(P_A, P_B, GL2[1], 0, [])
+@example(tuple(2 * v for v in P_A), P_B, GL2[2], 1, [((0, 1), 1), ((2, 0), -1)])
+@example(P_144[0], P_144[1], GL2[4], -1, [((1, 2), 2)])
+def test_quartic_invariants_are_gl2_times_sl3_invariant(a, b, g2, k, moves):
+    # g.(A, B) gives an isomorphic ring (Bhargava, HCL III, Thm 1), so its
+    # discriminant, resolvent count and maximality answers do not move
+    (r, s), (t, u) = g2
+    a2 = tuple(r * x + s * y + k * (t * x + u * y) for x, y in zip(a, b))
+    b2 = tuple(t * x + u * y for x, y in zip(a, b))
+    g3 = [[int(i == j) for j in range(3)] for i in range(3)]
+    for (i, j), c in moves:
+        for row in g3:
+            row[i] += c * row[j]
+    assert mat_det(g3) == 1
+    moved = (_substitute(a2, g3), _substitute(b2, g3))
+    assert _invariants(moved) == _invariants((a, b))
