@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import Degenerate, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
 from .exactlattice import lattice_intersect, mat2_det
-from .quadforms import discriminant, represent
+from .quadforms import _check_ints, discriminant, represent
 from .quadrings import (
     QuadIdeal,
     QuadraticRing,
@@ -239,4 +239,5 @@ def identity_cube(d):
 
 def dirichlet_cube(d, f, g, h):
     """Classical composition data: forms (-d, h, f*g), (-g, h, d*f), (-f, h, d*g)."""
+    _check_ints((d, f, g, h))
     return (1, 0, 0, d, 0, f, g, -h)

@@ -17,6 +17,7 @@ from math import gcd
 
 from .errors import DomainError, NotUnimodular
 from .exactlattice import _trace, _trace_disc, mat2_det
+from .quadforms import _check_ints
 
 
 class CubicRing:
@@ -123,6 +124,7 @@ def values_mod(form, m) -> frozenset:
     """
     if not isinstance(m, int):
         raise DomainError("need an integer modulus, got %r" % (m,))
+    _check_ints(form)
     if m < 2:
         raise DomainError("modulus %r below 2" % (m,))
     return frozenset(cubic_eval(form, x, y) % m for x in range(m) for y in range(m))
@@ -130,6 +132,7 @@ def values_mod(form, m) -> frozenset:
 
 def cubic_twisted_act(mat, form):
     """Substitute (x, y) -> (x, y) * mat and divide by det(mat)."""
+    _check_ints(*mat, form)
     det = mat2_det(mat)
     if det not in (1, -1):
         raise NotUnimodular("determinant %r not a unit" % (det,))
@@ -162,6 +165,8 @@ def idempotents_within(ring, height=10):
     Brute-force box search: a semi-decision used to recognize split rings.
     Cost: (2*height + 1)^3 products, one for each point of the box.
     """
+    if not isinstance(height, int):
+        raise DomainError("need an integer height, got %r" % (height,))
     out = []
     rng = range(-height, height + 1)
     for x0 in rng:

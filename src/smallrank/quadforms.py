@@ -7,6 +7,7 @@ improper equivalences preserve the discriminant.
 """
 
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .errors import (
     DiscriminantMismatch,
@@ -17,8 +18,6 @@ from .errors import (
     UnsupportedDiscriminant,
 )
 from .exactlattice import factorize, mat2_det, xgcd
-
-IDENTITY = ((1, 0), (0, 1))
 
 
 def discriminant(f) -> int:
@@ -31,15 +30,14 @@ def content(f) -> int:
     return gcd(a, b, c)
 
 
-def mat2_mul(m1, m2):
-    return (
-        (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0], m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-        (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0], m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
-    )
+def _check_ints(*rows):
+    if not all(isinstance(v, int) for row in rows for v in row):
+        raise DomainError("need integer coefficients, got " + ", ".join(map(repr, rows)))
 
 
 def twisted_act(m, f):
     """Determinant-twisted action of m in GL2(Z) on the form f."""
+    _check_ints(*m, f)
     det = mat2_det(m)
     if det not in (1, -1):
         raise NotUnimodular("determinant %d" % det)
@@ -65,25 +63,44 @@ def reduce(f):
 
     Returns (g, m) with g reduced and twisted_act(m, f) == g.
     """
+    _check_ints(f)
     a, b, c = f
     if discriminant(f) >= 0:
         raise UnsupportedDiscriminant("reduction implemented for negative discriminants only")
     if a <= 0:
         raise NotPositiveDefinite("leading coefficient %d <= 0; negate the form first" % a)
-    m = IDENTITY
-    while not is_reduced((a, b, c)):
+    return _reduce(a, b, c)
+
+
+def _reduce(a, b, c):
+    # Lagrange steps on the positive definite form (a, b, c), tracking
+    # m = ((p, q), (r, s)) with det m = 1: a swap multiplies m on the left by
+    # ((0, -1), (1, 0)) and a translation by ((1, 0), (k, 1)).  The loop stops
+    # exactly when the form is reduced (is_reduced); the end checks that m
+    # takes the input to the output, as twisted_act would, also under -O.
+    a0, b0, c0 = a, b, c
+    p, q, r, s = 1, 0, 0, 1
+    while True:
         if a > c or (a == c and b < 0):
             # swap the two variables with a sign to flip b
             a, b, c = c, -b, a
-            m = mat2_mul(((0, -1), (1, 0)), m)
+            p, q, r, s = -r, -s, p, q
+        elif -a < b <= a:
+            break
         else:
             # translate so that -a < b <= a
             k = (a - b) // (2 * a)
-            a, b, c = a, b + 2 * k * a, a * k * k + b * k + c
-            m = mat2_mul(((1, 0), (k, 1)), m)
-    g = (a, b, c)
-    assert twisted_act(m, f) == g
-    return g, m
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+            r, s = r + k * p, s + k * q
+    if p * s - q * r != 1 or (
+        a0 * p * p + b0 * p * q + c0 * q * q,
+        2 * a0 * p * r + b0 * (p * s + q * r) + 2 * c0 * q * s,
+        a0 * r * r + b0 * r * s + c0 * s * s,
+    ) != (a, b, c):
+        raise AssertionError(
+            "reduction matrix does not take %r to %r" % ((a0, b0, c0), (a, b, c))
+        )
+    return (a, b, c), ((p, q), (r, s))
 
 
 def _check_disc(d):
@@ -125,6 +142,7 @@ def compose(f, g):
     semigroup also uses for imprimitive forms; its docstring has the proof.
     Cost: two xgcd steps and one reduction.
     """
+    _check_ints(f, g)
     d = discriminant(f)
     if d != discriminant(g):
         raise DiscriminantMismatch("%d vs %d" % (d, discriminant(g)))
@@ -166,10 +184,12 @@ def _compose(f, g, d):
     u, v = u2 * u1, u2 * v1
     assert u * a1 + v * a2 + w * s == e
     big_a = a1 * a2 * gcd(e, n, c1, c2) // (e * e)
+    if big_a <= 0:
+        raise NotPositiveDefinite("composition of a positive and a negative definite form")
     big_b = (b2 + 2 * (a2 // e) * (v * n - w * c2)) % (2 * big_a)
     big_c = (big_b * big_b - d) // (4 * big_a)
     assert discriminant((big_a, big_b, big_c)) == d
-    h = reduce((big_a, big_b, big_c))[0]
+    h = _reduce(big_a, big_b, big_c)[0]
     if gcd(*h) != lcm(gcd(a1, b1, c1), gcd(a2, b2, c2)):
         raise AssertionError("content of %r * %r is not the lcm of theirs" % (f, g))
     return h
@@ -189,7 +209,9 @@ def _monoid_table(n, ident, product):
     # spreads it over the orbit of k, g*(r*k) = r*(g*k) for r in R, so a
     # group costs one product per coset of R other than R, fewer than 2n in
     # all.  An entry reached twice must agree.  Closing R under times g,
-    # row(x*g) = times_g o row(x), suffices because the product commutes.
+    # row(x*g)[k] = x*(g*k), suffices because the product commutes; each new
+    # row is one gather of row(x) by times_g (n >= 2 here, so the gather
+    # returns a tuple).
     rows = {ident: list(range(n))}
     for g in range(n):
         if g in rows:
@@ -204,12 +226,13 @@ def _monoid_table(n, ident, product):
                         times_g[x] = y
                     elif times_g[x] != y:
                         raise AssertionError("monoid table must be symmetric")
+        gather = itemgetter(*times_g)
         todo = list(rows)
         while todo:
             x = todo.pop()
             y = times_g[x]
             if y not in rows:
-                rows[y] = [times_g[k] for k in rows[x]]
+                rows[y] = list(gather(rows[x]))
                 todo.append(y)
     table = [rows[x] for x in range(n)]
     assert table == [list(col) for col in zip(*table)], "monoid table must be symmetric"
@@ -244,7 +267,7 @@ def class_group(d):
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
     index = {f: i for i, f in enumerate(elements)}
     h, ident = len(elements), index[principal_form(d)]
-    table = _monoid_table(h, ident, lambda i, j: index[compose(elements[i], elements[j])])
+    table = _monoid_table(h, ident, lambda i, j: index[_compose(elements[i], elements[j], d)])
     orders = [0] * h
     for i in range(h):
         if not orders[i]:
@@ -261,6 +284,7 @@ def represent(f, value):
     """All integer (x, y) with f(x, y) == value, for positive definite f."""
     if not isinstance(value, int):
         raise DomainError("need an integer value, got %r" % (value,))
+    _check_ints(f)
     a, b, c = f
     d = discriminant(f)
     if d >= 0:

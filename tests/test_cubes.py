@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smallrank.errors import Degenerate, NotBalanced, NotInGamma, UnsupportedDiscriminant
+from smallrank.errors import (
+    Degenerate,
+    DomainError,
+    NotBalanced,
+    NotInGamma,
+    UnsupportedDiscriminant,
+)
 from smallrank.quadforms import compose, discriminant, principal_form, twisted_act
 from smallrank.quadforms import reduce as qreduce
 from smallrank.cubes import (
@@ -257,6 +263,12 @@ def test_dirichlet_cube_display_forms():
         (-5, 1, 6),
         (-3, 1, 10),
     )
+
+
+def test_dirichlet_cube_rejects_non_integers():
+    # -1.0 used to come back as a float entry of the cube
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        dirichlet_cube(-1.0, 2, 3, 1)
 
 
 def test_dirichlet_cubes_compose_to_principal():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smallrank.errors import DomainError, NotUnimodular
-from smallrank.exactlattice import mat_det
+from smallrank.exactlattice import mat_det, mat_mul
 from smallrank.cubicrings import (
     CubicRing,
     cubic_content,
@@ -18,7 +18,6 @@ from smallrank.cubicrings import (
     ring_from_cubic_form,
     values_mod,
 )
-from smallrank.quadforms import mat2_mul
 
 coeff = st.integers(min_value=-8, max_value=8)
 forms = st.tuples(coeff, coeff, coeff, coeff)
@@ -129,6 +128,9 @@ def test_values_mod():
     for m in ("3", 2.5):
         with pytest.raises(DomainError, match="need an integer modulus"):
             values_mod((1, 0, 0, 1), m)
+    # a float coefficient used to give float residues
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        values_mod((1.5, 0, 0, 1), 3)
 
 
 def test_content():
@@ -147,7 +149,7 @@ def test_twisted_act_composes_and_preserves_disc():
         assert cubic_form_disc(acted) == cubic_form_disc(form)
         assert cubic_content(acted) == cubic_content(form)
         assert cubic_twisted_act(m2, acted) == cubic_twisted_act(
-            mat2_mul(m2, m1), form
+            mat_mul(m2, m1), form
         )
 
 
@@ -167,6 +169,12 @@ def test_twisted_act_rejects_non_unimodular():
         cubic_twisted_act(((2, 0), (0, 1)), (1, 0, 0, 1))
 
 
+def test_twisted_act_rejects_non_integer_coefficients():
+    # a float coefficient used to fail the divisibility assert
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        cubic_twisted_act(((1, 0), (0, 1)), (1.5, 0, 0, 1))
+
+
 def test_idempotents():
     split = ring_from_cubic_form((0, 1, 1, 0))
     assert len(idempotents_within(split)) == 8
@@ -174,3 +182,6 @@ def test_idempotents():
     assert (1, 0, 0) in idempotents_within(split)
     domain = ring_from_cubic_form((1, 0, 1, 1))
     assert idempotents_within(domain) == ((0, 0, 0), (1, 0, 0))
+    # a float height used to let a TypeError escape from range
+    with pytest.raises(DomainError, match="need an integer height"):
+        idempotents_within(domain, 1.5)

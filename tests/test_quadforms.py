@@ -19,6 +19,7 @@ from smallrank.errors import (
     NotPrimitive,
     UnsupportedDiscriminant,
 )
+from smallrank.exactlattice import mat_mul
 from smallrank.quadforms import (
     _compose,
     _structure,
@@ -28,7 +29,6 @@ from smallrank.quadforms import (
     discriminant,
     enumerate_reduced,
     is_reduced,
-    mat2_mul,
     principal_form,
     reduce,
     represent,
@@ -52,9 +52,9 @@ def _unimodular():
     shear = st.integers(min_value=-4, max_value=4)
 
     def build(x, y, z, e):
-        m = mat2_mul(((1, x), (0, 1)), ((1, 0), (y, 1)))
-        m = mat2_mul(m, ((1, z), (0, 1)))
-        return mat2_mul(m, ((1, 0), (0, e)))
+        m = mat_mul(((1, x), (0, 1)), ((1, 0), (y, 1)))
+        m = mat_mul(m, ((1, z), (0, 1)))
+        return mat_mul(m, ((1, 0), (0, e)))
 
     return st.builds(build, shear, shear, shear, st.sampled_from((1, -1)))
 
@@ -69,7 +69,7 @@ def test_discriminant_and_content():
 
 @given(_unimodular(), _unimodular(), _posdef_forms())
 def test_twisted_action_composes(m2, m1, f):
-    assert twisted_act(m2, twisted_act(m1, f)) == twisted_act(mat2_mul(m2, m1), f)
+    assert twisted_act(m2, twisted_act(m1, f)) == twisted_act(mat_mul(m2, m1), f)
 
 
 @given(_unimodular(), _posdef_forms())
@@ -85,6 +85,40 @@ def test_reduce_contract(f):
     assert is_reduced(g)
     assert discriminant(g) == discriminant(f)
     assert twisted_act(m, f) == g
+
+
+# The reduction that multiplied 2x2 matrix tuples on every step and checked
+# the result with twisted_act, replaced by the four-int walk of _reduce;
+# kept as its oracle.
+def _oracle_reduce(f):
+    a, b, c = f
+    m = ((1, 0), (0, 1))
+    while not is_reduced((a, b, c)):
+        if a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            m = mat_mul(((0, -1), (1, 0)), m)
+        else:
+            k = (a - b) // (2 * a)
+            a, b, c = a, b + 2 * k * a, a * k * k + b * k + c
+            m = mat_mul(((1, 0), (k, 1)), m)
+    g = (a, b, c)
+    assert twisted_act(m, f) == g
+    return g, m
+
+
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    ).map(lambda t: (t[0], t[1], (t[1] * t[1]) // (4 * t[0]) + t[2]))
+)
+@example((15, 27, 13))
+@example((1, 1, 1))
+@example((3, -3, 3))
+def test_reduce_agrees_with_matrix_walk_oracle(f):
+    # both the reduced form and the matrix, for forms far from reduced too
+    assert reduce(f) == _oracle_reduce(f)
 
 
 def test_reduce_errors():
@@ -192,6 +226,21 @@ def test_compose_indefinite_is_a_domain_error():
     # negative definite forms still compose, to a reduced positive form
     assert compose((-2, 1, -3), (-2, -1, -3)) == (1, 1, 6)
     assert compose((-1, 1, -6), (-2, 1, -3)) == (2, 1, 3)
+    # a positive with a negative definite form has no positive product
+    with pytest.raises(NotPositiveDefinite):
+        compose((1, 1, 6), (-1, 1, -6))
+
+
+def test_non_integer_coefficients_are_domain_errors():
+    # each once raised a bare AssertionError or let a TypeError escape
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        reduce((1.5, 1, 3))
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        twisted_act(((1, 0), (0, 1)), (1.5, 0, 1))
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        compose((1, 1, 1.5), (1, 1, 1.5))
+    with pytest.raises(DomainError, match="need integer coefficients"):
+        represent((1.5, 0, 1), 4)
 
 
 
@@ -204,14 +253,14 @@ def test_compose_keeps_its_checks_and_the_kernel_takes_imprimitive_forms():
     assert _compose((2, 2, 13), (2, 2, 13), -100) == compose((2, 2, 13), (2, 2, 13))
 
 
-def _principal_reduce(f):
-    return principal_form(discriminant(f)), quadforms.IDENTITY
+def _principal_reduce(a, b, c):
+    return principal_form(discriminant((a, b, c))), ((1, 0), (0, 1))
 
 
 def test_compose_content_check_catches_a_wrong_reduction(monkeypatch):
     # fault injection: a reduction that returns the principal form gives
     # content 1, not lcm(5, 5) = 5
-    monkeypatch.setattr(quadforms, "reduce", _principal_reduce)
+    monkeypatch.setattr(quadforms, "_reduce", _principal_reduce)
     with pytest.raises(AssertionError, match="lcm"):
         _compose((5, 0, 5), (5, 0, 5), -100)
 
@@ -220,7 +269,7 @@ def test_compose_content_check_survives_optimize_flag():
     src = os.path.dirname(os.path.dirname(quadforms.__file__))
     code = (
         "from smallrank import quadforms\n"
-        "quadforms.reduce = lambda f: ((1, 0, 25), quadforms.IDENTITY)\n"
+        "quadforms._reduce = lambda a, b, c: ((1, 0, 25), ((1, 0), (0, 1)))\n"
         "try:\n"
         "    quadforms._compose((5, 0, 5), (5, 0, 5), -100)\n"
         "except AssertionError:\n"
@@ -317,11 +366,11 @@ def test_class_group_agrees_with_composition_oracle_sampled(k, r):
 def _count_compositions(monkeypatch):
     calls = []
 
-    def counting_compose(f, g):
+    def counting_compose(f, g, d):
         calls.append(1)
-        return compose(f, g)
+        return _compose(f, g, d)
 
-    monkeypatch.setattr(quadforms, "compose", counting_compose)
+    monkeypatch.setattr(quadforms, "_compose", counting_compose)
     return calls
 
 
@@ -337,6 +386,7 @@ def test_class_group_makes_fewer_than_2h_compositions(k, r):
         calls = _count_compositions(monkeypatch)
         elements, _, _ = class_group(d)
     assert len(calls) < 2 * len(elements)
+    assert calls or len(elements) == 1
 
 
 def test_class_group_composition_counts(monkeypatch):
