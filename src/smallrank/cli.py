@@ -147,14 +147,16 @@ def _class_table(D, elements, table, notes, payload, footer):
             labels.append(letters[used] if used < len(letters) else "K%d" % used)
             used += 1
     payload["elements"] = [_form_json(f) for f in elements]
-    payload["table"] = [[_s(t) for t in row] for row in table]
+    # the cells are indices below h, too short for the digit limit _s guards
+    payload["table"] = [list(map(str, row)) for row in table]
     lines = ["discriminant: %d" % D, "classes: %d" % len(elements)]
     lines += ["%s = %s%s" % (l, _fmt_form(f), n) for l, f, n in zip(labels, elements, notes)]
     lines += footer
     width = max(len(l) for l in labels)
-    lines.append("%s  %s" % ("*".rjust(width), " ".join(l.rjust(width) for l in labels)))
-    for l, row in zip(labels, table):
-        lines.append("%s  %s" % (l.rjust(width), " ".join(labels[t].rjust(width) for t in row)))
+    padded = [l.rjust(width) for l in labels]
+    lines.append("%s  %s" % ("*".rjust(width), " ".join(padded)))
+    for l, row in zip(padded, table):
+        lines.append("%s  %s" % (l, " ".join(map(padded.__getitem__, row))))
     return payload, lines
 
 

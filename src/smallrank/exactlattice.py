@@ -5,13 +5,13 @@ The canonical form is the row-style HNF: pivots positive and on the diagonal
 of the surviving rows, entries above each pivot reduced into [0, pivot).
 
 One representation: integer rows over one positive denominator, produced
-by ``_scaled``.  All elimination in the package runs here, on those
-integers (HNF, and one fraction-free Gauss-Jordan pass for determinant,
-trace-form discriminant and coordinates), and ``_unscaled`` builds the
-``Fraction`` rows that public functions return.  Two special cases skip the
-elimination: ``_hnf_coords`` solves against a basis already in HNF by
-substitution, column by column, and ``_coords2`` solves a 2x2 system by
-Cramer's rule on ``mat2_det``.
+by ``_scaled``, and one kernel per primitive on those integers:
+``_hnf_int`` for the HNF, ``_bareiss`` (fraction-free Gauss-Jordan) for
+determinants and the trace-form discriminant, and for coordinates
+``_hnf_coords`` against a basis already in HNF, by substitution column by
+column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
+``mat2_det``.  ``_unscaled`` builds the ``Fraction`` rows that public
+functions return.
 """
 
 from fractions import Fraction
@@ -69,13 +69,17 @@ def _hnf_int(rows):
 
 def _scaled(rows):
     # integer rows and the least positive denominator den with
-    # rows == int_rows / den; DimensionError for rows of unequal length
+    # rows == int_rows / den; DimensionError for rows of unequal length,
+    # DomainError for an entry that Fraction rejects (None, "x", inf)
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
     if all(type(e) is int for row in rows for e in row):  # the usual input
         return rows, 1
-    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
+    try:
+        rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
+    except (ValueError, TypeError, OverflowError):
+        raise DomainError("need rational entries, got %r" % (rows,)) from None
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
@@ -124,27 +128,6 @@ def _trace_disc(ring):
     return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
 
 
-def hnf_canonicalize(basis):
-    """Canonical full-rank HNF basis of the lattice generated by the rows."""
-    ints, den = _scaled(basis)
-    if not ints:
-        raise RankError("empty generating set")
-    n = len(ints[0])
-    hnf = _hnf_int(ints)
-    if len(hnf) < n:
-        raise RankError("rank %d < ambient dimension %d" % (len(hnf), n))
-    return _unscaled(hnf, den)
-
-
-def mat_det(rows):
-    """Determinant of a square rational matrix, as a Fraction."""
-    ints, den = _scaled(rows)
-    n = len(ints)
-    if ints and len(ints[0]) != n:
-        raise DimensionError("mat_det needs a square matrix")
-    return Fraction(_bareiss(ints), den**n)
-
-
 def mat_mul(a, b):
     """Matrix product of two row-major rational matrices."""
     return tuple(
@@ -156,28 +139,6 @@ def mat_mul(a, b):
 def mat2_det(m):
     """Determinant of a 2x2 matrix, in the type of its entries."""
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def lattice_coords(basis, vectors):
-    """Integer coordinate rows x with x * basis == v, one per vector v.
-
-    None if some v is off the lattice.  ``basis`` is a square, full-rank
-    rational matrix (RankError if singular or empty) and every vector has
-    its length (DimensionError otherwise).
-    """
-    n = len(basis)
-    rows = [*basis, *vectors]
-    if any(len(row) != n for row in rows):
-        raise DimensionError("lattice_coords needs a square basis and vectors of its length")
-    ints, _ = _scaled(rows)  # the common denominator cancels
-    # basis^T x^T = v^T: Bareiss on [basis^T | vectors^T] leaves det * x^T
-    aug = [list(col) for col in zip(*ints)]
-    det = _bareiss(aug)
-    if not n or not det:
-        raise RankError("singular or empty basis")
-    if any(e % det for row in aug for e in row[n:]):
-        return None
-    return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
 
 
 def _hnf_coords(h, v):
@@ -198,9 +159,10 @@ def _hnf_coords(h, v):
 
 
 def _coords2(rows, vectors):
-    # lattice_coords for a 2x2 basis, by Cramer's rule: x * rows == v has
-    # x = (v0*d - v1*c, a*v1 - b*v0) / det for rows ((a, b), (c, d)), all
-    # integers; RankError if det == 0, None if some v is off the lattice
+    # integer coordinate rows x with x * rows == v, one per vector v, for a
+    # 2x2 integer basis, by Cramer's rule: x = (v0*d - v1*c, a*v1 - b*v0) / det
+    # for rows ((a, b), (c, d)); RankError if det == 0, None if some v is off
+    # the lattice
     (a, b), (c, d) = rows
     det = mat2_det(rows)
     if not det:

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _compose, _monoid_table, content, discriminant, enumerate_reduced, principal_form, reduce,
-    twisted_act,
+    _check_ints, _compose, _monoid_table, content, discriminant, enumerate_reduced, principal_form,
+    reduce, twisted_act,
 )
 
 
@@ -159,6 +159,7 @@ def form_from_ideal(ideal):
 
 def ideal_from_form(f, ring) -> QuadIdeal:
     """The ideal whose stored basis has raw associated form exactly f."""
+    _check_ints(f)
     if f == (0, 0, 0):
         raise ZeroForm("the zero form defines no ideal")
     if discriminant(f) != ring.disc:

@@ -34,6 +34,7 @@ from math import gcd
 
 from .errors import DegenerateRing, DomainError, TrivialRing
 from .exactlattice import (
+    _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_int,
@@ -45,7 +46,6 @@ from .exactlattice import (
     factorize,
     is_prime,
     mat2_det,
-    mat_det,
     mat_mul,
 )
 from .cubicrings import cubic_form_disc, ring_from_cubic_form
@@ -515,7 +515,7 @@ def resolvent_identity_check(pair, x):
     e = (0, x1, x2, x3)
     e2 = ring.mul(e, e)
     e3 = ring.mul(e2, e)
-    lhs = mat_det((e[1:], e2[1:], e3[1:]))
+    lhs = _bareiss([e[1:], e2[1:], e3[1:]])
 
     av = ternary_eval(a, (x1, x2, x3))
     bv = ternary_eval(b, (x1, x2, x3))

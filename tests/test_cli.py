@@ -61,6 +61,23 @@ def test_semigroup_example(capsys):
     assert b_row and b_row[0][1:] == ["B", "B", "B"]
 
 
+def test_class_tables_make_no_s_call_per_cell(capsys, monkeypatch):
+    # counted, not timed: _s guards the forms and the structure, a fixed
+    # number of calls per class, and the h^2 table cells are plain indices
+    calls = []
+    s = cli._s
+    monkeypatch.setattr(cli, "_s", lambda v: calls.append(v) or s(v))
+    for command in ("classgroup", "semigroup"):
+        for flags in ([], ["--json"]):
+            calls.clear()
+            assert main([command, *flags, "--", "-9999"]) == 0
+            out = capsys.readouterr().out
+            # the text starts "discriminant: D", "classes: h"
+            h = len(json.loads(out)["elements"]) if flags else int(out.split()[3])
+            assert h >= 88
+            assert 0 < len(calls) <= 7 * h < h * h
+
+
 def test_resolvent_example(capsys, tmp_path):
     payload = {
         "A": ["0", "0", "0", "5", "0", "-5"],

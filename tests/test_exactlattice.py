@@ -1,12 +1,13 @@
 """Exact integer/rational lattice arithmetic."""
 
+import ast
 import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,25 +17,76 @@ from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     _MR_BASES,
     _PSI_13,
+    _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_int,
+    _scaled,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
+    _unscaled,
     divisor_sigma,
     divisors,
     factorize,
-    hnf_canonicalize,
     is_prime,
-    lattice_coords,
     lattice_intersect,
     mat2_det,
-    mat_det,
     mat_mul,
     xgcd,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+# The Fraction front-ends of the integer kernels, public once but with no
+# caller in the package; kept as the references that the kernels and the
+# Fraction oracles of the other modules are checked against.
+def _oracle_hnf_canonicalize(basis):
+    """Canonical full-rank HNF basis of the lattice generated by the rows."""
+    ints, den = _scaled(basis)
+    if not ints:
+        raise RankError("empty generating set")
+    n = len(ints[0])
+    hnf = _hnf_int(ints)
+    if len(hnf) < n:
+        raise RankError("rank %d < ambient dimension %d" % (len(hnf), n))
+    return _unscaled(hnf, den)
+
+
+def _oracle_mat_det(rows):
+    """Determinant of a square rational matrix, as a Fraction."""
+    ints, den = _scaled(rows)
+    n = len(ints)
+    if ints and len(ints[0]) != n:
+        raise DimensionError("mat_det needs a square matrix")
+    return Fraction(_bareiss(ints), den**n)
+
+
+def _oracle_lattice_coords(basis, vectors):
+    """Integer coordinate rows x with x * basis == v, one per vector v.
+
+    None if some v is off the lattice.  ``basis`` is a square, full-rank
+    rational matrix (RankError if singular or empty) and every vector has
+    its length (DimensionError otherwise).
+    """
+    n = len(basis)
+    rows = [*basis, *vectors]
+    if any(len(row) != n for row in rows):
+        raise DimensionError("lattice_coords needs a square basis and vectors of its length")
+    ints, _ = _scaled(rows)  # the common denominator cancels
+    # basis^T x^T = v^T: Bareiss on [basis^T | vectors^T] leaves det * x^T
+    aug = [list(col) for col in zip(*ints)]
+    det = _bareiss(aug)
+    if not n or not det:
+        raise RankError("singular or empty basis")
+    if any(e % det for row in aug for e in row[n:]):
+        return None
+    return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
+
+
+def _det(rows):
+    # the Bareiss determinant of integer rows, on a copy
+    return _bareiss([list(row) for row in rows])
 
 
 # Reference Gaussian eliminations over Fraction, the implementation that the
@@ -76,8 +128,8 @@ def _oracle_inv(rows):
 
 
 # Rational solve through the inverse, the implementation (solve_left and the
-# inverse-and-denominator loops) that lattice_coords replaced; kept as its
-# oracle.
+# inverse-and-denominator loops) that lattice_coords replaced; kept as the
+# oracle of _oracle_lattice_coords.
 def _oracle_coords(basis, vectors):
     inv = _oracle_inv(basis)
     out = []
@@ -110,19 +162,17 @@ def _identity(n, scalar=1):
 
 @given(square_matrices())
 def test_det_and_inverse_agree_with_fraction_oracle(m):
+    # Bareiss on [m | I], m scaled to integer rows over den: the determinant,
+    # then d*I and the adjugate d * m^-1 when d != 0
     det = _oracle_det(m)
-    assert mat_det(m) == det
     n = len(m)
-    if det == 0:
-        with pytest.raises(RankError):
-            lattice_coords(m, _identity(n))
-    else:
-        # the coordinates of s*I are s*m^-1, integral once s clears denominators
-        inv = _oracle_inv(m)
-        s = lcm(*(e.denominator for row in inv for e in row))
-        assert lattice_coords(m, _identity(n, s)) == tuple(
-            tuple(s * e for e in row) for row in inv
-        )
+    ints, den = _scaled(m)
+    aug = [row + e for row, e in zip(ints, _identity(n))]
+    d = _bareiss(aug)
+    assert Fraction(d, den**n) == det
+    if d:
+        assert [row[:n] for row in aug] == _identity(n, d)
+        assert [row[n:] for row in aug] == [[d * e for e in row] for row in _oracle_inv(ints)]
 
 
 @st.composite
@@ -137,20 +187,20 @@ def bases_and_vectors(draw):
 
 @given(bases_and_vectors())
 def test_lattice_coords_agrees_with_inverse_oracle(case):
+    # the Bareiss solve on [basis^T | vectors^T], the reference that the two
+    # coordinate kernels are checked against below
     basis, combos, others = case
     n = len(basis)
     on = [[sum(c[i] * basis[i][j] for i in range(n)) for j in range(n)] for c in combos]
-    with pytest.raises(DimensionError):
-        lattice_coords(basis, on + [[0] * (n + 1)])
     if _oracle_det(basis) == 0:
         with pytest.raises(RankError):
-            lattice_coords(basis, on + others)
+            _oracle_lattice_coords(basis, on + others)
         return
-    assert lattice_coords(basis, on) == tuple(tuple(c) for c in combos)
-    coords = lattice_coords(basis, on + others)
+    assert _oracle_lattice_coords(basis, on) == tuple(tuple(c) for c in combos)
+    coords = _oracle_lattice_coords(basis, on + others)
     assert coords == _oracle_coords(basis, on + others)
     if coords is None:
-        assert any(lattice_coords(basis, [v]) is None for v in others)
+        assert any(_oracle_lattice_coords(basis, [v]) is None for v in others)
 
 
 @st.composite
@@ -177,7 +227,7 @@ def test_hnf_coords_agrees_with_lattice_coords(case):
     h, vectors = case
     for v in vectors:
         x = _hnf_coords(h, v)
-        expected = lattice_coords(h, [v])
+        expected = _oracle_lattice_coords(h, [v])
         assert x == (None if expected is None else expected[0])
 
 
@@ -198,12 +248,12 @@ def test_coords2_agrees_with_lattice_coords(rows, combos, others):
     on = [tuple(x * a + y * c for a, c in zip(*rows)) for x, y in combos]
     vectors = on + others
     if mat2_det(rows) == 0:
-        for f in (_coords2, lattice_coords):
+        for f in (_coords2, _oracle_lattice_coords):
             with pytest.raises(RankError):
                 f(rows, vectors)
         return
-    assert _coords2(rows, vectors) == lattice_coords(rows, vectors)
-    assert _coords2(rows, on) == lattice_coords(rows, on) == tuple(map(tuple, combos))
+    assert _coords2(rows, vectors) == _oracle_lattice_coords(rows, vectors)
+    assert _coords2(rows, on) == _oracle_lattice_coords(rows, on) == tuple(map(tuple, combos))
 
 
 def test_coords2_spots():
@@ -218,20 +268,23 @@ def test_coords2_spots():
 
 
 def test_lattice_coords_errors():
-    with pytest.raises(RankError):
-        lattice_coords((), [])
-    with pytest.raises(DimensionError):
-        lattice_coords(((1, 0),), [])
-    assert lattice_coords(((2, 0), (0, 2)), [(1, 0)]) is None
-    assert lattice_coords(((2, 0), (1, 1)), []) == ()
+    # the two coordinate kernels off the lattice and on no vectors
+    h = ((2, 1), (0, 3))
+    assert _hnf_coords(h, (4, 5)) == (2, 1)
+    assert _hnf_coords(h, (0, 0)) == (0, 0)
+    assert _hnf_coords(h, (1, 0)) is None
+    assert _hnf_coords(h, (2, 2)) is None  # x_0 = 1 leaves 1 in the last column
+    assert _coords2(((2, 0), (0, 2)), [(1, 0)]) is None
+    assert _coords2(((2, 0), (1, 1)), []) == ()
 
 
 @given(square_matrices(st.integers(min_value=-50, max_value=50)))
 def test_det_of_integer_matrix_is_an_integral_fraction(m):
-    det = mat_det(m)
-    assert isinstance(det, Fraction)
+    # Bareiss divides exactly: an int, the integral Fraction of the oracle
+    det = _oracle_det(m)
     assert det.denominator == 1
-    assert det == _oracle_det(m)
+    d = _det(m)
+    assert type(d) is int and d == det
 
 
 @given(ints, ints)
@@ -262,12 +315,11 @@ def test_hnf_shape_and_idempotence():
         basis = tuple(
             tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
         )
-        try:
-            h = hnf_canonicalize(basis)
-        except RankError:
-            assert mat_det(basis) == 0
+        h = _hnf_int(basis)
+        if len(h) < n:
+            assert _det(basis) == 0
             continue
-        assert mat_det(basis) != 0
+        assert _det(basis) != 0
         # pivots positive, entries above each pivot reduced into [0, pivot)
         for i in range(n):
             assert h[i][i] > 0
@@ -275,7 +327,7 @@ def test_hnf_shape_and_idempotence():
                 assert 0 <= h[r][i] < h[i][i]
             for j in range(i):
                 assert h[i][j] == 0
-        assert hnf_canonicalize(h) == h
+        assert _hnf_int(h) == h
 
 
 def test_hnf_is_a_lattice_invariant():
@@ -286,37 +338,34 @@ def test_hnf_is_a_lattice_invariant():
             tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n))
             for _ in range(n)
         )
-        try:
-            h = hnf_canonicalize(basis)
-        except RankError:
+        ints, den = _scaled(basis)
+        h = _hnf_int(ints)
+        if len(h) < n:
             continue
+        # the least denominator and the HNF of den * L depend on L only
         u = _random_unimodular(rng, n)
-        assert hnf_canonicalize(mat_mul(u, basis)) == h
+        ints_u, den_u = _scaled(mat_mul(u, basis))
+        assert den_u == den
+        assert _hnf_int(ints_u) == h
 
 
 def test_hnf_errors():
-    with pytest.raises(RankError):
-        hnf_canonicalize(((1, 2), (2, 4)))
-    with pytest.raises(RankError):
-        hnf_canonicalize(())
+    # a rank-deficient or empty set keeps fewer rows than the dimension
+    assert _hnf_int(((1, 2), (2, 4))) == [[1, 2]]
+    assert _hnf_int(()) == []
     for ragged in (((1, 2), (1,)), ((1,), (2, 3)), ((1, 2, 3), (4, 5))):
         with pytest.raises(DimensionError):
-            hnf_canonicalize(ragged)
+            _scaled(ragged)
     with pytest.raises(DimensionError):
         lattice_intersect(((1, 2),), ((1, 2, 3),))
     with pytest.raises(RankError):
         lattice_intersect((), ())
+    with pytest.raises(RankError):
+        lattice_intersect(((1, 2), (2, 4)), ((1, 0), (0, 1)))
     # plain tuples of Fraction tuples, not a subclass
-    h = hnf_canonicalize(((2, 0), (1, 1)))
+    h = lattice_intersect(((2, 0), (1, 1)), ((1, 0), (0, 1)))
     assert type(h) is tuple and type(h[0]) is tuple
     assert repr(h) == "((Fraction(1, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(2, 1)))"
-
-
-def test_mat_det_rejects_non_square():
-    with pytest.raises(DimensionError):
-        mat_det(((1, 2, 3), (4, 5, 6)))
-    with pytest.raises(DimensionError):
-        mat_det(((1, 2), (3,)))
 
 
 def test_mat_inverse_and_solve():
@@ -324,14 +373,13 @@ def test_mat_inverse_and_solve():
     for _ in range(50):
         n = rng.choice((2, 3, 4))
         m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        det = mat_det(m)
+        # Bareiss on [m | I] leaves adj(m) in the trailing columns
+        aug = [list(row) + e for row, e in zip(m, _identity(n))]
+        det = _bareiss(aug)
+        assert det == _oracle_det(m)
         if det == 0:
-            with pytest.raises(RankError):
-                lattice_coords(m, _identity(n))
             continue
-        # the coordinates of det*I are adj(m), so m^-1 = adj / det
-        adj = lattice_coords(m, _identity(n, int(det)))
-        inv = tuple(tuple(Fraction(e) / det for e in row) for row in adj)
+        inv = tuple(tuple(Fraction(e, det) for e in row[n:]) for row in aug)
         ident = tuple(
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
             for i in range(n)
@@ -340,7 +388,13 @@ def test_mat_inverse_and_solve():
         assert mat_mul(inv, m) == ident
         c = tuple(rng.randint(-9, 9) for _ in range(n))
         v = tuple(sum(c[i] * m[i][j] for i in range(n)) for j in range(n))
-        assert lattice_coords(m, [v]) == (c,)
+        assert mat_mul((v,), inv) == (c,)
+        # and the coordinate kernels: against the HNF basis, and 2x2 by Cramer
+        h = _hnf_int(m)
+        x = _hnf_coords(h, v)
+        assert mat_mul((x,), h) == (v,)
+        if n == 2:
+            assert _coords2(m, [v]) == (c,)
 
 
 def test_det_multiplicative():
@@ -348,21 +402,22 @@ def test_det_multiplicative():
     for _ in range(50):
         a = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
         b = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+        assert _det(mat_mul(a, b)) == _det(a) * _det(b)
 
 
 def test_index_contains_intersect():
     ident = ((1, 0), (0, 1))
     double = ((2, 0), (0, 2))
-    assert mat_det(double) / mat_det(ident) == 4
-    assert lattice_coords(ident, [(7, -3)]) == ((7, -3),)
-    assert lattice_coords(double, [(1, 0)]) is None
-    assert hnf_canonicalize(lattice_intersect(double, ((3, 0), (0, 3)))) == (
-        (6, 0),
-        (0, 6),
-    )
-    mixed = lattice_intersect(((1, 0), (0, 2)), ((2, 0), (0, 1)))
-    assert hnf_canonicalize(mixed) == ((2, 0), (0, 2))
+    assert _det(double) // _det(ident) == 4
+    assert _coords2(ident, [(7, -3)]) == ((7, -3),)
+    assert _coords2(double, [(1, 0)]) is None
+    # the intersection comes out in HNF already
+    for b1, b2, meet in (
+        (double, ((3, 0), (0, 3)), [[6, 0], [0, 6]]),
+        (((1, 0), (0, 2)), ((2, 0), (0, 1)), [[2, 0], [0, 2]]),
+    ):
+        ints, den = _scaled(lattice_intersect(b1, b2))
+        assert den == 1 and ints == _hnf_int(ints) == meet
 
 
 def test_intersection_is_largest_common_sublattice():
@@ -370,27 +425,28 @@ def test_intersection_is_largest_common_sublattice():
     for _ in range(40):
         b1 = tuple(tuple(rng.randint(-6, 6) for _ in range(2)) for _ in range(2))
         b2 = tuple(tuple(rng.randint(-6, 6) for _ in range(2)) for _ in range(2))
-        if mat_det(b1) == 0 or mat_det(b2) == 0:
+        if mat2_det(b1) == 0 or mat2_det(b2) == 0:
             continue
-        meet = lattice_intersect(b1, b2)
-        assert lattice_coords(b1, meet) is not None
-        assert lattice_coords(b2, meet) is not None
+        meet, den = _scaled(lattice_intersect(b1, b2))
+        assert den == 1
+        assert _coords2(b1, meet) is not None
+        assert _coords2(b2, meet) is not None
         # the index in either factor is integral
-        assert (mat_det(meet) / mat_det(b1)).denominator == 1
-        assert (mat_det(meet) / mat_det(b2)).denominator == 1
+        assert mat2_det(meet) % mat2_det(b1) == 0
+        assert mat2_det(meet) % mat2_det(b2) == 0
 
 
 # The dual-sum intersection that the one block HNF replaced, on the Fraction
 # inverse oracle; kept as the oracle for lattice_intersect.
 def _oracle_intersect(b1, b2):
-    b1 = hnf_canonicalize(b1)
-    b2 = hnf_canonicalize(b2)
+    b1 = _oracle_hnf_canonicalize(b1)
+    b2 = _oracle_hnf_canonicalize(b2)
     if len(b1[0]) != len(b2[0]):
         raise DimensionError("ambient dimensions differ")
     d1 = tuple(zip(*_oracle_inv(b1)))  # rows of (B^-1)^T span the dual
     d2 = tuple(zip(*_oracle_inv(b2)))
-    dsum = hnf_canonicalize(d1 + d2)
-    return hnf_canonicalize(tuple(zip(*_oracle_inv(dsum))))
+    dsum = _oracle_hnf_canonicalize(d1 + d2)
+    return _oracle_hnf_canonicalize(tuple(zip(*_oracle_inv(dsum))))
 
 
 @st.composite
@@ -672,3 +728,30 @@ def test_is_prime_cross_checks_with_sympy():
     cases += [_PSI_13 + k for k in range(-200, 200)]
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # each primitive has one kernel, and public surface with no caller is
+    # deleted: every public function of exactlattice is read by name in
+    # another module of the package (an import alone does not count)
+    pkg = os.path.dirname(smallrank.__file__)
+
+    def tree(name):
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            return ast.parse(f.read(), name)
+
+    public = {
+        node.name
+        for node in tree("exactlattice.py").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "exactlattice.py":
+            for node in ast.walk(tree(name)):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert "lattice_intersect" in public and "factorize" in public
+    assert sorted(public - read) == []

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det
 
 import smallrank
 from smallrank.errors import (
@@ -24,9 +25,8 @@ from smallrank.exactlattice import (
     _hnf_int,
     _scaled,
     _unscaled,
-    hnf_canonicalize,
+    lattice_intersect,
     mat2_det,
-    mat_det,
     mat_mul,
 )
 from smallrank.quadforms import (
@@ -270,6 +270,70 @@ def test_class_semigroup_of_a_float_is_a_domain_error():
         class_semigroup(-4.0)
 
 
+def test_ideal_from_form_rejects_non_integer_coefficients():
+    # (2.0, 1, 3) has discriminant -23.0 == -23; both used to let a TypeError
+    # escape from the integer HNF
+    ring = ring_from_disc(-23)
+    for f in ((2.0, 1, 3), (2, 1, "3")):
+        with pytest.raises(DomainError):
+            ideal_from_form(f, ring)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ring, e: QuadIdeal(ring, [(1, 0), (0, e)]),
+        lambda ring, e: scale(unit_ideal(ring), (1, e)),
+        lambda ring, e: lattice_intersect(((1, 0), (0, e)), ((1, 0), (0, 1))),
+    ],
+    ids=["QuadIdeal", "scale", "lattice_intersect"],
+)
+def test_non_rational_entries_are_a_domain_error(build):
+    # Fraction(e) used to raise ValueError, TypeError or OverflowError; a
+    # float is a rational number and stays accepted, exactly
+    ring = ring_from_disc(-23)
+    for bad in ("x", None, float("inf"), float("nan"), 1j):
+        with pytest.raises(DomainError):
+            build(ring, bad)
+    assert build(ring, 0.5) == build(ring, Fraction(1, 2))
+
+
+def _class_number(d):
+    # primitive reduced forms (a, b, c) of discriminant d < 0, counted from
+    # the definition: |b| <= a <= c, b >= 0 when |b| == a or a == c
+    h = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b - d, 4 * a)
+            if not r and (a < c or (a == c and b >= 0)) and gcd(a, b, c) == 1:
+                h += 1
+        a += 1
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-3)
+@example(-12)
+@example(-27)
+@example(-300)
+@example(-2883)  # -3 * 31^2
+@example(-4)
+@example(-16)
+@example(-36)
+@example(-400)
+@example(-2916)  # -4 * 27^2
+def test_class_semigroup_size_is_a_sum_of_class_numbers(d):
+    # each reduced form of d is g times a primitive reduced form of d / g^2,
+    # for the g with g^2 | d and d / g^2 a discriminant; content 1 is Cl(d)
+    elements, _ = class_semigroup(d)
+    quotients = [d // (g * g) for g in range(1, isqrt(-d) + 1) if d % (g * g) == 0]
+    assert len(elements) == sum(_class_number(q) for q in quotients if q % 4 in (0, 1))
+    primitive = [f for f in elements if gcd(*f) == 1]
+    assert len(primitive) == _class_number(d) == len(class_group(d)[0])
+
+
 def test_class_semigroup_contains_class_group():
     for d in (-23, -100, -84):
         elements, table = class_semigroup(d)
@@ -444,25 +508,25 @@ def test_class_semigroup_builds_no_ideal(monkeypatch):
 # replaced; kept as their oracle.
 def _oracle_multiply(i, j):
     rows = [i.ring.mul(bi, bj) for bi in i.basis for bj in j.basis]
-    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+    return QuadIdeal(i.ring, _oracle_hnf_canonicalize(rows))
 
 
 def _oracle_conjugate(i):
-    return QuadIdeal(i.ring, hnf_canonicalize([i.ring.conj(row) for row in i.basis]))
+    return QuadIdeal(i.ring, _oracle_hnf_canonicalize([i.ring.conj(row) for row in i.basis]))
 
 
 def _oracle_norm(i):
-    return abs(mat_det(i.basis))
+    return abs(_oracle_mat_det(i.basis))
 
 
 def _oracle_scale(i, elt):
-    return QuadIdeal(i.ring, hnf_canonicalize([i.ring.mul(elt, row) for row in i.basis]))
+    return QuadIdeal(i.ring, _oracle_hnf_canonicalize([i.ring.mul(elt, row) for row in i.basis]))
 
 
 def _oracle_inverse(i):
     n = _oracle_norm(i)
     rows = [[e / n for e in row] for row in _oracle_conjugate(i).basis]
-    return QuadIdeal(i.ring, hnf_canonicalize(rows))
+    return QuadIdeal(i.ring, _oracle_hnf_canonicalize(rows))
 
 
 def _random_rational(rng):

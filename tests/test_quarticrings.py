@@ -6,24 +6,28 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from test_cubicrings import _oracle_trace_disc
-from test_exactlattice import _oracle_inv
+from test_exactlattice import (
+    _oracle_hnf_canonicalize,
+    _oracle_inv,
+    _oracle_lattice_coords,
+    _oracle_mat_det,
+)
 
 from smallrank import quarticrings
 from smallrank.errors import DegenerateRing, DomainError, TrivialRing
 from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
 from smallrank.exactlattice import (
+    _bareiss,
     _hnf_int,
     _unscaled,
     divisor_sigma,
     divisors,
-    hnf_canonicalize,
-    lattice_coords,
     mat2_det,
-    mat_det,
     mat_mul,
 )
 from smallrank.quadrings import QuadraticRing
@@ -224,7 +228,7 @@ def test_resolvent_form_is_four_times_determinant():
                     )
                     for i in range(3)
                 )
-                assert 4 * mat_det(m) == cubic_eval(form, x, y)
+                assert 4 * _oracle_mat_det(m) == cubic_eval(form, x, y)
 
 
 def test_resolvent_form_spot():
@@ -259,6 +263,29 @@ def test_resolvent_identity_check_rejects_non_integer_x():
         with pytest.raises(DomainError):
             resolvent_identity_check(P_Z4, x)
 
+
+# resolvent_identity_check as it was, with the Fraction determinant of the
+# xi-shadows of x, x^2, x^3; kept as its oracle.
+def _oracle_resolvent_identity_check(pair, x):
+    a, b = pair
+    ring = ring_from_pair(pair)
+    e = (0, *x)
+    e2 = ring.mul(e, e)
+    e3 = ring.mul(e2, e)
+    lhs = _oracle_mat_det((e[1:], e2[1:], e3[1:]))
+    y = (0, ternary_eval(b, x), -ternary_eval(a, x))
+    y2 = ring_from_cubic_form(cubic_resolvent_form(pair)).mul(y, y)
+    return lhs == mat2_det((y[1:], y2[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms, forms, st.tuples(*[st.integers(-6, 6)] * 3))
+def test_resolvent_identity_check_agrees_with_fraction_determinant(a, b, x):
+    assert resolvent_identity_check((a, b), x) == _oracle_resolvent_identity_check((a, b), x)
+    # the answer reads the integer determinant: one off, and the check fails
+    with mock.patch.object(quarticrings, "_bareiss", lambda rows: _bareiss(rows) + 1):
+        assert not resolvent_identity_check((a, b), x)
+
 def test_minimal_resolvent_of_z4():
     resolvent, witness = pair_from_ring(ring_from_pair(P_Z4))
     assert resolvent.content == 1
@@ -277,7 +304,7 @@ def _witness_in_first_lattice(ring):
     # the pair in the coordinates of the first enumerated resolvent lattice
     _, mu, _, den = _resolvent_data(ring)
     first = enumerate_numerical_resolvents(ring)[0]
-    return tuple(zip(*lattice_coords(first, _unscaled(mu, den))))
+    return tuple(zip(*_oracle_lattice_coords(first, _unscaled(mu, den))))
 
 
 def test_pair_from_ring_uses_the_first_resolvent_lattice():
@@ -328,9 +355,9 @@ def test_non_maximality_with_witness():
         ring = ring_from_pair(scaled)
         ok, witness = is_maximal_at_p(ring, p)
         assert not ok
-        index = 1 / abs(mat_det(witness))
+        index = 1 / abs(_oracle_mat_det(witness))
         assert index.denominator == 1 and int(index) % p == 0
-        assert lattice_coords(witness, I4) is not None
+        assert _oracle_lattice_coords(witness, I4) is not None
     two = ring_from_pair((tuple(2 * v for v in P_A), P_B))
     assert not is_maximal(two)
 
@@ -372,7 +399,7 @@ def _oracle_walk_is_maximal_at_p(ring, p):
         h = _hnf_int(p_rows + rows)
         ph = [[p * e for e in row] for row in h]
         if all(
-            lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
+            _oracle_lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
             for i in range(4)
             for j in range(i, 4)
         ):
@@ -386,7 +413,7 @@ def _oracle_is_maximal_at_p(ring, p):
     identity_rows = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
     for rows in _subspaces_avoiding_one(p):
         cand = identity_rows + [tuple(Fraction(t, p) for t in v) for v in rows]
-        basis = hnf_canonicalize(tuple(cand))
+        basis = _oracle_hnf_canonicalize(tuple(cand))
         inv = _oracle_inv(basis)
         closed = True
         for i in range(4):
@@ -419,17 +446,23 @@ def test_maximality_agrees_with_fraction_oracle():
 
 def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
     # structural guard: the closure tests and the ideal constructor use the
-    # substitution and 2x2 helpers, never the generic Bareiss solve
+    # substitution and 2x2 helpers, never the generic Bareiss solve; Bareiss
+    # runs on square matrices only, for determinants
     import sys
 
     from smallrank.quadrings import class_semigroup
 
-    def fail(*args):
-        raise RuntimeError("generic lattice_coords called")
+    squares = []
+
+    def square_only(a):
+        if any(len(row) != len(a) for row in a):
+            raise RuntimeError("generic Bareiss solve called")
+        squares.append(len(a))
+        return _bareiss(a)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "smallrank" and hasattr(module, "lattice_coords"):
-            monkeypatch.setattr(module, "lattice_coords", fail)
+        if name.split(".")[0] == "smallrank" and hasattr(module, "_bareiss"):
+            monkeypatch.setattr(module, "_bareiss", square_only)
     # totally ramified and maximal at 3: every candidate's closure is tested
     ramified = ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0)))
     assert is_maximal_at_p(ramified, 3) == (True, None)
@@ -437,6 +470,7 @@ def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
     assert not is_maximal_at_p(scaled, 2)[0]
     elements, table = class_semigroup(-300)
     assert len(table) == len(elements) > 1
+    assert squares  # the discriminants went through the patched kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -688,8 +722,8 @@ def _oracle_resolvent_data(ring):
     for u in range(6):
         for v in range(u + 1, 6):
             assert mat2_det((mu[u], mu[v])) == lam[(u, v)]
-    basis0 = hnf_canonicalize(tuple(mu[z] for z in range(6) if mu[z] != (0, 0)))
-    assert mat_det(basis0) == content
+    basis0 = _oracle_hnf_canonicalize(tuple(mu[z] for z in range(6) if mu[z] != (0, 0)))
+    assert _oracle_mat_det(basis0) == content
     return lam, content, mu, basis0
 
 
@@ -699,7 +733,7 @@ def _oracle_enumerate_numerical_resolvents(ring):
     for d in divisors(n):
         for b in range(d):
             shrunk = mat_mul(((n // d, b), (0, d)), basis0)
-            out.append(hnf_canonicalize([[e / n for e in row] for row in shrunk]))
+            out.append(_oracle_hnf_canonicalize([[e / n for e in row] for row in shrunk]))
     assert len(out) == len(set(out)) == divisor_sigma(n)
     return out
 
@@ -707,7 +741,7 @@ def _oracle_enumerate_numerical_resolvents(ring):
 def _oracle_pair_from_ring(ring):
     _, content, mu, basis0 = _oracle_resolvent_data(ring)
     chosen = _oracle_enumerate_numerical_resolvents(ring)[0]
-    coords = lattice_coords(chosen, [mu[z] for z in range(6)])
+    coords = _oracle_lattice_coords(chosen, [mu[z] for z in range(6)])
     witness = tuple(zip(*coords))
     assert ring_from_pair(witness) == ring
     return MinimalResolvent(lattice=basis0, content=content), witness
@@ -991,7 +1025,7 @@ def test_walk_on_quadratic_rings_agrees_with_the_discriminant_criterion(t, u, p)
     assert ok == (not _nonmaximal_quadratic(d, p))
     if witness is not None:
         # the overring has the integral discriminant d / [Q' : Q]^2
-        assert (d * mat_det(witness) ** 2).denominator == 1
+        assert (d * _oracle_mat_det(witness) ** 2).denominator == 1
 
 
 def _nonmaximal_cubic(form, p):
@@ -1033,7 +1067,7 @@ def test_walk_on_cubic_rings_agrees_with_the_davenport_heilbronn_criterion(form,
     ok, witness = _maximal_at_p(ring, p, d)
     assert ok == (not _nonmaximal_cubic(form, p))
     if witness is not None:
-        assert (d * mat_det(witness) ** 2).denominator == 1
+        assert (d * _oracle_mat_det(witness) ** 2).denominator == 1
 
 
 def _substitute(form, g):
@@ -1083,6 +1117,6 @@ def test_quartic_invariants_are_gl2_times_sl3_invariant(a, b, g2, k, moves):
     for (i, j), c in moves:
         for row in g3:
             row[i] += c * row[j]
-    assert mat_det(g3) == 1
+    assert _oracle_mat_det(g3) == 1
     moved = (_substitute(a2, g3), _substitute(b2, g3))
     assert _invariants(moved) == _invariants((a, b))
