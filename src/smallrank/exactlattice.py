@@ -15,7 +15,7 @@ functions return.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isfinite, isqrt, lcm, prod
 
 from .errors import DimensionError, DomainError, RankError
 
@@ -70,16 +70,20 @@ def _hnf_int(rows):
 def _scaled(rows):
     # integer rows and the least positive denominator den with
     # rows == int_rows / den; DimensionError for rows of unequal length,
-    # DomainError for an entry that Fraction rejects (None, "x", inf)
+    # DomainError for an entry that is not an int, a Fraction or a finite
+    # float (Fraction would also parse the string "1/2")
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
     if all(type(e) is int for row in rows for e in row):  # the usual input
         return rows, 1
-    try:
-        rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
-    except (ValueError, TypeError, OverflowError):
-        raise DomainError("need rational entries, got %r" % (rows,)) from None
+    if not all(
+        isinstance(e, (int, Fraction)) or isinstance(e, float) and isfinite(e)
+        for row in rows
+        for e in row
+    ):
+        raise DomainError("need rational entries, got %r" % (rows,))
+    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 

@@ -6,6 +6,7 @@ twisted by the determinant: (M.f)(v) = f(vM) / det M, so both proper and
 improper equivalences preserve the discriminant.
 """
 
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
@@ -47,7 +48,8 @@ def twisted_act(m, f):
     c1 = (a * r * r + b * r * s + c * s * s) // det
     b1 = (2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s) // det
     g = (a1, b1, c1)
-    assert discriminant(g) == discriminant(f)
+    if discriminant(g) != discriminant(f):
+        raise AssertionError("%r acting on %r changed the discriminant" % (m, f))
     return g
 
 
@@ -182,13 +184,15 @@ def _compose(f, g, d):
     e, u2, w = xgcd(g1, s)
     # u*a1 + v*a2 + w*s = e with (u, v) = u2*(u1, v1)
     u, v = u2 * u1, u2 * v1
-    assert u * a1 + v * a2 + w * s == e
+    if u * a1 + v * a2 + w * s != e:
+        raise AssertionError("Bezout coefficients of %r * %r do not give %d" % (f, g, e))
     big_a = a1 * a2 * gcd(e, n, c1, c2) // (e * e)
     if big_a <= 0:
         raise NotPositiveDefinite("composition of a positive and a negative definite form")
     big_b = (b2 + 2 * (a2 // e) * (v * n - w * c2)) % (2 * big_a)
     big_c = (big_b * big_b - d) // (4 * big_a)
-    assert discriminant((big_a, big_b, big_c)) == d
+    if discriminant((big_a, big_b, big_c)) != d:
+        raise AssertionError("composite of %r * %r has the wrong discriminant" % (f, g))
     h = _reduce(big_a, big_b, big_c)[0]
     if gcd(*h) != lcm(gcd(a1, b1, c1), gcd(a2, b2, c2)):
         raise AssertionError("content of %r * %r is not the lcm of theirs" % (f, g))
@@ -202,29 +206,50 @@ def principal_form(d):
     return (1, 1, (1 - d) // 4)
 
 
-def _monoid_table(n, ident, product):
-    # table[x][y] of a finite commutative monoid on range(n).  Each g not yet
-    # reached is a generator.  "Times g" reads column g of the reached rows
-    # R; for each other k still unknown it calls product(g, k) once and
-    # spreads it over the orbit of k, g*(r*k) = r*(g*k) for r in R, so a
-    # group costs one product per coset of R other than R, fewer than 2n in
-    # all.  An entry reached twice must agree.  Closing R under times g,
-    # row(x*g)[k] = x*(g*k), suffices because the product commutes; each new
-    # row is one gather of row(x) by times_g (n >= 2 here, so the gather
-    # returns a tuple).
+def _monoid_table(n, ident, product, conj):
+    """table[x][y] of a finite commutative monoid on range(n).
+
+    conj is an automorphism of the monoid, as an index permutation.  Each g
+    not yet reached is a generator.  "Times g" reads column g of the reached
+    rows R; for each other k still unknown it calls product(g, k) once and
+    spreads y = g*k over the orbit of k, g*(r*k) = r*(g*k) for r in R.  Two
+    rules give more entries from the same product:
+
+    - g*conj(y) = N*conj(k) with N = g*conj(g), when row N is reached,
+      because g*conj(g*k) = g*conj(g)*conj(k); N costs one product per
+      generator and is itself the entry of k = conj(g);
+    - g*conj(k) = conj(y) when conj(g) = g, because conj(g*k) =
+      conj(g)*conj(k).
+
+    In a class group conj is the inverse and N the identity, so each
+    product fills two cosets of R: about n/2 products in all, and always
+    fewer than 2n, as without conj.  Every entry is spread alike, and an
+    entry reached twice must agree.  Closing R under times g,
+    row(x*g)[k] = x*(g*k), suffices because the product commutes; each new
+    row is one gather of row(x) by times_g (n >= 2 here, so the gather
+    returns a tuple).
+    """
     rows = {ident: list(range(n))}
     for g in range(n):
         if g in rows:
             continue
         times_g = [rows[j][g] if j in rows else None for j in range(n)]
-        for k in range(n):
-            if times_g[k] is None:
-                gk = product(g, k)
+        norm_g = product(g, conj[g])
+        norm = rows.get(norm_g)
+        # lazy: times_g[k] is tested when the loop reaches k
+        products = ((k, product(g, k)) for k in range(n) if times_g[k] is None)
+        for k, y in chain([(conj[g], norm_g)], products):
+            entries = [(k, y)]
+            if norm is not None:
+                entries.append((conj[y], norm[conj[k]]))
+            if conj[g] == g:
+                entries.append((conj[k], conj[y]))
+            for k1, y1 in entries:
                 for row in rows.values():
-                    x, y = row[k], row[gk]
+                    x, z = row[k1], row[y1]
                     if times_g[x] is None:
-                        times_g[x] = y
-                    elif times_g[x] != y:
+                        times_g[x] = z
+                    elif times_g[x] != z:
                         raise AssertionError("monoid table must be symmetric")
         gather = itemgetter(*times_g)
         todo = list(rows)
@@ -235,8 +260,15 @@ def _monoid_table(n, ident, product):
                 rows[y] = list(gather(rows[x]))
                 todo.append(y)
     table = [rows[x] for x in range(n)]
-    assert table == [list(col) for col in zip(*table)], "monoid table must be symmetric"
+    if table != [list(col) for col in zip(*table)]:
+        raise AssertionError("monoid table must be symmetric")
     return table
+
+
+def _conjugates(elements, index):
+    # index permutation of (a, b, c) -> (a, -b, c); a form whose conjugate
+    # is not reduced (b = 0, b = a or a = c) is equivalent to it
+    return [index.get((a, -b, c), i) for i, (a, b, c) in enumerate(elements)]
 
 
 def _structure(orders):
@@ -258,16 +290,20 @@ def class_group(d):
 
     Returns (elements, table, structure) where table[i][j] is the index of
     elements[i] * elements[j] and structure is the tuple of invariant factors.
-    The table costs one composition per coset of the classes reached so far
-    (fewer than 2h in all) and h^2 lookups, and holds h^2 ints.  The orders
-    take one walk of the powers of each x whose order is still unknown:
-    ord(x^k) = m / gcd(k, m) for m = ord(x).
+    The table costs about h/2 compositions (fewer than 2h always) and h^2
+    lookups, and holds h^2 ints: the conjugate (a, -b, c) is the inverse
+    class, so each composition y = g*k also gives g*conj(y) = conj(k),
+    because g*conj(g) is principal, and g*conj(k) = conj(y) when g is its
+    own conjugate (``_monoid_table``).  The orders take one walk of the
+    powers of each x whose order is still unknown: ord(x^k) = m / gcd(k, m)
+    for m = ord(x).
     """
     _check_disc(d)
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
     index = {f: i for i, f in enumerate(elements)}
     h, ident = len(elements), index[principal_form(d)]
-    table = _monoid_table(h, ident, lambda i, j: index[_compose(elements[i], elements[j], d)])
+    conj = _conjugates(elements, index)
+    table = _monoid_table(h, ident, lambda i, j: index[_compose(elements[i], elements[j], d)], conj)
     orders = [0] * h
     for i in range(h):
         if not orders[i]:

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _check_ints, _compose, _monoid_table, content, discriminant, enumerate_reduced, principal_form,
-    reduce, twisted_act,
+    _check_ints, _compose, _conjugates, _monoid_table, content, discriminant, enumerate_reduced,
+    principal_form, reduce, twisted_act,
 )
 
 
@@ -239,11 +239,15 @@ def class_semigroup(d):
     Returns (elements, table): table[i][j] is the index of the reduced form of
     the product of the ideals of elements[i] and elements[j].  Each product is
     one ``_compose`` of the two forms, primitive or not, and no ideal is
-    built.  Each class not reached from the earlier ones is a generator and
-    costs one composition per orbit of the classes reached so far that is
-    not yet filled in (a coset, and fewer than 2h compositions in all, when
-    the classes form a group); the rest is h^2 table lookups, and the table
-    holds h^2 ints.
+    built.  Conjugation (a, b, c) -> (a, -b, c) is an automorphism of the
+    whole semigroup, conj(IJ) = conj(I)*conj(J), so each composition
+    y = g*k also gives g*conj(y) = N*conj(k) with N = g*conj(g) once N is
+    reached, and g*conj(k) = conj(y) when g is its own conjugate
+    (``_monoid_table``).  Each class not reached from the earlier ones is a
+    generator, and costs one composition for N and one per orbit of the
+    classes reached so far that is not yet filled in: about h/2 in all, as
+    in a class group; the rest is h^2 table lookups, and the table holds h^2
+    ints.
     """
     ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)
@@ -252,4 +256,5 @@ def class_semigroup(d):
     def product(i, j):
         return index[_compose(elements[i], elements[j], d)]
 
-    return elements, _monoid_table(len(elements), index[principal_form(d)], product)
+    conj = _conjugates(elements, index)
+    return elements, _monoid_table(len(elements), index[principal_form(d)], product, conj)

@@ -265,22 +265,63 @@ def test_compose_content_check_catches_a_wrong_reduction(monkeypatch):
         _compose((5, 0, 5), (5, 0, 5), -100)
 
 
-def test_compose_content_check_survives_optimize_flag():
+def _raises_under_optimize_flag(setup, call):
+    # runs setup, then call, in a python -O child; returns the message of
+    # the AssertionError it raises and the source line of the check, the
+    # line above the raise
     src = os.path.dirname(os.path.dirname(quadforms.__file__))
     code = (
+        "import linecache\n"
         "from smallrank import quadforms\n"
-        "quadforms._reduce = lambda a, b, c: ((1, 0, 25), ((1, 0), (0, 1)))\n"
-        "try:\n"
-        "    quadforms._compose((5, 0, 5), (5, 0, 5), -100)\n"
-        "except AssertionError:\n"
-        "    print('AssertionError')\n"
+        + setup
+        + "try:\n"
+        + "    " + call + "\n"
+        + "except AssertionError as e:\n"
+        + "    tb = e.__traceback__\n"
+        + "    while tb.tb_next:\n"
+        + "        tb = tb.tb_next\n"
+        + "    print(e)\n"
+        + "    print(linecache.getline(tb.tb_frame.f_code.co_filename, tb.tb_lineno - 1).strip())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=30
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["AssertionError"]
+    return tuple(proc.stdout.splitlines())
+
+
+def test_compose_content_check_survives_optimize_flag():
+    message, check = _raises_under_optimize_flag(
+        "quadforms._reduce = lambda a, b, c: ((1, 0, 25), ((1, 0), (0, 1)))\n",
+        "quadforms._compose((5, 0, 5), (5, 0, 5), -100)",
+    )
+    assert "lcm" in message and check.startswith("if gcd(*h) != lcm(")
+
+
+def test_compose_bezout_check_survives_optimize_flag():
+    # wrong Bezout coefficients: u*a1 + v*a2 + w*s is not the gcd
+    message, check = _raises_under_optimize_flag(
+        "xgcd = quadforms.xgcd\n"
+        "quadforms.xgcd = lambda a, b: (lambda g, x, y: (g, x + 1, y))(*xgcd(a, b))\n",
+        "quadforms._compose((2, 1, 3), (3, 1, 2), -23)",
+    )
+    assert "Bezout" in message and check == "if u * a1 + v * a2 + w * s != e:"
+
+
+def test_monoid_table_symmetry_check_survives_optimize_flag():
+    # addition on Z/5 with 1 + 1, 1 + 4 and 2 + 2 changed; 4 + 1 stays 0, so
+    # the product does not commute.  Every entry reached twice agrees, and
+    # only the final check of the whole table sees it
+    message, check = _raises_under_optimize_flag(
+        "changed = {(1, 1): 1, (1, 4): 4, (2, 2): 3}\n"
+        "def add(x, y):\n"
+        "    return changed.get((x, y), (x + y) % 5)\n",
+        "quadforms._monoid_table(5, 0, add, list(range(5)))",
+    )
+    assert message == "monoid table must be symmetric"
+    assert check == "if table != [list(col) for col in zip(*table)]:"
+
 
 def test_class_group_structures():
     assert class_group(-23)[2] == (3,)
@@ -363,6 +404,99 @@ def test_class_group_agrees_with_composition_oracle_sampled(k, r):
     assert class_group(d) == _oracle_class_group(d)
 
 
+# The product-only monoid-table builder that conjugation halved; kept as its
+# oracle.  It makes one product per orbit of the reached rows that is not
+# yet filled in, and uses no automorphism.
+def _oracle_monoid_table(n, ident, product):
+    rows = {ident: list(range(n))}
+    for g in range(n):
+        if g in rows:
+            continue
+        times_g = [rows[j][g] if j in rows else None for j in range(n)]
+        for k in range(n):
+            if times_g[k] is None:
+                gk = product(g, k)
+                for row in rows.values():
+                    x, y = row[k], row[gk]
+                    if times_g[x] is None:
+                        times_g[x] = y
+                    elif times_g[x] != y:
+                        raise AssertionError("monoid table must be symmetric")
+        todo = list(rows)
+        while todo:
+            x = todo.pop()
+            y = times_g[x]
+            if y not in rows:
+                rows[y] = [times_g[z] for z in rows[x]]
+                todo.append(y)
+    table = [rows[x] for x in range(n)]
+    if table != [list(col) for col in zip(*table)]:
+        raise AssertionError("monoid table must be symmetric")
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-20000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-3 * 7 * 7)
+@example(-3 * 45 * 45)
+@example(-4 * 11 * 11)
+@example(-4 * 60 * 60)
+@example(-420)  # (2, 2, 2): every class is its own conjugate
+@example(-3360)  # (2, 2, 2, 2)
+def test_class_group_table_agrees_with_product_only_builder(d):
+    elements, table, _ = class_group(d)
+    index = {f: i for i, f in enumerate(elements)}
+
+    def product(i, j):
+        return index[_compose(elements[i], elements[j], d)]
+
+    assert table == _oracle_monoid_table(len(elements), index[principal_form(d)], product)
+
+
+def _genus_characters(d):
+    # mu(d), the number of assigned characters of discriminant d < 0 (Cox,
+    # Prop. 3.11 and Thm. 3.15), from a count of the odd primes dividing d
+    m, r, p = -d, 0, 3
+    while m % 2 == 0:
+        m //= 2
+    while p * p <= m:
+        if m % p == 0:
+            r += 1
+            while m % p == 0:
+                m //= p
+        p += 2
+    r += m > 1
+    if d % 4 == 1:
+        return r
+    n = -d // 4
+    if n % 4 == 3:
+        return r
+    if n % 8 == 0:
+        return r + 2
+    return r + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-20000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-32)  # mu = r + 2
+@example(-96)  # mu = r + 2
+@example(-3 * 7 * 7)
+@example(-4 * 9 * 9)
+@example(-3)
+@example(-4)
+@example(-420)
+@example(-3360)
+def test_class_group_two_rank_is_given_by_genus_theory(d):
+    # Cl(d)/Cl(d)^2 has 2^(mu - 1) genera, so 2^(mu - 1) classes square to
+    # the principal one and mu - 1 invariant factors are even; this shares
+    # no code with the table builder or with _structure
+    elements, table, structure = class_group(d)
+    mu = _genus_characters(d)
+    assert sum(1 for f in structure if f % 2 == 0) == mu - 1
+    ident = elements.index(principal_form(d))
+    assert sum(1 for i in range(len(elements)) if table[i][i] == ident) == 2 ** (mu - 1)
+
+
 def _count_compositions(monkeypatch):
     calls = []
 
@@ -391,9 +525,9 @@ def test_class_group_makes_fewer_than_2h_compositions(k, r):
 
 def test_class_group_composition_counts(monkeypatch):
     # h^2 compositions in the oracle; 3,837 and 1,754 with one composition
-    # per unreached column
+    # per unreached column, 951 and 783 with one per unreached coset
     calls = _count_compositions(monkeypatch)
-    for d, h, expected in ((-999999, 912, 951), (-299999, 780, 783)):
+    for d, h, expected in ((-999999, 912, 479), (-299999, 780, 395)):
         calls.clear()
         assert len(class_group(d)[0]) == h
         assert len(calls) == expected, d

@@ -11,6 +11,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det
+from test_quadforms import _oracle_monoid_table
 
 import smallrank
 from smallrank.errors import (
@@ -209,13 +210,14 @@ def test_ideal_equality_and_canonicalization():
     [
         (-4, ((1, 0), (0, 1))),
         (-4, ((2, 2), (2, -2))),
-        (-4, (("1/2", "1/2"), ("1/2", "-1/2"))),
-        (-4, (("3", "-3"), ("6/2", "3"))),
+        # a string such as "1/2" is a DomainError; the CLI parses it first
+        (-4, ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))),
+        (-4, ((Fraction(3), -3), (Fraction(6, 2), 3.0))),
         # the least common denominator 6 is not the product of the entries'
         (-4, ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(1, 2)))),
         (-4, ((Fraction(4, 6), Fraction(4, 6)), (Fraction(-4, 6), Fraction(4, 6)))),
-        (-4, ((Fraction(5, 4), 0), (0, "5/4"))),
-        (-100, ((Fraction(9, 8), "3/8"), ("6/16", Fraction(3, 8)))),
+        (-4, ((Fraction(5, 4), 0), (0, 1.25))),
+        (-100, ((Fraction(9, 8), 0.375), (Fraction(6, 16), Fraction(3, 8)))),
     ],
 )
 def test_constructor_basis_is_the_given_values(d, given):
@@ -292,7 +294,7 @@ def test_non_rational_entries_are_a_domain_error(build):
     # Fraction(e) used to raise ValueError, TypeError or OverflowError; a
     # float is a rational number and stays accepted, exactly
     ring = ring_from_disc(-23)
-    for bad in ("x", None, float("inf"), float("nan"), 1j):
+    for bad in ("x", None, float("inf"), float("nan"), 1j, "1/2", " 3 "):
         with pytest.raises(DomainError):
             build(ring, bad)
     assert build(ring, 0.5) == build(ring, Fraction(1, 2))
@@ -405,6 +407,24 @@ def test_class_semigroup_agrees_with_product_oracle_non_fundamental(d):
     assert class_semigroup(d) == _oracle_class_semigroup(d)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-3 * 5 * 5)
+@example(-3 * 31 * 31)
+@example(-4 * 9 * 9)
+@example(-4 * 27 * 27)
+@example(-420)  # (2, 2, 2): every class is its own conjugate
+@example(-100)
+def test_class_semigroup_table_agrees_with_product_only_builder(d):
+    elements, table = class_semigroup(d)
+    index = {f: i for i, f in enumerate(elements)}
+
+    def product(i, j):
+        return index[_compose(elements[i], elements[j], d)]
+
+    assert table == _oracle_monoid_table(len(elements), index[principal_form(d)], product)
+
+
 def test_monoid_table_rejects_a_non_commutative_product():
     # composition in the symmetric group S3: the table the builder derives
     # from the generators is not symmetric, and the self-check says so
@@ -415,13 +435,14 @@ def test_monoid_table_rejects_a_non_commutative_product():
         return index[tuple(perms[i][k] for k in perms[j])]
 
     with pytest.raises(AssertionError, match="symmetric"):
-        _monoid_table(len(perms), index[(0, 1, 2)], compose_perms)
+        _monoid_table(len(perms), index[(0, 1, 2)], compose_perms, list(range(len(perms))))
 
 
 def test_monoid_table_rejects_a_commutative_product_with_one_pair_changed():
     # addition on Z/n with 1 + j and j + 1 both changed to j + 2, for
     # 1 <= j <= n - 2: the product commutes and the table derived from it is
-    # symmetric, so only the check that an entry reached twice agrees sees it
+    # symmetric, so only the check that an entry reached twice agrees sees
+    # it; conj is the identity, an automorphism of every monoid
     for n in range(3, 13):
         for j in range(1, n - 1):
 
@@ -429,12 +450,39 @@ def test_monoid_table_rejects_a_commutative_product_with_one_pair_changed():
                 return (j + 2) % n if sorted((x, y)) == [1, j] else (x + y) % n
 
             with pytest.raises(AssertionError, match="symmetric"):
-                _monoid_table(n, 0, add)
+                _monoid_table(n, 0, add, list(range(n)))
 
 
-def test_class_semigroup_makes_at_most_348_ideal_products(monkeypatch):
-    # structural guard: 1,119 with one product per unreached column;
-    # counted, not timed
+def test_monoid_table_with_negation_never_accepts_a_wrong_table():
+    # the same faults with conj the negation, an automorphism of Z/n: the
+    # derived entries may fill the faulty pair's cell before it is asked
+    # for, but then the builder never calls it and the table is the true
+    # one; whenever it calls the faulty pair, it raises
+    raised = 0
+    for n in range(3, 13):
+        for j in range(1, n - 1):
+            called = []
+
+            def add(x, y):
+                if sorted((x, y)) == [1, j]:
+                    called.append((x, y))
+                    return (j + 2) % n
+                return (x + y) % n
+
+            try:
+                table = _monoid_table(n, 0, add, [-i % n for i in range(n)])
+            except AssertionError as e:
+                assert "symmetric" in str(e) and called
+                raised += 1
+            else:
+                assert called == []
+                assert table == [[(x + y) % n for y in range(n)] for x in range(n)]
+    assert raised == 30
+
+
+def test_class_semigroup_makes_at_most_180_ideal_products(monkeypatch):
+    # structural guard: 1,119 with one product per unreached column, 348
+    # with one per unreached orbit; counted, not timed
     calls = []
 
     def counting_multiply(i, j):
@@ -443,7 +491,7 @@ def test_class_semigroup_makes_at_most_348_ideal_products(monkeypatch):
 
     monkeypatch.setattr(smallrank.quadrings, "multiply", counting_multiply)
     assert len(class_semigroup(-99999)[0]) == 336
-    assert len(calls) <= 348
+    assert len(calls) <= 180
 
 
 @st.composite
@@ -475,8 +523,9 @@ def test_compose_kernel_agrees_with_ideal_product_oracle(case):
     assert _compose(f, g, d) == form_from_ideal(product)
 
 
-def test_class_semigroup_makes_348_compositions(monkeypatch):
-    # structural guard: one composition per unreached orbit; counted, not timed
+def test_class_semigroup_makes_180_compositions(monkeypatch):
+    # structural guard: one composition per unreached orbit made 348, and
+    # conjugation halves that; counted, not timed
     calls = []
 
     def counting_compose(f, g, d):
@@ -485,7 +534,7 @@ def test_class_semigroup_makes_348_compositions(monkeypatch):
 
     monkeypatch.setattr(smallrank.quadrings, "_compose", counting_compose)
     assert len(class_semigroup(-99999)[0]) == 336
-    assert len(calls) == 348
+    assert len(calls) == 180
 
 
 def test_class_semigroup_builds_no_ideal(monkeypatch):
