@@ -12,9 +12,12 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import Degenerate, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant
+from .errors import (
+    Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant, _ints,
+    _matrix,
+)
 from .exactlattice import lattice_intersect, mat2_det
-from .quadforms import _check_ints, discriminant, represent
+from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
     QuadraticRing,
@@ -22,6 +25,7 @@ from .quadrings import (
     ideal_from_form,
     ideal_norm,
     raw_form,
+    ring_from_disc,
     scale,
 )
 
@@ -39,7 +43,7 @@ def _slice_forms(q):
 
 def cube_invariants(q):
     """The pair (t, u): every associated form has discriminant t^2 - 4u."""
-    a, b, c, d, e, f, g, h = q
+    a, b, c, d, e, f, g, h = _ints(q, 8, "cube entries")
     t = a * h + b * g + c * f + d * e
     u = (
         a * b * g * h + a * c * f * h + a * d * e * h
@@ -51,6 +55,7 @@ def cube_invariants(q):
 
 def associated_forms(q):
     """The three associated forms, in display order (phi1, phi3, phi2)."""
+    q = _ints(q, 8, "cube entries")
     f1, f2, f3 = _slice_forms(q)
     t, u = cube_invariants(q)
     for f in (f1, f2, f3):
@@ -60,6 +65,7 @@ def associated_forms(q):
 
 def ring_of_cube(q) -> QuadraticRing:
     """The quadratic ring (t, u) of a nondegenerate cube."""
+    q = _ints(q, 8, "cube entries")
     if any(f == (0, 0, 0) for f in _slice_forms(q)):
         raise Degenerate("a pair of opposite faces is linearly dependent")
     return QuadraticRing(*cube_invariants(q))
@@ -78,6 +84,7 @@ def triple_from_cube(q) -> BalancedTriple:
     bases; the third ideal's basis is the unique solution of the eight
     coefficient equations xi-coeff(x_i * y_j * z_k) = a_ijk.
     """
+    q = _ints(q, 8, "cube entries")
     f1, f2, f3 = _slice_forms(q)
     if (0, 0, 0) in (f1, f2, f3):
         raise Degenerate("a pair of opposite faces is linearly dependent")
@@ -153,7 +160,11 @@ def tau_system(q):
 
 def gamma_act(ms, q):
     """Twisted action of a GL2(Z)^3 triple with determinant product 1."""
-    m1, m2, m3 = ms
+    try:
+        m1, m2, m3 = ms = tuple(map(_matrix, ms))
+    except (TypeError, ValueError):
+        raise DomainError("need three 2x2 integer matrices, got %r" % (ms,))
+    q = _ints(q, 8, "cube entries")
     dets = []
     for m in ms:
         det = mat2_det(m)
@@ -228,16 +239,11 @@ def triples_equivalent(t1, t2) -> bool:
 
 def identity_cube(d):
     """Cube whose three associated forms are the principal form of d."""
-    if not isinstance(d, int):
-        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
-    if d % 4 == 0:
-        return (0, 1, 1, 0, 1, 0, 0, d // 4)
-    if d % 4 == 1:
-        return (0, 1, 1, 1, 1, 1, 1, (d + 3) // 4)
-    raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
+    ring = ring_from_disc(d)
+    return (0, 1, 1, ring.t, 1, ring.t, ring.t, ring.t - ring.u)
 
 
 def dirichlet_cube(d, f, g, h):
     """Classical composition data: forms (-d, h, f*g), (-g, h, d*f), (-f, h, d*g)."""
-    _check_ints((d, f, g, h))
+    d, f, g, h = _ints((d, f, g, h), 4)
     return (1, 0, 0, d, 0, f, g, -h)

@@ -15,9 +15,8 @@ the generators.
 
 from math import gcd
 
-from .errors import DomainError, NotUnimodular
+from .errors import DomainError, NotUnimodular, _int, _ints, _matrix
 from .exactlattice import _trace, _trace_disc, mat2_det
-from .quadforms import _check_ints
 
 
 class CubicRing:
@@ -28,8 +27,7 @@ class CubicRing:
     """
 
     def __init__(self, a, b, e, f):
-        if not all(isinstance(v, int) for v in (a, b, e, f)):
-            raise DomainError("need integer coefficients, got %r" % ((a, b, e, f),))
+        a, b, e, f = _ints((a, b, e, f), 4)
         self.a, self.b, self.e, self.f = a, b, e, f
         self.ell, self.m, self.n = -b * f, b * e, -a * e
         self._t = (
@@ -85,7 +83,7 @@ class CubicRing:
 
 def ring_from_cubic_form(form) -> CubicRing:
     """Cubic ring of a binary cubic form (p, q, r, s)."""
-    p, q, r, s = form
+    p, q, r, s = _ints(form, 4)
     return CubicRing(-q, p, -s, r)
 
 
@@ -122,9 +120,7 @@ def values_mod(form, m) -> frozenset:
 
     Cost: m^2 evaluations, one for each (x, y) modulo m.
     """
-    if not isinstance(m, int):
-        raise DomainError("need an integer modulus, got %r" % (m,))
-    _check_ints(form)
+    m, form = _int(m, "modulus"), _ints(form, 4)
     if m < 2:
         raise DomainError("modulus %r below 2" % (m,))
     return frozenset(cubic_eval(form, x, y) % m for x in range(m) for y in range(m))
@@ -132,13 +128,11 @@ def values_mod(form, m) -> frozenset:
 
 def cubic_twisted_act(mat, form):
     """Substitute (x, y) -> (x, y) * mat and divide by det(mat)."""
-    _check_ints(*mat, form)
+    (m00, m01), (m10, m11) = mat = _matrix(mat)
+    p, q, r, s = form = _ints(form, 4)
     det = mat2_det(mat)
     if det not in (1, -1):
         raise NotUnimodular("determinant %r not a unit" % (det,))
-    m00, m01 = mat[0]
-    m10, m11 = mat[1]
-    p, q, r, s = form
     # coefficients of form((x*m00 + y*m10, x*m01 + y*m11))
     p2 = cubic_eval(form, m00, m01)
     s2 = cubic_eval(form, m10, m11)
@@ -165,8 +159,7 @@ def idempotents_within(ring, height=10):
     Brute-force box search: a semi-decision used to recognize split rings.
     Cost: (2*height + 1)^3 products, one for each point of the box.
     """
-    if not isinstance(height, int):
-        raise DomainError("need an integer height, got %r" % (height,))
+    height = _int(height, "height")
     out = []
     rng = range(-height, height + 1)
     for x0 in rng:

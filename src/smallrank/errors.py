@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every smallrank module."""
+"""Exception hierarchy shared by every smallrank module, and its input gate."""
 
 
 class SmallRankError(Exception):
@@ -75,3 +75,34 @@ class DegenerateRing(SmallRankError):
 
 class PrecisionError(SmallRankError):
     """Working precision too small for the requested computation."""
+
+
+def _ints(values, n, what="coefficients", error=DomainError):
+    """values as a tuple of exactly n ints, else error.
+
+    A bool, a float, a str, a non-iterable or a wrong length is rejected:
+    the test is ``type(v) is int``, so no subclass of int gets through.
+    """
+    try:
+        out = tuple(values)
+    except TypeError:
+        out = ()
+    if len(out) != n or not all(type(v) is int for v in out):
+        raise error("need integer %s (%d ints), got %r" % (what, n, values))
+    return out
+
+
+def _int(v, what, error=DomainError):
+    """v itself if type(v) is int, so not a bool; else error."""
+    if type(v) is not int:
+        raise error("need an integer %s, got %r" % (what, v))
+    return v
+
+
+def _matrix(m):
+    """A 2x2 integer matrix as two int pairs ((p, q), (r, s))."""
+    try:
+        top, bottom = m
+    except (TypeError, ValueError):
+        raise DomainError("need a 2x2 integer matrix, got %r" % (m,))
+    return _ints(top, 2, "matrix rows"), _ints(bottom, 2, "matrix rows")

@@ -17,7 +17,7 @@ functions return.
 from fractions import Fraction
 from math import isfinite, isqrt, lcm, prod
 
-from .errors import DimensionError, DomainError, RankError
+from .errors import DimensionError, DomainError, RankError, _int
 
 
 def xgcd(a, b):
@@ -70,20 +70,18 @@ def _hnf_int(rows):
 def _scaled(rows):
     # integer rows and the least positive denominator den with
     # rows == int_rows / den; DimensionError for rows of unequal length,
-    # DomainError for an entry that is not an int, a Fraction or a finite
-    # float (Fraction would also parse the string "1/2")
+    # DomainError for an entry whose type is not exactly int, Fraction or a
+    # finite float: not a bool, and not a str (Fraction would parse "1/2")
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
     if all(type(e) is int for row in rows for e in row):  # the usual input
         return rows, 1
     if not all(
-        isinstance(e, (int, Fraction)) or isinstance(e, float) and isfinite(e)
-        for row in rows
-        for e in row
+        type(e) in (int, Fraction) or type(e) is float and isfinite(e) for row in rows for e in row
     ):
         raise DomainError("need rational entries, got %r" % (rows,))
-    rows = [[e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row] for row in rows]
+    rows = [[Fraction(e) if type(e) is float else e for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
@@ -208,7 +206,7 @@ def factorize(n):
     with two large prime factors still costs about sqrt(n)/3 divisions:
     (10^9 + 7)(10^9 + 9) took 61 s on a 2-core Xeon.
     """
-    if not isinstance(n, int) or n < 1:
+    if _int(n, "n") < 1:
         raise DomainError("factorize needs a positive integer")
     out = {}
     for p in [2, 3]:
@@ -249,7 +247,7 @@ def divisor_sigma(n) -> int:
     Cost: that of ``factorize(n)``, then one term (p^(e+1) - 1)/(p - 1) per
     prime power p^e exactly dividing n.
     """
-    if not isinstance(n, int) or n <= 0:
+    if _int(n, "n") < 1:
         raise DomainError("divisor_sigma needs a positive integer")
     return prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(n).items())
 
@@ -268,7 +266,7 @@ def is_prime(n) -> bool:
     (strong base 2 and strong Lucas): unproven, but no composite is known
     to pass it.  Cost: at most 13 modular powers, O(log(n)^3) bit operations.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:

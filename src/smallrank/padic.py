@@ -25,7 +25,7 @@ count by brute force at finite precision, via explicit unit-coset
 representatives, and is the reference the formula is tested against.
 """
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _int, _ints
 from .exactlattice import is_prime
 
 __all__ = [
@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _odd_prime(p):
+    # the one check on p; is_prime is False for anything but an int
+    if p == 2 or not is_prime(p):
+        raise DomainError("p must be an odd prime, got %r" % (p,))
+
+
 class PadicConfig:
     """An odd prime ``p``, a base-order level ``n >= 0``, and a non-residue ``u``.
 
@@ -48,13 +54,10 @@ class PadicConfig:
     __slots__ = ("p", "n", "u")
 
     def __init__(self, p, n, u):
-        if not all(isinstance(v, int) for v in (p, n, u)):
-            raise DomainError("need integers, got p=%r, n=%r, u=%r" % (p, n, u))
-        if p < 3 or not is_prime(p):
-            raise DomainError("p must be an odd prime, got %r" % (p,))
-        if n < 0:
+        _odd_prime(p)
+        if _int(n, "level n") < 0:
             raise DomainError("the base-order level n must be nonnegative")
-        if pow(u % p, (p - 1) // 2, p) != p - 1:
+        if pow(_int(u, "non-residue u") % p, (p - 1) // 2, p) != p - 1:
             raise DomainError("u must be a quadratic non-residue modulo p")
         self.p = p
         self.n = n
@@ -75,26 +78,14 @@ class PadicConfig:
 
 def least_nonresidue(p):
     """The smallest positive quadratic non-residue modulo an odd prime."""
-    if not isinstance(p, int) or p < 3 or not is_prime(p):
-        raise DomainError("p must be an odd prime, got %r" % (p,))
-    for u in range(2, p):
-        if pow(u, (p - 1) // 2, p) == p - 1:
-            return u
-    raise DomainError("no non-residue found; p is not an odd prime")
-
-
-def _three_ints(idx, what):
-    try:
-        x, y, z = idx
-    except (TypeError, ValueError):
-        raise DomainError("%s is three integers" % what)
-    if not all(isinstance(v, int) for v in (x, y, z)):
-        raise DomainError("%s is three integers, got %r" % (what, (x, y, z)))
-    return x, y, z
+    _odd_prime(p)
+    return next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
 
 
 def _split_index(cfg, idx):
-    i, j, k = _three_ints(idx, "a triple index")
+    if not isinstance(cfg, PadicConfig):
+        raise DomainError("expected a PadicConfig")
+    i, j, k = _ints(idx, 3, "triple index entries")
     if not (0 <= i <= j <= k <= cfg.n):
         raise DomainError(
             "balanced_count requires a sorted index 0 <= i <= j <= k <= n"
@@ -109,8 +100,6 @@ def balanced_count(cfg, idx):
     parity condition ``i+j+k = n (mod 2)`` or the reflected triangle
     inequality fails, else evaluates the closed formula.
     """
-    if not isinstance(cfg, PadicConfig):
-        raise DomainError("expected a PadicConfig")
     i, j, k = _split_index(cfg, idx)
     p, n = cfg.p, cfg.n
     if (i + j + k - n) % 2 != 0:
@@ -134,11 +123,9 @@ def stella_membership(n, idx):
     geometry alone: ``1`` or ``2`` when the point is in exactly one
     tetrahedron, ``"boundary"`` when in both, ``None`` when in neither.
     """
-    if not isinstance(n, int):
-        raise DomainError("the level n must be an integer, got %r" % (n,))
-    if n < 0:
+    if _int(n, "level n") < 0:
         raise DomainError("the level n must be nonnegative")
-    x, y, z = _three_ints(idx, "a signed triple index")
+    x, y, z = _ints(idx, 3, "signed triple index entries")
 
     in1 = (
         x + y + z >= -n
@@ -173,11 +160,8 @@ def unit_coset_reps(p, t, i):
     (``i <= t``).  Representatives are exact integers independent of ``u``;
     ``p`` must be an odd prime.  Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
     """
-    if not all(isinstance(v, int) for v in (p, t, i)):
-        raise DomainError("need integers, got p=%r, t=%r, i=%r" % (p, t, i))
-    if p < 3 or not is_prime(p):
-        raise DomainError("p must be an odd prime, got %r" % (p,))
-    if t < 0 or i < 0:
+    _odd_prime(p)
+    if _int(t, "level t") < 0 or _int(i, "level i") < 0:
         raise DomainError("order levels must be nonnegative")
     if i <= t:
         return [(1, 0)]
@@ -201,13 +185,9 @@ def enumerate_balanced_oracle(cfg, idx, m):
     Cost: one pass over at most ``p^(i-1) (p+1)`` coset representatives
     (``unit_coset_reps``), each tested on up to 8 products modulo ``p^m``.
     """
-    if not isinstance(cfg, PadicConfig):
-        raise DomainError("expected a PadicConfig")
     i, j, k = _split_index(cfg, idx)
     p, n, u = cfg.p, cfg.n, cfg.u
-    if not isinstance(m, int):
-        raise DomainError("the precision m must be an integer, got %r" % (m,))
-    if m < 2 * n + 2:
+    if _int(m, "precision m") < 2 * n + 2:
         raise PrecisionError("precision m must be at least 2n + 2")
     if (i + j + k - n) % 2 != 0:
         return 0

@@ -12,11 +12,13 @@ from operator import itemgetter
 
 from .errors import (
     DiscriminantMismatch,
-    DomainError,
     NotPositiveDefinite,
     NotPrimitive,
     NotUnimodular,
     UnsupportedDiscriminant,
+    _int,
+    _ints,
+    _matrix,
 )
 from .exactlattice import factorize, mat2_det, xgcd
 
@@ -31,19 +33,13 @@ def content(f) -> int:
     return gcd(a, b, c)
 
 
-def _check_ints(*rows):
-    if not all(isinstance(v, int) for row in rows for v in row):
-        raise DomainError("need integer coefficients, got " + ", ".join(map(repr, rows)))
-
-
 def twisted_act(m, f):
     """Determinant-twisted action of m in GL2(Z) on the form f."""
-    _check_ints(*m, f)
+    (p, q), (r, s) = m = _matrix(m)
+    a, b, c = f = _ints(f, 3)
     det = mat2_det(m)
     if det not in (1, -1):
         raise NotUnimodular("determinant %d" % det)
-    a, b, c = f
-    (p, q), (r, s) = m
     a1 = (a * p * p + b * p * q + c * q * q) // det
     c1 = (a * r * r + b * r * s + c * s * s) // det
     b1 = (2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s) // det
@@ -65,8 +61,7 @@ def reduce(f):
 
     Returns (g, m) with g reduced and twisted_act(m, f) == g.
     """
-    _check_ints(f)
-    a, b, c = f
+    a, b, c = f = _ints(f, 3)
     if discriminant(f) >= 0:
         raise UnsupportedDiscriminant("reduction implemented for negative discriminants only")
     if a <= 0:
@@ -106,9 +101,7 @@ def _reduce(a, b, c):
 
 
 def _check_disc(d):
-    if not isinstance(d, int):
-        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
-    if d >= 0:
+    if _int(d, "discriminant", UnsupportedDiscriminant) >= 0:
         raise UnsupportedDiscriminant("need a negative discriminant")
     if d % 4 not in (0, 1):
         raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
@@ -144,7 +137,7 @@ def compose(f, g):
     semigroup also uses for imprimitive forms; its docstring has the proof.
     Cost: two xgcd steps and one reduction.
     """
-    _check_ints(f, g)
+    f, g = _ints(f, 3), _ints(g, 3)
     d = discriminant(f)
     if d != discriminant(g):
         raise DiscriminantMismatch("%d vs %d" % (d, discriminant(g)))
@@ -318,10 +311,8 @@ def class_group(d):
 
 def represent(f, value):
     """All integer (x, y) with f(x, y) == value, for positive definite f."""
-    if not isinstance(value, int):
-        raise DomainError("need an integer value, got %r" % (value,))
-    _check_ints(f)
-    a, b, c = f
+    value = _int(value, "value")
+    a, b, c = f = _ints(f, 3)
     d = discriminant(f)
     if d >= 0:
         raise UnsupportedDiscriminant("finite enumeration needs a definite form")

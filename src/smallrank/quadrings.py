@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    DimensionError,
     DomainError,
     FormRingMismatch,
     NotAModule,
@@ -19,10 +20,12 @@ from .errors import (
     RingMismatch,
     UnsupportedDiscriminant,
     ZeroForm,
+    _int,
+    _ints,
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _check_ints, _compose, _conjugates, _monoid_table, content, discriminant, enumerate_reduced,
+    _compose, _conjugates, _monoid_table, content, discriminant, enumerate_reduced,
     principal_form, reduce, twisted_act,
 )
 
@@ -31,9 +34,7 @@ class QuadraticRing:
     """Z[xi] with xi^2 = t*xi - u, and its table ``_t`` over (1, xi)."""
 
     def __init__(self, t, u):
-        if not (isinstance(t, int) and isinstance(u, int)):
-            raise DomainError("need integer coefficients, got t=%r, u=%r" % (t, u))
-        self.t, self.u = t, u
+        self.t, self.u = _ints((t, u), 2)
         self._t = (((1, 0), (0, 1)), ((0, 1), (-u, t)))
 
     @property
@@ -71,9 +72,7 @@ class QuadraticRing:
 
 def ring_from_disc(d) -> QuadraticRing:
     """The quadratic ring of discriminant d in normalized presentation."""
-    if not isinstance(d, int):
-        raise UnsupportedDiscriminant("need an integer discriminant, got %r" % (d,))
-    if d % 4 == 0:
+    if _int(d, "discriminant", UnsupportedDiscriminant) % 4 == 0:
         return QuadraticRing(0, -d // 4)
     if d % 4 == 1:
         return QuadraticRing(1, (1 - d) // 4)
@@ -159,7 +158,7 @@ def form_from_ideal(ideal):
 
 def ideal_from_form(f, ring) -> QuadIdeal:
     """The ideal whose stored basis has raw associated form exactly f."""
-    _check_ints(f)
+    f = _ints(f, 3)
     if f == (0, 0, 0):
         raise ZeroForm("the zero form defines no ideal")
     if discriminant(f) != ring.disc:
@@ -208,6 +207,8 @@ def ideal_norm(i) -> Fraction:
 def scale(i, elt) -> QuadIdeal:
     """The ideal elt * I for a ring element elt = (x, y), canonical basis."""
     (e,), e_den = _scaled([elt])
+    if len(e) != 2:
+        raise DimensionError("a ring element has 2 coordinates, got %r" % (elt,))
     return _span(i.ring, [i.ring.mul(e, row) for row in i.rows], i.den * e_den)
 
 

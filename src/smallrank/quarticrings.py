@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from .errors import DegenerateRing, DomainError, TrivialRing
+from .errors import DegenerateRing, DomainError, TrivialRing, _ints
 from .exactlattice import (
     _bareiss,
     _coords2,
@@ -83,14 +83,9 @@ def _coerce_pair(pair):
     """Validate a pair of ternary forms and return it as two int 6-tuples."""
     try:
         a, b = pair
-        a, b = tuple(a), tuple(b)
     except (TypeError, ValueError):
         raise DomainError("a pair of ternary forms must be two 6-tuples of integers")
-    if not all(isinstance(v, int) for v in a + b):
-        raise DomainError("need integer coefficients, got %r" % ((a, b),))
-    if len(a) != 6 or len(b) != 6:
-        raise DomainError("each ternary form needs exactly 6 coefficients")
-    return a, b
+    return _ints(a, 6), _ints(b, 6)
 
 
 def ternary_eval(form, v):
@@ -198,9 +193,7 @@ class QuarticRing:
             table = {(i, j, k): c[(i, j, k)] for i, j in _PAIRS for k in range(4)}
         except KeyError as e:
             raise DomainError("multiplication table is missing entry %r" % (e.args[0],))
-        for v in table.values():
-            if not isinstance(v, int):
-                raise DomainError("need integer table entries, got %r" % (v,))
+        _ints(tuple(table.values()), 24, "table entries")
         self.c = table
         self._t = _rows(table)
 
@@ -505,12 +498,7 @@ def resolvent_identity_check(pair, x):
     pairs (any other sign/order combination fails).
     """
     a, b = _coerce_pair(pair)
-    try:
-        x1, x2, x3 = x
-    except (TypeError, ValueError):
-        raise DomainError("x is three integer coordinates")
-    if not all(isinstance(v, int) for v in (x1, x2, x3)):
-        raise DomainError("need integer coordinates, got x=%r" % ((x1, x2, x3),))
+    x1, x2, x3 = _ints(x, 3, "coordinates")
     ring = ring_from_pair(pair)
     e = (0, x1, x2, x3)
     e2 = ring.mul(e, e)

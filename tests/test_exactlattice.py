@@ -755,3 +755,27 @@ def test_every_public_function_has_a_caller_in_the_package():
                     read.add(node.attr)
     assert "lattice_intersect" in public and "factorize" in public
     assert sorted(public - read) == []
+
+
+def test_integer_checks_live_only_in_the_errors_gate():
+    # one input gate: no module but errors.py calls isinstance(x, int) or
+    # isinstance(x, (..., int, ...)); the others run errors._ints/_int
+    pkg = os.path.dirname(smallrank.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            module = ast.parse(f.read(), name)
+        for node in ast.walk(module):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                    found.append("%s:%d" % (name, node.lineno))
+    assert found == []
