@@ -41,9 +41,13 @@ def _slice_forms(q):
     return f1, f2, f3
 
 
-def cube_invariants(q):
-    """The pair (t, u): every associated form has discriminant t^2 - 4u."""
-    a, b, c, d, e, f, g, h = _ints(q, 8, "cube entries")
+def _cube(q):
+    # the one gate on a cube; the private helpers below take its output
+    return _ints(q, 8, "cube entries")
+
+
+def _invariants(q):
+    a, b, c, d, e, f, g, h = q
     t = a * h + b * g + c * f + d * e
     u = (
         a * b * g * h + a * c * f * h + a * d * e * h
@@ -53,28 +57,40 @@ def cube_invariants(q):
     return t, u
 
 
-def associated_forms(q):
-    """The three associated forms, in display order (phi1, phi3, phi2)."""
-    q = _ints(q, 8, "cube entries")
+def cube_invariants(q):
+    """The pair (t, u): every associated form has discriminant t^2 - 4u."""
+    return _invariants(_cube(q))
+
+
+def _forms(q):
     f1, f2, f3 = _slice_forms(q)
-    t, u = cube_invariants(q)
+    t, u = _invariants(q)
     for f in (f1, f2, f3):
         assert discriminant(f) == t * t - 4 * u
     return f1, f3, f2
 
 
-def ring_of_cube(q) -> QuadraticRing:
-    """The quadratic ring (t, u) of a nondegenerate cube."""
-    q = _ints(q, 8, "cube entries")
+def associated_forms(q):
+    """The three associated forms, in display order (phi1, phi3, phi2)."""
+    return _forms(_cube(q))
+
+
+def _ring(q):
     if any(f == (0, 0, 0) for f in _slice_forms(q)):
         raise Degenerate("a pair of opposite faces is linearly dependent")
-    return QuadraticRing(*cube_invariants(q))
+    return QuadraticRing(*_invariants(q))
+
+
+def ring_of_cube(q) -> QuadraticRing:
+    """The quadratic ring (t, u) of a nondegenerate cube."""
+    return _ring(_cube(q))
 
 
 def xi_actions(q):
     """Matrices of xi on the three reconstructed ideals, display order."""
-    ring = ring_of_cube(q)
-    return tuple(ideal_from_form(f, ring).xi for f in associated_forms(q))
+    q = _cube(q)
+    ring = _ring(q)
+    return tuple(ideal_from_form(f, ring).xi for f in _forms(q))
 
 
 def triple_from_cube(q) -> BalancedTriple:
@@ -84,11 +100,9 @@ def triple_from_cube(q) -> BalancedTriple:
     bases; the third ideal's basis is the unique solution of the eight
     coefficient equations xi-coeff(x_i * y_j * z_k) = a_ijk.
     """
-    q = _ints(q, 8, "cube entries")
+    q = _cube(q)
     f1, f2, f3 = _slice_forms(q)
-    if (0, 0, 0) in (f1, f2, f3):
-        raise Degenerate("a pair of opposite faces is linearly dependent")
-    ring = QuadraticRing(*cube_invariants(q))
+    ring = _ring(q)
     i1 = ideal_from_form(f1, ring)
     i2 = ideal_from_form(f2, ring)
     # xi-coeff(w*z) = w[1]*z0 + (w[0] + t*w[1])*z1 with w = x_i*y_j; on the
@@ -164,7 +178,7 @@ def gamma_act(ms, q):
         m1, m2, m3 = ms = tuple(map(_matrix, ms))
     except (TypeError, ValueError):
         raise DomainError("need three 2x2 integer matrices, got %r" % (ms,))
-    q = _ints(q, 8, "cube entries")
+    q = _cube(q)
     dets = []
     for m in ms:
         det = mat2_det(m)
@@ -186,8 +200,8 @@ def gamma_act(ms, q):
                     )
                 )
     new = tuple(out)
-    t0, u0 = cube_invariants(q)
-    t1, u1 = cube_invariants(new)
+    t0, u0 = _invariants(q)
+    t1, u1 = _invariants(new)
     assert t1 * t1 - 4 * u1 == t0 * t0 - 4 * u0
     return new
 

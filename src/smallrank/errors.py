@@ -77,19 +77,17 @@ class PrecisionError(SmallRankError):
     """Working precision too small for the requested computation."""
 
 
-def _ints(values, n, what="coefficients", error=DomainError):
-    """values as a tuple of exactly n ints, else error.
+def _ints(values, n, what="coefficients"):
+    """values, a tuple or list of exactly n ints, as a tuple; else DomainError.
 
-    A bool, a float, a str, a non-iterable or a wrong length is rejected:
-    the test is ``type(v) is int``, so no subclass of int gets through.
+    Anything else is rejected: a bool, a float, a str, bytes, a mapping, any
+    other iterable or a wrong length.  The test is ``type(v) is int``, so no
+    subclass of int gets through.
     """
-    try:
-        out = tuple(values)
-    except TypeError:
-        out = ()
-    if len(out) != n or not all(type(v) is int for v in out):
-        raise error("need integer %s (%d ints), got %r" % (what, n, values))
-    return out
+    ok = isinstance(values, (tuple, list)) and len(values) == n
+    if not (ok and all(type(v) is int for v in values)):
+        raise DomainError("need integer %s (%d ints), got %r" % (what, n, values))
+    return tuple(values)
 
 
 def _int(v, what, error=DomainError):
@@ -101,8 +99,6 @@ def _int(v, what, error=DomainError):
 
 def _matrix(m):
     """A 2x2 integer matrix as two int pairs ((p, q), (r, s))."""
-    try:
-        top, bottom = m
-    except (TypeError, ValueError):
+    if not isinstance(m, (tuple, list)) or len(m) != 2:
         raise DomainError("need a 2x2 integer matrix, got %r" % (m,))
-    return _ints(top, 2, "matrix rows"), _ints(bottom, 2, "matrix rows")
+    return _ints(m[0], 2, "matrix rows"), _ints(m[1], 2, "matrix rows")

@@ -79,7 +79,10 @@ class PadicConfig:
 def least_nonresidue(p):
     """The smallest positive quadratic non-residue modulo an odd prime."""
     _odd_prime(p)
-    return next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+    for u in range(2, p):
+        if pow(u, (p - 1) // 2, p) == p - 1:
+            return u
+    raise DomainError("no non-residue found; p is not an odd prime")
 
 
 def _split_index(cfg, idx):

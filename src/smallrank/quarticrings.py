@@ -81,11 +81,9 @@ MinimalResolvent = namedtuple("MinimalResolvent", ["lattice", "content"])
 
 def _coerce_pair(pair):
     """Validate a pair of ternary forms and return it as two int 6-tuples."""
-    try:
-        a, b = pair
-    except (TypeError, ValueError):
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
         raise DomainError("a pair of ternary forms must be two 6-tuples of integers")
-    return _ints(a, 6), _ints(b, 6)
+    return _ints(pair[0], 6), _ints(pair[1], 6)
 
 
 def ternary_eval(form, v):

@@ -199,18 +199,24 @@ def test_every_gated_argument_rejects_bad_integers(fn, args, error, case):
 
 
 def test_the_gate_itself():
-    assert _ints([1, 2], 2) == (1, 2) and _ints(iter((3,)), 1) == (3,)
+    assert _ints([1, 2], 2) == (1, 2) and _ints((3,), 1) == (3,)
     assert _int(-5, "n") == -5 and _matrix([[1, 2], [3, 4]]) == ((1, 2), (3, 4))
 
     class Int(int):
         pass
 
-    for bad in (5, None, (1, Int(2)), (1, Fraction(2)), "12"):
+    # only a tuple or a list: bytes and a dict iterate as ints, but are not
+    bad_seqs = (b"\x01\x02", bytearray(b"\x01\x02"), {1: 0, 2: 0}, {1, 2}, iter((1, 2)))
+    for bad in (5, None, (1, Int(2)), (1, Fraction(2)), "12", *bad_seqs):
         with pytest.raises(DomainError, match="need integer coefficients"):
             _ints(bad, 2)
     for bad in (Int(1), True, 1.0, "1", None):
         with pytest.raises(UnsupportedDiscriminant, match="need an integer discriminant"):
             _int(bad, "discriminant", UnsupportedDiscriminant)
-    for bad in (5, (I[0],), (I[0], (1, 0, 0)), ((1.0, 0), (0, 1))):
+    for bad in (5, b"\x01\x02", (I[0],), (I[0], (1, 0, 0)), ((1.0, 0), (0, 1)), (b"\x01\0", I[1])):
         with pytest.raises(DomainError):
             _matrix(bad)
+    # bytes used to pass as a form of small ints
+    for call in (lambda: reduce(b"\x01\x01\x06"), lambda: compose(b"\x01\x01\x06", F)):
+        with pytest.raises(DomainError, match="need integer coefficients"):
+            call()
