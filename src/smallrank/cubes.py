@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (
-    Degenerate, DomainError, NotBalanced, NotInGamma, RingMismatch, UnsupportedDiscriminant, _ints,
-    _matrix,
+    Degenerate, DomainError, InvariantViolation, NotBalanced, NotInGamma, RingMismatch,
+    UnsupportedDiscriminant, _ints, _matrix,
 )
 from .exactlattice import lattice_intersect, mat2_det
 from .quadforms import discriminant, represent
@@ -66,7 +66,8 @@ def _forms(q):
     f1, f2, f3 = _slice_forms(q)
     t, u = _invariants(q)
     for f in (f1, f2, f3):
-        assert discriminant(f) == t * t - 4 * u
+        if discriminant(f) != t * t - 4 * u:
+            raise InvariantViolation("associated form %r has the wrong discriminant" % (f,))
     return f1, f3, f2
 
 
@@ -128,13 +129,16 @@ def triple_from_cube(q) -> BalancedTriple:
         # Cramer: z = (u, v) / det, checked against all four equations
         u = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1])))
         v = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s])))
-        assert all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs))
+        if not all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs)):
+            raise InvariantViolation("third ideal of the cube does not solve all four equations")
         zs.append((sign * u, sign * v))  # over |det|
 
     i3 = QuadIdeal._from_rows(ring, zs, abs(det))
-    assert raw_form(i3) == f3
+    if raw_form(i3) != f3:
+        raise InvariantViolation("third ideal of the cube does not have the third form %r" % (f3,))
     triple = BalancedTriple(ring, (i1, i2, i3))
-    assert is_balanced(*triple.ideals)
+    if not is_balanced(*triple.ideals):
+        raise InvariantViolation("triple rebuilt from the cube is not balanced")
     return triple
 
 
@@ -202,7 +206,8 @@ def gamma_act(ms, q):
     new = tuple(out)
     t0, u0 = _invariants(q)
     t1, u1 = _invariants(new)
-    assert t1 * t1 - 4 * u1 == t0 * t0 - 4 * u0
+    if t1 * t1 - 4 * u1 != t0 * t0 - 4 * u0:
+        raise InvariantViolation("gamma action changed the discriminant of the cube")
     return new
 
 

@@ -15,7 +15,7 @@ the generators.
 
 from math import gcd
 
-from .errors import DomainError, NotUnimodular, _int, _ints, _matrix
+from .errors import DomainError, InvariantViolation, NotUnimodular, _int, _ints, _matrix
 from .exactlattice import _trace, _trace_disc, mat2_det
 
 
@@ -149,7 +149,8 @@ def cubic_twisted_act(mat, form):
         + 3 * s * m11 * m11 * m01
     )
     out = (p2 // det, q2 // det, r2 // det, s2 // det)
-    assert (p2 % det, q2 % det, r2 % det, s2 % det) == (0, 0, 0, 0)
+    if (p2 % det, q2 % det, r2 % det, s2 % det) != (0, 0, 0, 0):
+        raise InvariantViolation("%r acting on %r gave a non-integral form" % (mat, form))
     return out
 
 

@@ -77,6 +77,10 @@ class PrecisionError(SmallRankError):
     """Working precision too small for the requested computation."""
 
 
+class InvariantViolation(SmallRankError, AssertionError):
+    """A self-check of a construction failed: a bug in smallrank, not bad input."""
+
+
 def _ints(values, n, what="coefficients"):
     """values, a tuple or list of exactly n ints, as a tuple; else DomainError.
 

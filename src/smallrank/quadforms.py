@@ -12,6 +12,7 @@ from operator import itemgetter
 
 from .errors import (
     DiscriminantMismatch,
+    InvariantViolation,
     NotPositiveDefinite,
     NotPrimitive,
     NotUnimodular,
@@ -45,7 +46,7 @@ def twisted_act(m, f):
     b1 = (2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s) // det
     g = (a1, b1, c1)
     if discriminant(g) != discriminant(f):
-        raise AssertionError("%r acting on %r changed the discriminant" % (m, f))
+        raise InvariantViolation("%r acting on %r changed the discriminant" % (m, f))
     return g
 
 
@@ -74,7 +75,7 @@ def _reduce(a, b, c):
     # m = ((p, q), (r, s)) with det m = 1: a swap multiplies m on the left by
     # ((0, -1), (1, 0)) and a translation by ((1, 0), (k, 1)).  The loop stops
     # exactly when the form is reduced (is_reduced); the end checks that m
-    # takes the input to the output, as twisted_act would, also under -O.
+    # takes the input to the output, as twisted_act would.
     a0, b0, c0 = a, b, c
     p, q, r, s = 1, 0, 0, 1
     while True:
@@ -94,7 +95,7 @@ def _reduce(a, b, c):
         2 * a0 * p * r + b0 * (p * s + q * r) + 2 * c0 * q * s,
         a0 * r * r + b0 * r * s + c0 * s * s,
     ) != (a, b, c):
-        raise AssertionError(
+        raise InvariantViolation(
             "reduction matrix does not take %r to %r" % ((a0, b0, c0), (a, b, c))
         )
     return (a, b, c), ((p, q), (r, s))
@@ -178,17 +179,17 @@ def _compose(f, g, d):
     # u*a1 + v*a2 + w*s = e with (u, v) = u2*(u1, v1)
     u, v = u2 * u1, u2 * v1
     if u * a1 + v * a2 + w * s != e:
-        raise AssertionError("Bezout coefficients of %r * %r do not give %d" % (f, g, e))
+        raise InvariantViolation("Bezout coefficients of %r * %r do not give %d" % (f, g, e))
     big_a = a1 * a2 * gcd(e, n, c1, c2) // (e * e)
     if big_a <= 0:
         raise NotPositiveDefinite("composition of a positive and a negative definite form")
     big_b = (b2 + 2 * (a2 // e) * (v * n - w * c2)) % (2 * big_a)
     big_c = (big_b * big_b - d) // (4 * big_a)
     if discriminant((big_a, big_b, big_c)) != d:
-        raise AssertionError("composite of %r * %r has the wrong discriminant" % (f, g))
+        raise InvariantViolation("composite of %r * %r has the wrong discriminant" % (f, g))
     h = _reduce(big_a, big_b, big_c)[0]
     if gcd(*h) != lcm(gcd(a1, b1, c1), gcd(a2, b2, c2)):
-        raise AssertionError("content of %r * %r is not the lcm of theirs" % (f, g))
+        raise InvariantViolation("content of %r * %r is not the lcm of theirs" % (f, g))
     return h
 
 
@@ -221,6 +222,13 @@ def _monoid_table(n, ident, product, conj):
     row(x*g)[k] = x*(g*k), suffices because the product commutes; each new
     row is one gather of row(x) by times_g (n >= 2 here, so the gather
     returns a tuple).
+
+    The two checks see a product that gives one entry two values and a
+    finished table that is not symmetric.  They cannot see every
+    non-commutative product, since product(g, k) is only called with a
+    generator on the left: of the 54 products on {0, 1, 2} with identity 0
+    and 1*2 != 2*1, 30 give a symmetric table.  The callers compose ideal
+    classes, which commute by theorem.
     """
     rows = {ident: list(range(n))}
     for g in range(n):
@@ -243,7 +251,7 @@ def _monoid_table(n, ident, product, conj):
                     if times_g[x] is None:
                         times_g[x] = z
                     elif times_g[x] != z:
-                        raise AssertionError("monoid table must be symmetric")
+                        raise InvariantViolation("monoid table must be symmetric")
         gather = itemgetter(*times_g)
         todo = list(rows)
         while todo:
@@ -254,7 +262,7 @@ def _monoid_table(n, ident, product, conj):
                 todo.append(y)
     table = [rows[x] for x in range(n)]
     if table != [list(col) for col in zip(*table)]:
-        raise AssertionError("monoid table must be symmetric")
+        raise InvariantViolation("monoid table must be symmetric")
     return table
 
 
@@ -310,7 +318,11 @@ def class_group(d):
 
 
 def represent(f, value):
-    """All integer (x, y) with f(x, y) == value, for positive definite f."""
+    """All integer (x, y) with f(x, y) == value, for positive definite f.
+
+    Cost: 2*isqrt(4*a*value/|d|) + 1 values of y, one isqrt each, so it
+    grows as sqrt(value).
+    """
     value = _int(value, "value")
     a, b, c = f = _ints(f, 3)
     d = discriminant(f)

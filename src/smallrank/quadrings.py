@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormRingMismatch,
+    InvariantViolation,
     NotAModule,
     RankError,
     RingMismatch,
@@ -88,8 +89,10 @@ class QuadIdeal:
     """
 
     def __init__(self, ring, basis):
-        basis = [tuple(row) for row in basis]
-        if len(basis) != 2 or any(len(r) != 2 for r in basis):
+        seqs = (tuple, list)
+        if not isinstance(basis, seqs) or len(basis) != 2 or any(
+            not isinstance(r, seqs) or len(r) != 2 for r in basis
+        ):
             raise RankError("an ideal basis is two row vectors of length 2")
         self._set(ring, *_scaled(basis))
 
@@ -141,8 +144,10 @@ def raw_form(ideal):
     """Associated form of the stored basis, before any reduction."""
     (a, b), (c, d) = ideal.xi
     f = (c, d - a, -b)
-    assert a + d == ideal.ring.t and mat2_det(ideal.xi) == ideal.ring.u
-    assert discriminant(f) == ideal.ring.disc
+    if a + d != ideal.ring.t or mat2_det(ideal.xi) != ideal.ring.u:
+        raise InvariantViolation("xi on %r does not have trace t and norm u" % (ideal,))
+    if discriminant(f) != ideal.ring.disc:
+        raise InvariantViolation("form %r of the ideal has the wrong discriminant" % (f,))
     return f
 
 
@@ -173,11 +178,13 @@ def ideal_from_form(f, ring) -> QuadIdeal:
         # through the adjugate of m, which is m^-1 since det m == 1
         m = ((0, 1), (-1, 0)) if r != 0 else ((1, 1), (0, 1))
         g = twisted_act(m, f)
-        assert g[0] != 0
+        if g[0] == 0:
+            raise InvariantViolation("%r moved %r to a form with zero leading term" % (m, f))
         inner = ideal_from_form(g, ring)
         rows = mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.rows)
         ideal = QuadIdeal._from_rows(ring, rows, inner.den)
-    assert raw_form(ideal) == f
+    if raw_form(ideal) != f:
+        raise InvariantViolation("ideal built from %r does not have that form" % (f,))
     return ideal
 
 
@@ -206,9 +213,9 @@ def ideal_norm(i) -> Fraction:
 
 def scale(i, elt) -> QuadIdeal:
     """The ideal elt * I for a ring element elt = (x, y), canonical basis."""
-    (e,), e_den = _scaled([elt])
-    if len(e) != 2:
+    if not isinstance(elt, (tuple, list)) or len(elt) != 2:
         raise DimensionError("a ring element has 2 coordinates, got %r" % (elt,))
+    (e,), e_den = _scaled([elt])
     return _span(i.ring, [i.ring.mul(e, row) for row in i.rows], i.den * e_den)
 
 
@@ -230,7 +237,8 @@ def inverse(i) -> QuadIdeal:
     # conj(rows/den) / (det/den^2) == den * conj(rows) / det
     rows = [[i.den * e for e in i.ring.conj(row)] for row in i.rows]
     inv = _span(i.ring, rows, abs(mat2_det(i.rows)))
-    assert multiply(i, inv) == unit_ideal(i.ring).canonical()
+    if multiply(i, inv) != unit_ideal(i.ring).canonical():
+        raise InvariantViolation("%r times its inverse is not the unit ideal" % (i,))
     return inv
 
 

@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from .errors import DegenerateRing, DomainError, TrivialRing, _ints
+from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints
 from .exactlattice import (
     _bareiss,
     _coords2,
@@ -286,8 +286,8 @@ def ring_from_pair(pair):
     associativity on the 9 basis triples (xi_x, xi_y, xi_z) with x < z: the
     associator changes sign when x and z swap, since the table is
     commutative, so the other 18 triples add nothing
-    (:func:`_check_associative`).  Both checks raise ``AssertionError``,
-    also under ``python -O``.
+    (:func:`_check_associative`).  Both checks raise
+    :class:`~smallrank.errors.InvariantViolation`.
     """
     lam = lambda_system(pair)
     c = _c_linear_from_lambda(lam)
@@ -309,12 +309,12 @@ def ring_from_pair(pair):
     for i, j in ((1, 2), (1, 3), (2, 3)):
         v = const(i, j, i)
         if v != const(j, i, j):
-            raise AssertionError("inconsistent constant term for xi%d*xi%d" % (i, j))
+            raise InvariantViolation("inconsistent constant term for xi%d*xi%d" % (i, j))
         c[(i, j, 0)] = v
     for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
         v = const(i, i, j)
         if v != const(i, i, k):
-            raise AssertionError("inconsistent constant term for xi%d^2" % i)
+            raise InvariantViolation("inconsistent constant term for xi%d^2" % i)
         c[(i, i, 0)] = v
 
     ring = QuarticRing(c)
@@ -335,7 +335,7 @@ def _times(r, m):
 
 
 def _check_associative(ring):
-    """Raise ``AssertionError`` unless the table of a QuarticRing is associative.
+    """Raise ``InvariantViolation`` unless the table of a QuarticRing is associative.
 
     The associator a(x, y, z) = (xy)z - x(yz) is trilinear and vanishes when
     an argument is 1, so the ring is associative iff it vanishes on the 27
@@ -346,14 +346,14 @@ def _check_associative(ring):
     triples with x < z suffice.  Each side is a table row times one xi:
     (xi_x*xi_y)*xi_z is the row ``_t[x][y]`` times the matrix ``_t[z]`` of
     multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``_t[y][z]`` times
-    ``_t[x]``.  The check runs under ``python -O`` too.
+    ``_t[x]``.
     """
     t = ring._t
     for x in (1, 2):
         for z in range(x + 1, 4):
             for y in (1, 2, 3):
                 if _times(t[x][y], t[z]) != _times(t[y][z], t[x]):
-                    raise AssertionError("associativity failure in constructed table")
+                    raise InvariantViolation("associativity failure in constructed table")
 
 
 def _resolvent_data(ring):
@@ -368,7 +368,8 @@ def _resolvent_data(ring):
     if not isinstance(ring, QuarticRing):
         raise DomainError("expected a QuarticRing")
     lam = _lambda_from_c(ring.c)
-    assert plucker_check(lam), "ring table minors violate the Plucker relations"
+    if not plucker_check(lam):
+        raise InvariantViolation("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
     content = gcd(*lam.values())
@@ -383,12 +384,12 @@ def _resolvent_data(ring):
     mu = [(-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6)]
     for u in range(6):
         for v in range(u + 1, 6):
-            assert mat2_det((mu[u], mu[v])) == lam[(u, v)] * d * d, (
-                "mu realization does not reproduce the minors"
-            )
+            if mat2_det((mu[u], mu[v])) != lam[(u, v)] * d * d:
+                raise InvariantViolation("mu realization does not reproduce the minors")
 
     h = _hnf_int(mu)
-    assert mat2_det(h) == content * d * d, "covolume of the mu-lattice must equal the minor gcd"
+    if mat2_det(h) != content * d * d:
+        raise InvariantViolation("covolume of the mu-lattice must equal the minor gcd")
     return content, mu, h, den
 
 
@@ -418,8 +419,10 @@ def enumerate_numerical_resolvents(ring):
         for d in divisors(n)
         for b in range(d)
     ]
-    assert len(out) == divisor_sigma(n)
-    assert len(set(out)) == len(out), "resolvent lattices must be pairwise distinct"
+    if len(out) != divisor_sigma(n):
+        raise InvariantViolation("need sigma(%d) resolvent lattices, got %d" % (n, len(out)))
+    if len(set(out)) != len(out):
+        raise InvariantViolation("resolvent lattices must be pairwise distinct")
     return [_unscaled(rows, den * n) for rows in out]
 
 
@@ -436,10 +439,12 @@ def pair_from_ring(ring):
     chosen = _hnf_int(mat_mul(((n, 0), (0, 1)), h))
     # both over den * n, so the common denominator cancels
     coords = _coords2(chosen, [(n * e, n * f) for e, f in mu])
-    assert coords is not None, "mu-vectors must be integral in lattice coords"
+    if coords is None:
+        raise InvariantViolation("mu-vectors must be integral in lattice coords")
     witness = tuple(zip(*coords))
     rebuilt = ring_from_pair(witness)
-    assert rebuilt == ring, "witness pair must rebuild the identical table"
+    if rebuilt != ring:
+        raise InvariantViolation("witness pair must rebuild the identical table")
     return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 
 

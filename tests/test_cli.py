@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smallrank
-from smallrank import cli
+from smallrank import cli, quadforms
 from smallrank.cli import main
 
 
@@ -194,6 +194,17 @@ def test_compose_indefinite_exit_code(capsys):
     assert "UnsupportedDiscriminant" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_failed_self_check_exits_1_with_one_line(capsys, monkeypatch):
+    # a reduction that returns the principal form breaks the content check
+    # of every composition; that is a bug to report, not a traceback
+    monkeypatch.setattr(quadforms, "_reduce", lambda a, b, c: ((1, 0, 25), ((1, 0), (0, 1))))
+    code, out, err = run(capsys, "semigroup", "--", "-100")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("InvariantViolation: content of")
 
 
 def test_ideal_form_non_module_exit_code(capsys, tmp_path):

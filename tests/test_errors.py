@@ -5,7 +5,7 @@ One table row per gated argument of an entry point: a valid call, the path
 to one integer inside it and the error expected.  Each row gives the cases
 of that integer made a float, ``True`` or a str, and of each tuple on the
 path to it (a form, a matrix and its rows, a pair and its forms) one value
-short or one value long.  A scalar argument has no length cases.
+short, one value long or the int 5.  A scalar argument has no shape cases.
 """
 
 from fractions import Fraction
@@ -87,8 +87,8 @@ CUBIC = ring_from_cubic_form((1, 0, 1, 1))
 CFG = PadicConfig(3, 2, 2)
 D = UnsupportedDiscriminant
 # floats stay exact entries of an ideal basis or a ring element
-BASIS = {"float": None, "short": RankError, "long": RankError}
-ELEMENT = {"float": None, "short": DimensionError, "long": DimensionError}
+BASIS = {"float": None, "short": RankError, "long": RankError, "scalar": RankError}
+ELEMENT = {"float": None, "short": DimensionError, "long": DimensionError, "scalar": DimensionError}
 
 # (entry point, valid arguments, path to an integer in them, error); the
 # path starts with the argument's position, and error is a class or a dict
@@ -163,7 +163,7 @@ def _replace(obj, path, make):
 
 
 VALUES = {"float": float, "bool": lambda v: True, "str": str}
-LENGTHS = {"short": lambda t: t[:-1], "long": lambda t: t + t[-1:]}
+SHAPES = {"short": lambda t: t[:-1], "long": lambda t: t + t[-1:], "scalar": lambda t: 5}
 
 
 def _cases():
@@ -176,7 +176,7 @@ def _cases():
         for depth, key in enumerate(path[:-1], 1):
             outer = outer[key]
             if isinstance(outer, tuple):
-                for case, make in LENGTHS.items():
+                for case, make in SHAPES.items():
                     bad = _replace(args, path[:depth], make)
                     yield "%s@%d" % (name, depth), case, fn, bad, error
 

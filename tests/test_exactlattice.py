@@ -779,3 +779,24 @@ def test_integer_checks_live_only_in_the_errors_gate():
                 if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
                     found.append("%s:%d" % (name, node.lineno))
     assert found == []
+
+
+def test_self_checks_are_one_form_that_python_O_keeps():
+    # every self-check is `if <violated>: raise InvariantViolation(...)`: no
+    # module has an assert statement, which python -O drops, or names
+    # AssertionError outside errors.py, and none reads __debug__, so -O runs
+    # the same checks
+    pkg = os.path.dirname(smallrank.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            module = ast.parse(f.read(), name)
+        for node in ast.walk(module):
+            names = {node.id} if isinstance(node, ast.Name) else set()
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d assert" % (name, node.lineno))
+            elif "__debug__" in names or ("AssertionError" in names and name != "errors.py"):
+                found.append("%s:%d %s" % (name, node.lineno, node.id))
+    assert found == []

@@ -930,8 +930,9 @@ def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a,
 
 
 def test_table_self_checks_survive_optimize_flag():
-    # a perturbed constant fails the associativity check, and a perturbed
-    # xi-coefficient the constant-term check, under python -O too
+    # a perturbed constant fails the associativity check, a perturbed
+    # xi-coefficient the constant-term check, and a witness pair that
+    # rebuilds another table the check in pair_from_ring, under python -O too
     src = os.path.dirname(os.path.dirname(quarticrings.__file__))
     code = (
         "from smallrank import quarticrings as q\n"
@@ -952,6 +953,15 @@ def test_table_self_checks_survive_optimize_flag():
         "    q.ring_from_pair(pair)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
+        "q._c_linear_from_lambda = linear\n"
+        "ring = q.ring_from_pair(pair)\n"
+        "c = dict(ring.c)\n"
+        "c[(1, 2, 0)] += 1\n"
+        "q.ring_from_pair = lambda witness: q.QuarticRing(c)\n"
+        "try:\n"
+        "    q.pair_from_ring(ring)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -961,6 +971,7 @@ def test_table_self_checks_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "associativity failure in constructed table",
         "inconsistent constant term for xi1^2",
+        "witness pair must rebuild the identical table",
     ]
 
 
