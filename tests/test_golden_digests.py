@@ -1,0 +1,200 @@
+"""Outputs stay bit-identical: one sha256 per seeded sweep of the library.
+
+Each family below is a fixed, seeded sweep of one or more entry points.
+Every item it yields is reduced to its ``repr``, one line per item, and the
+sha256 of those lines is stored in ``golden_digests.json``.  An input that
+raises gives the class name and the message of the error as its item, so
+messages are pinned too.  A change that alters a digest must say in
+CHANGES.md which outputs changed and why, and then rewrite the file with
+
+    python tests/test_golden_digests.py --update
+"""
+
+import hashlib
+import json
+import random
+import sys
+from itertools import product
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: import the package of this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import pytest
+
+from smallrank.cubes import cube_from_triple, triple_from_cube
+from smallrank.cubicrings import cubic_twisted_act
+from smallrank.errors import SmallRankError
+from smallrank.padic import stella_membership
+from smallrank.quadforms import class_group, twisted_act
+from smallrank.quadrings import class_semigroup
+from smallrank.quarticrings import (
+    count_numerical_resolvents,
+    enumerate_numerical_resolvents,
+    is_maximal,
+    is_maximal_at_p,
+    nonmaximality_conditions_witness,
+    pair_from_ring,
+    ring_from_pair,
+)
+
+FILE = Path(__file__).with_name("golden_digests.json")
+
+
+def _outcome(fn, *args):
+    # the result, or the class and message of the typed error it raised
+    try:
+        return fn(*args)
+    except SmallRankError as e:
+        return type(e).__name__, str(e)
+
+
+def _class_groups():
+    for d in range(-3, -5001, -1):
+        if d % 4 in (0, 1):
+            yield d, class_group(d)
+
+
+def _class_semigroups():
+    for d in range(-3, -3001, -1):
+        if d % 4 in (0, 1):
+            yield d, class_semigroup(d)
+
+
+def _quartic_pairs():
+    # as the quartic benchmark draws them: A scaled by p on every other pair
+    rng = random.Random(22)
+    tags = set()
+    for k in range(1000):
+        a = [rng.randint(-3, 3) for _ in range(6)]
+        b = tuple(rng.randint(-3, 3) for _ in range(6))
+        if k % 2:
+            a = [(2, 3, 5)[k // 2 % 3] * v for v in a]
+        pair = (tuple(a), b)
+        ring = ring_from_pair(pair)
+        yield pair, sorted(ring.c.items()), ring.disc(), _outcome(count_numerical_resolvents, ring)
+        for p in (2, 3, 5):
+            tag = nonmaximality_conditions_witness(pair, p)
+            tags.add(tag)
+            yield p, _outcome(is_maximal_at_p, ring, p), tag
+    assert tags == {"a", "b", "c", "d", "none"}, tags
+
+
+def _unimodular(rng):
+    # a product of elementary matrices, det +1 or -1
+    p, q, r, s = rng.choice(((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1)))
+    for _ in range(rng.randint(0, 4)):
+        k = rng.randint(-3, 3)
+        if rng.random() < 0.5:
+            p, q, r, s = p + k * r, q + k * s, r, s
+        else:
+            p, q, r, s = p, q, r + k * p, s + k * q
+    return (p, q), (r, s)
+
+
+def _twisted_actions():
+    rng = random.Random(22)
+    for _ in range(400):
+        m = _unimodular(rng)
+        f = tuple(rng.randint(-9, 9) for _ in range(3))
+        g = tuple(rng.randint(-9, 9) for _ in range(4))
+        yield m, f, g, twisted_act(m, f), cubic_twisted_act(m, g)
+
+
+def _stella_points():
+    for n in range(5):
+        for idx in product(range(-n, n + 1), repeat=3):
+            yield n, idx, stella_membership(n, idx)
+
+
+def _cube_round_trips():
+    rng = random.Random(22)
+    for _ in range(300):
+        q = tuple(rng.randint(-2, 2) for _ in range(8))
+        triple = _outcome(triple_from_cube, q)
+        if isinstance(triple[1], tuple):  # ring, ideals; not a name and message
+            ring, ideals = triple
+            yield q, ring, [i.basis for i in ideals], cube_from_triple(triple)
+        else:
+            yield q, triple
+
+
+I = ((1, 0), (0, 1))
+PAIR = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))
+SQUARE_ZERO = ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))  # all minors vanish
+
+# (entry point, arguments) that raise a typed error
+BAD_INPUTS = [
+    (twisted_act, (((1, 1), (1, 1)), (1, 1, 6))),
+    (twisted_act, (((2, 0), (0, 1)), (1, 1, 6))),
+    (twisted_act, (I, (1, 1))),
+    (twisted_act, ((1, 0), (1, 1, 6))),
+    (cubic_twisted_act, (((2, 0), (0, 1)), (1, 0, 0, 1))),
+    (cubic_twisted_act, (((1, 2), (2, 4)), (1, 0, 0, 1))),
+    (cubic_twisted_act, (I, (1, 0, 0))),
+    (class_group, (0,)),
+    (class_group, (5,)),
+    (class_group, (-2,)),
+    (class_group, (1.5,)),
+    (class_semigroup, (0,)),
+    (class_semigroup, (-2,)),
+    (class_semigroup, (True,)),
+    (is_maximal_at_p, ("ring", 2)),
+    (is_maximal_at_p, (ring_from_pair(SQUARE_ZERO), 2)),
+    (is_maximal_at_p, (ring_from_pair(PAIR), 4)),
+    (is_maximal, ("ring",)),
+    (is_maximal, (ring_from_pair(SQUARE_ZERO),)),
+    (count_numerical_resolvents, ("ring",)),
+    (count_numerical_resolvents, (ring_from_pair(SQUARE_ZERO),)),
+    (enumerate_numerical_resolvents, (None,)),
+    (pair_from_ring, (ring_from_pair(SQUARE_ZERO),)),
+    (nonmaximality_conditions_witness, (PAIR, 4)),
+    (nonmaximality_conditions_witness, (PAIR, 1)),
+    (nonmaximality_conditions_witness, ((1, 2), 2)),
+    (nonmaximality_conditions_witness, ((PAIR[0][:5], PAIR[1]), 2)),
+    (stella_membership, (-1, (0, 0, 0))),
+    (stella_membership, (1, (0, 0))),
+    (stella_membership, (1.0, (0, 0, 0))),
+]
+
+
+def _errors():
+    for fn, args in BAD_INPUTS:
+        out = _outcome(fn, *args)
+        assert isinstance(out, tuple) and isinstance(out[0], str), (fn, args, out)
+        yield fn.__name__, out
+
+
+FAMILIES = {
+    "class_group": _class_groups,
+    "class_semigroup": _class_semigroups,
+    "quartic_pairs": _quartic_pairs,
+    "twisted_actions": _twisted_actions,
+    "stella_points": _stella_points,
+    "cube_round_trips": _cube_round_trips,
+    "errors": _errors,
+}
+
+
+def _digest(family):
+    h = hashlib.sha256()
+    for item in family():
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_output_digest_is_unchanged(name):
+    assert _digest(FAMILIES[name]) == json.loads(FILE.read_text(encoding="utf-8"))[name]
+
+
+def test_digest_file_has_one_entry_per_family():
+    assert sorted(json.loads(FILE.read_text(encoding="utf-8"))) == sorted(FAMILIES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden_digests.py --update")
+    digests = {name: _digest(family) for name, family in sorted(FAMILIES.items())}
+    FILE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
