@@ -41,16 +41,13 @@ def _s(v):
         )
 
 
-def _form_json(f):
-    return [_s(t) for t in f]
+def _json(v):
+    """Nested tuples and lists of numbers as nested lists of ``_s`` strings."""
+    return [_json(t) for t in v] if isinstance(v, (tuple, list)) else _s(v)
 
 
 def _ring_json(ring):
     return {"t": _s(ring.t), "u": _s(ring.u)}
-
-
-def _basis_json(basis):
-    return [[_s(t) for t in row] for row in basis]
 
 
 def _parse_int(text):
@@ -146,7 +143,7 @@ def _class_table(D, elements, table, notes, payload, footer):
         else:
             labels.append(letters[used] if used < len(letters) else "K%d" % used)
             used += 1
-    payload["elements"] = [_form_json(f) for f in elements]
+    payload["elements"] = _json(elements)
     # the cells are indices below h, too short for the digit limit _s guards
     payload["table"] = [list(map(str, row)) for row in table]
     lines = ["discriminant: %d" % D, "classes: %d" % len(elements)]
@@ -185,7 +182,7 @@ def _command(name, help_text, *params):
 @_command("reduce", "reduce a positive definite binary form", *"abc")
 def _cmd_reduce(*f):
     g, m = quadforms.reduce(f)
-    payload = {"form": _form_json(g), "matrix": _basis_json(m)}
+    payload = {"form": _json(g), "matrix": _json(m)}
     return payload, ["reduced: %s" % _fmt_form(g), "matrix:  %s" % _fmt_matrix(m)]
 
 
@@ -199,14 +196,14 @@ def _cmd_compose(D, *coeffs):
             "first form has discriminant %s, not %s" % (_s(quadforms.discriminant(f)), _s(D))
         )
     h = quadforms.compose(f, g)
-    return {"form": _form_json(h)}, ["composed: %s" % _fmt_form(h)]
+    return {"form": _json(h)}, ["composed: %s" % _fmt_form(h)]
 
 
 @_command("classgroup", "class group of a discriminant", "D")
 def _cmd_classgroup(D):
     elements, table, structure = quadforms.class_group(D)
     text = " x ".join("Z/%s" % _s(t) for t in structure) if structure else "trivial"
-    payload = {"structure": [_s(t) for t in structure]}
+    payload = {"structure": _json(structure)}
     return _class_table(D, elements, table, [""] * len(elements), payload, ["structure: " + text])
 
 
@@ -222,21 +219,21 @@ def _cmd_semigroup(D):
 def _cmd_ideal_form(file):
     ideal = _json_ideal(_read_json(file))
     f = quadrings.form_from_ideal(ideal)
-    return {"form": _form_json(f)}, ["form: %s" % _fmt_form(f)]
+    return {"form": _json(f)}, ["form: %s" % _fmt_form(f)]
 
 
 @_command("form-ideal", "ideal of a form (JSON out)", *"abc")
 def _cmd_form_ideal(*f):
     ring = quadrings.ring_from_disc(quadforms.discriminant(f))
     ideal = quadrings.ideal_from_form(f, ring)
-    payload = {"ring": _ring_json(ring), "basis": _basis_json(ideal.basis)}
+    payload = {"ring": _ring_json(ring), "basis": _json(ideal.basis)}
     return payload, [_ring_line(ring), "basis: %s" % _fmt_matrix(ideal.basis)]
 
 
 @_command("cube-forms", "three quadratic forms of a 2x2x2 cube", *"abcdefgh")
 def _cmd_cube_forms(*q):
     f1, f3, f2 = cubes.associated_forms(q)
-    payload = {"forms": [_form_json(f1), _form_json(f3), _form_json(f2)]}
+    payload = {"forms": _json((f1, f3, f2))}
     lines = [
         "phi1: %s" % _fmt_form(f1),
         "phi3: %s" % _fmt_form(f3),
@@ -256,7 +253,7 @@ def _cmd_cube_triple(*q):
     triple = cubes.triple_from_cube(q)
     payload = {
         "ring": _ring_json(triple.ring),
-        "ideals": [_basis_json(i.basis) for i in triple.ideals],
+        "ideals": _json([i.basis for i in triple.ideals]),
     }
     lines = [_ring_line(triple.ring)]
     for n, ideal in enumerate(triple.ideals, 1):
@@ -276,7 +273,7 @@ def _cmd_triple_cube(file):
         raise _UsageError('a triple is {"ring": {...}, "ideals": [b1, b2, b3]}')
     ideals = tuple(_json_ideal({"ring": payload_in["ring"], "basis": b}) for b in bases)
     q = cubes.cube_from_triple(cubes.BalancedTriple(ring, ideals))
-    return {"cube": [_s(t) for t in q]}, ["cube: %s" % " ".join(_s(t) for t in q)]
+    return {"cube": _json(q)}, ["cube: %s" % " ".join(_s(t) for t in q)]
 
 
 @_command("cubic-ring", "cubic ring of a binary cubic form", *"pqrs")
@@ -310,7 +307,7 @@ def _cmd_cubic_form(file):
     except (KeyError, TypeError):
         raise _UsageError('a cubic ring is {"a": str, "b": str, "e": str, "f": str}')
     form = cubicrings.form_from_cubic_ring(ring)
-    return {"form": _form_json(form)}, ["form: %s" % _fmt_form(form)]
+    return {"form": _json(form)}, ["form: %s" % _fmt_form(form)]
 
 
 @_command("quartic-ring", "quartic ring of a ternary pair", "file")
@@ -337,7 +334,7 @@ def _cmd_resolvent(file):
     payload = {
         "content": _s(resolvent.content),
         "count": _s(count),
-        "form": _form_json(form),
+        "form": _json(form),
     }
     lines = [
         "content: %s" % _s(resolvent.content),
@@ -360,7 +357,7 @@ def _cmd_maximal(file, primes):
             "p": _s(p),
             "maximal": ok,
             "tag": tag,
-            "witness": _basis_json(witness) if witness is not None else None,
+            "witness": _json(witness) if witness is not None else None,
         }
         results.append(entry)
         if ok:

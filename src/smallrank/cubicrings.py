@@ -16,7 +16,7 @@ the generators.
 from math import gcd
 
 from .errors import DomainError, InvariantViolation, NotUnimodular, _int, _ints, _matrix
-from .exactlattice import _trace, _trace_disc, mat2_det
+from .exactlattice import _form_act, _trace, _trace_disc, mat2_det
 
 
 class CubicRing:
@@ -128,30 +128,14 @@ def values_mod(form, m) -> frozenset:
 
 def cubic_twisted_act(mat, form):
     """Substitute (x, y) -> (x, y) * mat and divide by det(mat)."""
-    (m00, m01), (m10, m11) = mat = _matrix(mat)
-    p, q, r, s = form = _ints(form, 4)
+    mat, form = _matrix(mat), _ints(form, 4)
     det = mat2_det(mat)
     if det not in (1, -1):
         raise NotUnimodular("determinant %r not a unit" % (det,))
-    # coefficients of form((x*m00 + y*m10, x*m01 + y*m11))
-    p2 = cubic_eval(form, m00, m01)
-    s2 = cubic_eval(form, m10, m11)
-    q2 = (
-        3 * p * m00 * m00 * m10
-        + q * (m00 * m00 * m11 + 2 * m00 * m01 * m10)
-        + r * (m01 * m01 * m10 + 2 * m00 * m01 * m11)
-        + 3 * s * m01 * m01 * m11
-    )
-    r2 = (
-        3 * p * m00 * m10 * m10
-        + q * (m10 * m10 * m01 + 2 * m10 * m11 * m00)
-        + r * (m11 * m11 * m00 + 2 * m10 * m11 * m01)
-        + 3 * s * m11 * m11 * m01
-    )
-    out = (p2 // det, q2 // det, r2 // det, s2 // det)
-    if (p2 % det, q2 % det, r2 % det, s2 % det) != (0, 0, 0, 0):
+    acted = _form_act(mat, form)
+    if any(e % det for e in acted):
         raise InvariantViolation("%r acting on %r gave a non-integral form" % (mat, form))
-    return out
+    return tuple(e // det for e in acted)
 
 
 def idempotents_within(ring, height=10):

@@ -143,6 +143,19 @@ def mat2_det(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def _form_act(m, f):
+    # coefficients of f((x, y) m) for a binary form f = (c_0, ..., c_n) of
+    # any degree, f = sum c_i x^(n-i) y^i, and m = ((p, q), (r, s)): x goes
+    # to X = p*x + r*y and y to Y = q*x + s*y.  Horner's rule
+    # g_k = g_(k-1)*X + c_k*Y^k multiplies by one linear factor at a time.
+    (p, q), (r, s) = m
+    g, y_pow = [f[0]], [1]
+    for c in f[1:]:
+        y_pow = [q * u + s * v for u, v in zip(y_pow + [0], [0] + y_pow)]
+        g = [p * u + r * v + c * w for u, v, w in zip(g + [0], [0] + g, y_pow)]
+    return g
+
+
 def _hnf_coords(h, v):
     # integer coordinates x with x * h == v, for h square integer rows in
     # HNF with nonzero pivots (h[i][j] == 0 for j < i) and v an integer

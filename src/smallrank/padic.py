@@ -130,18 +130,11 @@ def stella_membership(n, idx):
         raise DomainError("the level n must be nonnegative")
     x, y, z = _ints(idx, 3, "signed triple index entries")
 
-    in1 = (
-        x + y + z >= -n
-        and x + y - z <= n
-        and x - y + z <= n
-        and -x + y + z <= n
-    )
-    in2 = (
-        x + y + z <= n
-        and x + y - z >= -n
-        and x - y + z >= -n
-        and -x + y + z >= -n
-    )
+    def in_tetrahedron_1(x, y, z):
+        return x + y + z >= -n and x + y - z <= n and x - y + z <= n and -x + y + z <= n
+
+    # tetrahedron 2 is the image of tetrahedron 1 under v -> -v
+    in1, in2 = in_tetrahedron_1(x, y, z), in_tetrahedron_1(-x, -y, -z)
     if in1 and in2:
         label = "boundary"
     elif in1:

@@ -21,7 +21,7 @@ from .errors import (
     _ints,
     _matrix,
 )
-from .exactlattice import factorize, mat2_det, xgcd
+from .exactlattice import _form_act, factorize, mat2_det, xgcd
 
 
 def discriminant(f) -> int:
@@ -36,15 +36,11 @@ def content(f) -> int:
 
 def twisted_act(m, f):
     """Determinant-twisted action of m in GL2(Z) on the form f."""
-    (p, q), (r, s) = m = _matrix(m)
-    a, b, c = f = _ints(f, 3)
+    m, f = _matrix(m), _ints(f, 3)
     det = mat2_det(m)
     if det not in (1, -1):
         raise NotUnimodular("determinant %d" % det)
-    a1 = (a * p * p + b * p * q + c * q * q) // det
-    c1 = (a * r * r + b * r * s + c * s * s) // det
-    b1 = (2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s) // det
-    g = (a1, b1, c1)
+    g = tuple(e // det for e in _form_act(m, f))
     if discriminant(g) != discriminant(f):
         raise InvariantViolation("%r acting on %r changed the discriminant" % (m, f))
     return g
@@ -75,7 +71,8 @@ def _reduce(a, b, c):
     # m = ((p, q), (r, s)) with det m = 1: a swap multiplies m on the left by
     # ((0, -1), (1, 0)) and a translation by ((1, 0), (k, 1)).  The loop stops
     # exactly when the form is reduced (is_reduced); the end checks that m
-    # takes the input to the output, as twisted_act would.
+    # takes the input to the output, as twisted_act would, written out
+    # because it runs on every composition.
     a0, b0, c0 = a, b, c
     p, q, r, s = 1, 0, 0, 1
     while True:
@@ -266,10 +263,19 @@ def _monoid_table(n, ident, product, conj):
     return table
 
 
-def _conjugates(elements, index):
-    # index permutation of (a, b, c) -> (a, -b, c); a form whose conjugate
-    # is not reduced (b = 0, b = a or a = c) is equivalent to it
-    return [index.get((a, -b, c), i) for i, (a, b, c) in enumerate(elements)]
+def _form_table(d, elements):
+    # (table, ident): the _monoid_table of the reduced forms of discriminant
+    # d < 0 in elements, one _compose per product, and the index of the
+    # principal form; conj maps (a, b, c) to (a, -b, c), and a form whose
+    # conjugate is not reduced (b = 0, b = a or a = c) is equivalent to it
+    index = {f: i for i, f in enumerate(elements)}
+    ident = index[principal_form(d)]
+    conj = [index.get((a, -b, c), i) for i, (a, b, c) in enumerate(elements)]
+
+    def product(i, j):
+        return index[_compose(elements[i], elements[j], d)]
+
+    return _monoid_table(len(elements), ident, product, conj), ident
 
 
 def _structure(orders):
@@ -301,10 +307,8 @@ def class_group(d):
     """
     _check_disc(d)
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
-    index = {f: i for i, f in enumerate(elements)}
-    h, ident = len(elements), index[principal_form(d)]
-    conj = _conjugates(elements, index)
-    table = _monoid_table(h, ident, lambda i, j: index[_compose(elements[i], elements[j], d)], conj)
+    table, ident = _form_table(d, elements)
+    h = len(elements)
     orders = [0] * h
     for i in range(h):
         if not orders[i]:

@@ -26,8 +26,7 @@ from .errors import (
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _compose, _conjugates, _monoid_table, content, discriminant, enumerate_reduced,
-    principal_form, reduce, twisted_act,
+    _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
 )
 
 
@@ -120,7 +119,7 @@ class QuadIdeal:
         return _unscaled(self.rows, self.den)
 
     def canonical(self):
-        return QuadIdeal._from_rows(self.ring, _hnf_int(self.rows), self.den)
+        return _span(self.ring, self.rows, self.den)
 
     def _key(self):
         # canonical: den is least, and the HNF keeps the gcd of the entries
@@ -260,10 +259,4 @@ def class_semigroup(d):
     """
     ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)
-    index = {f: i for i, f in enumerate(elements)}
-
-    def product(i, j):
-        return index[_compose(elements[i], elements[j], d)]
-
-    conj = _conjugates(elements, index)
-    return elements, _monoid_table(len(elements), index[principal_form(d)], product, conj)
+    return elements, _form_table(d, elements)[0]

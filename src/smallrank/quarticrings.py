@@ -230,6 +230,21 @@ class QuarticRing:
     disc = _trace_disc
 
 
+def _quartic(ring):
+    # the one type check on a ring argument
+    if not isinstance(ring, QuarticRing):
+        raise DomainError("expected a QuarticRing")
+    return ring
+
+
+def _nonzero_disc(ring):
+    # the discriminant of a quartic ring that maximality is defined for
+    d = _quartic(ring).disc()
+    if d == 0:
+        raise DegenerateRing("maximality is undefined for discriminant zero")
+    return d
+
+
 # The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
 # under the normalization c_12^1 = c_23^2 = c_13^3 = 0.  Each entry
 # (key, sign, minor, diag) reads c[key] = sign * lam[minor] + c[diag], with
@@ -365,9 +380,7 @@ def _resolvent_data(ring):
     of the lattice the mu's span, over the same ``den`` (its covolume equals
     the content).
     """
-    if not isinstance(ring, QuarticRing):
-        raise DomainError("expected a QuarticRing")
-    lam = _lambda_from_c(ring.c)
+    lam = _lambda_from_c(_quartic(ring).c)
     if not plucker_check(lam):
         raise InvariantViolation("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
@@ -595,11 +608,7 @@ def is_maximal_at_p(ring, p):
     ``(True, None)`` if no enlargement is closed, else ``(False, basis)``
     with the canonical basis of the first ring found in that order.
     """
-    if not isinstance(ring, QuarticRing):
-        raise DomainError("expected a QuarticRing")
-    d = ring.disc()
-    if d == 0:
-        raise DegenerateRing("maximality is undefined for discriminant zero")
+    d = _nonzero_disc(ring)
     if not is_prime(p):
         raise DomainError("maximality test requires a prime")
     return _maximal_at_p(ring, p, d)
@@ -630,15 +639,23 @@ def is_maximal(ring):
     Only primes whose square divides the discriminant can carry a proper
     enlargement, so those are the only ones tested.
     """
-    if not isinstance(ring, QuarticRing):
-        raise DomainError("expected a QuarticRing")
-    d = ring.disc()
-    if d == 0:
-        raise DegenerateRing("maximality is undefined for discriminant zero")
+    d = _nonzero_disc(ring)
     for p, e in factorize(abs(d)).items():
         if e >= 2 and not _maximal_at_p(ring, p, d)[0]:
             return False
     return True
+
+
+#: The divisibility patterns of :func:`nonmaximality_conditions_witness`,
+#: in precedence order: the tag, then for each of the 12 coefficients of
+#: ``A`` and ``B`` in storage order the exponent e with p^e dividing it
+#: (0 for no condition).
+_NONMAXIMALITY_PATTERNS = (
+    ("c", (2, 2, 0, 2, 1, 1, 0, 0, 0, 0, 0, 0)),
+    ("d", (1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0)),
+    ("a", (2, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0)),
+    ("b", (1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0)),
+)
 
 
 def nonmaximality_conditions_witness(pair, p):
@@ -655,29 +672,11 @@ def nonmaximality_conditions_witness(pair, p):
     a, b = _coerce_pair(pair)
     if not is_prime(p):
         raise DomainError("maximality test requires a prime")
-    a11, a22, a33, a12, a13, a23 = a
-    b11, b22, b33, b12, b13, b23 = b
-    p2 = p * p
-
-    if (
-        a11 % p2 == 0
-        and a12 % p2 == 0
-        and a22 % p2 == 0
-        and a13 % p == 0
-        and a23 % p == 0
-    ):
-        return "c"
-    if all(v % p == 0 for v in a):
-        return "d"
-    if a11 % p2 == 0 and a12 % p == 0 and a13 % p == 0 and b11 % p == 0:
-        return "a"
-    if (
-        a11 % p == 0
-        and a12 % p == 0
-        and a22 % p == 0
-        and b11 % p == 0
-        and b12 % p == 0
-        and b22 % p == 0
-    ):
-        return "b"
+    powers = (1, p, p * p)
+    for tag, exponents in _NONMAXIMALITY_PATTERNS:
+        for v, e in zip(a + b, exponents):
+            if v % powers[e]:
+                break
+        else:
+            return tag
     return "none"

@@ -532,7 +532,7 @@ def test_class_semigroup_makes_180_compositions(monkeypatch):
         calls.append(1)
         return _compose(f, g, d)
 
-    monkeypatch.setattr(smallrank.quadrings, "_compose", counting_compose)
+    monkeypatch.setattr(smallrank.quadforms, "_compose", counting_compose)
     assert len(class_semigroup(-99999)[0]) == 336
     assert len(calls) == 180
 
