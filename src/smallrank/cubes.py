@@ -150,6 +150,14 @@ def _triple_products(i1, i2, i3):
     return products, i1.den * i2.den * i3.den
 
 
+def _ideals(triple):
+    # the three ideals of a triple; DomainError for any other number
+    ideals = triple.ideals
+    if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
+        raise DomainError("a triple holds three ideals, got %r" % (ideals,))
+    return ideals
+
+
 def is_balanced(i1, i2, i3) -> bool:
     """Norm product 1 and all triple products of basis elements integral."""
     ring = i1.ring
@@ -163,9 +171,10 @@ def is_balanced(i1, i2, i3) -> bool:
 
 def cube_from_triple(triple):
     """Cube of a balanced triple with respect to the stored ideal bases."""
-    if not is_balanced(*triple.ideals):
+    ideals = _ideals(triple)
+    if not is_balanced(*ideals):
         raise NotBalanced("triple fails the balancedness conditions")
-    products, den = _triple_products(*triple.ideals)
+    products, den = _triple_products(*ideals)
     return tuple(w[1] // den for w in products)
 
 
@@ -237,21 +246,22 @@ def _scalar_candidates(ring, src, dst):
 
 def triples_equivalent(t1, t2) -> bool:
     """Do scalars (g1, g2, g3) with product 1 map one triple onto the other?"""
+    (i1, i2, i3), (j1, j2, j3) = _ideals(t1), _ideals(t2)
     if t1.ring != t2.ring:
         raise RingMismatch("triples live over different rings")
     ring = t1.ring
     if ring.disc >= 0:
         raise UnsupportedDiscriminant("scalar search needs a definite norm form")
-    for a, b in zip(t1.ideals, t2.ideals):
+    for a, b in ((i1, j1), (i2, j2), (i3, j3)):
         if form_from_ideal(a) != form_from_ideal(b):
             return False
-    c1 = _scalar_candidates(ring, t1.ideals[0], t2.ideals[0])
-    c2 = _scalar_candidates(ring, t1.ideals[1], t2.ideals[1])
-    j3 = t2.ideals[2].canonical()
+    c1 = _scalar_candidates(ring, i1, j1)
+    c2 = _scalar_candidates(ring, i2, j2)
+    j3 = j3.canonical()
     for g1 in c1:
         for g2 in c2:
             g3 = _ring_inverse(ring, ring.mul(g1, g2))
-            if scale(t1.ideals[2], g3) == j3:
+            if scale(i3, g3) == j3:
                 return True
     return False
 

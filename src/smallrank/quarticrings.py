@@ -100,6 +100,10 @@ def ternary_eval(form, v):
     )
 
 
+#: The keys (x, y), 0 <= x < y <= 5, of the fifteen minors.
+_MINORS = tuple(combinations(range(6), 2))
+
+
 def lambda_system(pair):
     """The fifteen 2x2 minors of a pair of ternary forms.
 
@@ -107,9 +111,7 @@ def lambda_system(pair):
     :data:`SIX`) to ``a_x * b_y - a_y * b_x``.
     """
     a, b = _coerce_pair(pair)
-    return {
-        (x, y): a[x] * b[y] - a[y] * b[x] for x in range(6) for y in range(x + 1, 6)
-    }
+    return {(x, y): a[x] * b[y] - a[y] * b[x] for x, y in _MINORS}
 
 
 def _lam_get(lam, x, y):
@@ -138,16 +140,18 @@ def plucker_check(lam):
         lam(w,x)*lam(y,z) - lam(w,y)*lam(x,z) + lam(w,z)*lam(x,y) == 0
 
     must hold; these are exactly the conditions for the minors to come from
-    an actual 2x6 matrix.
+    an actual 2x6 matrix.  A missing minor, or one that is not an ``int``,
+    is a :class:`~smallrank.errors.DomainError`.
     """
     if not isinstance(lam, dict):
         raise DomainError("a minor system is the dict made by lambda_system")
     try:
-        for wx, yz, wy, xz, wz, xy in _PLUCKER:
-            if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
-                return False
+        _ints([lam[k] for k in _MINORS], 15, "minors")
     except KeyError as e:
         raise DomainError("the minor system has no minor %r" % (e.args[0],))
+    for wx, yz, wy, xz, wz, xy in _PLUCKER:
+        if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
+            return False
     return True
 
 
@@ -389,9 +393,7 @@ def _resolvent_data(ring):
 
     # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
     # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
-    x, y = next(
-        (x, y) for x in range(6) for y in range(x + 1, 6) if lam[(x, y)] != 0
-    )
+    x, y = next(k for k in _MINORS if lam[k] != 0)
     d = lam[(x, y)]
     s, den = (1 if d > 0 else -1), abs(d)
     mu = [(-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6)]

@@ -256,15 +256,31 @@ def test_usage_error_exit_code(capsys, tmp_path):
 
 
 def test_json_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
-    # len() of a non-list, and nesting deeper than the decoder recurses
-    ideals = tmp_path / "ideals.json"
-    ideals.write_text(json.dumps({"ring": {"t": "0", "u": "1"}, "ideals": 5}))
+    # len() of a non-list, nesting deeper than the decoder recurses, and one
+    # payload for each shape check of an ideal, a ring and a pair
+    ring = {"t": "0", "u": "1"}
+    files = {
+        "ideals": {"ring": ring, "ideals": 5},
+        "zero-denominator": {"ring": ring, "basis": [["1/0", "0"], ["0", "1"]]},
+        "ring-without-u": {"ring": {"t": "0"}, "basis": [["1", "0"], ["0", "1"]]},
+        "three-rows": {"ring": ring, "basis": [["1", "0"], ["0", "1"], ["1", "1"]]},
+        "five-coefficients": {"A": ["0"] * 5, "B": ["0"] * 6},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    for argv in (("triple-cube", str(ideals)), ("resolvent", str(deep))):
+    for argv, message in (
+        (("triple-cube", str(tmp_path / "ideals")), "a triple is"),
+        (("resolvent", str(deep)), "malformed JSON"),
+        (("ideal-form", str(tmp_path / "zero-denominator")), "expected a rational 'p/q'"),
+        (("ideal-form", str(tmp_path / "ring-without-u")), 'a ring is {"t": str, "u": str}'),
+        (("ideal-form", str(tmp_path / "three-rows")), "an ideal basis is a 2x2 matrix"),
+        (("resolvent", str(tmp_path / "five-coefficients")), "each ternary form has exactly 6"),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert err.count("\n") == 1 and err.startswith("usage error")
+        assert err.count("\n") == 1 and err.startswith("usage error: " + message)
         assert out == ""
 
 

@@ -6,6 +6,9 @@ to one integer inside it and the error expected.  Each row gives the cases
 of that integer made a float, ``True`` or a str, and of each tuple on the
 path to it (a form, a matrix and its rows, a pair and its forms) one value
 short, one value long or the int 5.  A scalar argument has no shape cases.
+
+A second table holds one call per branch that no gate row reaches: a typed
+error of the operation itself, or a value from a branch of its own.
 """
 
 from fractions import Fraction
@@ -13,14 +16,18 @@ from fractions import Fraction
 import pytest
 
 from smallrank.cubes import (
+    BalancedTriple,
     associated_forms,
+    cube_from_triple,
     cube_invariants,
     dirichlet_cube,
     gamma_act,
     identity_cube,
+    is_balanced,
     ring_of_cube,
     tau_system,
     triple_from_cube,
+    triples_equivalent,
     xi_actions,
 )
 from smallrank.cubicrings import (
@@ -33,7 +40,10 @@ from smallrank.cubicrings import (
 from smallrank.errors import (
     DimensionError,
     DomainError,
+    FormRingMismatch,
+    NotUnimodular,
     RankError,
+    RingMismatch,
     UnsupportedDiscriminant,
     _int,
     _ints,
@@ -61,6 +71,7 @@ from smallrank.quadrings import (
     QuadIdeal,
     QuadraticRing,
     class_semigroup,
+    form_from_ideal,
     ideal_from_form,
     ring_from_disc,
     scale,
@@ -73,6 +84,7 @@ from smallrank.quarticrings import (
     is_maximal_at_p,
     lambda_system,
     nonmaximality_conditions_witness,
+    plucker_check,
     resolvent_identity_check,
     ring_from_pair,
 )
@@ -196,6 +208,48 @@ def test_every_gated_argument_rejects_bad_integers(fn, args, error, case):
     else:
         with pytest.raises(expected):
             fn(*args)
+
+
+TRIPLE = triple_from_cube(CUBE)
+# forms (2, 1, 3) three times, over the ring of CUBE
+OTHER_TRIPLE = triple_from_cube((-2, -1, -1, -2, -1, -2, 1, 0))
+REAL_TRIPLE = triple_from_cube(identity_cube(5))
+U20 = unit_ideal(ring_from_disc(-20))
+MINORS = lambda_system(PAIR)
+
+# (entry point, arguments, expected): the error class, or the value returned
+BRANCHES = [
+    (twisted_act, (((1, 1), (1, 1)), F), NotUnimodular),
+    (form_from_ideal, (QuadIdeal(R, ((0, 1), (1, 0))),), (1, 1, 6)),  # negatively oriented
+    (form_from_ideal, (unit_ideal(ring_from_disc(5)),), (1, 1, -1)),  # real: not reduced
+    (ideal_from_form, (F, ring_from_disc(-20)), FormRingMismatch),
+    (is_balanced, (*TRIPLE.ideals[:2], U20), RingMismatch),
+    (triples_equivalent, (TRIPLE, triple_from_cube(identity_cube(-20))), RingMismatch),
+    (triples_equivalent, (REAL_TRIPLE, REAL_TRIPLE), UnsupportedDiscriminant),
+    (triples_equivalent, (TRIPLE, OTHER_TRIPLE), False),
+    (triples_equivalent, (BalancedTriple(R, TRIPLE.ideals[:1]),) * 2, DomainError),
+    (cube_from_triple, (BalancedTriple(R, TRIPLE.ideals[:1]),), DomainError),
+    (balanced_count, ("config", (1, 1, 2)), DomainError),
+    (stella_membership, (-1, (0, 0, 0)), DomainError),
+    (unit_coset_reps, (3, -1, 1), DomainError),
+    (unit_coset_reps, (3, 0, -1), DomainError),
+    (QuarticRing, ({k: v for k, v in QUARTIC.c.items() if k != (2, 3, 1)},), DomainError),
+    (plucker_check, ({k: "a" for k in MINORS},), DomainError),
+    (plucker_check, ({k: 0.5 for k in MINORS},), DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, expected",
+    BRANCHES,
+    ids=["%s-%d" % (fn.__name__, i) for i, (fn, _, _) in enumerate(BRANCHES)],
+)
+def test_every_branch_of_an_entry_point(fn, args, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            fn(*args)
+    else:
+        assert fn(*args) == expected
 
 
 def test_the_gate_itself():
