@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 from unittest import mock
 
@@ -1131,3 +1132,123 @@ def test_quartic_invariants_are_gl2_times_sl3_invariant(a, b, g2, k, moves):
     assert _oracle_mat_det(g3) == 1
     moved = (_substitute(a2, g3), _substitute(b2, g3))
     assert _invariants(moved) == _invariants((a, b))
+
+
+# Dedekind's criterion (Cohen, GTM 138, Thm. 6.1.4), an oracle for the
+# maximality of Q = Z[x]/(f) that shares no code with the radical walk.
+# Polynomials are coefficient lists, lowest degree first.
+DEDEKIND_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _fp(f, p):
+    # f mod p without trailing zeros; [] is the zero polynomial
+    f = [c % p for c in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _fp_divmod(f, g, p):
+    # quotient and remainder of f by g != 0 over F_p
+    f, q = _fp(f, p), [0] * max(len(f) - len(g) + 1, 1)
+    inv = pow(g[-1], -1, p)
+    while len(f) >= len(g):
+        k, c = len(f) - len(g), f[-1] * inv % p
+        q[k] = c
+        f = _fp([a - c * g[i - k] if k <= i else a for i, a in enumerate(f)], p)
+    return _fp(q, p), f
+
+
+def _fp_gcd(f, g, p):
+    while g:
+        f, g = g, _fp_divmod(f, g, p)[1]
+    return f
+
+
+def _fp_factor(f, p):
+    # {monic irreducible u: e} with f = lead * prod u^e over F_p, deg f <= 4,
+    # by brute force over the monic u of degree 1, then of degree 2; what is
+    # left has no factor of degree <= 2, so it is 1 or irreducible
+    f, out = _fp(f, p), {}
+    for d in (1, 2):
+        for low in iproduct(range(p), repeat=d):
+            u = [*low, 1]
+            while len(f) > d:
+                q, r = _fp_divmod(f, u, p)
+                if r:
+                    break
+                f, out[tuple(u)] = q, out.get(tuple(u), 0) + 1
+    if len(f) > 1:
+        out[tuple(c * pow(f[-1], -1, p) % p for c in f)] = 1
+    return out
+
+
+def _dedekind_maximal(f, p):
+    # f monic of degree 4: with f = prod u^e mod p, g = prod u and
+    # h = prod u^(e-1) lifted with entries in [0, p), and F = (f - g*h)/p,
+    # Z[x]/(f) is p-maximal iff gcd(g, h, F) = 1 over F_p
+    g, h = [1], [1]
+    for u, e in _fp_factor(f, p).items():
+        g = _poly_mul(g, u)
+        for _ in range(e - 1):
+            h = _poly_mul(h, u)
+    big_f = [(a - b) // p for a, b in zip(f, _poly_mul(g, h))]
+    return len(_fp_gcd(_fp_gcd(_fp(g, p), _fp(h, p), p), _fp(big_f, p), p)) == 1
+
+
+def _monogenic_ring(f):
+    # Z[x]/(f) for f monic of degree 4, on the basis 1, x, x^2, x^3: the
+    # table entry of x^i * x^j is x^(i+j) mod f, with x^4 = -(f0 + ... + f3 x^3)
+    powers = [[1, 0, 0, 0]]
+    for _ in range(6):
+        prev = powers[-1]
+        powers.append([(prev[k - 1] if k else 0) - prev[3] * f[k] for k in range(4)])
+    return QuarticRing(
+        {(i, j, k): powers[i + j][k] for i in (1, 2, 3) for j in range(i, 4) for k in range(4)}
+    )
+
+
+@st.composite
+def _monic_quartic_and_prime(draw):
+    # f with coefficients in [-40, 40] and p <= 13 with p^2 | disc != 0
+    f = tuple(draw(st.integers(-40, 40)) for _ in range(4)) + (1,)
+    d = _monogenic_ring(f).disc()
+    primes = [p for p in DEDEKIND_PRIMES if d and d % (p * p) == 0]
+    assume(primes)
+    return f, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_quartic_and_prime())
+@example(((-11, 0, 0, 0, 1), 11))  # Eisenstein: maximal, and 11^3 | disc, so the walk runs
+@example(((-101, 0, 0, 0, 1), 2))  # (x + 1)^4 mod 2: not maximal
+@example(((10, 1, 23, -28, 1), 3))  # (x^2 + x + 2)^2 mod 3: not maximal
+def test_is_maximal_at_p_agrees_with_dedekinds_criterion(case):
+    f, p = case
+    assert is_maximal_at_p(_monogenic_ring(f), p)[0] == _dedekind_maximal(f, p)
+
+
+def test_fp_factorizer_and_monogenic_disc_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(16)
+    cases = [((-11, 0, 0, 0, 1), 11), ((-101, 0, 0, 0, 1), 2), ((10, 1, 23, -28, 1), 3)]
+    for _ in range(150):
+        cases.append((tuple(rng.randint(-40, 40) for _ in range(4)) + (1,), rng.choice(DEDEKIND_PRIMES)))
+    for f, p in cases:
+        poly = sum(c * x**k for k, c in enumerate(f))
+        expected = {}
+        for u, e in sympy.Poly(poly, x, modulus=p).factor_list()[1]:
+            coeffs = [int(c) % p for c in reversed(u.all_coeffs())]
+            monic = tuple(c * pow(coeffs[-1], -1, p) % p for c in coeffs)
+            expected[monic] = expected.get(monic, 0) + e
+        assert _fp_factor(f, p) == expected, (f, p)
+        assert _monogenic_ring(f).disc() == sympy.discriminant(poly, x), f
