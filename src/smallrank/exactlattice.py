@@ -11,7 +11,8 @@ determinants and the trace-form discriminant, and for coordinates
 ``_hnf_coords`` against a basis already in HNF, by substitution column by
 column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
 ``mat2_det``.  ``_unscaled`` builds the ``Fraction`` rows that public
-functions return.
+functions return.  ``_form_act`` is the one GL2 substitution of binary
+forms, of every degree.
 """
 
 from fractions import Fraction
