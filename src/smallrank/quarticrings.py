@@ -149,6 +149,11 @@ def plucker_check(lam):
         _ints([lam[k] for k in _MINORS], 15, "minors")
     except KeyError as e:
         raise DomainError("the minor system has no minor %r" % (e.args[0],))
+    return _plucker_holds(lam)
+
+
+def _plucker_holds(lam):
+    # plucker_check on the 15 int minors of a dict known to hold them
     for wx, yz, wy, xz, wz, xy in _PLUCKER:
         if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
             return False
@@ -385,7 +390,7 @@ def _resolvent_data(ring):
     the content).
     """
     lam = _lambda_from_c(_quartic(ring).c)
-    if not plucker_check(lam):
+    if not _plucker_holds(lam):
         raise InvariantViolation("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
