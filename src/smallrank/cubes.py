@@ -21,6 +21,7 @@ from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
     QuadraticRing,
+    _ideal,
     form_from_ideal,
     ideal_from_form,
     ideal_norm,
@@ -151,30 +152,40 @@ def _triple_products(i1, i2, i3):
 
 
 def _ideals(triple):
-    # the three ideals of a triple; DomainError for any other number
+    # the one type check on a triple argument: its three ideals
+    if not isinstance(triple, BalancedTriple):
+        raise DomainError("expected a BalancedTriple")
     ideals = triple.ideals
     if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
         raise DomainError("a triple holds three ideals, got %r" % (ideals,))
-    return ideals
+    return tuple(map(_ideal, ideals))
 
 
-def is_balanced(i1, i2, i3) -> bool:
-    """Norm product 1 and all triple products of basis elements integral."""
+def _balanced_products(i1, i2, i3):
+    # _triple_products of a balanced triple of ideals over one ring, None
+    # for a triple that is not balanced
     ring = i1.ring
     if i2.ring != ring or i3.ring != ring:
         raise RingMismatch("ideals live over different rings")
     if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
-        return False
+        return None
     products, den = _triple_products(i1, i2, i3)
-    return all(c % den == 0 for w in products for c in w)
+    if any(c % den for w in products for c in w):
+        return None
+    return products, den
+
+
+def is_balanced(i1, i2, i3) -> bool:
+    """Norm product 1 and all triple products of basis elements integral."""
+    return _balanced_products(_ideal(i1), _ideal(i2), _ideal(i3)) is not None
 
 
 def cube_from_triple(triple):
     """Cube of a balanced triple with respect to the stored ideal bases."""
-    ideals = _ideals(triple)
-    if not is_balanced(*ideals):
+    balanced = _balanced_products(*_ideals(triple))
+    if balanced is None:
         raise NotBalanced("triple fails the balancedness conditions")
-    products, den = _triple_products(*ideals)
+    products, den = balanced
     return tuple(w[1] // den for w in products)
 
 

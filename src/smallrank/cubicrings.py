@@ -81,6 +81,13 @@ class CubicRing:
         return "CubicRing(a=%d, b=%d, e=%d, f=%d)" % (self.a, self.b, self.e, self.f)
 
 
+def _cubic(ring):
+    # the one type check on a ring argument
+    if not isinstance(ring, CubicRing):
+        raise DomainError("expected a CubicRing")
+    return ring
+
+
 def ring_from_cubic_form(form) -> CubicRing:
     """Cubic ring of a binary cubic form (p, q, r, s)."""
     p, q, r, s = _ints(form, 4)
@@ -144,7 +151,7 @@ def idempotents_within(ring, height=10):
     Brute-force box search: a semi-decision used to recognize split rings.
     Cost: (2*height + 1)^3 products, one for each point of the box.
     """
-    height = _int(height, "height")
+    ring, height = _cubic(ring), _int(height, "height")
     out = []
     rng = range(-height, height + 1)
     for x0 in rng:

@@ -135,6 +135,13 @@ class QuadIdeal:
         return "QuadIdeal(%r, %r)" % (self.ring, self.basis)
 
 
+def _ideal(i):
+    # the one type check on an ideal argument
+    if not isinstance(i, QuadIdeal):
+        raise DomainError("expected a QuadIdeal")
+    return i
+
+
 def unit_ideal(ring) -> QuadIdeal:
     return QuadIdeal._from_rows(ring, ((1, 0), (0, 1)), 1)
 
@@ -152,7 +159,7 @@ def raw_form(ideal):
 
 def form_from_ideal(ideal):
     """Associated form; Lagrange-reduced when the discriminant is negative."""
-    f = raw_form(ideal)
+    f = raw_form(_ideal(ideal))
     if ideal.ring.disc >= 0:
         return f
     if f[0] < 0:
@@ -194,7 +201,7 @@ def _span(ring, rows, den):
 
 def multiply(i, j) -> QuadIdeal:
     """Product ideal, canonical (HNF) basis."""
-    if i.ring != j.ring:
+    if _ideal(i).ring != _ideal(j).ring:
         raise RingMismatch("%r vs %r" % (i.ring, j.ring))
     rows = [i.ring.mul(a, b) for a in i.rows for b in j.rows]
     return _span(i.ring, rows, i.den * j.den)
@@ -202,6 +209,7 @@ def multiply(i, j) -> QuadIdeal:
 
 def conjugate(i) -> QuadIdeal:
     """Image under the nontrivial ring involution, canonical basis."""
+    i = _ideal(i)
     return _span(i.ring, [i.ring.conj(row) for row in i.rows], i.den)
 
 

@@ -608,12 +608,25 @@ def is_maximal_at_p(ring, p):
     order of dimension, pivot columns and free entries of their RREF over
     F_p.  None is tested, and the radical is not computed, when p^2 does not
     divide the discriminant: an overring Q' of index p^k has
-    disc(Q) = p^(2k) disc(Q'), so there is none.  A candidate with
-    integer HNF basis H (so Q' = H/p) is closed iff every H_i*H_j lies in
-    pH; p*H is again an HNF, so each membership is one substitution pass,
-    column by column, and the first product off pH ends the test.  Returns
-    ``(True, None)`` if no enlargement is closed, else ``(False, basis)``
-    with the canonical basis of the first ring found in that order.
+    disc(Q) = p^(2k) disc(Q'), so there is none.
+
+    Each candidate is decided over F_p, with no HNF.  Let w_1..w_r be its
+    RREF rows, entries in [0, p), and W their span mod p.  Then
+    L = pQ + sum Z*w_a, Q' = L/p, and Q' is a ring iff L*L lies in pL.
+    A product of two generators p*e_i lies in p^2 Q, within pL.
+    p*e_i * w_a lies in pL iff e_i*w_a mod p lies in W, which holds for
+    e_0 = 1.  w_a*w_b lies in pL iff it is 0 mod p and (w_a*w_b/p) mod p
+    lies in W.  So Q' is a ring iff (ii) w_a*w_b = 0 mod p and
+    (w_a*w_b/p) mod p lies in W for every a <= b, tested first as it
+    rejects most candidates, and (i) e_i*w_a mod p lies in W for every
+    i >= 1 (W is an ideal of Q/pQ): at most r(n-1) + r(r+1)/2 products
+    for a ring of rank n, each membership one reduction against W's
+    pivot columns.  Returns ``(True, None)`` if no enlargement is closed,
+    else ``(False, basis)`` with the canonical basis of the first ring
+    found in that order.  That basis is the integer HNF H of L over p,
+    built for it alone, and checked closed by the integer test: every
+    H_i*H_j lies in pH, one substitution pass as p*H is an HNF; a failure
+    raises :class:`~smallrank.errors.InvariantViolation`.
     """
     d = _nonzero_disc(ring)
     if not is_prime(p):
@@ -621,21 +634,44 @@ def is_maximal_at_p(ring, p):
     return _maximal_at_p(ring, p, d)
 
 
+def _closed_mod_p(ring, rows, p):
+    # whether Q' = (pQ + L)/p is a ring, for L spanned mod pQ by the RREF
+    # rows w_a over F_p; the proof is in is_maximal_at_p.  Since the rows
+    # are in RREF, v lies in W = span(w_a) mod p iff v - sum v[c_a] w_a
+    # vanishes mod p, with c_a the pivot column of w_a: the pivot 1 is the
+    # first nonzero entry, and no other row has an entry in column c_a
+    pivot_rows = [(row.index(1), row) for row in rows]
+
+    def in_w(v):
+        for c, w in pivot_rows:
+            k = v[c]
+            if k:
+                v = [x - k * y for x, y in zip(v, w)]
+        return not any(x % p for x in v)
+
+    for a, u in enumerate(rows):
+        for w in rows[a:]:
+            uw = ring.mul(u, w)
+            if any(t % p for t in uw) or not in_w([t // p for t in uw]):
+                return False
+    return all(in_w(ring.mul(e, w)) for e in ring._t[0][1:] for w in rows)
+
+
 def _maximal_at_p(ring, p, d):
     # is_maximal_at_p on a ring of any rank, with discriminant d != 0, p prime
     if d % (p * p):
         return (True, None)
-    n = len(ring._t)
-    p_rows = [tuple(p * e for e in row) for row in ring._t[0]]
     for rows in _radical_subspaces(ring, p):
-        # Q' = H/p with H the integer HNF of pQ + L
-        h = _hnf_int(p_rows + rows)
-        ph = [[p * e for e in row] for row in h]
-        if all(
-            _hnf_coords(ph, ring.mul(h[i], h[j])) is not None
-            for i in range(n)
-            for j in range(i, n)
-        ):
+        if _closed_mod_p(ring, rows, p):
+            # the witness Q' = H/p, H the integer HNF of pQ + L, checked
+            # closed: each H_i*H_j lies in pH
+            n = len(ring._t)
+            h = _hnf_int([tuple(p * e for e in row) for row in ring._t[0]] + rows)
+            ph = [[p * e for e in row] for row in h]
+            for i in range(n):
+                for j in range(i, n):
+                    if _hnf_coords(ph, ring.mul(h[i], h[j])) is None:
+                        raise InvariantViolation("enlargement witness is not closed under multiplication")
             return (False, _unscaled(h, p))
     return (True, None)
 

@@ -16,6 +16,7 @@ from smallrank.errors import (
 )
 from smallrank.quadforms import compose, discriminant, principal_form, twisted_act
 from smallrank.quadforms import reduce as qreduce
+from smallrank import cubes
 from smallrank.cubes import (
     BalancedTriple,
     associated_forms,
@@ -245,6 +246,31 @@ def test_round_trip_cube_triple_cube():
         tr = triple_from_cube(q)
         assert is_balanced(*tr.ideals)
         assert cube_from_triple(tr) == q
+
+
+def test_cube_from_triple_computes_the_triple_products_once(monkeypatch):
+    # counted, not timed: the balancedness test and the cube share one set
+    # of the eight products, on a balanced and on an unbalanced triple
+    calls = []
+    products = cubes._triple_products
+
+    def counted(*ideals):
+        calls.append(ideals)
+        return products(*ideals)
+
+    qs = _random_cubes(41, 5)
+    triples = [triple_from_cube(q) for q in qs]
+    monkeypatch.setattr(cubes, "_triple_products", counted)
+    assert [cube_from_triple(tr) for tr in triples] == qs
+    assert len(calls) == len(qs)
+    r0 = QuadraticRing(0, 25)
+    # s, g*s and s/conj(g) for g = 1 + xi of norm 26: norm product 1, so the
+    # products are computed, and g/conj(g) = (-24 + 2 xi)/26 is not integral
+    s = unit_ideal(r0)
+    unbalanced = BalancedTriple(r0, (s, scale(s, (1, 1)), scale(s, (Fraction(1, 26), Fraction(1, 26)))))
+    with pytest.raises(NotBalanced, match="triple fails the balancedness conditions"):
+        cube_from_triple(unbalanced)
+    assert len(calls) == len(qs) + 1
 
 
 def test_reconstructed_triple_equivalent_to_source():

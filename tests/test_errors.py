@@ -71,8 +71,10 @@ from smallrank.quadrings import (
     QuadIdeal,
     QuadraticRing,
     class_semigroup,
+    conjugate,
     form_from_ideal,
     ideal_from_form,
+    multiply,
     ring_from_disc,
     scale,
     unit_ideal,
@@ -236,6 +238,13 @@ BRANCHES = [
     (QuarticRing, ({k: v for k, v in QUARTIC.c.items() if k != (2, 3, 1)},), DomainError),
     (plucker_check, ({k: "a" for k in MINORS},), DomainError),
     (plucker_check, ({k: 0.5 for k in MINORS},), DomainError),
+    # an argument that is not an ideal, a triple or a ring
+    (multiply, (5, 5), DomainError),
+    (form_from_ideal, (5,), DomainError),
+    (conjugate, (None,), DomainError),
+    (is_balanced, (1, 2, 3), DomainError),
+    (cube_from_triple, (5,), DomainError),
+    (idempotents_within, (5, 1), DomainError),
 ]
 
 

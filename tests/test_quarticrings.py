@@ -20,10 +20,11 @@ from test_exactlattice import (
 )
 
 from smallrank import quarticrings
-from smallrank.errors import DegenerateRing, DomainError, TrivialRing
+from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
 from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
 from smallrank.exactlattice import (
     _bareiss,
+    _hnf_coords,
     _hnf_int,
     _unscaled,
     divisor_sigma,
@@ -53,6 +54,7 @@ from smallrank.quarticrings import (
     MinimalResolvent,
     _c_linear_from_lambda,
     _check_associative,
+    _closed_mod_p,
     _lam_get,
     _lambda_from_c,
     _maximal_at_p,
@@ -932,8 +934,9 @@ def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a,
 
 def test_table_self_checks_survive_optimize_flag():
     # a perturbed constant fails the associativity check, a perturbed
-    # xi-coefficient the constant-term check, and a witness pair that
-    # rebuilds another table the check in pair_from_ring, under python -O too
+    # xi-coefficient the constant-term check, a closure test that accepts
+    # every candidate the witness check, and a witness pair that rebuilds
+    # another table the check in pair_from_ring, under python -O too
     src = os.path.dirname(os.path.dirname(quarticrings.__file__))
     code = (
         "from smallrank import quarticrings as q\n"
@@ -955,6 +958,11 @@ def test_table_self_checks_survive_optimize_flag():
         "except AssertionError as e:\n"
         "    print(e)\n"
         "q._c_linear_from_lambda = linear\n"
+        "q._closed_mod_p = lambda ring, rows, p: True\n"
+        "try:\n"
+        "    q.is_maximal_at_p(q.ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0))), 3)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
         "ring = q.ring_from_pair(pair)\n"
         "c = dict(ring.c)\n"
         "c[(1, 2, 0)] += 1\n"
@@ -972,6 +980,7 @@ def test_table_self_checks_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "associativity failure in constructed table",
         "inconsistent constant term for xi1^2",
+        "enlargement witness is not closed under multiplication",
         "witness pair must rebuild the identical table",
     ]
 
@@ -1080,6 +1089,91 @@ def test_walk_on_cubic_rings_agrees_with_the_davenport_heilbronn_criterion(form,
     assert ok == (not _nonmaximal_cubic(form, p))
     if witness is not None:
         assert (d * _oracle_mat_det(witness) ** 2).denominator == 1
+
+
+# The integer closure test that _maximal_at_p ran on every candidate before
+# it decided each one over F_p: the candidate is closed iff every H_i*H_j
+# lies in pH, for H the integer HNF of pQ + L; kept as its oracle.
+def _oracle_closed(ring, rows, p):
+    n = len(ring._t)
+    h = _hnf_int([tuple(p * e for e in row) for row in ring._t[0]] + rows)
+    ph = [[p * e for e in row] for row in h]
+    return all(
+        _hnf_coords(ph, ring.mul(h[i], h[j])) is not None for i in range(n) for j in range(i, n)
+    )
+
+
+def _closure_agrees(ring, p):
+    # the F_p test against the oracle on every candidate of the walk
+    for rows in _radical_subspaces(ring, p):
+        assert _closed_mod_p(ring, rows, p) == _oracle_closed(ring, rows, p), rows
+
+
+RAMIFIED_A = (0, -1, 0, 0, 1, 0)
+
+
+def _ramified(p):
+    # totally ramified at p and maximal there: every candidate is rejected
+    return ring_from_pair((RAMIFIED_A, (p, 0, 1, 0, 0, 0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms, forms, st.sampled_from([2, 3, 5, 7]), st.booleans())
+@example(P_A, P_B, 7, True)  # closed candidates among rejected ones
+@example(RAMIFIED_A, (3, 0, 1, 0, 0, 0), 3, False)  # dim R = 3, every candidate rejected
+def test_closure_over_fp_agrees_with_the_integer_test_on_quartic_rings(a, b, p, scaled):
+    ring = ring_from_pair((tuple(p * v for v in a) if scaled else a, b))
+    assume(ring.disc())
+    _closure_agrees(ring, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-6, 6), st.integers(-30, 30), cubic_forms, st.sampled_from([2, 3, 5, 7]), st.booleans())
+@example(0, 1, (1, 0, 0, 2), 2, True)  # Z[2i] and (4, 0, 0, 2): both not maximal
+@example(0, 1, (1, 0, 0, -10), 3, False)  # 10 = 1 mod 9: closed at 3
+def test_closure_over_fp_agrees_with_the_integer_test_on_quadratic_and_cubic_rings(t, u, form, p, tilt):
+    # tilted: Z[p*xi] in rank 2, and (p^2 a, p b, c, d) in rank 3
+    if tilt:
+        t, u, form = p * t, p * p * u, (p * p * form[0], p * form[1], form[2], form[3])
+    quadratic, cubic = QuadraticRing(t, u), ring_from_cubic_form(form)
+    if quadratic.disc:
+        _closure_agrees(quadratic, p)
+    if cubic_form_disc(form):
+        _closure_agrees(cubic, p)
+
+
+def test_maximality_builds_an_hnf_for_the_radical_and_the_witness_only(monkeypatch):
+    # counted, not timed: each candidate is decided over F_p, so an answer
+    # with p^2 | disc costs one integer HNF (the radical's) whatever the
+    # number of candidates, and "not maximal" one more (the witness's)
+    hnfs, candidates = [], []
+    hnf, closed = quarticrings._hnf_int, quarticrings._closed_mod_p
+    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: hnfs.append(rows) or hnf(rows))
+    monkeypatch.setattr(quarticrings, "_closed_mod_p", lambda *a: candidates.append(a) or closed(*a))
+    assert is_maximal_at_p(_ramified(11), 11) == (True, None)
+    assert len(candidates) == 2 * 11**2 + 2 * 11 + 3 and len(hnfs) == 1
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for a, b in _random_pairs(80 + p, 25) + [P_Z4]:
+            for scale in (1, p):
+                ring = ring_from_pair((tuple(scale * v for v in a), b))
+                d = ring.disc()
+                if not d:
+                    continue
+                del hnfs[:], candidates[:]
+                ok = is_maximal_at_p(ring, p)[0]
+                expected = 0 if d % (p * p) else 1 if ok else 2
+                assert len(hnfs) == expected, (a, b, p, scale)
+                seen.add((expected, min(len(candidates), 2)))
+    # "maximal" at once and after several candidates, "not maximal" at the
+    # first candidate and after rejected ones
+    assert {(0, 0), (1, 2), (2, 1), (2, 2)} <= seen
+
+
+def test_witness_self_check_catches_a_closure_test_that_accepts_everything(monkeypatch):
+    monkeypatch.setattr(quarticrings, "_closed_mod_p", lambda ring, rows, p: True)
+    with pytest.raises(InvariantViolation, match="enlargement witness is not closed under multiplication"):
+        is_maximal_at_p(_ramified(3), 3)
 
 
 def _substitute(form, g):
@@ -1191,17 +1285,45 @@ def _fp_factor(f, p):
     return out
 
 
-def _dedekind_maximal(f, p):
+def _dedekind_gcd(f, p):
     # f monic of degree 4: with f = prod u^e mod p, g = prod u and
     # h = prod u^(e-1) lifted with entries in [0, p), and F = (f - g*h)/p,
-    # Z[x]/(f) is p-maximal iff gcd(g, h, F) = 1 over F_p
+    # Z[x]/(f) is p-maximal iff t = gcd(g, h, F) = 1 over F_p; returns t
     g, h = [1], [1]
     for u, e in _fp_factor(f, p).items():
         g = _poly_mul(g, u)
         for _ in range(e - 1):
             h = _poly_mul(h, u)
     big_f = [(a - b) // p for a, b in zip(f, _poly_mul(g, h))]
-    return len(_fp_gcd(_fp_gcd(_fp(g, p), _fp(h, p), p), _fp(big_f, p), p)) == 1
+    return _fp_gcd(_fp_gcd(_fp(g, p), _fp(h, p), p), _fp(big_f, p), p)
+
+
+def _mod_f(a, f):
+    # the coordinates of a(x) mod f on 1, x, x^2, x^3, for f monic of degree 4
+    a = list(a) + [0] * (4 - len(a))
+    for k in range(len(a) - 1, 3, -1):
+        c = a[k]
+        for i in range(5):
+            a[k - 4 + i] -= c * f[i]
+    return tuple(a[:4])
+
+
+def _check_dedekind_enlargement(f, t, p):
+    # if t != 1, O' = Z[x] + (U(x)/p) Z[x] with U = f/t over F_p, lifted, is
+    # a ring containing Q = Z[x]/(f) with index p^(deg t) (Cohen, GTM 138,
+    # Thm. 6.1.4); checked on Fraction rows, away from the walk and the radical
+    ring = _monogenic_ring(f)
+    u = _fp_divmod(f, t, p)[0]
+    gens = [tuple(Fraction(e, p) for e in _mod_f([0] * k + u, f)) for k in range(4)]
+    basis = _oracle_hnf_canonicalize(I4 + tuple(gens))
+    inv = _oracle_inv(basis)
+
+    def member(v):
+        return all(sum(v[k] * inv[k][j] for k in range(4)).denominator == 1 for j in range(4))
+
+    assert all(member(v) for v in I4 + tuple(gens))  # Q and U(x)/p lie in O'
+    assert all(member(ring.mul(x, y)) for x in basis for y in basis)
+    assert 1 / abs(_oracle_mat_det(basis)) == p ** (len(t) - 1)
 
 
 def _monogenic_ring(f):
@@ -1231,9 +1353,13 @@ def _monic_quartic_and_prime(draw):
 @example(((-11, 0, 0, 0, 1), 11))  # Eisenstein: maximal, and 11^3 | disc, so the walk runs
 @example(((-101, 0, 0, 0, 1), 2))  # (x + 1)^4 mod 2: not maximal
 @example(((10, 1, 23, -28, 1), 3))  # (x^2 + x + 2)^2 mod 3: not maximal
+@example(((-101, 0, 0, 0, 1), 101))  # Eisenstein: maximal, the walk rejects 20,607 candidates
 def test_is_maximal_at_p_agrees_with_dedekinds_criterion(case):
     f, p = case
-    assert is_maximal_at_p(_monogenic_ring(f), p)[0] == _dedekind_maximal(f, p)
+    t = _dedekind_gcd(f, p)
+    assert is_maximal_at_p(_monogenic_ring(f), p)[0] == (len(t) == 1)
+    if len(t) > 1:
+        _check_dedekind_enlargement(f, t, p)
 
 
 def test_fp_factorizer_and_monogenic_disc_agree_with_sympy():
