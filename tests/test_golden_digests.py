@@ -80,6 +80,18 @@ def _quartic_pairs():
     assert tags == {"a", "b", "c", "d", "none"}, tags
 
 
+def _long_walks():
+    # maximality at p = 7 and 11, with A scaled by p on every other pair:
+    # walks of up to about a hundred candidates, and their witnesses
+    rng = random.Random(22)
+    for k in range(200):
+        a = tuple(rng.randint(-3, 3) for _ in range(6))
+        b = tuple(rng.randint(-3, 3) for _ in range(6))
+        for p in (7, 11):
+            pair = (tuple(p * v for v in a) if k % 2 else a, b)
+            yield p, pair, _outcome(is_maximal_at_p, ring_from_pair(pair), p)
+
+
 def _unimodular(rng):
     # a product of elementary matrices, det +1 or -1
     p, q, r, s = rng.choice(((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1)))
@@ -169,6 +181,7 @@ FAMILIES = {
     "class_group": _class_groups,
     "class_semigroup": _class_semigroups,
     "quartic_pairs": _quartic_pairs,
+    "long_walks": _long_walks,
     "twisted_actions": _twisted_actions,
     "stella_points": _stella_points,
     "cube_round_trips": _cube_round_trips,
