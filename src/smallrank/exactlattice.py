@@ -10,7 +10,9 @@ by ``_scaled``, and one kernel per primitive on those integers:
 determinants and the trace-form discriminant, and for coordinates
 ``_hnf_coords`` against a basis already in HNF, by substitution column by
 column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
-``mat2_det``.  ``_unscaled`` builds the ``Fraction`` rows that public
+``mat2_det``.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan) gives the reduced
+row echelon form, and ``_hnf_from_rref`` lifts it to the HNF of its span
+and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that public
 functions return.  ``_form_act`` is the one GL2 substitution of binary
 forms, of every degree.
 """
@@ -66,6 +68,37 @@ def _hnf_int(rows):
                 rows[k] = [a - q * b for a, b in zip(rows[k], piv)]
         r += 1
     return rows[:r]
+
+
+def _rref_mod_p(rows, p):
+    # reduced row echelon form over F_p, p prime, of integer rows by
+    # Gauss-Jordan: the nonzero rows as tuples, entries in [0, p), in pivot
+    # order, each pivot 1 and alone in its column; zero rows dropped
+    rows = [[e % p for e in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        inv = pow(rows[i][col], -1, p)
+        piv = [e * inv % p for e in rows[i]]
+        rows[i], rows[r] = rows[r], piv
+        for k, row in enumerate(rows):
+            c = row[col]
+            if c and k != r:
+                rows[k] = [(e - c * f) % p for e, f in zip(row, piv)]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+def _hnf_from_rref(rows, p, n):
+    # the integer HNF of p*Z^n + sum Z*w_a, for w_a the rows of an RREF over
+    # F_p with entries in [0, p), written down with no elimination: row j is
+    # the w_a with pivot column j, else p*e_j.  That is upper triangular,
+    # with the entries above a pivot p in [0, p) and those above a pivot 1
+    # zero, so it is the HNF
+    by_pivot = {row.index(1): row for row in rows}
+    return [list(by_pivot.get(j) or (p * int(i == j) for i in range(n))) for j in range(n)]
 
 
 def _scaled(rows):

@@ -29,7 +29,7 @@ discriminant comparisons, and a maximality test for the ring at a prime.
 """
 
 from collections import namedtuple
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import gcd
 
 from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints
@@ -37,7 +37,9 @@ from .exactlattice import (
     _bareiss,
     _coords2,
     _hnf_coords,
+    _hnf_from_rref,
     _hnf_int,
+    _rref_mod_p,
     _trace,
     _trace_disc,
     _unscaled,
@@ -537,27 +539,6 @@ def resolvent_identity_check(pair, x):
     return lhs == rhs
 
 
-def _subspaces(p, s):
-    """RREF bases of the nonzero subspaces of F_p^s.
-
-    Yields tuples of integer rows (entries in [0, p)) ordered by dimension,
-    then pivot columns, then the free entries in row-major order.
-    """
-    for r in range(1, s + 1):
-        for pivots in combinations(range(s), r):
-            free = [
-                (row, col)
-                for row, piv in enumerate(pivots)
-                for col in range(piv + 1, s)
-                if col not in pivots
-            ]
-            for values in iproduct(range(p), repeat=len(free)):
-                rows = [[int(col == piv) for col in range(s)] for piv in pivots]
-                for (row, col), v in zip(free, values):
-                    rows[row][col] = v
-                yield tuple(map(tuple, rows))
-
-
 def _radical_subspaces(ring, p):
     """The nonzero subspaces of the nilradical R of Q/pQ, as RREF rows over F_p.
 
@@ -565,15 +546,16 @@ def _radical_subspaces(ring, p):
     R is the kernel of x -> x^q, with q the least power of p that is >= n
     (a nilpotent element of a rank-n algebra has x^n = 0).  That map is
     Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
-    and the RREF of [matrix | I] ends with an RREF basis B of its kernel.
-    That RREF is read off the integer HNF of [matrix | I] and p*I_2n: each
-    column has a pivot 1 or p, and the rows with pivot 1 are the RREF, with
-    the entries above a pivot 1 cleared and those above a pivot p in [0, p).
-    If C is in RREF then so is C*B, with pivot columns those of B picked by
-    C's pivots, and an entry of C*B off B's pivot columns depends only on
-    the entries of C to its left.  So the subspaces come out in the order
-    of dimension, pivot columns and free entries in row-major order, both
-    of C over F_p^s and of C*B over F_p^n.
+    and the RREF of [matrix | I] over F_p ends with the rows [0 | b], an
+    RREF basis B = (b_1..b_s) of its kernel: about 2n*log2(q) products and
+    one n x 2n RREF.  If C is in RREF then so is C*B, with pivot columns
+    those of B picked by C's pivots, and an entry of C*B off B's pivot
+    columns depends only on the entries of C to its left.  So the subspaces
+    come out in the order of dimension, pivot columns and free entries in
+    row-major order, both of C over F_p^s and of C*B over F_p^n.  Row a of
+    C*B is b_(c_a) plus v*b_c for each free entry v of C in row a, column c;
+    the rows are built one step at a time, each step adding one b_c mod p,
+    so nothing is stored beyond the current candidate.
     """
     unit = ring._t[0]
     n = len(unit)
@@ -589,11 +571,27 @@ def _radical_subspaces(ring, p):
             x = tuple(t % p for t in ring.mul(x, x))
             k >>= 1
         rows.append(power + e)
-    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(2 * n)] for i in range(2 * n)])
-    rref = [row for row in echelon if next(filter(None, row)) == 1]
-    radical = [row[n:] for row in rref if not any(row[:n])]
-    for coeffs in _subspaces(p, len(radical)):
-        yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
+    radical = [row[n:] for row in _rref_mod_p(rows, p) if not any(row[:n])]
+    s = len(radical)
+    for r in range(1, s + 1):
+        for pivots in combinations(range(s), r):
+            rows = [radical[c] for c in pivots]
+            steps = [(a, radical[c]) for a, i in enumerate(pivots) for c in range(i + 1, s) if c not in pivots]
+            digits = [0] * len(steps)
+            while True:
+                yield list(rows)
+                # the next free entries in row-major order, the last one
+                # least significant: it steps up by one, and an entry that
+                # wraps from p - 1 to 0 (its p-th step adds p*b_c = 0 mod p)
+                # carries into the entry before it
+                for k in reversed(range(len(steps))):
+                    a, b = steps[k]
+                    rows[a] = tuple((x + y) % p for x, y in zip(rows[a], b))
+                    digits[k] = (digits[k] + 1) % p
+                    if digits[k]:
+                        break
+                else:
+                    break
 
 
 def is_maximal_at_p(ring, p):
@@ -624,9 +622,19 @@ def is_maximal_at_p(ring, p):
     pivot columns.  Returns ``(True, None)`` if no enlargement is closed,
     else ``(False, basis)`` with the canonical basis of the first ring
     found in that order.  That basis is the integer HNF H of L over p,
-    built for it alone, and checked closed by the integer test: every
-    H_i*H_j lies in pH, one substitution pass as p*H is an HNF; a failure
-    raises :class:`~smallrank.errors.InvariantViolation`.
+    written down from the w_a with no elimination: row j is the w_a with
+    pivot column j, else p*e_j.  It is checked closed by the integer
+    test: every H_i*H_j lies in pH, one substitution pass as p*H is an
+    HNF; a failure raises :class:`~smallrank.errors.InvariantViolation`.
+
+    Cost: one discriminant, and nothing more when p^2 does not divide it.
+    Otherwise the radical, about 2n*log2(q) products and one n x 2n RREF
+    over F_p (n = 4: q = 4 at p = 2, 9 at p = 3, else p), then at most
+    2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
+    for a candidate of dimension r.  No integer HNF is built.  The walk
+    stays O(p^2): the totally ramified pair
+    ``((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0))``, maximal at p, walks all
+    20,607 candidates at p = 101 in about 0.1 s on a 2-core Xeon.
     """
     d = _nonzero_disc(ring)
     if not is_prime(p):
@@ -666,7 +674,7 @@ def _maximal_at_p(ring, p, d):
             # the witness Q' = H/p, H the integer HNF of pQ + L, checked
             # closed: each H_i*H_j lies in pH
             n = len(ring._t)
-            h = _hnf_int([tuple(p * e for e in row) for row in ring._t[0]] + rows)
+            h = _hnf_from_rref(rows, p, n)
             ph = [[p * e for e in row] for row in h]
             for i in range(n):
                 for j in range(i, n):
@@ -681,6 +689,12 @@ def is_maximal(ring):
 
     Only primes whose square divides the discriminant can carry a proper
     enlargement, so those are the only ones tested.
+
+    Cost: one discriminant and ``factorize(|disc|)``, then for each prime p
+    with p^2 | disc the walk of :func:`is_maximal_at_p`: at most
+    2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
+    after a radical of about 2n*log2(q) products and one n x 2n RREF over
+    F_p.  It stops at the first prime where the ring is not maximal.
     """
     d = _nonzero_disc(ring)
     for p, e in factorize(abs(d)).items():

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import gcd
 from unittest import mock
 
@@ -25,7 +25,9 @@ from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_fr
 from smallrank.exactlattice import (
     _bareiss,
     _hnf_coords,
+    _hnf_from_rref,
     _hnf_int,
+    _rref_mod_p,
     _unscaled,
     divisor_sigma,
     divisors,
@@ -60,7 +62,6 @@ from smallrank.quarticrings import (
     _maximal_at_p,
     _radical_subspaces,
     _resolvent_data,
-    _subspaces,
 )
 
 P_A = (0, 0, 0, 1, 0, -1)
@@ -517,26 +518,6 @@ def test_radical_subspaces(a, b, p, scaled):
     assert ring.disc() % p**dim == 0
 
 
-# The reduced row echelon form over F_p that _radical_subspaces computed
-# before it read the echelon form off the integer HNF; kept as its oracle.
-def _rref_mod_p(rows, p):
-    # the nonzero rows, entries in [0, p), in pivot order, each pivot 1 and
-    # alone in its column
-    rows = [[e % p for e in row] for row in rows]
-    out = []
-    for col in range(len(rows[0]) if rows else 0):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
-        if i is None:
-            continue
-        piv = rows.pop(i)
-        inv = pow(piv[col], -1, p)
-        piv = [e * inv % p for e in piv]
-        rows = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in rows]
-        out = [[(e - row[col] * f) % p for e, f in zip(row, piv)] for row in out]
-        out.append(piv)
-    return [tuple(row) for row in out]
-
-
 @st.composite
 def matrices_mod_p(draw):
     # up to 12 rows of n <= 8 integers: random, zero, or a combination of
@@ -563,6 +544,7 @@ def matrices_mod_p(draw):
 @example(([], 4, 2))
 @example(([[0] * 8] * 3, 8, 101))
 def test_rref_mod_p_is_the_pivot_one_rows_of_the_hnf(case):
+    # the integer HNF of the rows and p*I_n is the oracle of the RREF over F_p
     rows, n, p = case
     p_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
     hnf = _hnf_int(rows + p_rows)
@@ -573,38 +555,87 @@ def test_rref_mod_p_is_the_pivot_one_rows_of_the_hnf(case):
     assert pivot_one == _rref_mod_p(rows, p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_p())
+@example(([], 4, 2))
+@example(([[1, 2, 0, 3], [0, 0, 1, 4]], 4, 5))
+def test_hnf_from_rref_is_the_hnf_of_the_rows_and_p_times_the_identity(case):
+    # the witness HNF is written down from the RREF rows; _hnf_int is its oracle
+    rows, n, p = case
+    rref = _rref_mod_p(rows, p)
+    p_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    assert _hnf_from_rref(rref, p, n) == _hnf_int(p_rows + rref) == _hnf_int(rows + p_rows)
+
+
+# The subspace walk that _radical_subspaces ran before it built each
+# candidate one step at a time: every RREF coefficient matrix C over F_p^s,
+# then C*B by mat_mul; kept as its oracle.
+def _subspaces(p, s):
+    """RREF bases of the nonzero subspaces of F_p^s.
+
+    Yields tuples of integer rows (entries in [0, p)) ordered by dimension,
+    then pivot columns, then the free entries in row-major order.
+    """
+    for r in range(1, s + 1):
+        for pivots in combinations(range(s), r):
+            free = [
+                (row, col)
+                for row, piv in enumerate(pivots)
+                for col in range(piv + 1, s)
+                if col not in pivots
+            ]
+            for values in iproduct(range(p), repeat=len(free)):
+                rows = [[int(col == piv) for col in range(s)] for piv in pivots]
+                for (row, col), v in zip(free, values):
+                    rows[row][col] = v
+                yield tuple(map(tuple, rows))
+
+
 def _oracle_radical_subspaces(ring, p):
-    # _radical_subspaces on _rref_mod_p
+    # _radical_subspaces as it ran before the RREF over F_p: the kernel of
+    # x -> x^q read off the integer HNF of [e_i^q | e_i] and p*I_2n, then
+    # the walk above
+    unit = ring._t[0]
+    n = len(unit)
     q = p
-    while q < 4:
+    while q < n:
         q *= p
     rows = []
-    for i in range(4):
-        e = tuple(int(i == j) for j in range(4))
-        power, x, k = (1, 0, 0, 0), e, q
+    for e in unit:
+        power, x, k = unit[0], e, q
         while k:
             if k & 1:
                 power = tuple(t % p for t in ring.mul(power, x))
             x = tuple(t % p for t in ring.mul(x, x))
             k >>= 1
         rows.append(power + e)
-    radical = [row[4:] for row in _rref_mod_p(rows, p) if not any(row[:4])]
+    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(2 * n)] for i in range(2 * n)])
+    rref = [row for row in echelon if next(filter(None, row)) == 1]
+    radical = [row[n:] for row in rref if not any(row[:n])]
     for coeffs in _subspaces(p, len(radical)):
         yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
 
 
 def test_radical_subspaces_agree_with_rref_oracle():
-    dims = set()
-    for p in (7, 11, 13):
-        for a, b in _random_pairs(49 + p, 8) + [P_Z4]:
+    # every rank, every radical dimension it allows, at six primes
+    dims = {2: set(), 3: set(), 4: set()}
+    for p in (2, 3, 5, 7, 11, 13):
+        rings = []
+        for a, b in _random_pairs(49 + p, 8) + [P_Z4, (RAMIFIED_A, (p, 0, 1, 0, 0, 0))]:
             for pair in ((a, b), (tuple(p * v for v in a), b), (a, tuple(p * v for v in b))):
-                ring = ring_from_pair(pair)
-                if ring.disc() == 0:
-                    continue
-                walk = list(_radical_subspaces(ring, p))
-                assert walk == list(_oracle_radical_subspaces(ring, p))
-                dims.add(max((len(rows) for rows in walk), default=0))
-    assert dims == {0, 1, 2, 3}
+                rings.append(ring_from_pair(pair))
+        rng = random.Random(p)
+        for _ in range(12):
+            t, u = rng.randint(-6, 6), rng.randint(-30, 30)
+            form = tuple(rng.randint(-4, 4) for _ in range(4))
+            rings += [QuadraticRing(t, u), QuadraticRing(p * t, p * p * u)]
+            rings += [ring_from_cubic_form(form), ring_from_cubic_form((p * p * form[0], p * form[1], *form[2:]))]
+        rings += [ring_from_cubic_form((0, 0, 0, 0)), QuadraticRing(0, 0)]
+        for ring in rings:
+            walk = list(_radical_subspaces(ring, p))
+            assert walk == list(_oracle_radical_subspaces(ring, p))
+            dims[len(ring._t)].add(max((len(rows) for rows in walk), default=0))
+    assert dims == {2: {0, 1}, 3: {0, 1, 2}, 4: {0, 1, 2, 3}}
 
 
 def test_condition_tags():
@@ -1142,16 +1173,19 @@ def test_closure_over_fp_agrees_with_the_integer_test_on_quadratic_and_cubic_rin
         _closure_agrees(cubic, p)
 
 
-def test_maximality_builds_an_hnf_for_the_radical_and_the_witness_only(monkeypatch):
-    # counted, not timed: each candidate is decided over F_p, so an answer
-    # with p^2 | disc costs one integer HNF (the radical's) whatever the
-    # number of candidates, and "not maximal" one more (the witness's)
+def test_maximality_builds_no_integer_hnf(monkeypatch):
+    # counted, not timed: the radical is one RREF over F_p, each candidate
+    # is decided over F_p and the witness HNF is written down from its RREF
+    # rows, so no answer builds an integer HNF.  The totally ramified pair
+    # walks the whole bound of 2p^2 + 2p + 3 candidates
     hnfs, candidates = [], []
     hnf, closed = quarticrings._hnf_int, quarticrings._closed_mod_p
     monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: hnfs.append(rows) or hnf(rows))
     monkeypatch.setattr(quarticrings, "_closed_mod_p", lambda *a: candidates.append(a) or closed(*a))
-    assert is_maximal_at_p(_ramified(11), 11) == (True, None)
-    assert len(candidates) == 2 * 11**2 + 2 * 11 + 3 and len(hnfs) == 1
+    for p, bound in ((11, 267), (13, 367)):
+        del candidates[:]
+        assert is_maximal_at_p(_ramified(p), p) == (True, None)
+        assert len(candidates) == 2 * p**2 + 2 * p + 3 == bound
     seen = set()
     for p in (2, 3, 5, 7):
         for a, b in _random_pairs(80 + p, 25) + [P_Z4]:
@@ -1160,14 +1194,13 @@ def test_maximality_builds_an_hnf_for_the_radical_and_the_witness_only(monkeypat
                 d = ring.disc()
                 if not d:
                     continue
-                del hnfs[:], candidates[:]
+                del candidates[:]
                 ok = is_maximal_at_p(ring, p)[0]
-                expected = 0 if d % (p * p) else 1 if ok else 2
-                assert len(hnfs) == expected, (a, b, p, scale)
-                seen.add((expected, min(len(candidates), 2)))
+                seen.add((d % (p * p) == 0, ok, min(len(candidates), 2)))
+    assert hnfs == []
     # "maximal" at once and after several candidates, "not maximal" at the
     # first candidate and after rejected ones
-    assert {(0, 0), (1, 2), (2, 1), (2, 2)} <= seen
+    assert {(False, True, 0), (True, True, 2), (True, False, 1), (True, False, 2)} <= seen
 
 
 def test_witness_self_check_catches_a_closure_test_that_accepts_everything(monkeypatch):
