@@ -102,7 +102,12 @@ def triple_from_cube(q) -> BalancedTriple:
     bases; the third ideal's basis is the unique solution of the eight
     coefficient equations xi-coeff(x_i * y_j * z_k) = a_ijk.
     """
-    q = _cube(q)
+    return _triple(_cube(q))[0]
+
+
+def _triple(q):
+    # triple_from_cube on a checked cube, with the eight triple products over
+    # their denominator that its balancedness check computed
     f1, f2, f3 = _slice_forms(q)
     ring = _ring(q)
     i1 = ideal_from_form(f1, ring)
@@ -137,10 +142,10 @@ def triple_from_cube(q) -> BalancedTriple:
     i3 = QuadIdeal._from_rows(ring, zs, abs(det))
     if raw_form(i3) != f3:
         raise InvariantViolation("third ideal of the cube does not have the third form %r" % (f3,))
-    triple = BalancedTriple(ring, (i1, i2, i3))
-    if not is_balanced(*triple.ideals):
+    balanced = _balanced_products(i1, i2, i3)
+    if balanced is None:
         raise InvariantViolation("triple rebuilt from the cube is not balanced")
-    return triple
+    return BalancedTriple(ring, (i1, i2, i3)), balanced
 
 
 def _triple_products(i1, i2, i3):
@@ -191,7 +196,7 @@ def cube_from_triple(triple):
 
 def tau_system(q):
     """All eight products tau[i][j][k] = x_i * y_j * z_k of the triple bases."""
-    products, den = _triple_products(*triple_from_cube(q).ideals)
+    _, (products, den) = _triple(_cube(q))
     t = [tuple(Fraction(c, den) for c in w) for w in products]
     return ((tuple(t[0:2]), tuple(t[2:4])), (tuple(t[4:6]), tuple(t[6:8])))
 

@@ -96,6 +96,7 @@ def ring_from_cubic_form(form) -> CubicRing:
 
 def form_from_cubic_ring(ring) -> tuple:
     """Binary cubic form of a normalized cubic ring; inverse of ring_from_cubic_form."""
+    ring = _cubic(ring)
     return (ring.b, -ring.a, ring.f, -ring.e)
 
 

@@ -70,6 +70,13 @@ class QuadraticRing:
         return "QuadraticRing(t=%d, u=%d)" % (self.t, self.u)
 
 
+def _quadratic(ring):
+    # the one type check on a ring argument
+    if not isinstance(ring, QuadraticRing):
+        raise DomainError("expected a QuadraticRing")
+    return ring
+
+
 def ring_from_disc(d) -> QuadraticRing:
     """The quadratic ring of discriminant d in normalized presentation."""
     if _int(d, "discriminant", UnsupportedDiscriminant) % 4 == 0:
@@ -88,6 +95,7 @@ class QuadIdeal:
     """
 
     def __init__(self, ring, basis):
+        _quadratic(ring)
         seqs = (tuple, list)
         if not isinstance(basis, seqs) or len(basis) != 2 or any(
             not isinstance(r, seqs) or len(r) != 2 for r in basis
@@ -143,12 +151,12 @@ def _ideal(i):
 
 
 def unit_ideal(ring) -> QuadIdeal:
-    return QuadIdeal._from_rows(ring, ((1, 0), (0, 1)), 1)
+    return QuadIdeal._from_rows(_quadratic(ring), ((1, 0), (0, 1)), 1)
 
 
 def raw_form(ideal):
     """Associated form of the stored basis, before any reduction."""
-    (a, b), (c, d) = ideal.xi
+    (a, b), (c, d) = _ideal(ideal).xi
     f = (c, d - a, -b)
     if a + d != ideal.ring.t or mat2_det(ideal.xi) != ideal.ring.u:
         raise InvariantViolation("xi on %r does not have trace t and norm u" % (ideal,))
@@ -159,7 +167,7 @@ def raw_form(ideal):
 
 def form_from_ideal(ideal):
     """Associated form; Lagrange-reduced when the discriminant is negative."""
-    f = raw_form(_ideal(ideal))
+    f = raw_form(ideal)
     if ideal.ring.disc >= 0:
         return f
     if f[0] < 0:
@@ -169,7 +177,7 @@ def form_from_ideal(ideal):
 
 def ideal_from_form(f, ring) -> QuadIdeal:
     """The ideal whose stored basis has raw associated form exactly f."""
-    f = _ints(f, 3)
+    f, ring = _ints(f, 3), _quadratic(ring)
     if f == (0, 0, 0):
         raise ZeroForm("the zero form defines no ideal")
     if discriminant(f) != ring.disc:
@@ -215,11 +223,12 @@ def conjugate(i) -> QuadIdeal:
 
 def ideal_norm(i) -> Fraction:
     """Covolume relative to the ring of coefficients, always positive."""
-    return Fraction(abs(mat2_det(i.rows)), i.den**2)
+    return Fraction(abs(mat2_det(_ideal(i).rows)), i.den**2)
 
 
 def scale(i, elt) -> QuadIdeal:
     """The ideal elt * I for a ring element elt = (x, y), canonical basis."""
+    i = _ideal(i)
     if not isinstance(elt, (tuple, list)) or len(elt) != 2:
         raise DimensionError("a ring element has 2 coordinates, got %r" % (elt,))
     (e,), e_den = _scaled([elt])

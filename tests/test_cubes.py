@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from smallrank.errors import (
     Degenerate,
     DomainError,
+    InvariantViolation,
     NotBalanced,
     NotInGamma,
     UnsupportedDiscriminant,
@@ -271,6 +272,22 @@ def test_cube_from_triple_computes_the_triple_products_once(monkeypatch):
     with pytest.raises(NotBalanced, match="triple fails the balancedness conditions"):
         cube_from_triple(unbalanced)
     assert len(calls) == len(qs) + 1
+
+
+def test_tau_system_computes_the_triple_products_once(monkeypatch):
+    # counted, not timed: the taus reuse the products of the balancedness
+    # self-check in triple_from_cube, and that check still fires
+    calls = []
+    products = cubes._triple_products
+    monkeypatch.setattr(cubes, "_triple_products", lambda *ideals: calls.append(ideals) or products(*ideals))
+    qs = _random_cubes(43, 5)
+    for k, q in enumerate(qs, 1):
+        taus = tau_system(q)
+        assert len(calls) == k
+        assert tuple(t[1] for pair in taus for row in pair for t in row) == q
+    monkeypatch.setattr(cubes, "_balanced_products", lambda *ideals: None)
+    with pytest.raises(InvariantViolation, match="triple rebuilt from the cube is not balanced"):
+        tau_system(qs[0])
 
 
 def test_reconstructed_triple_equivalent_to_source():

@@ -33,6 +33,7 @@ from smallrank.cubes import (
 from smallrank.cubicrings import (
     CubicRing,
     cubic_twisted_act,
+    form_from_cubic_ring,
     idempotents_within,
     ring_from_cubic_form,
     values_mod,
@@ -72,9 +73,14 @@ from smallrank.quadrings import (
     QuadraticRing,
     class_semigroup,
     conjugate,
+    endomorphism_ring,
     form_from_ideal,
     ideal_from_form,
+    ideal_norm,
+    inverse,
+    is_invertible,
     multiply,
+    raw_form,
     ring_from_disc,
     scale,
     unit_ideal,
@@ -245,6 +251,16 @@ BRANCHES = [
     (is_balanced, (1, 2, 3), DomainError),
     (cube_from_triple, (5,), DomainError),
     (idempotents_within, (5, 1), DomainError),
+    (raw_form, (5,), DomainError),
+    (ideal_norm, (5,), DomainError),
+    (inverse, (5,), DomainError),
+    (is_invertible, (5,), DomainError),
+    (endomorphism_ring, (5,), DomainError),
+    (unit_ideal, (5,), DomainError),
+    (scale, (5, (1, 0)), DomainError),
+    (ideal_from_form, (F, 5), DomainError),
+    (form_from_cubic_ring, (5,), DomainError),
+    (QuadIdeal, (5, [(1, 0), (0, 1)]), DomainError),
 ]
 
 
