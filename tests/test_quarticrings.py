@@ -372,8 +372,6 @@ def _subspaces_avoiding_one(p):
     Yields lists of integer row vectors (entries in [0, p)) in reduced
     echelon form, one list per subspace of dimension 1, 2 or 3.
     """
-    from itertools import combinations, product as iproduct
-
     for r in range(1, 4):
         for pivots in combinations(range(4), r):
             free_positions = []
