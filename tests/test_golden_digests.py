@@ -22,12 +22,14 @@ if __name__ == "__main__":  # run as a script: import the package of this checko
 
 import pytest
 
-from smallrank.cubes import cube_from_triple, triple_from_cube
-from smallrank.cubicrings import cubic_twisted_act
+from smallrank.cubes import cube_from_triple, is_balanced, triple_from_cube, triples_equivalent
+from smallrank.cubicrings import cubic_twisted_act, form_from_cubic_ring, idempotents_within
 from smallrank.errors import SmallRankError
-from smallrank.padic import stella_membership
-from smallrank.quadforms import class_group, twisted_act
-from smallrank.quadrings import class_semigroup
+from smallrank.padic import PadicConfig, balanced_count, stella_membership
+from smallrank.quadforms import class_group, enumerate_reduced, principal_form, twisted_act
+from smallrank.quadrings import (
+    QuadIdeal, class_semigroup, ideal_from_form, ideal_norm, ring_from_disc, unit_ideal,
+)
 from smallrank.quarticrings import (
     count_numerical_resolvents,
     enumerate_numerical_resolvents,
@@ -167,6 +169,29 @@ BAD_INPUTS = [
     (stella_membership, (-1, (0, 0, 0))),
     (stella_membership, (1, (0, 0))),
     (stella_membership, (1.0, (0, 0, 0))),
+    # one argument of the wrong kind per kind gate
+    (unit_ideal, (5,)),
+    (QuadIdeal, (None, I)),
+    (ideal_from_form, ((1, 1, 6), "ring")),
+    (ideal_norm, (5,)),
+    (is_balanced, (1, 2, 3)),
+    (form_from_cubic_ring, (5,)),
+    (idempotents_within, ((1, 0, 1, 1), 1)),
+    (balanced_count, ("config", (1, 1, 2))),
+    (balanced_count, ((3, 2, 2), (1, 1, 2))),
+    (cube_from_triple, (5,)),
+    (triples_equivalent, (None, None)),
+    (is_maximal_at_p, (PadicConfig(3, 2, 2), 2)),
+    # each discriminant site: not an int, not 0 or 1 mod 4, not negative
+    (ring_from_disc, (2,)),
+    (ring_from_disc, (-1,)),
+    (ring_from_disc, ("5",)),
+    (principal_form, (-2,)),
+    (principal_form, (3,)),
+    (principal_form, (0,)),
+    (principal_form, (-3.0,)),
+    (enumerate_reduced, (-5,)),
+    (enumerate_reduced, (4,)),
 ]
 
 
