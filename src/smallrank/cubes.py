@@ -14,14 +14,13 @@ from math import lcm
 
 from .errors import (
     Degenerate, DomainError, InvariantViolation, NotBalanced, NotInGamma, RingMismatch,
-    UnsupportedDiscriminant, _ints, _matrix,
+    UnsupportedDiscriminant, _ints, _matrix, _of,
 )
 from .exactlattice import lattice_intersect, mat2_det
 from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
     QuadraticRing,
-    _ideal,
     form_from_ideal,
     ideal_from_form,
     ideal_norm,
@@ -158,12 +157,10 @@ def _triple_products(i1, i2, i3):
 
 def _ideals(triple):
     # the one type check on a triple argument: its three ideals
-    if not isinstance(triple, BalancedTriple):
-        raise DomainError("expected a BalancedTriple")
-    ideals = triple.ideals
+    ideals = _of(BalancedTriple, triple).ideals
     if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
         raise DomainError("a triple holds three ideals, got %r" % (ideals,))
-    return tuple(map(_ideal, ideals))
+    return tuple(_of(QuadIdeal, i) for i in ideals)
 
 
 def _balanced_products(i1, i2, i3):
@@ -182,7 +179,7 @@ def _balanced_products(i1, i2, i3):
 
 def is_balanced(i1, i2, i3) -> bool:
     """Norm product 1 and all triple products of basis elements integral."""
-    return _balanced_products(_ideal(i1), _ideal(i2), _ideal(i3)) is not None
+    return _balanced_products(*(_of(QuadIdeal, i) for i in (i1, i2, i3))) is not None
 
 
 def cube_from_triple(triple):
@@ -261,7 +258,10 @@ def _scalar_candidates(ring, src, dst):
 
 
 def triples_equivalent(t1, t2) -> bool:
-    """Do scalars (g1, g2, g3) with product 1 map one triple onto the other?"""
+    """Do scalars (g1, g2, g3) with product 1 map one triple onto the other?
+
+    Cost: six ``form_from_ideal``, two ``represent``, at most 6 + 6 + 36 ``scale``.
+    """
     (i1, i2, i3), (j1, j2, j3) = _ideals(t1), _ideals(t2)
     if t1.ring != t2.ring:
         raise RingMismatch("triples live over different rings")

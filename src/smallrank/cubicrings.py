@@ -15,7 +15,7 @@ the generators.
 
 from math import gcd
 
-from .errors import DomainError, InvariantViolation, NotUnimodular, _int, _ints, _matrix
+from .errors import DomainError, InvariantViolation, NotUnimodular, _int, _ints, _matrix, _of
 from .exactlattice import _form_act, _trace, _trace_disc, mat2_det
 
 
@@ -81,13 +81,6 @@ class CubicRing:
         return "CubicRing(a=%d, b=%d, e=%d, f=%d)" % (self.a, self.b, self.e, self.f)
 
 
-def _cubic(ring):
-    # the one type check on a ring argument
-    if not isinstance(ring, CubicRing):
-        raise DomainError("expected a CubicRing")
-    return ring
-
-
 def ring_from_cubic_form(form) -> CubicRing:
     """Cubic ring of a binary cubic form (p, q, r, s)."""
     p, q, r, s = _ints(form, 4)
@@ -96,7 +89,7 @@ def ring_from_cubic_form(form) -> CubicRing:
 
 def form_from_cubic_ring(ring) -> tuple:
     """Binary cubic form of a normalized cubic ring; inverse of ring_from_cubic_form."""
-    ring = _cubic(ring)
+    ring = _of(CubicRing, ring)
     return (ring.b, -ring.a, ring.f, -ring.e)
 
 
@@ -152,7 +145,7 @@ def idempotents_within(ring, height=10):
     Brute-force box search: a semi-decision used to recognize split rings.
     Cost: (2*height + 1)^3 products, one for each point of the box.
     """
-    ring, height = _cubic(ring), _int(height, "height")
+    ring, height = _of(CubicRing, ring), _int(height, "height")
     out = []
     rng = range(-height, height + 1)
     for x0 in rng:

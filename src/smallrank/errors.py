@@ -101,6 +101,13 @@ def _int(v, what, error=DomainError):
     return v
 
 
+def _of(cls, value):
+    """value itself if it is an instance of cls; else DomainError."""
+    if not isinstance(value, cls):
+        raise DomainError("expected a %s" % cls.__name__)
+    return value
+
+
 def _matrix(m):
     """A 2x2 integer matrix as two int pairs ((p, q), (r, s))."""
     if not isinstance(m, (tuple, list)) or len(m) != 2:

@@ -166,6 +166,8 @@ def _trace_disc(ring):
 
 def mat_mul(a, b):
     """Matrix product of two row-major rational matrices."""
+    if not (isinstance(a, (tuple, list)) and isinstance(b, (tuple, list))):
+        raise DomainError("need two matrices as tuples of rows, got %r and %r" % (a, b))
     return tuple(
         tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for ra in a
@@ -233,6 +235,8 @@ def lattice_intersect(b1, b2):
     Its HNF has n pivots in the first n columns (L1 + L2); the rows after
     them are (0, x) with x in L1 and -x in L2, already the HNF of L1 & L2.
     """
+    if not (isinstance(b1, (tuple, list)) and isinstance(b2, (tuple, list))):
+        raise DomainError("need two bases as tuples of rows, got %r and %r" % (b1, b2))
     ints, den = _scaled([*b1, *b2])
     if not ints:
         raise RankError("empty generating set")

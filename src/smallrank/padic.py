@@ -25,7 +25,7 @@ count by brute force at finite precision, via explicit unit-coset
 representatives, and is the reference the formula is tested against.
 """
 
-from .errors import DomainError, PrecisionError, _int, _ints
+from .errors import DomainError, PrecisionError, _int, _ints, _of
 from .exactlattice import is_prime
 
 __all__ = [
@@ -86,8 +86,7 @@ def least_nonresidue(p):
 
 
 def _split_index(cfg, idx):
-    if not isinstance(cfg, PadicConfig):
-        raise DomainError("expected a PadicConfig")
+    _of(PadicConfig, cfg)
     i, j, k = _ints(idx, 3, "triple index entries")
     if not (0 <= i <= j <= k <= cfg.n):
         raise DomainError(

@@ -47,7 +47,7 @@ def twisted_act(m, f):
 
 
 def is_reduced(f) -> bool:
-    a, b, c = f
+    a, b, c = _ints(f, 3)
     if not (abs(b) <= a <= c):
         return False
     return b >= 0 or (abs(b) != a and a != c)
@@ -98,11 +98,18 @@ def _reduce(a, b, c):
     return (a, b, c), ((p, q), (r, s))
 
 
+def _disc_tu(d):
+    # (t, u) of the normalized ring of discriminant d: t = d mod 4 in {0, 1}, u = (t - d)/4
+    t = _int(d, "discriminant", UnsupportedDiscriminant) % 4
+    if t > 1:
+        raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
+    return t, (t - d) // 4
+
+
 def _check_disc(d):
     if _int(d, "discriminant", UnsupportedDiscriminant) >= 0:
         raise UnsupportedDiscriminant("need a negative discriminant")
-    if d % 4 not in (0, 1):
-        raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
+    return _disc_tu(d)
 
 
 def enumerate_reduced(d):
@@ -110,8 +117,8 @@ def enumerate_reduced(d):
 
     Walks b >= 0 with b = d (mod 2) and 3b^2 <= -d, and the divisors a of
     N = (b^2 - d)/4 with max(b, 1) <= a and a^2 <= N, so c = N/a >= a; the
-    form with -b is reduced too when 0 < b < a < c.  That is about |d|/14
-    divisibility tests (Cohen, GTM 138, section 5.3).
+    form with -b is reduced too when 0 < b < a < c (Cohen, GTM 138, 5.3).
+    Cost: about |d|/14 divisibility tests, one per pair (b, a) walked.
     """
     _check_disc(d)
     forms = []
@@ -191,10 +198,7 @@ def _compose(f, g, d):
 
 
 def principal_form(d):
-    _check_disc(d)
-    if d % 4 == 0:
-        return (1, 0, -d // 4)
-    return (1, 1, (1 - d) // 4)
+    return (1, *_check_disc(d))
 
 
 def _monoid_table(n, ident, product, conj):
@@ -297,15 +301,14 @@ def class_group(d):
 
     Returns (elements, table, structure) where table[i][j] is the index of
     elements[i] * elements[j] and structure is the tuple of invariant factors.
-    The table costs about h/2 compositions (fewer than 2h always) and h^2
-    lookups, and holds h^2 ints: the conjugate (a, -b, c) is the inverse
-    class, so each composition y = g*k also gives g*conj(y) = conj(k),
-    because g*conj(g) is principal, and g*conj(k) = conj(y) when g is its
-    own conjugate (``_monoid_table``).  The orders take one walk of the
-    powers of each x whose order is still unknown: ord(x^k) = m / gcd(k, m)
-    for m = ord(x).
+    Cost: about |d|/14 divisibility tests (``enumerate_reduced``); for h
+    classes, about h/2 compositions (fewer than 2h always) and h^2 lookups
+    for the table of h^2 ints, and under h^2 for the orders: one walk of the
+    powers of each x whose order m is unknown, ord(x^k) = m / gcd(k, m).  The
+    conjugate (a, -b, c) is the inverse class, so each composition y = g*k
+    also gives g*conj(y) = conj(k), because g*conj(g) is principal, and
+    g*conj(k) = conj(y) when g is its own conjugate (``_monoid_table``).
     """
-    _check_disc(d)
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
     table, ident = _form_table(d, elements)
     h = len(elements)

@@ -19,14 +19,13 @@ from .errors import (
     NotAModule,
     RankError,
     RingMismatch,
-    UnsupportedDiscriminant,
     ZeroForm,
-    _int,
     _ints,
+    _of,
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
 from .quadforms import (
-    _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
+    _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
 )
 
 
@@ -43,8 +42,7 @@ class QuadraticRing:
 
     def normalized(self):
         """Isomorphic presentation with t in {0, 1} (xi shifted by an integer)."""
-        k = self.t // 2
-        return QuadraticRing(self.t - 2 * k, self.u - self.t * k + k * k)
+        return ring_from_disc(self.disc)
 
     def mul(self, x, y):
         return (
@@ -70,20 +68,9 @@ class QuadraticRing:
         return "QuadraticRing(t=%d, u=%d)" % (self.t, self.u)
 
 
-def _quadratic(ring):
-    # the one type check on a ring argument
-    if not isinstance(ring, QuadraticRing):
-        raise DomainError("expected a QuadraticRing")
-    return ring
-
-
 def ring_from_disc(d) -> QuadraticRing:
     """The quadratic ring of discriminant d in normalized presentation."""
-    if _int(d, "discriminant", UnsupportedDiscriminant) % 4 == 0:
-        return QuadraticRing(0, -d // 4)
-    if d % 4 == 1:
-        return QuadraticRing(1, (1 - d) // 4)
-    raise UnsupportedDiscriminant("%d is not 0 or 1 mod 4" % d)
+    return QuadraticRing(*_disc_tu(d))
 
 
 class QuadIdeal:
@@ -95,7 +82,7 @@ class QuadIdeal:
     """
 
     def __init__(self, ring, basis):
-        _quadratic(ring)
+        _of(QuadraticRing, ring)
         seqs = (tuple, list)
         if not isinstance(basis, seqs) or len(basis) != 2 or any(
             not isinstance(r, seqs) or len(r) != 2 for r in basis
@@ -143,20 +130,13 @@ class QuadIdeal:
         return "QuadIdeal(%r, %r)" % (self.ring, self.basis)
 
 
-def _ideal(i):
-    # the one type check on an ideal argument
-    if not isinstance(i, QuadIdeal):
-        raise DomainError("expected a QuadIdeal")
-    return i
-
-
 def unit_ideal(ring) -> QuadIdeal:
-    return QuadIdeal._from_rows(_quadratic(ring), ((1, 0), (0, 1)), 1)
+    return QuadIdeal._from_rows(_of(QuadraticRing, ring), ((1, 0), (0, 1)), 1)
 
 
 def raw_form(ideal):
     """Associated form of the stored basis, before any reduction."""
-    (a, b), (c, d) = _ideal(ideal).xi
+    (a, b), (c, d) = _of(QuadIdeal, ideal).xi
     f = (c, d - a, -b)
     if a + d != ideal.ring.t or mat2_det(ideal.xi) != ideal.ring.u:
         raise InvariantViolation("xi on %r does not have trace t and norm u" % (ideal,))
@@ -177,7 +157,7 @@ def form_from_ideal(ideal):
 
 def ideal_from_form(f, ring) -> QuadIdeal:
     """The ideal whose stored basis has raw associated form exactly f."""
-    f, ring = _ints(f, 3), _quadratic(ring)
+    f, ring = _ints(f, 3), _of(QuadraticRing, ring)
     if f == (0, 0, 0):
         raise ZeroForm("the zero form defines no ideal")
     if discriminant(f) != ring.disc:
@@ -209,7 +189,7 @@ def _span(ring, rows, den):
 
 def multiply(i, j) -> QuadIdeal:
     """Product ideal, canonical (HNF) basis."""
-    if _ideal(i).ring != _ideal(j).ring:
+    if _of(QuadIdeal, i).ring != _of(QuadIdeal, j).ring:
         raise RingMismatch("%r vs %r" % (i.ring, j.ring))
     rows = [i.ring.mul(a, b) for a in i.rows for b in j.rows]
     return _span(i.ring, rows, i.den * j.den)
@@ -217,18 +197,18 @@ def multiply(i, j) -> QuadIdeal:
 
 def conjugate(i) -> QuadIdeal:
     """Image under the nontrivial ring involution, canonical basis."""
-    i = _ideal(i)
+    i = _of(QuadIdeal, i)
     return _span(i.ring, [i.ring.conj(row) for row in i.rows], i.den)
 
 
 def ideal_norm(i) -> Fraction:
     """Covolume relative to the ring of coefficients, always positive."""
-    return Fraction(abs(mat2_det(_ideal(i).rows)), i.den**2)
+    return Fraction(abs(mat2_det(_of(QuadIdeal, i).rows)), i.den**2)
 
 
 def scale(i, elt) -> QuadIdeal:
     """The ideal elt * I for a ring element elt = (x, y), canonical basis."""
-    i = _ideal(i)
+    i = _of(QuadIdeal, i)
     if not isinstance(elt, (tuple, list)) or len(elt) != 2:
         raise DimensionError("a ring element has 2 coordinates, got %r" % (elt,))
     (e,), e_den = _scaled([elt])
@@ -268,11 +248,11 @@ def class_semigroup(d):
     whole semigroup, conj(IJ) = conj(I)*conj(J), so each composition
     y = g*k also gives g*conj(y) = N*conj(k) with N = g*conj(g) once N is
     reached, and g*conj(k) = conj(y) when g is its own conjugate
-    (``_monoid_table``).  Each class not reached from the earlier ones is a
-    generator, and costs one composition for N and one per orbit of the
-    classes reached so far that is not yet filled in: about h/2 in all, as
-    in a class group; the rest is h^2 table lookups, and the table holds h^2
-    ints.
+    (``_monoid_table``).  Cost: for h reduced forms, about |d|/14 divisibility
+    tests (``enumerate_reduced``), h^2 lookups, one composition per generator
+    and one per orbit of the reached classes on the rest: about h/2 when
+    most classes are invertible, at most 3h for |d| < 3000, under h^2
+    always.  The table holds h^2 ints.
     """
     ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)

@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
-from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints
+from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints, _of
 from .exactlattice import (
     _bareiss,
     _coords2,
@@ -241,16 +241,9 @@ class QuarticRing:
     disc = _trace_disc
 
 
-def _quartic(ring):
-    # the one type check on a ring argument
-    if not isinstance(ring, QuarticRing):
-        raise DomainError("expected a QuarticRing")
-    return ring
-
-
 def _nonzero_disc(ring):
     # the discriminant of a quartic ring that maximality is defined for
-    d = _quartic(ring).disc()
+    d = _of(QuarticRing, ring).disc()
     if d == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
     return d
@@ -391,7 +384,7 @@ def _resolvent_data(ring):
     of the lattice the mu's span, over the same ``den`` (its covolume equals
     the content).
     """
-    lam = _lambda_from_c(_quartic(ring).c)
+    lam = _lambda_from_c(_of(QuarticRing, ring).c)
     if not _plucker_holds(lam):
         raise InvariantViolation("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
@@ -431,6 +424,7 @@ def enumerate_numerical_resolvents(ring):
     Enumerates, for ``n`` the minor gcd, the index-``n`` superlattices of the
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
+    Cost: two ``factorize(n)`` and one 2x2 product and 2-row HNF per lattice.
     """
     n, _, h, den = _resolvent_data(ring)
     # Index-n enlargements M of the mu-lattice (integer HNF h over den) biject

@@ -50,7 +50,7 @@ from smallrank.errors import (
     _ints,
     _matrix,
 )
-from smallrank.exactlattice import divisor_sigma, divisors, factorize
+from smallrank.exactlattice import divisor_sigma, divisors, factorize, lattice_intersect, mat_mul
 from smallrank.padic import (
     PadicConfig,
     balanced_count,
@@ -63,6 +63,7 @@ from smallrank.quadforms import (
     class_group,
     compose,
     enumerate_reduced,
+    is_reduced,
     principal_form,
     reduce,
     represent,
@@ -261,6 +262,12 @@ BRANCHES = [
     (ideal_from_form, (F, 5), DomainError),
     (form_from_cubic_ring, (5,), DomainError),
     (QuadIdeal, (5, [(1, 0), (0, 1)]), DomainError),
+    # an argument that is not a form, a basis or a matrix
+    (lattice_intersect, (5, 5), DomainError),
+    (lattice_intersect, (None, None), DomainError),
+    (mat_mul, (5, 5), DomainError),
+    (is_reduced, (5,), DomainError),
+    (is_reduced, ((1, 2),), DomainError),
 ]
 
 

@@ -1,7 +1,10 @@
 """Exact integer/rational lattice arithmetic."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -759,14 +762,28 @@ def test_every_public_function_has_a_caller_in_the_package():
 
 def test_integer_checks_live_only_in_the_errors_gate():
     # one input gate: no module but errors.py calls isinstance(x, int) or
-    # isinstance(x, (..., int, ...)); the others run errors._ints/_int
+    # isinstance(x, (..., int, ...)), the others run errors._ints/_int; nor
+    # isinstance(x, C) for a class C of smallrank outside an __eq__, the
+    # others run errors._of
     pkg = os.path.dirname(smallrank.__file__)
+    classes = {
+        attr
+        for info in pkgutil.iter_modules([pkg])
+        for attr, obj in vars(importlib.import_module("smallrank." + info.name)).items()
+        if inspect.isclass(obj) and obj.__module__.startswith("smallrank.")
+    }
     found = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "errors.py":
             continue
         with open(os.path.join(pkg, name), encoding="utf-8") as f:
             module = ast.parse(f.read(), name)
+        in_eq = {
+            id(node)
+            for eq in ast.walk(module)
+            if isinstance(eq, ast.FunctionDef) and eq.name == "__eq__"
+            for node in ast.walk(eq)
+        }
         for node in ast.walk(module):
             if (
                 isinstance(node, ast.Call)
@@ -776,7 +793,8 @@ def test_integer_checks_live_only_in_the_errors_gate():
             ):
                 kinds = node.args[1]
                 kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-                if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                kinds = {k.id for k in kinds if isinstance(k, ast.Name)}
+                if "int" in kinds or (kinds & classes and id(node) not in in_eq):
                     found.append("%s:%d" % (name, node.lineno))
     assert found == []
 
