@@ -156,7 +156,7 @@ def _triple_products(i1, i2, i3):
 
 
 def _ideals(triple):
-    # the one type check on a triple argument: its three ideals
+    # the three ideals of a triple argument, each checked by errors._of
     ideals = _of(BalancedTriple, triple).ideals
     if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
         raise DomainError("a triple holds three ideals, got %r" % (ideals,))
