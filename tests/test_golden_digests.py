@@ -25,8 +25,13 @@ import pytest
 from smallrank.cubes import cube_from_triple, is_balanced, triple_from_cube, triples_equivalent
 from smallrank.cubicrings import cubic_twisted_act, form_from_cubic_ring, idempotents_within
 from smallrank.errors import SmallRankError
-from smallrank.padic import PadicConfig, balanced_count, stella_membership
-from smallrank.quadforms import class_group, enumerate_reduced, principal_form, twisted_act
+from smallrank.exactlattice import is_prime
+from smallrank.padic import (
+    PadicConfig, balanced_count, enumerate_balanced_oracle, least_nonresidue, stella_membership,
+)
+from smallrank.quadforms import (
+    class_group, enumerate_reduced, principal_form, represent, twisted_act,
+)
 from smallrank.quadrings import (
     QuadIdeal, class_semigroup, ideal_from_form, ideal_norm, ring_from_disc, unit_ideal,
 )
@@ -133,6 +138,27 @@ def _cube_round_trips():
             yield q, triple
 
 
+def _small_searches():
+    # represent on seeded positive definite forms, value 0 included; the
+    # least non-residue of every odd prime below 3000; the balanced-triple
+    # oracle on every sorted index at p = 3, 5, n <= 3, at precision 2n + 2
+    rng = random.Random(22)
+    for _ in range(150):
+        a, b = rng.randint(1, 9), rng.randint(-9, 9)
+        c = (b * b) // (4 * a) + rng.randint(1, 9)  # b^2 - 4ac < 0
+        value = rng.choice((0, rng.randint(1, 60), rng.randint(1, 600)))
+        yield (a, b, c), value, represent((a, b, c), value)
+    for p in range(3, 3000, 2):
+        if is_prime(p):
+            yield p, least_nonresidue(p)
+    for p in (3, 5):
+        for n in range(4):
+            cfg = PadicConfig(p, n, least_nonresidue(p))
+            for idx in product(range(n + 1), repeat=3):
+                if list(idx) == sorted(idx):
+                    yield cfg, idx, enumerate_balanced_oracle(cfg, idx, 2 * n + 2)
+
+
 I = ((1, 0), (0, 1))
 PAIR = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))
 SQUARE_ZERO = ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))  # all minors vanish
@@ -211,6 +237,7 @@ FAMILIES = {
     "stella_points": _stella_points,
     "cube_round_trips": _cube_round_trips,
     "errors": _errors,
+    "small_searches": _small_searches,
 }
 
 
