@@ -119,13 +119,9 @@ def _triple(q):
         for y in i2.rows:
             w = ring.mul(x, y)
             rows.append((w[1], w[0] + ring.t * w[1]))
-    piv = next(
-        ((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s]))),
-        None,
-    )
-    if piv is None:
-        raise Degenerate("product lattice does not determine a third ideal")
-    r, s = piv
+    # the rows have rank 2: i1 holds a unit x of Q[xi] (a field, Q x Q or
+    # Q[eps]), and x*i2 already spans, so some pair (r, s) is independent
+    r, s = next((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s])))
     det = mat2_det((rows[r], rows[s]))
     sign = 1 if det > 0 else -1
     zs = []

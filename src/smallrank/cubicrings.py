@@ -15,7 +15,7 @@ the generators.
 
 from math import gcd
 
-from .errors import DomainError, InvariantViolation, NotUnimodular, _int, _ints, _matrix, _of
+from .errors import DomainError, NotUnimodular, _int, _ints, _matrix, _of
 from .exactlattice import _form_act, _trace, _trace_disc, mat2_det
 
 
@@ -133,10 +133,7 @@ def cubic_twisted_act(mat, form):
     det = mat2_det(mat)
     if det not in (1, -1):
         raise NotUnimodular("determinant %r not a unit" % (det,))
-    acted = _form_act(mat, form)
-    if any(e % det for e in acted):
-        raise InvariantViolation("%r acting on %r gave a non-integral form" % (mat, form))
-    return tuple(e // det for e in acted)
+    return tuple(e // det for e in _form_act(mat, form))  # exact, as det = +-1
 
 
 def idempotents_within(ring, height=10):

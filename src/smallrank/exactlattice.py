@@ -164,9 +164,15 @@ def _trace_disc(ring):
     return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
 
 
+def _is_rows(m):
+    # whether m is a tuple or list of rows, each a tuple or list
+    seqs = (tuple, list)
+    return isinstance(m, seqs) and all(isinstance(row, seqs) for row in m)
+
+
 def mat_mul(a, b):
     """Matrix product of two row-major rational matrices."""
-    if not (isinstance(a, (tuple, list)) and isinstance(b, (tuple, list))):
+    if not (_is_rows(a) and _is_rows(b)):
         raise DomainError("need two matrices as tuples of rows, got %r and %r" % (a, b))
     return tuple(
         tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
@@ -235,7 +241,7 @@ def lattice_intersect(b1, b2):
     Its HNF has n pivots in the first n columns (L1 + L2); the rows after
     them are (0, x) with x in L1 and -x in L2, already the HNF of L1 & L2.
     """
-    if not (isinstance(b1, (tuple, list)) and isinstance(b2, (tuple, list))):
+    if not (_is_rows(b1) and _is_rows(b2)):
         raise DomainError("need two bases as tuples of rows, got %r and %r" % (b1, b2))
     ints, den = _scaled([*b1, *b2])
     if not ints:

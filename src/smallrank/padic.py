@@ -25,8 +25,10 @@ count by brute force at finite precision, via explicit unit-coset
 representatives, and is the reference the formula is tested against.
 """
 
+from itertools import product
+
 from .errors import DomainError, PrecisionError, _int, _ints, _of
-from .exactlattice import is_prime
+from .exactlattice import _jacobi, is_prime
 
 __all__ = [
     "PadicConfig",
@@ -57,7 +59,7 @@ class PadicConfig:
         _odd_prime(p)
         if _int(n, "level n") < 0:
             raise DomainError("the base-order level n must be nonnegative")
-        if pow(_int(u, "non-residue u") % p, (p - 1) // 2, p) != p - 1:
+        if _jacobi(_int(u, "non-residue u"), p) != -1:
             raise DomainError("u must be a quadratic non-residue modulo p")
         self.p = p
         self.n = n
@@ -79,10 +81,8 @@ class PadicConfig:
 def least_nonresidue(p):
     """The smallest positive quadratic non-residue modulo an odd prime."""
     _odd_prime(p)
-    for u in range(2, p):
-        if pow(u, (p - 1) // 2, p) == p - 1:
-            return u
-    raise DomainError("no non-residue found; p is not an odd prime")
+    # an odd prime has (p - 1)/2 non-residues below it, so one is found
+    return next(u for u in range(2, p) if _jacobi(u, p) == -1)
 
 
 def _split_index(cfg, idx):
@@ -189,39 +189,15 @@ def enumerate_balanced_oracle(cfg, idx, m):
     s = (3 * n - i - j - k) // 2
     t = max(n - s, 0)
 
-    mod = p**m
+    mod, pn, ps = p**m, p**n, p**s
 
     def mul(a, b):
         return ((a[0] * b[0] + u * a[1] * b[1]) % mod, (a[0] * b[1] + a[1] * b[0]) % mod)
 
-    def val_at_least(c, bound):
-        """Whether v_p(c mod p^m) >= bound, exact since bound <= m."""
-        return c % p ** min(bound, m) == 0
-
-    def in_sn(elt):
-        return val_at_least(elt[1], n)
-
-    gens = []
-    for level in (i, j, k):
-        gens.append([(1, 0), (0, p**level % mod)])
-
-    ps = p**s % mod
-    count = 0
-    for g in unit_coset_reps(p, t, i):
-        g = (g[0] % mod, g[1] % mod)
-        ok = True
-        for gi in gens[0]:
-            for gj in gens[1]:
-                for gk in gens[2]:
-                    prod = mul(mul(mul(g, gi), gj), gk)
-                    prod = (prod[0] * ps % mod, prod[1] * ps % mod)
-                    if not in_sn(prod):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    gens = [((1, 0), (0, p**level)) for level in (i, j, k)]
+    # p^s * g * x_i * x_j * x_k lies in S_n iff p^n divides its sqrt(u)
+    # part, decided exactly mod p^m as n < m
+    return sum(
+        all(mul(mul(mul(g, a), b), c)[1] * ps % pn == 0 for a, b, c in product(*gens))
+        for g in unit_coset_reps(p, t, i)
+    )

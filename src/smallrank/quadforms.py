@@ -342,10 +342,9 @@ def represent(f, value):
     out = []
     ybound = isqrt(4 * a * value // -d)
     for y in range(-ybound, ybound + 1):
-        # a x^2 + (b y) x + (c y^2 - value) = 0
+        # a x^2 + (b y) x + (c y^2 - value) = 0, whose discriminant
+        # 4a*value - |d|*y^2 is >= 0 as |d|*y^2 <= |d|*ybound^2 <= 4a*value
         disc = (b * y) ** 2 - 4 * a * (c * y * y - value)
-        if disc < 0:
-            continue
         root = isqrt(disc)
         if root * root != disc:
             continue

@@ -249,6 +249,12 @@ def _nonzero_disc(ring):
     return d
 
 
+def _prime(p):
+    # the one check on the prime of a maximality test
+    if not is_prime(p):
+        raise DomainError("maximality test requires a prime")
+
+
 # The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
 # under the normalization c_12^1 = c_23^2 = c_13^3 = 0.  Each entry
 # (key, sign, minor, diag) reads c[key] = sign * lam[minor] + c[diag], with
@@ -299,13 +305,15 @@ def ring_from_pair(pair):
     """The quartic ring attached to a pair of integral ternary forms.
 
     The xi-coefficients of the multiplication table are linear in the 2x2
-    minors of the pair; the constant coefficients are then forced by
-    associativity and are checked to be consistent (independent of which
-    associativity instance computes them).  The table is then checked for
-    associativity on the 9 basis triples (xi_x, xi_y, xi_z) with x < z: the
-    associator changes sign when x and z swap, since the table is
-    commutative, so the other 18 triples add nothing
-    (:func:`_check_associative`).  Both checks raise
+    minors of the pair.  Associativity forces the constants: for w != v,
+    the xi_w coordinate of (xi_u*xi_v)*xi_w = (xi_u*xi_w)*xi_v is the
+    constant c_uv^0 plus terms in the xi-coefficients alone, and one such
+    instance gives each constant.  Associativity also checks them: any other
+    instance that disagrees is an associator that is not zero.  So the table
+    is checked for associativity on the 9 basis triples (xi_x, xi_y, xi_z)
+    with x < z: the associator changes sign when x and z swap, since the
+    table is commutative, so the other 18 triples add nothing
+    (:func:`_check_associative`).  A failure raises
     :class:`~smallrank.errors.InvariantViolation`.
     """
     lam = lambda_system(pair)
@@ -326,15 +334,9 @@ def ring_from_pair(pair):
         return a1 * m1[w] + a2 * m2[w] + a3 * m3[w] - b1 * n1[w] - b2 * n2[w] - b3 * n3[w]
 
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        v = const(i, j, i)
-        if v != const(j, i, j):
-            raise InvariantViolation("inconsistent constant term for xi%d*xi%d" % (i, j))
-        c[(i, j, 0)] = v
-    for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-        v = const(i, i, j)
-        if v != const(i, i, k):
-            raise InvariantViolation("inconsistent constant term for xi%d^2" % i)
-        c[(i, i, 0)] = v
+        c[(i, j, 0)] = const(i, j, i)
+    for i, j in ((1, 2), (2, 1), (3, 1)):
+        c[(i, i, 0)] = const(i, i, j)
 
     ring = QuarticRing(c)
     _check_associative(ring)
@@ -385,8 +387,8 @@ def _resolvent_data(ring):
     the content).
     """
     lam = _lambda_from_c(_of(QuarticRing, ring).c)
-    if not _plucker_holds(lam):
-        raise InvariantViolation("ring table minors violate the Plucker relations")
+    if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
+        raise DomainError("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
     content = gcd(*lam.values())
@@ -412,7 +414,9 @@ def count_numerical_resolvents(ring):
     """Number of rank-2 lattices receiving the ring's quadratic structure.
 
     Equals the sum of divisors of the minor gcd.  Raises
-    :class:`~smallrank.errors.TrivialRing` when all minors vanish.
+    :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
+    :class:`~smallrank.errors.DomainError` when the table's minors violate
+    the Plucker relations, so that no pair gives the ring.
     """
     content = _resolvent_data(ring)[0]
     return divisor_sigma(content)
@@ -424,7 +428,8 @@ def enumerate_numerical_resolvents(ring):
     Enumerates, for ``n`` the minor gcd, the index-``n`` superlattices of the
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
-    Cost: two ``factorize(n)`` and one 2x2 product and 2-row HNF per lattice.
+    Cost: one ``factorize(n)``, n divisibility tests for the count check,
+    and one 2x2 product and 2-row HNF per lattice, sigma(n) > n of them.
     """
     n, _, h, den = _resolvent_data(ring)
     # Index-n enlargements M of the mu-lattice (integer HNF h over den) biject
@@ -435,7 +440,9 @@ def enumerate_numerical_resolvents(ring):
         for d in divisors(n)
         for b in range(d)
     ]
-    if len(out) != divisor_sigma(n):
+    # sigma(n) by trial division, with no second factorize(n): n tests,
+    # fewer than the lattices built
+    if len(out) != sum(d for d in range(1, n + 1) if n % d == 0):
         raise InvariantViolation("need sigma(%d) resolvent lattices, got %d" % (n, len(out)))
     if len(set(out)) != len(out):
         raise InvariantViolation("resolvent lattices must be pairwise distinct")
@@ -631,8 +638,7 @@ def is_maximal_at_p(ring, p):
     20,607 candidates at p = 101 in about 0.1 s on a 2-core Xeon.
     """
     d = _nonzero_disc(ring)
-    if not is_prime(p):
-        raise DomainError("maximality test requires a prime")
+    _prime(p)
     return _maximal_at_p(ring, p, d)
 
 
@@ -721,8 +727,7 @@ def nonmaximality_conditions_witness(pair, p):
     claim.  ``p`` must be a prime, as for :func:`is_maximal_at_p`.
     """
     a, b = _coerce_pair(pair)
-    if not is_prime(p):
-        raise DomainError("maximality test requires a prime")
+    _prime(p)
     powers = (1, p, p * p)
     for tag, exponents in _NONMAXIMALITY_PATTERNS:
         for v, e in zip(a + b, exponents):

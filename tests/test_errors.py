@@ -88,6 +88,7 @@ from smallrank.quadrings import (
 )
 from smallrank.quarticrings import (
     QuarticRing,
+    count_numerical_resolvents,
     cubic_resolvent_form,
     disc_match,
     is_maximal_at_p,
@@ -225,6 +226,9 @@ OTHER_TRIPLE = triple_from_cube((-2, -1, -1, -2, -1, -2, 1, 0))
 REAL_TRIPLE = triple_from_cube(identity_cube(5))
 U20 = unit_ideal(ring_from_disc(-20))
 MINORS = lambda_system(PAIR)
+NOT_PLUCKER = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
+NOT_PLUCKER[(1, 1, 1)] += 1
+NOT_PLUCKER = QuarticRing(NOT_PLUCKER)
 
 # (entry point, arguments, expected): the error class, or the value returned
 BRANCHES = [
@@ -268,6 +272,11 @@ BRANCHES = [
     (mat_mul, (5, 5), DomainError),
     (is_reduced, (5,), DomainError),
     (is_reduced, ((1, 2),), DomainError),
+    # a row that is not a tuple or a list
+    (mat_mul, ([[1]], [5]), DomainError),
+    (lattice_intersect, ([5], [5]), DomainError),
+    # a table whose minors violate the Plucker relations: no pair gives it
+    (count_numerical_resolvents, (NOT_PLUCKER,), DomainError),
 ]
 
 

@@ -16,6 +16,7 @@ from test_quadforms import _oracle_monoid_table
 import smallrank
 from smallrank.errors import (
     DomainError,
+    InvariantViolation,
     NotAModule,
     RankError,
     RingMismatch,
@@ -52,6 +53,7 @@ from smallrank.quadrings import (
     inverse,
     is_invertible,
     multiply,
+    raw_form,
     ring_from_disc,
     scale,
     unit_ideal,
@@ -108,6 +110,16 @@ def test_form_ideal_round_trip():
             ideal = ideal_from_form(f, ring)
             assert form_from_ideal(ideal) == f
             assert ideal_norm(ideal) == Fraction(1, f[0])
+
+
+def test_raw_form_checks_the_trace_and_norm_of_xi(monkeypatch):
+    # the one self-check of raw_form: with trace t and norm u the form has
+    # the ring's discriminant, so a wrong trace is the fault it must catch
+    ideal = ideal_from_form((2, 1, 3), ring_from_disc(-23))
+    (a, b), (c, d) = ideal.xi
+    monkeypatch.setattr(ideal, "xi", ((a + 1, b), (c, d)))
+    with pytest.raises(InvariantViolation, match="trace t and norm u"):
+        raw_form(ideal)
 
 
 def test_ideal_norm_multiplicative_on_invertible():

@@ -19,7 +19,7 @@ from test_exactlattice import (
     _oracle_mat_det,
 )
 
-from smallrank import quarticrings
+from smallrank import exactlattice, quarticrings
 from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
 from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
 from smallrank.exactlattice import (
@@ -31,6 +31,7 @@ from smallrank.exactlattice import (
     _unscaled,
     divisor_sigma,
     divisors,
+    factorize,
     mat2_det,
     mat_mul,
 )
@@ -192,6 +193,21 @@ def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
         calls.clear()
         ring_from_pair(pair)
         assert len(calls) <= 18
+
+
+def test_enumerate_numerical_resolvents_factorizes_once(monkeypatch):
+    # one factorize of the content: divisors(n) makes it, the count check none
+    calls = []
+
+    def counting_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(exactlattice, "factorize", counting_factorize)
+    monkeypatch.setattr(quarticrings, "factorize", counting_factorize)
+    ring = ring_from_pair((tuple(6 * v for v in P_A), P_B))
+    assert len(enumerate_numerical_resolvents(ring)) == 12
+    assert calls == [6]
 
 
 def test_ring_from_pair_rejects_non_integer_coefficients():
@@ -962,10 +978,11 @@ def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a,
 
 
 def test_table_self_checks_survive_optimize_flag():
-    # a perturbed constant fails the associativity check, a perturbed
-    # xi-coefficient the constant-term check, a closure test that accepts
-    # every candidate the witness check, and a witness pair that rebuilds
-    # another table the check in pair_from_ring, under python -O too
+    # a perturbed constant fails the associativity check, and so does a
+    # perturbed xi-coefficient, as its constants no longer fit; a closure
+    # test that accepts every candidate fails the witness check, and a
+    # witness pair that rebuilds another table the check in pair_from_ring,
+    # under python -O too
     src = os.path.dirname(os.path.dirname(quarticrings.__file__))
     code = (
         "from smallrank import quarticrings as q\n"
@@ -1008,7 +1025,7 @@ def test_table_self_checks_survive_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "associativity failure in constructed table",
-        "inconsistent constant term for xi1^2",
+        "associativity failure in constructed table",
         "enlargement witness is not closed under multiplication",
         "witness pair must rebuild the identical table",
     ]
