@@ -101,19 +101,22 @@ def _hnf_from_rref(rows, p, n):
     return [list(by_pivot.get(j) or (p * int(i == j) for i in range(n))) for j in range(n)]
 
 
+def _rational(e):
+    # whether e's type is exactly int, Fraction or a finite float: not a
+    # bool, and not a str (Fraction would parse "1/2")
+    return type(e) in (int, Fraction) or type(e) is float and isfinite(e)
+
+
 def _scaled(rows):
     # integer rows and the least positive denominator den with
     # rows == int_rows / den; DimensionError for rows of unequal length,
-    # DomainError for an entry whose type is not exactly int, Fraction or a
-    # finite float: not a bool, and not a str (Fraction would parse "1/2")
+    # DomainError for an entry that is not _rational
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("rows of unequal length")
     if all(type(e) is int for row in rows for e in row):  # the usual input
         return rows, 1
-    if not all(
-        type(e) in (int, Fraction) or type(e) is float and isfinite(e) for row in rows for e in row
-    ):
+    if not all(_rational(e) for row in rows for e in row):
         raise DomainError("need rational entries, got %r" % (rows,))
     rows = [[Fraction(e) if type(e) is float else e for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
@@ -160,7 +163,8 @@ def _trace(ring, x):
 def _trace_disc(ring):
     """Discriminant: det of the trace form, Tr(e_i*e_j) = sum_k _t[i][j][k] Tr(e_k)."""
     t = ring._t
-    tr = [_trace(ring, e) for e in t[0]]
+    # Tr(e_k) is the trace of the matrix _t[k]: the sum of its diagonal
+    tr = [sum(row[i] for i, row in enumerate(m)) for m in t]
     return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
 
 
@@ -171,13 +175,22 @@ def _is_rows(m):
 
 
 def mat_mul(a, b):
-    """Matrix product of two row-major rational matrices."""
+    """Matrix product of two row-major rational matrices.
+
+    A :class:`~smallrank.errors.DomainError` for a row that is not a tuple
+    or a list, or an entry that is not an ``int``, a ``Fraction`` or a
+    finite float; a :class:`~smallrank.errors.DimensionError` unless every
+    row of ``a`` has one entry per row of ``b`` and the rows of ``b`` have
+    one length.
+    """
     if not (_is_rows(a) and _is_rows(b)):
         raise DomainError("need two matrices as tuples of rows, got %r and %r" % (a, b))
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for ra in a
-    )
+    if not all(_rational(e) for m in (a, b) for row in m for e in row):
+        raise DomainError("need rational entries, got %r and %r" % (a, b))
+    cols = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != cols for row in b):
+        raise DimensionError("cannot multiply %r by %r" % (a, b))
+    return tuple(tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)) for ra in a)
 
 
 def mat2_det(m):

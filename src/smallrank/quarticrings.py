@@ -190,10 +190,19 @@ class QuarticRing:
     ``_t[i][j]`` is the coordinate tuple of ``e_i * e_j`` in the basis
     ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and both orders
     included, so ``_t[i]`` is the matrix of multiplication by ``e_i``.
-    Associativity is not checked here (:func:`ring_from_pair` does).
+    Associativity is not checked here (:func:`ring_from_pair` and the
+    maximality tests do).
+
+    Two slots hold what is derived on first use, computed at most once per
+    ring: ``_resolvent``, the tuple of :func:`_resolvent_data`, which
+    :func:`pair_from_ring` and both resolvent counts read, and
+    ``_associative``, the verdict of :func:`_associative`.  Both start as
+    ``None``, and an error is never kept, so it is raised on every call.
+    ``_t`` and both slots are read off ``c`` once, so ``c`` must not be
+    mutated after construction.
     """
 
-    __slots__ = ("c", "_t")
+    __slots__ = ("c", "_t", "_resolvent", "_associative")
 
     def __init__(self, c):
         if not isinstance(c, dict):
@@ -205,6 +214,7 @@ class QuarticRing:
         _ints(tuple(table.values()), 24, "table entries")
         self.c = table
         self._t = _rows(table)
+        self._resolvent = self._associative = None
 
     def __eq__(self, other):
         return isinstance(other, QuarticRing) and self.c == other.c
@@ -242,8 +252,11 @@ class QuarticRing:
 
 
 def _nonzero_disc(ring):
-    # the discriminant of a quartic ring that maximality is defined for
-    d = _of(QuarticRing, ring).disc()
+    # the discriminant of a quartic ring that maximality is defined for: a
+    # table that is associative, so a ring, and of nonzero discriminant
+    if not _associative(_of(QuarticRing, ring)):
+        raise DomainError("maximality is undefined for a table that is not associative")
+    d = ring.disc()
     if d == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
     return d
@@ -355,8 +368,8 @@ def _times(r, m):
     )
 
 
-def _check_associative(ring):
-    """Raise ``InvariantViolation`` unless the table of a QuarticRing is associative.
+def _associative(ring):
+    """Whether the table of a QuarticRing is associative, kept on the ring.
 
     The associator a(x, y, z) = (xy)z - x(yz) is trilinear and vanishes when
     an argument is 1, so the ring is associative iff it vanishes on the 27
@@ -367,14 +380,25 @@ def _check_associative(ring):
     triples with x < z suffice.  Each side is a table row times one xi:
     (xi_x*xi_y)*xi_z is the row ``_t[x][y]`` times the matrix ``_t[z]`` of
     multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``_t[y][z]`` times
-    ``_t[x]``.
+    ``_t[x]``.  The verdict is computed once, into the ring's
+    ``_associative`` slot, so a ring from :func:`ring_from_pair` already
+    holds ``True``.
     """
-    t = ring._t
-    for x in (1, 2):
-        for z in range(x + 1, 4):
-            for y in (1, 2, 3):
-                if _times(t[x][y], t[z]) != _times(t[y][z], t[x]):
-                    raise InvariantViolation("associativity failure in constructed table")
+    if ring._associative is None:
+        t = ring._t
+        ring._associative = all(
+            _times(t[x][y], t[z]) == _times(t[y][z], t[x])
+            for x in (1, 2)
+            for z in range(x + 1, 4)
+            for y in (1, 2, 3)
+        )
+    return ring._associative
+
+
+def _check_associative(ring):
+    """Raise ``InvariantViolation`` unless :func:`_associative` holds."""
+    if not _associative(ring):
+        raise InvariantViolation("associativity failure in constructed table")
 
 
 def _resolvent_data(ring):
@@ -384,9 +408,14 @@ def _resolvent_data(ring):
     ``mu`` lists, for the six coefficient slots, integer rows over ``den``
     whose pairwise dets are exactly the minors, and ``h`` is the integer HNF
     of the lattice the mu's span, over the same ``den`` (its covolume equals
-    the content).
+    the content).  The tuple is computed on the first call for a ring, with
+    every check, and kept in its ``_resolvent`` slot for the later calls.
+    An error is not kept: the kind gate runs on every call, and a ring whose
+    minors violate Plucker or all vanish raises on every call.
     """
-    lam = _lambda_from_c(_of(QuarticRing, ring).c)
+    if _of(QuarticRing, ring)._resolvent is not None:
+        return ring._resolvent
+    lam = _lambda_from_c(ring.c)
     if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
         raise DomainError("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
@@ -398,16 +427,17 @@ def _resolvent_data(ring):
     x, y = next(k for k in _MINORS if lam[k] != 0)
     d = lam[(x, y)]
     s, den = (1 if d > 0 else -1), abs(d)
-    mu = [(-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6)]
+    mu = tuple((-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6))
     for u in range(6):
         for v in range(u + 1, 6):
             if mat2_det((mu[u], mu[v])) != lam[(u, v)] * d * d:
                 raise InvariantViolation("mu realization does not reproduce the minors")
 
-    h = _hnf_int(mu)
+    h = tuple(map(tuple, _hnf_int(mu)))
     if mat2_det(h) != content * d * d:
         raise InvariantViolation("covolume of the mu-lattice must equal the minor gcd")
-    return content, mu, h, den
+    ring._resolvent = content, mu, h, den
+    return ring._resolvent
 
 
 def count_numerical_resolvents(ring):
@@ -417,6 +447,9 @@ def count_numerical_resolvents(ring):
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
     :class:`~smallrank.errors.DomainError` when the table's minors violate
     the Plucker relations, so that no pair gives the ring.
+    Cost: the resolvent data, computed once per ring and shared with
+    :func:`pair_from_ring` and :func:`enumerate_numerical_resolvents`, then
+    one ``factorize`` of the minor gcd.
     """
     content = _resolvent_data(ring)[0]
     return divisor_sigma(content)
@@ -428,8 +461,10 @@ def enumerate_numerical_resolvents(ring):
     Enumerates, for ``n`` the minor gcd, the index-``n`` superlattices of the
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
-    Cost: one ``factorize(n)``, n divisibility tests for the count check,
-    and one 2x2 product and 2-row HNF per lattice, sigma(n) > n of them.
+    Cost: the resolvent data, computed once per ring and shared with
+    :func:`pair_from_ring` and :func:`count_numerical_resolvents`, then one
+    ``factorize(n)``, n divisibility tests for the count check, and one 2x2
+    product and 2-row HNF per lattice, sigma(n) > n of them.
     """
     n, _, h, den = _resolvent_data(ring)
     # Index-n enlargements M of the mu-lattice (integer HNF h over den) biject
@@ -456,10 +491,18 @@ def pair_from_ring(ring):
     witness is the pair of ternary forms obtained by expressing the intrinsic
     quadratic map in the coordinates of the first enumerated lattice; by
     construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly.
+    Cost: the resolvent data, computed once per ring and shared with
+    :func:`count_numerical_resolvents` and
+    :func:`enumerate_numerical_resolvents`, then on every call one 2x2
+    coordinate solve and the witness check, one :func:`ring_from_pair`.
     """
     n, mu, h, den = _resolvent_data(ring)
-    # the first of enumerate_numerical_resolvents (divisor 1, offset 0), alone
-    chosen = _hnf_int(mat_mul(((n, 0), (0, 1)), h))
+    # the first of enumerate_numerical_resolvents (divisor 1, offset 0),
+    # written down: for h = ((a, b), (0, d)), ((n, 0), (0, 1)) * h is
+    # ((n*a, n*b), (0, d)), upper triangular with positive pivots, so its
+    # HNF only reduces n*b into [0, d)
+    (a, b), (_, d) = h
+    chosen = ((n * a, n * b % d), (0, d))
     # both over den * n, so the common denominator cancels
     coords = _coords2(chosen, [(n * e, n * f) for e, f in mu])
     if coords is None:
@@ -627,8 +670,12 @@ def is_maximal_at_p(ring, p):
     pivot column j, else p*e_j.  It is checked closed by the integer
     test: every H_i*H_j lies in pH, one substitution pass as p*H is an
     HNF; a failure raises :class:`~smallrank.errors.InvariantViolation`.
+    A table that is not associative is no ring, and raises
+    :class:`~smallrank.errors.DomainError`.
 
-    Cost: one discriminant, and nothing more when p^2 does not divide it.
+    Cost: the associativity verdict, 18 row-times-matrix products once per
+    ring (a ring from :func:`ring_from_pair` already holds it), and one
+    discriminant, and nothing more when p^2 does not divide it.
     Otherwise the radical, about 2n*log2(q) products and one n x 2n RREF
     over F_p (n = 4: q = 4 at p = 2, 9 at p = 3, else p), then at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
@@ -688,10 +735,13 @@ def is_maximal(ring):
     """Whether a nondegenerate quartic ring is maximal at every prime.
 
     Only primes whose square divides the discriminant can carry a proper
-    enlargement, so those are the only ones tested.
+    enlargement, so those are the only ones tested.  A table that is not
+    associative raises :class:`~smallrank.errors.DomainError`, as for
+    :func:`is_maximal_at_p`.
 
-    Cost: one discriminant and ``factorize(|disc|)``, then for each prime p
-    with p^2 | disc the walk of :func:`is_maximal_at_p`: at most
+    Cost: the associativity verdict once per ring, one discriminant and
+    ``factorize(|disc|)``, then for each prime p with p^2 | disc the walk
+    of :func:`is_maximal_at_p`: at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
     after a radical of about 2n*log2(q) products and one n x 2n RREF over
     F_p.  It stops at the first prime where the ring is not maximal.

@@ -91,6 +91,7 @@ from smallrank.quarticrings import (
     count_numerical_resolvents,
     cubic_resolvent_form,
     disc_match,
+    is_maximal,
     is_maximal_at_p,
     lambda_system,
     nonmaximality_conditions_witness,
@@ -277,6 +278,12 @@ BRANCHES = [
     (lattice_intersect, ([5], [5]), DomainError),
     # a table whose minors violate the Plucker relations: no pair gives it
     (count_numerical_resolvents, (NOT_PLUCKER,), DomainError),
+    # a matrix product of the wrong shape, or with an entry that is not rational
+    (mat_mul, ([[1, 2]], [[1]]), DimensionError),
+    (mat_mul, ([[1]], []), DimensionError),
+    (mat_mul, ([["x"]], [[1]]), DomainError),
+    # the same table is not associative, so no ring: maximality is undefined
+    (is_maximal, (NOT_PLUCKER,), DomainError),
 ]
 
 

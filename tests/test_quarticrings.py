@@ -24,10 +24,13 @@ from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, Tr
 from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
 from smallrank.exactlattice import (
     _bareiss,
+    _coords2,
     _hnf_coords,
     _hnf_from_rref,
     _hnf_int,
     _rref_mod_p,
+    _trace,
+    _trace_disc,
     _unscaled,
     divisor_sigma,
     divisors,
@@ -55,6 +58,7 @@ from smallrank.quarticrings import (
 )
 from smallrank.quarticrings import (
     MinimalResolvent,
+    _associative,
     _c_linear_from_lambda,
     _check_associative,
     _closed_mod_p,
@@ -359,6 +363,118 @@ def test_trivial_ring():
         count_numerical_resolvents(ring)
     with pytest.raises(TrivialRing):
         pair_from_ring(ring)
+
+
+def test_resolvent_data_is_computed_once_per_ring(monkeypatch):
+    # counted, not timed: one mu-lattice _hnf_int (six rows) per ring across
+    # pair_from_ring, count_numerical_resolvents and
+    # enumerate_numerical_resolvents, none for the chosen lattice of
+    # pair_from_ring, which is written down, and one 2-row HNF per lattice
+    # that enumerate_numerical_resolvents builds
+    sizes = []
+    hnf = quarticrings._hnf_int
+    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: sizes.append(len(rows)) or hnf(rows))
+    for pair in _random_pairs(51, 20) + [(tuple(6 * v for v in P_A), P_B)]:
+        ring = ring_from_pair(pair)
+        sizes.clear()
+        first = pair_from_ring(ring)
+        count = count_numerical_resolvents(ring)
+        assert pair_from_ring(ring) == first and count_numerical_resolvents(ring) == count
+        assert sizes == [6]
+        assert len(enumerate_numerical_resolvents(ring)) == count
+        assert len(enumerate_numerical_resolvents(ring)) == count
+        assert sizes == [6] + [2] * (2 * count)
+
+
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        # doubled minors: every mu-vector doubles, so each det is 4 times the minor
+        ("_lam_get", lambda f: lambda lam, x, y: 2 * f(lam, x, y), "mu realization"),
+        # a doubled HNF: 4 times the covolume of the mu-lattice
+        ("_hnf_int", lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)], "covolume"),
+    ],
+    ids=["mu-vectors", "covolume"],
+)
+def test_resolvent_self_checks_run_on_first_use(monkeypatch, name, fault, message):
+    # a fault just upstream of each check of _resolvent_data raises from
+    # every entry point on a fresh ring, and again on a second call, as an
+    # error is never kept; without the fault the same ring answers
+    pair = (tuple(6 * v for v in P_A), P_B)
+    monkeypatch.setattr(quarticrings, name, fault(getattr(quarticrings, name)))
+    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
+        ring = ring_from_pair(pair)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match=message):
+                entry(ring)
+    monkeypatch.undo()
+    assert count_numerical_resolvents(ring) == 12
+
+
+def test_resolvent_and_maximality_errors_are_raised_on_every_call():
+    # nothing is kept from a call that raises: the kind gate, TrivialRing and
+    # the Plucker DomainError of the resolvents, and the DomainError of
+    # maximality on a table that is not associative
+    zero = ring_from_pair(((0,) * 6, (0,) * 6))
+    c = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
+    c[(1, 1, 1)] += 1
+    not_ring = QuarticRing(c)  # neither Plucker nor associative
+    cases = ((zero, TrivialRing), (not_ring, DomainError), ("ring", DomainError), (None, DomainError))
+    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
+        for ring, error in cases:
+            for _ in range(2):
+                with pytest.raises(error):
+                    entry(ring)
+    assert zero._resolvent is None and not_ring._resolvent is None
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not associative"):
+            is_maximal_at_p(not_ring, 2)
+        with pytest.raises(DomainError, match="not associative"):
+            is_maximal(not_ring)
+    assert not_ring._associative is False and not _associative(not_ring)
+
+
+def test_maximality_reads_the_associativity_verdict_of_ring_from_pair(monkeypatch):
+    # counted, not timed: ring_from_pair leaves True on its ring, so
+    # maximality makes no associativity product there; a table built by hand
+    # gets its verdict once, 18 row-times-matrix products
+    rings = [ring_from_pair(pair) for pair in _random_pairs(52, 10) + [P_144]]
+    products = []
+    times = quarticrings._times
+    monkeypatch.setattr(quarticrings, "_times", lambda r, m: products.append(1) or times(r, m))
+    for ring in rings:
+        assert ring._associative is True
+        if ring.disc():
+            is_maximal_at_p(ring, 2)
+            is_maximal(ring)
+    assert products == []
+    ring = QuarticRing(dict(rings[-1].c))
+    assert ring._associative is None
+    assert is_maximal(ring) and is_maximal_at_p(ring, 3) == (True, None)
+    assert len(products) == 18 and ring._associative is True
+
+
+# The 2x2 product and second HNF that pair_from_ring ran for its chosen
+# lattice before it wrote that HNF down; kept as its oracle.
+def _oracle_chosen_lattice(n, h):
+    return _hnf_int(mat_mul(((n, 0), (0, 1)), h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms, forms, st.sampled_from([1, 2, 3, 4, 6, 12]))
+@example((-2, 1, 3, 3, 3, -3), (-1, -3, 0, 3, 0, 0), 6)  # h = ((6, 504), (0, 1764)), n = 6
+@example((1, 1, -2, 3, -3, 3), (1, 3, 3, 3, -1, -3), 2)  # h = ((2, 8), (0, 16)), n = 2
+@example(P_A, P_B, 5040)
+def test_chosen_lattice_agrees_with_hnf_oracle(a, b, k):
+    # the witness is the pair in the coordinates of the chosen lattice, so
+    # the oracle's lattice gives the same witness exactly when it is the
+    # same HNF (another basis of one lattice gives a GL2-moved pair)
+    pair = (tuple(k * v for v in a), b)
+    assume(any(lambda_system(pair).values()))
+    ring = ring_from_pair(pair)
+    n, mu, h, _ = _resolvent_data(ring)
+    coords = _coords2(_oracle_chosen_lattice(n, h), [(n * e, n * f) for e, f in mu])
+    assert pair_from_ring(ring)[1] == tuple(zip(*coords))
 
 
 def test_maximality_of_z4():
@@ -980,8 +1096,9 @@ def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a,
 def test_table_self_checks_survive_optimize_flag():
     # a perturbed constant fails the associativity check, and so does a
     # perturbed xi-coefficient, as its constants no longer fit; a closure
-    # test that accepts every candidate fails the witness check, and a
-    # witness pair that rebuilds another table the check in pair_from_ring,
+    # test that accepts every candidate fails the witness check, doubled
+    # minors the mu-vector check of the resolvent data on its first use, and
+    # a witness pair that rebuilds another table the check in pair_from_ring,
     # under python -O too
     src = os.path.dirname(os.path.dirname(quarticrings.__file__))
     code = (
@@ -1009,6 +1126,13 @@ def test_table_self_checks_survive_optimize_flag():
         "    q.is_maximal_at_p(q.ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0))), 3)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
+        "lam_get = q._lam_get\n"
+        "q._lam_get = lambda lam, x, y: 2 * lam_get(lam, x, y)\n"
+        "try:\n"
+        "    q.count_numerical_resolvents(q.ring_from_pair(pair))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "q._lam_get = lam_get\n"
         "ring = q.ring_from_pair(pair)\n"
         "c = dict(ring.c)\n"
         "c[(1, 2, 0)] += 1\n"
@@ -1027,6 +1151,7 @@ def test_table_self_checks_survive_optimize_flag():
         "associativity failure in constructed table",
         "associativity failure in constructed table",
         "enlargement witness is not closed under multiplication",
+        "mu realization does not reproduce the minors",
         "witness pair must rebuild the identical table",
     ]
 
@@ -1053,6 +1178,25 @@ def test_is_maximal_computes_the_discriminant_once(monkeypatch):
     assert is_maximal(ring)
     assert len(calls) == 3
     assert is_maximal_at_p(ring, 2) == is_maximal_at_p(ring, 3) == (True, None)
+
+
+# The trace vector that _trace_disc built with one _trace per basis vector,
+# each summing all n matrix traces, before it read the diagonals; kept as
+# its oracle.
+def _oracle_trace_disc_by_traces(ring):
+    t = ring._t
+    tr = [_trace(ring, e) for e in t[0]]
+    return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms, forms, st.integers(-6, 6), st.integers(-30, 30), st.tuples(*[st.integers(-4, 4)] * 4))
+@example(P_A, P_B, 0, 1, (1, 0, 1, 1))
+def test_trace_disc_agrees_with_per_vector_trace_oracle(a, b, t, u, form):
+    quadratic = QuadraticRing(t, u)
+    for ring in (ring_from_pair((a, b)), quadratic, ring_from_cubic_form(form)):
+        assert _trace_disc(ring) == _oracle_trace_disc_by_traces(ring)
+    assert _trace_disc(quadratic) == quadratic.disc == t * t - 4 * u
 
 
 def test_trace_and_disc_read_the_table(monkeypatch):
