@@ -30,10 +30,16 @@ from smallrank.padic import (
     PadicConfig, balanced_count, enumerate_balanced_oracle, least_nonresidue, stella_membership,
 )
 from smallrank.quadforms import (
-    class_group, enumerate_reduced, principal_form, represent, twisted_act,
+    class_group, discriminant, enumerate_reduced, principal_form, represent, twisted_act,
 )
 from smallrank.quadrings import (
-    QuadIdeal, class_semigroup, ideal_from_form, ideal_norm, ring_from_disc, unit_ideal,
+    QuadIdeal,
+    QuadraticRing,
+    class_semigroup,
+    ideal_from_form,
+    ideal_norm,
+    ring_from_disc,
+    unit_ideal,
 )
 from smallrank.quarticrings import (
     count_numerical_resolvents,
@@ -159,6 +165,28 @@ def _small_searches():
                     yield cfg, idx, enumerate_balanced_oracle(cfg, idx, 2 * n + 2)
 
 
+def _writedowns():
+    # ideal_from_form on every nonzero form with entries in [-5, 5], over the
+    # normalized ring of its discriminant and over the presentation with xi
+    # shifted by 1, (t, u) -> (t + 2, u + t + 1); then the resolvent lattices
+    # of seeded [-3, 3] pairs with A scaled by 1, 2, 6, 12 or 60
+    for f in product(range(-5, 6), repeat=3):
+        if f == (0, 0, 0):
+            continue
+        base = ring_from_disc(discriminant(f))
+        for ring in (base, QuadraticRing(base.t + 2, base.u + base.t + 1)):
+            ideal = _outcome(ideal_from_form, f, ring)
+            if isinstance(ideal, QuadIdeal):
+                ideal = ideal.rows, ideal.den, ideal.basis
+            yield f, ring, ideal
+    rng = random.Random(22)
+    for k in range(60):
+        scale = (1, 2, 6, 12, 60)[k % 5]
+        a = tuple(scale * rng.randint(-3, 3) for _ in range(6))
+        b = tuple(rng.randint(-3, 3) for _ in range(6))
+        yield a, b, _outcome(enumerate_numerical_resolvents, ring_from_pair((a, b)))
+
+
 I = ((1, 0), (0, 1))
 PAIR = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))
 SQUARE_ZERO = ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))  # all minors vanish
@@ -238,6 +266,7 @@ FAMILIES = {
     "cube_round_trips": _cube_round_trips,
     "errors": _errors,
     "small_searches": _small_searches,
+    "writedowns": _writedowns,
 }
 
 
