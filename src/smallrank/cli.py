@@ -313,10 +313,10 @@ def _cmd_cubic_form(file):
 @_command("quartic-ring", "quartic ring of a ternary pair", "file")
 def _cmd_quartic_ring(file):
     ring = quarticrings.ring_from_pair(_json_pair(_read_json(file)))
-    c, lines = {}, []
+    table, c, lines = ring.c, {}, []
     for i in range(1, 4):
         for j in range(i, 4):
-            v = [_s(ring.c[(i, j, k)]) for k in range(4)]
+            v = [_s(table[(i, j, k)]) for k in range(4)]
             c.update(("%d%d,%d" % (i, j, k), v[k]) for k in range(4))
             terms = [v[0]] + ["%s xi%d" % (v[k], k) for k in range(1, 4)]
             lines.append("xi%d*xi%d = %s" % (i, j, " + ".join(terms)))

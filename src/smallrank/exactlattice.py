@@ -174,25 +174,6 @@ def _is_rows(m):
     return isinstance(m, seqs) and all(isinstance(row, seqs) for row in m)
 
 
-def mat_mul(a, b):
-    """Matrix product of two row-major rational matrices.
-
-    A :class:`~smallrank.errors.DomainError` for a row that is not a tuple
-    or a list, or an entry that is not an ``int``, a ``Fraction`` or a
-    finite float; a :class:`~smallrank.errors.DimensionError` unless every
-    row of ``a`` has one entry per row of ``b`` and the rows of ``b`` have
-    one length.
-    """
-    if not (_is_rows(a) and _is_rows(b)):
-        raise DomainError("need two matrices as tuples of rows, got %r and %r" % (a, b))
-    if not all(_rational(e) for m in (a, b) for row in m for e in row):
-        raise DomainError("need rational entries, got %r and %r" % (a, b))
-    cols = len(b[0]) if b else 0
-    if any(len(row) != len(b) for row in a) or any(len(row) != cols for row in b):
-        raise DimensionError("cannot multiply %r by %r" % (a, b))
-    return tuple(tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)) for ra in a)
-
-
 def mat2_det(m):
     """Determinant of a 2x2 matrix, in the type of its entries."""
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]

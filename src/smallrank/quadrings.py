@@ -23,10 +23,8 @@ from .errors import (
     _ints,
     _of,
 )
-from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det, mat_mul
-from .quadforms import (
-    _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
-)
+from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det
+from .quadforms import _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce
 
 
 class QuadraticRing:
@@ -161,20 +159,22 @@ def ideal_from_form(f, ring) -> QuadIdeal:
     if discriminant(f) != ring.disc:
         raise FormRingMismatch("form disc %d != ring disc %d" % (discriminant(f), ring.disc))
     p, q, r = f
+    # a basis over |p|, else over |r|, else over |q|; the last two are the
+    # p != 0 basis of f moved by ((0, 1), (-1, 0)) or ((1, 1), (0, 1)),
+    # whose leading term is r or q, pulled back through that move
     if p != 0:
-        # basis (1, 0), (-a/p, 1/p) over the denominator |p|
+        # (1, 0), (-a/p, 1/p)
         a, sign = (ring.t - q) // 2, (1 if p > 0 else -1)
-        ideal = QuadIdeal._from_rows(ring, ((abs(p), 0), (-a * sign, sign)), abs(p))
+        rows, den = ((abs(p), 0), (-a * sign, sign)), abs(p)
+    elif r != 0:
+        # (a/r, -1/r), (1, 0)
+        a, sign = (ring.t + q) // 2, (1 if r > 0 else -1)
+        rows, den = ((a * sign, -sign), (abs(r), 0)), abs(r)
     else:
-        # move a nonzero value into the leading slot, build there, pull back
-        # through the adjugate of m, which is m^-1 since det m == 1
-        m = ((0, 1), (-1, 0)) if r != 0 else ((1, 1), (0, 1))
-        g = twisted_act(m, f)
-        if g[0] == 0:
-            raise InvariantViolation("%r moved %r to a form with zero leading term" % (m, f))
-        inner = ideal_from_form(g, ring)
-        rows = mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.rows)
-        ideal = QuadIdeal._from_rows(ring, rows, inner.den)
+        # (1 + a/q, -1/q), (-a/q, 1/q)
+        a, sign = (ring.t - q) // 2, (1 if q > 0 else -1)
+        rows, den = ((abs(q) + a * sign, -sign), (-a * sign, sign)), abs(q)
+    ideal = QuadIdeal._from_rows(ring, rows, den)
     if raw_form(ideal) != f:
         raise InvariantViolation("ideal built from %r does not have that form" % (f,))
     return ideal

@@ -48,7 +48,6 @@ from .exactlattice import (
     factorize,
     is_prime,
     mat2_det,
-    mat_mul,
 )
 from .cubicrings import cubic_form_disc, ring_from_cubic_form
 
@@ -185,11 +184,12 @@ class QuarticRing:
     ``x0 + x1*xi1 + x2*xi2 + x3*xi3``.  The full multiplication table is
     supplied as a dict ``c`` with keys ``(i, j, k)`` for ``1 <= i <= j <= 3``
     and ``0 <= k <= 3``; a non-dict, a missing key or a non-``int`` entry is
-    a :class:`~smallrank.errors.DomainError`.  The constructor derives from
-    ``c`` the one table that products, traces and the self-checks read:
-    ``_t[i][j]`` is the coordinate tuple of ``e_i * e_j`` in the basis
-    ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and both orders
-    included, so ``_t[i]`` is the matrix of multiplication by ``e_i``.
+    a :class:`~smallrank.errors.DomainError`.  The ring keeps one table,
+    ``_t``, which products, traces and the self-checks read: ``_t[i][j]`` is
+    the coordinate tuple of ``e_i * e_j`` in the basis ``e_0 = 1, e_1 = xi1,
+    e_2 = xi2, e_3 = xi3``, unit row and both orders included, so ``_t[i]``
+    is the matrix of multiplication by ``e_i``.  The property ``c`` reads
+    the 24 entries back off ``_t`` as a new dict on every access.
     Associativity is not checked here (:func:`ring_from_pair` and the
     maximality tests do).
 
@@ -198,11 +198,9 @@ class QuarticRing:
     :func:`pair_from_ring` and both resolvent counts read, and
     ``_associative``, the verdict of :func:`_associative`.  Both start as
     ``None``, and an error is never kept, so it is raised on every call.
-    ``_t`` and both slots are read off ``c`` once, so ``c`` must not be
-    mutated after construction.
     """
 
-    __slots__ = ("c", "_t", "_resolvent", "_associative")
+    __slots__ = ("_t", "_resolvent", "_associative")
 
     def __init__(self, c):
         if not isinstance(c, dict):
@@ -212,15 +210,18 @@ class QuarticRing:
         except KeyError as e:
             raise DomainError("multiplication table is missing entry %r" % (e.args[0],))
         _ints(tuple(table.values()), 24, "table entries")
-        self.c = table
         self._t = _rows(table)
         self._resolvent = self._associative = None
 
+    @property
+    def c(self):
+        return {(i, j, k): self._t[i][j][k] for i, j in _PAIRS for k in range(4)}
+
     def __eq__(self, other):
-        return isinstance(other, QuarticRing) and self.c == other.c
+        return isinstance(other, QuarticRing) and self._t == other._t
 
     def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
+        return hash(self._t)
 
     def __repr__(self):
         return "QuarticRing(%r)" % (self.c,)
@@ -306,11 +307,11 @@ def _c_linear_from_lambda(lam):
     return c
 
 
-def _lambda_from_c(c):
-    """Inverse of :func:`_c_linear_from_lambda`: read the minors off a table."""
+def _lambda_from_c(t):
+    """Inverse of :func:`_c_linear_from_lambda`: read the minors off a ring's ``_t``."""
     return {
-        minor: sign * (c[key] - (c[diag] if diag else 0))
-        for key, sign, minor, diag in _C_FROM_LAMBDA
+        minor: sign * (t[i][j][k] - (t[d[0]][d[1]][d[2]] if d else 0))
+        for (i, j, k), sign, minor, d in _C_FROM_LAMBDA
     }
 
 
@@ -415,7 +416,7 @@ def _resolvent_data(ring):
     """
     if _of(QuarticRing, ring)._resolvent is not None:
         return ring._resolvent
-    lam = _lambda_from_c(ring.c)
+    lam = _lambda_from_c(ring._t)
     if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
         raise DomainError("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
@@ -438,6 +439,17 @@ def _resolvent_data(ring):
         raise InvariantViolation("covolume of the mu-lattice must equal the minor gcd")
     ring._resolvent = content, mu, h, den
     return ring._resolvent
+
+
+def _enlargement(n, h, d, b):
+    # the integer HNF, over den * n, of the index-n enlargement M of the
+    # mu-lattice (integer HNF h = ((alpha, beta), (0, delta)) over den) with
+    # n*M = ((n/d, b), (0, d)) * h, for d | n and 0 <= b < d, written down:
+    # that product is ((n/d*alpha, n/d*beta + b*delta), (0, d*delta)), upper
+    # triangular with positive pivots, so its HNF only reduces the corner
+    (alpha, beta), (_, delta) = h
+    e = n // d
+    return (e * alpha, (e * beta + b * delta) % (d * delta)), (0, d * delta)
 
 
 def count_numerical_resolvents(ring):
@@ -463,24 +475,20 @@ def enumerate_numerical_resolvents(ring):
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
     Cost: the resolvent data, computed once per ring and shared with
     :func:`pair_from_ring` and :func:`count_numerical_resolvents`, then one
-    ``factorize(n)``, n divisibility tests for the count check, and one 2x2
-    product and 2-row HNF per lattice, sigma(n) > n of them.
+    ``factorize(n)``, n divisibility tests for the count check, and one
+    :func:`_enlargement` per lattice, sigma(n) > n of them.
     """
     n, _, h, den = _resolvent_data(ring)
     # Index-n enlargements M of the mu-lattice (integer HNF h over den) biject
     # with its index-n sublattices S = n*M: one per row-style Hermite form
-    # ((n/d, b), (0, d)), 0 <= b < d, distinct by left-multiplication canonicity.
-    out = [
-        tuple(map(tuple, _hnf_int(mat_mul(((n // d, b), (0, d)), h))))
-        for d in divisors(n)
-        for b in range(d)
-    ]
+    # ((n/d, b), (0, d)), 0 <= b < d.  Their HNFs are distinct: the second
+    # pivot d*delta fixes d, and then the corner (n/d*beta + b*delta) mod
+    # d*delta fixes b, as b*delta runs over distinct residues mod d*delta.
+    out = [_enlargement(n, h, d, b) for d in divisors(n) for b in range(d)]
     # sigma(n) by trial division, with no second factorize(n): n tests,
     # fewer than the lattices built
     if len(out) != sum(d for d in range(1, n + 1) if n % d == 0):
         raise InvariantViolation("need sigma(%d) resolvent lattices, got %d" % (n, len(out)))
-    if len(set(out)) != len(out):
-        raise InvariantViolation("resolvent lattices must be pairwise distinct")
     return [_unscaled(rows, den * n) for rows in out]
 
 
@@ -497,12 +505,8 @@ def pair_from_ring(ring):
     coordinate solve and the witness check, one :func:`ring_from_pair`.
     """
     n, mu, h, den = _resolvent_data(ring)
-    # the first of enumerate_numerical_resolvents (divisor 1, offset 0),
-    # written down: for h = ((a, b), (0, d)), ((n, 0), (0, 1)) * h is
-    # ((n*a, n*b), (0, d)), upper triangular with positive pivots, so its
-    # HNF only reduces n*b into [0, d)
-    (a, b), (_, d) = h
-    chosen = ((n * a, n * b % d), (0, d))
+    # the first of enumerate_numerical_resolvents: divisor 1, offset 0
+    chosen = _enlargement(n, h, 1, 0)
     # both over den * n, so the common denominator cancels
     coords = _coords2(chosen, [(n * e, n * f) for e, f in mu])
     if coords is None:

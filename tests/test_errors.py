@@ -11,7 +11,10 @@ A second table holds one call per branch that no gate row reaches: a typed
 error of the operation itself, or a value from a branch of its own.
 """
 
+import importlib
+import inspect
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -45,12 +48,14 @@ from smallrank.errors import (
     NotUnimodular,
     RankError,
     RingMismatch,
+    SmallRankError,
     UnsupportedDiscriminant,
+    ZeroForm,
     _int,
     _ints,
     _matrix,
 )
-from smallrank.exactlattice import divisor_sigma, divisors, factorize, lattice_intersect, mat_mul
+from smallrank.exactlattice import divisor_sigma, divisors, factorize, lattice_intersect
 from smallrank.padic import (
     PadicConfig,
     balanced_count,
@@ -230,6 +235,7 @@ MINORS = lambda_system(PAIR)
 NOT_PLUCKER = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
 NOT_PLUCKER[(1, 1, 1)] += 1
 NOT_PLUCKER = QuarticRing(NOT_PLUCKER)
+T = Fraction(1, 3)
 
 # (entry point, arguments, expected): the error class, or the value returned
 BRANCHES = [
@@ -270,18 +276,21 @@ BRANCHES = [
     # an argument that is not a form, a basis or a matrix
     (lattice_intersect, (5, 5), DomainError),
     (lattice_intersect, (None, None), DomainError),
-    (mat_mul, (5, 5), DomainError),
+    # the p = 0 bases of ideal_from_form, written down, first r > 0 (these
+    # five rows sit among the others so that the later ids keep their numbers)
+    (ideal_from_form, ((0, 1, 3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((T, -T), (1, 0)))),
     (is_reduced, (5,), DomainError),
     (is_reduced, ((1, 2),), DomainError),
+    # ideal_from_form at p = 0, r < 0
+    (ideal_from_form, ((0, 1, -3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((-T, T), (1, 0)))),
     # a row that is not a tuple or a list
-    (mat_mul, ([[1]], [5]), DomainError),
     (lattice_intersect, ([5], [5]), DomainError),
     # a table whose minors violate the Plucker relations: no pair gives it
     (count_numerical_resolvents, (NOT_PLUCKER,), DomainError),
-    # a matrix product of the wrong shape, or with an entry that is not rational
-    (mat_mul, ([[1, 2]], [[1]]), DimensionError),
-    (mat_mul, ([[1]], []), DimensionError),
-    (mat_mul, ([["x"]], [[1]]), DomainError),
+    # ideal_from_form at p = r = 0 with q > 0 and q < 0, and the zero form
+    (ideal_from_form, ((0, 3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((2 * T, -T), (T, T)))),
+    (ideal_from_form, ((0, -3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((T, T), (2 * T, -T)))),
+    (ideal_from_form, ((0, 0, 0), R), ZeroForm),
     # the same table is not associative, so no ring: maximality is undefined
     (is_maximal, (NOT_PLUCKER,), DomainError),
 ]
@@ -322,3 +331,45 @@ def test_the_gate_itself():
     for call in (lambda: reduce(b"\x01\x01\x06"), lambda: compose(b"\x01\x01\x06", F)):
         with pytest.raises(DomainError, match="need integer coefficients"):
             call()
+
+
+# the pure arithmetic helpers that the composition kernel calls on every
+# product, unchecked by design (README, "Input checking")
+UNCHECKED = {
+    "discriminant", "content", "mat2_det", "xgcd",
+    "cubic_eval", "ternary_eval", "cubic_form_disc", "cubic_content",
+}
+LIBRARY = ("exactlattice", "quadforms", "quadrings", "cubes", "cubicrings", "quarticrings", "padic")
+PROBES = (5, None, [5], [[1]], (1, 2), "x", -1, 0)
+
+
+def _public_callables():
+    # (name, callable, number of required positional arguments) for every
+    # public class and function defined in a library module
+    for module in LIBRARY:
+        mod = importlib.import_module("smallrank." + module)
+        for name, obj in inspect.getmembers(mod, lambda o: inspect.isfunction(o) or inspect.isclass(o)):
+            if name.startswith("_") or obj.__module__ != mod.__name__ or name in UNCHECKED:
+                continue
+            params = inspect.signature(obj).parameters.values()
+            kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            yield name, obj, sum(p.default is p.empty and p.kind in kinds for p in params)
+
+
+def test_every_public_callable_returns_or_raises_a_typed_error():
+    # each probe value in every required argument: all combinations for up
+    # to 3 arguments, the same value in every slot for more
+    found = list(_public_callables())
+    names = {name for name, _, _ in found}
+    assert len(found) >= 60 and {"QuarticRing", "ideal_from_form", "lattice_intersect"} <= names
+    escaped = []
+    for name, fn, n in found:
+        calls = product(PROBES, repeat=n) if n <= 3 else [(v,) * n for v in PROBES]
+        for args in calls:
+            try:
+                fn(*args)
+            except SmallRankError:
+                pass
+            except Exception as e:  # any other class escaped the gates
+                escaped.append((name, args, type(e).__name__))
+    assert escaped == []

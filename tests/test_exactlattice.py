@@ -34,11 +34,15 @@ from smallrank.exactlattice import (
     is_prime,
     lattice_intersect,
     mat2_det,
-    mat_mul,
     xgcd,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+def _oracle_mat_mul(a, b):
+    """Matrix product of two row-major rational matrices, as a tuple of tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 # The Fraction front-ends of the integer kernels, public once but with no
@@ -347,7 +351,7 @@ def test_hnf_is_a_lattice_invariant():
             continue
         # the least denominator and the HNF of den * L depend on L only
         u = _random_unimodular(rng, n)
-        ints_u, den_u = _scaled(mat_mul(u, basis))
+        ints_u, den_u = _scaled(_oracle_mat_mul(u, basis))
         assert den_u == den
         assert _hnf_int(ints_u) == h
 
@@ -387,15 +391,15 @@ def test_mat_inverse_and_solve():
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
             for i in range(n)
         )
-        assert mat_mul(m, inv) == ident
-        assert mat_mul(inv, m) == ident
+        assert _oracle_mat_mul(m, inv) == ident
+        assert _oracle_mat_mul(inv, m) == ident
         c = tuple(rng.randint(-9, 9) for _ in range(n))
         v = tuple(sum(c[i] * m[i][j] for i in range(n)) for j in range(n))
-        assert mat_mul((v,), inv) == (c,)
+        assert _oracle_mat_mul((v,), inv) == (c,)
         # and the coordinate kernels: against the HNF basis, and 2x2 by Cramer
         h = _hnf_int(m)
         x = _hnf_coords(h, v)
-        assert mat_mul((x,), h) == (v,)
+        assert _oracle_mat_mul((x,), h) == (v,)
         if n == 2:
             assert _coords2(m, [v]) == (c,)
 
@@ -405,7 +409,7 @@ def test_det_multiplicative():
     for _ in range(50):
         a = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
         b = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        assert _det(mat_mul(a, b)) == _det(a) * _det(b)
+        assert _det(_oracle_mat_mul(a, b)) == _det(a) * _det(b)
 
 
 def test_index_contains_intersect():

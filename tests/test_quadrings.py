@@ -10,7 +10,7 @@ from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det
+from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det, _oracle_mat_mul
 from test_quadforms import _oracle_monoid_table
 
 import smallrank
@@ -29,7 +29,6 @@ from smallrank.exactlattice import (
     _unscaled,
     lattice_intersect,
     mat2_det,
-    mat_mul,
 )
 from smallrank.quadforms import (
     _compose,
@@ -659,7 +658,7 @@ def _round_trip_ideal_from_form(f, ring):
         return QuadIdeal(ring, ((Fraction(1), Fraction(0)), (Fraction(-a, p), Fraction(1, p))))
     m = ((0, 1), (-1, 0)) if r != 0 else ((1, 1), (0, 1))
     inner = _round_trip_ideal_from_form(twisted_act(m, f), ring)
-    return QuadIdeal(ring, mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.basis))
+    return QuadIdeal(ring, _oracle_mat_mul(((m[1][1], -m[0][1]), (-m[1][0], m[0][0])), inner.basis))
 
 
 def _round_trip_multiply(i, j):

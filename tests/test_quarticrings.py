@@ -17,6 +17,7 @@ from test_exactlattice import (
     _oracle_inv,
     _oracle_lattice_coords,
     _oracle_mat_det,
+    _oracle_mat_mul,
 )
 
 from smallrank import exactlattice, quarticrings
@@ -36,7 +37,6 @@ from smallrank.exactlattice import (
     divisors,
     factorize,
     mat2_det,
-    mat_mul,
 )
 from smallrank.quadrings import QuadraticRing
 from smallrank.quarticrings import (
@@ -121,6 +121,21 @@ def test_z4_structure():
     nonzero = {k: v for k, v in ring.c.items() if v}
     assert nonzero == {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1}
     assert ring.disc() == 1
+
+
+def test_mutating_the_table_dict_leaves_the_ring_unchanged():
+    # c is read off the one table _t as a new dict, so a caller's edit to it
+    # reaches neither the products, the discriminant nor == and hash
+    ring, fresh = ring_from_pair(P_Z4), ring_from_pair(P_Z4)
+    x, y = (1, 2, -1, 3), (0, 1, 1, -2)
+    product = ring.mul(x, y)
+    c = ring.c
+    c[(1, 2, 0)] += 5
+    c[(1, 1, 1)] = 7
+    assert ring.c == fresh.c and ring.c != c
+    assert ring.disc() == 1 and ring.mul(x, y) == product
+    assert ring == fresh and hash(ring) == hash(fresh)
+    assert ring != QuarticRing(c)
 
 
 def test_ring_axioms_on_random_pairs():
@@ -368,9 +383,8 @@ def test_trivial_ring():
 def test_resolvent_data_is_computed_once_per_ring(monkeypatch):
     # counted, not timed: one mu-lattice _hnf_int (six rows) per ring across
     # pair_from_ring, count_numerical_resolvents and
-    # enumerate_numerical_resolvents, none for the chosen lattice of
-    # pair_from_ring, which is written down, and one 2-row HNF per lattice
-    # that enumerate_numerical_resolvents builds
+    # enumerate_numerical_resolvents, and none for the lattices, which are
+    # written down
     sizes = []
     hnf = quarticrings._hnf_int
     monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: sizes.append(len(rows)) or hnf(rows))
@@ -383,7 +397,23 @@ def test_resolvent_data_is_computed_once_per_ring(monkeypatch):
         assert sizes == [6]
         assert len(enumerate_numerical_resolvents(ring)) == count
         assert len(enumerate_numerical_resolvents(ring)) == count
-        assert sizes == [6] + [2] * (2 * count)
+        assert sizes == [6]
+
+
+def test_enumerated_lattices_need_no_hnf(monkeypatch):
+    # counted: once the resolvent data is at hand, enumerate_numerical_resolvents
+    # makes no _hnf_int call, for contents up to 60 times that of the
+    # unscaled pair; the lattices agree with the oracle's
+    calls = []
+    hnf = quarticrings._hnf_int
+    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: calls.append(rows) or hnf(rows))
+    for k, (a, b) in enumerate(_random_pairs(52, 25)):
+        ring = ring_from_pair((tuple((1, 2, 6, 12, 60)[k % 5] * v for v in a), b))
+        count = count_numerical_resolvents(ring)  # the resolvent data, one HNF
+        calls.clear()
+        lattices = enumerate_numerical_resolvents(ring)
+        assert calls == [] and len(lattices) == count
+        assert lattices == _oracle_enumerate_numerical_resolvents(ring)
 
 
 @pytest.mark.parametrize(
@@ -457,7 +487,7 @@ def test_maximality_reads_the_associativity_verdict_of_ring_from_pair(monkeypatc
 # The 2x2 product and second HNF that pair_from_ring ran for its chosen
 # lattice before it wrote that HNF down; kept as its oracle.
 def _oracle_chosen_lattice(n, h):
-    return _hnf_int(mat_mul(((n, 0), (0, 1)), h))
+    return _hnf_int(_oracle_mat_mul(((n, 0), (0, 1)), h))
 
 
 @settings(max_examples=200, deadline=None)
@@ -699,7 +729,7 @@ def test_hnf_from_rref_is_the_hnf_of_the_rows_and_p_times_the_identity(case):
 
 # The subspace walk that _radical_subspaces ran before it built each
 # candidate one step at a time: every RREF coefficient matrix C over F_p^s,
-# then C*B by mat_mul; kept as its oracle.
+# then the product C*B; kept as its oracle.
 def _subspaces(p, s):
     """RREF bases of the nonzero subspaces of F_p^s.
 
@@ -743,7 +773,7 @@ def _oracle_radical_subspaces(ring, p):
     rref = [row for row in echelon if next(filter(None, row)) == 1]
     radical = [row[n:] for row in rref if not any(row[:n])]
     for coeffs in _subspaces(p, len(radical)):
-        yield [tuple(t % p for t in row) for row in mat_mul(coeffs, radical)]
+        yield [tuple(t % p for t in row) for row in _oracle_mat_mul(coeffs, radical)]
 
 
 def test_radical_subspaces_agree_with_rref_oracle():
@@ -896,7 +926,7 @@ def _oracle_enumerate_numerical_resolvents(ring):
     out = []
     for d in divisors(n):
         for b in range(d):
-            shrunk = mat_mul(((n // d, b), (0, d)), basis0)
+            shrunk = _oracle_mat_mul(((n // d, b), (0, d)), basis0)
             out.append(_oracle_hnf_canonicalize([[e / n for e in row] for row in shrunk]))
     assert len(out) == len(set(out)) == divisor_sigma(n)
     return out
@@ -932,8 +962,8 @@ def test_resolvents_agree_with_fraction_oracle(a, b, k):
     lam = lambda_system(pair)
     assert repr(_c_linear_from_lambda(lam)) == repr(_oracle_c_linear_from_lambda(lam))
     ring = ring_from_pair(pair)
-    assert repr(_lambda_from_c(ring.c)) == repr(_oracle_lambda_from_c(ring.c))
-    assert _lambda_from_c(ring.c) == lam
+    assert repr(_lambda_from_c(ring._t)) == repr(_oracle_lambda_from_c(ring.c))
+    assert _lambda_from_c(ring._t) == lam
     result = _outcome(pair_from_ring, ring)
     assert result == _outcome(_oracle_pair_from_ring, ring)
     assert _outcome(enumerate_numerical_resolvents, ring) == _outcome(
