@@ -372,6 +372,47 @@ def test_gamma_rejects_non_members():
         gamma_act((((-1, 0), (0, 1)), IDENT2, IDENT2), q)
 
 
+def _oracle_gamma_act(ms, q):
+    # the 64-term sum that gamma_act wrote out before it ran one degree-1
+    # substitution per axis; kept as its oracle
+    m1, m2, m3 = ms
+    return tuple(
+        sum(
+            m1[i][l] * m2[j][m] * m3[k][n] * q[4 * l + 2 * m + n]
+            for l in range(2)
+            for m in range(2)
+            for n in range(2)
+        )
+        for i in range(2)
+        for j in range(2)
+        for k in range(2)
+    )
+
+
+@st.composite
+def unimodular(draw):
+    # a product of elementary matrices, det +1 or -1
+    p, q, r, s = draw(st.sampled_from(((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1))))
+    for k, lower in draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=4)):
+        if lower:
+            r, s = r + k * p, s + k * q
+        else:
+            p, q = p + k * r, q + k * s
+    return (p, q), (r, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unimodular(), unimodular(), unimodular(), st.tuples(*[st.integers(-9, 9)] * 8))
+@example(IDENT2, IDENT2, IDENT2, BOX1)
+@example(((0, 1), (1, 0)), ((1, 0), (0, -1)), ((2, 1), (1, 1)), identity_cube(-23))
+def test_gamma_act_agrees_with_the_nested_sum(m1, m2, m3, q):
+    if mat2_det(m1) * mat2_det(m2) * mat2_det(m3) == -1:
+        (p, q3), row = m3
+        m3 = ((-p, -q3), row)
+    ms = (m1, m2, m3)
+    assert gamma_act(ms, q) == _oracle_gamma_act(ms, q)
+
+
 def test_tau_projection_and_trilinearity():
     for q in _random_cubes(27, 25):
         tr = triple_from_cube(q)

@@ -22,10 +22,12 @@ if __name__ == "__main__":  # run as a script: import the package of this checko
 
 import pytest
 
-from smallrank.cubes import cube_from_triple, is_balanced, triple_from_cube, triples_equivalent
+from smallrank.cubes import (
+    cube_from_triple, gamma_act, is_balanced, triple_from_cube, triples_equivalent,
+)
 from smallrank.cubicrings import cubic_twisted_act, form_from_cubic_ring, idempotents_within
 from smallrank.errors import SmallRankError
-from smallrank.exactlattice import is_prime
+from smallrank.exactlattice import is_prime, mat2_det
 from smallrank.padic import (
     PadicConfig, balanced_count, enumerate_balanced_oracle, least_nonresidue, stella_membership,
 )
@@ -124,6 +126,25 @@ def _twisted_actions():
         f = tuple(rng.randint(-9, 9) for _ in range(3))
         g = tuple(rng.randint(-9, 9) for _ in range(4))
         yield m, f, g, twisted_act(m, f), cubic_twisted_act(m, g)
+
+
+def _cube_actions():
+    # gamma_act on seeded unimodular triples with determinant product 1 and
+    # cubes with entries in [-9, 9]; then triples with determinant product -1,
+    # and triples with one matrix that is not unimodular
+    rng = random.Random(22)
+    for k in range(330):
+        ms = [_unimodular(rng) for _ in range(3)]
+        q = tuple(rng.randint(-9, 9) for _ in range(8))
+        (p, s), row = ms[2]
+        dets = [mat2_det(m) for m in ms]
+        if k < 300 and dets[0] * dets[1] * dets[2] == -1:
+            ms[2] = (-p, -s), row  # one row negated: product 1
+        elif k >= 300 and dets[0] * dets[1] * dets[2] == 1:
+            ms[2] = (-p, -s), row  # product -1
+        if k >= 315:
+            ms[rng.randrange(3)] = ((rng.randint(2, 4), rng.randint(-3, 3)), (0, rng.randint(1, 3)))
+        yield ms, q, _outcome(gamma_act, tuple(ms), q)
 
 
 def _stella_points():
@@ -262,6 +283,7 @@ FAMILIES = {
     "quartic_pairs": _quartic_pairs,
     "long_walks": _long_walks,
     "twisted_actions": _twisted_actions,
+    "cube_actions": _cube_actions,
     "stella_points": _stella_points,
     "cube_round_trips": _cube_round_trips,
     "errors": _errors,
