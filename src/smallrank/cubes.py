@@ -16,7 +16,7 @@ from .errors import (
     Degenerate, DomainError, InvariantViolation, NotBalanced, NotInGamma, RingMismatch,
     UnsupportedDiscriminant, _ints, _matrix, _of,
 )
-from .exactlattice import lattice_intersect, mat2_det
+from .exactlattice import _form_act, lattice_intersect, mat2_det
 from .quadforms import discriminant, represent
 from .quadrings import (
     QuadIdeal,
@@ -209,18 +209,14 @@ def gamma_act(ms, q):
         dets.append(det)
     if dets[0] * dets[1] * dets[2] != 1:
         raise NotInGamma("determinant product %d" % (dets[0] * dets[1] * dets[2]))
-    out = []
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                out.append(
-                    sum(
-                        m1[i][l] * m2[j][m] * m3[k][n] * q[4 * l + 2 * m + n]
-                        for l in range(2)
-                        for m in range(2)
-                        for n in range(2)
-                    )
-                )
+    # one degree-1 substitution per axis: a_ijk sits at 4i + 2j + k, so the
+    # matrix of the axis with that stride acts on each pair of entries
+    # (q[i], q[i + stride]) with i & stride == 0, a linear form in (x, y)
+    out = list(q)
+    for m, stride in ((m1, 4), (m2, 2), (m3, 1)):
+        for i in range(8):
+            if not i & stride:
+                out[i], out[i + stride] = _form_act(m, (out[i], out[i + stride]))
     new = tuple(out)
     t0, u0 = _invariants(q)
     t1, u1 = _invariants(new)
@@ -236,7 +232,9 @@ def _ring_inverse(ring, b):
 
 
 def _scalar_candidates(ring, src, dst):
-    # all gamma with gamma*src == dst, via the containment lattice and norms
+    # all gamma with gamma*src == dst: the gamma with gamma*src inside dst
+    # form the lattice spanned by v1, v2, and those of norm N(dst)/N(src) > 0
+    # scale the covolume of src to that of dst, so gamma*src is all of dst
     target = ideal_norm(dst) / ideal_norm(src)
     lats = [scale(dst, _ring_inverse(ring, b)).basis for b in src.basis]
     v1, v2 = lattice_intersect(*lats)
@@ -245,23 +243,20 @@ def _scalar_candidates(ring, src, dst):
     cc = ring.norm(v2)
     s = lcm(*(Fraction(val).denominator for val in (aa, bb, cc, target)))
     fi = (int(aa * s), int(bb * s), int(cc * s))
-    out = []
-    for (m, n) in represent(fi, int(target * s)):
-        gamma = (m * v1[0] + n * v2[0], m * v1[1] + n * v2[1])
-        if scale(src, gamma) == dst:
-            out.append(gamma)
-    return out
+    reps = represent(fi, int(target * s))
+    return [(m * v1[0] + n * v2[0], m * v1[1] + n * v2[1]) for m, n in reps]
 
 
 def triples_equivalent(t1, t2) -> bool:
     """Do scalars (g1, g2, g3) with product 1 map one triple onto the other?
 
-    Cost: six ``form_from_ideal``, two ``represent``, at most 6 + 6 + 36 ``scale``.
+    Cost: six ``form_from_ideal``, two ``represent``, four ``scale`` for the
+    containment lattices and at most 6 * 6 more, one per pair of scalars.
     """
-    (i1, i2, i3), (j1, j2, j3) = _ideals(t1), _ideals(t2)
-    if t1.ring != t2.ring:
-        raise RingMismatch("triples live over different rings")
+    i1, i2, i3, j1, j2, j3 = ideals = _ideals(t1) + _ideals(t2)
     ring = t1.ring
+    if any(r != ring for r in (t2.ring, *(i.ring for i in ideals))):
+        raise RingMismatch("triples and their ideals live over different rings")
     if ring.disc >= 0:
         raise UnsupportedDiscriminant("scalar search needs a definite norm form")
     for a, b in ((i1, j1), (i2, j2), (i3, j3)):
@@ -269,7 +264,6 @@ def triples_equivalent(t1, t2) -> bool:
             return False
     c1 = _scalar_candidates(ring, i1, j1)
     c2 = _scalar_candidates(ring, i2, j2)
-    j3 = j3.canonical()
     for g1 in c1:
         for g2 in c2:
             g3 = _ring_inverse(ring, ring.mul(g1, g2))

@@ -13,12 +13,13 @@ column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
 ``mat2_det``.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan) gives the reduced
 row echelon form, and ``_hnf_from_rref`` lifts it to the HNF of its span
 and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that public
-functions return.  ``_form_act`` is the one GL2 substitution of binary
-forms, of every degree.
+functions return.  ``_form_act``, the substitution of a binary form of
+any degree, is behind every GL2 action of the package: the twisted actions
+on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
 """
 
 from fractions import Fraction
-from math import isfinite, isqrt, lcm, prod
+from math import isfinite, isqrt, lcm
 
 from .errors import DimensionError, DomainError, RankError, _int
 
@@ -290,17 +291,6 @@ def divisors(n):
     for p, e in factorize(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def divisor_sigma(n) -> int:
-    """Sum of the positive divisors of n.
-
-    Cost: that of ``factorize(n)``, then one term (p^(e+1) - 1)/(p - 1) per
-    prime power p^e exactly dividing n.
-    """
-    if _int(n, "n") < 1:
-        raise DomainError("divisor_sigma needs a positive integer")
-    return prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(n).items())
 
 
 # the first 13 primes; a composite that passes the strong test to all of

@@ -24,7 +24,9 @@ from .errors import (
     _of,
 )
 from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det
-from .quadforms import _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce
+from .quadforms import (
+    _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
+)
 
 
 class QuadraticRing:
@@ -147,7 +149,7 @@ def form_from_ideal(ideal):
     if ideal.ring.disc >= 0:
         return f
     if f[0] < 0:
-        f = (-f[0], f[1], -f[2])  # improper twist, determinant -1
+        f = twisted_act(((1, 0), (0, -1)), f)  # improper twist: (-a, b, -c)
     return reduce(f)[0]
 
 
@@ -231,7 +233,7 @@ def inverse(i) -> QuadIdeal:
     # conj(rows/den) / (det/den^2) == den * conj(rows) / det
     rows = [[i.den * e for e in i.ring.conj(row)] for row in i.rows]
     inv = _span(i.ring, rows, abs(mat2_det(i.rows)))
-    if multiply(i, inv) != unit_ideal(i.ring).canonical():
+    if multiply(i, inv) != unit_ideal(i.ring):
         raise InvariantViolation("%r times its inverse is not the unit ideal" % (i,))
     return inv
 

@@ -43,7 +43,6 @@ from .exactlattice import (
     _trace,
     _trace_disc,
     _unscaled,
-    divisor_sigma,
     divisors,
     factorize,
     is_prime,
@@ -411,11 +410,14 @@ def _resolvent_data(ring):
     of the lattice the mu's span, over the same ``den`` (its covolume equals
     the content).  The tuple is computed on the first call for a ring, with
     every check, and kept in its ``_resolvent`` slot for the later calls.
-    An error is not kept: the kind gate runs on every call, and a ring whose
-    minors violate Plucker or all vanish raises on every call.
+    An error is not kept: the kind gate runs on every call, and a table that
+    is not associative, or whose minors violate Plucker or all vanish,
+    raises on every call.
     """
     if _of(QuarticRing, ring)._resolvent is not None:
         return ring._resolvent
+    if not _associative(ring):  # ring_from_pair's rings already hold True
+        raise DomainError("resolvents are undefined for a table that is not associative")
     lam = _lambda_from_c(ring._t)
     if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
         raise DomainError("ring table minors violate the Plucker relations")
@@ -457,14 +459,13 @@ def count_numerical_resolvents(ring):
 
     Equals the sum of divisors of the minor gcd.  Raises
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
-    :class:`~smallrank.errors.DomainError` when the table's minors violate
-    the Plucker relations, so that no pair gives the ring.
+    :class:`~smallrank.errors.DomainError` when the table is not associative
+    or its minors violate the Plucker relations, so that no pair gives it.
     Cost: the resolvent data, computed once per ring and shared with
     :func:`pair_from_ring` and :func:`enumerate_numerical_resolvents`, then
-    one ``factorize`` of the minor gcd.
+    the ``divisors`` of the minor gcd: one ``factorize``, one product each.
     """
-    content = _resolvent_data(ring)[0]
-    return divisor_sigma(content)
+    return sum(divisors(_resolvent_data(ring)[0]))
 
 
 def enumerate_numerical_resolvents(ring):

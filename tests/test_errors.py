@@ -55,7 +55,7 @@ from smallrank.errors import (
     _ints,
     _matrix,
 )
-from smallrank.exactlattice import divisor_sigma, divisors, factorize, lattice_intersect
+from smallrank.exactlattice import divisors, factorize, lattice_intersect
 from smallrank.padic import (
     PadicConfig,
     balanced_count,
@@ -100,6 +100,7 @@ from smallrank.quarticrings import (
     is_maximal_at_p,
     lambda_system,
     nonmaximality_conditions_witness,
+    pair_from_ring,
     plucker_check,
     resolvent_identity_check,
     ring_from_pair,
@@ -158,7 +159,6 @@ GATES = [
     (idempotents_within, (CUBIC, 1), (1,), DomainError),
     (factorize, (12,), (0,), DomainError),
     (divisors, (12,), (0,), DomainError),
-    (divisor_sigma, (12,), (0,), DomainError),
     *((PadicConfig, (3, 1, 2), (k,), DomainError) for k in range(3)),
     (least_nonresidue, (3,), (0,), DomainError),
     (balanced_count, (CFG, (1, 1, 2)), (1, 0), DomainError),
@@ -231,10 +231,15 @@ TRIPLE = triple_from_cube(CUBE)
 OTHER_TRIPLE = triple_from_cube((-2, -1, -1, -2, -1, -2, 1, 0))
 REAL_TRIPLE = triple_from_cube(identity_cube(5))
 U20 = unit_ideal(ring_from_disc(-20))
+U23 = unit_ideal(R)  # over (1, 6); TRIPLE lives over (3, 8), also of disc -23
 MINORS = lambda_system(PAIR)
 NOT_PLUCKER = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
 NOT_PLUCKER[(1, 1, 1)] += 1
 NOT_PLUCKER = QuarticRing(NOT_PLUCKER)
+# a constant term one off: the minors, and so Plucker, hold, associativity not
+NOT_ASSOCIATIVE = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
+NOT_ASSOCIATIVE[(1, 2, 0)] += 1
+NOT_ASSOCIATIVE = QuarticRing(NOT_ASSOCIATIVE)
 T = Fraction(1, 3)
 
 # (entry point, arguments, expected): the error class, or the value returned
@@ -293,6 +298,10 @@ BRANCHES = [
     (ideal_from_form, ((0, 0, 0), R), ZeroForm),
     # the same table is not associative, so no ring: maximality is undefined
     (is_maximal, (NOT_PLUCKER,), DomainError),
+    # a table that is not associative has no resolvent
+    (pair_from_ring, (NOT_ASSOCIATIVE,), DomainError),
+    # a triple holding an ideal over another presentation of its ring
+    (triples_equivalent, (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
 ]
 
 

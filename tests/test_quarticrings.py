@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import (
+    _oracle_divisor_sigma,
     _oracle_hnf_canonicalize,
     _oracle_inv,
     _oracle_lattice_coords,
@@ -33,7 +34,6 @@ from smallrank.exactlattice import (
     _trace,
     _trace_disc,
     _unscaled,
-    divisor_sigma,
     divisors,
     factorize,
     mat2_det,
@@ -462,6 +462,24 @@ def test_resolvent_and_maximality_errors_are_raised_on_every_call():
         with pytest.raises(DomainError, match="not associative"):
             is_maximal(not_ring)
     assert not_ring._associative is False and not _associative(not_ring)
+
+
+def test_resolvents_refuse_a_table_that_is_not_associative():
+    # a constant term one off leaves the minors as they are, so Plucker
+    # holds, but the table is no ring: every resolvent entry point raises
+    # DomainError, on every call, and keeps no resolvent data
+    ring = ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1)))
+    c = dict(ring.c)
+    c[(1, 2, 0)] += 1
+    not_ring = QuarticRing(c)
+    lam = _lambda_from_c(not_ring._t)
+    assert lam == _lambda_from_c(ring._t) and plucker_check(lam)
+    assert not _associative(not_ring)
+    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not associative"):
+                entry(not_ring)
+    assert not_ring._resolvent is None
 
 
 def test_maximality_reads_the_associativity_verdict_of_ring_from_pair(monkeypatch):
@@ -928,7 +946,7 @@ def _oracle_enumerate_numerical_resolvents(ring):
         for b in range(d):
             shrunk = _oracle_mat_mul(((n // d, b), (0, d)), basis0)
             out.append(_oracle_hnf_canonicalize([[e / n for e in row] for row in shrunk]))
-    assert len(out) == len(set(out)) == divisor_sigma(n)
+    assert len(out) == len(set(out)) == _oracle_divisor_sigma(n)
     return out
 
 
@@ -976,7 +994,7 @@ def test_resolvents_agree_with_fraction_oracle(a, b, k):
     content, mu, h, den = _resolvent_data(ring)
     _, content0, mu0, basis0 = _oracle_resolvent_data(ring)
     assert content == content0
-    assert count_numerical_resolvents(ring) == divisor_sigma(content)
+    assert count_numerical_resolvents(ring) == _oracle_divisor_sigma(content)
     assert _unscaled(mu, den) == tuple(mu0[z] for z in range(6))
     assert _unscaled(h, den) == basis0
 

@@ -3,7 +3,11 @@
 For each module it prints the raw lines and the code lines, then the
 totals.  A code line holds at least one token of code: blank lines,
 comment lines and the lines of the docstrings of the module, its classes
-and its functions (found by ``ast``) are not code.  Stdlib only.
+and its functions (found by ``ast``) are not code.  Under the table it
+lists, for each library module (all but ``__init__``, ``cli`` and
+``errors``), the public functions and classes that no other module of the
+package reads by name: a name or an attribute in the ``ast``, so an import
+alone does not count.  Stdlib only.
 
     python tools/src_lines.py [SRC_DIR]
 
@@ -42,6 +46,30 @@ def count(text):
     return len(text.splitlines()), len(code - docs)
 
 
+def _unread(src):
+    # {module: sorted public top-level functions and classes of a library
+    # module that no other module reads by name}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    out = {}
+    for name, tree in trees.items():
+        if name in ("__init__.py", "cli.py", "errors.py"):
+            continue
+        public = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for other, t in trees.items()
+            if other != name
+            for node in ast.walk(t)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        out[name] = sorted(public - read)
+    return out
+
+
 def main(argv):
     src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "smallrank"
     total_raw = total_code = 0
@@ -51,6 +79,10 @@ def main(argv):
         total_raw, total_code = total_raw + raw, total_code + code
         print("%-20s %6d %6d" % (path.name, raw, code))
     print("%-20s %6d %6d" % ("total", total_raw, total_code))
+    print()
+    print("public names no other module reads:")
+    for name, unread in _unread(src).items():
+        print("%-20s %s" % (name, ", ".join(unread) or "-"))
 
 
 if __name__ == "__main__":
