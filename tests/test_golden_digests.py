@@ -14,6 +14,7 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +24,7 @@ if __name__ == "__main__":  # run as a script: import the package of this checko
 import pytest
 
 from smallrank.cubes import (
-    cube_from_triple, gamma_act, is_balanced, triple_from_cube, triples_equivalent,
+    BalancedTriple, cube_from_triple, gamma_act, is_balanced, triple_from_cube, triples_equivalent,
 )
 from smallrank.cubicrings import cubic_twisted_act, form_from_cubic_ring, idempotents_within
 from smallrank.errors import SmallRankError
@@ -41,6 +42,7 @@ from smallrank.quadrings import (
     ideal_from_form,
     ideal_norm,
     ring_from_disc,
+    scale,
     unit_ideal,
 )
 from smallrank.quarticrings import (
@@ -186,6 +188,38 @@ def _small_searches():
                     yield cfg, idx, enumerate_balanced_oracle(cfg, idx, 2 * n + 2)
 
 
+def _triple_equivalences():
+    # triples_equivalent on the triples of seeded cubes with entries in
+    # [-2, 2] over a negative discriminant, grouped by their ring: every
+    # ordered pair of distinct triples in a group; each triple against its
+    # copy moved by scalars (g1, g2, (g1*g2)^-1), both ways; and each triple
+    # against its copy with the third ideal moved by a non-unit, both ways
+    rng = random.Random(22)
+    groups = {}
+    for _ in range(750):
+        q = tuple(rng.randint(-2, 2) for _ in range(8))
+        triple = _outcome(triple_from_cube, q)
+        if isinstance(triple, BalancedTriple) and triple.ring.disc < 0:
+            groups.setdefault(triple.ring, []).append((q, triple))
+    for ring, group in groups.items():
+        for (qa, a), (qb, b) in product(group, repeat=2):
+            if qa != qb:
+                yield qa, qb, _outcome(triples_equivalent, a, b)
+        for q, a in group:
+            g1, g2, gam = ((rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3))
+            while ring.norm(gam) == 1:
+                gam = (gam[0] + 1, gam[1])
+            g12 = ring.mul(g1, g2)
+            g3 = tuple(Fraction(c, ring.norm(g12)) for c in ring.conj(g12))
+            i1, i2, i3 = a.ideals
+            moved = BalancedTriple(ring, (scale(i1, g1), scale(i2, g2), scale(i3, g3)))
+            off = BalancedTriple(ring, (i1, i2, scale(i3, gam)))
+            yield q, g1, g2, _outcome(triples_equivalent, a, moved), _outcome(
+                triples_equivalent, moved, a
+            )
+            yield q, gam, _outcome(triples_equivalent, a, off), _outcome(triples_equivalent, off, a)
+
+
 def _writedowns():
     # ideal_from_form on every nonzero form with entries in [-5, 5], over the
     # normalized ring of its discriminant and over the presentation with xi
@@ -289,6 +323,7 @@ FAMILIES = {
     "errors": _errors,
     "small_searches": _small_searches,
     "writedowns": _writedowns,
+    "triple_equivalences": _triple_equivalences,
 }
 
 
