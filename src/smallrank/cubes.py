@@ -10,20 +10,21 @@ where t and u are the symmetric cube invariants below.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     Degenerate, DomainError, InvariantViolation, NotBalanced, NotInGamma, RingMismatch,
     UnsupportedDiscriminant, _ints, _matrix, _of,
 )
-from .exactlattice import _form_act, lattice_intersect, mat2_det
-from .quadforms import discriminant, represent
+from .exactlattice import _form_act, mat2_det
+from .quadforms import content, discriminant, represent
 from .quadrings import (
     QuadIdeal,
     QuadraticRing,
+    conjugate,
     form_from_ideal,
     ideal_from_form,
     ideal_norm,
+    multiply,
     raw_form,
     ring_from_disc,
     scale,
@@ -152,11 +153,14 @@ def _triple_products(i1, i2, i3):
 
 
 def _ideals(triple):
-    # the three ideals of a triple argument, each checked by errors._of
-    ideals = _of(BalancedTriple, triple).ideals
+    # the three ideals of a triple argument, each checked by errors._of and
+    # checked to live over the triple's ring
+    ring, ideals = _of(BalancedTriple, triple)
     if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
         raise DomainError("a triple holds three ideals, got %r" % (ideals,))
-    return tuple(_of(QuadIdeal, i) for i in ideals)
+    if any(_of(QuadIdeal, i).ring != ring for i in ideals):
+        raise RingMismatch("ideals live over a ring other than the triple's")
+    return tuple(ideals)
 
 
 def _balanced_products(i1, i2, i3):
@@ -225,51 +229,48 @@ def gamma_act(ms, q):
     return new
 
 
-def _ring_inverse(ring, b):
-    # b^-1 = conj(b) / norm(b) for a ring element b of nonzero norm
-    n = ring.norm(b)
-    return tuple(Fraction(c) / n for c in ring.conj(b))
-
-
-def _scalar_candidates(ring, src, dst):
-    # all gamma with gamma*src == dst: the gamma with gamma*src inside dst
-    # form the lattice spanned by v1, v2, and those of norm N(dst)/N(src) > 0
-    # scale the covolume of src to that of dst, so gamma*src is all of dst
-    target = ideal_norm(dst) / ideal_norm(src)
-    lats = [scale(dst, _ring_inverse(ring, b)).basis for b in src.basis]
-    v1, v2 = lattice_intersect(*lats)
-    aa = ring.norm(v1)
-    bb = ring.trace(ring.mul(v1, ring.conj(v2)))
-    cc = ring.norm(v2)
-    s = lcm(*(Fraction(val).denominator for val in (aa, bb, cc, target)))
-    fi = (int(aa * s), int(bb * s), int(cc * s))
-    reps = represent(fi, int(target * s))
-    return [(m * v1[0] + n * v2[0], m * v1[1] + n * v2[1]) for m, n in reps]
+def _scalar_candidates(src, dst):
+    # all gamma with gamma*src == dst, for src and dst of one form.  One form
+    # gives one multiplier ring O and one content c, and a lattice is
+    # invertible over its multiplier ring: src*conj(src) == k*O with
+    # k = c*N(src), so M = (dst : src) = dst*conj(src) / k.  A gamma in M maps
+    # src into dst, and onto it iff N(gamma) = N(dst)/N(src), as then
+    # gamma*src has the covolume of dst.  The HNF basis (w1, w2) of k*M has
+    # det > 0, so N(x*w1 + y*w2) = N(k*M)*raw_form(k*M)(x, y), and the
+    # candidates (x*w1 + y*w2)/k are the representations of
+    # N(dst)/(N(src)*N(M)) by raw_form(k*M).  That is an integer: one form
+    # gives dst = g*src for some g in K, so M = g*O, N(M) = N(g)*N(O), and
+    # the value is 1/N(O) = [O : Z[xi]]
+    k = content(raw_form(src)) * ideal_norm(src)
+    km = multiply(dst, conjugate(src))
+    value = ideal_norm(dst) * k * k / (ideal_norm(src) * ideal_norm(km))
+    if value.denominator != 1:
+        raise InvariantViolation("scalars onto %r would need norm form value %s" % (dst, value))
+    (a, b), (c, d) = km.basis
+    reps = represent(raw_form(km), value.numerator)
+    return [((x * a + y * c) / k, (x * b + y * d) / k) for x, y in reps]
 
 
 def triples_equivalent(t1, t2) -> bool:
     """Do scalars (g1, g2, g3) with product 1 map one triple onto the other?
 
-    Cost: six ``form_from_ideal``, two ``represent``, four ``scale`` for the
-    containment lattices and at most 6 * 6 more, one per pair of scalars.
+    Cost: six ``form_from_ideal``; for each of the first two ideals, one
+    ``conjugate`` and one ``multiply`` for the colon ideal (dst : src) and
+    one ``represent`` of [O : Z[xi]] by its norm form; and at most 6 * 6
+    ``scale``, one per pair of scalars.
     """
-    i1, i2, i3, j1, j2, j3 = ideals = _ideals(t1) + _ideals(t2)
+    i1, i2, i3, j1, j2, j3 = _ideals(t1) + _ideals(t2)
     ring = t1.ring
-    if any(r != ring for r in (t2.ring, *(i.ring for i in ideals))):
-        raise RingMismatch("triples and their ideals live over different rings")
+    if t2.ring != ring:
+        raise RingMismatch("triples live over different rings")
     if ring.disc >= 0:
         raise UnsupportedDiscriminant("scalar search needs a definite norm form")
     for a, b in ((i1, j1), (i2, j2), (i3, j3)):
         if form_from_ideal(a) != form_from_ideal(b):
             return False
-    c1 = _scalar_candidates(ring, i1, j1)
-    c2 = _scalar_candidates(ring, i2, j2)
-    for g1 in c1:
-        for g2 in c2:
-            g3 = _ring_inverse(ring, ring.mul(g1, g2))
-            if scale(i3, g3) == j3:
-                return True
-    return False
+    # g3*i3 == j3 with g3 = (g1*g2)^-1 iff i3 == g1*g2*j3
+    c2 = _scalar_candidates(i2, j2)
+    return any(scale(j3, ring.mul(g1, g2)) == i3 for g1 in _scalar_candidates(i1, j1) for g2 in c2)
 
 
 def identity_cube(d):

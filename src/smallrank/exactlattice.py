@@ -1,4 +1,4 @@
-"""Exact lattices over Q: Hermite normal form, coordinates, intersection.
+"""Exact lattices over Q: Hermite normal form, coordinates, determinants.
 
 Lattices are given by generating sets of row vectors with rational entries.
 The canonical form is the row-style HNF: pivots positive and on the diagonal
@@ -169,12 +169,6 @@ def _trace_disc(ring):
     return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
 
 
-def _is_rows(m):
-    # whether m is a tuple or list of rows, each a tuple or list
-    seqs = (tuple, list)
-    return isinstance(m, seqs) and all(isinstance(row, seqs) for row in m)
-
-
 def mat2_det(m):
     """Determinant of a 2x2 matrix, in the type of its entries."""
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -227,25 +221,6 @@ def _coords2(rows, vectors):
             return None
         out.append((x0, x1))
     return tuple(out)
-
-
-def lattice_intersect(b1, b2):
-    """Canonical HNF basis of the intersection of two full-rank lattices.
-
-    The rows [B1 | B1] and [B2 | 0] span {(x + y, x) : x in L1, y in L2}.
-    Its HNF has n pivots in the first n columns (L1 + L2); the rows after
-    them are (0, x) with x in L1 and -x in L2, already the HNF of L1 & L2.
-    """
-    if not (_is_rows(b1) and _is_rows(b2)):
-        raise DomainError("need two bases as tuples of rows, got %r and %r" % (b1, b2))
-    ints, den = _scaled([*b1, *b2])
-    if not ints:
-        raise RankError("empty generating set")
-    n, k = len(ints[0]), len(b1)
-    h = _hnf_int([row + row for row in ints[:k]] + [row + [0] * n for row in ints[k:]])
-    if len(h) < 2 * n:
-        raise RankError("both lattices must have full rank %d" % n)
-    return _unscaled([row[n:] for row in h[n:]], den)
 
 
 def factorize(n):

@@ -411,14 +411,17 @@ def _resolvent_data(ring):
     the content).  The tuple is computed on the first call for a ring, with
     every check, and kept in its ``_resolvent`` slot for the later calls.
     An error is not kept: the kind gate runs on every call, and a table that
-    is not associative, or whose minors violate Plucker or all vanish,
-    raises on every call.
+    is not associative, is not in the normalized basis, or whose minors
+    violate Plucker or all vanish, raises on every call.
     """
     if _of(QuarticRing, ring)._resolvent is not None:
         return ring._resolvent
     if not _associative(ring):  # ring_from_pair's rings already hold True
         raise DomainError("resolvents are undefined for a table that is not associative")
-    lam = _lambda_from_c(ring._t)
+    t = ring._t
+    if t[1][2][1] or t[2][3][2] or t[1][3][3]:  # the minors are read off for this basis
+        raise DomainError("resolvents need the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0")
+    lam = _lambda_from_c(t)
     if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
         raise DomainError("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
@@ -457,10 +460,13 @@ def _enlargement(n, h, d, b):
 def count_numerical_resolvents(ring):
     """Number of rank-2 lattices receiving the ring's quadratic structure.
 
-    Equals the sum of divisors of the minor gcd.  Raises
+    Equals the sum of divisors of the minor gcd.  The table must be in the
+    normalized basis of a pair, c_12^1 = c_23^2 = c_13^3 = 0, as the minors
+    are read off it by that basis.  Raises
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
-    :class:`~smallrank.errors.DomainError` when the table is not associative
-    or its minors violate the Plucker relations, so that no pair gives it.
+    :class:`~smallrank.errors.DomainError` when the table is not associative,
+    not in the normalized basis, or its minors violate the Plucker
+    relations, so that no pair gives it.
     Cost: the resolvent data, computed once per ring and shared with
     :func:`pair_from_ring` and :func:`enumerate_numerical_resolvents`, then
     the ``divisors`` of the minor gcd: one ``factorize``, one product each.
@@ -474,6 +480,7 @@ def enumerate_numerical_resolvents(ring):
     Enumerates, for ``n`` the minor gcd, the index-``n`` superlattices of the
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
+    The table must be in the normalized basis (:func:`count_numerical_resolvents`).
     Cost: the resolvent data, computed once per ring and shared with
     :func:`pair_from_ring` and :func:`count_numerical_resolvents`, then one
     ``factorize(n)``, n divisibility tests for the count check, and one
@@ -499,7 +506,9 @@ def pair_from_ring(ring):
     Returns ``(MinimalResolvent(lattice, content), witness_pair)`` where the
     witness is the pair of ternary forms obtained by expressing the intrinsic
     quadratic map in the coordinates of the first enumerated lattice; by
-    construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly.
+    construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly,
+    so the table must be in the normalized basis of a pair
+    (:func:`count_numerical_resolvents`).
     Cost: the resolvent data, computed once per ring and shared with
     :func:`count_numerical_resolvents` and
     :func:`enumerate_numerical_resolvents`, then on every call one 2x2

@@ -3,9 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from test_exactlattice import _oracle_intersect
 
 from smallrank.errors import (
     Degenerate,
@@ -15,7 +17,7 @@ from smallrank.errors import (
     NotInGamma,
     UnsupportedDiscriminant,
 )
-from smallrank.quadforms import compose, discriminant, principal_form, twisted_act
+from smallrank.quadforms import compose, content, discriminant, principal_form, represent, twisted_act
 from smallrank.quadforms import reduce as qreduce
 from smallrank import cubes
 from smallrank.cubes import (
@@ -525,3 +527,57 @@ def test_cube_triple_and_taus_agree_with_fraction_oracle(q):
     for ideals in ((i1, i1, i3), (i2, i1, i3), (i3, i2, i1)):
         other = BalancedTriple(triple.ring, ideals)
         assert _outcome(cube_from_triple, other) == _outcome(_oracle_cube_from_triple, other)
+
+
+def test_scalar_search_checks_that_the_norm_form_value_is_an_integer(monkeypatch):
+    # a colon ideal three times too large has nine times the norm, so the
+    # value [O : Z[xi]] = 1 of a primitive triple would come out as 1/9
+    tr = triple_from_cube(identity_cube(-23))
+    assert triples_equivalent(tr, tr)
+    multiply = cubes.multiply
+    monkeypatch.setattr(cubes, "multiply", lambda i, j: scale(multiply(i, j), (3, 0)))
+    with pytest.raises(InvariantViolation, match="norm form value 1/9"):
+        triples_equivalent(tr, tr)
+
+
+def _oracle_scalar_candidates(src, dst):
+    # the search that triples_equivalent ran before the colon ideal: the
+    # gamma with gamma*src inside dst are the intersection of the lattices
+    # dst*b^-1 over the basis b of src, and those of norm N(dst)/N(src) > 0
+    # scale the covolume of src to that of dst, so gamma*src is all of dst
+    ring = src.ring
+    target = ideal_norm(dst) / ideal_norm(src)
+    inverses = [tuple(c / ring.norm(b) for c in ring.conj(b)) for b in src.basis]
+    lats = [scale(dst, inverse).basis for inverse in inverses]
+    v1, v2 = _oracle_intersect(*lats)
+    aa = ring.norm(v1)
+    bb = ring.trace(ring.mul(v1, ring.conj(v2)))
+    cc = ring.norm(v2)
+    s = lcm(*(Fraction(val).denominator for val in (aa, bb, cc, target)))
+    reps = represent((int(aa * s), int(bb * s), int(cc * s)), int(target * s))
+    return [(m * v1[0] + n * v2[0], m * v1[1] + n * v2[1]) for m, n in reps]
+
+
+# seeded cubes over a negative discriminant, 23 of the 78 with imprimitive
+# forms
+DEFINITE_CUBES = [q for q in _random_cubes(30, 400, bound=3) if ring_of_cube(q).disc < 0]
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DEFINITE_CUBES), st.integers(0, 2), rationals, rationals)
+@example(BOX1, 2, Fraction(1), Fraction(1, 2))  # forms (5, 0, 5): content 5
+@example(tuple(2 * e for e in identity_cube(-3)), 0, Fraction(0), Fraction(-2, 3))  # content 4
+@example(identity_cube(-4), 1, Fraction(1), Fraction(0))  # four units
+def test_scalar_candidates_agree_with_the_intersection_oracle(q, k, x, y):
+    # the candidates gamma with gamma*src == dst for dst = (x + y*xi)*src,
+    # src an ideal of a cube over a negative discriminant
+    assume((x, y) != (0, 0))
+    triple = triple_from_cube(q)
+    src = triple.ideals[k]
+    dst = scale(src, (x, y))
+    got = cubes._scalar_candidates(src, dst)
+    assert sorted(got) == sorted(_oracle_scalar_candidates(src, dst))
+    assert (x, y) in got and all(scale(src, g) == dst for g in got)
+    # one candidate per unit of the multiplier ring, of disc D / content^2
+    assert len(got) == {-3: 6, -4: 4}.get(triple.ring.disc // content(raw_form(src)) ** 2, 2)

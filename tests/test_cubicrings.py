@@ -1,6 +1,7 @@
 """Cubic rings and the binary cubic form dictionary."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from smallrank.cubicrings import (
     ring_from_cubic_form,
     values_mod,
 )
+from smallrank.quarticrings import _maximal_at_p
 
 coeff = st.integers(min_value=-8, max_value=8)
 forms = st.tuples(coeff, coeff, coeff, coeff)
@@ -185,3 +187,20 @@ def test_idempotents():
     # a float height used to let a TypeError escape from range
     with pytest.raises(DomainError, match="need an integer height"):
         idempotents_within(domain, 1.5)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_davenport_heilbronn_count_of_forms_maximal_at_p(p):
+    # among the p^8 binary cubic forms mod p^2, exactly p^8 (1 - p^-2)(1 - p^-3)
+    # give a ring maximal at p (Davenport-Heilbronn, Proc. R. Soc. A 322,
+    # 1971), as maximality at p is a condition mod p^2.  A form of disc 0 is
+    # moved by p^2 * (1, 1, 1, 1), whose disc -16 is not 0, until its disc
+    # is not 0: a polynomial of degree 4 in the number of moves
+    q = p * p
+    maximal = 0
+    for form in product(range(q), repeat=4):
+        while cubic_form_disc(form) == 0:
+            form = tuple(c + q for c in form)
+        ring = ring_from_cubic_form(form)
+        maximal += _maximal_at_p(ring, p, ring.disc())[0]
+    assert maximal == p**3 * (p**2 - 1) * (p**3 - 1)  # 168 at p = 2, 5616 at p = 3

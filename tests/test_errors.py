@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from test_quarticrings import _shifted
 
 from smallrank.cubes import (
     BalancedTriple,
@@ -55,7 +56,7 @@ from smallrank.errors import (
     _ints,
     _matrix,
 )
-from smallrank.exactlattice import divisors, factorize, lattice_intersect
+from smallrank.exactlattice import divisors, factorize
 from smallrank.padic import (
     PadicConfig,
     balanced_count,
@@ -96,6 +97,7 @@ from smallrank.quarticrings import (
     count_numerical_resolvents,
     cubic_resolvent_form,
     disc_match,
+    enumerate_numerical_resolvents,
     is_maximal,
     is_maximal_at_p,
     lambda_system,
@@ -240,6 +242,8 @@ NOT_PLUCKER = QuarticRing(NOT_PLUCKER)
 NOT_ASSOCIATIVE = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
 NOT_ASSOCIATIVE[(1, 2, 0)] += 1
 NOT_ASSOCIATIVE = QuarticRing(NOT_ASSOCIATIVE)
+# the same ring with xi1 shifted by 1: a ring, but not in the normalized basis
+SHIFTED = _shifted(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))), (1, 0, 0))
 T = Fraction(1, 3)
 
 # (entry point, arguments, expected): the error class, or the value returned
@@ -278,9 +282,11 @@ BRANCHES = [
     (ideal_from_form, (F, 5), DomainError),
     (form_from_cubic_ring, (5,), DomainError),
     (QuadIdeal, (5, [(1, 0), (0, 1)]), DomainError),
-    # an argument that is not a form, a basis or a matrix
-    (lattice_intersect, (5, 5), DomainError),
-    (lattice_intersect, (None, None), DomainError),
+    # a ring outside the normalized basis has no resolvent (these three rows
+    # sit where rows of a deleted function were, so the later ids keep their
+    # numbers)
+    (pair_from_ring, (SHIFTED,), DomainError),
+    (count_numerical_resolvents, (SHIFTED,), DomainError),
     # the p = 0 bases of ideal_from_form, written down, first r > 0 (these
     # five rows sit among the others so that the later ids keep their numbers)
     (ideal_from_form, ((0, 1, 3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((T, -T), (1, 0)))),
@@ -288,8 +294,8 @@ BRANCHES = [
     (is_reduced, ((1, 2),), DomainError),
     # ideal_from_form at p = 0, r < 0
     (ideal_from_form, ((0, 1, -3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((-T, T), (1, 0)))),
-    # a row that is not a tuple or a list
-    (lattice_intersect, ([5], [5]), DomainError),
+    # the third resolvent entry point on the shifted ring
+    (enumerate_numerical_resolvents, (SHIFTED,), DomainError),
     # a table whose minors violate the Plucker relations: no pair gives it
     (count_numerical_resolvents, (NOT_PLUCKER,), DomainError),
     # ideal_from_form at p = r = 0 with q > 0 and q < 0, and the zero form
@@ -302,6 +308,8 @@ BRANCHES = [
     (pair_from_ring, (NOT_ASSOCIATIVE,), DomainError),
     # a triple holding an ideal over another presentation of its ring
     (triples_equivalent, (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
+    # a triple whose ideals all live over a ring other than its own
+    (cube_from_triple, (BalancedTriple(QuadraticRing(0, 1), TRIPLE.ideals),), RingMismatch),
 ]
 
 
@@ -370,7 +378,7 @@ def test_every_public_callable_returns_or_raises_a_typed_error():
     # to 3 arguments, the same value in every slot for more
     found = list(_public_callables())
     names = {name for name, _, _ in found}
-    assert len(found) >= 60 and {"QuarticRing", "ideal_from_form", "lattice_intersect"} <= names
+    assert len(found) >= 60 and {"QuarticRing", "ideal_from_form", "factorize"} <= names
     escaped = []
     for name, fn, n in found:
         calls = product(PROBES, repeat=n) if n <= 3 else [(v,) * n for v in PROBES]

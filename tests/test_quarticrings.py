@@ -482,6 +482,48 @@ def test_resolvents_refuse_a_table_that_is_not_associative():
     assert not_ring._resolvent is None
 
 
+def _shifted(ring, s):
+    # the table of ring in the basis 1, xi_i + s_i, an isomorphic ring: an
+    # element w0 + sum w_k*xi_k has there the coordinates w0 - sum w_k*s_k,
+    # w1, w2, w3
+    basis = [(s[i], *(int(i == k) for k in range(3))) for i in range(3)]
+    c = {}
+    for i, j in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        w = ring.mul(basis[i - 1], basis[j - 1])
+        new = (w[0] - sum(a * b for a, b in zip(w[1:], s)), *w[1:])
+        c.update({(i, j, k): new[k] for k in range(4)})
+    return QuarticRing(c)
+
+
+def test_resolvents_refuse_a_table_outside_the_normalized_basis():
+    # xi1 shifted by 1 gives an isomorphic ring with c_13^3 = 1; its minors
+    # were read off by the normalized-basis formula, which then failed the
+    # Plucker relations with a message that blamed the table
+    ring = ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1)))
+    shifted = _shifted(ring, (1, 0, 0))
+    assert _associative(shifted) and shifted._t[1][3][3] == 1
+    assert shifted.disc() == ring.disc() and is_maximal(shifted) == is_maximal(ring)
+    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
+        with pytest.raises(DomainError, match="normalized basis"):
+            entry(shifted)
+    assert _shifted(ring, (0, 0, 0)) == ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms, forms, st.sampled_from((2, 3, 5)), st.booleans(), forms, forms)
+@example((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1), 2, True, (1, 0, 0, 0, 0, 0), (0,) * 6)
+def test_maximality_at_p_is_a_condition_mod_p_squared(a, b, p, scaled, s, t):
+    # the pairs whose ring is maximal at p are cut out by congruences mod p^2
+    # (Bhargava, Ann. Math. 162, 2005): adding p^2 times integers to A and B
+    # never changes the answer.  A scaled by p makes most rings not maximal
+    if scaled:
+        a = tuple(p * v for v in a)
+    moved = tuple(v + p * p * w for v, w in zip(a, s)), tuple(v + p * p * w for v, w in zip(b, t))
+    rings = ring_from_pair((a, b)), ring_from_pair(moved)
+    assume(all(ring.disc() for ring in rings))
+    assert is_maximal_at_p(rings[0], p)[0] == is_maximal_at_p(rings[1], p)[0]
+
+
 def test_maximality_reads_the_associativity_verdict_of_ring_from_pair(monkeypatch):
     # counted, not timed: ring_from_pair leaves True on its ring, so
     # maximality makes no associativity product there; a table built by hand
