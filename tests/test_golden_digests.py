@@ -47,11 +47,14 @@ from smallrank.quadrings import (
 )
 from smallrank.quarticrings import (
     count_numerical_resolvents,
+    cubic_resolvent_form,
+    disc_match,
     enumerate_numerical_resolvents,
     is_maximal,
     is_maximal_at_p,
     nonmaximality_conditions_witness,
     pair_from_ring,
+    resolvent_identity_check,
     ring_from_pair,
 )
 
@@ -242,6 +245,27 @@ def _writedowns():
         yield a, b, _outcome(enumerate_numerical_resolvents, ring_from_pair((a, b)))
 
 
+def _resolvents():
+    # the resolvent form, its discriminant match, the witness pair and the
+    # determinant identity at one seeded point, on seeded pairs: 400 with
+    # entries in [-3, 3], then 100 in [-30, 30], A scaled by 1, 2, 3, 5, 60
+    rng = random.Random(22)
+    for k in range(500):
+        bound = 3 if k < 400 else 30
+        a = tuple((1, 2, 3, 5, 60)[k % 5] * rng.randint(-bound, bound) for _ in range(6))
+        b = tuple(rng.randint(-bound, bound) for _ in range(6))
+        pair = (a, b)
+        x = tuple(rng.randint(-5, 5) for _ in range(3))
+        yield (
+            pair,
+            cubic_resolvent_form(pair),
+            disc_match(pair),
+            _outcome(pair_from_ring, ring_from_pair(pair)),
+            x,
+            resolvent_identity_check(pair, x),
+        )
+
+
 I = ((1, 0), (0, 1))
 PAIR = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))
 SQUARE_ZERO = ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))  # all minors vanish
@@ -324,6 +348,7 @@ FAMILIES = {
     "small_searches": _small_searches,
     "writedowns": _writedowns,
     "triple_equivalences": _triple_equivalences,
+    "resolvents": _resolvents,
 }
 
 
