@@ -154,8 +154,9 @@ def _triple_products(i1, i2, i3):
 
 def _ideals(triple):
     # the three ideals of a triple argument, each checked by errors._of and
-    # checked to live over the triple's ring
+    # checked to live over the triple's ring, itself checked by errors._of
     ring, ideals = _of(BalancedTriple, triple)
+    _of(QuadraticRing, ring)
     if not isinstance(ideals, (tuple, list)) or len(ideals) != 3:
         raise DomainError("a triple holds three ideals, got %r" % (ideals,))
     if any(_of(QuadIdeal, i).ring != ring for i in ideals):

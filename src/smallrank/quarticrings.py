@@ -318,39 +318,28 @@ def ring_from_pair(pair):
     """The quartic ring attached to a pair of integral ternary forms.
 
     The xi-coefficients of the multiplication table are linear in the 2x2
-    minors of the pair.  Associativity forces the constants: for w != v,
-    the xi_w coordinate of (xi_u*xi_v)*xi_w = (xi_u*xi_w)*xi_v is the
-    constant c_uv^0 plus terms in the xi-coefficients alone, and one such
-    instance gives each constant.  Associativity also checks them: any other
-    instance that disagrees is an associator that is not zero.  So the table
-    is checked for associativity on the 9 basis triples (xi_x, xi_y, xi_z)
-    with x < z: the associator changes sign when x and z swap, since the
-    table is commutative, so the other 18 triples add nothing
-    (:func:`_check_associative`).  A failure raises
+    minors of the pair.  Associativity forces the constants, and
+    :func:`_times` computes them.  Let ``t`` be the table rows with every
+    constant 0.  For w != v, the xi_w coordinate of (xi_u*xi_v)*xi_w is
+    c_uv^0 + sum_{k>=1} t[u][v][k]*t[w][k][w], as 1*xi_w has xi_w
+    coordinate 1; that of (xi_u*xi_w)*xi_v is sum_{k>=1}
+    t[u][w][k]*t[v][k][w], as 1*xi_v has no xi_w part.  The two are equal,
+    so c_uv^0 = ``_times(t[u][w], t[v])[w] - _times(t[u][v], t[w])[w]``,
+    one instance (u, v, w) per constant.  The constants go into the dict,
+    not into ``t``, so ``_times`` returns exactly those sums.  Associativity
+    also checks them: any other instance that disagrees is an associator
+    that is not zero.  So the table is checked for associativity on the 9
+    basis triples (xi_x, xi_y, xi_z) with x < z: the associator changes sign
+    when x and z swap, since the table is commutative, so the other 18
+    triples add nothing (:func:`_check_associative`).  A failure raises
     :class:`~smallrank.errors.InvariantViolation`.
     """
-    lam = lambda_system(pair)
-    c = _c_linear_from_lambda(lam)
+    c = _c_linear_from_lambda(lambda_system(pair))
     for i, j in _PAIRS:
         c[(i, j, 0)] = 0
     t = _rows(c)
-
-    def const(u, v, w):
-        # the constant term of xi_u*xi_v forced by (xi_u*xi_v)*xi_w =
-        # (xi_u*xi_w)*xi_v at the coordinate of xi_w, w != v: there the left
-        # side is that constant plus terms in the xi-parts of t, the right
-        # side such terms alone
-        _, a1, a2, a3 = t[u][w]
-        _, b1, b2, b3 = t[u][v]
-        _, m1, m2, m3 = t[v]
-        _, n1, n2, n3 = t[w]
-        return a1 * m1[w] + a2 * m2[w] + a3 * m3[w] - b1 * n1[w] - b2 * n2[w] - b3 * n3[w]
-
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        c[(i, j, 0)] = const(i, j, i)
-    for i, j in ((1, 2), (2, 1), (3, 1)):
-        c[(i, i, 0)] = const(i, i, j)
-
+    for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
+        c[(u, v, 0)] = _times(t[u][w], t[v])[w] - _times(t[u][v], t[w])[w]
     ring = QuarticRing(c)
     _check_associative(ring)
     return ring
@@ -528,38 +517,28 @@ def pair_from_ring(ring):
     return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 
 
-def _tri_product(u, v, w):
-    """Cubic form (p, q, r, s) from the product of three binary linear forms."""
-    p = u[0] * v[0] * w[0]
-    q = u[0] * v[0] * w[1] + u[0] * v[1] * w[0] + u[1] * v[0] * w[0]
-    r = u[0] * v[1] * w[1] + u[1] * v[0] * w[1] + u[1] * v[1] * w[0]
-    s = u[1] * v[1] * w[1]
-    return (p, q, r, s)
-
-
 def cubic_resolvent_form(pair):
     """The integral binary cubic form ``4 det(A x + B y)`` of a pair.
 
-    With ``mu_ij = a_ij x + b_ij y`` ranging over the six coefficient slots,
+    With ``m_ij = a_ij x + b_ij y`` ranging over the six coefficient slots,
     the determinant of the symmetric matrix with halved off-diagonal entries
     expands to the integral cubic
 
-        4 m11 m22 m33 + m12 m13 m23 - m11 m23^2 - m22 m13^2 - m33 m12^2.
+        g(x, y) = 4 m11 m22 m33 + m12 m13 m23 - m11 m23^2 - m22 m13^2 - m33 m12^2.
+
+    The form ``p x^3 + q x^2 y + r x y^2 + s y^3`` is read off g at four
+    points: p = g(1, 0), s = g(0, 1), and g(1, +-1) = p +- q + r +- s, so
+    q = (g(1, 1) - g(1, -1))/2 - s and r = (g(1, 1) + g(1, -1))/2 - p, both
+    divisions exact.
     """
     a, b = _coerce_pair(pair)
-    m = {SIX[n]: (a[n], b[n]) for n in range(6)}
-    total = [0, 0, 0, 0]
 
-    def add(scale, t):
-        for k in range(4):
-            total[k] += scale * t[k]
+    def g(x, y):
+        m11, m22, m33, m12, m13, m23 = (x * u + y * v for u, v in zip(a, b))
+        return 4 * m11 * m22 * m33 + m12 * m13 * m23 - m11 * m23 * m23 - m22 * m13 * m13 - m33 * m12 * m12
 
-    add(4, _tri_product(m[(1, 1)], m[(2, 2)], m[(3, 3)]))
-    add(1, _tri_product(m[(1, 2)], m[(1, 3)], m[(2, 3)]))
-    add(-1, _tri_product(m[(1, 1)], m[(2, 3)], m[(2, 3)]))
-    add(-1, _tri_product(m[(2, 2)], m[(1, 3)], m[(1, 3)]))
-    add(-1, _tri_product(m[(3, 3)], m[(1, 2)], m[(1, 2)]))
-    return tuple(total)
+    p, s, plus, minus = g(1, 0), g(0, 1), g(1, 1), g(1, -1)
+    return p, (plus - minus) // 2 - s, (plus + minus) // 2 - p, s
 
 
 def disc_match(pair):

@@ -310,6 +310,11 @@ BRANCHES = [
     (triples_equivalent, (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
     # a triple whose ideals all live over a ring other than its own
     (cube_from_triple, (BalancedTriple(QuadraticRing(0, 1), TRIPLE.ideals),), RingMismatch),
+    # a triple whose ring is not a ring: the kind gate names it, before the
+    # ideals are compared with it (RingMismatch)
+    (cube_from_triple, (BalancedTriple(None, TRIPLE.ideals),), DomainError),
+    (cube_from_triple, (BalancedTriple(5, TRIPLE.ideals),), DomainError),
+    (triples_equivalent, (TRIPLE, BalancedTriple(None, TRIPLE.ideals)), DomainError),
 ]
 
 

@@ -23,7 +23,7 @@ from test_exactlattice import (
 
 from smallrank import exactlattice, quarticrings
 from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
-from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, ring_from_cubic_form
+from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
     _bareiss,
     _coords2,
@@ -1497,7 +1497,9 @@ def _invariants(pair):
 @example(P_144[0], P_144[1], GL2[4], -1, [((1, 2), 2)])
 def test_quartic_invariants_are_gl2_times_sl3_invariant(a, b, g2, k, moves):
     # g.(A, B) gives an isomorphic ring (Bhargava, HCL III, Thm 1), so its
-    # discriminant, resolvent count and maximality answers do not move
+    # discriminant, resolvent count and maximality answers do not move; the
+    # resolvent form moves by the twisted GL2 action of the cubic rings,
+    # times det(G), for G the GL2 part applied to (A, B)
     (r, s), (t, u) = g2
     a2 = tuple(r * x + s * y + k * (t * x + u * y) for x, y in zip(a, b))
     b2 = tuple(t * x + u * y for x, y in zip(a, b))
@@ -1508,6 +1510,9 @@ def test_quartic_invariants_are_gl2_times_sl3_invariant(a, b, g2, k, moves):
     assert _oracle_mat_det(g3) == 1
     moved = (_substitute(a2, g3), _substitute(b2, g3))
     assert _invariants(moved) == _invariants((a, b))
+    g = ((r + k * t, s + k * u), (t, u))
+    f = cubic_resolvent_form((a, b))
+    assert cubic_resolvent_form(moved) == tuple(mat2_det(g) * e for e in cubic_twisted_act(g, f))
 
 
 # Dedekind's criterion (Cohen, GTM 138, Thm. 6.1.4), an oracle for the
