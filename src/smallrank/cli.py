@@ -397,31 +397,45 @@ def _cmd_stella(n, *index):
 
 # ---------------------------------------------------------------- parser
 
-def _build_parser(argv):
-    # only the subparser that argv[0] names, if it names one: a subparser's
-    # prog, usage, help and errors do not depend on its siblings
+def _add_arguments(parser, handler, params):
+    parser.add_argument("--json", action="store_true", help="emit JSON")
+    for param in params:
+        parser.add_argument(param, **_PARAM_KWARGS.get(param, {"type": int}))
+    parser.set_defaults(handler=handler, params=params)
+
+
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="smallrank",
         description="Exact arithmetic for quadratic forms, cubes of integers, "
         "and the rings they parameterize.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    first = argv[0] if argv else None
-    commands = [c for c in _COMMANDS if c[0] == first] or _COMMANDS
-    for name, handler, help_text, params in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        for param in params:
-            p.add_argument(param, **_PARAM_KWARGS.get(param, {"type": int}))
-        p.set_defaults(handler=handler, params=params)
+    for name, handler, help_text, params in _COMMANDS:
+        _add_arguments(sub.add_parser(name, help=help_text), handler, params)
     return parser
+
+
+def _parse_args(argv):
+    # argv[0] naming a subcommand: its parser alone, built and run as the
+    # full parser's subparsers action would (same prog, so the same usage,
+    # help and errors); the namespace then has no "command".  Any other
+    # argv, and arguments left over, go to the full parser, which reports
+    # them as its own error.
+    for name, handler, _help, params in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog="smallrank " + name)
+            _add_arguments(parser, handler, params)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -1,6 +1,5 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -423,16 +422,21 @@ GOLDEN_FILES = {
 }
 
 
-@pytest.mark.parametrize(
-    "command,code,out,err", GOLDEN["cases"], ids=[case[0] for case in GOLDEN["cases"]]
-)
-def test_golden_output(command, code, out, err, capsys, tmp_path, monkeypatch):
-    if "usage:" in out + err and "%d.%d" % sys.version_info[:2] != GOLDEN["python"]:
-        pytest.skip("argparse words its help and errors differently in other Pythons")
+@pytest.fixture
+def golden_cwd(tmp_path, monkeypatch):
+    # the golden input files in the working directory, help at 80 columns
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     for name, text in GOLDEN_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command,code,out,err", GOLDEN["cases"], ids=[case[0] for case in GOLDEN["cases"]]
+)
+def test_golden_output(command, code, out, err, capsys, golden_cwd):
+    if "usage:" in out + err and "%d.%d" % sys.version_info[:2] != GOLDEN["python"]:
+        pytest.skip("argparse words its help and errors differently in other Pythons")
     assert run(capsys, *shlex.split(command)) == (code, out, err)
 
 
@@ -500,39 +504,62 @@ def test_random_argv_exits_0_1_or_2(fuzz_files, data):
 
 # ------------------------------------------------------------ parser per call
 
-def parse(parser, argv):
-    """vars() of the namespace, the handler by name, or the exit code; and
-    what parsing printed."""
+def parse(parse_args, argv):
+    """vars() of the namespace without "command", the handler by name, or the
+    exit code; and what parsing printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse_args(argv))
+            result.pop("command", None)
             result["handler"] = result["handler"].__name__
         except SystemExit as e:
             result = e.code
     return result, out.getvalue(), err.getvalue()
 
 
+# tokens that leave arguments over after a subcommand's own parse, or that
+# it reads as an option, a separator or a negative number
+TAIL_TOKENS = ["5", "x", "--json", "-h", "--", "--u", "-1", "--foo"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_parser_for_argv_parses_as_the_full_parser(fuzz_files, data):
-    # the parser of all subcommands, built for no argv, is the oracle
+    # the parser of all subcommands is the oracle
     argv = data.draw(random_argv(fuzz_files))
-    assert parse(cli._build_parser(argv), argv) == parse(cli._build_parser([]), argv)
+    argv += data.draw(st.lists(st.sampled_from(TAIL_TOKENS), max_size=2))
+    assert parse(cli._parse_args, argv) == parse(cli._build_parser().parse_args, argv)
 
 
-def subparser_names(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+def _golden_cases(code):
+    # {subcommand: its first golden case with that exit code, --help aside}
+    cases = {}
+    for command, case_code, out, err in GOLDEN["cases"]:
+        if case_code == code and "--help" not in command:
+            cases.setdefault(command.partition(" ")[0], (command, out, err))
+    return cases
 
 
-def test_parser_for_a_subcommand_builds_only_its_subparser():
-    names = [name for name, _handler, _help, _params in cli._COMMANDS]
-    assert len(names) == 17
-    for name in names:
-        assert subparser_names(cli._build_parser([name])) == [name]
-    for argv in ([], ["--help"], ["--json", "reduce"], ["no-such-command"]):
-        assert subparser_names(cli._build_parser(argv)) == names
+def test_a_named_subcommand_builds_no_top_level_parser(capsys, golden_cwd, monkeypatch):
+    def no_full_parser():
+        raise AssertionError("the top-level parser was built")
+
+    cases = _golden_cases(0)
+    assert len(cases) == len(cli._COMMANDS) == 17
+    monkeypatch.setattr(cli, "_build_parser", no_full_parser)
+    for command, out, err in cases.values():
+        assert run(capsys, *shlex.split(command)) == (0, out, err), command
+
+
+def test_each_subcommand_prints_the_same_bytes_when_called_again(capsys, golden_cwd):
+    # a valid call, an argument error and --help, twice in one process: what
+    # a parser reused across calls would have to keep
+    for name, (command, _out, _err) in _golden_cases(0).items():
+        for argv, code in ((shlex.split(command), 0), ([name], 2), ([name, "--help"], 0)):
+            first = run(capsys, *argv)
+            assert first[0] == code, argv
+            assert run(capsys, *argv) == first, argv
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

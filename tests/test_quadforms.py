@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -323,6 +324,38 @@ def test_monoid_table_symmetry_check_survives_optimize_flag():
     assert check == "if table != [list(col) for col in zip(*table)]:"
 
 
+def test_twisted_act_discriminant_check_survives_optimize_flag():
+    # a substitution that returns the form of another discriminant
+    message, check = _raises_under_optimize_flag(
+        "quadforms._form_act = lambda m, f: (1, 0, 1)\n",
+        "quadforms.twisted_act(((1, 0), (0, 1)), (1, 1, 1))",
+    )
+    assert "changed the discriminant" in message
+    assert check == "if discriminant(g) != discriminant(f):"
+
+
+def test_compose_discriminant_check_survives_optimize_flag():
+    # a wrong conductor factor k = gcd(e, n, c1, c2) doubles A, and no B
+    # modulo 2A then gives discriminant d
+    message, check = _raises_under_optimize_flag(
+        "quadforms.gcd = lambda *values: 2\n",
+        "quadforms._compose((1, 1, 1), (1, 1, 1), -3)",
+    )
+    assert "wrong discriminant" in message
+    assert check == "if discriminant((big_a, big_b, big_c)) != d:"
+
+
+def test_reduce_matrix_check_survives_optimize_flag():
+    # the steps are exact on ints, so the check sees only inexact input: an
+    # input check that lets floats through, whose rounding the loop carries
+    message, check = _raises_under_optimize_flag(
+        "quadforms._ints = lambda values, n, what=None: tuple(values)\n",
+        "quadforms.reduce((121.0, -6.043100779701934e17, 7.545261783808707e32))",
+    )
+    assert "reduction matrix does not take" in message
+    assert check == ") != (a, b, c):"
+
+
 def test_class_group_structures():
     assert class_group(-23)[2] == (3,)
     assert class_group(-4)[2] == ()
@@ -495,6 +528,72 @@ def test_class_group_two_rank_is_given_by_genus_theory(d):
     assert sum(1 for f in structure if f % 2 == 0) == mu - 1
     ident = elements.index(principal_form(d))
     assert sum(1 for i in range(len(elements)) if table[i][i] == ident) == 2 ** (mu - 1)
+
+
+def _kronecker(a, n):
+    # Kronecker symbol (a/n) for n >= 1: (a/2) by a mod 8, then the Jacobi
+    # symbol by quadratic reciprocity (Cohen, GTM 138, Algorithm 1.4.10)
+    k = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            k = -k
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                k = -k
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            k = -k
+        a %= n
+    return k if n == 1 else 0
+
+
+def _fundamental(d):
+    # (d0, f) with d = d0 * f^2 and d0 a fundamental discriminant, by trial
+    # division: d = -m * s^2 with m squarefree
+    m, s, p = -d, 1, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m, s = m // (p * p), s * p
+        p += 1
+    return (-m, s) if -m % 4 == 1 else (-4 * m, s // 2)
+
+
+def _dirichlet_class_number(d):
+    # h(d0) = -(w / 2|d0|) * sum_{a=1}^{|d0|-1} (d0/a) * a for fundamental
+    # d0 < 0, then h(d0 f^2) = h(d0) * f / [O*:O_f*] * prod_{p | f} (1 - (d0/p)/p)
+    # (Cox, Primes of the Form x^2 + ny^2, Thm 7.24)
+    d0, f = _fundamental(d)
+    w = {-3: 6, -4: 4}.get(d0, 2)
+    h = Fraction(-w * sum(_kronecker(d0, a) * a for a in range(1, -d0)), -2 * d0)
+    for p in range(2, f + 1):
+        if f % p == 0 and all(p % q for q in range(2, p)):
+            h *= 1 - Fraction(_kronecker(d0, p), p)
+    return h * f / (w // 2 if f > 1 else 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-3)
+@example(-4)
+@example(-3 * 2 * 2)  # the unit index [O*:O_f*] is 3
+@example(-3 * 7 * 7)  # 7 splits
+@example(-3 * 5 * 5)  # 5 is inert
+@example(-3 * 3 * 3)  # 3 ramifies
+@example(-3 * 30 * 30)
+@example(-4 * 2 * 2)  # the unit index is 2; 2 ramifies
+@example(-4 * 3 * 3)  # 3 is inert
+@example(-4 * 5 * 5)  # 5 splits
+@example(-4 * 15 * 15)
+def test_class_number_is_given_by_dirichlet_formula(d):
+    # no reduced form and no composition: h from the L-value sum and the
+    # conductor's local factors
+    assert len(class_group(d)[0]) == _dirichlet_class_number(d)
 
 
 def _count_compositions(monkeypatch):
