@@ -6,8 +6,9 @@ of the surviving rows, entries above each pivot reduced into [0, pivot).
 
 One representation: integer rows over one positive denominator, produced
 by ``_scaled``, and one kernel per primitive on those integers:
-``_hnf_int`` for the HNF, ``_bareiss`` (fraction-free Gauss-Jordan) for
-determinants and the trace-form discriminant, and for coordinates
+``_hnf_int`` for the HNF, ``_bareiss`` for determinants, the trace-form
+discriminant among them (fraction-free elimination below each pivot, with
+no back-substitution, as no caller solves a system), and for coordinates
 ``_hnf_coords`` against a basis already in HNF, by substitution column by
 column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
 ``mat2_det``.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan) gives the reduced
@@ -20,6 +21,7 @@ on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
 
 from fractions import Fraction
 from math import isfinite, isqrt, lcm
+from operator import mul
 
 from .errors import DimensionError, DomainError, RankError, _int
 
@@ -130,26 +132,22 @@ def _unscaled(rows, den):
 
 
 def _bareiss(a):
-    # fraction-free Gauss-Jordan (Bareiss 1968) on integer rows a, n x m with
-    # m >= n, in place; returns the determinant d of the leading n x n block.
-    # Row swaps negate the incoming row, so when d != 0 the leading block
-    # ends as d*I and the trailing columns as adj(leading block) times them.
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
+    # the determinant of a square integer matrix a, not changed, by
+    # fraction-free elimination (Bareiss, Math. Comp. 22, 1968) below each
+    # pivot only: each step divides exactly by the previous pivot and drops
+    # the pivot row and column.  Moving row p up to the top is a cycle of
+    # p + 1 rows, sign (-1)^p
+    sign, prev = 1, 1
+    while a:
+        p = next((i for i, row in enumerate(a) if row[0]), None)
         if p is None:
             return 0
-        if p != k:
-            a[k], a[p] = [-e for e in a[p]], a[k]
-        pivot_row = a[k]
-        pk = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pk * e - f * b) // prev for e, b in zip(a[i], pivot_row)]
+        if p % 2:
+            sign = -sign
+        pk, *top = a[p]
+        a = [[(pk * e - row[0] * b) // prev for e, b in zip(row[1:], top)] for row in a[:p] + a[p + 1 :]]
         prev = pk
-    return prev
+    return sign * prev
 
 
 def _trace(ring, x):
@@ -166,7 +164,7 @@ def _trace_disc(ring):
     t = ring._t
     # Tr(e_k) is the trace of the matrix _t[k]: the sum of its diagonal
     tr = [sum(row[i] for i, row in enumerate(m)) for m in t]
-    return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
+    return _bareiss([[sum(map(mul, e, tr)) for e in m] for m in t])
 
 
 def mat2_det(m):

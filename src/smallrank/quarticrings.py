@@ -212,6 +212,14 @@ class QuarticRing:
         self._t = _rows(table)
         self._resolvent = self._associative = None
 
+    @classmethod
+    def _from_rows(cls, t):
+        # the ring with table rows t, made by _rows from a dict of ints: the
+        # checks of __init__ hold by construction, so none is run
+        ring = cls.__new__(cls)
+        ring._t, ring._resolvent, ring._associative = t, None, None
+        return ring
+
     @property
     def c(self):
         return {(i, j, k): self._t[i][j][k] for i, j in _PAIRS for k in range(4)}
@@ -333,16 +341,29 @@ def ring_from_pair(pair):
     when x and z swap, since the table is commutative, so the other 18
     triples add nothing (:func:`_check_associative`).  A failure raises
     :class:`~smallrank.errors.InvariantViolation`.
+
+    Cost: the 15 minors of the validated pair, 12 row-times-matrix
+    products for the constants and 18 for the associativity check.  The
+    24 entries are ints computed from the minors, so the ring is built
+    with none of the checks of ``QuarticRing(c)`` and its table once.
     """
-    c = _c_linear_from_lambda(lambda_system(pair))
+    ring = _table_of(lambda_system(pair))
+    _check_associative(ring)
+    return ring
+
+
+def _table_of(lam):
+    # the QuarticRing of the minors lam of a pair, its associativity not
+    # checked: ring_from_pair checks it, and pair_from_ring compares the
+    # table with a ring already proven associative.  Every entry is an int
+    # computed from the int minors, so the ring is built by _from_rows
+    c = _c_linear_from_lambda(lam)
     for i, j in _PAIRS:
         c[(i, j, 0)] = 0
     t = _rows(c)
     for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
         c[(u, v, 0)] = _times(t[u][w], t[v])[w] - _times(t[u][v], t[w])[w]
-    ring = QuarticRing(c)
-    _check_associative(ring)
-    return ring
+    return QuarticRing._from_rows(_rows(c))
 
 
 def _times(r, m):
@@ -501,7 +522,12 @@ def pair_from_ring(ring):
     Cost: the resolvent data, computed once per ring and shared with
     :func:`count_numerical_resolvents` and
     :func:`enumerate_numerical_resolvents`, then on every call one 2x2
-    coordinate solve and the witness check, one :func:`ring_from_pair`.
+    coordinate solve and the witness check: the witness's table, built as
+    :func:`ring_from_pair` builds it (12 row-times-matrix products) with no
+    associativity check, compared with the ring's.  The ring passed that
+    check in the resolvent data, so a table equal to it passes it too, and
+    a table that is not equal raises
+    :class:`~smallrank.errors.InvariantViolation`.
     """
     n, mu, h, den = _resolvent_data(ring)
     # the first of enumerate_numerical_resolvents: divisor 1, offset 0
@@ -511,8 +537,7 @@ def pair_from_ring(ring):
     if coords is None:
         raise InvariantViolation("mu-vectors must be integral in lattice coords")
     witness = tuple(zip(*coords))
-    rebuilt = ring_from_pair(witness)
-    if rebuilt != ring:
+    if _table_of(lambda_system(witness)) != ring:
         raise InvariantViolation("witness pair must rebuild the identical table")
     return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 
@@ -584,8 +609,12 @@ def _radical_subspaces(ring, p):
     (a nilpotent element of a rank-n algebra has x^n = 0).  That map is
     Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
     and the RREF of [matrix | I] over F_p ends with the rows [0 | b], an
-    RREF basis B = (b_1..b_s) of its kernel: about 2n*log2(q) products and
-    one n x 2n RREF.  If C is in RREF then so is C*B, with pivot columns
+    RREF basis B = (b_1..b_s) of its kernel.  The row of e_0 = 1 is written
+    down; each other e_i^q is squared once per bit of q below the top one,
+    and multiplied by e_i after each square whose bit is set, left to right:
+    floor(log2(q)) + popcount(q) - 1 products, two at q = 4 and four at
+    q = 9, with no product by 1 and no square past the top bit.  Then one
+    n x 2n RREF.  If C is in RREF then so is C*B, with pivot columns
     those of B picked by C's pivots, and an entry of C*B off B's pivot
     columns depends only on the entries of C to its left.  So the subspaces
     come out in the order of dimension, pivot columns and free entries in
@@ -599,14 +628,15 @@ def _radical_subspaces(ring, p):
     q = p
     while q < n:
         q *= p
-    rows = []
-    for e in unit:
-        power, x, k = unit[0], e, q
-        while k:
-            if k & 1:
-                power = tuple(t % p for t in ring.mul(power, x))
-            x = tuple(t % p for t in ring.mul(x, x))
-            k >>= 1
+    # 1^q = 1 is written down; e_i^q is e_i squared once per bit of q below
+    # the top one and then times e_i if that bit is set, left to right
+    rows = [unit[0] + unit[0]]
+    for e in unit[1:]:
+        power = e
+        for bit in bin(q)[3:]:
+            power = tuple(t % p for t in ring.mul(power, power))
+            if bit == "1":
+                power = tuple(t % p for t in ring.mul(power, e))
         rows.append(power + e)
     radical = [row[n:] for row in _rref_mod_p(rows, p) if not any(row[:n])]
     s = len(radical)
@@ -669,8 +699,10 @@ def is_maximal_at_p(ring, p):
     Cost: the associativity verdict, 18 row-times-matrix products once per
     ring (a ring from :func:`ring_from_pair` already holds it), and one
     discriminant, and nothing more when p^2 does not divide it.
-    Otherwise the radical, about 2n*log2(q) products and one n x 2n RREF
-    over F_p (n = 4: q = 4 at p = 2, 9 at p = 3, else p), then at most
+    Otherwise the radical, n - 1 powers e_i^q of floor(log2(q)) +
+    popcount(q) - 1 products each and one n x 2n RREF over F_p (n = 4:
+    6 products at p = 2, q = 4; 12 at p = 3, q = 9; at most 6*log2(p) at
+    p > 3, q = p), then at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
     for a candidate of dimension r.  No integer HNF is built.  The walk
     stays O(p^2): the totally ramified pair
@@ -736,8 +768,7 @@ def is_maximal(ring):
     ``factorize(|disc|)``, then for each prime p with p^2 | disc the walk
     of :func:`is_maximal_at_p`: at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
-    after a radical of about 2n*log2(q) products and one n x 2n RREF over
-    F_p.  It stops at the first prime where the ring is not maximal.
+    after a radical of (n - 1) powers e_i^q and one n x 2n RREF over F_p.  It stops at the first prime where the ring is not maximal.
     """
     d = _nonzero_disc(ring)
     for p, e in factorize(abs(d)).items():

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import smallrank
 from smallrank.errors import DimensionError, DomainError, RankError
@@ -58,6 +58,32 @@ def _oracle_hnf_canonicalize(basis):
     return _unscaled(hnf, den)
 
 
+# The fraction-free Gauss-Jordan solve that _bareiss ran before it kept the
+# determinant alone; kept as the solve of the coordinate oracles and as the
+# oracle of the determinant.
+def _oracle_bareiss_solve(a):
+    # fraction-free Gauss-Jordan (Bareiss 1968) on integer rows a, n x m with
+    # m >= n, in place; returns the determinant d of the leading n x n block.
+    # Row swaps negate the incoming row, so when d != 0 the leading block
+    # ends as d*I and the trailing columns as adj(leading block) times them.
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = [-e for e in a[p]], a[k]
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * e - f * b) // prev for e, b in zip(a[i], pivot_row)]
+        prev = pk
+    return prev
+
+
 def _oracle_mat_det(rows):
     """Determinant of a square rational matrix, as a Fraction."""
     ints, den = _scaled(rows)
@@ -81,17 +107,12 @@ def _oracle_lattice_coords(basis, vectors):
     ints, _ = _scaled(rows)  # the common denominator cancels
     # basis^T x^T = v^T: Bareiss on [basis^T | vectors^T] leaves det * x^T
     aug = [list(col) for col in zip(*ints)]
-    det = _bareiss(aug)
+    det = _oracle_bareiss_solve(aug)
     if not n or not det:
         raise RankError("singular or empty basis")
     if any(e % det for row in aug for e in row[n:]):
         return None
     return tuple(zip(*([e // det for e in row[n:]] for row in aug)))
-
-
-def _det(rows):
-    # the Bareiss determinant of integer rows, on a copy
-    return _bareiss([list(row) for row in rows])
 
 
 # Reference Gaussian eliminations over Fraction, the implementation that the
@@ -167,17 +188,45 @@ def _identity(n, scalar=1):
 
 @given(square_matrices())
 def test_det_and_inverse_agree_with_fraction_oracle(m):
-    # Bareiss on [m | I], m scaled to integer rows over den: the determinant,
-    # then d*I and the adjugate d * m^-1 when d != 0
+    # the Gauss-Jordan solve on [m | I], m scaled to integer rows over den:
+    # the determinant, then d*I and the adjugate d * m^-1 when d != 0
     det = _oracle_det(m)
     n = len(m)
     ints, den = _scaled(m)
     aug = [row + e for row, e in zip(ints, _identity(n))]
-    d = _bareiss(aug)
-    assert Fraction(d, den**n) == det
+    d = _oracle_bareiss_solve(aug)
+    assert Fraction(d, den**n) == det == Fraction(_bareiss(ints), den**n)
     if d:
         assert [row[:n] for row in aug] == _identity(n, d)
         assert [row[n:] for row in aug] == [[d * e for e in row] for row in _oracle_inv(ints)]
+
+
+@st.composite
+def integer_square_matrices(draw):
+    # integer matrices up to 5 x 5, about half of them singular, with the
+    # first k columns zeroed in the top rows, so that the pivot search must
+    # move a row up, at more than one step when k > 1
+    rows = draw(square_matrices(st.integers(-9, 9)))
+    k, top = draw(st.integers(0, len(rows))), draw(st.integers(0, len(rows)))
+    for row in rows[:top]:
+        row[:k] = [0] * k
+    return rows
+
+
+@given(integer_square_matrices())
+@example([[0, 1], [1, 0]])  # one swap: -1
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # the first pivot in row 2: -1
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # a 3-cycle of rows: 1
+@example([[0, 2, 3], [0, 4, 5], [0, 6, 7]])  # a zero column: 0
+@example([[2, 4, 6], [1, 2, 3], [0, 1, 1]])  # singular after one step: 0
+@example([[0, 0, 0, 0, 3], [0, 0, 0, 2, 0], [0, 0, 1, 0, 0], [0, 5, 0, 0, 0], [7, 0, 0, 0, 0]])
+def test_determinant_agrees_with_gauss_jordan_oracle(m):
+    # the elimination below each pivot against the Gauss-Jordan solve, which
+    # works in place on a copy; _bareiss leaves its argument as it was
+    copy = [row[:] for row in m]
+    d = _bareiss(m)
+    assert m == copy
+    assert d == _oracle_bareiss_solve(copy) == _oracle_det(m)
 
 
 @st.composite
@@ -288,7 +337,7 @@ def test_det_of_integer_matrix_is_an_integral_fraction(m):
     # Bareiss divides exactly: an int, the integral Fraction of the oracle
     det = _oracle_det(m)
     assert det.denominator == 1
-    d = _det(m)
+    d = _bareiss(m)
     assert type(d) is int and d == det
 
 
@@ -322,9 +371,9 @@ def test_hnf_shape_and_idempotence():
         )
         h = _hnf_int(basis)
         if len(h) < n:
-            assert _det(basis) == 0
+            assert _bareiss(basis) == 0
             continue
-        assert _det(basis) != 0
+        assert _bareiss(basis) != 0
         # pivots positive, entries above each pivot reduced into [0, pivot)
         for i in range(n):
             assert h[i][i] > 0
@@ -368,9 +417,9 @@ def test_mat_inverse_and_solve():
     for _ in range(50):
         n = rng.choice((2, 3, 4))
         m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        # Bareiss on [m | I] leaves adj(m) in the trailing columns
+        # the Gauss-Jordan solve on [m | I] leaves adj(m) in the trailing columns
         aug = [list(row) + e for row, e in zip(m, _identity(n))]
-        det = _bareiss(aug)
+        det = _oracle_bareiss_solve(aug)
         assert det == _oracle_det(m)
         if det == 0:
             continue
@@ -397,13 +446,13 @@ def test_det_multiplicative():
     for _ in range(50):
         a = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
         b = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        assert _det(_oracle_mat_mul(a, b)) == _det(a) * _det(b)
+        assert _bareiss(_oracle_mat_mul(a, b)) == _bareiss(a) * _bareiss(b)
 
 
 def test_index_contains_intersect():
     ident = ((1, 0), (0, 1))
     double = ((2, 0), (0, 2))
-    assert _det(double) // _det(ident) == 4
+    assert _bareiss(double) // _bareiss(ident) == 4
     assert _coords2(ident, [(7, -3)]) == ((7, -3),)
     assert _coords2(double, [(1, 0)]) is None
     # the intersection oracle comes out in HNF

@@ -214,6 +214,48 @@ def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
         assert len(calls) <= 18
 
 
+def test_tables_from_pairs_are_built_once_and_checked_once(monkeypatch):
+    # structural guard: ring_from_pair builds its ring with none of the
+    # checks of QuarticRing(c), and pair_from_ring rebuilds the witness's
+    # table with the 12 constant products alone, no associativity check;
+    # counted, not timed
+    pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
+    rings = [ring_from_pair(pair) for pair in pairs]
+    for ring in rings:
+        _resolvent_data(ring)
+
+    def fail(self, c):
+        raise RuntimeError("QuarticRing(c) called")
+
+    products = []
+    times = quarticrings._times
+    monkeypatch.setattr(QuarticRing, "__init__", fail)
+    monkeypatch.setattr(quarticrings, "_times", lambda r, m: products.append(1) or times(r, m))
+    for pair, ring in zip(pairs, rings):
+        assert ring_from_pair(pair) == ring
+        products.clear()
+        pair_from_ring(ring)
+        assert len(products) == 12
+    monkeypatch.undo()
+    assert all(QuarticRing(ring.c) == ring for ring in rings)
+
+
+@pytest.mark.parametrize("p, products", [(2, 6), (3, 12), (5, 9), (7, 12), (11, 15), (13, 15)])
+def test_radical_powers_make_no_product_by_one(monkeypatch, p, products):
+    # counted, not timed: e_0^q = 1 is written down, and each of the three
+    # other e_i^q takes floor(log2(q)) + popcount(q) - 1 products, q = 4 at
+    # p = 2, 9 at p = 3, else p; the walk that follows makes none
+    ring = ring_from_pair(((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0)))
+    calls = []
+    mul = QuarticRing.mul
+    monkeypatch.setattr(QuarticRing, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    walk = list(_radical_subspaces(ring, p))
+    q = {2: 4, 3: 9}.get(p, p)
+    assert len(calls) == products == 3 * (q.bit_length() - 1 + bin(q).count("1") - 1)
+    monkeypatch.undo()
+    assert walk == list(_oracle_radical_subspaces(ring, p))
+
+
 def test_enumerate_numerical_resolvents_factorizes_once(monkeypatch):
     # one factorize of the content: divisors(n) makes it, the count check none
     calls = []
@@ -1330,8 +1372,10 @@ def test_table_self_checks_survive_optimize_flag():
     # a perturbed constant fails the associativity check, and so does a
     # perturbed xi-coefficient, as its constants no longer fit; a closure
     # test that accepts every candidate fails the witness check, doubled
-    # minors the mu-vector check of the resolvent data on its first use, and
-    # a witness pair that rebuilds another table the check in pair_from_ring,
+    # minors the mu-vector check of the resolvent data on its first use, a
+    # witness pair that rebuilds another table the check in pair_from_ring,
+    # coordinates that are not integral its integrality check, and a
+    # missing divisor the lattice count of enumerate_numerical_resolvents,
     # under python -O too
     src = os.path.dirname(os.path.dirname(quarticrings.__file__))
     code = (
@@ -1369,9 +1413,22 @@ def test_table_self_checks_survive_optimize_flag():
         "ring = q.ring_from_pair(pair)\n"
         "c = dict(ring.c)\n"
         "c[(1, 2, 0)] += 1\n"
-        "q.ring_from_pair = lambda witness: q.QuarticRing(c)\n"
+        "table_of = q._table_of\n"
+        "q._table_of = lambda lam: q.QuarticRing(c)\n"
         "try:\n"
         "    q.pair_from_ring(ring)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "q._table_of = table_of\n"
+        "q._coords2 = lambda rows, vectors: None\n"
+        "try:\n"
+        "    q.pair_from_ring(q.ring_from_pair(pair))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "divisors = q.divisors\n"
+        "q.divisors = lambda n: divisors(n)[:-1]\n"
+        "try:\n"
+        "    q.enumerate_numerical_resolvents(q.ring_from_pair((tuple(6 * v for v in pair[0]), pair[1])))\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
     )
@@ -1386,6 +1443,8 @@ def test_table_self_checks_survive_optimize_flag():
         "enlargement witness is not closed under multiplication",
         "mu realization does not reproduce the minors",
         "witness pair must rebuild the identical table",
+        "mu-vectors must be integral in lattice coords",
+        "need sigma(6) resolvent lattices, got 6",
     ]
 
 
