@@ -628,8 +628,6 @@ def _radical_subspaces(ring, p):
     q = p
     while q < n:
         q *= p
-    # 1^q = 1 is written down; e_i^q is e_i squared once per bit of q below
-    # the top one and then times e_i if that bit is set, left to right
     rows = [unit[0] + unit[0]]
     for e in unit[1:]:
         power = e
@@ -768,7 +766,8 @@ def is_maximal(ring):
     ``factorize(|disc|)``, then for each prime p with p^2 | disc the walk
     of :func:`is_maximal_at_p`: at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
-    after a radical of (n - 1) powers e_i^q and one n x 2n RREF over F_p.  It stops at the first prime where the ring is not maximal.
+    after a radical of n - 1 powers e_i^q and one n x 2n RREF over F_p.
+    It stops at the first prime where the ring is not maximal.
     """
     d = _nonzero_disc(ring)
     for p, e in factorize(abs(d)).items():
