@@ -16,25 +16,35 @@ the generators.
 from math import gcd
 
 from .errors import DomainError, NotUnimodular, _int, _ints, _matrix, _of
-from .exactlattice import _form_act, _trace, _trace_disc, mat2_det
+from .exactlattice import _Ring, _form_act, mat2_det
 
 
-class CubicRing:
+class CubicRing(_Ring):
     """Cubic ring with normalized multiplication table, determined by (a, b, e, f).
 
-    ``ell``, ``m`` and ``n`` are the constant terms of xi1^2, xi1*xi2 and
-    xi2^2, and ``_t`` is the table over (1, xi1, xi2).
+    The ring holds its table ``_t`` over (1, xi1, xi2) alone.  ``a``, ``b``,
+    ``e``, ``f`` and ``ell``, ``m``, ``n``, the constant terms of xi1^2,
+    xi1*xi2 and xi2^2, are read-only views of it.
     """
+
+    __slots__ = ()
 
     def __init__(self, a, b, e, f):
         a, b, e, f = _ints((a, b, e, f), 4)
-        self.a, self.b, self.e, self.f = a, b, e, f
-        self.ell, self.m, self.n = -b * f, b * e, -a * e
+        ell, m, n = -b * f, b * e, -a * e
         self._t = (
             ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-            ((0, 1, 0), (self.ell, a, b), (self.m, 0, 0)),
-            ((0, 0, 1), (self.m, 0, 0), (self.n, e, f)),
+            ((0, 1, 0), (ell, a, b), (m, 0, 0)),
+            ((0, 0, 1), (m, 0, 0), (n, e, f)),
         )
+
+    ell = property(lambda self: self._t[1][1][0])
+    a = property(lambda self: self._t[1][1][1])
+    b = property(lambda self: self._t[1][1][2])
+    m = property(lambda self: self._t[1][2][0])
+    n = property(lambda self: self._t[2][2][0])
+    e = property(lambda self: self._t[2][2][1])
+    f = property(lambda self: self._t[2][2][2])
 
     @classmethod
     def from_table(cls, ell, m, n, a, b, c, d, e, f):
@@ -60,22 +70,12 @@ class CubicRing:
         """Product of two elements given as coordinate triples over (1, xi1, xi2)."""
         x0, x1, x2 = x
         y0, y1, y2 = y
+        _, (_, (ell, a, b), (m, _, _)), (_, _, (n, e, f)) = self._t
         return (
-            x0 * y0 + x1 * y1 * self.ell + (x1 * y2 + x2 * y1) * self.m + x2 * y2 * self.n,
-            x0 * y1 + x1 * y0 + x1 * y1 * self.a + x2 * y2 * self.e,
-            x0 * y2 + x2 * y0 + x1 * y1 * self.b + x2 * y2 * self.f,
+            x0 * y0 + x1 * y1 * ell + (x1 * y2 + x2 * y1) * m + x2 * y2 * n,
+            x0 * y1 + x1 * y0 + x1 * y1 * a + x2 * y2 * e,
+            x0 * y2 + x2 * y0 + x1 * y1 * b + x2 * y2 * f,
         )
-
-    trace = _trace
-    disc = _trace_disc
-
-    def __eq__(self, other):
-        return isinstance(other, CubicRing) and (
-            (self.a, self.b, self.e, self.f) == (other.a, other.b, other.e, other.f)
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.e, self.f))
 
     def __repr__(self):
         return "CubicRing(a=%d, b=%d, e=%d, f=%d)" % (self.a, self.b, self.e, self.f)

@@ -17,6 +17,8 @@ and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that public
 functions return.  ``_form_act``, the substitution of a binary form of
 any degree, is behind every GL2 action of the package: the twisted actions
 on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
+``_Ring`` is the one ring state of every rank, its table ``_t``, which
+``_trace`` and ``_trace_disc`` read.
 """
 
 from fractions import Fraction
@@ -165,6 +167,26 @@ def _trace_disc(ring):
     # Tr(e_k) is the trace of the matrix _t[k]: the sum of its diagonal
     tr = [sum(row[i] for i, row in enumerate(m)) for m in t]
     return _bareiss([[sum(map(mul, e, tr)) for e in m] for m in t])
+
+
+class _Ring:
+    """A based ring of any rank, held as its table ``_t`` and nothing else.
+
+    Traces, the discriminant, equality and the hash read ``_t`` alone, and
+    the named coefficients of a subclass are read-only views of it, so no
+    second copy of the table can drift from it.
+    """
+
+    __slots__ = ("_t",)
+
+    trace = _trace
+    disc = _trace_disc
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._t == other._t
+
+    def __hash__(self):
+        return hash(self._t)
 
 
 def mat2_det(m):

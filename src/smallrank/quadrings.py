@@ -1,15 +1,16 @@
 """Quadratic rings over Z and their fractional ideals.
 
-A ring is Z[xi] with xi^2 = t*xi - u, stored as the pair (t, u) exactly as
-given (no silent normalization, so raw presentations coming out of cube
-computations survive round trips).  Elements are coordinate pairs (x, y)
-meaning x + y*xi.  Ideals are rank-2 lattices in Q^2 stable under
-multiplication by xi, stored as integer rows over their least
-denominator.
+A ring is Z[xi] with xi^2 = t*xi - u, stored as its table over (1, xi)
+with (t, u) exactly as given (no silent normalization, so raw
+presentations coming out of cube computations survive round trips).
+Elements are coordinate pairs (x, y) meaning x + y*xi.  Ideals are rank-2
+lattices in Q^2 stable under multiplication by xi, stored as integer rows
+over their least denominator.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import (
     DimensionError,
@@ -23,18 +24,26 @@ from .errors import (
     _ints,
     _of,
 )
-from .exactlattice import _coords2, _hnf_int, _scaled, _trace, _unscaled, mat2_det
+from .exactlattice import _Ring, _coords2, _hnf_int, _scaled, _unscaled, mat2_det
 from .quadforms import (
     _disc_tu, _form_table, content, discriminant, enumerate_reduced, reduce, twisted_act,
 )
 
 
-class QuadraticRing:
-    """Z[xi] with xi^2 = t*xi - u, and its table ``_t`` over (1, xi)."""
+class QuadraticRing(_Ring):
+    """Z[xi] with xi^2 = t*xi - u, held as its table ``_t`` over (1, xi) alone.
+
+    ``t`` and ``u`` are read-only views of the row xi*xi = (-u, t).
+    """
+
+    __slots__ = ()
 
     def __init__(self, t, u):
-        self.t, self.u = _ints((t, u), 2)
+        t, u = _ints((t, u), 2)
         self._t = (((1, 0), (0, 1)), ((0, 1), (-u, t)))
+
+    t = property(lambda self: self._t[1][1][1])
+    u = property(lambda self: -self._t[1][1][0])
 
     @property
     def disc(self):
@@ -45,9 +54,10 @@ class QuadraticRing:
         return ring_from_disc(self.disc)
 
     def mul(self, x, y):
+        _, (_, (v, t)) = self._t  # xi^2 = v + t*xi
         return (
-            x[0] * y[0] - self.u * x[1] * y[1],
-            x[0] * y[1] + x[1] * y[0] + self.t * x[1] * y[1],
+            x[0] * y[0] + v * x[1] * y[1],
+            x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1],
         )
 
     def conj(self, x):
@@ -55,14 +65,6 @@ class QuadraticRing:
 
     def norm(self, x):
         return x[0] * x[0] + self.t * x[0] * x[1] + self.u * x[1] * x[1]
-
-    trace = _trace
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticRing) and (self.t, self.u) == (other.t, other.u)
-
-    def __hash__(self):
-        return hash((self.t, self.u))
 
     def __repr__(self):
         return "QuadraticRing(t=%d, u=%d)" % (self.t, self.u)
@@ -78,8 +80,18 @@ class QuadIdeal:
 
     ``rows`` and ``den`` hold the basis as integer rows over one
     denominator, ``den`` the least positive such; the ideal arithmetic runs
-    on them.  ``basis`` is the same basis as ``Fraction`` rows, ``rows / den``.
+    on them.  ``basis`` is the same basis as ``Fraction`` rows, ``rows / den``,
+    and ``xi`` the matrix of multiplication by xi on it.  ``ring``, ``rows``,
+    ``den`` and ``xi`` are read-only, so the form read off ``xi`` cannot
+    drift from the lattice that equality and the hash compare.
     """
+
+    __slots__ = ("_ring", "_rows", "_den", "_xi")
+
+    ring = property(attrgetter("_ring"))
+    rows = property(attrgetter("_rows"))
+    den = property(attrgetter("_den"))
+    xi = property(attrgetter("_xi"))
 
     def __init__(self, ring, basis):
         _of(QuadraticRing, ring)
@@ -101,13 +113,13 @@ class QuadIdeal:
         return ideal
 
     def _set(self, ring, rows, den):
-        self.ring, self.rows, self.den = ring, tuple(map(tuple, rows)), den
+        self._ring, self._rows, self._den = ring, tuple(map(tuple, rows)), den
         # matrix X with xi*eta_i = X[0][i]*eta_1 + X[1][i]*eta_2; RankError
         # if the rows are dependent
-        x = _coords2(self.rows, [ring.mul((0, 1), row) for row in self.rows])
+        x = _coords2(self._rows, [ring.mul((0, 1), row) for row in self._rows])
         if x is None:
             raise NotAModule("lattice is not xi-stable over %r" % ring)
-        self.xi = tuple(zip(*x))
+        self._xi = tuple(zip(*x))
 
     @property
     def basis(self):

@@ -34,14 +34,13 @@ from math import gcd
 
 from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints, _of
 from .exactlattice import (
+    _Ring,
     _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_from_rref,
     _hnf_int,
     _rref_mod_p,
-    _trace,
-    _trace_disc,
     _unscaled,
     divisors,
     factorize,
@@ -149,11 +148,6 @@ def plucker_check(lam):
         _ints([lam[k] for k in _MINORS], 15, "minors")
     except KeyError as e:
         raise DomainError("the minor system has no minor %r" % (e.args[0],))
-    return _plucker_holds(lam)
-
-
-def _plucker_holds(lam):
-    # plucker_check on the 15 int minors of a dict known to hold them
     for wx, yz, wy, xz, wz, xy in _PLUCKER:
         if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
             return False
@@ -176,30 +170,31 @@ def _rows(c):
     return (_UNIT, (u1, a, b, d), (u2, b, e, f), (u3, d, f, g))
 
 
-class QuarticRing:
+class QuarticRing(_Ring):
     """A commutative unital ring, free of rank 4 over Z.
 
     Elements are 4-tuples ``(x0, x1, x2, x3)`` standing for
     ``x0 + x1*xi1 + x2*xi2 + x3*xi3``.  The full multiplication table is
     supplied as a dict ``c`` with keys ``(i, j, k)`` for ``1 <= i <= j <= 3``
-    and ``0 <= k <= 3``; a non-dict, a missing key or a non-``int`` entry is
-    a :class:`~smallrank.errors.DomainError`.  The ring keeps one table,
-    ``_t``, which products, traces and the self-checks read: ``_t[i][j]`` is
-    the coordinate tuple of ``e_i * e_j`` in the basis ``e_0 = 1, e_1 = xi1,
-    e_2 = xi2, e_3 = xi3``, unit row and both orders included, so ``_t[i]``
-    is the matrix of multiplication by ``e_i``.  The property ``c`` reads
-    the 24 entries back off ``_t`` as a new dict on every access.
-    Associativity is not checked here (:func:`ring_from_pair` and the
-    maximality tests do).
+    and ``0 <= k <= 3``; a non-dict, a missing key, a non-``int`` entry or
+    a table that is not associative is a
+    :class:`~smallrank.errors.DomainError`.  So every ``QuarticRing`` is a
+    ring, checked once, when it is built (:func:`_associative`, 18
+    row-times-matrix products), and no later entry point checks it again.
+    The ring keeps one table, ``_t``, which products, traces and the
+    self-checks read: ``_t[i][j]`` is the coordinate tuple of ``e_i * e_j``
+    in the basis ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and
+    both orders included, so ``_t[i]`` is the matrix of multiplication by
+    ``e_i``.  The property ``c`` reads the 24 entries back off ``_t`` as a
+    new dict on every access.
 
-    Two slots hold what is derived on first use, computed at most once per
+    One slot holds what is derived on first use, computed at most once per
     ring: ``_resolvent``, the tuple of :func:`_resolvent_data`, which
-    :func:`pair_from_ring` and both resolvent counts read, and
-    ``_associative``, the verdict of :func:`_associative`.  Both start as
+    :func:`pair_from_ring` and both resolvent counts read.  It starts as
     ``None``, and an error is never kept, so it is raised on every call.
     """
 
-    __slots__ = ("_t", "_resolvent", "_associative")
+    __slots__ = ("_resolvent",)
 
     def __init__(self, c):
         if not isinstance(c, dict):
@@ -210,25 +205,21 @@ class QuarticRing:
             raise DomainError("multiplication table is missing entry %r" % (e.args[0],))
         _ints(tuple(table.values()), 24, "table entries")
         self._t = _rows(table)
-        self._resolvent = self._associative = None
+        if not _associative(self._t):
+            raise DomainError("multiplication table is not associative")
+        self._resolvent = None
 
     @classmethod
     def _from_rows(cls, t):
-        # the ring with table rows t, made by _rows from a dict of ints: the
-        # checks of __init__ hold by construction, so none is run
+        # the ring with table rows t, made by _rows from a dict of ints, its
+        # associativity not checked: its builder _table_of says who does
         ring = cls.__new__(cls)
-        ring._t, ring._resolvent, ring._associative = t, None, None
+        ring._t, ring._resolvent = t, None
         return ring
 
     @property
     def c(self):
         return {(i, j, k): self._t[i][j][k] for i, j in _PAIRS for k in range(4)}
-
-    def __eq__(self, other):
-        return isinstance(other, QuarticRing) and self._t == other._t
-
-    def __hash__(self):
-        return hash(self._t)
 
     def __repr__(self):
         return "QuarticRing(%r)" % (self.c,)
@@ -255,16 +246,10 @@ class QuarticRing:
             x0 * y3 + x3 * y0 + s11 * a[3] + s12 * b[3] + s13 * c[3] + s22 * d[3] + s23 * e[3] + s33 * f[3],
         )
 
-    trace = _trace
-    disc = _trace_disc
-
 
 def _nonzero_disc(ring):
-    # the discriminant of a quartic ring that maximality is defined for: a
-    # table that is associative, so a ring, and of nonzero discriminant
-    if not _associative(_of(QuarticRing, ring)):
-        raise DomainError("maximality is undefined for a table that is not associative")
-    d = ring.disc()
+    # the discriminant of a quartic ring, which maximality needs nonzero
+    d = _of(QuarticRing, ring).disc()
     if d == 0:
         raise DegenerateRing("maximality is undefined for discriminant zero")
     return d
@@ -337,26 +322,25 @@ def ring_from_pair(pair):
     not into ``t``, so ``_times`` returns exactly those sums.  Associativity
     also checks them: any other instance that disagrees is an associator
     that is not zero.  So the table is checked for associativity on the 9
-    basis triples (xi_x, xi_y, xi_z) with x < z: the associator changes sign
-    when x and z swap, since the table is commutative, so the other 18
-    triples add nothing (:func:`_check_associative`).  A failure raises
-    :class:`~smallrank.errors.InvariantViolation`.
+    basis triples (xi_x, xi_y, xi_z) with x < z (:func:`_associative`), and
+    a failure raises :class:`~smallrank.errors.InvariantViolation`.
 
     Cost: the 15 minors of the validated pair, 12 row-times-matrix
     products for the constants and 18 for the associativity check.  The
     24 entries are ints computed from the minors, so the ring is built
-    with none of the checks of ``QuarticRing(c)`` and its table once.
+    with none of the other checks of ``QuarticRing(c)`` and its table once.
     """
     ring = _table_of(lambda_system(pair))
-    _check_associative(ring)
+    if not _associative(ring._t):
+        raise InvariantViolation("associativity failure in constructed table")
     return ring
 
 
 def _table_of(lam):
     # the QuarticRing of the minors lam of a pair, its associativity not
     # checked: ring_from_pair checks it, and pair_from_ring compares the
-    # table with a ring already proven associative.  Every entry is an int
-    # computed from the int minors, so the ring is built by _from_rows
+    # table with a QuarticRing, which is associative.  Every entry is an
+    # int computed from the int minors, so the ring is built by _from_rows
     c = _c_linear_from_lambda(lam)
     for i, j in _PAIRS:
         c[(i, j, 0)] = 0
@@ -378,8 +362,8 @@ def _times(r, m):
     )
 
 
-def _associative(ring):
-    """Whether the table of a QuarticRing is associative, kept on the ring.
+def _associative(t):
+    """Whether the table rows ``t`` of a rank-4 ring are associative.
 
     The associator a(x, y, z) = (xy)z - x(yz) is trilinear and vanishes when
     an argument is 1, so the ring is associative iff it vanishes on the 27
@@ -388,27 +372,16 @@ def _associative(ring):
     a(z, y, x) = (zy)x - z(yx) = x(yz) - (xy)z = -a(x, y, z).  Hence
     a(x, y, x) = 0, and a(x, y, z) with x > z is minus a(z, y, x): the 9
     triples with x < z suffice.  Each side is a table row times one xi:
-    (xi_x*xi_y)*xi_z is the row ``_t[x][y]`` times the matrix ``_t[z]`` of
-    multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``_t[y][z]`` times
-    ``_t[x]``.  The verdict is computed once, into the ring's
-    ``_associative`` slot, so a ring from :func:`ring_from_pair` already
-    holds ``True``.
+    (xi_x*xi_y)*xi_z is the row ``t[x][y]`` times the matrix ``t[z]`` of
+    multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``t[y][z]`` times
+    ``t[x]``: 18 row-times-matrix products in all.
     """
-    if ring._associative is None:
-        t = ring._t
-        ring._associative = all(
-            _times(t[x][y], t[z]) == _times(t[y][z], t[x])
-            for x in (1, 2)
-            for z in range(x + 1, 4)
-            for y in (1, 2, 3)
-        )
-    return ring._associative
-
-
-def _check_associative(ring):
-    """Raise ``InvariantViolation`` unless :func:`_associative` holds."""
-    if not _associative(ring):
-        raise InvariantViolation("associativity failure in constructed table")
+    return all(
+        _times(t[x][y], t[z]) == _times(t[y][z], t[x])
+        for x in (1, 2)
+        for z in range(x + 1, 4)
+        for y in (1, 2, 3)
+    )
 
 
 def _resolvent_data(ring):
@@ -421,19 +394,18 @@ def _resolvent_data(ring):
     the content).  The tuple is computed on the first call for a ring, with
     every check, and kept in its ``_resolvent`` slot for the later calls.
     An error is not kept: the kind gate runs on every call, and a table that
-    is not associative, is not in the normalized basis, or whose minors
-    violate Plucker or all vanish, raises on every call.
+    is not in the normalized basis, or whose minors all vanish, raises on
+    every call.  The minors satisfy the Plucker relations: a QuarticRing is
+    associative, so in the normalized basis its constants are forced and
+    its table is that of :func:`ring_from_pair` on its own minors, whose
+    associator coordinates span the Plucker quadrics over Q.
     """
     if _of(QuarticRing, ring)._resolvent is not None:
         return ring._resolvent
-    if not _associative(ring):  # ring_from_pair's rings already hold True
-        raise DomainError("resolvents are undefined for a table that is not associative")
     t = ring._t
     if t[1][2][1] or t[2][3][2] or t[1][3][3]:  # the minors are read off for this basis
         raise DomainError("resolvents need the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0")
     lam = _lambda_from_c(t)
-    if not _plucker_holds(lam):  # ring_from_pair's tables all satisfy them
-        raise DomainError("ring table minors violate the Plucker relations")
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
     content = gcd(*lam.values())
@@ -474,12 +446,13 @@ def count_numerical_resolvents(ring):
     normalized basis of a pair, c_12^1 = c_23^2 = c_13^3 = 0, as the minors
     are read off it by that basis.  Raises
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
-    :class:`~smallrank.errors.DomainError` when the table is not associative,
-    not in the normalized basis, or its minors violate the Plucker
-    relations, so that no pair gives it.
+    :class:`~smallrank.errors.DomainError` when the table is not in the
+    normalized basis, so that no pair gives it in this basis.
     Cost: the resolvent data, computed once per ring and shared with
     :func:`pair_from_ring` and :func:`enumerate_numerical_resolvents`, then
     the ``divisors`` of the minor gcd: one ``factorize``, one product each.
+    A ``QuarticRing`` is associative and its minors satisfy Plucker, so the
+    table is checked for neither here.
     """
     return sum(divisors(_resolvent_data(ring)[0]))
 
@@ -525,7 +498,7 @@ def pair_from_ring(ring):
     coordinate solve and the witness check: the witness's table, built as
     :func:`ring_from_pair` builds it (12 row-times-matrix products) with no
     associativity check, compared with the ring's.  The ring passed that
-    check in the resolvent data, so a table equal to it passes it too, and
+    check when it was built, so a table equal to it passes it too, and
     a table that is not equal raises
     :class:`~smallrank.errors.InvariantViolation`.
     """
@@ -691,12 +664,10 @@ def is_maximal_at_p(ring, p):
     pivot column j, else p*e_j.  It is checked closed by the integer
     test: every H_i*H_j lies in pH, one substitution pass as p*H is an
     HNF; a failure raises :class:`~smallrank.errors.InvariantViolation`.
-    A table that is not associative is no ring, and raises
-    :class:`~smallrank.errors.DomainError`.
+    The ring was checked associative when it was built, so it is not
+    checked here.
 
-    Cost: the associativity verdict, 18 row-times-matrix products once per
-    ring (a ring from :func:`ring_from_pair` already holds it), and one
-    discriminant, and nothing more when p^2 does not divide it.
+    Cost: one discriminant, and nothing more when p^2 does not divide it.
     Otherwise the radical, n - 1 powers e_i^q of floor(log2(q)) +
     popcount(q) - 1 products each and one n x 2n RREF over F_p (n = 4:
     6 products at p = 2, q = 4; 12 at p = 3, q = 9; at most 6*log2(p) at
@@ -758,13 +729,11 @@ def is_maximal(ring):
     """Whether a nondegenerate quartic ring is maximal at every prime.
 
     Only primes whose square divides the discriminant can carry a proper
-    enlargement, so those are the only ones tested.  A table that is not
-    associative raises :class:`~smallrank.errors.DomainError`, as for
-    :func:`is_maximal_at_p`.
+    enlargement, so those are the only ones tested.  The ring was checked
+    associative when it was built, as for :func:`is_maximal_at_p`.
 
-    Cost: the associativity verdict once per ring, one discriminant and
-    ``factorize(|disc|)``, then for each prime p with p^2 | disc the walk
-    of :func:`is_maximal_at_p`: at most
+    Cost: one discriminant and ``factorize(|disc|)``, then for each prime
+    p with p^2 | disc the walk of :func:`is_maximal_at_p`: at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
     after a radical of n - 1 powers e_i^q and one n x 2n RREF over F_p.
     It stops at the first prime where the ring is not maximal.

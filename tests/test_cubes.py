@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from test_exactlattice import _oracle_intersect
+from test_quadforms import _raises_under_optimize_flag
 
 from smallrank.errors import (
     Degenerate,
@@ -290,6 +291,54 @@ def test_tau_system_computes_the_triple_products_once(monkeypatch):
     monkeypatch.setattr(cubes, "_balanced_products", lambda *ideals: None)
     with pytest.raises(InvariantViolation, match="triple rebuilt from the cube is not balanced"):
         tau_system(qs[0])
+
+
+def test_associated_form_discriminant_check_survives_optimize_flag():
+    # slices that give forms of discriminant -4 on a cube of discriminant -23
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import cubes\n"
+        "cubes._slice_forms = lambda q: ((1, 0, 1),) * 3\n",
+        "cubes.associated_forms(cubes.identity_cube(-23))",
+    )
+    assert message == "associated form (1, 0, 1) has the wrong discriminant"
+    assert check == "if discriminant(f) != t * t - 4 * u:"
+
+
+def test_gamma_act_discriminant_check_survives_optimize_flag():
+    # a substitution that sends every pair of entries to zero: the zero cube
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import cubes\n"
+        "cubes._form_act = lambda m, f: (0, 0)\n",
+        "cubes.gamma_act((((1, 0), (0, 1)),) * 3, cubes.identity_cube(-23))",
+    )
+    assert message == "gamma action changed the discriminant of the cube"
+    assert check == "if t1 * t1 - 4 * u1 != t0 * t0 - 4 * u0:"
+
+
+def test_third_form_check_survives_optimize_flag():
+    # a third slice form with its middle coefficient negated, (1, -1, 6):
+    # the third ideal solved from the cube has the form (1, 1, 6)
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import cubes\n"
+        "slice_forms = cubes._slice_forms\n"
+        "cubes._slice_forms = lambda q: (lambda f1, f2, f3: (f1, f2, (f3[0], -f3[1], f3[2])))(*slice_forms(q))\n",
+        "cubes.triple_from_cube(cubes.identity_cube(-23))",
+    )
+    assert message == "third ideal of the cube does not have the third form (1, -1, 6)"
+    assert check == "if raw_form(i3) != f3:"
+
+
+def test_four_equations_check_survives_optimize_flag():
+    # the unit ideal in place of the first two ideals: over the ring (3, 8)
+    # of the identity cube of -23, the third ideal solved from the products
+    # 1*1 and 1*xi does not give the cube's entries at xi*xi
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import cubes, quadrings\n"
+        "cubes.ideal_from_form = lambda f, ring: quadrings.unit_ideal(ring)\n",
+        "cubes.triple_from_cube(cubes.identity_cube(-23))",
+    )
+    assert message == "third ideal of the cube does not solve all four equations"
+    assert check == "if not all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs)):"
 
 
 def test_reconstructed_triple_equivalent_to_source():

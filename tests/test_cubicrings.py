@@ -87,6 +87,29 @@ def test_cubic_ring_rejects_non_integer_coefficients():
             CubicRing(*coeffs)
 
 
+def test_a_cubic_ring_holds_its_table_alone():
+    # the named coefficients are read-only views of _t: setting a = 5 used
+    # to make the ring equal to that of (1, -5, 1, 1), of disc 404 and
+    # n = 5, while disc() stayed -31 and n stayed 0
+    ring = ring_from_cubic_form((1, 0, 1, 1))
+    for name in ("a", "b", "e", "f", "ell", "m", "n"):
+        with pytest.raises(AttributeError):
+            setattr(ring, name, 5)
+    assert not hasattr(ring, "__dict__") and type(ring).__slots__ == ()
+    assert ring == ring_from_cubic_form((1, 0, 1, 1)) and (ring.disc(), ring.n) == (-31, 0)
+    assert ring_from_cubic_form((1, -5, 1, 1)).disc() == 404
+
+
+@given(forms)
+def test_named_coefficients_read_the_table(form):
+    p, q, r, s = form
+    ring = ring_from_cubic_form(form)
+    a, b, e, f = -q, p, -s, r
+    assert (ring.a, ring.b, ring.e, ring.f) == (a, b, e, f)
+    assert (ring.ell, ring.m, ring.n) == (-b * f, b * e, -a * e)
+    assert ring == CubicRing(a, b, e, f) and hash(ring) == hash(CubicRing(a, b, e, f))
+
+
 def test_from_table_rejects_non_associative():
     with pytest.raises(DomainError):
         CubicRing.from_table(1, 2, 3, 4, 5, 0, 0, 6, 7)

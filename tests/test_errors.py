@@ -98,7 +98,6 @@ from smallrank.quarticrings import (
     cubic_resolvent_form,
     disc_match,
     enumerate_numerical_resolvents,
-    is_maximal,
     is_maximal_at_p,
     lambda_system,
     nonmaximality_conditions_witness,
@@ -235,15 +234,18 @@ REAL_TRIPLE = triple_from_cube(identity_cube(5))
 U20 = unit_ideal(ring_from_disc(-20))
 U23 = unit_ideal(R)  # over (1, 6); TRIPLE lives over (3, 8), also of disc -23
 MINORS = lambda_system(PAIR)
+# three tables that are not associative, so that QuarticRing refuses them:
+# a xi-coefficient one off, so Plucker fails too; a constant term one off,
+# so the minors, and Plucker, hold; and a constant one off in a ring outside
+# the normalized basis
 NOT_PLUCKER = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
 NOT_PLUCKER[(1, 1, 1)] += 1
-NOT_PLUCKER = QuarticRing(NOT_PLUCKER)
-# a constant term one off: the minors, and so Plucker, hold, associativity not
 NOT_ASSOCIATIVE = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
 NOT_ASSOCIATIVE[(1, 2, 0)] += 1
-NOT_ASSOCIATIVE = QuarticRing(NOT_ASSOCIATIVE)
 # the same ring with xi1 shifted by 1: a ring, but not in the normalized basis
 SHIFTED = _shifted(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))), (1, 0, 0))
+SHIFTED_NOT_ASSOCIATIVE = dict(SHIFTED.c)
+SHIFTED_NOT_ASSOCIATIVE[(1, 1, 0)] += 1
 T = Fraction(1, 3)
 
 # (entry point, arguments, expected): the error class, or the value returned
@@ -296,16 +298,19 @@ BRANCHES = [
     (ideal_from_form, ((0, 1, -3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((-T, T), (1, 0)))),
     # the third resolvent entry point on the shifted ring
     (enumerate_numerical_resolvents, (SHIFTED,), DomainError),
-    # a table whose minors violate the Plucker relations: no pair gives it
-    (count_numerical_resolvents, (NOT_PLUCKER,), DomainError),
+    # a table whose minors violate the Plucker relations is not associative,
+    # so it is no ring (this row and the two QuarticRing rows below sit where
+    # rows of the resolvents and maximality on such tables were, so that the
+    # later ids keep their numbers)
+    (QuarticRing, (NOT_PLUCKER,), DomainError),
     # ideal_from_form at p = r = 0 with q > 0 and q < 0, and the zero form
     (ideal_from_form, ((0, 3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((2 * T, -T), (T, T)))),
     (ideal_from_form, ((0, -3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((T, T), (2 * T, -T)))),
     (ideal_from_form, ((0, 0, 0), R), ZeroForm),
-    # the same table is not associative, so no ring: maximality is undefined
-    (is_maximal, (NOT_PLUCKER,), DomainError),
-    # a table that is not associative has no resolvent
-    (pair_from_ring, (NOT_ASSOCIATIVE,), DomainError),
+    # a table outside the normalized basis that is not associative
+    (QuarticRing, (SHIFTED_NOT_ASSOCIATIVE,), DomainError),
+    # a table whose minors satisfy Plucker but that is not associative
+    (QuarticRing, (NOT_ASSOCIATIVE,), DomainError),
     # a triple holding an ideal over another presentation of its ring
     (triples_equivalent, (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
     # a triple whose ideals all live over a ring other than its own

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det, _oracle_mat_mul
-from test_quadforms import _oracle_monoid_table
+from test_quadforms import _oracle_monoid_table, _raises_under_optimize_flag
 
 import smallrank
 from smallrank.errors import (
@@ -115,7 +115,7 @@ def test_raw_form_checks_the_trace_and_norm_of_xi(monkeypatch):
     # the ring's discriminant, so a wrong trace is the fault it must catch
     ideal = ideal_from_form((2, 1, 3), ring_from_disc(-23))
     (a, b), (c, d) = ideal.xi
-    monkeypatch.setattr(ideal, "xi", ((a + 1, b), (c, d)))
+    monkeypatch.setattr(ideal, "_xi", ((a + 1, b), (c, d)))
     with pytest.raises(InvariantViolation, match="trace t and norm u"):
         raw_form(ideal)
 
@@ -183,6 +183,58 @@ def test_inverse_check_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["DomainError"]
+
+
+def test_inverse_product_check_survives_optimize_flag():
+    # a conjugation that returns its argument makes the inverse of the
+    # ideal of (2, 1, 3), of order 3, the ideal times a scalar: its product
+    # with the ideal is not the unit ideal
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import quadrings\n"
+        "quadrings.QuadraticRing.conj = lambda self, x: tuple(x)\n",
+        "quadrings.inverse(quadrings.ideal_from_form((2, 1, 3), quadrings.ring_from_disc(-23)))",
+    )
+    assert message.endswith("times its inverse is not the unit ideal")
+    assert check == "if multiply(i, inv) != unit_ideal(i.ring):"
+
+
+def test_ideal_from_form_check_survives_optimize_flag():
+    # a basis built in the other order has the twisted form (b, a - d, -c)
+    # in place of the form (c, d - a, -b) it was built for
+    message, check = _raises_under_optimize_flag(
+        "from smallrank import quadrings\n"
+        "from_rows = quadrings.QuadIdeal._from_rows.__func__\n"
+        "quadrings.QuadIdeal._from_rows = classmethod(\n"
+        "    lambda cls, ring, rows, den: from_rows(cls, ring, rows[::-1], den)\n"
+        ")\n",
+        "quadrings.ideal_from_form((2, 1, 3), quadrings.ring_from_disc(-23))",
+    )
+    assert message == "ideal built from (2, 1, 3) does not have that form"
+    assert check == "if raw_form(ideal) != f:"
+
+
+def test_an_ideal_cannot_drift_from_its_form():
+    # ring, rows, den and xi are read-only: assigning the unit ideal's basis
+    # used to leave raw_form at (2, 1, 3) while == said the unit ideal
+    ring = ring_from_disc(-23)
+    ideal = ideal_from_form((2, 1, 3), ring)
+    for name, value in (("rows", ((1, 0), (0, 1))), ("den", 1), ("xi", ((0, -6), (1, 1))), ("ring", ring)):
+        with pytest.raises(AttributeError):
+            setattr(ideal, name, value)
+    assert not hasattr(ideal, "__dict__")
+    assert raw_form(ideal) == (2, 1, 3) and ideal != QuadIdeal(ring, ((1, 0), (0, 1)))
+
+
+def test_a_quadratic_ring_holds_its_table_alone():
+    # t, u and disc are read-only views of the one table _t
+    ring = ring_from_disc(-23)
+    for name in ("t", "u", "disc"):
+        with pytest.raises(AttributeError):
+            setattr(ring, name, 5)
+    assert not hasattr(ring, "__dict__") and type(ring).__slots__ == ()
+    assert (ring.t, ring.u, ring.disc) == (1, 6, -23) and ring._t[1][1] == (-6, 1)
+    assert ring == QuadraticRing(1, 6) and hash(ring) == hash(QuadraticRing(1, 6))
+    assert ring != QuadraticRing(-1, 6) and ring.normalized() == ring
 
 
 def test_ideal_rejects_non_module_and_dependent_rows():

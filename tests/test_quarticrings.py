@@ -25,6 +25,7 @@ from smallrank import exactlattice, quarticrings
 from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
 from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
+    _Ring,
     _bareiss,
     _coords2,
     _hnf_coords,
@@ -60,13 +61,14 @@ from smallrank.quarticrings import (
     MinimalResolvent,
     _associative,
     _c_linear_from_lambda,
-    _check_associative,
     _closed_mod_p,
     _lam_get,
     _lambda_from_c,
     _maximal_at_p,
     _radical_subspaces,
     _resolvent_data,
+    _rows,
+    _table_of,
 )
 
 P_A = (0, 0, 0, 1, 0, -1)
@@ -135,7 +137,8 @@ def test_mutating_the_table_dict_leaves_the_ring_unchanged():
     assert ring.c == fresh.c and ring.c != c
     assert ring.disc() == 1 and ring.mul(x, y) == product
     assert ring == fresh and hash(ring) == hash(fresh)
-    assert ring != QuarticRing(c)
+    with pytest.raises(DomainError, match="not associative"):
+        QuarticRing(c)
 
 
 def test_ring_axioms_on_random_pairs():
@@ -153,7 +156,7 @@ def test_ring_axioms_on_random_pairs():
 
 
 # The check over all 27 triples of xi1, xi2, xi3, which the 9 triples of
-# _check_associative replaced; kept as its oracle.
+# _associative replaced; kept as its oracle.
 def _oracle_associative(ring):
     basis = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     for x in basis:
@@ -168,10 +171,19 @@ def _oracle_associative(ring):
 TABLE_KEYS = [(i, j, k) for i in range(1, 4) for j in range(i, 4) for k in range(4)]
 
 
-def _associative_by_check(ring):
+def _unchecked(c):
+    # the ring of any table dict c, associative or not, built as _table_of
+    # builds its rings: with none of the checks of QuarticRing(c)
+    return QuarticRing._from_rows(_rows(c))
+
+
+def _associative_by_check(c):
+    # whether QuarticRing(c) builds a ring; it refuses only a table that is
+    # not associative, as every entry here is an int
     try:
-        _check_associative(ring)
-    except AssertionError:
+        QuarticRing(c)
+    except DomainError as e:
+        assert str(e) == "multiplication table is not associative"
         return False
     return True
 
@@ -181,8 +193,8 @@ def _associative_by_check(ring):
 @example([0] * len(TABLE_KEYS))
 @example([int(k == (i, j)[0] == j) for i, j, k in TABLE_KEYS])  # xi_i^2 = xi_i: Z^4
 def test_associativity_check_agrees_with_27_triple_oracle(entries):
-    ring = QuarticRing(dict(zip(TABLE_KEYS, entries)))
-    assert _associative_by_check(ring) == _oracle_associative(ring)
+    c = dict(zip(TABLE_KEYS, entries))
+    assert _associative_by_check(c) == _oracle_associative(_unchecked(c))
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,10 +203,9 @@ def test_associativity_check_agrees_with_27_triple_oracle(entries):
 def test_associativity_check_on_perturbed_tables(a, b, key, delta):
     c = dict(ring_from_pair((a, b)).c)
     c[key] += delta
-    ring = QuarticRing(c)
-    assert _associative_by_check(ring) == _oracle_associative(ring)
+    assert _associative_by_check(c) == _oracle_associative(_unchecked(c))
     if delta == 0:
-        assert _associative_by_check(ring)
+        assert _associative_by_check(c)
 
 
 def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
@@ -484,44 +495,42 @@ def test_resolvent_self_checks_run_on_first_use(monkeypatch, name, fault, messag
 
 
 def test_resolvent_and_maximality_errors_are_raised_on_every_call():
-    # nothing is kept from a call that raises: the kind gate, TrivialRing and
-    # the Plucker DomainError of the resolvents, and the DomainError of
-    # maximality on a table that is not associative
+    # nothing is kept from a call that raises: the kind gate and TrivialRing
+    # of the resolvents, and DegenerateRing of maximality; a table that is
+    # neither Plucker nor associative is refused, every time, when built
     zero = ring_from_pair(((0,) * 6, (0,) * 6))
     c = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
     c[(1, 1, 1)] += 1
-    not_ring = QuarticRing(c)  # neither Plucker nor associative
-    cases = ((zero, TrivialRing), (not_ring, DomainError), ("ring", DomainError), (None, DomainError))
+    assert not plucker_check(_lambda_from_c(_rows(c))) and not _associative(_rows(c))
+    cases = ((zero, TrivialRing), ("ring", DomainError), (None, DomainError))
     for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
         for ring, error in cases:
             for _ in range(2):
                 with pytest.raises(error):
                     entry(ring)
-    assert zero._resolvent is None and not_ring._resolvent is None
+    assert zero._resolvent is None
     for _ in range(2):
         with pytest.raises(DomainError, match="not associative"):
-            is_maximal_at_p(not_ring, 2)
-        with pytest.raises(DomainError, match="not associative"):
-            is_maximal(not_ring)
-    assert not_ring._associative is False and not _associative(not_ring)
+            QuarticRing(c)
+        with pytest.raises(DegenerateRing):
+            is_maximal_at_p(zero, 2)
+        with pytest.raises(DegenerateRing):
+            is_maximal(zero)
 
 
 def test_resolvents_refuse_a_table_that_is_not_associative():
     # a constant term one off leaves the minors as they are, so Plucker
-    # holds, but the table is no ring: every resolvent entry point raises
-    # DomainError, on every call, and keeps no resolvent data
+    # holds, but the table is no ring: QuarticRing refuses it on every
+    # attempt, so no resolvent entry point is ever given it
     ring = ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1)))
     c = dict(ring.c)
     c[(1, 2, 0)] += 1
-    not_ring = QuarticRing(c)
-    lam = _lambda_from_c(not_ring._t)
+    lam = _lambda_from_c(_rows(c))
     assert lam == _lambda_from_c(ring._t) and plucker_check(lam)
-    assert not _associative(not_ring)
-    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
-        for _ in range(2):
-            with pytest.raises(DomainError, match="not associative"):
-                entry(not_ring)
-    assert not_ring._resolvent is None
+    assert not _associative(_rows(c))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="multiplication table is not associative"):
+            QuarticRing(c)
 
 
 def _shifted(ring, s):
@@ -543,12 +552,74 @@ def test_resolvents_refuse_a_table_outside_the_normalized_basis():
     # Plucker relations with a message that blamed the table
     ring = ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1)))
     shifted = _shifted(ring, (1, 0, 0))
-    assert _associative(shifted) and shifted._t[1][3][3] == 1
+    assert _associative(shifted._t) and shifted._t[1][3][3] == 1
     assert shifted.disc() == ring.disc() and is_maximal(shifted) == is_maximal(ring)
     for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
         with pytest.raises(DomainError, match="normalized basis"):
             entry(shifted)
     assert _shifted(ring, (0, 0, 0)) == ring
+
+
+def test_every_ring_class_holds_only_its_table():
+    # one state at every rank: _t, and the resolvent data of a quartic ring
+    assert _Ring.__slots__ == ("_t",)
+    for cls, slots in ((QuadraticRing, ()), (CubicRing, ()), (QuarticRing, ("_resolvent",))):
+        assert cls.__bases__ == (_Ring,) and cls.__slots__ == slots
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    rings = (QuadraticRing(1, 6), CubicRing(0, 1, -1, 1), ring_from_pair(P_Z4))
+    assert not any(hasattr(ring, "__dict__") for ring in rings)
+    # the table alone decides == and the hash, and rings of two ranks differ
+    assert all(hash(ring) == hash(ring._t) for ring in rings)
+    assert rings[2] == QuarticRing._from_rows(rings[2]._t)
+    assert len(set(rings)) == 3 and rings[0] != rings[1] != rings[2]
+
+
+# The 15 minors as keys of SIX, and the 15 Plucker quadrics written out, in
+# the sign of the alternating sum lam(w,x)lam(y,z) - lam(w,y)lam(x,z) +
+# lam(w,z)lam(x,y) over w < x < y < z.
+def _plucker_quadrics(lam):
+    return [
+        _lam_get(lam, w, x) * _lam_get(lam, y, z)
+        - _lam_get(lam, w, y) * _lam_get(lam, x, z)
+        + _lam_get(lam, w, z) * _lam_get(lam, x, y)
+        for w, x, y, z in combinations(range(6), 4)
+    ]
+
+
+def test_associativity_implies_the_plucker_relations_symbolically():
+    # for symbolic minors, each Plucker quadric lies in the Q-span of the
+    # associator coordinates of _table_of(lam): so an associative table in
+    # the normalized basis, which is _table_of of its own minors, has minors
+    # that satisfy Plucker, and _resolvent_data need not check them
+    sympy = pytest.importorskip("sympy")
+    keys = list(combinations(range(6), 2))
+    symbols = sympy.symbols("l0:15")
+    lam = dict(zip(keys, symbols))
+    t = _table_of(lam)._t
+    associator = [
+        sympy.expand(u - v)
+        for x in (1, 2, 3)
+        for y in (1, 2, 3)
+        for z in (1, 2, 3)
+        for u, v in zip(quarticrings._times(t[x][y], t[z]), quarticrings._times(t[y][z], t[x]))
+    ]
+    associator = [e for e in associator if e != 0]
+    plucker = [sympy.expand(e) for e in _plucker_quadrics(lam)]
+    assert len(plucker) == 15 and all(plucker)
+    polys = [sympy.Poly(e, *symbols) for e in associator + plucker]
+    monomials = sorted({m for poly in polys for m in poly.as_dict()})
+    rows = [[poly.as_dict().get(m, 0) for m in monomials] for poly in polys]
+    span = sympy.Matrix(rows[: len(associator)]).rank()
+    assert span == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=15, max_size=15))
+@example([1] + [0] * 13 + [1])  # lam(0,1) = lam(4,5) = 1: the quadric of 0 < 1 < 4 < 5 is 1
+def test_minors_that_violate_plucker_give_a_table_that_is_not_associative(values):
+    lam = dict(zip(sorted(lambda_system(P_Z4)), values))
+    assume(not plucker_check(lam))
+    assert not _associative(_table_of(lam)._t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -709,24 +780,25 @@ def test_bhargava_density_of_pairs_maximal_at_2():
     assert total == (p**2 - 1) ** 2 * (p**3 - 1) * (p**4 + p**2 - p - 1) * p**13 == 8_773_632
 
 
-def test_maximality_reads_the_associativity_verdict_of_ring_from_pair(monkeypatch):
-    # counted, not timed: ring_from_pair leaves True on its ring, so
-    # maximality makes no associativity product there; a table built by hand
-    # gets its verdict once, 18 row-times-matrix products
+def test_associativity_is_checked_once_when_a_ring_is_built(monkeypatch):
+    # counted, not timed: a table built by hand gets its check once, in
+    # QuarticRing(c), 18 row-times-matrix products; then neither it nor a
+    # ring from ring_from_pair costs maximality or the resolvent count one
+    # associativity product
     rings = [ring_from_pair(pair) for pair in _random_pairs(52, 10) + [P_144]]
     products = []
     times = quarticrings._times
     monkeypatch.setattr(quarticrings, "_times", lambda r, m: products.append(1) or times(r, m))
-    for ring in rings:
-        assert ring._associative is True
+    ring = QuarticRing(dict(rings[-1].c))
+    assert len(products) == 18 and ring == rings[-1]
+    products.clear()
+    for ring in rings + [ring]:
         if ring.disc():
             is_maximal_at_p(ring, 2)
             is_maximal(ring)
+        count_numerical_resolvents(ring)
     assert products == []
-    ring = QuarticRing(dict(rings[-1].c))
-    assert ring._associative is None
     assert is_maximal(ring) and is_maximal_at_p(ring, 3) == (True, None)
-    assert len(products) == 18 and ring._associative is True
 
 
 # The 2x2 product and second HNF that pair_from_ring ran for its chosen
@@ -1262,7 +1334,7 @@ elements = st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 4)
 def test_table_product_trace_and_disc_agree_with_oracles(entries, x, y):
     # any table, associative or not: the product, the trace and the trace
     # form filled from the basis traces are linear algebra on the table
-    ring = QuarticRing(dict(zip(TABLE_KEYS, entries)))
+    ring = _unchecked(dict(zip(TABLE_KEYS, entries)))
     assert ring.mul(x, y) == _oracle_mul(ring, x, y)
     assert ring.trace(x) == _oracle_trace(ring, x)
     d = ring.disc()
@@ -1369,8 +1441,9 @@ def test_maximality_when_p_squared_does_not_divide_disc_agrees_with_full_walk(a,
 
 
 def test_table_self_checks_survive_optimize_flag():
-    # a perturbed constant fails the associativity check, and so does a
-    # perturbed xi-coefficient, as its constants no longer fit; a closure
+    # a perturbed constant fails the associativity check of ring_from_pair,
+    # and so does a perturbed xi-coefficient, as its constants no longer
+    # fit; a closure
     # test that accepts every candidate fails the witness check, doubled
     # minors the mu-vector check of the resolvent data on its first use, a
     # witness pair that rebuilds another table the check in pair_from_ring,
@@ -1383,10 +1456,13 @@ def test_table_self_checks_survive_optimize_flag():
         "pair = ((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))\n"
         "c = dict(q.ring_from_pair(pair).c)\n"
         "c[(1, 2, 0)] += 1\n"
+        "table_of = q._table_of\n"
+        "q._table_of = lambda lam: q.QuarticRing._from_rows(q._rows(c))\n"
         "try:\n"
-        "    q._check_associative(q.QuarticRing(c))\n"
+        "    q.ring_from_pair(pair)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
+        "q._table_of = table_of\n"
         "linear = q._c_linear_from_lambda\n"
         "def perturbed(lam):\n"
         "    c = linear(lam)\n"
@@ -1413,8 +1489,7 @@ def test_table_self_checks_survive_optimize_flag():
         "ring = q.ring_from_pair(pair)\n"
         "c = dict(ring.c)\n"
         "c[(1, 2, 0)] += 1\n"
-        "table_of = q._table_of\n"
-        "q._table_of = lambda lam: q.QuarticRing(c)\n"
+        "q._table_of = lambda lam: q.QuarticRing._from_rows(q._rows(c))\n"
         "try:\n"
         "    q.pair_from_ring(ring)\n"
         "except AssertionError as e:\n"
