@@ -3,6 +3,8 @@
 One subcommand per pipeline; plain aligned text by default, bit-exact JSON
 with ``--json``.  All integers in JSON payloads are decimal strings (and
 rationals are ``"p/q"`` strings) so consumers never face 64-bit overflow.
+An input rational is read as ``"p"`` or ``"p/q"``: decimal integers, an
+optional ``-`` on p alone, q > 0, and no exponent, ``_``, ``+`` or point.
 Negative numbers can be passed after a ``--`` separator.  Exit codes:
 0 success, 1 domain error (the error class name is printed on stderr),
 2 malformed input.
@@ -64,10 +66,18 @@ def _parse_int(text):
 
 
 def _parse_frac(text):
+    # "p" or "p/q" with q > 0 and no space at the slash, each part read by
+    # _parse_int: Fraction(str) also takes exponents, and "1e-999999999"
+    # builds a billion digits
+    num, slash, den = str(text).strip().partition("/")
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError("expected a rational 'p/q', got %r" % (text,))
+        if num == num.rstrip() and den == den.lstrip():
+            p, q = _parse_int(num), _parse_int(den) if slash else 1
+            if q > 0:
+                return Fraction(p, q)
+    except _UsageError:
+        pass
+    raise _UsageError("expected a rational 'p/q', got %r" % (text,))
 
 
 def _read_json(path):

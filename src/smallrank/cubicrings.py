@@ -54,8 +54,10 @@ class CubicRing(_Ring):
             xi1*xi2 = m   + c*xi1 + d*xi2
             xi2^2   = n   + e*xi1 + f*xi2
 
-        by the translation xi1 -> xi1 - d, xi2 -> xi2 - c.
+        by the translation xi1 -> xi1 - d, xi2 -> xi2 - c.  An entry that
+        is not an ``int`` is a :class:`~smallrank.errors.DomainError`.
         """
+        ell, m, n, a, b, c, d, e, f = _ints((ell, m, n, a, b, c, d, e, f), 9, "table entries")
         a2, b2, e2, f2 = a - 2 * d, b, e, f - 2 * c
         ring = cls(a2, b2, e2, f2)
         # the normalized constants are forced; mismatches mean a bad table

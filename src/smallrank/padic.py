@@ -25,6 +25,7 @@ count by brute force at finite precision, via explicit unit-coset
 representatives, and is the reference the formula is tested against.
 """
 
+from collections import namedtuple
 from itertools import product
 
 from .errors import DomainError, PrecisionError, _int, _ints, _of
@@ -46,36 +47,29 @@ def _odd_prime(p):
         raise DomainError("p must be an odd prime, got %r" % (p,))
 
 
-class PadicConfig:
+class PadicConfig(namedtuple("PadicConfig", ["p", "n", "u"])):
     """An odd prime ``p``, a base-order level ``n >= 0``, and a non-residue ``u``.
 
     ``u`` must be a quadratic non-residue modulo ``p`` so that
     ``Z_p[sqrt(u)]`` is the unramified quadratic extension's maximal order.
+    A config is a read-only named tuple, checked when it is built, also by
+    ``_make`` and ``_replace``.
     """
 
-    __slots__ = ("p", "n", "u")
+    __slots__ = ()
 
-    def __init__(self, p, n, u):
+    def __new__(cls, p, n, u):
         _odd_prime(p)
         if _int(n, "level n") < 0:
             raise DomainError("the base-order level n must be nonnegative")
         if _jacobi(_int(u, "non-residue u"), p) != -1:
             raise DomainError("u must be a quadratic non-residue modulo p")
-        self.p = p
-        self.n = n
-        self.u = u
+        return super().__new__(cls, p, n, u)
 
-    def __repr__(self):
-        return "PadicConfig(p=%d, n=%d, u=%d)" % (self.p, self.n, self.u)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicConfig)
-            and (self.p, self.n, self.u) == (other.p, other.n, other.u)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.u))
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result by _make, so both run the checks
+        return cls(*iterable)
 
 
 def least_nonresidue(p):

@@ -186,15 +186,11 @@ class QuarticRing(_Ring):
     in the basis ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and
     both orders included, so ``_t[i]`` is the matrix of multiplication by
     ``e_i``.  The property ``c`` reads the 24 entries back off ``_t`` as a
-    new dict on every access.
-
-    One slot holds what is derived on first use, computed at most once per
-    ring: ``_resolvent``, the tuple of :func:`_resolvent_data`, which
-    :func:`pair_from_ring` and both resolvent counts read.  It starts as
-    ``None``, and an error is never kept, so it is raised on every call.
+    new dict on every access.  The ring holds nothing else: what the
+    resolvents and maximality need is read off ``_t`` on every call.
     """
 
-    __slots__ = ("_resolvent",)
+    __slots__ = ()
 
     def __init__(self, c):
         if not isinstance(c, dict):
@@ -207,14 +203,13 @@ class QuarticRing(_Ring):
         self._t = _rows(table)
         if not _associative(self._t):
             raise DomainError("multiplication table is not associative")
-        self._resolvent = None
 
     @classmethod
     def _from_rows(cls, t):
         # the ring with table rows t, made by _rows from a dict of ints, its
         # associativity not checked: its builder _table_of says who does
         ring = cls.__new__(cls)
-        ring._t, ring._resolvent = t, None
+        ring._t = t
         return ring
 
     @property
@@ -384,31 +379,44 @@ def _associative(t):
     )
 
 
+def _content(ring):
+    """The gcd n of the minors of a quartic ring, read off its table.
+
+    The table must be in the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0,
+    as the minors are read off it by that basis: otherwise a
+    :class:`~smallrank.errors.DomainError`.  n is the gcd of the 15
+    xi-coefficients c_ij^k (k >= 1) of the six rows xi_i*xi_j other than
+    those three zeros.  That is the gcd of the minors: twelve of them are
+    +- one minor, and each of the other three is +- a minor plus one of
+    those twelve (``_C_FROM_LAMBDA``), so both sets span the same Z-module.
+    n = 0, all minors zero, is a :class:`~smallrank.errors.TrivialRing`.
+    """
+    _, (_, a, b, c), (_, _, d, e), (_, _, _, f) = _of(QuarticRing, ring)._t
+    if b[1] or e[2] or c[3]:
+        raise DomainError("resolvents need the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0")
+    n = gcd(a[1], a[2], a[3], b[2], b[3], c[1], c[2], d[1], d[2], d[3], e[1], e[3], f[1], f[2], f[3])
+    if n == 0:
+        raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
+    return n
+
+
 def _resolvent_data(ring):
     """Content, mu-vectors and minimal lattice of a quartic ring, on integers.
 
-    Returns ``(content, mu, h, den)``: ``content`` is the gcd of the minors,
-    ``mu`` lists, for the six coefficient slots, integer rows over ``den``
-    whose pairwise dets are exactly the minors, and ``h`` is the integer HNF
-    of the lattice the mu's span, over the same ``den`` (its covolume equals
-    the content).  The tuple is computed on the first call for a ring, with
-    every check, and kept in its ``_resolvent`` slot for the later calls.
-    An error is not kept: the kind gate runs on every call, and a table that
-    is not in the normalized basis, or whose minors all vanish, raises on
-    every call.  The minors satisfy the Plucker relations: a QuarticRing is
-    associative, so in the normalized basis its constants are forced and
-    its table is that of :func:`ring_from_pair` on its own minors, whose
-    associator coordinates span the Plucker quadrics over Q.
+    Returns ``(content, mu, h, den)``: ``content`` is the gcd of the minors
+    (:func:`_content`, with its checks), ``mu`` lists, for the six
+    coefficient slots, integer rows over ``den`` whose pairwise dets are
+    exactly the minors, and ``h`` is the integer HNF of the lattice the
+    mu's span, over the same ``den``.  Both are checked on every call: the
+    dets of the mu's against the minors, and the covolume of ``h`` against
+    ``content``, which also checks :func:`_content` against the minors.  The
+    minors satisfy the Plucker relations: a QuarticRing is associative, so
+    in the normalized basis its constants are forced and its table is that
+    of :func:`ring_from_pair` on its own minors, whose associator
+    coordinates span the Plucker quadrics over Q.
     """
-    if _of(QuarticRing, ring)._resolvent is not None:
-        return ring._resolvent
-    t = ring._t
-    if t[1][2][1] or t[2][3][2] or t[1][3][3]:  # the minors are read off for this basis
-        raise DomainError("resolvents need the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0")
-    lam = _lambda_from_c(t)
-    if all(v == 0 for v in lam.values()):
-        raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
-    content = gcd(*lam.values())
+    content = _content(ring)
+    lam = _lambda_from_c(ring._t)
 
     # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
     # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
@@ -424,8 +432,7 @@ def _resolvent_data(ring):
     h = tuple(map(tuple, _hnf_int(mu)))
     if mat2_det(h) != content * d * d:
         raise InvariantViolation("covolume of the mu-lattice must equal the minor gcd")
-    ring._resolvent = content, mu, h, den
-    return ring._resolvent
+    return content, mu, h, den
 
 
 def _enlargement(n, h, d, b):
@@ -448,13 +455,13 @@ def count_numerical_resolvents(ring):
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
     :class:`~smallrank.errors.DomainError` when the table is not in the
     normalized basis, so that no pair gives it in this basis.
-    Cost: the resolvent data, computed once per ring and shared with
-    :func:`pair_from_ring` and :func:`enumerate_numerical_resolvents`, then
-    the ``divisors`` of the minor gcd: one ``factorize``, one product each.
-    A ``QuarticRing`` is associative and its minors satisfy Plucker, so the
+    Cost: the minor gcd, one gcd of 15 xi-coefficients of the table
+    (:func:`_content`), then its ``divisors``: one ``factorize``, one
+    product each.  No minor, mu-vector or HNF is computed.  A
+    ``QuarticRing`` is associative and its minors satisfy Plucker, so the
     table is checked for neither here.
     """
-    return sum(divisors(_resolvent_data(ring)[0]))
+    return sum(divisors(_content(ring)))
 
 
 def enumerate_numerical_resolvents(ring):
@@ -464,8 +471,8 @@ def enumerate_numerical_resolvents(ring):
     minimal lattice inside Q^2 (one per 2x2 column-style HNF with det n);
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
     The table must be in the normalized basis (:func:`count_numerical_resolvents`).
-    Cost: the resolvent data, computed once per ring and shared with
-    :func:`pair_from_ring` and :func:`count_numerical_resolvents`, then one
+    Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
+    mu-vectors, one 6-row integer HNF and its checks), then one
     ``factorize(n)``, n divisibility tests for the count check, and one
     :func:`_enlargement` per lattice, sigma(n) > n of them.
     """
@@ -492,9 +499,8 @@ def pair_from_ring(ring):
     construction ``ring_from_pair(witness_pair)`` equals ``ring`` exactly,
     so the table must be in the normalized basis of a pair
     (:func:`count_numerical_resolvents`).
-    Cost: the resolvent data, computed once per ring and shared with
-    :func:`count_numerical_resolvents` and
-    :func:`enumerate_numerical_resolvents`, then on every call one 2x2
+    Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
+    mu-vectors, one 6-row integer HNF and its checks), then one 2x2
     coordinate solve and the witness check: the witness's table, built as
     :func:`ring_from_pair` builds it (12 row-times-matrix products) with no
     associativity check, compared with the ring's.  The ring passed that

@@ -283,6 +283,29 @@ def test_json_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
         assert out == ""
 
 
+def test_a_rational_is_p_or_p_over_q(tmp_path):
+    # Fraction(str) also read exponents, so an 11-character entry made a
+    # denominator of ten million digits: "1e-10000000" down the diagonal
+    # took 17 s to print a form on a 2-core Xeon, and "1e-999999999" asks
+    # for a billion digits; run in a subprocess with a timeout, so that a
+    # slow parse fails.  A rational is "p" or "p/q" with q > 0, each part an integer
+    # as _parse_int reads one
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "ideal.json"
+    for text in ("1e-10000000", "1e-999999999", "1_0", "+3", "0.5", "1/-2", "1 /2", "1/2/3"):
+        path.write_text(json.dumps({"ring": {"t": "0", "u": "1"}, "basis": [[text, "0"], ["0", text]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallrank.cli", "ideal-form", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "usage error: expected a rational 'p/q', got %r\n" % (text,)
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -93,6 +93,7 @@ from smallrank.quadrings import (
     unit_ideal,
 )
 from smallrank.quarticrings import (
+    MinimalResolvent,
     QuarticRing,
     count_numerical_resolvents,
     cubic_resolvent_form,
@@ -152,6 +153,8 @@ GATES = [
     (identity_cube, (-23,), (0,), D),
     *((dirichlet_cube, (-1, 2, 3, 1), (k,), DomainError) for k in range(4)),
     *((CubicRing, (1, 1, 1, 1), (k,), DomainError) for k in range(4)),
+    # the table of CubicRing(1, 1, 1, 1): ell, m, n = -1, 1, -1 and c = d = 0
+    *((CubicRing.from_table, (-1, 1, -1, 1, 1, 0, 0, 1, 1), (k,), DomainError) for k in range(9)),
     (ring_from_cubic_form, ((1, 0, 1, 1),), (0, 0), DomainError),
     (values_mod, ((1, 0, 0, 1), 3), (0, 0), DomainError),
     (values_mod, ((1, 0, 0, 1), 3), (1,), DomainError),
@@ -197,7 +200,7 @@ SHAPES = {"short": lambda t: t[:-1], "long": lambda t: t + t[-1:], "scalar": lam
 
 def _cases():
     for fn, args, path, error in GATES:
-        name = "%s-%s" % (fn.__name__, "-".join(map(str, path)))
+        name = "%s-%s" % (fn.__qualname__, "-".join(map(str, path)))
         for case, make in VALUES.items():
             yield name, case, fn, _replace(args, path, make), error
         # each tuple on the path to the integer, from the argument inwards
@@ -248,85 +251,84 @@ SHIFTED_NOT_ASSOCIATIVE = dict(SHIFTED.c)
 SHIFTED_NOT_ASSOCIATIVE[(1, 1, 0)] += 1
 T = Fraction(1, 3)
 
-# (entry point, arguments, expected): the error class, or the value returned
+# (id, entry point, arguments, expected): the error class, or the value
+# returned.  Each id is written in its row, so that adding, deleting or
+# moving a row renames no other
 BRANCHES = [
-    (twisted_act, (((1, 1), (1, 1)), F), NotUnimodular),
-    (form_from_ideal, (QuadIdeal(R, ((0, 1), (1, 0))),), (1, 1, 6)),  # negatively oriented
-    (form_from_ideal, (unit_ideal(ring_from_disc(5)),), (1, 1, -1)),  # real: not reduced
-    (ideal_from_form, (F, ring_from_disc(-20)), FormRingMismatch),
-    (is_balanced, (*TRIPLE.ideals[:2], U20), RingMismatch),
-    (triples_equivalent, (TRIPLE, triple_from_cube(identity_cube(-20))), RingMismatch),
-    (triples_equivalent, (REAL_TRIPLE, REAL_TRIPLE), UnsupportedDiscriminant),
-    (triples_equivalent, (TRIPLE, OTHER_TRIPLE), False),
-    (triples_equivalent, (BalancedTriple(R, TRIPLE.ideals[:1]),) * 2, DomainError),
-    (cube_from_triple, (BalancedTriple(R, TRIPLE.ideals[:1]),), DomainError),
-    (balanced_count, ("config", (1, 1, 2)), DomainError),
-    (stella_membership, (-1, (0, 0, 0)), DomainError),
-    (unit_coset_reps, (3, -1, 1), DomainError),
-    (unit_coset_reps, (3, 0, -1), DomainError),
-    (QuarticRing, ({k: v for k, v in QUARTIC.c.items() if k != (2, 3, 1)},), DomainError),
-    (plucker_check, ({k: "a" for k in MINORS},), DomainError),
-    (plucker_check, ({k: 0.5 for k in MINORS},), DomainError),
-    # an argument that is not an ideal, a triple or a ring
-    (multiply, (5, 5), DomainError),
-    (form_from_ideal, (5,), DomainError),
-    (conjugate, (None,), DomainError),
-    (is_balanced, (1, 2, 3), DomainError),
-    (cube_from_triple, (5,), DomainError),
-    (idempotents_within, (5, 1), DomainError),
-    (raw_form, (5,), DomainError),
-    (ideal_norm, (5,), DomainError),
-    (inverse, (5,), DomainError),
-    (is_invertible, (5,), DomainError),
-    (endomorphism_ring, (5,), DomainError),
-    (unit_ideal, (5,), DomainError),
-    (scale, (5, (1, 0)), DomainError),
-    (ideal_from_form, (F, 5), DomainError),
-    (form_from_cubic_ring, (5,), DomainError),
-    (QuadIdeal, (5, [(1, 0), (0, 1)]), DomainError),
-    # a ring outside the normalized basis has no resolvent (these three rows
-    # sit where rows of a deleted function were, so the later ids keep their
-    # numbers)
-    (pair_from_ring, (SHIFTED,), DomainError),
-    (count_numerical_resolvents, (SHIFTED,), DomainError),
-    # the p = 0 bases of ideal_from_form, written down, first r > 0 (these
-    # five rows sit among the others so that the later ids keep their numbers)
-    (ideal_from_form, ((0, 1, 3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((T, -T), (1, 0)))),
-    (is_reduced, (5,), DomainError),
-    (is_reduced, ((1, 2),), DomainError),
-    # ideal_from_form at p = 0, r < 0
-    (ideal_from_form, ((0, 1, -3), ring_from_disc(1)), QuadIdeal(ring_from_disc(1), ((-T, T), (1, 0)))),
-    # the third resolvent entry point on the shifted ring
-    (enumerate_numerical_resolvents, (SHIFTED,), DomainError),
-    # a table whose minors violate the Plucker relations is not associative,
-    # so it is no ring (this row and the two QuarticRing rows below sit where
-    # rows of the resolvents and maximality on such tables were, so that the
-    # later ids keep their numbers)
-    (QuarticRing, (NOT_PLUCKER,), DomainError),
-    # ideal_from_form at p = r = 0 with q > 0 and q < 0, and the zero form
-    (ideal_from_form, ((0, 3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((2 * T, -T), (T, T)))),
-    (ideal_from_form, ((0, -3, 0), ring_from_disc(9)), QuadIdeal(ring_from_disc(9), ((T, T), (2 * T, -T)))),
-    (ideal_from_form, ((0, 0, 0), R), ZeroForm),
-    # a table outside the normalized basis that is not associative
-    (QuarticRing, (SHIFTED_NOT_ASSOCIATIVE,), DomainError),
-    # a table whose minors satisfy Plucker but that is not associative
-    (QuarticRing, (NOT_ASSOCIATIVE,), DomainError),
+    ("twisted_act-0", twisted_act, (((1, 1), (1, 1)), F), NotUnimodular),
+    ("is_reduced-36", is_reduced, (5,), DomainError),
+    ("is_reduced-37", is_reduced, ((1, 2),), DomainError),
+    ("form_from_ideal-1", form_from_ideal, (QuadIdeal(R, ((0, 1), (1, 0))),), (1, 1, 6)),  # negatively oriented
+    ("form_from_ideal-2", form_from_ideal, (unit_ideal(ring_from_disc(5)),), (1, 1, -1)),  # real: not reduced
+    ("ideal_from_form-3", ideal_from_form, (F, ring_from_disc(-20)), FormRingMismatch),
+    # the p = 0 bases of ideal_from_form, written down: r > 0, r < 0, then
+    # r = 0 with q > 0 and q < 0, and the zero form
+    ("ideal_from_form-35", ideal_from_form, ((0, 1, 3), ring_from_disc(1)),
+     QuadIdeal(ring_from_disc(1), ((T, -T), (1, 0)))),
+    ("ideal_from_form-38", ideal_from_form, ((0, 1, -3), ring_from_disc(1)),
+     QuadIdeal(ring_from_disc(1), ((-T, T), (1, 0)))),
+    ("ideal_from_form-41", ideal_from_form, ((0, 3, 0), ring_from_disc(9)),
+     QuadIdeal(ring_from_disc(9), ((2 * T, -T), (T, T)))),
+    ("ideal_from_form-42", ideal_from_form, ((0, -3, 0), ring_from_disc(9)),
+     QuadIdeal(ring_from_disc(9), ((T, T), (2 * T, -T)))),
+    ("ideal_from_form-43", ideal_from_form, ((0, 0, 0), R), ZeroForm),
+    ("is_balanced-4", is_balanced, (*TRIPLE.ideals[:2], U20), RingMismatch),
+    ("triples_equivalent-5", triples_equivalent, (TRIPLE, triple_from_cube(identity_cube(-20))), RingMismatch),
+    ("triples_equivalent-6", triples_equivalent, (REAL_TRIPLE, REAL_TRIPLE), UnsupportedDiscriminant),
+    ("triples_equivalent-7", triples_equivalent, (TRIPLE, OTHER_TRIPLE), False),
+    ("triples_equivalent-8", triples_equivalent, (BalancedTriple(R, TRIPLE.ideals[:1]),) * 2, DomainError),
     # a triple holding an ideal over another presentation of its ring
-    (triples_equivalent, (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
+    ("triples_equivalent-46", triples_equivalent,
+     (BalancedTriple(TRIPLE.ring, (*TRIPLE.ideals[:2], U23)), TRIPLE), RingMismatch),
+    ("cube_from_triple-9", cube_from_triple, (BalancedTriple(R, TRIPLE.ideals[:1]),), DomainError),
     # a triple whose ideals all live over a ring other than its own
-    (cube_from_triple, (BalancedTriple(QuadraticRing(0, 1), TRIPLE.ideals),), RingMismatch),
+    ("cube_from_triple-47", cube_from_triple, (BalancedTriple(QuadraticRing(0, 1), TRIPLE.ideals),), RingMismatch),
     # a triple whose ring is not a ring: the kind gate names it, before the
     # ideals are compared with it (RingMismatch)
-    (cube_from_triple, (BalancedTriple(None, TRIPLE.ideals),), DomainError),
-    (cube_from_triple, (BalancedTriple(5, TRIPLE.ideals),), DomainError),
-    (triples_equivalent, (TRIPLE, BalancedTriple(None, TRIPLE.ideals)), DomainError),
+    ("cube_from_triple-48", cube_from_triple, (BalancedTriple(None, TRIPLE.ideals),), DomainError),
+    ("cube_from_triple-49", cube_from_triple, (BalancedTriple(5, TRIPLE.ideals),), DomainError),
+    ("triples_equivalent-50", triples_equivalent, (TRIPLE, BalancedTriple(None, TRIPLE.ideals)), DomainError),
+    ("balanced_count-10", balanced_count, ("config", (1, 1, 2)), DomainError),
+    ("stella_membership-11", stella_membership, (-1, (0, 0, 0)), DomainError),
+    ("unit_coset_reps-12", unit_coset_reps, (3, -1, 1), DomainError),
+    ("unit_coset_reps-13", unit_coset_reps, (3, 0, -1), DomainError),
+    ("QuarticRing-14", QuarticRing, ({k: v for k, v in QUARTIC.c.items() if k != (2, 3, 1)},), DomainError),
+    # tables that are not associative, so QuarticRing refuses them: minors
+    # that violate the Plucker relations, a table outside the normalized
+    # basis, and minors that satisfy them
+    ("QuarticRing-40", QuarticRing, (NOT_PLUCKER,), DomainError),
+    ("QuarticRing-44", QuarticRing, (SHIFTED_NOT_ASSOCIATIVE,), DomainError),
+    ("QuarticRing-45", QuarticRing, (NOT_ASSOCIATIVE,), DomainError),
+    ("plucker_check-15", plucker_check, ({k: "a" for k in MINORS},), DomainError),
+    ("plucker_check-16", plucker_check, ({k: 0.5 for k in MINORS},), DomainError),
+    # a ring outside the normalized basis has no resolvent
+    ("pair_from_ring-33", pair_from_ring, (SHIFTED,), DomainError),
+    ("count_numerical_resolvents-34", count_numerical_resolvents, (SHIFTED,), DomainError),
+    ("enumerate_numerical_resolvents-39", enumerate_numerical_resolvents, (SHIFTED,), DomainError),
+    # an argument that is not an ideal, a triple or a ring
+    ("multiply-17", multiply, (5, 5), DomainError),
+    ("form_from_ideal-18", form_from_ideal, (5,), DomainError),
+    ("conjugate-19", conjugate, (None,), DomainError),
+    ("is_balanced-20", is_balanced, (1, 2, 3), DomainError),
+    ("cube_from_triple-21", cube_from_triple, (5,), DomainError),
+    ("idempotents_within-22", idempotents_within, (5, 1), DomainError),
+    ("raw_form-23", raw_form, (5,), DomainError),
+    ("ideal_norm-24", ideal_norm, (5,), DomainError),
+    ("inverse-25", inverse, (5,), DomainError),
+    ("is_invertible-26", is_invertible, (5,), DomainError),
+    ("endomorphism_ring-27", endomorphism_ring, (5,), DomainError),
+    ("unit_ideal-28", unit_ideal, (5,), DomainError),
+    ("scale-29", scale, (5, (1, 0)), DomainError),
+    ("ideal_from_form-30", ideal_from_form, (F, 5), DomainError),
+    ("form_from_cubic_ring-31", form_from_cubic_ring, (5,), DomainError),
+    ("QuadIdeal-32", QuadIdeal, (5, [(1, 0), (0, 1)]), DomainError),
 ]
 
 
 @pytest.mark.parametrize(
     "fn, args, expected",
-    BRANCHES,
-    ids=["%s-%d" % (fn.__name__, i) for i, (fn, _, _) in enumerate(BRANCHES)],
+    [row[1:] for row in BRANCHES],
+    ids=[row[0] for row in BRANCHES],
 )
 def test_every_branch_of_an_entry_point(fn, args, expected):
     if isinstance(expected, type) and issubclass(expected, Exception):
@@ -370,17 +372,28 @@ LIBRARY = ("exactlattice", "quadforms", "quadrings", "cubes", "cubicrings", "qua
 PROBES = (5, None, [5], [[1]], (1, 2), "x", -1, 0)
 
 
+def _public(module, test):
+    # (name, object) for each public member of a library module that passes
+    # test and is defined there
+    mod = importlib.import_module("smallrank." + module)
+    for name, obj in inspect.getmembers(mod, test):
+        if not name.startswith("_") and obj.__module__ == mod.__name__:
+            yield name, obj
+
+
 def _public_callables():
     # (name, callable, number of required positional arguments) for every
-    # public class and function defined in a library module
+    # public class and function defined in a library module, and every
+    # public classmethod of such a class
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for module in LIBRARY:
-        mod = importlib.import_module("smallrank." + module)
-        for name, obj in inspect.getmembers(mod, lambda o: inspect.isfunction(o) or inspect.isclass(o)):
-            if name.startswith("_") or obj.__module__ != mod.__name__ or name in UNCHECKED:
-                continue
-            params = inspect.signature(obj).parameters.values()
-            kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-            yield name, obj, sum(p.default is p.empty and p.kind in kinds for p in params)
+        for owner, obj in _public(module, lambda o: inspect.isfunction(o) or inspect.isclass(o)):
+            methods = inspect.getmembers(obj, inspect.ismethod) if inspect.isclass(obj) else []
+            found = [(owner, obj)] + [(owner + "." + m, f) for m, f in methods if not m.startswith("_")]
+            for name, fn in found:
+                if name not in UNCHECKED:
+                    params = inspect.signature(fn).parameters.values()
+                    yield name, fn, sum(p.default is p.empty and p.kind in kinds for p in params)
 
 
 def test_every_public_callable_returns_or_raises_a_typed_error():
@@ -388,7 +401,7 @@ def test_every_public_callable_returns_or_raises_a_typed_error():
     # to 3 arguments, the same value in every slot for more
     found = list(_public_callables())
     names = {name for name, _, _ in found}
-    assert len(found) >= 60 and {"QuarticRing", "ideal_from_form", "factorize"} <= names
+    assert len(found) >= 60 and {"QuarticRing", "ideal_from_form", "factorize", "CubicRing.from_table"} <= names
     escaped = []
     for name, fn, n in found:
         calls = product(PROBES, repeat=n) if n <= 3 else [(v,) * n for v in PROBES]
@@ -400,3 +413,28 @@ def test_every_public_callable_returns_or_raises_a_typed_error():
             except Exception as e:  # any other class escaped the gates
                 escaped.append((name, args, type(e).__name__))
     assert escaped == []
+
+
+# one instance of each public class of the library, built twice
+SAMPLES = {
+    QuadraticRing: lambda: QuadraticRing(1, 6),
+    QuadIdeal: lambda: unit_ideal(R),
+    BalancedTriple: lambda: triple_from_cube(CUBE),
+    CubicRing: lambda: ring_from_cubic_form((1, 0, 1, 1)),
+    MinimalResolvent: lambda: pair_from_ring(QUARTIC)[0],
+    QuarticRing: lambda: ring_from_pair(PAIR),
+    PadicConfig: lambda: PadicConfig(3, 2, 2),
+}
+
+
+def test_every_public_value_is_read_only():
+    # a value that can be edited can leave a dict key or a hash that was
+    # taken before, or hold what its constructor refuses (a composite p)
+    classes = {obj for module in LIBRARY for _, obj in _public(module, inspect.isclass)}
+    assert classes == set(SAMPLES)
+    for cls, make in SAMPLES.items():
+        value, same = make(), make()
+        for name in [n for n in dir(value) if not n.startswith("_")] + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 4)
+        assert value == same and hash(value) == hash(same)

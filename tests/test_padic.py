@@ -28,6 +28,12 @@ def test_config_validation():
         PadicConfig(3, 1, 1)  # 1 is a square
     with pytest.raises(DomainError):
         PadicConfig(5, 1, 4)  # 4 is a square
+    # a config is a named tuple whose _replace and _make run the same checks
+    cfg = PadicConfig(3, 2, 2)
+    for make in (lambda: cfg._replace(p=4), lambda: PadicConfig._make((4, 2, 2)), lambda: cfg._replace(u=1)):
+        with pytest.raises(DomainError):
+            make()
+    assert cfg._replace(n=3) == PadicConfig._make((3, 3, 2)) == PadicConfig(3, 3, 2)
 
 
 
@@ -41,6 +47,10 @@ def test_config_equality():
     assert PadicConfig(3, 2, 2) == PadicConfig(3, 2, 2)
     assert PadicConfig(3, 2, 2) != PadicConfig(3, 1, 2)
     assert len({PadicConfig(5, 1, 2), PadicConfig(5, 1, 2)}) == 1
+    # a named tuple: equal to the plain tuple of its fields, and with the
+    # repr it had as a class of its own
+    assert PadicConfig(3, 2, 2) == (3, 2, 2) and hash(PadicConfig(3, 2, 2)) == hash((3, 2, 2))
+    assert repr(PadicConfig(3, 2, 2)) == "PadicConfig(p=3, n=2, u=2)"
 
 
 def test_least_nonresidue():

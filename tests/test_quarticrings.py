@@ -62,6 +62,7 @@ from smallrank.quarticrings import (
     _associative,
     _c_linear_from_lambda,
     _closed_mod_p,
+    _content,
     _lam_get,
     _lambda_from_c,
     _maximal_at_p,
@@ -232,8 +233,6 @@ def test_tables_from_pairs_are_built_once_and_checked_once(monkeypatch):
     # counted, not timed
     pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
     rings = [ring_from_pair(pair) for pair in pairs]
-    for ring in rings:
-        _resolvent_data(ring)
 
     def fail(self, c):
         raise RuntimeError("QuarticRing(c) called")
@@ -433,39 +432,58 @@ def test_trivial_ring():
         pair_from_ring(ring)
 
 
-def test_resolvent_data_is_computed_once_per_ring(monkeypatch):
-    # counted, not timed: one mu-lattice _hnf_int (six rows) per ring across
-    # pair_from_ring, count_numerical_resolvents and
-    # enumerate_numerical_resolvents, and none for the lattices, which are
-    # written down
+@settings(max_examples=300, deadline=None)
+@given(forms, forms, st.sampled_from([1, 2, 6, 5040]))
+@example(P_A, P_B, 1)
+@example((0,) * 6, (0,) * 6, 1)
+def test_content_is_the_gcd_of_the_minors(a, b, k):
+    # the gcd of the table's xi-coefficients, which _content reads, is the
+    # gcd of the fifteen minors
+    pair = (tuple(k * v for v in a), b)
+    n = gcd(*lambda_system(pair).values())
+    ring = ring_from_pair(pair)
+    if n == 0:
+        with pytest.raises(TrivialRing):
+            _content(ring)
+    else:
+        assert _content(ring) == n
+
+
+def test_resolvent_data_is_computed_once_per_call(monkeypatch):
+    # counted, not timed: the ring keeps nothing, so each call of
+    # pair_from_ring or enumerate_numerical_resolvents makes one mu-lattice
+    # _hnf_int (six rows), and none for the lattices, which are written
+    # down; count_numerical_resolvents reads the content off the table and
+    # makes none
     sizes = []
     hnf = quarticrings._hnf_int
     monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: sizes.append(len(rows)) or hnf(rows))
     for pair in _random_pairs(51, 20) + [(tuple(6 * v for v in P_A), P_B)]:
         ring = ring_from_pair(pair)
         sizes.clear()
-        first = pair_from_ring(ring)
         count = count_numerical_resolvents(ring)
-        assert pair_from_ring(ring) == first and count_numerical_resolvents(ring) == count
+        assert count_numerical_resolvents(ring) == count and sizes == []
+        first = pair_from_ring(ring)
         assert sizes == [6]
-        assert len(enumerate_numerical_resolvents(ring)) == count
-        assert len(enumerate_numerical_resolvents(ring)) == count
-        assert sizes == [6]
+        assert pair_from_ring(ring) == first and sizes == [6, 6]
+        sizes.clear()
+        assert len(enumerate_numerical_resolvents(ring)) == count and sizes == [6]
+        assert len(enumerate_numerical_resolvents(ring)) == count and sizes == [6, 6]
 
 
 def test_enumerated_lattices_need_no_hnf(monkeypatch):
-    # counted: once the resolvent data is at hand, enumerate_numerical_resolvents
-    # makes no _hnf_int call, for contents up to 60 times that of the
-    # unscaled pair; the lattices agree with the oracle's
+    # counted: enumerate_numerical_resolvents makes one _hnf_int call, for
+    # the six mu-vectors, and none for the lattices, for contents up to 60
+    # times that of the unscaled pair; the lattices agree with the oracle's
     calls = []
     hnf = quarticrings._hnf_int
     monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: calls.append(rows) or hnf(rows))
     for k, (a, b) in enumerate(_random_pairs(52, 25)):
         ring = ring_from_pair((tuple((1, 2, 6, 12, 60)[k % 5] * v for v in a), b))
-        count = count_numerical_resolvents(ring)  # the resolvent data, one HNF
+        count = count_numerical_resolvents(ring)
         calls.clear()
         lattices = enumerate_numerical_resolvents(ring)
-        assert calls == [] and len(lattices) == count
+        assert [len(rows) for rows in calls] == [6] and len(lattices) == count
         assert lattices == _oracle_enumerate_numerical_resolvents(ring)
 
 
@@ -476,22 +494,26 @@ def test_enumerated_lattices_need_no_hnf(monkeypatch):
         ("_lam_get", lambda f: lambda lam, x, y: 2 * f(lam, x, y), "mu realization"),
         # a doubled HNF: 4 times the covolume of the mu-lattice
         ("_hnf_int", lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)], "covolume"),
+        # a doubled content: the covolume checks it against the minors
+        ("_content", lambda f: lambda ring: 2 * f(ring), "covolume"),
     ],
-    ids=["mu-vectors", "covolume"],
+    ids=["mu-vectors", "covolume", "content"],
 )
-def test_resolvent_self_checks_run_on_first_use(monkeypatch, name, fault, message):
-    # a fault just upstream of each check of _resolvent_data raises from
-    # every entry point on a fresh ring, and again on a second call, as an
-    # error is never kept; without the fault the same ring answers
+def test_resolvent_self_checks_run_on_every_call(monkeypatch, name, fault, message):
+    # the ring keeps no resolvent data, so a fault just upstream of each
+    # check of _resolvent_data raises from both entry points that compute
+    # it, on every call, also on a ring that answered before the fault;
+    # without the fault the same ring answers again
     pair = (tuple(6 * v for v in P_A), P_B)
+    ring = ring_from_pair(pair)
+    answers = [entry(ring) for entry in (pair_from_ring, enumerate_numerical_resolvents)]
     monkeypatch.setattr(quarticrings, name, fault(getattr(quarticrings, name)))
-    for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
-        ring = ring_from_pair(pair)
+    for entry in (pair_from_ring, enumerate_numerical_resolvents):
         for _ in range(2):
             with pytest.raises(InvariantViolation, match=message):
                 entry(ring)
     monkeypatch.undo()
-    assert count_numerical_resolvents(ring) == 12
+    assert [entry(ring) for entry in (pair_from_ring, enumerate_numerical_resolvents)] == answers
 
 
 def test_resolvent_and_maximality_errors_are_raised_on_every_call():
@@ -508,7 +530,6 @@ def test_resolvent_and_maximality_errors_are_raised_on_every_call():
             for _ in range(2):
                 with pytest.raises(error):
                     entry(ring)
-    assert zero._resolvent is None
     for _ in range(2):
         with pytest.raises(DomainError, match="not associative"):
             QuarticRing(c)
@@ -561,10 +582,10 @@ def test_resolvents_refuse_a_table_outside_the_normalized_basis():
 
 
 def test_every_ring_class_holds_only_its_table():
-    # one state at every rank: _t, and the resolvent data of a quartic ring
+    # one state at every rank: _t alone
     assert _Ring.__slots__ == ("_t",)
-    for cls, slots in ((QuadraticRing, ()), (CubicRing, ()), (QuarticRing, ("_resolvent",))):
-        assert cls.__bases__ == (_Ring,) and cls.__slots__ == slots
+    for cls in (QuadraticRing, CubicRing, QuarticRing):
+        assert cls.__bases__ == (_Ring,) and cls.__slots__ == ()
         assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     rings = (QuadraticRing(1, 6), CubicRing(0, 1, -1, 1), ring_from_pair(P_Z4))
     assert not any(hasattr(ring, "__dict__") for ring in rings)
@@ -1445,7 +1466,7 @@ def test_table_self_checks_survive_optimize_flag():
     # and so does a perturbed xi-coefficient, as its constants no longer
     # fit; a closure
     # test that accepts every candidate fails the witness check, doubled
-    # minors the mu-vector check of the resolvent data on its first use, a
+    # minors the mu-vector check of the resolvent data, a
     # witness pair that rebuilds another table the check in pair_from_ring,
     # coordinates that are not integral its integrality check, and a
     # missing divisor the lattice count of enumerate_numerical_resolvents,
@@ -1482,7 +1503,7 @@ def test_table_self_checks_survive_optimize_flag():
         "lam_get = q._lam_get\n"
         "q._lam_get = lambda lam, x, y: 2 * lam_get(lam, x, y)\n"
         "try:\n"
-        "    q.count_numerical_resolvents(q.ring_from_pair(pair))\n"
+        "    q.pair_from_ring(q.ring_from_pair(pair))\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
         "q._lam_get = lam_get\n"

@@ -18,7 +18,11 @@ the pairs (one seed each) that the change won by the direction
 ``BENCHMARK.json`` gives the metric, ties counting for neither, and
 whether the change's median is within the metric's ``bound`` of the
 parent's: ``ok``, or ``WORSE`` when it is worse by more than that share.
-That is the rule by which a change that claims no gain is judged.  Last
+That is the rule by which a change that claims no gain is judged.  An
+``ok`` reads ``unresolved`` instead when the parent's own quartile spread
+is wider than the bound times its median, so the runs cannot tell a
+change within the bound from none, unless every run of the change beats
+every run of the parent.  Last
 it prints the median ``attempted`` count of both sides, as
 ``peak_rss_mb`` grows with the number of latency samples a run keeps.
 Stdlib only.
@@ -62,12 +66,18 @@ def _spread(values):
 
 def _within(parent, change, higher, bound):
     # whether the change's median is worse than the parent's by no more than
-    # the share bound
+    # the share bound, over the runs of each side; unresolved when the
+    # parent's quartile spread is wider than that share of its median
     if bound is None:
         return "-"
-    if higher:
-        return "ok" if change >= parent * (1 - bound) else "WORSE"
-    return "ok" if change <= parent * (1 + bound) else "WORSE"
+    mid, q1, q3 = _spread(parent)
+    new = statistics.median(change)
+    if (new < mid * (1 - bound)) if higher else (new > mid * (1 + bound)):
+        return "WORSE"
+    sign = 1 if higher else -1
+    if q3 - q1 > bound * abs(mid) and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "ok"
 
 
 def _compare(roots, workload, metrics):
@@ -89,8 +99,8 @@ def _compare(roots, workload, metrics):
     if len(runs["parent"]) < 2:
         print("%s: %d finished pairs, too few to compare" % (workload, len(runs["parent"])))
         return
-    print("%-16s %28s %28s %8s %5s %6s" % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
-                                           "ratio", "won", "bound"))
+    print("%-16s %28s %28s %8s %5s %10s" % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
+                                            "ratio", "won", "bound"))
     for name in runs["parent"][0]:
         parent, change = ([m[name] for m in runs[side]] for side in roots)
         cells = ["%10.6g [%6.4g, %6.4g]" % _spread(values) for values in (parent, change)]
@@ -99,8 +109,8 @@ def _compare(roots, workload, metrics):
         higher, bound = metrics.get(name, (False, None))
         sign = 1 if higher else -1
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        print("%-16s %28s %28s %s %2d/%d %6s" % (name, cells[0], cells[1], ratio, won, len(parent),
-                                                  _within(mid, new, higher, bound)))
+        print("%-16s %28s %28s %s %2d/%d %10s" % (name, cells[0], cells[1], ratio, won, len(parent),
+                                                   _within(parent, change, higher, bound)))
     print("%s median attempted: parent %g, change %g"
           % ((workload,) + tuple(statistics.median(attempted[side]) for side in roots)))
 
