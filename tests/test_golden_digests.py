@@ -8,6 +8,10 @@ messages are pinned too.  A change that alters a digest must say in
 CHANGES.md which outputs changed and why, and then rewrite the file with
 
     python tests/test_golden_digests.py --update
+
+The families in ``SWEEPS`` cover a whole input range and are too slow for
+tier-1: their tests carry the ``sweep`` marker and run only with
+``python -m pytest -m sweep --sweep``; ``--update`` rewrites them too.
 """
 
 import hashlib
@@ -71,6 +75,13 @@ def _outcome(fn, *args):
 
 def _class_groups():
     for d in range(-3, -5001, -1):
+        if d % 4 in (0, 1):
+            yield d, class_group(d)
+
+
+def _class_group_sweep():
+    # every discriminant of the classgroup benchmark, |D| <= 20000
+    for d in range(-3, -20001, -1):
         if d % 4 in (0, 1):
             yield d, class_group(d)
 
@@ -351,6 +362,10 @@ FAMILIES = {
     "resolvents": _resolvents,
 }
 
+SWEEPS = {
+    "class_group_sweep": _class_group_sweep,
+}
+
 
 def _digest(family):
     h = hashlib.sha256()
@@ -365,12 +380,18 @@ def test_output_digest_is_unchanged(name):
     assert _digest(FAMILIES[name]) == json.loads(FILE.read_text(encoding="utf-8"))[name]
 
 
+@pytest.mark.sweep
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_digest_is_unchanged(name):
+    assert _digest(SWEEPS[name]) == json.loads(FILE.read_text(encoding="utf-8"))[name]
+
+
 def test_digest_file_has_one_entry_per_family():
-    assert sorted(json.loads(FILE.read_text(encoding="utf-8"))) == sorted(FAMILIES)
+    assert sorted(json.loads(FILE.read_text(encoding="utf-8"))) == sorted({**FAMILIES, **SWEEPS})
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
-    digests = {name: _digest(family) for name, family in sorted(FAMILIES.items())}
+    digests = {name: _digest(family) for name, family in sorted({**FAMILIES, **SWEEPS}.items())}
     FILE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
