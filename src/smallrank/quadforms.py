@@ -6,6 +6,7 @@ twisted by the determinant: (M.f)(v) = f(vM) / det M, so both proper and
 improper equivalences preserve the discriminant.
 """
 
+from collections import Counter
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import itemgetter
@@ -46,13 +47,6 @@ def twisted_act(m, f):
     return g
 
 
-def is_reduced(f) -> bool:
-    a, b, c = _ints(f, 3)
-    if not (abs(b) <= a <= c):
-        return False
-    return b >= 0 or (abs(b) != a and a != c)
-
-
 def reduce(f):
     """Lagrange-reduce a positive definite form.
 
@@ -70,9 +64,9 @@ def _reduce(a, b, c):
     # Lagrange steps on the positive definite form (a, b, c), tracking
     # m = ((p, q), (r, s)) with det m = 1: a swap multiplies m on the left by
     # ((0, -1), (1, 0)) and a translation by ((1, 0), (k, 1)).  The loop stops
-    # exactly when the form is reduced (is_reduced); the end checks that m
-    # takes the input to the output, as twisted_act would, written out
-    # because it runs on every composition.
+    # exactly when the form is reduced; the end checks that m takes the input
+    # to the output, as twisted_act would, written out because it runs on
+    # every composition.
     a0, b0, c0 = a, b, c
     p, q, r, s = 1, 0, 0, 1
     while True:
@@ -219,19 +213,25 @@ def _monoid_table(n, ident, product, conj):
     In a class group conj is the inverse and N the identity, so each
     product fills two cosets of R: about n/2 products in all, and always
     fewer than 2n, as without conj.  Every entry is spread alike, and an
-    entry reached twice must agree.  Closing R under times g,
-    row(x*g)[k] = x*(g*k), suffices because the product commutes; each new
-    row is one gather of row(x) by times_g (n >= 2 here, so the gather
-    returns a tuple).
+    entry reached twice must agree.  R is then closed under times g, which
+    suffices because the product commutes.  When n <= 256 every index fits
+    in a byte: a row is ``bytes``, and each new row is the old one mapped
+    by the values of times g, row(x*g) = row(x).translate(times_g), as
+    (x*g)*k = g*(x*k); the rows become lists once, at the end.  Above 256
+    a row is a list, and each new row is one gather of row(x) by times_g,
+    row(x*g)[k] = x*(g*k).  Cost: the products above and n^2 byte or list
+    entries, built a row at a time.
 
     The two checks see a product that gives one entry two values and a
-    finished table that is not symmetric.  They cannot see every
-    non-commutative product, since product(g, k) is only called with a
-    generator on the left: of the 54 products on {0, 1, 2} with identity 0
-    and 1*2 != 2*1, 30 give a symmetric table.  The callers compose ideal
-    classes, which commute by theorem.
+    finished table that is not symmetric; the second compares each column
+    of the joined byte rows, or of the transposed lists, with its row.
+    They cannot see every non-commutative product, since product(g, k) is
+    only called with a generator on the left: of the 54 products on
+    {0, 1, 2} with identity 0 and 1*2 != 2*1, 30 give a symmetric table.
+    The callers compose ideal classes, which commute by theorem.
     """
-    rows = {ident: list(range(n))}
+    small = n <= 256
+    rows = {ident: bytes(range(n)) if small else list(range(n))}
     for g in range(n):
         if g in rows:
             continue
@@ -253,15 +253,25 @@ def _monoid_table(n, ident, product, conj):
                         times_g[x] = z
                     elif times_g[x] != z:
                         raise InvariantViolation("monoid table must be symmetric")
-        gather = itemgetter(*times_g)
+        if small:
+            # a translate table has 256 entries; no row holds the padding
+            by_g = bytes(times_g).ljust(256)
+        else:
+            by_g = itemgetter(*times_g)  # n > 256, so the gather returns a tuple
         todo = list(rows)
         while todo:
             x = todo.pop()
             y = times_g[x]
             if y not in rows:
-                rows[y] = list(gather(rows[x]))
+                rows[y] = rows[x].translate(by_g) if small else list(by_g(rows[x]))
                 todo.append(y)
     table = [rows[x] for x in range(n)]
+    if small:
+        flat = b"".join(table)
+        for j, row in enumerate(table):
+            if flat[j::n] != row:
+                raise InvariantViolation("monoid table must be symmetric")
+        return [list(row) for row in table]
     if table != [list(col) for col in zip(*table)]:
         raise InvariantViolation("monoid table must be symmetric")
     return table
@@ -287,8 +297,9 @@ def _structure(orders):
     # orders of its elements: p^k divides exactly the r largest factors,
     # where p^r = #{x : x^(p^k) = 1} / #{x : x^(p^(k-1)) = 1}
     largest_first = [1] * len(orders).bit_length()
+    counts = Counter(orders)
     for p, e in factorize(len(orders)).items():
-        n = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
+        n = [sum(c for o, c in counts.items() if p**k % o == 0) for k in range(e + 1)]
         for k in range(1, e + 1):
             for j in range(len(largest_first)):
                 if n[k] > n[k - 1] * p**j:
@@ -302,9 +313,11 @@ def class_group(d):
     Returns (elements, table, structure) where table[i][j] is the index of
     elements[i] * elements[j] and structure is the tuple of invariant factors.
     Cost: about |d|/14 divisibility tests (``enumerate_reduced``); for h
-    classes, about h/2 compositions (fewer than 2h always) and h^2 lookups
-    for the table of h^2 ints, and under h^2 for the orders: one walk of the
-    powers of each x whose order m is unknown, ord(x^k) = m / gcd(k, m).  The
+    classes, about h/2 compositions (fewer than 2h always), the table of h^2
+    ints built a row at a time (one ``bytes.translate`` per row for h <= 256,
+    one gather of a list above), and under h^2 steps for the orders: one
+    walk of the powers of each x whose order m is unknown, ord(x^k) =
+    m / gcd(k, m), then one count of each order.  The
     conjugate (a, -b, c) is the inverse class, so each composition y = g*k
     also gives g*conj(y) = conj(k), because g*conj(g) is principal, and
     g*conj(k) = conj(y) when g is its own conjugate (``_monoid_table``).

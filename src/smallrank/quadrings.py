@@ -261,10 +261,11 @@ def class_semigroup(d):
     y = g*k also gives g*conj(y) = N*conj(k) with N = g*conj(g) once N is
     reached, and g*conj(k) = conj(y) when g is its own conjugate
     (``_monoid_table``).  Cost: for h reduced forms, about |d|/14 divisibility
-    tests (``enumerate_reduced``), h^2 lookups, one composition per generator
-    and one per orbit of the reached classes on the rest: about h/2 when
-    most classes are invertible, at most 3h for |d| < 3000, under h^2
-    always.  The table holds h^2 ints.
+    tests (``enumerate_reduced``), one composition per generator and one per
+    orbit of the reached classes on the rest: about h/2 when most classes
+    are invertible, at most 3h for |d| < 3000, under h^2 always.  The table
+    holds h^2 ints, built a row at a time: one ``bytes.translate`` per row
+    for h <= 256, one gather of a list above.
     """
     ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)

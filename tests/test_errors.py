@@ -69,7 +69,6 @@ from smallrank.quadforms import (
     class_group,
     compose,
     enumerate_reduced,
-    is_reduced,
     principal_form,
     reduce,
     represent,
@@ -256,8 +255,6 @@ T = Fraction(1, 3)
 # moving a row renames no other
 BRANCHES = [
     ("twisted_act-0", twisted_act, (((1, 1), (1, 1)), F), NotUnimodular),
-    ("is_reduced-36", is_reduced, (5,), DomainError),
-    ("is_reduced-37", is_reduced, ((1, 2),), DomainError),
     ("form_from_ideal-1", form_from_ideal, (QuadIdeal(R, ((0, 1), (1, 0))),), (1, 1, 6)),  # negatively oriented
     ("form_from_ideal-2", form_from_ideal, (unit_ideal(ring_from_disc(5)),), (1, 1, -1)),  # real: not reduced
     ("ideal_from_form-3", ideal_from_form, (F, ring_from_disc(-20)), FormRingMismatch),

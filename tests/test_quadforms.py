@@ -6,8 +6,9 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,20 +22,22 @@ from smallrank.errors import (
     NotPrimitive,
     UnsupportedDiscriminant,
 )
+from smallrank.exactlattice import factorize
 from smallrank.quadforms import (
     _compose,
+    _monoid_table,
     _structure,
     class_group,
     compose,
     content,
     discriminant,
     enumerate_reduced,
-    is_reduced,
     principal_form,
     reduce,
     represent,
     twisted_act,
 )
+from smallrank.quadrings import class_semigroup
 
 small = st.integers(min_value=-30, max_value=30)
 
@@ -66,6 +69,15 @@ def test_discriminant_and_content():
     assert content((4, 6, 8)) == 2
     assert content((5, 0, 5)) == 5
     assert content((2, 1, 3)) == 1
+
+
+# The reducedness test that _reduce's loop condition inlines; it was public
+# with no reader outside the tests, and is kept as their oracle.
+def is_reduced(f):
+    a, b, c = f
+    if not (abs(b) <= a <= c):
+        return False
+    return b >= 0 or (abs(b) != a and a != c)
 
 
 @given(_unimodular(), _unimodular(), _posdef_forms())
@@ -321,7 +333,33 @@ def test_monoid_table_symmetry_check_survives_optimize_flag():
         "quadforms._monoid_table(5, 0, add, list(range(5)))",
     )
     assert message == "monoid table must be symmetric"
+    assert check == "if flat[j::n] != row:"
+
+
+def test_monoid_table_list_symmetry_check_survives_optimize_flag():
+    # the twin above n = 256, where rows are lists: addition on Z/257 with
+    # 1 + 1 and 1 + 256 changed; every entry reached twice agrees, and only
+    # the final check of the transposed lists sees it
+    message, check = _raises_under_optimize_flag(
+        "changed = {(1, 1): 1, (1, 256): 256}\n"
+        "def add(x, y):\n"
+        "    return changed.get((x, y), (x + y) % 257)\n",
+        "quadforms._monoid_table(257, 0, add, list(range(257)))",
+    )
+    assert message == "monoid table must be symmetric"
     assert check == "if table != [list(col) for col in zip(*table)]:"
+
+
+def test_monoid_table_spread_check_survives_optimize_flag():
+    # addition on Z/5 with 1 + 1 changed to 1: the entry 2 + 0 = 2 is
+    # reached again, spread from row 1, as 1 + (2 + 4) = 1 + 1 = 1
+    message, check = _raises_under_optimize_flag(
+        "def add(x, y):\n"
+        "    return 1 if (x, y) == (1, 1) else (x + y) % 5\n",
+        "quadforms._monoid_table(5, 0, add, list(range(5)))",
+    )
+    assert message == "monoid table must be symmetric"
+    assert check == "elif times_g[x] != z:"
 
 
 def test_twisted_act_discriminant_check_survives_optimize_flag():
@@ -484,6 +522,113 @@ def test_class_group_table_agrees_with_product_only_builder(d):
         return index[_compose(elements[i], elements[j], d)]
 
     assert table == _oracle_monoid_table(len(elements), index[principal_form(d)], product)
+
+
+# The table builder with list rows and one gather per new row, and the
+# structure that scanned all h orders once for each prime power, that byte
+# rows (n <= 256) and one count of each order replaced; kept as oracles.
+def _oracle_list_monoid_table(n, ident, product, conj):
+    rows = {ident: list(range(n))}
+    for g in range(n):
+        if g in rows:
+            continue
+        times_g = [rows[j][g] if j in rows else None for j in range(n)]
+        norm_g = product(g, conj[g])
+        norm = rows.get(norm_g)
+        products = ((k, product(g, k)) for k in range(n) if times_g[k] is None)
+        for k, y in chain([(conj[g], norm_g)], products):
+            entries = [(k, y)]
+            if norm is not None:
+                entries.append((conj[y], norm[conj[k]]))
+            if conj[g] == g:
+                entries.append((conj[k], conj[y]))
+            for k1, y1 in entries:
+                for row in rows.values():
+                    x, z = row[k1], row[y1]
+                    if times_g[x] is None:
+                        times_g[x] = z
+                    elif times_g[x] != z:
+                        raise AssertionError("monoid table must be symmetric")
+        gather = itemgetter(*times_g)
+        todo = list(rows)
+        while todo:
+            x = todo.pop()
+            y = times_g[x]
+            if y not in rows:
+                rows[y] = list(gather(rows[x]))
+                todo.append(y)
+    table = [rows[x] for x in range(n)]
+    if table != [list(col) for col in zip(*table)]:
+        raise AssertionError("monoid table must be symmetric")
+    return table
+
+
+def _oracle_scan_structure(orders):
+    largest_first = [1] * len(orders).bit_length()
+    for p, e in factorize(len(orders)).items():
+        n = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
+        for k in range(1, e + 1):
+            for j in range(len(largest_first)):
+                if n[k] > n[k - 1] * p**j:
+                    largest_first[j] *= p
+    return tuple(reversed([f for f in largest_first if f > 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-30000, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-3)
+@example(-27431)  # h = 259, the least |d| with h > 256: list rows
+def test_class_tables_agree_with_list_row_builder(d):
+    expected = class_group(d), class_semigroup(d)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(quadforms, "_monoid_table", _oracle_list_monoid_table)
+        monkeypatch.setattr(quadforms, "_structure", _oracle_scan_structure)
+        assert (class_group(d), class_semigroup(d)) == expected
+
+
+def _sum_monoid(m1, m2):
+    # Z/m1 x Z/m2 under addition, (a, b) as a*m2 + b, conj the negation
+    def add(x, y):
+        return (x // m2 + y // m2) % m1 * m2 + (x + y) % m2
+
+    return m1 * m2, 0, add, [-(x // m2) % m1 * m2 + -x % m2 for x in range(m1 * m2)]
+
+
+def _product_monoid(m):
+    # (Z/m, *), conj the identity
+    return m, 1 % m, lambda x, y: x * y % m, list(range(m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 20).flatmap(lambda m1: st.integers(1, 300 // m1).map(lambda m2: _sum_monoid(m1, m2))),
+        st.integers(1, 300).map(_product_monoid),
+    )
+)
+@example(_sum_monoid(1, 257))
+@example(_sum_monoid(16, 16))
+@example(_sum_monoid(2, 150))
+@example(_product_monoid(256))
+@example(_product_monoid(257))
+@example(_product_monoid(300))
+def test_monoid_table_agrees_with_list_row_builder(monoid):
+    # byte rows up to n = 256 and list rows above, on monoids that are not
+    # class groups: every entry is the product itself
+    n, ident, product, conj = monoid
+    table = _monoid_table(n, ident, product, conj)
+    assert table == _oracle_list_monoid_table(n, ident, product, conj)
+    assert table == [[product(x, y) for y in range(n)] for x in range(n)]
+
+
+def test_list_row_class_table_agrees_with_every_composition():
+    # the table of h = 259 > 256 classes, built on list rows, against the
+    # h^2 compositions of the naive table
+    d = -27431
+    elements, table, _ = class_group(d)
+    index = {f: i for i, f in enumerate(elements)}
+    assert len(elements) == 259
+    assert table == [[index[_compose(f, g, d)] for g in elements] for f in elements]
 
 
 def _genus_characters(d):
@@ -656,6 +801,7 @@ def test_structure_recovers_invariant_factor_chains(chain, rng):
     rng.shuffle(orders)
     assert _structure(orders) == chain
     assert _oracle_structure(orders) == chain
+    assert _oracle_scan_structure(orders) == chain
 
 
 def test_class_group_excludes_imprimitive():

@@ -1,6 +1,6 @@
 """Run the benchmark on two checkouts in pairs and compare both sides.
 
-    python tools/bench_pair.py PARENT CHANGE WORKLOAD [WORKLOAD ...]
+    python tools/bench_pair.py [--out PATH] PARENT CHANGE WORKLOAD [WORKLOAD ...]
 
 PARENT and CHANGE are the roots of two smallrank checkouts.  Both are
 byte-compiled first (``python -m compileall -q src perfbench``): a copy
@@ -25,11 +25,17 @@ change within the bound from none, unless every run of the change beats
 every run of the parent.  Last
 it prints the median ``attempted`` count of both sides, as
 ``peak_rss_mb`` grows with the number of latency samples a run keeps.
-Stdlib only.
+With ``--out PATH`` it also writes what it printed to the JSON file PATH:
+for each workload, the number of pairs, the median ``attempted`` of each
+side and, for each metric, the median and quartiles of each side, the
+pairs won and the verdict; and the Python version, the git revision of
+each checkout and the CPU model from ``/proc/cpuinfo`` (``null`` where
+one cannot be read).  Stdlib only.
 """
 
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -81,7 +87,8 @@ def _within(parent, change, higher, bound):
 
 
 def _compare(roots, workload, metrics):
-    # run the pairs of one workload and print its table
+    # run the pairs of one workload, print its table and return it as
+    # {"pairs", "attempted", "metrics"}, or None with too few pairs
     runs = {side: [] for side in roots}
     attempted = {side: [] for side in roots}
     for seed in SEEDS:
@@ -98,7 +105,8 @@ def _compare(roots, workload, metrics):
                 attempted[side].append(count)
     if len(runs["parent"]) < 2:
         print("%s: %d finished pairs, too few to compare" % (workload, len(runs["parent"])))
-        return
+        return None
+    rows = {}
     print("%-16s %28s %28s %8s %5s %10s" % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
                                             "ratio", "won", "bound"))
     for name in runs["parent"][0]:
@@ -109,15 +117,42 @@ def _compare(roots, workload, metrics):
         higher, bound = metrics.get(name, (False, None))
         sign = 1 if higher else -1
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        verdict = _within(parent, change, higher, bound)
         print("%-16s %28s %28s %s %2d/%d %10s" % (name, cells[0], cells[1], ratio, won, len(parent),
-                                                   _within(parent, change, higher, bound)))
-    print("%s median attempted: parent %g, change %g"
-          % ((workload,) + tuple(statistics.median(attempted[side]) for side in roots)))
+                                                   verdict))
+        rows[name] = {side: dict(zip(("median", "q1", "q3"), _spread(values)))
+                      for side, values in (("parent", parent), ("change", change))}
+        rows[name].update(won=won, verdict=verdict)
+    medians = {side: statistics.median(attempted[side]) for side in roots}
+    print("%s median attempted: parent %g, change %g" % (workload, medians["parent"], medians["change"]))
+    return {"pairs": len(runs["parent"]), "attempted": medians, "metrics": rows}
+
+
+def _revision(root):
+    # the git revision checked out at root, or None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _cpu_model():
+    # the first "model name" of /proc/cpuinfo, or None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return None
 
 
 def main(argv):
+    out = None
+    if argv[:1] == ["--out"] and len(argv) > 1:
+        out, argv = argv[1], argv[2:]
     if len(argv) < 3:
-        print("usage: python tools/bench_pair.py PARENT CHANGE WORKLOAD [WORKLOAD ...]", file=sys.stderr)
+        print("usage: python tools/bench_pair.py [--out PATH] PARENT CHANGE WORKLOAD [WORKLOAD ...]",
+              file=sys.stderr)
         return 2
     roots = {"parent": argv[0], "change": argv[1]}
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -125,8 +160,19 @@ def main(argv):
     for root in roots.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                        cwd=root, check=True)
-    for workload in argv[2:]:
-        _compare(roots, workload, metrics)
+    results = {workload: _compare(roots, workload, metrics) for workload in argv[2:]}
+    if out is not None:
+        report = {
+            "python": platform.python_version(),
+            "cpu": _cpu_model(),
+            "revisions": {side: _revision(root) for side, root in roots.items()},
+            "seeds": list(SEEDS),
+            "seconds": SECONDS,
+            "workloads": results,
+        }
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return 0
 
 
