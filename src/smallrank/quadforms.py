@@ -253,11 +253,9 @@ def _monoid_table(n, ident, product, conj):
                         times_g[x] = z
                     elif times_g[x] != z:
                         raise InvariantViolation("monoid table must be symmetric")
-        if small:
-            # a translate table has 256 entries; no row holds the padding
-            by_g = bytes(times_g).ljust(256)
-        else:
-            by_g = itemgetter(*times_g)  # n > 256, so the gather returns a tuple
+        # a translate table has 256 entries, and no row holds the padding;
+        # above 256 the gather has n > 1 indices, so it returns a tuple
+        by_g = bytes(times_g).ljust(256) if small else itemgetter(*times_g)
         todo = list(rows)
         while todo:
             x = todo.pop()

@@ -73,7 +73,7 @@ def test_discriminant_and_content():
 
 # The reducedness test that _reduce's loop condition inlines; it was public
 # with no reader outside the tests, and is kept as their oracle.
-def is_reduced(f):
+def _oracle_is_reduced(f):
     a, b, c = f
     if not (abs(b) <= a <= c):
         return False
@@ -95,7 +95,7 @@ def test_twisted_action_preserves_disc_and_content(m, f):
 @given(_posdef_forms())
 def test_reduce_contract(f):
     g, m = reduce(f)
-    assert is_reduced(g)
+    assert _oracle_is_reduced(g)
     assert discriminant(g) == discriminant(f)
     assert twisted_act(m, f) == g
 
@@ -106,7 +106,7 @@ def test_reduce_contract(f):
 def _oracle_reduce(f):
     a, b, c = f
     m = ((1, 0), (0, 1))
-    while not is_reduced((a, b, c)):
+    while not _oracle_is_reduced((a, b, c)):
         if a > c or (a == c and b < 0):
             a, b, c = c, -b, a
             m = _oracle_mat_mul(((0, -1), (1, 0)), m)
@@ -157,7 +157,7 @@ def test_enumerate_reduced_is_complete_and_reduced():
         forms = enumerate_reduced(d)
         assert len(set(forms)) == len(forms)
         for f in forms:
-            assert is_reduced(f)
+            assert _oracle_is_reduced(f)
             assert discriminant(f) == d
         # every reduced class appears: reducing a random equivalent lands back
         rng = random.Random(d)

@@ -130,7 +130,10 @@ def _compare(roots, workload, metrics):
 
 def _revision(root):
     # the git revision checked out at root, or None
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    except OSError:
+        return None
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
