@@ -86,6 +86,13 @@ def _class_group_sweep():
             yield d, class_group(d)
 
 
+def _class_semigroup_sweep():
+    # the class_group_sweep range; the tier-1 family stops at |D| <= 3000
+    for d in range(-3, -20001, -1):
+        if d % 4 in (0, 1):
+            yield d, class_semigroup(d)
+
+
 def _class_semigroups():
     for d in range(-3, -3001, -1):
         if d % 4 in (0, 1):
@@ -364,6 +371,7 @@ FAMILIES = {
 
 SWEEPS = {
     "class_group_sweep": _class_group_sweep,
+    "class_semigroup_sweep": _class_semigroup_sweep,
 }
 
 
