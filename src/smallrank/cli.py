@@ -7,11 +7,15 @@ An input rational is read as ``"p"`` or ``"p/q"``: decimal integers, an
 optional ``-`` on p alone, q > 0, and no exponent, ``_``, ``+`` or point.
 Negative numbers can be passed after a ``--`` separator.  Exit codes:
 0 success, 1 domain error (the error class name is printed on stderr),
-2 malformed input.
+2 malformed input, 141 stdout closed before the output was written (as a
+shell reports a process ended by SIGPIPE).
+
+Importing this module loads neither ``argparse`` nor ``json``: ``main``
+imports them when it builds a parser or reads or writes JSON, so library
+callers that never run the CLI do not pay for them.
 """
 
-import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 from math import log10
@@ -81,6 +85,8 @@ def _parse_frac(text):
 
 
 def _read_json(path):
+    import json
+
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -415,6 +421,8 @@ def _add_arguments(parser, handler, params):
 
 
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="smallrank",
         description="Exact arithmetic for quadratic forms, cubes of integers, "
@@ -432,6 +440,8 @@ def _parse_args(argv):
     # help and errors); the namespace then has no "command".  Any other
     # argv, and arguments left over, go to the full parser, which reports
     # them as its own error.
+    import argparse
+
     for name, handler, _help, params in _COMMANDS:
         if argv and argv[0] == name:
             parser = argparse.ArgumentParser(prog="smallrank " + name)
@@ -457,9 +467,22 @@ def main(argv=None):
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        import json
+
+        text = json.dumps(payload, sort_keys=True)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush of what is still buffered neither
+        # raises nor prints "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -340,6 +340,47 @@ def test_entry_point_subprocess():
     assert data["structure"] == ["3"]
 
 
+def child(code, *argv):
+    """Popen arguments of "python -I -S -c CODE" with this package first on
+    sys.path and ARGV as sys.argv[1:]; -S, so that no .pth file of
+    site-packages imports a module first."""
+    src = os.path.dirname(os.path.dirname(smallrank.__file__))
+    code = "import sys; sys.path.insert(0, %r)\n%s" % (src, code)
+    return [sys.executable, "-I", "-S", "-c", code, *argv]
+
+
+MAIN = "import smallrank.cli; sys.exit(smallrank.cli.main(sys.argv[1:]))"
+
+
+def test_importing_the_cli_loads_no_parser_or_json_module(capsys):
+    argv = ["classgroup", "--json", "--", "-23"]
+    cold = (
+        "import smallrank, smallrank.cli\n"
+        "loaded = sorted({'argparse', 'json'} & set(sys.modules))\n"
+        "assert not loaded, 'imported at import time: %s' % loaded\n"
+    )
+    proc = subprocess.run(child(cold + MAIN, *argv), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # the same bytes as the call made in this process
+    assert run(capsys, *argv) == (0, proc.stdout.decode(), "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(flags, tmp_path):
+    # 258 KB of text (332 KB of JSON), far above a 64 KiB pipe buffer, so
+    # the write meets the closed pipe; 141 = 128 + SIGPIPE, as a shell
+    # reports "yes | head -1", not 1, the code of a domain error
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            child(MAIN, "classgroup", *flags, "--", "-99999"), stdout=subprocess.PIPE, stderr=err
+        )
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        assert err.read() == b""
+
+
 def test_overlong_json_integer_is_a_usage_error(capsys, tmp_path):
     # int() refuses more than sys.get_int_max_str_digits() digits
     big = "7" * 5000
