@@ -58,11 +58,6 @@ def _invariants(q):
     return t, u
 
 
-def cube_invariants(q):
-    """The pair (t, u): every associated form has discriminant t^2 - 4u."""
-    return _invariants(_cube(q))
-
-
 def _forms(q):
     f1, f2, f3 = _slice_forms(q)
     t, u = _invariants(q)
@@ -86,13 +81,6 @@ def _ring(q):
 def ring_of_cube(q) -> QuadraticRing:
     """The quadratic ring (t, u) of a nondegenerate cube."""
     return _ring(_cube(q))
-
-
-def xi_actions(q):
-    """Matrices of xi on the three reconstructed ideals, display order."""
-    q = _cube(q)
-    ring = _ring(q)
-    return tuple(ideal_from_form(f, ring).xi for f in _forms(q))
 
 
 def triple_from_cube(q) -> BalancedTriple:

@@ -13,8 +13,6 @@ xi1, xi2 component; general tables are brought to that shape by translating
 the generators.
 """
 
-from math import gcd
-
 from .errors import DomainError, NotUnimodular, _int, _ints, _matrix, _of
 from .exactlattice import _Ring, _form_act, mat2_det
 
@@ -95,7 +93,7 @@ def form_from_cubic_ring(ring) -> tuple:
     return (ring.b, -ring.a, ring.f, -ring.e)
 
 
-def cubic_eval(form, x, y):
+def _cubic_eval(form, x, y):
     p, q, r, s = form
     return p * x**3 + q * x * x * y + r * x * y * y + s * y**3
 
@@ -112,12 +110,6 @@ def cubic_form_disc(form) -> int:
     )
 
 
-def cubic_content(form) -> int:
-    """gcd of the four coefficients (0 for the zero form)."""
-    p, q, r, s = form
-    return gcd(p, q, r, s)
-
-
 def values_mod(form, m) -> frozenset:
     """The set of residues the form attains modulo m.
 
@@ -126,7 +118,7 @@ def values_mod(form, m) -> frozenset:
     m, form = _int(m, "modulus"), _ints(form, 4)
     if m < 2:
         raise DomainError("modulus %r below 2" % (m,))
-    return frozenset(cubic_eval(form, x, y) % m for x in range(m) for y in range(m))
+    return frozenset(_cubic_eval(form, x, y) % m for x in range(m) for y in range(m))
 
 
 def cubic_twisted_act(mat, form):

@@ -36,7 +36,6 @@ __all__ = [
     "least_nonresidue",
     "balanced_count",
     "stella_membership",
-    "unit_coset_reps",
     "enumerate_balanced_oracle",
 ]
 
@@ -140,18 +139,16 @@ def stella_membership(n, idx):
     return (parity and (in1 or in2), label)
 
 
-def unit_coset_reps(p, t, i):
+def _unit_coset_reps(p, t, i):
     """Representatives of the unit classes of ``S_t`` modulo ``S_i`` units.
 
     Elements are pairs ``(a, b)`` standing for ``a + b sqrt(u)``; the list
     has ``p^(i-1) (p+1)`` entries for ``t = 0 < i``, ``p^(i-t)`` entries for
     ``0 < t <= i``, and a single entry when the quotient is trivial
-    (``i <= t``).  Representatives are exact integers independent of ``u``;
-    ``p`` must be an odd prime.  Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
+    (``i <= t``).  Representatives are exact integers independent of ``u``.
+    ``p`` is the odd prime of a checked config and ``t``, ``i`` are levels
+    its caller checked.  Cost: the list itself, at most ``p^(i-1) (p+1)`` pairs.
     """
-    _odd_prime(p)
-    if _int(t, "level t") < 0 or _int(i, "level i") < 0:
-        raise DomainError("order levels must be nonnegative")
     if i <= t:
         return [(1, 0)]
     if t == 0:
@@ -172,7 +169,7 @@ def enumerate_balanced_oracle(cfg, idx, m):
     comparison is decided exactly.
 
     Cost: one pass over at most ``p^(i-1) (p+1)`` coset representatives
-    (``unit_coset_reps``), each tested on up to 8 products modulo ``p^m``.
+    (``_unit_coset_reps``), each tested on up to 8 products modulo ``p^m``.
     """
     i, j, k = _split_index(cfg, idx)
     p, n, u = cfg.p, cfg.n, cfg.u
@@ -193,5 +190,5 @@ def enumerate_balanced_oracle(cfg, idx, m):
     # part, decided exactly mod p^m as n < m
     return sum(
         all(mul(mul(mul(g, a), b), c)[1] * ps % pn == 0 for a, b, c in product(*gens))
-        for g in unit_coset_reps(p, t, i)
+        for g in _unit_coset_reps(p, t, i)
     )

@@ -43,7 +43,6 @@ from .exactlattice import (
     _rref_mod_p,
     _unscaled,
     divisors,
-    factorize,
     is_prime,
     mat2_det,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SIX",
     "MinimalResolvent",
     "QuarticRing",
-    "ternary_eval",
     "lambda_system",
     "plucker_check",
     "ring_from_pair",
@@ -64,7 +62,6 @@ __all__ = [
     "disc_match",
     "resolvent_identity_check",
     "is_maximal_at_p",
-    "is_maximal",
     "nonmaximality_conditions_witness",
 ]
 
@@ -85,7 +82,7 @@ def _coerce_pair(pair):
     return _ints(pair[0], 6), _ints(pair[1], 6)
 
 
-def ternary_eval(form, v):
+def _ternary_eval(form, v):
     """Evaluate a ternary quadratic form (6-tuple) at an integer vector."""
     x1, x2, x3 = v
     a11, a22, a33, a12, a13, a23 = form
@@ -571,8 +568,8 @@ def resolvent_identity_check(pair, x):
     e3 = ring.mul(e2, e)
     lhs = _bareiss([e[1:], e2[1:], e3[1:]])
 
-    av = ternary_eval(a, (x1, x2, x3))
-    bv = ternary_eval(b, (x1, x2, x3))
+    av = _ternary_eval(a, (x1, x2, x3))
+    bv = _ternary_eval(b, (x1, x2, x3))
     cub = ring_from_cubic_form(cubic_resolvent_form(pair))
     y = (0, bv, -av)
     y2 = cub.mul(y, y)
@@ -729,26 +726,6 @@ def _maximal_at_p(ring, p, d):
                         raise InvariantViolation("enlargement witness is not closed under multiplication")
             return (False, _unscaled(h, p))
     return (True, None)
-
-
-def is_maximal(ring):
-    """Whether a nondegenerate quartic ring is maximal at every prime.
-
-    Only primes whose square divides the discriminant can carry a proper
-    enlargement, so those are the only ones tested.  The ring was checked
-    associative when it was built, as for :func:`is_maximal_at_p`.
-
-    Cost: one discriminant and ``factorize(|disc|)``, then for each prime
-    p with p^2 | disc the walk of :func:`is_maximal_at_p`: at most
-    2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
-    after a radical of n - 1 powers e_i^q and one n x 2n RREF over F_p.
-    It stops at the first prime where the ring is not maximal.
-    """
-    d = _nonzero_disc(ring)
-    for p, e in factorize(abs(d)).items():
-        if e >= 2 and not _maximal_at_p(ring, p, d)[0]:
-            return False
-    return True
 
 
 #: The divisibility patterns of :func:`nonmaximality_conditions_witness`,

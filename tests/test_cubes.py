@@ -21,11 +21,11 @@ from smallrank.errors import (
 from smallrank.quadforms import compose, content, discriminant, principal_form, represent, twisted_act
 from smallrank.quadforms import reduce as qreduce
 from smallrank import cubes
+from smallrank.cubes import _invariants
 from smallrank.cubes import (
     BalancedTriple,
     associated_forms,
     cube_from_triple,
-    cube_invariants,
     dirichlet_cube,
     gamma_act,
     identity_cube,
@@ -34,7 +34,6 @@ from smallrank.cubes import (
     tau_system,
     triple_from_cube,
     triples_equivalent,
-    xi_actions,
 )
 from smallrank.exactlattice import mat2_det
 from smallrank.quadforms import enumerate_reduced
@@ -82,7 +81,7 @@ def normalize_triple(tr):
 
 def test_invariants_and_form_discs():
     for q in _random_cubes(21, 60):
-        t, u = cube_invariants(q)
+        t, u = _invariants(q)
         d = t * t - 4 * u
         for f in associated_forms(q):
             assert discriminant(f) == d
@@ -91,15 +90,16 @@ def test_invariants_and_form_discs():
 
 def test_xi_action_matrices_have_trace_t_det_u():
     for q in _random_cubes(22, 40):
-        t, u = cube_invariants(q)
-        for x in xi_actions(q):
+        ring = ring_of_cube(q)
+        t, u = ring.t, ring.u
+        for x in (ideal_from_form(f, ring).xi for f in associated_forms(q)):
             assert x[0][0] + x[1][1] == t
             assert x[0][0] * x[1][1] - x[0][1] * x[1][0] == u
 
 
 # xi on the ideal of a form, read off the form by inverting
-# quadrings.raw_form, which xi_actions used before it built the ideals; kept
-# as its oracle.
+# quadrings.raw_form, which the xi of the ideals of a cube's forms was
+# before the ideals were built; kept as its oracle.
 def _oracle_xi_from_form(f, t):
     p, qq, r = f
     assert (t - qq) % 2 == 0
@@ -114,11 +114,11 @@ def test_xi_actions_agree_with_form_oracle(q):
     try:
         ring = ring_of_cube(q)
     except Degenerate:
-        with pytest.raises(Degenerate):
-            xi_actions(q)
+        assert (0, 0, 0) in associated_forms(q)
         return
+    xis = tuple(ideal_from_form(f, ring).xi for f in associated_forms(q))
     expected = tuple(_oracle_xi_from_form(f, ring.t) for f in associated_forms(q))
-    assert repr(xi_actions(q)) == repr(expected)
+    assert repr(xis) == repr(expected)
 
 
 def test_degenerate_cube():
@@ -488,7 +488,7 @@ def _oracle_triple_from_cube(q):
     f1, f3, f2 = associated_forms(q)
     if (0, 0, 0) in (f1, f2, f3):
         raise Degenerate("a pair of opposite faces is linearly dependent")
-    ring = QuadraticRing(*cube_invariants(q))
+    ring = QuadraticRing(*_invariants(q))
     i1 = ideal_from_form(f1, ring)
     i2 = ideal_from_form(f2, ring)
     xs, ys = i1.basis, i2.basis

@@ -2,20 +2,24 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import smallrank
+from smallrank import exactlattice
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     _MR_BASES,
@@ -744,6 +748,20 @@ def test_strong_pseudoprimes_and_carmichael_numbers_are_composite():
     assert _MR_BASES[-1] == 41 and len(_MR_BASES) == 13
 
 
+def test_strong_lucas_test_exits_early_on_a_square_and_on_a_common_factor(monkeypatch):
+    calls = []
+    jacobi = exactlattice._jacobi
+    monkeypatch.setattr(exactlattice, "_jacobi", lambda a, n: calls.append(a) or jacobi(a, n))
+    # a square has no D with (D/n) = -1: without the square test the search
+    # for D would run until D = +-1009 shares the factor
+    assert not _strong_lucas_probable_prime(1009**2)
+    assert calls == []
+    # n = 47 * 10000000223387: the 21 values of D before -47 give a symbol
+    # other than -1, and D = -47 gives 0, so gcd(D, n) > 1
+    assert not _strong_lucas_probable_prime(470000010499189)
+    assert calls == [(-1) ** k * (5 + 2 * k) for k in range(22)] and calls[-1] == -47
+
+
 def test_is_prime_cross_checks_with_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(7)
@@ -759,31 +777,46 @@ def test_is_prime_cross_checks_with_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unread():
+    # tools/src_lines.py's {module file: public names no other module reads},
+    # on the package under test; the script is loaded by its path
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    return src_lines._unread(Path(smallrank.__file__).parent)
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     # each primitive has one kernel, and public surface with no caller is
     # deleted: every public function of exactlattice is read by name in
     # another module of the package (an import alone does not count)
-    pkg = os.path.dirname(smallrank.__file__)
+    assert _unread()["exactlattice.py"] == []
 
-    def tree(name):
-        with open(os.path.join(pkg, name), encoding="utf-8") as f:
-            return ast.parse(f.read(), name)
 
-    public = {
-        node.name
-        for node in tree("exactlattice.py").body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    read = set()
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py") and name != "exactlattice.py":
-            for node in ast.walk(tree(name)):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-    assert "divisors" in public and "factorize" in public
-    assert sorted(public - read) == []
+def test_every_public_name_is_read_documented_or_accepted():
+    # a public function or class of a library module stays only if another
+    # module reads it, the README names it as code (an inline span or a
+    # fenced block) or the acceptance suite imports it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {w for span in re.findall(r"```.*?```|`[^`\n]+`", readme, re.S) for w in re.findall(r"\w+", span)}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for a in node.names}
+    unread = _unread()
+    assert {m: sorted(set(names) - named - imported) for m, names in unread.items()} == {m: [] for m in unread}
+    # a star import takes __all__: every name there exists, and every public
+    # function and class of the module is there
+    for name in ("quarticrings", "padic"):
+        module = importlib.import_module("smallrank." + name)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
+        defined = {
+            n for n, obj in vars(module).items()
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and not n.startswith("_") and obj.__module__ == module.__name__
+        }
+        assert sorted(defined - set(module.__all__)) == []
 
 
 def test_integer_checks_live_only_in_the_errors_gate():

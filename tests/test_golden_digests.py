@@ -26,6 +26,7 @@ if __name__ == "__main__":  # run as a script: import the package of this checko
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
+from test_quarticrings import is_maximal
 
 from smallrank.cubes import (
     BalancedTriple, cube_from_triple, gamma_act, is_balanced, triple_from_cube, triples_equivalent,
@@ -54,7 +55,6 @@ from smallrank.quarticrings import (
     cubic_resolvent_form,
     disc_match,
     enumerate_numerical_resolvents,
-    is_maximal,
     is_maximal_at_p,
     nonmaximality_conditions_witness,
     pair_from_ring,

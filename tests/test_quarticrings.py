@@ -23,7 +23,7 @@ from test_exactlattice import (
 
 from smallrank import exactlattice, quarticrings
 from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
-from smallrank.cubicrings import CubicRing, cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
+from smallrank.cubicrings import CubicRing, _cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
     _Ring,
     _bareiss,
@@ -47,7 +47,6 @@ from smallrank.quarticrings import (
     cubic_resolvent_form,
     disc_match,
     enumerate_numerical_resolvents,
-    is_maximal,
     is_maximal_at_p,
     lambda_system,
     nonmaximality_conditions_witness,
@@ -55,7 +54,6 @@ from smallrank.quarticrings import (
     plucker_check,
     resolvent_identity_check,
     ring_from_pair,
-    ternary_eval,
 )
 from smallrank.quarticrings import (
     MinimalResolvent,
@@ -66,10 +64,12 @@ from smallrank.quarticrings import (
     _lam_get,
     _lambda_from_c,
     _maximal_at_p,
+    _nonzero_disc,
     _radical_subspaces,
     _resolvent_data,
     _rows,
     _table_of,
+    _ternary_eval,
 )
 
 P_A = (0, 0, 0, 1, 0, -1)
@@ -93,14 +93,24 @@ def _random_pairs(seed, count, bound=3):
     return out
 
 
+# Maximality at every prime, which the library offered while these tests were
+# its only callers; kept as their oracle, under its old name, which the
+# golden errors family hashes with the message.  Only primes whose square
+# divides the discriminant can carry a proper enlargement, so those are the
+# only ones tested, and it stops at the first where the ring is not maximal.
+def is_maximal(ring):
+    d = _nonzero_disc(ring)
+    return all(e < 2 or _maximal_at_p(ring, p, d)[0] for p, e in factorize(abs(d)).items())
+
+
 def test_six_ordering():
     assert SIX == ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_ternary_eval():
-    assert ternary_eval((1, 2, 3, 4, 5, 6), (1, 1, 1)) == 21
-    assert ternary_eval((1, 2, 3, 4, 5, 6), (1, 0, 0)) == 1
-    assert ternary_eval((1, 2, 3, 4, 5, 6), (0, 1, 1)) == 2 + 3 + 6
+    assert _ternary_eval((1, 2, 3, 4, 5, 6), (1, 1, 1)) == 21
+    assert _ternary_eval((1, 2, 3, 4, 5, 6), (1, 0, 0)) == 1
+    assert _ternary_eval((1, 2, 3, 4, 5, 6), (0, 1, 1)) == 2 + 3 + 6
 
 
 def test_lambda_system_spots():
@@ -275,7 +285,6 @@ def test_enumerate_numerical_resolvents_factorizes_once(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(exactlattice, "factorize", counting_factorize)
-    monkeypatch.setattr(quarticrings, "factorize", counting_factorize)
     ring = ring_from_pair((tuple(6 * v for v in P_A), P_B))
     assert len(enumerate_numerical_resolvents(ring)) == 12
     assert calls == [6]
@@ -319,7 +328,7 @@ def test_resolvent_form_is_four_times_determinant():
                     )
                     for i in range(3)
                 )
-                assert 4 * _oracle_mat_det(m) == cubic_eval(form, x, y)
+                assert 4 * _oracle_mat_det(m) == _cubic_eval(form, x, y)
 
 
 def test_resolvent_form_spot():
@@ -364,7 +373,7 @@ def _oracle_resolvent_identity_check(pair, x):
     e2 = ring.mul(e, e)
     e3 = ring.mul(e2, e)
     lhs = _oracle_mat_det((e[1:], e2[1:], e3[1:]))
-    y = (0, ternary_eval(b, x), -ternary_eval(a, x))
+    y = (0, _ternary_eval(b, x), -_ternary_eval(a, x))
     y2 = ring_from_cubic_form(cubic_resolvent_form(pair)).mul(y, y)
     return lhs == mat2_det((y[1:], y2[1:]))
 
@@ -595,6 +604,15 @@ def test_every_ring_class_holds_only_its_table():
     assert len(set(rings)) == 3 and rings[0] != rings[1] != rings[2]
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [QuadraticRing(1, 6), CubicRing(0, 1, -1, 1), ring_from_pair(P_Z4)],
+    ids=lambda ring: type(ring).__name__,
+)
+def test_ring_repr_evaluates_to_an_equal_ring(ring):
+    assert eval(repr(ring), vars(sys.modules[type(ring).__module__])) == ring
+
+
 # The 15 minors as keys of SIX, and the 15 Plucker quadrics written out, in
 # the sign of the alternating sum lam(w,x)lam(y,z) - lam(w,y)lam(x,z) +
 # lam(w,z)lam(x,y) over w < x < y < z.
@@ -660,7 +678,7 @@ def test_maximality_at_p_is_a_condition_mod_p_squared(a, b, p, scaled, s, t):
 
 # Bhargava's density of quartic rings maximal at p, counted exactly with the
 # action written here on coefficient tuples, (a11, a22, a33, a12, a13, a23)
-# as in ternary_eval, and only ring_from_pair and is_maximal_at_p called.
+# as in _ternary_eval, and only ring_from_pair and is_maximal_at_p called.
 _SLOT = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 1): 3, (0, 2): 4, (1, 2): 5}
 
 
@@ -1638,7 +1656,7 @@ def _nonmaximal_cubic(form, p):
         return True
     for al in range(p * p):
         for be in range(p * p):
-            if (al % p or be % p) and cubic_eval(form, al, be) % (p * p) == 0:
+            if (al % p or be % p) and _cubic_eval(form, al, be) % (p * p) == 0:
                 fx = 3 * a * al * al + 2 * b * al * be + c * be * be
                 fy = b * al * al + 2 * c * al * be + 3 * d * be * be
                 for ga in range(p):
@@ -1759,7 +1777,7 @@ def test_witness_self_check_catches_a_closure_test_that_accepts_everything(monke
 def _substitute(form, g):
     # the ternary form x -> form(g x), coefficients read off its values
     def value(x):
-        return ternary_eval(form, [sum(gij * xj for gij, xj in zip(row, x)) for row in g])
+        return _ternary_eval(form, [sum(gij * xj for gij, xj in zip(row, x)) for row in g])
 
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     diag = [value(v) for v in e]
