@@ -21,7 +21,6 @@ from smallrank.errors import (
 from smallrank.quadforms import compose, content, discriminant, principal_form, represent, twisted_act
 from smallrank.quadforms import reduce as qreduce
 from smallrank import cubes
-from smallrank.cubes import _invariants
 from smallrank.cubes import (
     BalancedTriple,
     associated_forms,
@@ -35,6 +34,7 @@ from smallrank.cubes import (
     triple_from_cube,
     triples_equivalent,
 )
+from smallrank.cubes import _invariants
 from smallrank.exactlattice import mat2_det
 from smallrank.quadforms import enumerate_reduced
 from smallrank.quadrings import (
@@ -98,8 +98,8 @@ def test_xi_action_matrices_have_trace_t_det_u():
 
 
 # xi on the ideal of a form, read off the form by inverting
-# quadrings.raw_form, which the xi of the ideals of a cube's forms was
-# before the ideals were built; kept as its oracle.
+# quadrings.raw_form, as the library did before it built the ideals; kept
+# as the oracle of their xi.
 def _oracle_xi_from_form(f, t):
     p, qq, r = f
     assert (t - qq) % 2 == 0

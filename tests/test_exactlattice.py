@@ -759,7 +759,7 @@ def test_strong_lucas_test_exits_early_on_a_square_and_on_a_common_factor(monkey
     # n = 47 * 10000000223387: the 21 values of D before -47 give a symbol
     # other than -1, and D = -47 gives 0, so gcd(D, n) > 1
     assert not _strong_lucas_probable_prime(470000010499189)
-    assert calls == [(-1) ** k * (5 + 2 * k) for k in range(22)] and calls[-1] == -47
+    assert len(calls) == 22 and calls[-1] == -47
 
 
 def test_is_prime_cross_checks_with_sympy():
@@ -793,7 +793,10 @@ def test_every_public_function_has_a_caller_in_the_package():
     # each primitive has one kernel, and public surface with no caller is
     # deleted: every public function of exactlattice is read by name in
     # another module of the package (an import alone does not count)
-    assert _unread()["exactlattice.py"] == []
+    unread = _unread()
+    library = ("cubes", "cubicrings", "exactlattice", "padic", "quadforms", "quadrings", "quarticrings")
+    assert sorted(unread) == [m + ".py" for m in library]
+    assert unread["exactlattice.py"] == []
 
 
 def test_every_public_name_is_read_documented_or_accepted():
