@@ -132,14 +132,6 @@ def _triple(q):
     return BalancedTriple(ring, (i1, i2, i3)), balanced
 
 
-def _triple_products(i1, i2, i3):
-    # the eight products x_i*y_j*z_k of the integer rows, in cube order, and
-    # the product of the three denominators they are over
-    mul = i1.ring.mul
-    products = [mul(mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows]
-    return products, i1.den * i2.den * i3.den
-
-
 def _ideals(triple):
     # the three ideals of a triple argument, each checked by errors._of and
     # checked to live over the triple's ring, itself checked by errors._of
@@ -153,14 +145,18 @@ def _ideals(triple):
 
 
 def _balanced_products(i1, i2, i3):
-    # _triple_products of a balanced triple of ideals over one ring, None
-    # for a triple that is not balanced
+    # the eight products x_i*y_j*z_k of the integer rows of a balanced
+    # triple of ideals over one ring, in cube order, and the product of the
+    # three denominators they are over; None for a triple that is not
+    # balanced
     ring = i1.ring
     if i2.ring != ring or i3.ring != ring:
         raise RingMismatch("ideals live over different rings")
     if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
         return None
-    products, den = _triple_products(i1, i2, i3)
+    mul = ring.mul
+    products = [mul(mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows]
+    den = i1.den * i2.den * i3.den
     if any(c % den for w in products for c in w):
         return None
     return products, den

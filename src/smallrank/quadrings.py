@@ -125,9 +125,6 @@ class QuadIdeal:
     def basis(self):
         return _unscaled(self.rows, self.den)
 
-    def canonical(self):
-        return _span(self.ring, self.rows, self.den)
-
     def _key(self):
         # canonical: den is least, and the HNF keeps the gcd of the entries
         return self.ring, tuple(map(tuple, _hnf_int(self.rows))), self.den

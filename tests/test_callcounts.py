@@ -1,0 +1,29 @@
+"""The counts of ``callcounts.call_counts``, which the counted tests read."""
+
+import sys
+
+import pytest
+from callcounts import call_counts
+
+from smallrank.quarticrings import is_maximal_at_p, ring_from_pair
+
+
+def test_call_counts_keys_generators_and_an_outer_profiler():
+    # totally ramified at 11 and maximal there: the walk rejects all of its
+    # 2p^2 + 2p + 3 = 267 candidates
+    ring = ring_from_pair(((0, -1, 0, 0, 1, 0), (11, 0, 1, 0, 0, 0)))
+    answer, counts = call_counts(is_maximal_at_p, ring, 11)
+    assert answer == (True, None)
+    # "<file stem>.<qualified name>" for Python functions, none for built-ins
+    assert counts["quarticrings.is_maximal_at_p"] == counts["exactlattice._trace_disc"] == 1
+    assert counts["quarticrings.QuarticRing.mul"] > 0 and counts["quarticrings.ring_from_pair"] == 0
+    assert all(key.partition(".")[0] in ("errors", "exactlattice", "quarticrings") for key in counts)
+    # a generator counts each resume, so one run to its end reads one more
+    # than the candidates it yields
+    assert counts["quarticrings._closed_mod_p"] == 267 and counts["quarticrings._radical_subspaces"] == 268
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(RuntimeError, match="cannot run under another profiler"):
+            call_counts(is_maximal_at_p, ring, 11)
+    finally:
+        sys.setprofile(None)

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from callcounts import call_counts
 from hypothesis import given, settings, strategies as st
 
 import smallrank
@@ -60,21 +61,18 @@ def test_semigroup_example(capsys):
     assert b_row and b_row[0][1:] == ["B", "B", "B"]
 
 
-def test_class_tables_make_no_s_call_per_cell(capsys, monkeypatch):
+def test_class_tables_make_no_s_call_per_cell(capsys):
     # counted, not timed: _s guards the forms and the structure, a fixed
     # number of calls per class, and the h^2 table cells are plain indices
-    calls = []
-    s = cli._s
-    monkeypatch.setattr(cli, "_s", lambda v: calls.append(v) or s(v))
     for command in ("classgroup", "semigroup"):
         for flags in ([], ["--json"]):
-            calls.clear()
-            assert main([command, *flags, "--", "-9999"]) == 0
+            code, counts = call_counts(main, [command, *flags, "--", "-9999"])
+            assert code == 0
             out = capsys.readouterr().out
             # the text starts "discriminant: D", "classes: h"
             h = len(json.loads(out)["elements"]) if flags else int(out.split()[3])
             assert h >= 88
-            assert 0 < len(calls) <= 7 * h < h * h
+            assert 0 < counts["cli._s"] <= 7 * h < h * h
 
 
 def test_resolvent_example(capsys, tmp_path):
@@ -605,15 +603,13 @@ def _golden_cases(code):
     return cases
 
 
-def test_a_named_subcommand_builds_no_top_level_parser(capsys, golden_cwd, monkeypatch):
-    def no_full_parser():
-        raise AssertionError("the top-level parser was built")
-
+def test_a_named_subcommand_builds_no_top_level_parser(capsys, golden_cwd):
     cases = _golden_cases(0)
     assert len(cases) == len(cli._COMMANDS) == 17
-    monkeypatch.setattr(cli, "_build_parser", no_full_parser)
     for command, out, err in cases.values():
-        assert run(capsys, *shlex.split(command)) == (0, out, err), command
+        code, counts = call_counts(main, shlex.split(command))
+        assert (code, *capsys.readouterr()) == (0, out, err), command
+        assert counts["cli._build_parser"] == 0, command
 
 
 def test_each_subcommand_prints_the_same_bytes_when_called_again(capsys, golden_cwd):

@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from callcounts import call_counts
 from test_exactlattice import _oracle_intersect
 from test_quadforms import _raises_under_optimize_flag
 
@@ -252,41 +253,37 @@ def test_round_trip_cube_triple_cube():
         assert cube_from_triple(tr) == q
 
 
-def test_cube_from_triple_computes_the_triple_products_once(monkeypatch):
+def test_cube_from_triple_computes_the_triple_products_once():
     # counted, not timed: the balancedness test and the cube share one set
-    # of the eight products, on a balanced and on an unbalanced triple
-    calls = []
-    products = cubes._triple_products
-
-    def counted(*ideals):
-        calls.append(ideals)
-        return products(*ideals)
-
+    # of the eight products, two ring products each, on a balanced and on an
+    # unbalanced triple
     qs = _random_cubes(41, 5)
-    triples = [triple_from_cube(q) for q in qs]
-    monkeypatch.setattr(cubes, "_triple_products", counted)
-    assert [cube_from_triple(tr) for tr in triples] == qs
-    assert len(calls) == len(qs)
+    for q in qs:
+        cube, counts = call_counts(cube_from_triple, triple_from_cube(q))
+        assert cube == q and counts["quadrings.QuadraticRing.mul"] == 16
     r0 = QuadraticRing(0, 25)
     # s, g*s and s/conj(g) for g = 1 + xi of norm 26: norm product 1, so the
     # products are computed, and g/conj(g) = (-24 + 2 xi)/26 is not integral
     s = unit_ideal(r0)
     unbalanced = BalancedTriple(r0, (s, scale(s, (1, 1)), scale(s, (Fraction(1, 26), Fraction(1, 26)))))
-    with pytest.raises(NotBalanced, match="triple fails the balancedness conditions"):
-        cube_from_triple(unbalanced)
-    assert len(calls) == len(qs) + 1
+
+    def refused():
+        with pytest.raises(NotBalanced, match="triple fails the balancedness conditions"):
+            cube_from_triple(unbalanced)
+
+    assert call_counts(refused)[1]["quadrings.QuadraticRing.mul"] == 16
 
 
 def test_tau_system_computes_the_triple_products_once(monkeypatch):
     # counted, not timed: the taus reuse the products of the balancedness
-    # self-check in triple_from_cube, and that check still fires
-    calls = []
-    products = cubes._triple_products
-    monkeypatch.setattr(cubes, "_triple_products", lambda *ideals: calls.append(ideals) or products(*ideals))
+    # self-check in triple_from_cube, and that check still fires.  26 ring
+    # products: 16 for the eight triple products, 4 for the equations of the
+    # third ideal and 2 for the xi matrix of each of the three ideals; a
+    # second set of triple products would make 42
     qs = _random_cubes(43, 5)
-    for k, q in enumerate(qs, 1):
-        taus = tau_system(q)
-        assert len(calls) == k
+    for q in qs:
+        taus, counts = call_counts(tau_system, q)
+        assert counts["quadrings.QuadraticRing.mul"] == 26
         assert tuple(t[1] for pair in taus for row in pair for t in row) == q
     monkeypatch.setattr(cubes, "_balanced_products", lambda *ideals: None)
     with pytest.raises(InvariantViolation, match="triple rebuilt from the cube is not balanced"):

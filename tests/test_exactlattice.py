@@ -16,10 +16,10 @@ from math import isqrt, prod
 from pathlib import Path
 
 import pytest
+from callcounts import call_counts
 from hypothesis import assume, example, given, settings, strategies as st
 
 import smallrank
-from smallrank import exactlattice
 from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     _MR_BASES,
@@ -748,18 +748,15 @@ def test_strong_pseudoprimes_and_carmichael_numbers_are_composite():
     assert _MR_BASES[-1] == 41 and len(_MR_BASES) == 13
 
 
-def test_strong_lucas_test_exits_early_on_a_square_and_on_a_common_factor(monkeypatch):
-    calls = []
-    jacobi = exactlattice._jacobi
-    monkeypatch.setattr(exactlattice, "_jacobi", lambda a, n: calls.append(a) or jacobi(a, n))
+def test_strong_lucas_test_exits_early_on_a_square_and_on_a_common_factor():
     # a square has no D with (D/n) = -1: without the square test the search
     # for D would run until D = +-1009 shares the factor
-    assert not _strong_lucas_probable_prime(1009**2)
-    assert calls == []
+    probable, counts = call_counts(_strong_lucas_probable_prime, 1009**2)
+    assert not probable and counts["exactlattice._jacobi"] == 0
     # n = 47 * 10000000223387: the 21 values of D before -47 give a symbol
-    # other than -1, and D = -47 gives 0, so gcd(D, n) > 1
-    assert not _strong_lucas_probable_prime(470000010499189)
-    assert len(calls) == 22 and calls[-1] == -47
+    # other than -1, and D = -47, the 22nd, gives 0, so gcd(D, n) > 1
+    probable, counts = call_counts(_strong_lucas_probable_prime, 470000010499189)
+    assert not probable and counts["exactlattice._jacobi"] == 22
 
 
 def test_is_prime_cross_checks_with_sympy():
@@ -796,19 +793,23 @@ def test_every_public_function_has_a_caller_in_the_package():
     unread = _unread()
     library = ("cubes", "cubicrings", "exactlattice", "padic", "quadforms", "quadrings", "quarticrings")
     assert sorted(unread) == [m + ".py" for m in library]
-    assert unread["exactlattice.py"] == []
+    assert [name for name in unread["exactlattice.py"] if "." not in name] == []
 
 
 def test_every_public_name_is_read_documented_or_accepted():
-    # a public function or class of a library module stays only if another
-    # module reads it, the README names it as code (an inline span or a
-    # fenced block) or the acceptance suite imports it
+    # a public function or class of a library module, or a public method
+    # or property of a public class, stays only if another module reads it,
+    # the README names it as code (an inline span or a fenced block) or the
+    # acceptance suite imports it
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     named = {w for span in re.findall(r"```.*?```|`[^`\n]+`", readme, re.S) for w in re.findall(r"\w+", span)}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     imported = {a.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for a in node.names}
     unread = _unread()
-    assert {m: sorted(set(names) - named - imported) for m, names in unread.items()} == {m: [] for m in unread}
+    kept = named | imported
+    assert {m: [n for n in names if n.rpartition(".")[2] not in kept] for m, names in unread.items()} == {
+        m: [] for m in unread
+    }
     # a star import takes __all__: every name there exists, and every public
     # function and class of the module is there
     for name in ("quarticrings", "padic"):

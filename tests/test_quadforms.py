@@ -11,6 +11,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 import pytest
+from callcounts import call_counts
 from hypothesis import example, given, settings, strategies as st
 from test_exactlattice import _oracle_mat_mul
 
@@ -741,17 +742,6 @@ def test_class_number_is_given_by_dirichlet_formula(d):
     assert len(class_group(d)[0]) == _dirichlet_class_number(d)
 
 
-def _count_compositions(monkeypatch):
-    calls = []
-
-    def counting_compose(f, g, d):
-        calls.append(1)
-        return _compose(f, g, d)
-
-    monkeypatch.setattr(quadforms, "_compose", counting_compose)
-    return calls
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=5000), st.sampled_from((0, 1)))
 @example(840, 0)  # -3360, (2, 2, 2, 2): 49 compositions with one per unreached column
@@ -759,22 +749,19 @@ def test_class_group_makes_fewer_than_2h_compositions(k, r):
     # structural guard: one composition per coset of the classes reached so
     # far, and the reached set at least doubles with each generator; counted,
     # not timed
-    d = -4 * k + r
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _count_compositions(monkeypatch)
-        elements, _, _ = class_group(d)
-    assert len(calls) < 2 * len(elements)
-    assert calls or len(elements) == 1
+    (elements, _, _), counts = call_counts(class_group, -4 * k + r)
+    compositions = counts["quadforms._compose"]
+    assert compositions < 2 * len(elements)
+    assert compositions or len(elements) == 1
 
 
-def test_class_group_composition_counts(monkeypatch):
+def test_class_group_composition_counts():
     # h^2 compositions in the oracle; 3,837 and 1,754 with one composition
     # per unreached column, 951 and 783 with one per unreached coset
-    calls = _count_compositions(monkeypatch)
     for d, h, expected in ((-999999, 912, 479), (-299999, 780, 395)):
-        calls.clear()
-        assert len(class_group(d)[0]) == h
-        assert len(calls) == expected, d
+        (elements, _, _), counts = call_counts(class_group, d)
+        assert len(elements) == h
+        assert counts["quadforms._compose"] == expected, d
 
 
 @st.composite

@@ -9,6 +9,7 @@ from itertools import permutations
 from math import gcd, isqrt
 
 import pytest
+from callcounts import call_counts
 from hypothesis import example, given, settings, strategies as st
 from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det, _oracle_mat_mul
 from test_quadforms import _oracle_monoid_table, _raises_under_optimize_flag
@@ -42,6 +43,7 @@ from smallrank.quadforms import (
 from smallrank.quadrings import (
     QuadIdeal,
     QuadraticRing,
+    _span,
     class_semigroup,
     conjugate,
     endomorphism_ring,
@@ -263,7 +265,7 @@ def test_ideal_equality_and_canonicalization():
         ),
     )
     assert resc == ideal
-    assert resc.canonical().basis == ideal.canonical().basis
+    assert _span(ring, resc.rows, resc.den).basis == _span(ring, ideal.rows, ideal.den).basis
     assert QuadIdeal(ring, ((2, 0), (0, 2))) != unit_ideal(ring)
 
 
@@ -541,20 +543,6 @@ def test_monoid_table_with_negation_never_accepts_a_wrong_table():
     assert raised == 30
 
 
-def test_class_semigroup_makes_at_most_180_ideal_products(monkeypatch):
-    # structural guard: 1,119 with one product per unreached column, 348
-    # with one per unreached orbit; counted, not timed
-    calls = []
-
-    def counting_multiply(i, j):
-        calls.append(1)
-        return multiply(i, j)
-
-    monkeypatch.setattr(smallrank.quadrings, "multiply", counting_multiply)
-    assert len(class_semigroup(-99999)[0]) == 336
-    assert len(calls) <= 180
-
-
 @st.composite
 def _reduced_form_pairs(draw):
     # (f, g, d): D = D0 * m^2 with m <= 25 and |D| <= 2 * 10^5, and each form
@@ -584,34 +572,16 @@ def test_compose_kernel_agrees_with_ideal_product_oracle(case):
     assert _compose(f, g, d) == form_from_ideal(product)
 
 
-def test_class_semigroup_makes_180_compositions(monkeypatch):
+def test_class_semigroup_makes_180_compositions():
     # structural guard: one composition per unreached orbit made 348, and
-    # conjugation halves that; counted, not timed
-    calls = []
-
-    def counting_compose(f, g, d):
-        calls.append(1)
-        return _compose(f, g, d)
-
-    monkeypatch.setattr(smallrank.quadforms, "_compose", counting_compose)
-    assert len(class_semigroup(-99999)[0]) == 336
-    assert len(calls) == 180
-
-
-def test_class_semigroup_builds_no_ideal(monkeypatch):
-    # structural guard: the lattice path is not reached at all
-    expected = {d: class_semigroup(d) for d in (-100, -300, -99999)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("class_semigroup reached the lattice path")
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("smallrank."):
-            for name in ("multiply", "ideal_from_form", "form_from_ideal", "_hnf_int"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-    for d, result in expected.items():
-        assert class_semigroup(d) == result
+    # conjugation halves that; and the lattice path is not reached at all,
+    # so no ideal is built; counted, not timed
+    for d in (-100, -300, -99999):
+        (elements, _), counts = call_counts(class_semigroup, d)
+        for name in ("multiply", "ideal_from_form", "form_from_ideal", "QuadIdeal.__init__", "QuadIdeal._from_rows"):
+            assert counts["quadrings." + name] == 0, (d, name)
+        assert counts["exactlattice._hnf_int"] == 0
+    assert len(elements) == 336 and counts["quadforms._compose"] == 180
 
 
 # The Fraction-row ideal operations that integer rows over one denominator
@@ -802,30 +772,17 @@ def test_integer_ideals_agree_with_fraction_round_trip(case):
             assert _identical(_outcome(multiply, x, y), _outcome(_round_trip_multiply, x, y))
     # equality is the old comparison of Fraction HNFs, and equal ideals hash
     # alike; the list holds equal ideals on different bases
-    ideals += [k.canonical(), scale(k, (1, 0)), multiply(k, unit_ideal(ring))]
+    ideals += [_span(ring, k.rows, k.den), scale(k, (1, 0)), multiply(k, unit_ideal(ring))]
     ideals += [scale(i, (c, 0)), scale(j, (c, 0)), QuadIdeal(ring, rows)]
     for x in ideals:
         for y in ideals:
-            assert (x == y) == (x.canonical().basis == y.canonical().basis)
+            assert (x == y) == (_oracle_hnf_canonicalize(x.basis) == _oracle_hnf_canonicalize(y.basis))
             if x == y:
                 assert hash(x) == hash(y)
 
 
 def test_class_semigroup_constructs_no_fraction():
-    made = []
-    original = Fraction.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counting_new)
-    try:
-        # -100, -108 and -300 have classes that are not invertible
-        for d in (-3, -23, -100, -108, -300, -999):
-            class_semigroup(d)
-        found = list(made)
-        Fraction(1, 3)  # the counter does count
-    finally:
-        Fraction.__new__ = original
-    assert found == [] and made == [(1, 3)]
+    # -100, -108 and -300 have classes that are not invertible
+    for d in (-3, -23, -100, -108, -300, -999):
+        assert call_counts(class_semigroup, d)[1]["fractions.Fraction.__new__"] == 0
+    assert call_counts(Fraction, 1, 3)[1]["fractions.Fraction.__new__"] == 1  # the counter does count

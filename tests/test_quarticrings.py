@@ -10,6 +10,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
+from callcounts import call_counts
 from hypothesis import assume, example, given, settings, strategies as st
 from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import (
@@ -21,7 +22,7 @@ from test_exactlattice import (
     _oracle_mat_mul,
 )
 
-from smallrank import exactlattice, quarticrings
+from smallrank import quarticrings
 from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
 from smallrank.cubicrings import CubicRing, _cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
@@ -219,75 +220,47 @@ def test_associativity_check_on_perturbed_tables(a, b, key, delta):
         assert _associative_by_check(c)
 
 
-def test_ring_from_pair_makes_at_most_18_products(monkeypatch):
-    # structural guard for the reduced associativity check: 90 calls with
-    # all 27 triples; counted, not timed
-    calls = []
-    mul = QuarticRing.mul
-
-    def counting_mul(self, x, y):
-        calls.append(1)
-        return mul(self, x, y)
-
-    monkeypatch.setattr(QuarticRing, "mul", counting_mul)
+def test_ring_from_pair_makes_at_most_18_products():
+    # structural guard for the reduced associativity check: 18 row-times-
+    # matrix products, 54 with all 27 triples, after the 12 of the table
+    # constants, and no product of elements; counted, not timed
     for pair in _random_pairs(50, 5) + [P_Z4]:
-        calls.clear()
-        ring_from_pair(pair)
-        assert len(calls) <= 18
+        _, counts = call_counts(ring_from_pair, pair)
+        assert counts["quarticrings._times"] == 12 + 18 and counts["quarticrings.QuarticRing.mul"] == 0
 
 
-def test_tables_from_pairs_are_built_once_and_checked_once(monkeypatch):
+def test_tables_from_pairs_are_built_once_and_checked_once():
     # structural guard: ring_from_pair builds its ring with none of the
     # checks of QuarticRing(c), and pair_from_ring rebuilds the witness's
     # table with the 12 constant products alone, no associativity check;
     # counted, not timed
     pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
-    rings = [ring_from_pair(pair) for pair in pairs]
-
-    def fail(self, c):
-        raise RuntimeError("QuarticRing(c) called")
-
-    products = []
-    times = quarticrings._times
-    monkeypatch.setattr(QuarticRing, "__init__", fail)
-    monkeypatch.setattr(quarticrings, "_times", lambda r, m: products.append(1) or times(r, m))
-    for pair, ring in zip(pairs, rings):
-        assert ring_from_pair(pair) == ring
-        products.clear()
-        pair_from_ring(ring)
-        assert len(products) == 12
-    monkeypatch.undo()
-    assert all(QuarticRing(ring.c) == ring for ring in rings)
+    for pair in pairs:
+        ring, counts = call_counts(ring_from_pair, pair)
+        assert counts["quarticrings.QuarticRing.__init__"] == 0
+        _, counts = call_counts(pair_from_ring, ring)
+        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._times"] == 12
+        assert QuarticRing(ring.c) == ring
 
 
 @pytest.mark.parametrize("p, products", [(2, 6), (3, 12), (5, 9), (7, 12), (11, 15), (13, 15)])
-def test_radical_powers_make_no_product_by_one(monkeypatch, p, products):
+def test_radical_powers_make_no_product_by_one(p, products):
     # counted, not timed: e_0^q = 1 is written down, and each of the three
     # other e_i^q takes floor(log2(q)) + popcount(q) - 1 products, q = 4 at
     # p = 2, 9 at p = 3, else p; the walk that follows makes none
     ring = ring_from_pair(((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0)))
-    calls = []
-    mul = QuarticRing.mul
-    monkeypatch.setattr(QuarticRing, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
-    walk = list(_radical_subspaces(ring, p))
+    walk, counts = call_counts(lambda: list(_radical_subspaces(ring, p)))
     q = {2: 4, 3: 9}.get(p, p)
-    assert len(calls) == products == 3 * (q.bit_length() - 1 + bin(q).count("1") - 1)
-    monkeypatch.undo()
+    assert counts["quarticrings.QuarticRing.mul"] == products == 3 * (q.bit_length() - 1 + bin(q).count("1") - 1)
     assert walk == list(_oracle_radical_subspaces(ring, p))
 
 
-def test_enumerate_numerical_resolvents_factorizes_once(monkeypatch):
-    # one factorize of the content: divisors(n) makes it, the count check none
-    calls = []
-
-    def counting_factorize(n):
-        calls.append(n)
-        return factorize(n)
-
-    monkeypatch.setattr(exactlattice, "factorize", counting_factorize)
+def test_enumerate_numerical_resolvents_factorizes_once():
+    # one factorize of the content, 6: divisors(n) makes it, the count check
+    # none
     ring = ring_from_pair((tuple(6 * v for v in P_A), P_B))
-    assert len(enumerate_numerical_resolvents(ring)) == 12
-    assert calls == [6]
+    lattices, counts = call_counts(enumerate_numerical_resolvents, ring)
+    assert len(lattices) == 12 and counts["exactlattice.factorize"] == 1
 
 
 def test_ring_from_pair_rejects_non_integer_coefficients():
@@ -458,41 +431,31 @@ def test_content_is_the_gcd_of_the_minors(a, b, k):
         assert _content(ring) == n
 
 
-def test_resolvent_data_is_computed_once_per_call(monkeypatch):
+def test_resolvent_data_is_computed_once_per_call():
     # counted, not timed: the ring keeps nothing, so each call of
     # pair_from_ring or enumerate_numerical_resolvents makes one mu-lattice
     # _hnf_int (six rows), and none for the lattices, which are written
     # down; count_numerical_resolvents reads the content off the table and
     # makes none
-    sizes = []
-    hnf = quarticrings._hnf_int
-    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: sizes.append(len(rows)) or hnf(rows))
     for pair in _random_pairs(51, 20) + [(tuple(6 * v for v in P_A), P_B)]:
         ring = ring_from_pair(pair)
-        sizes.clear()
-        count = count_numerical_resolvents(ring)
-        assert count_numerical_resolvents(ring) == count and sizes == []
-        first = pair_from_ring(ring)
-        assert sizes == [6]
-        assert pair_from_ring(ring) == first and sizes == [6, 6]
-        sizes.clear()
-        assert len(enumerate_numerical_resolvents(ring)) == count and sizes == [6]
-        assert len(enumerate_numerical_resolvents(ring)) == count and sizes == [6, 6]
+        count, counts = call_counts(count_numerical_resolvents, ring)
+        assert counts["exactlattice._hnf_int"] == 0
+        for fn in (pair_from_ring, enumerate_numerical_resolvents):
+            first, counts = call_counts(fn, ring)
+            assert counts["exactlattice._hnf_int"] == 1
+            assert call_counts(fn, ring) == (first, counts)
+        assert len(first) == count
 
 
-def test_enumerated_lattices_need_no_hnf(monkeypatch):
+def test_enumerated_lattices_need_no_hnf():
     # counted: enumerate_numerical_resolvents makes one _hnf_int call, for
     # the six mu-vectors, and none for the lattices, for contents up to 60
     # times that of the unscaled pair; the lattices agree with the oracle's
-    calls = []
-    hnf = quarticrings._hnf_int
-    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: calls.append(rows) or hnf(rows))
     for k, (a, b) in enumerate(_random_pairs(52, 25)):
         ring = ring_from_pair((tuple((1, 2, 6, 12, 60)[k % 5] * v for v in a), b))
-        count = count_numerical_resolvents(ring)
-        calls.clear()
-        lattices = enumerate_numerical_resolvents(ring)
-        assert [len(rows) for rows in calls] == [6] and len(lattices) == count
+        lattices, counts = call_counts(enumerate_numerical_resolvents, ring)
+        assert counts["exactlattice._hnf_int"] == 1 and len(lattices) == count_numerical_resolvents(ring)
         assert lattices == _oracle_enumerate_numerical_resolvents(ring)
 
 
@@ -819,25 +782,24 @@ def test_bhargava_density_of_pairs_maximal_at_2():
     assert total == (p**2 - 1) ** 2 * (p**3 - 1) * (p**4 + p**2 - p - 1) * p**13 == 8_773_632
 
 
-def test_associativity_is_checked_once_when_a_ring_is_built(monkeypatch):
+def test_associativity_is_checked_once_when_a_ring_is_built():
     # counted, not timed: a table built by hand gets its check once, in
     # QuarticRing(c), 18 row-times-matrix products; then neither it nor a
     # ring from ring_from_pair costs maximality or the resolvent count one
     # associativity product
     rings = [ring_from_pair(pair) for pair in _random_pairs(52, 10) + [P_144]]
-    products = []
-    times = quarticrings._times
-    monkeypatch.setattr(quarticrings, "_times", lambda r, m: products.append(1) or times(r, m))
-    ring = QuarticRing(dict(rings[-1].c))
-    assert len(products) == 18 and ring == rings[-1]
-    products.clear()
-    for ring in rings + [ring]:
-        if ring.disc():
-            is_maximal_at_p(ring, 2)
-            is_maximal(ring)
-        count_numerical_resolvents(ring)
-    assert products == []
-    assert is_maximal(ring) and is_maximal_at_p(ring, 3) == (True, None)
+    built, counts = call_counts(QuarticRing, dict(rings[-1].c))
+    assert counts["quarticrings._times"] == 18 and built == rings[-1]
+
+    def answers():
+        for ring in rings + [built]:
+            if ring.disc():
+                is_maximal_at_p(ring, 2)
+                is_maximal(ring)
+            count_numerical_resolvents(ring)
+
+    assert call_counts(answers)[1]["quarticrings._times"] == 0
+    assert is_maximal(built) and is_maximal_at_p(built, 3) == (True, None)
 
 
 # The 2x2 product and second HNF that pair_from_ring ran for its chosen
@@ -1442,30 +1404,20 @@ def test_condition_tags_require_a_prime():
             nonmaximality_conditions_witness(P_Z4, p)
 
 
-def test_maximality_answers_without_the_radical_when_p_squared_does_not_divide_disc(monkeypatch):
+def test_maximality_answers_without_the_radical_when_p_squared_does_not_divide_disc():
     # structural guard: an overring of index p^k has disc(Q) = p^(2k) disc(Q'),
     # so p^2 not dividing disc(Q) answers at once; counted, not timed
-    def fail(ring, p):
-        raise RuntimeError("radical computed")
-
-    monkeypatch.setattr(quarticrings, "_radical_subspaces", fail)
     answered = {}
     for p in (2, 3, 5, 7):
         for pair in _random_pairs(60 + p, 40) + [P_Z4]:
             ring = ring_from_pair(pair)
             d = ring.disc()
             if d and d % (p * p):
-                assert is_maximal_at_p(ring, p) == (True, None)
+                answer, counts = call_counts(is_maximal_at_p, ring, p)
+                assert answer == (True, None)
+                assert counts["quarticrings._radical_subspaces"] == 0
                 answered[p] = answered.get(p, 0) + 1
     assert min(answered.values()) >= 10 and sum(answered.values()) >= 80
-    # the error types and their order are unchanged
-    degenerate = ring_from_pair(((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0)))
-    with pytest.raises(DegenerateRing):
-        is_maximal_at_p(degenerate, 6)
-    with pytest.raises(DomainError):
-        is_maximal_at_p(ring_from_pair(P_Z4), 6)
-    with pytest.raises(RuntimeError):
-        is_maximal_at_p(ring_from_pair((tuple(2 * v for v in P_A), P_B)), 2)
 
 
 # the oracle walks all ~p^4 candidates of a maximal ring, 0.3 s at p = 7
@@ -1566,23 +1518,16 @@ def test_table_self_checks_survive_optimize_flag():
 P_144 = ((1, -2, -2, -2, -2, 2), (0, 0, 0, 0, 0, 1))
 
 
-def test_is_maximal_computes_the_discriminant_once(monkeypatch):
-    # counted, not timed: every prime that is_maximal tests reuses one disc
-    calls = []
-    disc = QuarticRing.disc
-
-    def counted(ring):
-        calls.append(ring)
-        return disc(ring)
-
-    monkeypatch.setattr(QuarticRing, "disc", counted)
-    six = ring_from_pair((tuple(6 * v for v in P_A), P_B))
-    assert not is_maximal(six)
-    assert len(calls) == 1
-    ring = ring_from_pair(P_144)
-    assert ring.disc() == 144 and len(calls) == 2
-    assert is_maximal(ring)
-    assert len(calls) == 3
+def test_is_maximal_at_p_computes_the_discriminant_once():
+    # counted, not timed: each answer reads one discriminant, and walks the
+    # radical's subspaces only when p^2 divides it
+    for ring in (ring_from_pair((tuple(6 * v for v in P_A), P_B)), ring_from_pair(P_144)):
+        d = ring.disc()
+        for p in (2, 3, 5):
+            (ok, _), counts = call_counts(is_maximal_at_p, ring, p)
+            assert counts["exactlattice._trace_disc"] == 1, (d, p)
+            assert (counts["quarticrings._radical_subspaces"] > 0) == (d % (p * p) == 0), (d, p)
+    assert ring.disc() == 144 and is_maximal(ring)
     assert is_maximal_at_p(ring, 2) == is_maximal_at_p(ring, 3) == (True, None)
 
 
@@ -1605,21 +1550,17 @@ def test_trace_disc_agrees_with_per_vector_trace_oracle(a, b, t, u, form):
     assert _trace_disc(quadratic) == quadratic.disc == t * t - 4 * u
 
 
-def test_trace_and_disc_read_the_table(monkeypatch):
+def test_trace_and_disc_read_the_table():
     # structural guard: one trace for every rank, and a discriminant that
     # makes no product
     assert QuadraticRing.trace is CubicRing.trace is QuarticRing.trace
-
-    def fail(*args):
-        raise RuntimeError("mul called")
-
     form = (1, -3, 1, 2)
     cubic = ring_from_cubic_form(form)
     quartic = ring_from_pair(P_144)
-    monkeypatch.setattr(CubicRing, "mul", fail)
-    monkeypatch.setattr(QuarticRing, "mul", fail)
-    assert cubic.disc() == cubic_form_disc(form) == 5
-    assert quartic.disc() == cubic_form_disc(cubic_resolvent_form(P_144)) == 144
+    for ring, disc in ((cubic, cubic_form_disc(form)), (quartic, cubic_form_disc(cubic_resolvent_form(P_144)))):
+        d, counts = call_counts(ring.disc)
+        assert d == disc and counts["cubicrings.CubicRing.mul"] == counts["quarticrings.QuarticRing.mul"] == 0
+    assert cubic.disc() == 5 and quartic.disc() == 144
     assert QuadraticRing(1, 5).trace((3, 4)) == 10
 
 
@@ -1738,19 +1679,15 @@ def test_closure_over_fp_agrees_with_the_integer_test_on_quadratic_and_cubic_rin
         _closure_agrees(cubic, p)
 
 
-def test_maximality_builds_no_integer_hnf(monkeypatch):
+def test_maximality_builds_no_integer_hnf():
     # counted, not timed: the radical is one RREF over F_p, each candidate
     # is decided over F_p and the witness HNF is written down from its RREF
     # rows, so no answer builds an integer HNF.  The totally ramified pair
     # walks the whole bound of 2p^2 + 2p + 3 candidates
-    hnfs, candidates = [], []
-    hnf, closed = quarticrings._hnf_int, quarticrings._closed_mod_p
-    monkeypatch.setattr(quarticrings, "_hnf_int", lambda rows: hnfs.append(rows) or hnf(rows))
-    monkeypatch.setattr(quarticrings, "_closed_mod_p", lambda *a: candidates.append(a) or closed(*a))
     for p, bound in ((11, 267), (13, 367)):
-        del candidates[:]
-        assert is_maximal_at_p(_ramified(p), p) == (True, None)
-        assert len(candidates) == 2 * p**2 + 2 * p + 3 == bound
+        answer, counts = call_counts(is_maximal_at_p, _ramified(p), p)
+        assert answer == (True, None) and counts["exactlattice._hnf_int"] == 0
+        assert counts["quarticrings._closed_mod_p"] == 2 * p**2 + 2 * p + 3 == bound
     seen = set()
     for p in (2, 3, 5, 7):
         for a, b in _random_pairs(80 + p, 25) + [P_Z4]:
@@ -1759,10 +1696,9 @@ def test_maximality_builds_no_integer_hnf(monkeypatch):
                 d = ring.disc()
                 if not d:
                     continue
-                del candidates[:]
-                ok = is_maximal_at_p(ring, p)[0]
-                seen.add((d % (p * p) == 0, ok, min(len(candidates), 2)))
-    assert hnfs == []
+                (ok, _), counts = call_counts(is_maximal_at_p, ring, p)
+                assert counts["exactlattice._hnf_int"] == 0
+                seen.add((d % (p * p) == 0, ok, min(counts["quarticrings._closed_mod_p"], 2)))
     # "maximal" at once and after several candidates, "not maximal" at the
     # first candidate and after rejected ones
     assert {(False, True, 0), (True, True, 2), (True, False, 1), (True, False, 2)} <= seen

@@ -7,7 +7,9 @@ and its functions (found by ``ast``) are not code.  Under the table it
 lists, for each library module (all but ``__init__``, ``cli`` and
 ``errors``), the public functions and classes that no other module of the
 package reads by name: a name or an attribute in the ``ast``, so an import
-alone does not count.  Stdlib only.
+alone does not count.  The public methods and properties of the public
+classes, and of the classes they inherit from, are listed the same way, as
+``Class.name``.  Stdlib only.
 
     python tools/src_lines.py [SRC_DIR]
 
@@ -46,10 +48,23 @@ def count(text):
     return len(text.splitlines()), len(code - docs)
 
 
+def _members(cls):
+    # the names a class body defines: methods, properties and class attributes
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
 def _unread(src):
     # {module: sorted public top-level functions and classes of a library
-    # module that no other module reads by name}
+    # module, and "Class.member" public members of its classes that are
+    # public or a base of a public class, that no other module reads by name}
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    shown = {name for name in classes if not name.startswith("_")}
+    shown |= {b.id for name in list(shown) for b in classes[name].bases if isinstance(b, ast.Name) and b.id in classes}
     out = {}
     for name, tree in trees.items():
         if name in ("__init__.py", "cli.py", "errors.py"):
@@ -59,6 +74,13 @@ def _unread(src):
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         }
+        public |= {
+            "%s.%s" % (node.name, member)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in shown
+            for member in _members(node)
+            if not member.startswith("_")
+        }
         read = {
             node.id if isinstance(node, ast.Name) else node.attr
             for other, t in trees.items()
@@ -66,7 +88,7 @@ def _unread(src):
             for node in ast.walk(t)
             if isinstance(node, (ast.Name, ast.Attribute))
         }
-        out[name] = sorted(public - read)
+        out[name] = sorted(n for n in public if n.rpartition(".")[2] not in read)
     return out
 
 
