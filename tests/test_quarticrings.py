@@ -1418,6 +1418,14 @@ def test_maximality_answers_without_the_radical_when_p_squared_does_not_divide_d
                 assert counts["quarticrings._radical_subspaces"] == 0
                 answered[p] = answered.get(p, 0) + 1
     assert min(answered.values()) >= 10 and sum(answered.values()) >= 80
+    # the error types and their order are unchanged
+    degenerate = ring_from_pair(((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0)))
+    with pytest.raises(DegenerateRing):
+        is_maximal_at_p(degenerate, 6)
+    with pytest.raises(DomainError):
+        is_maximal_at_p(ring_from_pair(P_Z4), 6)
+    _, counts = call_counts(is_maximal_at_p, ring_from_pair((tuple(2 * v for v in P_A), P_B)), 2)
+    assert counts["quarticrings._radical_subspaces"] > 0
 
 
 # the oracle walks all ~p^4 candidates of a maximal ring, 0.3 s at p = 7
@@ -1524,7 +1532,7 @@ def test_is_maximal_at_p_computes_the_discriminant_once():
     for ring in (ring_from_pair((tuple(6 * v for v in P_A), P_B)), ring_from_pair(P_144)):
         d = ring.disc()
         for p in (2, 3, 5):
-            (ok, _), counts = call_counts(is_maximal_at_p, ring, p)
+            _, counts = call_counts(is_maximal_at_p, ring, p)
             assert counts["exactlattice._trace_disc"] == 1, (d, p)
             assert (counts["quarticrings._radical_subspaces"] > 0) == (d % (p * p) == 0), (d, p)
     assert ring.disc() == 144 and is_maximal(ring)
@@ -1557,10 +1565,10 @@ def test_trace_and_disc_read_the_table():
     form = (1, -3, 1, 2)
     cubic = ring_from_cubic_form(form)
     quartic = ring_from_pair(P_144)
-    for ring, disc in ((cubic, cubic_form_disc(form)), (quartic, cubic_form_disc(cubic_resolvent_form(P_144)))):
+    assert cubic_form_disc(form) == 5 and cubic_form_disc(cubic_resolvent_form(P_144)) == 144
+    for ring, disc in ((cubic, 5), (quartic, 144)):
         d, counts = call_counts(ring.disc)
         assert d == disc and counts["cubicrings.CubicRing.mul"] == counts["quarticrings.QuarticRing.mul"] == 0
-    assert cubic.disc() == 5 and quartic.disc() == 144
     assert QuadraticRing(1, 5).trace((3, 4)) == 10
 
 
