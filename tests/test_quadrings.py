@@ -574,14 +574,19 @@ def test_compose_kernel_agrees_with_ideal_product_oracle(case):
 
 def test_class_semigroup_makes_180_compositions():
     # structural guard: one composition per unreached orbit made 348, and
-    # conjugation halves that; and the lattice path is not reached at all,
-    # so no ideal is built; counted, not timed
+    # conjugation halves that; counted, not timed
+    (elements, _), counts = call_counts(class_semigroup, -99999)
+    assert len(elements) == 336 and counts["quadforms._compose"] == 180
+
+
+def test_class_semigroup_builds_no_ideal():
+    # structural guard: the lattice path is not reached at all, so no ideal
+    # is built; counted, not timed
     for d in (-100, -300, -99999):
-        (elements, _), counts = call_counts(class_semigroup, d)
+        _, counts = call_counts(class_semigroup, d)
         for name in ("multiply", "ideal_from_form", "form_from_ideal", "QuadIdeal.__init__", "QuadIdeal._from_rows"):
             assert counts["quadrings." + name] == 0, (d, name)
         assert counts["exactlattice._hnf_int"] == 0
-    assert len(elements) == 336 and counts["quadforms._compose"] == 180
 
 
 # The Fraction-row ideal operations that integer rows over one denominator
