@@ -29,7 +29,8 @@ import pytest
 from test_quarticrings import is_maximal
 
 from smallrank.cubes import (
-    BalancedTriple, cube_from_triple, gamma_act, is_balanced, triple_from_cube, triples_equivalent,
+    BalancedTriple, cube_from_triple, gamma_act, identity_cube, is_balanced, tau_system, triple_from_cube,
+    triples_equivalent,
 )
 from smallrank.cubicrings import cubic_twisted_act, form_from_cubic_ring, idempotents_within
 from smallrank.errors import SmallRankError
@@ -186,6 +187,33 @@ def _cube_round_trips():
             yield q, ring, [i.basis for i in ideals], cube_from_triple(triple)
         else:
             yield q, triple
+
+
+def _cube_products():
+    # tau_system and is_balanced on the seeded cubes of _cube_round_trips;
+    # for the first triple over each ring, is_balanced with the third ideal
+    # moved by a non-unit gam (norm product N(gam)), and with the second
+    # moved by gam and the third by 1/conj(gam) (norm product 1, products
+    # times gam/conj(gam)); then identity_cube(d) and its tau_system, or the
+    # error, for every d in [-2004, 2004]
+    rng = random.Random(22)
+    rings = set()
+    for _ in range(300):
+        q = tuple(rng.randint(-2, 2) for _ in range(8))
+        triple = _outcome(triple_from_cube, q)
+        yield q, _outcome(tau_system, q)
+        if isinstance(triple, BalancedTriple):
+            ring, (i1, i2, i3) = triple
+            yield is_balanced(i1, i2, i3)
+            if ring not in rings:
+                rings.add(ring)
+                gam = (2, 1)
+                while abs(ring.norm(gam)) in (0, 1):
+                    gam = (gam[0] + 1, gam[1])
+                inv = tuple(Fraction(c, ring.norm(gam)) for c in gam)  # 1/conj(gam)
+                yield gam, is_balanced(i1, i2, scale(i3, gam)), is_balanced(i1, scale(i2, gam), scale(i3, inv))
+    for d in range(-2004, 2005):
+        yield d, _outcome(lambda: (identity_cube(d), tau_system(identity_cube(d))))
 
 
 def _small_searches():
@@ -362,6 +390,7 @@ FAMILIES = {
     "cube_actions": _cube_actions,
     "stella_points": _stella_points,
     "cube_round_trips": _cube_round_trips,
+    "cube_products": _cube_products,
     "errors": _errors,
     "small_searches": _small_searches,
     "writedowns": _writedowns,
