@@ -9,13 +9,12 @@ where t and u are the symmetric cube invariants below.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     Degenerate, DomainError, InvariantViolation, NotBalanced, NotInGamma, RingMismatch,
     UnsupportedDiscriminant, _ints, _matrix, _of,
 )
-from .exactlattice import _form_act, mat2_det
+from .exactlattice import _coords2, _form_act, _unscaled, mat2_det
 from .quadforms import content, discriminant, represent
 from .quadrings import (
     QuadIdeal,
@@ -111,19 +110,15 @@ def _triple(q):
     # the rows have rank 2: i1 holds a unit x of Q[xi] (a field, Q x Q or
     # Q[eps]), and x*i2 already spans, so some pair (r, s) is independent
     r, s = next((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s])))
-    det = mat2_det((rows[r], rows[s]))
-    sign = 1 if det > 0 else -1
-    zs = []
-    for k in range(2):
-        rhs = [den * q[2 * n + k] for n in range(4)]  # n = 2i + j
-        # Cramer: z = (u, v) / det, checked against all four equations
-        u = mat2_det(((rhs[r], rows[r][1]), (rhs[s], rows[s][1])))
-        v = mat2_det(((rows[r][0], rhs[r]), (rows[s][0], rhs[s])))
-        if not all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs)):
-            raise InvariantViolation("third ideal of the cube does not solve all four equations")
-        zs.append((sign * u, sign * v))  # over |det|
-
-    i3 = QuadIdeal._from_rows(ring, zs, abs(det))
+    det = abs(mat2_det((rows[r], rows[s])))
+    # z_k over det, as coordinates against the transpose of rows r and s;
+    # never None, as right-hand sides times |det| make each Cramer numerator
+    # divisible by det
+    rhs = [[den * det * q[2 * n + k] for n in range(4)] for k in range(2)]  # n = 2i + j
+    zs = _coords2(tuple(zip(rows[r], rows[s])), [(c[r], c[s]) for c in rhs])
+    if not all(a * z0 + b * z1 == c for (z0, z1), cs in zip(zs, rhs) for (a, b), c in zip(rows, cs)):
+        raise InvariantViolation("third ideal of the cube does not solve all four equations")
+    i3 = QuadIdeal._from_rows(ring, zs, det)
     if raw_form(i3) != f3:
         raise InvariantViolation("third ideal of the cube does not have the third form %r" % (f3,))
     balanced = _balanced_products(i1, i2, i3)
@@ -152,11 +147,12 @@ def _balanced_products(i1, i2, i3):
     ring = i1.ring
     if i2.ring != ring or i3.ring != ring:
         raise RingMismatch("ideals live over different rings")
-    if ideal_norm(i1) * ideal_norm(i2) * ideal_norm(i3) != 1:
+    den = i1.den * i2.den * i3.den
+    # norm product 1, as N(i) = |det(rows)| / den_i^2
+    if abs(mat2_det(i1.rows) * mat2_det(i2.rows) * mat2_det(i3.rows)) != den * den:
         return None
     mul = ring.mul
-    products = [mul(mul(x, y), z) for x in i1.rows for y in i2.rows for z in i3.rows]
-    den = i1.den * i2.den * i3.den
+    products = [mul(w, z) for w in [mul(x, y) for x in i1.rows for y in i2.rows] for z in i3.rows]
     if any(c % den for w in products for c in w):
         return None
     return products, den
@@ -179,7 +175,7 @@ def cube_from_triple(triple):
 def tau_system(q):
     """All eight products tau[i][j][k] = x_i * y_j * z_k of the triple bases."""
     _, (products, den) = _triple(_cube(q))
-    t = [tuple(Fraction(c, den) for c in w) for w in products]
+    t = _unscaled(products, den)
     return ((tuple(t[0:2]), tuple(t[2:4])), (tuple(t[4:6]), tuple(t[6:8])))
 
 

@@ -255,12 +255,12 @@ def test_round_trip_cube_triple_cube():
 
 def test_cube_from_triple_computes_the_triple_products_once():
     # counted, not timed: the balancedness test and the cube share one set
-    # of the eight products, two ring products each, on a balanced and on an
-    # unbalanced triple
+    # of the eight products, from the four x_i*y_j and then one ring product
+    # each, on a balanced and on an unbalanced triple
     qs = _random_cubes(41, 5)
     for q in qs:
         cube, counts = call_counts(cube_from_triple, triple_from_cube(q))
-        assert cube == q and counts["quadrings.QuadraticRing.mul"] == 16
+        assert cube == q and counts["quadrings.QuadraticRing.mul"] == 12
     r0 = QuadraticRing(0, 25)
     # s, g*s and s/conj(g) for g = 1 + xi of norm 26: norm product 1, so the
     # products are computed, and g/conj(g) = (-24 + 2 xi)/26 is not integral
@@ -271,23 +271,38 @@ def test_cube_from_triple_computes_the_triple_products_once():
         with pytest.raises(NotBalanced, match="triple fails the balancedness conditions"):
             cube_from_triple(unbalanced)
 
-    assert call_counts(refused)[1]["quadrings.QuadraticRing.mul"] == 16
+    assert call_counts(refused)[1]["quadrings.QuadraticRing.mul"] == 12
 
 
 def test_tau_system_computes_the_triple_products_once(monkeypatch):
     # counted, not timed: the taus reuse the products of the balancedness
-    # self-check in triple_from_cube, and that check still fires.  26 ring
-    # products: 16 for the eight triple products, 4 for the equations of the
+    # self-check in triple_from_cube, and that check still fires.  22 ring
+    # products: 12 for the eight triple products, 4 for the equations of the
     # third ideal and 2 for the xi matrix of each of the three ideals; a
-    # second set of triple products would make 42
+    # second set of triple products would make 34
     qs = _random_cubes(43, 5)
     for q in qs:
         taus, counts = call_counts(tau_system, q)
-        assert counts["quadrings.QuadraticRing.mul"] == 26
+        assert counts["quadrings.QuadraticRing.mul"] == 22
         assert tuple(t[1] for pair in taus for row in pair for t in row) == q
     monkeypatch.setattr(cubes, "_balanced_products", lambda *ideals: None)
     with pytest.raises(InvariantViolation, match="triple rebuilt from the cube is not balanced"):
         tau_system(qs[0])
+
+
+def test_cube_maps_construct_no_fraction():
+    # the third ideal, the triple products and the norm product are solved
+    # and tested on integers, also on a triple that is not balanced;
+    # tau_system makes only the 16 entries it returns
+    for q in _random_cubes(47, 5):
+        triple, counts = call_counts(triple_from_cube, q)
+        assert counts["fractions.Fraction.__new__"] == 0
+        assert call_counts(cube_from_triple, triple)[1]["fractions.Fraction.__new__"] == 0
+        i1, i2, i3 = triple.ideals
+        for ideals in ((i1, i2, i3), (i1, i2, scale(i3, (2, 0)))):
+            assert call_counts(is_balanced, *ideals)[1]["fractions.Fraction.__new__"] == 0
+        assert call_counts(tau_system, q)[1]["fractions.Fraction.__new__"] == 16
+    assert call_counts(Fraction, 1, 3)[1]["fractions.Fraction.__new__"] == 1  # the counter does count
 
 
 def test_associated_form_discriminant_check_survives_optimize_flag():
@@ -335,7 +350,7 @@ def test_four_equations_check_survives_optimize_flag():
         "cubes.triple_from_cube(cubes.identity_cube(-23))",
     )
     assert message == "third ideal of the cube does not solve all four equations"
-    assert check == "if not all(a * u + b * v == c * det for (a, b), c in zip(rows, rhs)):"
+    assert check == "if not all(a * z0 + b * z1 == c for (z0, z1), cs in zip(zs, rhs) for (a, b), c in zip(rows, cs)):"
 
 
 def test_reconstructed_triple_equivalent_to_source():
