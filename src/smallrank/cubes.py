@@ -111,9 +111,9 @@ def _triple(q):
     # Q[eps]), and x*i2 already spans, so some pair (r, s) is independent
     r, s = next((r, s) for r in range(4) for s in range(r + 1, 4) if mat2_det((rows[r], rows[s])))
     det = abs(mat2_det((rows[r], rows[s])))
-    # z_k over det, as coordinates against the transpose of rows r and s;
-    # never None, as right-hand sides times |det| make each Cramer numerator
-    # divisible by det
+    # z_k times det, as coordinates against the transpose of rows r and s;
+    # _coords2 never returns None, as right-hand sides that are multiples of
+    # det make each Cramer numerator divisible by det
     rhs = [[den * det * q[2 * n + k] for n in range(4)] for k in range(2)]  # n = 2i + j
     zs = _coords2(tuple(zip(rows[r], rows[s])), [(c[r], c[s]) for c in rhs])
     if not all(a * z0 + b * z1 == c for (z0, z1), cs in zip(zs, rhs) for (a, b), c in zip(rows, cs)):
