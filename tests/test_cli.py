@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,14 @@ def child(code, *argv):
 
 
 MAIN = "import smallrank.cli; sys.exit(smallrank.cli.main(sys.argv[1:]))"
+
+
+def test_s_prints_an_int_a_fraction_and_a_fraction_subclass_alike():
+    class FractionSubclass(Fraction):
+        pass
+
+    for v, text in ((7, "7"), (-2, "-2"), (Fraction(-3, 4), "-3/4"), (Fraction(6, 3), "2")):
+        assert cli._s(v) == cli._s(Fraction(v)) == cli._s(FractionSubclass(v)) == text
 
 
 def test_importing_the_cli_loads_no_parser_or_json_module(capsys):

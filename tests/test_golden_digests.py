@@ -119,6 +119,21 @@ def _quartic_pairs():
     assert tags == {"a", "b", "c", "d", "none"}, tags
 
 
+def _quartic_pairs_sweep():
+    # 4,000 pairs drawn as in quartic_pairs, A scaled by p on every other
+    # pair, and maximality at each p of the quartic benchmark: the Fraction
+    # rows of its witnesses
+    rng = random.Random(7)
+    for k in range(4000):
+        a = [rng.randint(-3, 3) for _ in range(6)]
+        b = tuple(rng.randint(-3, 3) for _ in range(6))
+        if k % 2:
+            a = [(2, 3, 5, 7)[k // 2 % 4] * v for v in a]
+        pair = (tuple(a), b)
+        ring = ring_from_pair(pair)
+        yield pair, [_outcome(is_maximal_at_p, ring, p) for p in (2, 3, 5, 7)]
+
+
 def _long_walks():
     # maximality at p = 7 and 11, with A scaled by p on every other pair:
     # walks of up to about a hundred candidates, and their witnesses
@@ -401,6 +416,7 @@ FAMILIES = {
 SWEEPS = {
     "class_group_sweep": _class_group_sweep,
     "class_semigroup_sweep": _class_semigroup_sweep,
+    "quartic_pairs_sweep": _quartic_pairs_sweep,
 }
 
 

@@ -363,6 +363,29 @@ def test_non_rational_entries_are_a_domain_error(build):
     assert build(ring, 0.5) == build(ring, Fraction(1, 2))
 
 
+class _FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ring, e: QuadIdeal(ring, [(e, 0), (0, e)]),
+        lambda ring, e: scale(unit_ideal(ring), (1, e)),
+    ],
+    ids=["QuadIdeal", "scale"],
+)
+def test_rational_entries_are_gated_by_exact_type(build):
+    # int, Fraction and a finite float, the float read exactly; a Fraction
+    # subclass, a str and a bool are refused like any other type
+    ring = ring_from_disc(-23)
+    assert build(ring, Fraction(1, 3)) == build(ring, Fraction(2, 6))
+    assert build(ring, 0.1) == build(ring, Fraction(0.1)) != build(ring, Fraction(1, 10))
+    for bad in (_FractionSubclass(1, 2), "1/2", True, None, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            build(ring, bad)
+
+
 def _class_number(d):
     # primitive reduced forms (a, b, c) of discriminant d < 0, counted from
     # the definition: |b| <= a <= c, b >= 0 when |b| == a or a == c
