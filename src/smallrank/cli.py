@@ -10,17 +10,18 @@ Negative numbers can be passed after a ``--`` separator.  Exit codes:
 2 malformed input, 141 stdout closed before the output was written (as a
 shell reports a process ended by SIGPIPE).
 
-Importing this module loads neither ``argparse`` nor ``json``: ``main``
-imports them when it builds a parser or reads or writes JSON, so library
-callers that never run the CLI do not pay for them.
+Importing this module loads neither ``argparse`` nor ``json`` nor
+``fractions``: ``main`` imports the first two when it builds a parser or
+reads or writes JSON, and ``fractions`` is imported where a ``Fraction``
+is built, so callers that need none of them do not pay for them.
 """
 
 import os
 import sys
-from fractions import Fraction
 from math import log10
 
 from .errors import DiscriminantMismatch, SmallRankError
+from .exactlattice import _fraction_type
 from . import quadforms
 from . import quadrings
 from . import cubes
@@ -40,7 +41,10 @@ class _UsageError(Exception):
 def _s(v):
     """Serialize an int or Fraction as a decimal / 'p/q' string."""
     try:
-        return str(v) if isinstance(v, Fraction) else str(int(v))
+        if type(v) is int:  # the usual value
+            return str(v)
+        fraction = _fraction_type()
+        return str(v) if fraction and isinstance(v, fraction) else str(int(v))
     except ValueError:  # more digits than int -> str converts
         raise _UsageError(
             "a result has more than %d digits, too long to print" % sys.get_int_max_str_digits()
@@ -78,6 +82,8 @@ def _parse_frac(text):
         if num == num.rstrip() and den == den.lstrip():
             p, q = _parse_int(num), _parse_int(den) if slash else 1
             if q > 0:
+                from fractions import Fraction
+
                 return Fraction(p, q)
     except _UsageError:
         pass

@@ -21,7 +21,7 @@ on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
 ``_trace`` and ``_trace_disc`` read.
 """
 
-from fractions import Fraction
+import sys
 from math import isfinite, isqrt, lcm
 from operator import mul
 
@@ -106,10 +106,17 @@ def _hnf_from_rref(rows, p, n):
     return [list(by_pivot.get(j) or (p * int(i == j) for i in range(n))) for j in range(n)]
 
 
+def _fraction_type():
+    # fractions.Fraction if that module is loaded, else None: no Fraction
+    # exists before it is, so a type test needs no import; read on each
+    # call, as the module may be loaded after this one
+    return getattr(sys.modules.get("fractions"), "Fraction", None)
+
+
 def _rational(e):
     # whether e's type is exactly int, Fraction or a finite float: not a
     # bool, and not a str (Fraction would parse "1/2")
-    return type(e) in (int, Fraction) or type(e) is float and isfinite(e)
+    return type(e) is int or type(e) is float and isfinite(e) or type(e) is _fraction_type()
 
 
 def _scaled(rows):
@@ -123,6 +130,8 @@ def _scaled(rows):
         return rows, 1
     if not all(_rational(e) for row in rows for e in row):
         raise DomainError("need rational entries, got %r" % (rows,))
+    from fractions import Fraction
+
     rows = [[Fraction(e) if type(e) is float else e for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
@@ -130,6 +139,8 @@ def _scaled(rows):
 
 def _unscaled(rows, den):
     # the Fraction rows of int_rows / den, as a tuple of tuples
+    from fractions import Fraction
+
     return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
 

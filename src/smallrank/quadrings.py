@@ -8,7 +8,6 @@ lattices in Q^2 stable under multiplication by xi, stored as integer rows
 over their least denominator.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
@@ -210,8 +209,10 @@ def conjugate(i) -> QuadIdeal:
     return _span(i.ring, [i.ring.conj(row) for row in i.rows], i.den)
 
 
-def ideal_norm(i) -> Fraction:
+def ideal_norm(i) -> "Fraction":
     """Covolume relative to the ring of coefficients, always positive."""
+    from fractions import Fraction
+
     return Fraction(abs(mat2_det(_of(QuadIdeal, i).rows)), i.den**2)
 
 

@@ -372,6 +372,31 @@ def test_importing_the_cli_loads_no_parser_or_json_module(capsys):
     assert run(capsys, *argv) == (0, proc.stdout.decode(), "")
 
 
+def test_importing_and_warming_up_loads_no_fractions_or_decimal_module():
+    # the warm-ups of the classgroup, semigroup and cli benchmarks build no
+    # Fraction; one built afterwards still passes the gate, which looks the
+    # type up at call time
+    code = (
+        "import contextlib, io\n"
+        "import smallrank, smallrank.cli\n"
+        "from smallrank.quadforms import class_group\n"
+        "from smallrank.quadrings import QuadIdeal, class_semigroup, ideal_norm, ring_from_disc\n"
+        "class_group(-1999)\n"
+        "class_semigroup(-100)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert smallrank.cli.main(['classgroup', '--json', '--', '-23']) == 0\n"
+        "loaded = sorted({'fractions', 'decimal'} & set(sys.modules))\n"
+        "assert not loaded, 'loaded without a Fraction: %s' % loaded\n"
+        "from fractions import Fraction\n"
+        "half = Fraction(1, 2)\n"
+        "ideal = QuadIdeal(ring_from_disc(-4), [(half, half), (half, -half)])\n"
+        "assert ideal.basis == ((half, half), (half, -half))\n"
+        "assert type(ideal_norm(ideal)) is Fraction\n"
+    )
+    proc = subprocess.run(child(code), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(flags, tmp_path):
     # 258 KB of text (332 KB of JSON), far above a 64 KiB pipe buffer, so
