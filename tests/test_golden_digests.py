@@ -9,9 +9,10 @@ CHANGES.md which outputs changed and why, and then rewrite the file with
 
     python tests/test_golden_digests.py --update
 
-The families in ``SWEEPS`` cover a whole input range and are too slow for
-tier-1: their tests carry the ``sweep`` marker and run only with
-``python -m pytest -m sweep --sweep``; ``--update`` rewrites them too.
+The families in ``SWEEPS`` cover a whole input range, or 4,000 quartic
+pairs, and are too slow for tier-1: their tests carry the ``sweep``
+marker and run only with ``python -m pytest -m sweep --sweep``;
+``--update`` rewrites them too.
 """
 
 import hashlib
