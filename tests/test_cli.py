@@ -351,6 +351,33 @@ def child(code, *argv):
 MAIN = "import smallrank.cli; sys.exit(smallrank.cli.main(sys.argv[1:]))"
 
 
+def test_the_package_binds_each_submodule_in_all():
+    # whenever a submodule is loaded: dir() lists the eight names before any
+    # is read, "import *" binds each, each is the module of that name, and
+    # a name that is no submodule stays an AttributeError and an ImportError
+    code = (
+        "import smallrank\n"
+        "names = sorted(set(smallrank.__all__) - {'__version__'})\n"
+        "assert len(names) == 8, names\n"
+        "assert set(smallrank.__all__) <= set(dir(smallrank))\n"
+        "star = {}\n"
+        "exec('from smallrank import *', star)\n"
+        "for name in names:\n"
+        "    module = sys.modules['smallrank.' + name]\n"
+        "    assert star[name] is getattr(smallrank, name) is module, name\n"
+        "assert set(smallrank.__all__) <= set(dir(smallrank))\n"
+        "assert not hasattr(smallrank, 'nope')\n"
+        "try:\n"
+        "    from smallrank import nope\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('imported smallrank.nope')\n"
+    )
+    proc = subprocess.run(child(code), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_s_prints_an_int_a_fraction_and_a_fraction_subclass_alike():
     class FractionSubclass(Fraction):
         pass
