@@ -11,9 +11,12 @@ Negative numbers can be passed after a ``--`` separator.  Exit codes:
 shell reports a process ended by SIGPIPE).
 
 Importing this module loads neither ``argparse`` nor ``json`` nor
-``fractions``: ``main`` imports the first two when it builds a parser or
-reads or writes JSON, and ``fractions`` is imported where a ``Fraction``
-is built, so callers that need none of them do not pay for them.
+``fractions``, nor any pipeline module (``quadforms``, ``quadrings``,
+``cubes``, ``cubicrings``, ``quarticrings``, ``padic``): ``main`` imports
+the first two when it builds a parser or reads or writes JSON,
+``fractions`` is imported where a ``Fraction`` is built, and each
+subcommand imports the pipeline modules it calls, so callers that need
+none of them do not pay for them.
 """
 
 import os
@@ -22,12 +25,6 @@ from math import log10
 
 from .errors import DiscriminantMismatch, SmallRankError
 from .exactlattice import _fraction_type
-from . import quadforms
-from . import quadrings
-from . import cubes
-from . import cubicrings
-from . import quarticrings
-from . import padic
 
 __all__ = ["main"]
 
@@ -105,6 +102,8 @@ def _read_json(path):
 
 
 def _json_ring(payload):
+    from . import quadrings
+
     try:
         return quadrings.QuadraticRing(
             _parse_int(payload["t"]), _parse_int(payload["u"])
@@ -114,6 +113,8 @@ def _json_ring(payload):
 
 
 def _json_ideal(payload):
+    from . import quadrings
+
     try:
         ring = _json_ring(payload["ring"])
         basis = tuple(
@@ -156,6 +157,8 @@ def _class_table(D, elements, table, notes, payload, footer):
     and the table, and the ``footer`` lines go between the elements and the
     table.  S labels the principal class, then A, B, ... (S skipped).
     """
+    from . import quadforms
+
     letters = "ABCDEFGHIJKLMNOPQRTUVWXYZ"  # S reserved
     principal = quadforms.principal_form(D)
     labels, used = [], 0
@@ -203,6 +206,8 @@ def _command(name, help_text, *params):
 
 @_command("reduce", "reduce a positive definite binary form", *"abc")
 def _cmd_reduce(*f):
+    from . import quadforms
+
     g, m = quadforms.reduce(f)
     payload = {"form": _json(g), "matrix": _json(m)}
     return payload, ["reduced: %s" % _fmt_form(g), "matrix:  %s" % _fmt_matrix(m)]
@@ -212,6 +217,8 @@ def _cmd_reduce(*f):
     "compose", "compose two forms of discriminant D", "D", "a1", "b1", "c1", "a2", "b2", "c2"
 )
 def _cmd_compose(D, *coeffs):
+    from . import quadforms
+
     f, g = coeffs[:3], coeffs[3:]
     if quadforms.discriminant(f) != D:
         raise DiscriminantMismatch(
@@ -223,6 +230,8 @@ def _cmd_compose(D, *coeffs):
 
 @_command("classgroup", "class group of a discriminant", "D")
 def _cmd_classgroup(D):
+    from . import quadforms
+
     elements, table, structure = quadforms.class_group(D)
     text = " x ".join("Z/%s" % _s(t) for t in structure) if structure else "trivial"
     payload = {"structure": _json(structure)}
@@ -231,6 +240,8 @@ def _cmd_classgroup(D):
 
 @_command("semigroup", "class semigroup incl. non-invertible", "D")
 def _cmd_semigroup(D):
+    from . import quadforms, quadrings
+
     elements, table = quadrings.class_semigroup(D)
     invertible = [quadforms.content(f) == 1 for f in elements]
     notes = ["" if inv else "  (not invertible)" for inv in invertible]
@@ -239,6 +250,8 @@ def _cmd_semigroup(D):
 
 @_command("ideal-form", "form of a JSON ideal", "file")
 def _cmd_ideal_form(file):
+    from . import quadrings
+
     ideal = _json_ideal(_read_json(file))
     f = quadrings.form_from_ideal(ideal)
     return {"form": _json(f)}, ["form: %s" % _fmt_form(f)]
@@ -246,6 +259,8 @@ def _cmd_ideal_form(file):
 
 @_command("form-ideal", "ideal of a form (JSON out)", *"abc")
 def _cmd_form_ideal(*f):
+    from . import quadforms, quadrings
+
     ring = quadrings.ring_from_disc(quadforms.discriminant(f))
     ideal = quadrings.ideal_from_form(f, ring)
     payload = {"ring": _ring_json(ring), "basis": _json(ideal.basis)}
@@ -254,6 +269,8 @@ def _cmd_form_ideal(*f):
 
 @_command("cube-forms", "three quadratic forms of a 2x2x2 cube", *"abcdefgh")
 def _cmd_cube_forms(*q):
+    from . import cubes
+
     f1, f3, f2 = cubes.associated_forms(q)
     payload = {"forms": _json((f1, f3, f2))}
     lines = [
@@ -266,12 +283,16 @@ def _cmd_cube_forms(*q):
 
 @_command("cube-ring", "quadratic ring of a cube", *"abcdefgh")
 def _cmd_cube_ring(*q):
+    from . import cubes
+
     ring = cubes.ring_of_cube(q)
     return _ring_json(ring), [_ring_line(ring), "disc: %s" % _s(ring.disc)]
 
 
 @_command("cube-triple", "balanced ideal triple of a cube", *"abcdefgh")
 def _cmd_cube_triple(*q):
+    from . import cubes
+
     triple = cubes.triple_from_cube(q)
     payload = {
         "ring": _ring_json(triple.ring),
@@ -285,6 +306,8 @@ def _cmd_cube_triple(*q):
 
 @_command("triple-cube", "cube of a balanced triple (JSON in)", "file")
 def _cmd_triple_cube(file):
+    from . import cubes
+
     payload_in = _read_json(file)
     try:
         ring = _json_ring(payload_in["ring"])
@@ -300,6 +323,8 @@ def _cmd_triple_cube(file):
 
 @_command("cubic-ring", "cubic ring of a binary cubic form", *"pqrs")
 def _cmd_cubic_ring(*form):
+    from . import cubicrings
+
     ring = cubicrings.ring_from_cubic_form(form)
     payload = {
         "a": _s(ring.a),
@@ -318,6 +343,8 @@ def _cmd_cubic_ring(*form):
 
 @_command("cubic-form", "binary cubic form of a ring (JSON in)", "file")
 def _cmd_cubic_form(file):
+    from . import cubicrings
+
     payload_in = _read_json(file)
     try:
         ring = cubicrings.CubicRing(
@@ -334,6 +361,8 @@ def _cmd_cubic_form(file):
 
 @_command("quartic-ring", "quartic ring of a ternary pair", "file")
 def _cmd_quartic_ring(file):
+    from . import quarticrings
+
     ring = quarticrings.ring_from_pair(_json_pair(_read_json(file)))
     table, c, lines = ring.c, {}, []
     for i in range(1, 4):
@@ -348,6 +377,8 @@ def _cmd_quartic_ring(file):
 
 @_command("resolvent", "resolvent data of a ternary pair", "file")
 def _cmd_resolvent(file):
+    from . import quarticrings
+
     pair = _json_pair(_read_json(file))
     ring = quarticrings.ring_from_pair(pair)
     resolvent, _witness = quarticrings.pair_from_ring(ring)
@@ -368,6 +399,8 @@ def _cmd_resolvent(file):
 
 @_command("maximal", "maximality of the pair's ring at primes", "file", "primes")
 def _cmd_maximal(file, primes):
+    from . import quarticrings
+
     pair = _json_pair(_read_json(file))
     ring = quarticrings.ring_from_pair(pair)
     results = []
@@ -393,6 +426,8 @@ def _cmd_maximal(file, primes):
 
 @_command("padic-count", "balanced triple count", "p", "n", "i", "j", "k", "--u")
 def _cmd_padic_count(p, n, i, j, k, u):
+    from . import padic
+
     # the count is at most (p+1)*p^(i-1); refuse, before computing it, one
     # with more digits than int -> str converts
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -406,6 +441,8 @@ def _cmd_padic_count(p, n, i, j, k, u):
 
 @_command("stella", "two-tetrahedra membership of a signed index", *"nijk")
 def _cmd_stella(n, *index):
+    from . import padic
+
     inside, label = padic.stella_membership(n, index)
     payload = {"inside": inside, "tetrahedron": None if label is None else str(label)}
     if not inside:

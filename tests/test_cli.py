@@ -424,6 +424,40 @@ def test_importing_and_warming_up_loads_no_fractions_or_decimal_module():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+# the warm-up request of each benchmark workload and the pipeline modules it
+# needs: the package and the CLI load none, each is loaded when first used
+WARMUPS = {
+    "import": ("", ()),
+    "classgroup": ("smallrank.quadforms.class_group(-1999)", ("quadforms",)),
+    "semigroup": ("smallrank.quadrings.class_semigroup(-100)", ("quadforms", "quadrings")),
+    "quartic": (
+        "r = smallrank.quarticrings.ring_from_pair(((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1)))\n"
+        "smallrank.quarticrings.is_maximal_at_p(r, 2)\n"
+        "smallrank.quarticrings.pair_from_ring(r)",
+        ("cubicrings", "quarticrings"),
+    ),
+    "cli": (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert smallrank.cli.main(['classgroup', '--json', '--', '-23']) == 0",
+        ("quadforms",),
+    ),
+}
+
+
+@pytest.mark.parametrize("warmup, added", WARMUPS.values(), ids=WARMUPS)
+def test_importing_and_warming_up_loads_only_the_modules_used(warmup, added):
+    code = (
+        "import smallrank, smallrank.cli\n%s\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'smallrank')))"
+        % warmup
+    )
+    proc = subprocess.run(child(code), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    cold = ["smallrank", "smallrank.cli", "smallrank.errors", "smallrank.exactlattice"]
+    assert proc.stdout.decode().split() == sorted(cold + ["smallrank." + m for m in added])
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(flags, tmp_path):
     # 258 KB of text (332 KB of JSON), far above a 64 KiB pipe buffer, so

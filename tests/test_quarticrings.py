@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 from callcounts import call_counts
+from orbits import count_maximal_lifts, generators, orbits
 from hypothesis import assume, example, given, settings, strategies as st
 from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import (
@@ -663,23 +664,6 @@ def _pair_act(v, g2, g3):
     return tuple([r * x + s * y for x, y in zip(a, b)] + [t * x + u * y for x, y in zip(a, b)])
 
 
-def _generators(n, p):
-    # a transposition and, for n > 2, an n-cycle permute the axes, so with
-    # one transvection they give every elementary transvection, which
-    # generate SL_n(F_p); diag(g, 1, ..) for a primitive root g adds every
-    # determinant
-    one = [[int(i == j) for j in range(n)] for i in range(n)]
-    swap, shear = [one[1], one[0], *one[2:]], [row[:] for row in one]
-    shear[0][1] = 1
-    out = [swap, shear]
-    if n > 2:
-        out.append(one[1:] + one[:1])
-    g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-    if g != 1:
-        out.append([[g if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
-    return out
-
-
 def _shear(i, j, t):
     # the 3x3 matrix of x_i -> x_i + t*x_j
     return [[int(k == m) + t * (k == i and m == j) for m in range(3)] for k in range(3)]
@@ -690,82 +674,21 @@ _ONE2, _ONE3 = ((1, 0), (0, 1)), _shear(0, 0, 0)
 
 def _pair_orbits(p):
     # (representative, size) of each GL2(F_p) x GL3(F_p)-orbit on the p^12
-    # pairs mod p; each generator is linear, kept as the nonzero entries
-    # (column, coefficient) of each row of its matrix
-    moves = [(g, _ONE3) for g in _generators(2, p)] + [(_ONE2, g) for g in _generators(3, p)]
-    units = [tuple(int(i == k) for i in range(12)) for k in range(12)]
-    maps = [
-        [[(k, c) for k, c in enumerate(row) if c] for row in zip(*(_pair_act(e, g2, g3) for e in units))]
-        for g2, g3 in moves
-    ]
-    seen, out = set(), []
-    for v in iproduct(range(p), repeat=12):
-        if v in seen:
-            continue
-        seen.add(v)
-        todo, size = [v], 0
-        while todo:
-            w = todo.pop()
-            size += 1
-            for rows in maps:
-                x = tuple(sum(c * w[k] for k, c in row) % p for row in rows)
-                if x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        out.append((v, size))
-    return out
+    # pairs mod p
+    moves = [(g, _ONE3) for g in generators(2, p)] + [(_ONE2, g) for g in generators(3, p)]
+    return orbits(p, 12, [lambda v, g2=g2, g3=g3: _pair_act(v, g2, g3) for g2, g3 in moves])
 
 
-def _tangent_pivots(v, p):
-    # the pivot columns of the F_p-span S_v of the 13 tangent vectors of the
-    # action at v: (A, 0), (B, 0), (0, A), (0, B) from GL2, and from GL3 the
-    # derivative of x_i -> x_i + t*x_j at t = 0, (g(1) - g(-1))/2 exactly
+def _pair_tangents(v):
+    # the 13 tangent vectors of the action at v: (A, 0), (B, 0), (0, A),
+    # (0, B) from GL2, and from GL3 the derivative of x_i -> x_i + t*x_j at
+    # t = 0, (g(1) - g(-1))/2 exactly
     rows = [v[:6] + (0,) * 6, v[6:] + (0,) * 6, (0,) * 6 + v[:6], (0,) * 6 + v[6:]]
     for i in range(3):
         for j in range(3):
             plus, minus = (_pair_act(v, _ONE2, _shear(i, j, t)) for t in (1, -1))
             rows.append(tuple((x - y) // 2 for x, y in zip(plus, minus)))
-    rows, pivots = [[x % p for x in row] for row in rows], []
-    for col in range(12):
-        i = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
-        if i is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        for k in range(r + 1, len(rows)):
-            c = rows[k][col] * inv
-            rows[k] = [(x - c * y) % p for x, y in zip(rows[k], rows[r])]
-        pivots.append(col)
-    return pivots
-
-
-def _count_pairs_maximal_at_p(p, orbits):
-    # the pairs mod p^2 whose ring is maximal at p.  The group I + p*M acts
-    # on the lifts v + p*w of a pair v by w -> w + (tangent at v) mod p, so
-    # the lifts fall into p^(12 - dim S_v) cosets of S_v, each with one
-    # answer; one lift per coset is tested, w supported off the pivot
-    # columns.  The lifts of 0 are p*(A1, B1), whose ring is Z + p^2*Q1,
-    # never maximal.  A lift of disc 0 is moved by p^2*P_Z4 until its disc
-    # is not 0: a polynomial of degree 12 in the number of moves, with
-    # leading coefficient p^24*disc(P_Z4) = p^24
-    q, total, rings = p * p, 0, 0
-    for v, size in orbits:
-        if not any(v):
-            continue
-        pivots = _tangent_pivots(v, p)
-        free = [c for c in range(12) if c not in pivots]
-        maximal = 0
-        for digits in iproduct(range(p), repeat=len(free)):
-            w = list(v)
-            for c, d in zip(free, digits):
-                w[c] += p * d
-            while not (ring := ring_from_pair((tuple(w[:6]), tuple(w[6:])))).disc():
-                w = [x + q * y for x, y in zip(w, P_A + P_B)]
-            maximal += is_maximal_at_p(ring, p)[0]
-            rings += 1
-        total += size * maximal * p ** len(pivots)
-    return total, rings
+    return rows
 
 
 def test_bhargava_density_of_pairs_maximal_at_2():
@@ -773,11 +696,19 @@ def test_bhargava_density_of_pairs_maximal_at_2():
     # p, mu_p = (1 - p^-2)^2 (1 - p^-3)(1 + p^-2 - p^-3 - p^-4) (Bhargava,
     # Ann. Math. 162, 2005; IMRN 2007), as maximality at p is a condition
     # mod p^2.  At p = 2 the 2^12 pairs mod 2 fall into 20 orbits, and one
-    # lift per coset makes 1,585 rings
+    # lift per coset makes 1,585 rings.  A lift of disc 0 is moved by
+    # p^2*P_Z4 until its disc is not 0: a polynomial of degree 12 in the
+    # number of moves, with leading coefficient p^24*disc(P_Z4) = p^24
     p = 2
-    orbits = _pair_orbits(p)
-    assert len(orbits) == 20 and sum(size for _, size in orbits) == p**12
-    total, rings = _count_pairs_maximal_at_p(p, orbits)
+    pairs = _pair_orbits(p)
+    assert len(pairs) == 20 and sum(size for _, size in pairs) == p**12
+
+    def maximal(w):
+        while not (ring := ring_from_pair((tuple(w[:6]), tuple(w[6:])))).disc():
+            w = [x + p * p * y for x, y in zip(w, P_A + P_B)]
+        return is_maximal_at_p(ring, p)[0]
+
+    total, rings = count_maximal_lifts(p, pairs, _pair_tangents, maximal)
     assert rings == 1585
     assert total == (p**2 - 1) ** 2 * (p**3 - 1) * (p**4 + p**2 - p - 1) * p**13 == 8_773_632
 
