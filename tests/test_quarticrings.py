@@ -11,8 +11,8 @@ from unittest import mock
 
 import pytest
 from callcounts import call_counts
-from orbits import count_maximal_lifts, generators, orbits
 from hypothesis import assume, example, given, settings, strategies as st
+from orbits import count_maximal_lifts, generators, orbits
 from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import (
     _oracle_divisor_sigma,
