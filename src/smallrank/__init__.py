@@ -28,7 +28,8 @@ __all__ = [
 def __getattr__(name):
     # PEP 562: called only for a name the package does not bind yet.  The
     # import binds the submodule as a package global, so this runs at most
-    # once per name; __import__ loads no stdlib module, as importlib would
+    # once per name; __import__, unlike importlib.import_module, loads no
+    # stdlib module
     if name in __all__:
         __import__(__name__ + "." + name)
         return globals()[name]
