@@ -261,7 +261,8 @@ def class_semigroup(d):
     (``_monoid_table``).  Cost: for h reduced forms, about |d|/14 divisibility
     tests (``enumerate_reduced``), one composition per generator and one per
     orbit of the reached classes on the rest: about h/2 when most classes
-    are invertible, at most 3h for |d| < 3000, under h^2 always.  The table
+    are invertible, at most 7h/3 for |d| < 3000 (21 for the 9 forms of
+    d = -288), under h^2 always.  The table
     holds h^2 ints, built a row at a time: one ``bytes.translate`` per row
     for h <= 256, one gather of a list above.
     """

@@ -304,23 +304,24 @@ def ring_from_pair(pair):
 
     The xi-coefficients of the multiplication table are linear in the 2x2
     minors of the pair.  Associativity forces the constants, and
-    :func:`_times` computes them.  Let ``t`` be the table rows with every
+    ``_table_of`` computes them.  Let ``t`` be the table rows with every
     constant 0.  For w != v, the xi_w coordinate of (xi_u*xi_v)*xi_w is
     c_uv^0 + sum_{k>=1} t[u][v][k]*t[w][k][w], as 1*xi_w has xi_w
     coordinate 1; that of (xi_u*xi_w)*xi_v is sum_{k>=1}
     t[u][w][k]*t[v][k][w], as 1*xi_v has no xi_w part.  The two are equal,
-    so c_uv^0 = ``_times(t[u][w], t[v])[w] - _times(t[u][v], t[w])[w]``,
-    one instance (u, v, w) per constant.  The constants go into the dict,
-    not into ``t``, so ``_times`` returns exactly those sums.  Associativity
-    also checks them: any other instance that disagrees is an associator
-    that is not zero.  So the table is checked for associativity on the 9
-    basis triples (xi_x, xi_y, xi_z) with x < z (:func:`_associative`), and
-    a failure raises :class:`~smallrank.errors.InvariantViolation`.
+    so c_uv^0 = sum_{k>=1} (t[u][w][k]*t[v][k][w] - t[u][v][k]*t[w][k][w]),
+    one instance (u, v, w) per constant; the sums read no constant of ``t``.
+    Associativity also checks them: any other instance that disagrees is an
+    associator that is not zero.  So the table is checked for associativity
+    on the 9 basis triples (xi_x, xi_y, xi_z) with x < z
+    (:func:`_associative`), and a failure raises
+    :class:`~smallrank.errors.InvariantViolation`.
 
-    Cost: the 15 minors of the validated pair, 12 row-times-matrix
-    products for the constants and 18 for the associativity check.  The
-    24 entries are ints computed from the minors, so the ring is built
-    with none of the other checks of ``QuarticRing(c)`` and its table once.
+    Cost: the 15 minors of the validated pair, six integer products for
+    each of the 6 constants and 18 row-times-matrix products for the
+    associativity check.  The 24 entries are ints computed from the minors,
+    so the ring is built with none of the other checks of ``QuarticRing(c)``
+    and its table once.
     """
     ring = _table_of(lambda_system(pair))
     if not _associative(ring._t):
@@ -338,7 +339,13 @@ def _table_of(lam):
         c[(i, j, 0)] = 0
     t = _rows(c)
     for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
-        c[(u, v, 0)] = _times(t[u][w], t[v])[w] - _times(t[u][v], t[w])[w]
+        _, a1, a2, a3 = t[u][w]
+        _, b1, b2, b3 = t[u][v]
+        mv, mw = t[v], t[w]
+        c[(u, v, 0)] = (
+            a1 * mv[1][w] + a2 * mv[2][w] + a3 * mv[3][w]
+            - b1 * mw[1][w] - b2 * mw[2][w] - b3 * mw[3][w]
+        )
     return QuarticRing._from_rows(_rows(c))
 
 
@@ -499,9 +506,9 @@ def pair_from_ring(ring):
     Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
     mu-vectors, one 6-row integer HNF and its checks), then one 2x2
     coordinate solve and the witness check: the witness's table, built as
-    :func:`ring_from_pair` builds it (12 row-times-matrix products) with no
-    associativity check, compared with the ring's.  The ring passed that
-    check when it was built, so a table equal to it passes it too, and
+    :func:`ring_from_pair` builds it (six integer products per constant)
+    with no associativity check, compared with the ring's.  The ring passed
+    that check when it was built, so a table equal to it passes it too, and
     a table that is not equal raises
     :class:`~smallrank.errors.InvariantViolation`.
     """

@@ -525,9 +525,10 @@ def test_class_group_table_agrees_with_product_only_builder(d):
     assert table == _oracle_monoid_table(len(elements), index[principal_form(d)], product)
 
 
-# The table builder with list rows and one gather per new row, and the
-# structure that scanned all h orders once for each prime power, that byte
-# rows (n <= 256) and one count of each order replaced; kept as oracles.
+# The table builder with list rows, one gather per new row and its
+# generators in index order, and the structure that scanned all h orders
+# once for each prime power, that byte rows (n <= 256), the generators moved
+# by conj first and one count of each order replaced; kept as oracles.
 def _oracle_list_monoid_table(n, ident, product, conj):
     rows = {ident: list(range(n))}
     for g in range(n):
@@ -757,10 +758,16 @@ def test_class_group_makes_fewer_than_2h_compositions(k, r):
 
 def test_class_group_composition_counts():
     # h^2 compositions in the oracle; 3,837 and 1,754 with one composition
-    # per unreached column, 951 and 783 with one per unreached coset
-    for d, h, expected in ((-999999, 912, 479), (-299999, 780, 395)):
-        (elements, _, _), counts = call_counts(class_group, d)
-        assert len(elements) == h
+    # per unreached column, 951 and 783 with one per unreached coset; -1704,
+    # of structure (2, 12), made 23 with its generators in index order, the
+    # first of them ambiguous
+    for d, h, structure, expected in (
+        (-999999, 912, (2, 2, 2, 114), 479),
+        (-299999, 780, (2, 390), 395),
+        (-1704, 24, (2, 12), 14),
+    ):
+        (elements, _, found), counts = call_counts(class_group, d)
+        assert (len(elements), found) == (h, structure)
         assert counts["quadforms._compose"] == expected, d
 
 
@@ -775,6 +782,34 @@ def _invariant_factor_chains(draw):
         chain.append(d)
         total *= d
     return tuple(chain)
+
+
+def _cyclic_sum_table(chain):
+    # the table of Z/d1 x ... x Z/dk on mixed-radix codes, the first factor
+    # the most significant, as itertools.product orders the tuples
+    if not chain:
+        return [[0]]
+    d, rest = chain[0], _cyclic_sum_table(chain[1:])
+    m = len(rest)
+    return [[(a + b) % d * m + s for b in range(d) for s in row] for a in range(d) for row in rest]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_invariant_factor_chains(), st.randoms(use_true_random=False))
+@example((2, 2, 2, 2, 2, 2), random.Random(0))  # every class fixed by conj
+@example((2, 130), random.Random(0))  # list rows
+@example((3, 6, 12), random.Random(0))
+def test_monoid_table_does_not_depend_on_the_labels(chain, rng):
+    # relabelled at random, the group's generators come in another order,
+    # and the table must be the relabelled table all the same
+    table = _cyclic_sum_table(chain)
+    n = len(table)
+    label = list(range(n))
+    rng.shuffle(label)
+    code = sorted(range(n), key=label.__getitem__)
+    relabelled = [[label[table[code[i]][code[j]]] for j in range(n)] for i in range(n)]
+    conj = [label[table[code[i]].index(0)] for i in range(n)]
+    assert _monoid_table(n, label[0], lambda i, j: label[table[code[i]][code[j]]], conj) == relabelled
 
 
 @settings(max_examples=60, deadline=None)

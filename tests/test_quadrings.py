@@ -602,6 +602,24 @@ def test_class_semigroup_makes_180_compositions():
     assert len(elements) == 336 and counts["quadforms._compose"] == 180
 
 
+def test_class_semigroup_composition_counts():
+    # counted, not timed: with the generators in index order, -1152 made 63
+    # and -999999 made 659, the figure the README quotes
+    for d, h, expected in ((-1152, 21, 33), (-999999, 1216, 654)):
+        (elements, _), counts = call_counts(class_semigroup, d)
+        assert len(elements) == h and counts["quadforms._compose"] == expected, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2999, -3).filter(lambda d: d % 4 in (0, 1)))
+@example(-288)  # 21 compositions for 9 forms
+@example(-1152)  # 33 for 21, and 63 with its generators in index order
+def test_class_semigroup_makes_at_most_7h_over_3_compositions_below_3000(d):
+    # the bound of the docstring's Cost line; counted, not timed
+    (elements, _), counts = call_counts(class_semigroup, d)
+    assert 3 * counts["quadforms._compose"] <= 7 * len(elements)
+
+
 def test_class_semigroup_builds_no_ideal():
     # structural guard: the lattice path is not reached at all, so no ideal
     # is built; counted, not timed

@@ -223,24 +223,45 @@ def test_associativity_check_on_perturbed_tables(a, b, key, delta):
 
 def test_ring_from_pair_makes_at_most_18_products():
     # structural guard for the reduced associativity check: 18 row-times-
-    # matrix products, 54 with all 27 triples, after the 12 of the table
-    # constants, and no product of elements; counted, not timed
+    # matrix products, 54 with all 27 triples; the table constants are dot
+    # products and make none, and no product of elements; counted, not timed
     for pair in _random_pairs(50, 5) + [P_Z4]:
         _, counts = call_counts(ring_from_pair, pair)
-        assert counts["quarticrings._times"] == 12 + 18 and counts["quarticrings.QuarticRing.mul"] == 0
+        assert counts["quarticrings._times"] == 18 and counts["quarticrings.QuarticRing.mul"] == 0
+
+
+def _oracle_table_of(lam):
+    # the constants as the xi_w coordinates of two full row-times-matrix
+    # products each, which _table_of computed before it read that
+    # coordinate alone; kept as its oracle
+    c = _c_linear_from_lambda(lam)
+    for i, j in quarticrings._PAIRS:
+        c[(i, j, 0)] = 0
+    t = _rows(c)
+    for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
+        c[(u, v, 0)] = quarticrings._times(t[u][w], t[v])[w] - quarticrings._times(t[u][v], t[w])[w]
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=15, max_size=15))
+def test_table_constants_agree_with_row_times_matrix_oracle(values):
+    # any minors, Plucker or not: the constants are read off t alone
+    lam = dict(zip(sorted(lambda_system(P_Z4)), values))
+    assert _table_of(lam).c == _oracle_table_of(lam)
 
 
 def test_tables_from_pairs_are_built_once_and_checked_once():
     # structural guard: ring_from_pair builds its ring with none of the
     # checks of QuarticRing(c), and pair_from_ring rebuilds the witness's
-    # table with the 12 constant products alone, no associativity check;
+    # table with no row-times-matrix product, so no associativity check;
     # counted, not timed
     pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
     for pair in pairs:
         ring, counts = call_counts(ring_from_pair, pair)
         assert counts["quarticrings.QuarticRing.__init__"] == 0
         _, counts = call_counts(pair_from_ring, ring)
-        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._times"] == 12
+        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._times"] == 0
         assert QuarticRing(ring.c) == ring
 
 
