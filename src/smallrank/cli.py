@@ -11,20 +11,21 @@ Negative numbers can be passed after a ``--`` separator.  Exit codes:
 shell reports a process ended by SIGPIPE).
 
 Importing this module loads neither ``argparse`` nor ``json`` nor
-``fractions``, nor any pipeline module (``quadforms``, ``quadrings``,
-``cubes``, ``cubicrings``, ``quarticrings``, ``padic``): ``main`` imports
-the first two when it builds a parser or reads or writes JSON,
-``fractions`` is imported where a ``Fraction`` is built, and each
-subcommand imports the pipeline modules it calls, so callers that need
-none of them do not pay for them.
+``fractions``, and of the package only ``errors``: ``main`` imports the
+first two when it builds a parser or reads or writes JSON, ``fractions``
+is imported where a ``Fraction`` is built, and each subcommand reaches
+the pipeline modules it calls as ``smallrank.quadforms`` and so on, which
+the package loads on first use, so callers that need none of them do not
+pay for them.
 """
 
 import os
 import sys
 from math import log10
 
+import smallrank
+
 from .errors import DiscriminantMismatch, SmallRankError
-from .exactlattice import _fraction_type
 
 __all__ = ["main"]
 
@@ -38,10 +39,7 @@ class _UsageError(Exception):
 def _s(v):
     """Serialize an int or Fraction as a decimal / 'p/q' string."""
     try:
-        if type(v) is int:  # the usual value
-            return str(v)
-        fraction = _fraction_type()
-        return str(v) if fraction and isinstance(v, fraction) else str(int(v))
+        return str(v)
     except ValueError:  # more digits than int -> str converts
         raise _UsageError(
             "a result has more than %d digits, too long to print" % sys.get_int_max_str_digits()
@@ -102,10 +100,8 @@ def _read_json(path):
 
 
 def _json_ring(payload):
-    from . import quadrings
-
     try:
-        return quadrings.QuadraticRing(
+        return smallrank.quadrings.QuadraticRing(
             _parse_int(payload["t"]), _parse_int(payload["u"])
         )
     except (KeyError, TypeError):
@@ -113,8 +109,6 @@ def _json_ring(payload):
 
 
 def _json_ideal(payload):
-    from . import quadrings
-
     try:
         ring = _json_ring(payload["ring"])
         basis = tuple(
@@ -124,7 +118,7 @@ def _json_ideal(payload):
         raise _UsageError('an ideal is {"ring": {...}, "basis": [[..],[..]]}')
     if len(basis) != 2 or any(len(r) != 2 for r in basis):
         raise _UsageError("an ideal basis is a 2x2 matrix")
-    return quadrings.QuadIdeal(ring, basis)
+    return smallrank.quadrings.QuadIdeal(ring, basis)
 
 
 def _json_pair(payload):
@@ -157,10 +151,8 @@ def _class_table(D, elements, table, notes, payload, footer):
     and the table, and the ``footer`` lines go between the elements and the
     table.  S labels the principal class, then A, B, ... (S skipped).
     """
-    from . import quadforms
-
     letters = "ABCDEFGHIJKLMNOPQRTUVWXYZ"  # S reserved
-    principal = quadforms.principal_form(D)
+    principal = smallrank.quadforms.principal_form(D)
     labels, used = [], 0
     for f in elements:
         if f == principal:
@@ -206,9 +198,7 @@ def _command(name, help_text, *params):
 
 @_command("reduce", "reduce a positive definite binary form", *"abc")
 def _cmd_reduce(*f):
-    from . import quadforms
-
-    g, m = quadforms.reduce(f)
+    g, m = smallrank.quadforms.reduce(f)
     payload = {"form": _json(g), "matrix": _json(m)}
     return payload, ["reduced: %s" % _fmt_form(g), "matrix:  %s" % _fmt_matrix(m)]
 
@@ -217,22 +207,17 @@ def _cmd_reduce(*f):
     "compose", "compose two forms of discriminant D", "D", "a1", "b1", "c1", "a2", "b2", "c2"
 )
 def _cmd_compose(D, *coeffs):
-    from . import quadforms
-
     f, g = coeffs[:3], coeffs[3:]
-    if quadforms.discriminant(f) != D:
-        raise DiscriminantMismatch(
-            "first form has discriminant %s, not %s" % (_s(quadforms.discriminant(f)), _s(D))
-        )
-    h = quadforms.compose(f, g)
+    disc = smallrank.quadforms.discriminant(f)
+    if disc != D:
+        raise DiscriminantMismatch("first form has discriminant %s, not %s" % (_s(disc), _s(D)))
+    h = smallrank.quadforms.compose(f, g)
     return {"form": _json(h)}, ["composed: %s" % _fmt_form(h)]
 
 
 @_command("classgroup", "class group of a discriminant", "D")
 def _cmd_classgroup(D):
-    from . import quadforms
-
-    elements, table, structure = quadforms.class_group(D)
+    elements, table, structure = smallrank.quadforms.class_group(D)
     text = " x ".join("Z/%s" % _s(t) for t in structure) if structure else "trivial"
     payload = {"structure": _json(structure)}
     return _class_table(D, elements, table, [""] * len(elements), payload, ["structure: " + text])
@@ -240,38 +225,30 @@ def _cmd_classgroup(D):
 
 @_command("semigroup", "class semigroup incl. non-invertible", "D")
 def _cmd_semigroup(D):
-    from . import quadforms, quadrings
-
-    elements, table = quadrings.class_semigroup(D)
-    invertible = [quadforms.content(f) == 1 for f in elements]
+    elements, table = smallrank.quadrings.class_semigroup(D)
+    invertible = [smallrank.quadforms.content(f) == 1 for f in elements]
     notes = ["" if inv else "  (not invertible)" for inv in invertible]
     return _class_table(D, elements, table, notes, {"invertible": invertible}, [])
 
 
 @_command("ideal-form", "form of a JSON ideal", "file")
 def _cmd_ideal_form(file):
-    from . import quadrings
-
     ideal = _json_ideal(_read_json(file))
-    f = quadrings.form_from_ideal(ideal)
+    f = smallrank.quadrings.form_from_ideal(ideal)
     return {"form": _json(f)}, ["form: %s" % _fmt_form(f)]
 
 
 @_command("form-ideal", "ideal of a form (JSON out)", *"abc")
 def _cmd_form_ideal(*f):
-    from . import quadforms, quadrings
-
-    ring = quadrings.ring_from_disc(quadforms.discriminant(f))
-    ideal = quadrings.ideal_from_form(f, ring)
+    ring = smallrank.quadrings.ring_from_disc(smallrank.quadforms.discriminant(f))
+    ideal = smallrank.quadrings.ideal_from_form(f, ring)
     payload = {"ring": _ring_json(ring), "basis": _json(ideal.basis)}
     return payload, [_ring_line(ring), "basis: %s" % _fmt_matrix(ideal.basis)]
 
 
 @_command("cube-forms", "three quadratic forms of a 2x2x2 cube", *"abcdefgh")
 def _cmd_cube_forms(*q):
-    from . import cubes
-
-    f1, f3, f2 = cubes.associated_forms(q)
+    f1, f3, f2 = smallrank.cubes.associated_forms(q)
     payload = {"forms": _json((f1, f3, f2))}
     lines = [
         "phi1: %s" % _fmt_form(f1),
@@ -283,17 +260,13 @@ def _cmd_cube_forms(*q):
 
 @_command("cube-ring", "quadratic ring of a cube", *"abcdefgh")
 def _cmd_cube_ring(*q):
-    from . import cubes
-
-    ring = cubes.ring_of_cube(q)
+    ring = smallrank.cubes.ring_of_cube(q)
     return _ring_json(ring), [_ring_line(ring), "disc: %s" % _s(ring.disc)]
 
 
 @_command("cube-triple", "balanced ideal triple of a cube", *"abcdefgh")
 def _cmd_cube_triple(*q):
-    from . import cubes
-
-    triple = cubes.triple_from_cube(q)
+    triple = smallrank.cubes.triple_from_cube(q)
     payload = {
         "ring": _ring_json(triple.ring),
         "ideals": _json([i.basis for i in triple.ideals]),
@@ -306,8 +279,6 @@ def _cmd_cube_triple(*q):
 
 @_command("triple-cube", "cube of a balanced triple (JSON in)", "file")
 def _cmd_triple_cube(file):
-    from . import cubes
-
     payload_in = _read_json(file)
     try:
         ring = _json_ring(payload_in["ring"])
@@ -317,15 +288,13 @@ def _cmd_triple_cube(file):
     except (KeyError, TypeError):
         raise _UsageError('a triple is {"ring": {...}, "ideals": [b1, b2, b3]}')
     ideals = tuple(_json_ideal({"ring": payload_in["ring"], "basis": b}) for b in bases)
-    q = cubes.cube_from_triple(cubes.BalancedTriple(ring, ideals))
+    q = smallrank.cubes.cube_from_triple(smallrank.cubes.BalancedTriple(ring, ideals))
     return {"cube": _json(q)}, ["cube: %s" % " ".join(_s(t) for t in q)]
 
 
 @_command("cubic-ring", "cubic ring of a binary cubic form", *"pqrs")
 def _cmd_cubic_ring(*form):
-    from . import cubicrings
-
-    ring = cubicrings.ring_from_cubic_form(form)
+    ring = smallrank.cubicrings.ring_from_cubic_form(form)
     payload = {
         "a": _s(ring.a),
         "b": _s(ring.b),
@@ -343,11 +312,9 @@ def _cmd_cubic_ring(*form):
 
 @_command("cubic-form", "binary cubic form of a ring (JSON in)", "file")
 def _cmd_cubic_form(file):
-    from . import cubicrings
-
     payload_in = _read_json(file)
     try:
-        ring = cubicrings.CubicRing(
+        ring = smallrank.cubicrings.CubicRing(
             _parse_int(payload_in["a"]),
             _parse_int(payload_in["b"]),
             _parse_int(payload_in["e"]),
@@ -355,15 +322,13 @@ def _cmd_cubic_form(file):
         )
     except (KeyError, TypeError):
         raise _UsageError('a cubic ring is {"a": str, "b": str, "e": str, "f": str}')
-    form = cubicrings.form_from_cubic_ring(ring)
+    form = smallrank.cubicrings.form_from_cubic_ring(ring)
     return {"form": _json(form)}, ["form: %s" % _fmt_form(form)]
 
 
 @_command("quartic-ring", "quartic ring of a ternary pair", "file")
 def _cmd_quartic_ring(file):
-    from . import quarticrings
-
-    ring = quarticrings.ring_from_pair(_json_pair(_read_json(file)))
+    ring = smallrank.quarticrings.ring_from_pair(_json_pair(_read_json(file)))
     table, c, lines = ring.c, {}, []
     for i in range(1, 4):
         for j in range(i, 4):
@@ -377,13 +342,11 @@ def _cmd_quartic_ring(file):
 
 @_command("resolvent", "resolvent data of a ternary pair", "file")
 def _cmd_resolvent(file):
-    from . import quarticrings
-
     pair = _json_pair(_read_json(file))
-    ring = quarticrings.ring_from_pair(pair)
-    resolvent, _witness = quarticrings.pair_from_ring(ring)
-    count = quarticrings.count_numerical_resolvents(ring)
-    form = quarticrings.cubic_resolvent_form(pair)
+    ring = smallrank.quarticrings.ring_from_pair(pair)
+    resolvent, _witness = smallrank.quarticrings.pair_from_ring(ring)
+    count = smallrank.quarticrings.count_numerical_resolvents(ring)
+    form = smallrank.quarticrings.cubic_resolvent_form(pair)
     payload = {
         "content": _s(resolvent.content),
         "count": _s(count),
@@ -399,15 +362,13 @@ def _cmd_resolvent(file):
 
 @_command("maximal", "maximality of the pair's ring at primes", "file", "primes")
 def _cmd_maximal(file, primes):
-    from . import quarticrings
-
     pair = _json_pair(_read_json(file))
-    ring = quarticrings.ring_from_pair(pair)
+    ring = smallrank.quarticrings.ring_from_pair(pair)
     results = []
     lines = []
     for p in primes:
-        ok, witness = quarticrings.is_maximal_at_p(ring, p)
-        tag = quarticrings.nonmaximality_conditions_witness(pair, p)
+        ok, witness = smallrank.quarticrings.is_maximal_at_p(ring, p)
+        tag = smallrank.quarticrings.nonmaximality_conditions_witness(pair, p)
         entry = {
             "p": _s(p),
             "maximal": ok,
@@ -426,24 +387,22 @@ def _cmd_maximal(file, primes):
 
 @_command("padic-count", "balanced triple count", "p", "n", "i", "j", "k", "--u")
 def _cmd_padic_count(p, n, i, j, k, u):
-    from . import padic
-
     # the count is at most (p+1)*p^(i-1); refuse, before computing it, one
     # with more digits than int -> str converts
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and p > 1 and 0 < i <= n:
         if (i - 1) * log10(p) + log10(p + 1) >= limit:
             raise _UsageError("the count may exceed %d digits: (p+1)*p^(i-1) does" % limit)
-    cfg = padic.PadicConfig(p, n, u if u is not None else padic.least_nonresidue(p))
-    count = padic.balanced_count(cfg, (i, j, k))
+    if u is None:
+        u = smallrank.padic.least_nonresidue(p)
+    cfg = smallrank.padic.PadicConfig(p, n, u)
+    count = smallrank.padic.balanced_count(cfg, (i, j, k))
     return {"count": _s(count)}, [_s(count)]
 
 
 @_command("stella", "two-tetrahedra membership of a signed index", *"nijk")
 def _cmd_stella(n, *index):
-    from . import padic
-
-    inside, label = padic.stella_membership(n, index)
+    inside, label = smallrank.padic.stella_membership(n, index)
     payload = {"inside": inside, "tetrahedron": None if label is None else str(label)}
     if not inside:
         lines = ["outside"]

@@ -203,32 +203,31 @@ def _monoid_table(n, ident, product, conj):
     those with conj(g) = g, each in index order.  "Times g" reads column g
     of the reached rows R; for each other k still unknown it calls
     product(g, k) once and spreads y = g*k over the orbit of k,
-    g*(r*k) = r*(g*k) for r in R.  Two rules give more entries from the
-    same product:
-
-    - g*conj(y) = N*conj(k) with N = g*conj(g), when row N is reached,
-      because g*conj(g*k) = g*conj(g)*conj(k); N costs one product per
-      generator and is itself the entry of k = conj(g);
-    - g*conj(k) = conj(y) when conj(g) = g, because conj(g*k) =
-      conj(g)*conj(k).
+    g*(r*k) = r*(g*k) for r in R.  One rule gives one more entry from the
+    same product: g*conj(y) = N*conj(k) with N = g*conj(g), when row N is
+    reached, because g*conj(g*k) = g*conj(g)*conj(k); N costs one product
+    per generator and is itself the entry of k = conj(g).
 
     In a class group conj is the inverse and N the identity, so each
     product fills two cosets of R: about n/2 products in all, and always
-    fewer than 2n, as without conj.  Every entry is spread alike, and an
-    entry reached twice must agree.  R is then closed under times g, which
-    suffices because the product commutes.  When n <= 256 every index fits
-    in a byte: a row is ``bytes``, and each new row is the old one mapped
-    by the values of times g, row(x*g) = row(x).translate(times_g), as
-    (x*g)*k = g*(x*k); the rows become lists once, at the end.  Above 256
-    a row is a list, and each new row is one gather of row(x) by times_g,
-    row(x*g)[k] = x*(g*k).  Cost: the products above and n^2 byte or list
+    fewer than 2n, as without conj.  There g*conj(k) = conj(y) for a g with
+    conj(g) = g would add nothing: such a g comes after every class of
+    order > 2 is in R, so conj(k) = r*k and conj(y) = r*y with r = k^-2 in
+    R, an entry the spreading of (k, y) has filled.  Every entry is spread
+    alike, and an entry reached twice must agree.  R is then closed under
+    times g, which suffices because the product commutes.  When n <= 256
+    every index fits in a byte: a row is ``bytes``, and each new row is the
+    old one mapped by the values of times g, row(x*g) =
+    row(x).translate(times_g), as (x*g)*k = g*(x*k); the rows become lists
+    once, at the end.  Above 256 a row is a list, and each new row is one
+    gather of row(x) by times_g, row(x*g)[k] = x*(g*k).  Cost: the products above and n^2 byte or list
     entries, built a row at a time.
 
     The order of the generators changes which products are called, never
     the table.  By induction on the rows reached, row x holds x*k for every
     k.  The identity row does.  Times g starts from the reached rows,
     r*g; each pair (k1, y1) spread above has y1 = g*k1, from product(g, k1)
-    or from a conj rule, an identity of every commutative monoid with
+    or from the conj rule, an identity of every commutative monoid with
     automorphism conj, so times_g[r*k1] = r*y1 = (r*k1)*g for r in R; and a
     new row is row(x*g)[k] = times_g[x*k] = (x*k)*g.  Every g is reached by
     its own turn at the latest, so the table is the product table, whatever
@@ -261,8 +260,6 @@ def _monoid_table(n, ident, product, conj):
             entries = [(k, y)]
             if norm is not None:
                 entries.append((conj[y], norm[conj[k]]))
-            if conj[g] == g:
-                entries.append((conj[k], conj[y]))
             for k1, y1 in entries:
                 for row in rows.values():
                     x, z = row[k1], row[y1]
@@ -335,8 +332,8 @@ def class_group(d):
     walk of the powers of each x whose order m is unknown, ord(x^k) =
     m / gcd(k, m), then one count of each order.  The
     conjugate (a, -b, c) is the inverse class, so each composition y = g*k
-    also gives g*conj(y) = conj(k), because g*conj(g) is principal, and
-    g*conj(k) = conj(y) when g is its own conjugate (``_monoid_table``).
+    also gives g*conj(y) = conj(k), because g*conj(g) is principal
+    (``_monoid_table``).
     """
     elements = [f for f in enumerate_reduced(d) if content(f) == 1]
     table, ident = _form_table(d, elements)

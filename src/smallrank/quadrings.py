@@ -257,8 +257,7 @@ def class_semigroup(d):
     built.  Conjugation (a, b, c) -> (a, -b, c) is an automorphism of the
     whole semigroup, conj(IJ) = conj(I)*conj(J), so each composition
     y = g*k also gives g*conj(y) = N*conj(k) with N = g*conj(g) once N is
-    reached, and g*conj(k) = conj(y) when g is its own conjugate
-    (``_monoid_table``).  Cost: for h reduced forms, about |d|/14 divisibility
+    reached (``_monoid_table``).  Cost: for h reduced forms, about |d|/14 divisibility
     tests (``enumerate_reduced``), one composition per generator and one per
     orbit of the reached classes on the rest: about h/2 when most classes
     are invertible, at most 7h/3 for |d| < 3000 (21 for the 9 forms of

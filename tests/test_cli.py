@@ -1,5 +1,6 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from callcounts import call_counts
 from hypothesis import given, settings, strategies as st
 
 import smallrank
-from smallrank import cli, quadforms
+from smallrank import cli, cubes, quadforms
 from smallrank.cli import main
 
 
@@ -386,6 +387,36 @@ def test_s_prints_an_int_a_fraction_and_a_fraction_subclass_alike():
         assert cli._s(v) == cli._s(Fraction(v)) == cli._s(FractionSubclass(v)) == text
 
 
+def _package_imports(node):
+    # the names an import statement takes from this package, [] for another
+    if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "smallrank"):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names if alias.name.split(".")[0] == "smallrank"]
+    return []
+
+
+def test_the_cli_reaches_the_library_through_the_package_alone():
+    # one loader: a handler reads smallrank.quadforms and so on, which the
+    # package's __getattr__ loads on first use, so no function imports a
+    # module of the package, and the CLI imports no private name of one
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    in_functions = [
+        (function.name, name)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        for name in _package_imports(node)
+    ]
+    private = [
+        name
+        for node in ast.walk(tree)
+        for name in _package_imports(node)
+        if name.rpartition(".")[2].startswith("_")
+    ]
+    assert (in_functions, private) == ([], [])
+
+
 def test_importing_the_cli_loads_no_parser_or_json_module(capsys):
     argv = ["classgroup", "--json", "--", "-23"]
     cold = (
@@ -424,23 +455,27 @@ def test_importing_and_warming_up_loads_no_fractions_or_decimal_module():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-# the warm-up request of each benchmark workload and the pipeline modules it
-# needs: the package and the CLI load none, each is loaded when first used
+# the warm-up request of each benchmark workload and the library modules it
+# needs: the package loads none and the CLI only errors, each other module
+# is loaded when first used
 WARMUPS = {
     "import": ("", ()),
-    "classgroup": ("smallrank.quadforms.class_group(-1999)", ("quadforms",)),
-    "semigroup": ("smallrank.quadrings.class_semigroup(-100)", ("quadforms", "quadrings")),
+    "classgroup": ("smallrank.quadforms.class_group(-1999)", ("exactlattice", "quadforms")),
+    "semigroup": (
+        "smallrank.quadrings.class_semigroup(-100)",
+        ("exactlattice", "quadforms", "quadrings"),
+    ),
     "quartic": (
         "r = smallrank.quarticrings.ring_from_pair(((0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1)))\n"
         "smallrank.quarticrings.is_maximal_at_p(r, 2)\n"
         "smallrank.quarticrings.pair_from_ring(r)",
-        ("cubicrings", "quarticrings"),
+        ("cubicrings", "exactlattice", "quarticrings"),
     ),
     "cli": (
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert smallrank.cli.main(['classgroup', '--json', '--', '-23']) == 0",
-        ("quadforms",),
+        ("exactlattice", "quadforms"),
     ),
 }
 
@@ -454,7 +489,7 @@ def test_importing_and_warming_up_loads_only_the_modules_used(warmup, added):
     )
     proc = subprocess.run(child(code), capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    cold = ["smallrank", "smallrank.cli", "smallrank.errors", "smallrank.exactlattice"]
+    cold = ["smallrank", "smallrank.cli", "smallrank.errors"]
     assert proc.stdout.decode().split() == sorted(cold + ["smallrank." + m for m in added])
 
 
@@ -504,11 +539,19 @@ def test_padic_count_too_long_to_print_is_a_usage_error(capsys):
 
 def test_result_too_long_to_print_is_a_usage_error(capsys):
     # the cube forms, and the discriminant of the first form in the compose
-    # error, have ~6000 digits, over the default limit of 4300
+    # error, have ~6000 digits, over the default limit of 4300; so has the
+    # denominator of a Fraction in the cube's first ideal, printed after
+    # the ring, whose t and u have 3001 digits
     big = "9" * 3000
+    cube = ("1", big, big, "1", "1", "1", "1", "1")
+    triple = cubes.triple_from_cube(tuple(map(int, cube)))
+    assert len(str(triple.ring.t)) == len(str(triple.ring.u)) == 3001
+    assert triple.ideals[0].basis[1][0].denominator > 10 ** sys.get_int_max_str_digits()
     for argv in (
-        ("cube-forms", "1", big, big, "1", "1", "1", "1", "1"),
-        ("cube-forms", "--json", "1", big, big, "1", "1", "1", "1", "1"),
+        ("cube-forms", *cube),
+        ("cube-forms", "--json", *cube),
+        ("cube-triple", *cube),
+        ("cube-triple", "--json", *cube),
         ("compose", "--", "-4", big, "1", big, "1", "0", "1"),
     ):
         code, out, err = run(capsys, *argv)

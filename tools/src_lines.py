@@ -14,7 +14,9 @@ classes, and of the classes they inherit from, are listed the same way, as
     python tools/src_lines.py [SRC_DIR]
 
 SRC_DIR defaults to the ``src/smallrank`` of this checkout, so the same
-script counts another checkout given its package directory.
+script counts another checkout given its package directory.  A SRC_DIR
+with no ``__init__.py`` is refused with one line on stderr and exit
+status 2, so a wrong path does not read as an empty package.
 """
 
 import ast
@@ -94,6 +96,9 @@ def _unread(src):
 
 def main(argv):
     src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "smallrank"
+    if not (src / "__init__.py").is_file():
+        print("src_lines.py: %s is not a package directory: no __init__.py" % src, file=sys.stderr)
+        return 2
     total_raw = total_code = 0
     print("%-20s %6s %6s" % ("module", "raw", "code"))
     for path in sorted(src.glob("*.py")):
@@ -105,7 +110,8 @@ def main(argv):
     print("public names no other module reads:")
     for name, unread in _unread(src).items():
         print("%-20s %s" % (name, ", ".join(unread) or "-"))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
