@@ -814,6 +814,9 @@ def test_monoid_table_does_not_depend_on_the_labels(chain, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(_invariant_factor_chains(), st.randoms(use_true_random=False))
+@example((2, 2, 2, 2), random.Random(0))  # count ratio 16 at k = 1
+@example((4, 4, 4), random.Random(0))  # ratio 8 at k = 1 and at k = 2
+@example((3, 9, 9), random.Random(0))  # ratio 27 at k = 1, 9 at k = 2
 def test_structure_recovers_invariant_factor_chains(chain, rng):
     # the element orders of Z/d1 x ... x Z/dk, in a random order
     orders = [

@@ -30,7 +30,11 @@ for each workload, the number of pairs, the median ``attempted`` of each
 side and, for each metric, the median and quartiles of each side, the
 pairs won and the verdict; and the Python version, the git revision of
 each checkout and the CPU model from ``/proc/cpuinfo`` (``null`` where
-one cannot be read).  Stdlib only.
+one cannot be read).  A WORKLOAD that the parent's ``BENCHMARK.json``
+does not list is refused before any run, with exit status 2 and the
+names it lists on stderr.  The exit status is 1 when a workload ends with
+fewer than two finished pairs, too few to compare, and 0 otherwise.
+Stdlib only.
 """
 
 import json
@@ -159,7 +163,14 @@ def main(argv):
         return 2
     roots = {"parent": argv[0], "change": argv[1]}
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: (m["better"] == "higher", m.get("bound")) for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in argv[2:] if w not in names]
+    if unknown:
+        print("bench_pair.py: unknown workload %s; BENCHMARK.json lists %s"
+              % (", ".join(unknown), ", ".join(names)), file=sys.stderr)
+        return 2
+    metrics = {m["name"]: (m["better"] == "higher", m.get("bound")) for m in bench["end_to_end"]}
     for root in roots.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                        cwd=root, check=True)
@@ -176,7 +187,7 @@ def main(argv):
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    return 0
+    return 1 if None in results.values() else 0
 
 
 if __name__ == "__main__":

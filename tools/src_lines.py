@@ -16,11 +16,15 @@ classes, and of the classes they inherit from, are listed the same way, as
 SRC_DIR defaults to the ``src/smallrank`` of this checkout, so the same
 script counts another checkout given its package directory.  A SRC_DIR
 with no ``__init__.py`` is refused with one line on stderr and exit
-status 2, so a wrong path does not read as an empty package.
+status 2, so a wrong path does not read as an empty package.  When
+stdout is closed before the table is written (``| head -1``), it exits
+141, as a shell reports a process ended by SIGPIPE, with nothing on
+stderr.
 """
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -100,16 +104,23 @@ def main(argv):
         print("src_lines.py: %s is not a package directory: no __init__.py" % src, file=sys.stderr)
         return 2
     total_raw = total_code = 0
-    print("%-20s %6s %6s" % ("module", "raw", "code"))
+    lines = ["%-20s %6s %6s" % ("module", "raw", "code")]
     for path in sorted(src.glob("*.py")):
         raw, code = count(path.read_text(encoding="utf-8"))
         total_raw, total_code = total_raw + raw, total_code + code
-        print("%-20s %6d %6d" % (path.name, raw, code))
-    print("%-20s %6d %6d" % ("total", total_raw, total_code))
-    print()
-    print("public names no other module reads:")
-    for name, unread in _unread(src).items():
-        print("%-20s %s" % (name, ", ".join(unread) or "-"))
+        lines.append("%-20s %6d %6d" % (path.name, raw, code))
+    lines += ["%-20s %6d %6d" % ("total", total_raw, total_code), "", "public names no other module reads:"]
+    lines += ["%-20s %s" % (name, ", ".join(unread) or "-") for name, unread in _unread(src).items()]
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush neither raises nor prints to stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 
