@@ -48,8 +48,9 @@ def test_src_lines_exits_141_with_nothing_on_stderr_when_its_stdout_pipe_is_clos
 def test_bench_pair_refuses_an_unknown_workload_before_any_run(tmp_path):
     # the refusal comes before the checkouts are byte-compiled, so the
     # checkout given holds BENCHMARK.json alone and nothing else is run
-    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    text = (ROOT / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(text)
+    names = [w["name"] for w in json.loads(text)["workloads"]]
     proc = subprocess.run(
         [sys.executable, str(BENCH_PAIR), str(tmp_path), str(tmp_path), names[0], "nope"],
         capture_output=True, text=True, timeout=60,
