@@ -106,8 +106,21 @@ def lambda_system(pair):
     Returns a dict mapping ``(x, y)`` with ``0 <= x < y <= 5`` (indices into
     :data:`SIX`) to ``a_x * b_y - a_y * b_x``.
     """
-    a, b = _coerce_pair(pair)
-    return {(x, y): a[x] * b[y] - a[y] * b[x] for x, y in _MINORS}
+    return dict(zip(_MINORS, _minors(*_coerce_pair(pair))))
+
+
+def _minors(a, b):
+    # the fifteen minors a_x * b_y - a_y * b_x of two int 6-tuples, as a
+    # tuple in _MINORS order
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return (
+        a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0, a0 * b4 - a4 * b0, a0 * b5 - a5 * b0,
+        a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a1 * b4 - a4 * b1, a1 * b5 - a5 * b1,
+        a2 * b3 - a3 * b2, a2 * b4 - a4 * b2, a2 * b5 - a5 * b2,
+        a3 * b4 - a4 * b3, a3 * b5 - a5 * b3,
+        a4 * b5 - a5 * b4,
+    )
 
 
 def _lam_get(lam, x, y):
@@ -203,8 +216,8 @@ class QuarticRing(_Ring):
 
     @classmethod
     def _from_rows(cls, t):
-        # the ring with table rows t, made by _rows from a dict of ints, its
-        # associativity not checked: its builder _table_of says who does
+        # the ring with table rows t of ints, made by _table_of, its
+        # associativity not checked: _table_of says who does
         ring = cls.__new__(cls)
         ring._t = t
         return ring
@@ -253,50 +266,17 @@ def _prime(p):
         raise DomainError("maximality test requires a prime")
 
 
-# The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
-# under the normalization c_12^1 = c_23^2 = c_13^3 = 0.  Each entry
-# (key, sign, minor, diag) reads c[key] = sign * lam[minor] + c[diag], with
-# c[diag] taken as 0 when diag is None.  Minor indices refer to SIX:
-# 0=(1,1), 1=(2,2), 2=(3,3), 3=(1,2), 4=(1,3), 5=(2,3).
-#
-# Orientation note: the entries are the unique solution (under the chosen
-# normalization) of the determinant identity
-#   det[x | y | sum_c] = sum lam^{ij}_{kl} x_i x_j y_k y_l ,
-# checked by exact linear solve; summaries of this system elsewhere can
-# differ by pair-orientation in the first two equation families.
-_C_FROM_LAMBDA = (
-    ((1, 1, 2), -1, (0, 4), None),
-    ((1, 1, 3), 1, (0, 3), None),
-    ((2, 2, 1), 1, (1, 5), None),
-    ((2, 2, 3), -1, (1, 3), None),
-    ((3, 3, 1), -1, (2, 5), None),
-    ((3, 3, 2), 1, (2, 4), None),
-    ((1, 2, 3), 1, (0, 1), None),
-    ((1, 3, 2), -1, (0, 2), None),
-    ((2, 3, 1), 1, (1, 2), None),
-    ((1, 2, 2), -1, (0, 5), None),
-    ((2, 3, 3), -1, (1, 4), None),
-    ((1, 3, 1), -1, (2, 3), None),
-    ((1, 1, 1), 1, (3, 4), (1, 2, 2)),
-    ((2, 2, 2), -1, (3, 5), (2, 3, 3)),
-    ((3, 3, 3), 1, (4, 5), (1, 3, 1)),
-)
-
-
-def _c_linear_from_lambda(lam):
-    """The xi-coefficients c_ij^k (k >= 1) of the table, from the minors."""
-    c = {(1, 2, 1): 0, (2, 3, 2): 0, (1, 3, 3): 0}
-    for key, sign, minor, diag in _C_FROM_LAMBDA:
-        c[key] = sign * lam[minor] + (c[diag] if diag else 0)
-    return c
-
-
 def _lambda_from_c(t):
-    """Inverse of :func:`_c_linear_from_lambda`: read the minors off a ring's ``_t``."""
-    return {
-        minor: sign * (t[i][j][k] - (t[d[0]][d[1]][d[2]] if d else 0))
-        for (i, j, k), sign, minor, d in _C_FROM_LAMBDA
-    }
+    # the minors of a ring's table rows t in the normalized basis, as a
+    # tuple in _MINORS order: the inverse of the xi-coefficients of _table_of
+    _, (_, a, b, d), (_, _, e, f), (_, _, _, g) = t
+    return (
+        b[3], -d[2], a[3], -a[2], -b[2],
+        f[1], -e[3], -f[3], e[1],
+        -d[1], g[2], -g[1],
+        a[1] - b[2], f[3] - e[2],
+        g[3] - d[1],
+    )
 
 
 def ring_from_pair(pair):
@@ -317,36 +297,45 @@ def ring_from_pair(pair):
     (:func:`_associative`), and a failure raises
     :class:`~smallrank.errors.InvariantViolation`.
 
-    Cost: the 15 minors of the validated pair, six integer products for
-    each of the 6 constants and 18 row-times-matrix products for the
-    associativity check.  The 24 entries are ints computed from the minors,
+    Cost: the 15 minors of the validated pair, 30 integer products, then
+    17 integer products for the 6 constants, at most three each, and 18
+    row-times-matrix products for the associativity check.  The 24 entries are ints computed from the minors,
     so the ring is built with none of the other checks of ``QuarticRing(c)``
     and its table once.
     """
-    ring = _table_of(lambda_system(pair))
+    ring = _table_of(_minors(*_coerce_pair(pair)))
     if not _associative(ring._t):
         raise InvariantViolation("associativity failure in constructed table")
     return ring
 
 
-def _table_of(lam):
-    # the QuarticRing of the minors lam of a pair, its associativity not
-    # checked: ring_from_pair checks it, and pair_from_ring compares the
-    # table with a QuarticRing, which is associative.  Every entry is an
-    # int computed from the int minors, so the ring is built by _from_rows
-    c = _c_linear_from_lambda(lam)
-    for i, j in _PAIRS:
-        c[(i, j, 0)] = 0
-    t = _rows(c)
-    for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
-        _, a1, a2, a3 = t[u][w]
-        _, b1, b2, b3 = t[u][v]
-        mv, mw = t[v], t[w]
-        c[(u, v, 0)] = (
-            a1 * mv[1][w] + a2 * mv[2][w] + a3 * mv[3][w]
-            - b1 * mw[1][w] - b2 * mw[2][w] - b3 * mw[3][w]
-        )
-    return QuarticRing._from_rows(_rows(c))
+def _table_of(m):
+    # the QuarticRing of the minors m of a pair, a tuple in _MINORS order,
+    # its associativity not checked: ring_from_pair checks it, and
+    # pair_from_ring compares the table with a QuarticRing, which is
+    # associative.  Every entry is an int computed from the int minors, so
+    # the ring is built by _from_rows
+    l01, l02, l03, l04, l05, l12, l13, l14, l15, l23, l24, l25, l34, l35, l45 = m
+    # the xi-coefficients c_ij^k, k >= 1, each +- one minor, plus a second
+    # coefficient on the diagonal c_ii^i, and c_12^1 = c_23^2 = c_13^3 = 0.
+    # The signs are the unique solution, under that normalization, of the
+    # determinant identity det[x | y | sum_c] = sum lam^{ij}_{kl} x_i x_j
+    # y_k y_l, checked by exact linear solve; summaries of this system
+    # elsewhere can differ by pair-orientation in the first two families
+    c112, c113, c221, c223, c331, c332 = -l04, l03, l15, -l13, -l25, l24
+    c123, c132, c231, c122, c233, c131 = l01, -l02, l12, -l05, -l14, -l23
+    c111, c222, c333 = l34 + c122, c233 - l35, l45 + c131
+    # the constants c_uv^0, one instance (u, v, w) of ring_from_pair each,
+    # with the terms of a zero coefficient dropped and c_11^1 - c_12^2 = l34
+    # and c_33^3 - c_13^1 = l45 factored out: at most three products each
+    a = (-c122 * l34 - c112 * c222 + c123 * c132, c111, c112, c113)
+    b = (c112 * c221 + c113 * c231 - c123 * c131, 0, c122, c123)
+    d = (c112 * c231 + c113 * c331, c131, c132, 0)
+    e = (-c221 * l34 + c123 * c231 - c223 * c131, c221, c222, c223)
+    f = (c221 * c132 - c231 * c122 + c223 * c332, c231, 0, c233)
+    g = (-c131 * l45 - c331 * c111 + c132 * c231, c331, c332, c333)
+    _, u1, u2, u3 = _UNIT
+    return QuarticRing._from_rows((_UNIT, (u1, a, b, d), (u2, b, e, f), (u3, d, f, g)))
 
 
 def _times(r, m):
@@ -391,8 +380,9 @@ def _content(ring):
     :class:`~smallrank.errors.DomainError`.  n is the gcd of the 15
     xi-coefficients c_ij^k (k >= 1) of the six rows xi_i*xi_j other than
     those three zeros.  That is the gcd of the minors: twelve of them are
-    +- one minor, and each of the other three is +- a minor plus one of
-    those twelve (``_C_FROM_LAMBDA``), so both sets span the same Z-module.
+    +- one minor, and each of the other three, c_ii^i, is +- a minor plus
+    one of those twelve (``_table_of``, and ``_lambda_from_c`` back), so
+    both sets span the same Z-module.
     n = 0, all minors zero, is a :class:`~smallrank.errors.TrivialRing`.
     """
     _, (_, a, b, c), (_, _, d, e), (_, _, _, f) = _of(QuarticRing, ring)._t
@@ -420,7 +410,7 @@ def _resolvent_data(ring):
     coordinates span the Plucker quadrics over Q.
     """
     content = _content(ring)
-    lam = _lambda_from_c(ring._t)
+    lam = dict(zip(_MINORS, _lambda_from_c(ring._t)))
 
     # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
     # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
@@ -506,10 +496,10 @@ def pair_from_ring(ring):
     Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
     mu-vectors, one 6-row integer HNF and its checks), then one 2x2
     coordinate solve and the witness check: the witness's table, built as
-    :func:`ring_from_pair` builds it (six integer products per constant)
-    with no associativity check, compared with the ring's.  The ring passed
-    that check when it was built, so a table equal to it passes it too, and
-    a table that is not equal raises
+    :func:`ring_from_pair` builds it (the 15 minors, then 17 integer
+    products for the constants) with no associativity check, compared
+    with the ring's.  The ring passed that check when it was built, so a
+    table equal to it passes it too, and a table that is not equal raises
     :class:`~smallrank.errors.InvariantViolation`.
     """
     n, mu, h, den = _resolvent_data(ring)
@@ -520,7 +510,7 @@ def pair_from_ring(ring):
     if coords is None:
         raise InvariantViolation("mu-vectors must be integral in lattice coords")
     witness = tuple(zip(*coords))
-    if _table_of(lambda_system(witness)) != ring:
+    if _table_of(_minors(*_coerce_pair(witness))) != ring:
         raise InvariantViolation("witness pair must rebuild the identical table")
     return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 

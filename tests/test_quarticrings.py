@@ -58,14 +58,15 @@ from smallrank.quarticrings import (
     ring_from_pair,
 )
 from smallrank.quarticrings import (
+    _MINORS,
     MinimalResolvent,
     _associative,
-    _c_linear_from_lambda,
     _closed_mod_p,
     _content,
     _lam_get,
     _lambda_from_c,
     _maximal_at_p,
+    _minors,
     _nonzero_disc,
     _radical_subspaces,
     _resolvent_data,
@@ -223,11 +224,96 @@ def test_associativity_check_on_perturbed_tables(a, b, key, delta):
 
 def test_ring_from_pair_makes_at_most_18_products():
     # structural guard for the reduced associativity check: 18 row-times-
-    # matrix products, 54 with all 27 triples; the table constants are dot
-    # products and make none, and no product of elements; counted, not timed
+    # matrix products, 54 with all 27 triples; the table constants are
+    # integer arithmetic on the minors and make none, and no product of
+    # elements; the minors are one tuple, with no dict; counted, not timed
     for pair in _random_pairs(50, 5) + [P_Z4]:
         _, counts = call_counts(ring_from_pair, pair)
         assert counts["quarticrings._times"] == 18 and counts["quarticrings.QuarticRing.mul"] == 0
+        assert counts["quarticrings._minors"] == 1 and counts["quarticrings.lambda_system"] == 0
+
+
+# The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
+# under the normalization c_12^1 = c_23^2 = c_13^3 = 0, one table that drove
+# both directions of the minors <-> table map before _table_of and
+# _lambda_from_c wrote them out; kept as their oracle.  Each entry
+# (key, sign, minor, diag) reads c[key] = sign * lam[minor] + c[diag], with
+# c[diag] taken as 0 when diag is None.  Minor indices refer to SIX:
+# 0=(1,1), 1=(2,2), 2=(3,3), 3=(1,2), 4=(1,3), 5=(2,3).
+#
+# Orientation note: the entries are the unique solution (under the chosen
+# normalization) of the determinant identity
+#   det[x | y | sum_c] = sum lam^{ij}_{kl} x_i x_j y_k y_l ,
+# checked by exact linear solve; summaries of this system elsewhere can
+# differ by pair-orientation in the first two equation families.
+_C_FROM_LAMBDA = (
+    ((1, 1, 2), -1, (0, 4), None),
+    ((1, 1, 3), 1, (0, 3), None),
+    ((2, 2, 1), 1, (1, 5), None),
+    ((2, 2, 3), -1, (1, 3), None),
+    ((3, 3, 1), -1, (2, 5), None),
+    ((3, 3, 2), 1, (2, 4), None),
+    ((1, 2, 3), 1, (0, 1), None),
+    ((1, 3, 2), -1, (0, 2), None),
+    ((2, 3, 1), 1, (1, 2), None),
+    ((1, 2, 2), -1, (0, 5), None),
+    ((2, 3, 3), -1, (1, 4), None),
+    ((1, 3, 1), -1, (2, 3), None),
+    ((1, 1, 1), 1, (3, 4), (1, 2, 2)),
+    ((2, 2, 2), -1, (3, 5), (2, 3, 3)),
+    ((3, 3, 3), 1, (4, 5), (1, 3, 1)),
+)
+
+
+def _c_linear_from_lambda(lam):
+    # the xi-coefficients c_ij^k (k >= 1) of the table, from a dict of minors
+    c = {(1, 2, 1): 0, (2, 3, 2): 0, (1, 3, 3): 0}
+    for key, sign, minor, diag in _C_FROM_LAMBDA:
+        c[key] = sign * lam[minor] + (c[diag] if diag else 0)
+    return c
+
+
+def _lambda_from_c_by_table(t):
+    # the inverse of _c_linear_from_lambda, read off table rows t
+    return {
+        minor: sign * (t[i][j][k] - (t[d[0]][d[1]][d[2]] if d else 0))
+        for (i, j, k), sign, minor, d in _C_FROM_LAMBDA
+    }
+
+
+# The dict comprehension that lambda_system ran before it zipped the keys
+# with the tuple of _minors; kept as its oracle.
+def _oracle_lambda_system(pair):
+    a, b = pair
+    return {(x, y): a[x] * b[y] - a[y] * b[x] for x, y in combinations(range(6), 2)}
+
+
+big = st.integers(-10**30, 10**30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[big] * 6), st.tuples(*[big] * 6))
+@example((0,) * 6, (0,) * 6)
+@example(P_A, P_B)
+def test_minors_agree_with_the_dict_comprehension(a, b):
+    m = _minors(a, b)
+    assert type(m) is tuple and all(type(v) is int for v in m)
+    assert dict(zip(_MINORS, m)) == _oracle_lambda_system((a, b)) == lambda_system((a, b))
+    assert list(lambda_system((a, b))) == list(_MINORS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[big] * 15))
+@example((0,) * 15)
+@example(tuple(range(1, 16)))
+def test_minors_round_trip_through_the_table(m):
+    # any 15 ints, Plucker or not: the xi-coefficients of _table_of are
+    # those of the oracle table, and _lambda_from_c reads the minors back
+    t = _table_of(m)._t
+    lam = dict(zip(_MINORS, m))
+    assert {key: v for key, v in _table_of(m).c.items() if key[2]} == _c_linear_from_lambda(lam)
+    assert _lambda_from_c(t) == m
+    assert dict(zip(_MINORS, _lambda_from_c(t))) == _lambda_from_c_by_table(t) == lam
 
 
 def _oracle_table_of(lam):
@@ -244,24 +330,25 @@ def _oracle_table_of(lam):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-9, 9), min_size=15, max_size=15))
+@given(st.lists(st.one_of(st.integers(-9, 9), big), min_size=15, max_size=15))
 def test_table_constants_agree_with_row_times_matrix_oracle(values):
     # any minors, Plucker or not: the constants are read off t alone
     lam = dict(zip(sorted(lambda_system(P_Z4)), values))
-    assert _table_of(lam).c == _oracle_table_of(lam)
+    assert _table_of(tuple(values)).c == _oracle_table_of(lam)
 
 
 def test_tables_from_pairs_are_built_once_and_checked_once():
     # structural guard: ring_from_pair builds its ring with none of the
     # checks of QuarticRing(c), and pair_from_ring rebuilds the witness's
-    # table with no row-times-matrix product, so no associativity check;
-    # counted, not timed
+    # table from its minors, computed once, with no row-times-matrix
+    # product, so no associativity check; counted, not timed
     pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
     for pair in pairs:
         ring, counts = call_counts(ring_from_pair, pair)
-        assert counts["quarticrings.QuarticRing.__init__"] == 0
+        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._minors"] == 1
         _, counts = call_counts(pair_from_ring, ring)
         assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._times"] == 0
+        assert counts["quarticrings._minors"] == 1 and counts["quarticrings.lambda_system"] == 0
         assert QuarticRing(ring.c) == ring
 
 
@@ -517,7 +604,7 @@ def test_resolvent_and_maximality_errors_are_raised_on_every_call():
     zero = ring_from_pair(((0,) * 6, (0,) * 6))
     c = dict(ring_from_pair(((1, 2, 3, 0, 1, 1), (0, 1, -1, 2, 0, 1))).c)
     c[(1, 1, 1)] += 1
-    assert not plucker_check(_lambda_from_c(_rows(c))) and not _associative(_rows(c))
+    assert not plucker_check(dict(zip(_MINORS, _lambda_from_c(_rows(c))))) and not _associative(_rows(c))
     cases = ((zero, TrivialRing), ("ring", DomainError), (None, DomainError))
     for entry in (pair_from_ring, count_numerical_resolvents, enumerate_numerical_resolvents):
         for ring, error in cases:
@@ -541,7 +628,7 @@ def test_resolvents_refuse_a_table_that_is_not_associative():
     c = dict(ring.c)
     c[(1, 2, 0)] += 1
     lam = _lambda_from_c(_rows(c))
-    assert lam == _lambda_from_c(ring._t) and plucker_check(lam)
+    assert lam == _lambda_from_c(ring._t) and plucker_check(dict(zip(_MINORS, lam)))
     assert not _associative(_rows(c))
     for _ in range(2):
         with pytest.raises(DomainError, match="multiplication table is not associative"):
@@ -619,7 +706,7 @@ def test_associativity_implies_the_plucker_relations_symbolically():
     keys = list(combinations(range(6), 2))
     symbols = sympy.symbols("l0:15")
     lam = dict(zip(keys, symbols))
-    t = _table_of(lam)._t
+    t = _table_of(symbols)._t
     associator = [
         sympy.expand(u - v)
         for x in (1, 2, 3)
@@ -643,7 +730,7 @@ def test_associativity_implies_the_plucker_relations_symbolically():
 def test_minors_that_violate_plucker_give_a_table_that_is_not_associative(values):
     lam = dict(zip(sorted(lambda_system(P_Z4)), values))
     assume(not plucker_check(lam))
-    assert not _associative(_table_of(lam)._t)
+    assert not _associative(_table_of(tuple(values))._t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1232,8 +1319,9 @@ def test_resolvents_agree_with_fraction_oracle(a, b, k):
     lam = lambda_system(pair)
     assert repr(_c_linear_from_lambda(lam)) == repr(_oracle_c_linear_from_lambda(lam))
     ring = ring_from_pair(pair)
-    assert repr(_lambda_from_c(ring._t)) == repr(_oracle_lambda_from_c(ring.c))
-    assert _lambda_from_c(ring._t) == lam
+    assert {key: v for key, v in ring.c.items() if key[2]} == _oracle_c_linear_from_lambda(lam)
+    assert repr(_lambda_from_c_by_table(ring._t)) == repr(_oracle_lambda_from_c(ring.c))
+    assert dict(zip(_MINORS, _lambda_from_c(ring._t))) == lam
     result = _outcome(pair_from_ring, ring)
     assert result == _outcome(_oracle_pair_from_ring, ring)
     assert _outcome(enumerate_numerical_resolvents, ring) == _outcome(
@@ -1413,18 +1501,16 @@ def test_table_self_checks_survive_optimize_flag():
         "    q.ring_from_pair(pair)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
-        "q._table_of = table_of\n"
-        "linear = q._c_linear_from_lambda\n"
-        "def perturbed(lam):\n"
-        "    c = linear(lam)\n"
-        "    c[(1, 1, 2)] += 1\n"
-        "    return c\n"
-        "q._c_linear_from_lambda = perturbed\n"
+        "def perturbed(m):\n"
+        "    c = table_of(m).c\n"
+        "    c[(1, 2, 3)] += 1\n"
+        "    return q.QuarticRing._from_rows(q._rows(c))\n"
+        "q._table_of = perturbed\n"
         "try:\n"
         "    q.ring_from_pair(pair)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
-        "q._c_linear_from_lambda = linear\n"
+        "q._table_of = table_of\n"
         "q._closed_mod_p = lambda ring, rows, p: True\n"
         "try:\n"
         "    q.is_maximal_at_p(q.ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0))), 3)\n"

@@ -1,5 +1,6 @@
 """Tests of the scripts under ``tools/``."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,3 +60,45 @@ def test_bench_pair_refuses_an_unknown_workload_before_any_run(tmp_path):
     assert proc.stderr.count("\n") == 1 and "nope" in proc.stderr
     assert all(name in proc.stderr for name in names)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
+
+
+def _bench_pair():
+    # tools/bench_pair.py as a module; importing it runs no benchmark
+    spec = importlib.util.spec_from_file_location("bench_pair", BENCH_PAIR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_summary_verdicts_on_synthetic_pairs():
+    summary = _bench_pair().summary
+    parent = [100, 104, 101, 108, 102, 106, 103, 109, 105, 107]  # q1 102.25, q3 106.75
+
+    def verdict(change, higher=True, bound=0.22, runs=parent):
+        return summary(runs, change, higher, bound)["verdict"]
+
+    # inside the bound and no consistent loss
+    assert verdict(parent) == verdict([v + 1 for v in parent]) == "ok"
+    # 10 of 10 pairs lost, median 6 below the parent's, spread 4.5: SLOWER
+    assert verdict([v - 6 for v in parent]) == "SLOWER"
+    row = summary(parent, [v - 6 for v in parent], True, 0.22)
+    assert row["won"] == 0 and row["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75}
+    assert row["change"]["median"] == 98.5
+    # 9 of 10 lost is enough, 8 of 10 is not
+    assert verdict([v - 6 for v in parent[:9]] + [parent[9] + 1]) == "SLOWER"
+    assert verdict([v - 6 for v in parent[:8]] + [v + 1 for v in parent[8:]]) == "ok"
+    # every pair lost, by less than the parent's quartile spread: ok
+    assert verdict([v - 4 for v in parent]) == "ok"
+    # the direction of the metric: a latency that rises loses
+    assert verdict([v + 6 for v in parent], higher=False) == "SLOWER"
+    assert verdict([v - 6 for v in parent], higher=False) == "ok"
+    # worse than the bound comes first, whatever the pairs say
+    assert verdict([0.7 * v for v in parent]) == "WORSE"
+    assert verdict([1.3 * v for v in parent], higher=False) == "WORSE"
+    # a parent spread wider than the bound cannot tell, unless the change
+    # beats every run of the parent
+    wide = [60, 140, 70, 130, 80, 120, 90, 110, 100, 100]
+    assert verdict(wide, runs=wide) == verdict([v + 5 for v in wide], runs=wide) == "unresolved"
+    assert verdict([v + 100 for v in wide], runs=wide) == "ok"
+    # no bound, no verdict
+    assert verdict([v - 50 for v in parent], bound=None) == "-"

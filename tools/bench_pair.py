@@ -18,11 +18,16 @@ the pairs (one seed each) that the change won by the direction
 ``BENCHMARK.json`` gives the metric, ties counting for neither, and
 whether the change's median is within the metric's ``bound`` of the
 parent's: ``ok``, or ``WORSE`` when it is worse by more than that share.
-That is the rule by which a change that claims no gain is judged.  An
+That is the rule by which a change that claims no gain is judged.  Within
+the bound, a change that loses at least 9 of 10 pairs and whose median is
+worse than the parent's by more than the parent's quartile spread reads
+``SLOWER``: the rule by which a claimed gain is judged, turned round, so
+a consistent slowdown inside the bound is named, not read as ``ok``.  An
 ``ok`` reads ``unresolved`` instead when the parent's own quartile spread
 is wider than the bound times its median, so the runs cannot tell a
 change within the bound from none, unless every run of the change beats
-every run of the parent.  Last
+every run of the parent.  ``summary`` computes one metric's row from the
+runs of both sides, and it can be imported and called on its own.  Last
 it prints the median ``attempted`` count of both sides, as
 ``peak_rss_mb`` grows with the number of latency samples a run keeps.
 With ``--out PATH`` it also writes what it printed to the JSON file PATH:
@@ -74,20 +79,35 @@ def _spread(values):
     return median, q1, q3
 
 
-def _within(parent, change, higher, bound):
-    # whether the change's median is worse than the parent's by no more than
-    # the share bound, over the runs of each side; unresolved when the
-    # parent's quartile spread is wider than that share of its median
-    if bound is None:
-        return "-"
+def summary(parent, change, higher, bound):
+    """One metric's row from the paired runs ``parent[i]``, ``change[i]``.
+
+    ``higher`` is whether a higher value is better, and ``bound`` the share
+    by which the change's median may be worse than the parent's, or None
+    for a metric with no bound.  Returns ``{"parent": {"median", "q1",
+    "q3"}, "change": {...}, "won": pairs won, "verdict": verdict}``, the
+    verdict ``-`` with no bound, else ``WORSE``, ``SLOWER``,
+    ``unresolved`` or ``ok`` as the module's docstring defines them.
+    """
+    sign = 1 if higher else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     mid, q1, q3 = _spread(parent)
     new = statistics.median(change)
-    if (new < mid * (1 - bound)) if higher else (new > mid * (1 + bound)):
-        return "WORSE"
-    sign = 1 if higher else -1
-    if q3 - q1 > bound * abs(mid) and not all(sign * (c - p) > 0 for c in change for p in parent):
-        return "unresolved"
-    return "ok"
+    if bound is None:
+        verdict = "-"
+    elif (new < mid * (1 - bound)) if higher else (new > mid * (1 + bound)):
+        verdict = "WORSE"
+    elif 10 * lost >= 9 * len(parent) and sign * (mid - new) > q3 - q1:
+        verdict = "SLOWER"
+    elif q3 - q1 > bound * abs(mid) and not all(sign * (c - p) > 0 for c in change for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    row = {side: dict(zip(("median", "q1", "q3"), _spread(values)))
+           for side, values in (("parent", parent), ("change", change))}
+    row.update(won=won, verdict=verdict)
+    return row
 
 
 def _compare(roots, workload, metrics):
@@ -115,18 +135,13 @@ def _compare(roots, workload, metrics):
                                             "ratio", "won", "bound"))
     for name in runs["parent"][0]:
         parent, change = ([m[name] for m in runs[side]] for side in roots)
-        cells = ["%10.6g [%6.4g, %6.4g]" % _spread(values) for values in (parent, change)]
-        mid, new = statistics.median(parent), statistics.median(change)
+        row = rows[name] = summary(parent, change, *metrics.get(name, (False, None)))
+        cells = ["%10.6g [%6.4g, %6.4g]" % (row[side]["median"], row[side]["q1"], row[side]["q3"])
+                 for side in ("parent", "change")]
+        mid, new = row["parent"]["median"], row["change"]["median"]
         ratio = "%8.3f" % (new / mid) if mid else "%8s" % "-"
-        higher, bound = metrics.get(name, (False, None))
-        sign = 1 if higher else -1
-        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        verdict = _within(parent, change, higher, bound)
-        print("%-16s %28s %28s %s %2d/%d %10s" % (name, cells[0], cells[1], ratio, won, len(parent),
-                                                   verdict))
-        rows[name] = {side: dict(zip(("median", "q1", "q3"), _spread(values)))
-                      for side, values in (("parent", parent), ("change", change))}
-        rows[name].update(won=won, verdict=verdict)
+        print("%-16s %28s %28s %s %2d/%d %10s" % (name, cells[0], cells[1], ratio, row["won"], len(parent),
+                                                   row["verdict"]))
     medians = {side: statistics.median(attempted[side]) for side in roots}
     print("%s median attempted: parent %g, change %g" % (workload, medians["parent"], medians["change"]))
     return {"pairs": len(runs["parent"]), "attempted": medians, "metrics": rows}
