@@ -299,9 +299,9 @@ def ring_from_pair(pair):
 
     Cost: the 15 minors of the validated pair, 30 integer products, then
     17 integer products for the 6 constants, at most three each, and 18
-    row-times-matrix products for the associativity check.  The 24 entries are ints computed from the minors,
-    so the ring is built with none of the other checks of ``QuarticRing(c)``
-    and its table once.
+    row-times-matrix products for the associativity check.  The 24 entries
+    are ints computed from the minors, so the ring is built with none of
+    the other checks of ``QuarticRing(c)`` and its table once.
     """
     ring = _table_of(_minors(*_coerce_pair(pair)))
     if not _associative(ring._t):

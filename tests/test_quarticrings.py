@@ -309,9 +309,9 @@ def test_minors_agree_with_the_dict_comprehension(a, b):
 def test_minors_round_trip_through_the_table(m):
     # any 15 ints, Plucker or not: the xi-coefficients of _table_of are
     # those of the oracle table, and _lambda_from_c reads the minors back
-    t = _table_of(m)._t
-    lam = dict(zip(_MINORS, m))
-    assert {key: v for key, v in _table_of(m).c.items() if key[2]} == _c_linear_from_lambda(lam)
+    ring, lam = _table_of(m), dict(zip(_MINORS, m))
+    t = ring._t
+    assert {key: v for key, v in ring.c.items() if key[2]} == _c_linear_from_lambda(lam)
     assert _lambda_from_c(t) == m
     assert dict(zip(_MINORS, _lambda_from_c(t))) == _lambda_from_c_by_table(t) == lam
 

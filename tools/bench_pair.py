@@ -92,8 +92,8 @@ def summary(parent, change, higher, bound):
     sign = 1 if higher else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    mid, q1, q3 = _spread(parent)
-    new = statistics.median(change)
+    spreads = {"parent": _spread(parent), "change": _spread(change)}
+    (mid, q1, q3), new = spreads["parent"], spreads["change"][0]
     if bound is None:
         verdict = "-"
     elif (new < mid * (1 - bound)) if higher else (new > mid * (1 + bound)):
@@ -104,8 +104,7 @@ def summary(parent, change, higher, bound):
         verdict = "unresolved"
     else:
         verdict = "ok"
-    row = {side: dict(zip(("median", "q1", "q3"), _spread(values)))
-           for side, values in (("parent", parent), ("change", change))}
+    row = {side: dict(zip(("median", "q1", "q3"), spread)) for side, spread in spreads.items()}
     row.update(won=won, verdict=verdict)
     return row
 
