@@ -123,19 +123,20 @@ def _minors(a, b):
     )
 
 
-def _lam_get(lam, x, y):
-    """Signed minor accessor: lam(x, y) = -lam(y, x), lam(x, x) = 0."""
-    if x == y:
-        return 0
-    if x < y:
-        return lam[(x, y)]
-    return -lam[(y, x)]
+#: Row x of the alternating matrix of minors, lam(x, z) for z = 0..5, as
+#: (sign, position in _MINORS): lam(x, z) = -lam(z, x), and lam(x, x) = 0
+#: is 0 times position 0.
+_SIGNED = tuple(
+    tuple((1, _MINORS.index((x, z))) if x < z else (-1, _MINORS.index((z, x))) if z < x else (0, 0) for z in range(6))
+    for x in range(6)
+)
 
 
 #: The 15 Plucker relations, one per four slots w < x < y < z among the six,
-#: as the keys (w,x), (y,z), (w,y), (x,z), (w,z), (x,y) of their six minors.
+#: as the positions in _MINORS of their six minors (w,x), (y,z), (w,y),
+#: (x,z), (w,z), (x,y).
 _PLUCKER = tuple(
-    ((w, x), (y, z), (w, y), (x, z), (w, z), (x, y))
+    tuple(map(_MINORS.index, ((w, x), (y, z), (w, y), (x, z), (w, z), (x, y))))
     for w, x, y, z in combinations(range(6), 4)
 )
 
@@ -155,13 +156,10 @@ def plucker_check(lam):
     if not isinstance(lam, dict):
         raise DomainError("a minor system is the dict made by lambda_system")
     try:
-        _ints([lam[k] for k in _MINORS], 15, "minors")
+        m = _ints([lam[k] for k in _MINORS], 15, "minors")
     except KeyError as e:
         raise DomainError("the minor system has no minor %r" % (e.args[0],))
-    for wx, yz, wy, xz, wz, xy in _PLUCKER:
-        if lam[wx] * lam[yz] - lam[wy] * lam[xz] + lam[wz] * lam[xy]:
-            return False
-    return True
+    return not any(m[wx] * m[yz] - m[wy] * m[xz] + m[wz] * m[xy] for wx, yz, wy, xz, wz, xy in _PLUCKER)
 
 
 #: The unit basis 1, xi1, xi2, xi3; row i is also the table row 1 * e_i.
@@ -373,25 +371,22 @@ def _associative(t):
 
 
 def _content(ring):
-    """The gcd n of the minors of a quartic ring, read off its table.
+    """The gcd n of the minors of a quartic ring, and the minors, read off its table.
 
-    The table must be in the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0,
-    as the minors are read off it by that basis: otherwise a
-    :class:`~smallrank.errors.DomainError`.  n is the gcd of the 15
-    xi-coefficients c_ij^k (k >= 1) of the six rows xi_i*xi_j other than
-    those three zeros.  That is the gcd of the minors: twelve of them are
-    +- one minor, and each of the other three, c_ii^i, is +- a minor plus
-    one of those twelve (``_table_of``, and ``_lambda_from_c`` back), so
-    both sets span the same Z-module.
+    Returns ``(n, m)``, ``m`` the minors as a tuple in ``_MINORS`` order
+    (:func:`_lambda_from_c`).  The table must be in the normalized basis,
+    c_12^1 = c_23^2 = c_13^3 = 0, as the minors are read off it by that
+    basis: otherwise a :class:`~smallrank.errors.DomainError`.
     n = 0, all minors zero, is a :class:`~smallrank.errors.TrivialRing`.
     """
-    _, (_, a, b, c), (_, _, d, e), (_, _, _, f) = _of(QuarticRing, ring)._t
-    if b[1] or e[2] or c[3]:
+    t = _of(QuarticRing, ring)._t
+    if t[1][2][1] or t[2][3][2] or t[1][3][3]:
         raise DomainError("resolvents need the normalized basis, c_12^1 = c_23^2 = c_13^3 = 0")
-    n = gcd(a[1], a[2], a[3], b[2], b[3], c[1], c[2], d[1], d[2], d[3], e[1], e[3], f[1], f[2], f[3])
+    m = _lambda_from_c(t)
+    n = gcd(*m)
     if n == 0:
         raise TrivialRing("all minors vanish; no rank-2 quotient structure exists")
-    return n
+    return n, m
 
 
 def _resolvent_data(ring):
@@ -409,19 +404,17 @@ def _resolvent_data(ring):
     of :func:`ring_from_pair` on its own minors, whose associator
     coordinates span the Plucker quadrics over Q.
     """
-    content = _content(ring)
-    lam = dict(zip(_MINORS, _lambda_from_c(ring._t)))
+    content, m = _content(ring)
 
-    # the first nonzero minor in the order x < y; mu_z = (-lam(y,z)/d,
+    # the first nonzero minor d = lam(x, y), x < y; mu_z = (-lam(y,z)/d,
     # lam(x,z)) has mu_x = (1, 0) and mu_y = (0, d), here over |d|
-    x, y = next(k for k in _MINORS if lam[k] != 0)
-    d = lam[(x, y)]
+    k = next(k for k, v in enumerate(m) if v)
+    (x, y), d = _MINORS[k], m[k]
     s, den = (1 if d > 0 else -1), abs(d)
-    mu = tuple((-s * _lam_get(lam, y, z), den * _lam_get(lam, x, z)) for z in range(6))
-    for u in range(6):
-        for v in range(u + 1, 6):
-            if mat2_det((mu[u], mu[v])) != lam[(u, v)] * d * d:
-                raise InvariantViolation("mu realization does not reproduce the minors")
+    mu = tuple((-s * sy * m[iy], den * sx * m[ix]) for (sx, ix), (sy, iy) in zip(_SIGNED[x], _SIGNED[y]))
+    for (u, v), e in zip(_MINORS, m):
+        if mat2_det((mu[u], mu[v])) != e * d * d:
+            raise InvariantViolation("mu realization does not reproduce the minors")
 
     h = tuple(map(tuple, _hnf_int(mu)))
     if mat2_det(h) != content * d * d:
@@ -449,13 +442,13 @@ def count_numerical_resolvents(ring):
     :class:`~smallrank.errors.TrivialRing` when all minors vanish, and
     :class:`~smallrank.errors.DomainError` when the table is not in the
     normalized basis, so that no pair gives it in this basis.
-    Cost: the minor gcd, one gcd of 15 xi-coefficients of the table
+    Cost: the 15 minors read off the table and their gcd
     (:func:`_content`), then its ``divisors``: one ``factorize``, one
-    product each.  No minor, mu-vector or HNF is computed.  A
+    product each.  No mu-vector or HNF is computed.  A
     ``QuarticRing`` is associative and its minors satisfy Plucker, so the
     table is checked for neither here.
     """
-    return sum(divisors(_content(ring)))
+    return sum(divisors(_content(ring)[0]))
 
 
 def enumerate_numerical_resolvents(ring):
@@ -676,7 +669,7 @@ def is_maximal_at_p(ring, p):
     for a candidate of dimension r.  No integer HNF is built.  The walk
     stays O(p^2): the totally ramified pair
     ``((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0))``, maximal at p, walks all
-    20,607 candidates at p = 101 in about 0.1 s on a 2-core Xeon.
+    20,607 candidates at p = 101.
     """
     d = _nonzero_disc(ring)
     _prime(p)

@@ -13,10 +13,14 @@ more than the number of items it yields.
 
 Python 3.11 or later (``co_qualname``).  The profiler takes the hook of
 ``sys.setprofile``, which holds one profiler at a time, so a call under
-another profiler fails with a ``RuntimeError`` that says so.
+another profiler fails with a ``RuntimeError`` that says so.  The callbacks
+in ``gc.callbacks`` (hypothesis registers one) are taken out for the call
+and put back after it, so a collection inside the call runs none of them
+and the counts name no function of theirs.
 """
 
 import cProfile
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -27,7 +31,12 @@ def call_counts(fn, *args):
     if sys.getprofile() is not None:
         raise RuntimeError("call_counts cannot run under another profiler: sys.getprofile() is %r" % (sys.getprofile(),))
     profile = cProfile.Profile()
-    result = profile.runcall(fn, *args)
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
+    try:
+        result = profile.runcall(fn, *args)
+    finally:
+        gc.callbacks[:0] = callbacks
     counts = Counter()
     for entry in profile.getstats():
         code = entry.code

@@ -1,5 +1,6 @@
 """The counts of ``callcounts.call_counts``, which the counted tests read."""
 
+import gc
 import sys
 
 import pytest
@@ -27,3 +28,22 @@ def test_call_counts_keys_generators_and_an_outer_profiler():
             call_counts(is_maximal_at_p, ring, 11)
     finally:
         sys.setprofile(None)
+
+
+def test_call_counts_runs_no_gc_callback():
+    # a collection inside the counted call runs no gc callback, so the counts
+    # name none, and the callback is back in place after the call
+    phases = []
+
+    def callback(phase, info):
+        phases.append(phase)
+
+    gc.callbacks.append(callback)
+    try:
+        _, counts = call_counts(gc.collect)
+        assert counts["test_callcounts." + callback.__code__.co_qualname] == 0
+        assert phases == [] and gc.callbacks[-1] is callback
+        gc.collect()
+        assert phases == ["start", "stop"]
+    finally:
+        gc.callbacks.remove(callback)

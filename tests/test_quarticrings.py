@@ -63,7 +63,6 @@ from smallrank.quarticrings import (
     _associative,
     _closed_mod_p,
     _content,
-    _lam_get,
     _lambda_from_c,
     _maximal_at_p,
     _minors,
@@ -523,21 +522,45 @@ def test_trivial_ring():
         pair_from_ring(ring)
 
 
+# The gcd of the 15 xi-coefficients c_ij^k (k >= 1) of the six rows
+# xi_i*xi_j other than the three zeros of the normalized basis, which
+# _content took before it read the minors; kept as its oracle.  It is the
+# gcd of the minors: twelve of the coefficients are +- one minor, and each
+# of the other three, c_ii^i, is +- a minor plus one of those twelve, so
+# both sets span the same Z-module.
+def _oracle_content(ring):
+    _, (_, a, b, c), (_, _, d, e), (_, _, _, f) = ring._t
+    return gcd(a[1], a[2], a[3], b[2], b[3], c[1], c[2], d[1], d[2], d[3], e[1], e[3], f[1], f[2], f[3])
+
+
+def _assert_content(ring, m):
+    # _content of the ring of the minors m is their gcd, also the oracle's,
+    # with m itself, and TrivialRing when every minor is 0
+    n = gcd(*m)
+    assert _oracle_content(ring) == n
+    if n == 0:
+        with pytest.raises(TrivialRing):
+            _content(ring)
+    else:
+        assert _content(ring) == (n, m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(forms, forms, st.sampled_from([1, 2, 6, 5040]))
 @example(P_A, P_B, 1)
 @example((0,) * 6, (0,) * 6, 1)
 def test_content_is_the_gcd_of_the_minors(a, b, k):
-    # the gcd of the table's xi-coefficients, which _content reads, is the
-    # gcd of the fifteen minors
     pair = (tuple(k * v for v in a), b)
-    n = gcd(*lambda_system(pair).values())
-    ring = ring_from_pair(pair)
-    if n == 0:
-        with pytest.raises(TrivialRing):
-            _content(ring)
-    else:
-        assert _content(ring) == n
+    _assert_content(ring_from_pair(pair), tuple(lambda_system(pair).values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[big] * 15))
+@example((0,) * 15)
+@example((0,) * 14 + (-(10**30),))
+def test_content_of_any_fifteen_minors_is_their_gcd(m):
+    # any 15 ints, Plucker or not, through the table of _table_of
+    _assert_content(_table_of(m), m)
 
 
 def test_resolvent_data_is_computed_once_per_call():
@@ -545,14 +568,14 @@ def test_resolvent_data_is_computed_once_per_call():
     # pair_from_ring or enumerate_numerical_resolvents makes one mu-lattice
     # _hnf_int (six rows), and none for the lattices, which are written
     # down; count_numerical_resolvents reads the content off the table and
-    # makes none
+    # makes none; each reads the minors off the table once
     for pair in _random_pairs(51, 20) + [(tuple(6 * v for v in P_A), P_B)]:
         ring = ring_from_pair(pair)
         count, counts = call_counts(count_numerical_resolvents, ring)
-        assert counts["exactlattice._hnf_int"] == 0
+        assert counts["exactlattice._hnf_int"] == 0 and counts["quarticrings._lambda_from_c"] == 1
         for fn in (pair_from_ring, enumerate_numerical_resolvents):
             first, counts = call_counts(fn, ring)
-            assert counts["exactlattice._hnf_int"] == 1
+            assert counts["exactlattice._hnf_int"] == 1 and counts["quarticrings._lambda_from_c"] == 1
             assert call_counts(fn, ring) == (first, counts)
         assert len(first) == count
 
@@ -571,12 +594,13 @@ def test_enumerated_lattices_need_no_hnf():
 @pytest.mark.parametrize(
     "name, fault, message",
     [
-        # doubled minors: every mu-vector doubles, so each det is 4 times the minor
-        ("_lam_get", lambda f: lambda lam, x, y: 2 * f(lam, x, y), "mu realization"),
+        # doubled dets: the first det checked, of two mu-vectors, is twice
+        # its minor times d^2, d != 0 the first minor
+        ("mat2_det", lambda f: lambda rows: 2 * f(rows), "mu realization"),
         # a doubled HNF: 4 times the covolume of the mu-lattice
         ("_hnf_int", lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)], "covolume"),
-        # a doubled content: the covolume checks it against the minors
-        ("_content", lambda f: lambda ring: 2 * f(ring), "covolume"),
+        # a doubled content, the minors kept: the covolume checks it against them
+        ("_content", lambda f: lambda ring: (lambda n, m: (2 * n, m))(*f(ring)), "covolume"),
     ],
     ids=["mu-vectors", "covolume", "content"],
 )
@@ -685,14 +709,15 @@ def test_ring_repr_evaluates_to_an_equal_ring(ring):
     assert eval(repr(ring), vars(sys.modules[type(ring).__module__])) == ring
 
 
-# The 15 minors as keys of SIX, and the 15 Plucker quadrics written out, in
-# the sign of the alternating sum lam(w,x)lam(y,z) - lam(w,y)lam(x,z) +
-# lam(w,z)lam(x,y) over w < x < y < z.
-def _plucker_quadrics(lam):
+# The 15 Plucker quadrics of the minors m, a tuple in _MINORS order, written
+# out in the sign of the alternating sum lam(w,x)lam(y,z) - lam(w,y)lam(x,z) +
+# lam(w,z)lam(x,y) over w < x < y < z, each key in increasing order.
+def _plucker_quadrics(m):
+    def lam(x, y):
+        return m[_MINORS.index((x, y))]
+
     return [
-        _lam_get(lam, w, x) * _lam_get(lam, y, z)
-        - _lam_get(lam, w, y) * _lam_get(lam, x, z)
-        + _lam_get(lam, w, z) * _lam_get(lam, x, y)
+        lam(w, x) * lam(y, z) - lam(w, y) * lam(x, z) + lam(w, z) * lam(x, y)
         for w, x, y, z in combinations(range(6), 4)
     ]
 
@@ -703,9 +728,7 @@ def test_associativity_implies_the_plucker_relations_symbolically():
     # the normalized basis, which is _table_of of its own minors, has minors
     # that satisfy Plucker, and _resolvent_data need not check them
     sympy = pytest.importorskip("sympy")
-    keys = list(combinations(range(6), 2))
     symbols = sympy.symbols("l0:15")
-    lam = dict(zip(keys, symbols))
     t = _table_of(symbols)._t
     associator = [
         sympy.expand(u - v)
@@ -715,7 +738,7 @@ def test_associativity_implies_the_plucker_relations_symbolically():
         for u, v in zip(quarticrings._times(t[x][y], t[z]), quarticrings._times(t[y][z], t[x]))
     ]
     associator = [e for e in associator if e != 0]
-    plucker = [sympy.expand(e) for e in _plucker_quadrics(lam)]
+    plucker = [sympy.expand(e) for e in _plucker_quadrics(symbols)]
     assert len(plucker) == 15 and all(plucker)
     polys = [sympy.Poly(e, *symbols) for e in associator + plucker]
     monomials = sorted({m for poly in polys for m in poly.as_dict()})
@@ -1211,7 +1234,7 @@ def test_error_paths():
 # one shared table and integer rows over |d| replaced; kept as their oracle.
 def _oracle_c_linear_from_lambda(lam):
     def lg(x, y):
-        return _lam_get(lam, x, y)
+        return lam[(x, y)]
 
     c = {
         (1, 2, 1): 0,
@@ -1258,6 +1281,11 @@ def _oracle_lambda_from_c(c):
 
 def _oracle_resolvent_data(ring):
     lam = _oracle_lambda_from_c(ring.c)
+
+    def lg(x, y):
+        # lam(x, y) = -lam(y, x), lam(x, x) = 0
+        return 0 if x == y else lam[(x, y)] if x < y else -lam[(y, x)]
+
     assert plucker_check(lam)
     if all(v == 0 for v in lam.values()):
         raise TrivialRing("all minors vanish")
@@ -1269,7 +1297,7 @@ def _oracle_resolvent_data(ring):
     mu = {x: (Fraction(1), Fraction(0)), y: (Fraction(0), Fraction(d))}
     for z in range(6):
         if z not in mu:
-            mu[z] = (Fraction(-_lam_get(lam, y, z), d), Fraction(_lam_get(lam, x, z)))
+            mu[z] = (Fraction(-lg(y, z), d), Fraction(lg(x, z)))
     for u in range(6):
         for v in range(u + 1, 6):
             assert mat2_det((mu[u], mu[v])) == lam[(u, v)]
@@ -1389,11 +1417,7 @@ def _oracle_plucker_check(lam):
         for x in range(w + 1, 6):
             for y in range(x + 1, 6):
                 for z in range(y + 1, 6):
-                    s = (
-                        _lam_get(lam, w, x) * _lam_get(lam, y, z)
-                        - _lam_get(lam, w, y) * _lam_get(lam, x, z)
-                        + _lam_get(lam, w, z) * _lam_get(lam, x, y)
-                    )
+                    s = lam[(w, x)] * lam[(y, z)] - lam[(w, y)] * lam[(x, z)] + lam[(w, z)] * lam[(x, y)]
                     if s != 0:
                         return False
     return True
@@ -1484,7 +1508,8 @@ def test_table_self_checks_survive_optimize_flag():
     # and so does a perturbed xi-coefficient, as its constants no longer
     # fit; a closure
     # test that accepts every candidate fails the witness check, doubled
-    # minors the mu-vector check of the resolvent data, a
+    # dets the mu-vector check of the resolvent data, a doubled HNF and a
+    # doubled content its covolume check, a
     # witness pair that rebuilds another table the check in pair_from_ring,
     # coordinates that are not integral its integrality check, and a
     # missing divisor the lattice count of enumerate_numerical_resolvents,
@@ -1516,13 +1541,19 @@ def test_table_self_checks_survive_optimize_flag():
         "    q.is_maximal_at_p(q.ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0))), 3)\n"
         "except AssertionError as e:\n"
         "    print(e)\n"
-        "lam_get = q._lam_get\n"
-        "q._lam_get = lambda lam, x, y: 2 * lam_get(lam, x, y)\n"
-        "try:\n"
-        "    q.pair_from_ring(q.ring_from_pair(pair))\n"
-        "except AssertionError as e:\n"
-        "    print(e)\n"
-        "q._lam_get = lam_get\n"
+        "faults = (\n"
+        "    ('mat2_det', lambda f: lambda rows: 2 * f(rows)),\n"
+        "    ('_hnf_int', lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)]),\n"
+        "    ('_content', lambda f: lambda ring: (lambda n, m: (2 * n, m))(*f(ring))),\n"
+        ")\n"
+        "for name, fault in faults:\n"
+        "    f = getattr(q, name)\n"
+        "    setattr(q, name, fault(f))\n"
+        "    try:\n"
+        "        q.pair_from_ring(q.ring_from_pair(pair))\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+        "    setattr(q, name, f)\n"
         "ring = q.ring_from_pair(pair)\n"
         "c = dict(ring.c)\n"
         "c[(1, 2, 0)] += 1\n"
@@ -1554,6 +1585,8 @@ def test_table_self_checks_survive_optimize_flag():
         "associativity failure in constructed table",
         "enlargement witness is not closed under multiplication",
         "mu realization does not reproduce the minors",
+        "covolume of the mu-lattice must equal the minor gcd",
+        "covolume of the mu-lattice must equal the minor gcd",
         "witness pair must rebuild the identical table",
         "mu-vectors must be integral in lattice coords",
         "need sigma(6) resolvent lattices, got 6",
