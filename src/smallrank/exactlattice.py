@@ -6,7 +6,9 @@ of the surviving rows, entries above each pivot reduced into [0, pivot).
 
 One representation: integer rows over one positive denominator, produced
 by ``_scaled``, and one kernel per primitive on those integers:
-``_hnf_int`` for the HNF, ``_bareiss`` for determinants, the trace-form
+``_hnf_int`` for the HNF of rows of length 2, the only lattices the package
+reduces (ideals of quadratic rings and the mu-lattice of a quartic ring), by
+one xgcd fold of the first column, ``_bareiss`` for determinants, the trace-form
 discriminant among them (fraction-free elimination below each pivot, with
 no back-substitution, as no caller solves a system), and for coordinates
 ``_hnf_coords`` against a basis already in HNF, by substitution column by
@@ -22,7 +24,7 @@ on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
 """
 
 import sys
-from math import isfinite, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 from operator import mul
 
 from .errors import DimensionError, DomainError, RankError, _int
@@ -42,37 +44,24 @@ def xgcd(a, b):
 
 
 def _hnf_int(rows):
-    # row-style HNF of integer rows, echelon with positive pivots,
-    # entries above each pivot reduced; zero rows dropped.  One unimodular
-    # step [[x, y], [-b/g, a/g]], a*x + b*y = g, clears each b below pivot a
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    r = 0
-    for col in range(len(rows[0])):
-        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r]
-        for i, row in enumerate(rows[r + 1 :], r + 1):
-            b = row[col]
-            if b:
-                g, x, y = xgcd(piv[col], b)
-                a, b = piv[col] // g, b // g
-                piv, rows[i] = (
-                    [x * u + y * v for u, v in zip(piv, row)],
-                    [a * v - b * u for u, v in zip(piv, row)],
-                )
-        if piv[col] < 0:
-            piv = [-a for a in piv]
-        rows[r] = piv
-        for k in range(r):
-            q = rows[k][col] // piv[col]
-            if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], piv)]
-        r += 1
-    return rows[:r]
+    # row-style HNF of integer rows of length 2, as a tuple of its nonzero
+    # rows: ((alpha, beta), (0, delta)), alpha, delta > 0, 0 <= beta < delta
+    # at rank 2.  The first column folds into (alpha, beta): a row (c, e)
+    # with alpha | c is cleared by subtraction, else by the unimodular step
+    # [[x, y], [-c/g, alpha/g]], alpha*x + c*y = g (Cohen, GTM 138, 2.4.2).
+    # Either leaves (0, e') and delta is the gcd of those e'
+    alpha = beta = delta = 0
+    for c, e in rows:
+        if c:
+            if alpha and not c % alpha:
+                e -= c // alpha * beta
+            else:
+                g, x, y = xgcd(alpha, c)
+                alpha, beta, e = g, x * beta + y * e, (alpha * e - c * beta) // g
+        delta = gcd(delta, e)
+    if not delta:
+        return ((alpha, beta),) if alpha else ()
+    return ((alpha, beta % delta), (0, delta)) if alpha else ((0, delta),)
 
 
 def _rref_mod_p(rows, p):

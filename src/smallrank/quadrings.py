@@ -126,7 +126,7 @@ class QuadIdeal:
 
     def _key(self):
         # canonical: den is least, and the HNF keeps the gcd of the entries
-        return self.ring, tuple(map(tuple, _hnf_int(self.rows))), self.den
+        return self.ring, _hnf_int(self.rows), self.den
 
     def __eq__(self, other):
         return isinstance(other, QuadIdeal) and self._key() == other._key()

@@ -187,8 +187,9 @@ class QuarticRing(_Ring):
     and ``0 <= k <= 3``; a non-dict, a missing key, a non-``int`` entry or
     a table that is not associative is a
     :class:`~smallrank.errors.DomainError`.  So every ``QuarticRing`` is a
-    ring, checked once, when it is built (:func:`_associative`, 18
-    row-times-matrix products), and no later entry point checks it again.
+    ring, checked once, when it is built (:func:`_associative`, 36
+    coordinates of straight-line integer sums), and no later entry point
+    checks it again.
     The ring keeps one table, ``_t``, which products, traces and the
     self-checks read: ``_t[i][j]`` is the coordinate tuple of ``e_i * e_j``
     in the basis ``e_0 = 1, e_1 = xi1, e_2 = xi2, e_3 = xi3``, unit row and
@@ -296,10 +297,11 @@ def ring_from_pair(pair):
     :class:`~smallrank.errors.InvariantViolation`.
 
     Cost: the 15 minors of the validated pair, 30 integer products, then
-    17 integer products for the 6 constants, at most three each, and 18
-    row-times-matrix products for the associativity check.  The 24 entries
-    are ints computed from the minors, so the ring is built with none of
-    the other checks of ``QuarticRing(c)`` and its table once.
+    17 integer products for the 6 constants, at most three each, and the
+    associativity check: 36 coordinates of 8 integer products each, with
+    no function call.  The 24 entries are ints computed from the minors,
+    so the ring is built with none of the other checks of
+    ``QuarticRing(c)`` and its table once.
     """
     ring = _table_of(_minors(*_coerce_pair(pair)))
     if not _associative(ring._t):
@@ -336,18 +338,6 @@ def _table_of(m):
     return QuarticRing._from_rows((_UNIT, (u1, a, b, d), (u2, b, e, f), (u3, d, f, g)))
 
 
-def _times(r, m):
-    # the row vector r times the 4x4 matrix m: the sum of r[k] * m[k]
-    r0, r1, r2, r3 = r
-    a, b, c, d = m
-    return (
-        r0 * a[0] + r1 * b[0] + r2 * c[0] + r3 * d[0],
-        r0 * a[1] + r1 * b[1] + r2 * c[1] + r3 * d[1],
-        r0 * a[2] + r1 * b[2] + r2 * c[2] + r3 * d[2],
-        r0 * a[3] + r1 * b[3] + r2 * c[3] + r3 * d[3],
-    )
-
-
 def _associative(t):
     """Whether the table rows ``t`` of a rank-4 ring are associative.
 
@@ -359,15 +349,26 @@ def _associative(t):
     a(x, y, x) = 0, and a(x, y, z) with x > z is minus a(z, y, x): the 9
     triples with x < z suffice.  Each side is a table row times one xi:
     (xi_x*xi_y)*xi_z is the row ``t[x][y]`` times the matrix ``t[z]`` of
-    multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``t[y][z]`` times
-    ``t[x]``: 18 row-times-matrix products in all.
+    multiplication by xi_z, and xi_x*(xi_y*xi_z) is ``t[y][z]``, which is
+    ``t[z][y]``, times ``t[x]``.  Both read the rows of ``t[x]`` and
+    ``t[z]`` alone, so each pair x < z unpacks them once and compares the 4
+    coordinates of its 3 triples as integer sums: 36 coordinates, 8
+    products each, the 18 row-times-matrix products of the 9 triples.
     """
-    return all(
-        _times(t[x][y], t[z]) == _times(t[y][z], t[x])
-        for x in (1, 2)
-        for z in range(x + 1, 4)
-        for y in (1, 2, 3)
-    )
+    for x, z in ((1, 2), (1, 3), (2, 3)):
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = m = t[x]
+        (P0, P1, P2, P3), (Q0, Q1, Q2, Q3), (R0, R1, R2, R3), (S0, S1, S2, S3) = n = t[z]
+        for y in (1, 2, 3):
+            a0, a1, a2, a3 = m[y]
+            b0, b1, b2, b3 = n[y]
+            if (
+                a0 * P0 + a1 * Q0 + a2 * R0 + a3 * S0 != b0 * p0 + b1 * q0 + b2 * r0 + b3 * s0
+                or a0 * P1 + a1 * Q1 + a2 * R1 + a3 * S1 != b0 * p1 + b1 * q1 + b2 * r1 + b3 * s1
+                or a0 * P2 + a1 * Q2 + a2 * R2 + a3 * S2 != b0 * p2 + b1 * q2 + b2 * r2 + b3 * s2
+                or a0 * P3 + a1 * Q3 + a2 * R3 + a3 * S3 != b0 * p3 + b1 * q3 + b2 * r3 + b3 * s3
+            ):
+                return False
+    return True
 
 
 def _content(ring):
@@ -416,7 +417,7 @@ def _resolvent_data(ring):
         if mat2_det((mu[u], mu[v])) != e * d * d:
             raise InvariantViolation("mu realization does not reproduce the minors")
 
-    h = tuple(map(tuple, _hnf_int(mu)))
+    h = _hnf_int(mu)
     if mat2_det(h) != content * d * d:
         raise InvariantViolation("covolume of the mu-lattice must equal the minor gcd")
     return content, mu, h, den
@@ -459,8 +460,8 @@ def enumerate_numerical_resolvents(ring):
     returns their canonical bases, pairwise distinct, ``sigma(n)`` in all.
     The table must be in the normalized basis (:func:`count_numerical_resolvents`).
     Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
-    mu-vectors, one 6-row integer HNF and its checks), then one
-    ``factorize(n)``, n divisibility tests for the count check, and one
+    mu-vectors, the rank-2 HNF of the six of them, one xgcd fold, and its
+    checks), then one ``factorize(n)``, n divisibility tests for the count check, and one
     :func:`_enlargement` per lattice, sigma(n) > n of them.
     """
     n, _, h, den = _resolvent_data(ring)
@@ -487,12 +488,14 @@ def pair_from_ring(ring):
     so the table must be in the normalized basis of a pair
     (:func:`count_numerical_resolvents`).
     Cost: the resolvent data (:func:`_resolvent_data`: the minors, their
-    mu-vectors, one 6-row integer HNF and its checks), then one 2x2
-    coordinate solve and the witness check: the witness's table, built as
-    :func:`ring_from_pair` builds it (the 15 minors, then 17 integer
-    products for the constants) with no associativity check, compared
-    with the ring's.  The ring passed that check when it was built, so a
-    table equal to it passes it too, and a table that is not equal raises
+    mu-vectors, the rank-2 HNF of the six of them, one xgcd fold, and its
+    checks), then one 2x2 coordinate solve and the witness check: the
+    witness's table, built as :func:`ring_from_pair` builds it (the 15
+    minors, then 17 integer products for the constants) with no
+    associativity check, compared with the ring's.  The witness is not
+    validated: it is two 6-tuples of the ints of the solve.  The ring
+    passed the associativity check when it was built, so a table equal to
+    it passes it too, and a table that is not equal raises
     :class:`~smallrank.errors.InvariantViolation`.
     """
     n, mu, h, den = _resolvent_data(ring)
@@ -503,7 +506,7 @@ def pair_from_ring(ring):
     if coords is None:
         raise InvariantViolation("mu-vectors must be integral in lattice coords")
     witness = tuple(zip(*coords))
-    if _table_of(_minors(*_coerce_pair(witness))) != ring:
+    if _table_of(_minors(*witness)) != ring:
         raise InvariantViolation("witness pair must rebuild the identical table")
     return MinimalResolvent(lattice=_unscaled(h, den), content=n), witness
 

@@ -16,7 +16,10 @@ Python 3.11 or later (``co_qualname``).  The profiler takes the hook of
 another profiler fails with a ``RuntimeError`` that says so.  The callbacks
 in ``gc.callbacks`` (hypothesis registers one) are taken out for the call
 and put back after it, so a collection inside the call runs none of them
-and the counts name no function of theirs.
+and the counts name no function of theirs.  The automatic collector is off
+for the call and back in its earlier state after it, so no collection
+that the call's allocations set off finalizes objects made before it,
+whose ``__del__`` would be counted as the call's work.
 """
 
 import cProfile
@@ -31,12 +34,15 @@ def call_counts(fn, *args):
     if sys.getprofile() is not None:
         raise RuntimeError("call_counts cannot run under another profiler: sys.getprofile() is %r" % (sys.getprofile(),))
     profile = cProfile.Profile()
-    callbacks = gc.callbacks[:]
+    callbacks, enabled = gc.callbacks[:], gc.isenabled()
     gc.callbacks.clear()
+    gc.disable()
     try:
         result = profile.runcall(fn, *args)
     finally:
         gc.callbacks[:0] = callbacks
+        if enabled:
+            gc.enable()
     counts = Counter()
     for entry in profile.getstats():
         code = entry.code

@@ -47,3 +47,42 @@ def test_call_counts_runs_no_gc_callback():
         assert phases == ["start", "stop"]
     finally:
         gc.callbacks.remove(callback)
+
+
+def test_call_counts_sets_off_no_collection_of_earlier_garbage():
+    # 50 cycles made before the call, whose __del__ calls marker(): a call
+    # that allocates enough containers to set off the automatic collector
+    # would finalize them inside the counted call; the collector is off for
+    # the call and back in its earlier state after it, on or off
+    deleted = []
+
+    def marker():
+        deleted.append(1)
+
+    class C:
+        def __del__(self):
+            marker()
+
+    def allocate():
+        out = []
+        for _ in range(20000):
+            out.append([])
+        return len(out)
+
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for _ in range(50):
+                c = C()
+                c.self = c
+            del c
+            deleted.clear()
+            n, counts = call_counts(allocate)
+            assert n == 20000 and gc.isenabled() == enabled
+            assert deleted == [] and set(counts) == {"test_callcounts." + allocate.__code__.co_qualname}
+            for fn in (marker, C.__del__):
+                assert counts["test_callcounts." + fn.__code__.co_qualname] == 0
+            gc.collect()
+            assert len(deleted) == 50
+        finally:
+            gc.enable()

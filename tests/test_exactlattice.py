@@ -47,6 +47,43 @@ def _oracle_mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+# The HNF kernel of integer rows of any length, which the rank-2 kernel
+# _hnf_int replaced when every caller in the package passed rows of length 2:
+# echelon with positive pivots, entries above each pivot reduced, zero rows
+# dropped, by one unimodular step [[x, y], [-b/g, a/g]], a*x + b*y = g, per
+# entry b cleared below pivot a.  Kept as the HNF of the tests on more than two
+# columns and as an oracle of the rank-2 kernel.
+def _oracle_hnf_xgcd(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    r = 0
+    for col in range(len(rows[0])):
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r]
+        for i, row in enumerate(rows[r + 1 :], r + 1):
+            b = row[col]
+            if b:
+                g, x, y = xgcd(piv[col], b)
+                a, b = piv[col] // g, b // g
+                piv, rows[i] = (
+                    [x * u + y * v for u, v in zip(piv, row)],
+                    [a * v - b * u for u, v in zip(piv, row)],
+                )
+        if piv[col] < 0:
+            piv = [-a for a in piv]
+        rows[r] = piv
+        for k in range(r):
+            q = rows[k][col] // piv[col]
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], piv)]
+        r += 1
+    return rows[:r]
+
+
 # The Fraction front-ends of the integer kernels, public once but with no
 # caller in the package; kept as the references that the kernels and the
 # Fraction oracles of the other modules are checked against.
@@ -56,7 +93,7 @@ def _oracle_hnf_canonicalize(basis):
     if not ints:
         raise RankError("empty generating set")
     n = len(ints[0])
-    hnf = _hnf_int(ints)
+    hnf = _oracle_hnf_xgcd(ints)
     if len(hnf) < n:
         raise RankError("rank %d < ambient dimension %d" % (len(hnf), n))
     return _unscaled(hnf, den)
@@ -270,7 +307,7 @@ def hnfs_and_vectors(draw):
     entry = st.integers(-bound, bound)
     extra = draw(st.integers(0, 2))
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n + extra)]
-    h = _hnf_int(rows)
+    h = _oracle_hnf_xgcd(rows)
     assume(len(h) == n)
     combos = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3))
     on = [[sum(c[i] * h[i][j] for i in range(n)) for j in range(n)] for c in combos]
@@ -373,7 +410,7 @@ def test_hnf_shape_and_idempotence():
         basis = tuple(
             tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
         )
-        h = _hnf_int(basis)
+        h = _oracle_hnf_xgcd(basis)
         if len(h) < n:
             assert _bareiss(basis) == 0
             continue
@@ -385,7 +422,7 @@ def test_hnf_shape_and_idempotence():
                 assert 0 <= h[r][i] < h[i][i]
             for j in range(i):
                 assert h[i][j] == 0
-        assert _hnf_int(h) == h
+        assert _oracle_hnf_xgcd(h) == h
 
 
 def test_hnf_is_a_lattice_invariant():
@@ -397,20 +434,21 @@ def test_hnf_is_a_lattice_invariant():
             for _ in range(n)
         )
         ints, den = _scaled(basis)
-        h = _hnf_int(ints)
+        h = _oracle_hnf_xgcd(ints)
         if len(h) < n:
             continue
         # the least denominator and the HNF of den * L depend on L only
         u = _random_unimodular(rng, n)
         ints_u, den_u = _scaled(_oracle_mat_mul(u, basis))
         assert den_u == den
-        assert _hnf_int(ints_u) == h
+        assert _oracle_hnf_xgcd(ints_u) == h
 
 
 def test_hnf_errors():
     # a rank-deficient or empty set keeps fewer rows than the dimension
-    assert _hnf_int(((1, 2), (2, 4))) == [[1, 2]]
-    assert _hnf_int(()) == []
+    assert _hnf_int(((1, 2), (2, 4))) == ((1, 2),) and _oracle_hnf_xgcd(((1, 2), (2, 4))) == [[1, 2]]
+    assert _hnf_int(((0, 3), (0, -6))) == ((0, 3),) and _hnf_int(((0, 0),)) == _hnf_int(()) == ()
+    assert _oracle_hnf_xgcd(()) == []
     for ragged in (((1, 2), (1,)), ((1,), (2, 3)), ((1, 2, 3), (4, 5))):
         with pytest.raises(DimensionError):
             _scaled(ragged)
@@ -438,7 +476,7 @@ def test_mat_inverse_and_solve():
         v = tuple(sum(c[i] * m[i][j] for i in range(n)) for j in range(n))
         assert _oracle_mat_mul((v,), inv) == (c,)
         # and the coordinate kernels: against the HNF basis, and 2x2 by Cramer
-        h = _hnf_int(m)
+        h = _oracle_hnf_xgcd(m)
         x = _hnf_coords(h, v)
         assert _oracle_mat_mul((x,), h) == (v,)
         if n == 2:
@@ -461,11 +499,11 @@ def test_index_contains_intersect():
     assert _coords2(double, [(1, 0)]) is None
     # the intersection oracle comes out in HNF
     for b1, b2, meet in (
-        (double, ((3, 0), (0, 3)), [[6, 0], [0, 6]]),
-        (((1, 0), (0, 2)), ((2, 0), (0, 1)), [[2, 0], [0, 2]]),
+        (double, ((3, 0), (0, 3)), ((6, 0), (0, 6))),
+        (((1, 0), (0, 2)), ((2, 0), (0, 1)), ((2, 0), (0, 2))),
     ):
         ints, den = _scaled(_oracle_intersect(b1, b2))
-        assert den == 1 and ints == _hnf_int(ints) == meet
+        assert den == 1 and tuple(map(tuple, ints)) == _hnf_int(ints) == meet
 
 
 def test_intersection_is_largest_common_sublattice():
@@ -665,31 +703,60 @@ def _oracle_hnf_int(rows):
     return [row for row in rows[:r]]
 
 
-@st.composite
-def integer_generating_sets(draw):
-    # up to 16 x 4 and 8 x 8, with zero rows, rows that combine earlier ones
-    # (so rank-deficient sets too), negative entries and entries up to 10^12
-    n, m = draw(st.sampled_from([(16, 4), (8, 8), (4, 2), (6, 3), (3, 5)]))
-    bound = draw(st.sampled_from([1, 10, 10**4, 10**12]))
-    entry = st.integers(-bound, bound)
-    rows = []
-    for _ in range(draw(st.integers(0, n))):
-        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
-        if kind == "zero" or (kind == "combination" and not rows):
-            rows.append([0] * m)
-        elif kind == "combination":
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
-            rows.append([x * u + y * v for u, v in zip(a, b)])
-        else:
-            rows.append([draw(entry) for _ in range(m)])
-    return rows
+def integer_generating_sets(shapes=((16, 4), (8, 8), (4, 2), (6, 3), (3, 5))):
+    # up to n x m for (n, m) in shapes, with zero rows, rows that combine
+    # earlier ones (so rank-deficient sets too), negative entries and
+    # entries up to 10^12
+    @st.composite
+    def sets(draw):
+        n, m = draw(st.sampled_from(shapes))
+        bound = draw(st.sampled_from([1, 10, 10**4, 10**12]))
+        entry = st.integers(-bound, bound)
+        rows = []
+        for _ in range(draw(st.integers(0, n))):
+            kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+            if kind == "zero" or (kind == "combination" and not rows):
+                rows.append([0] * m)
+            elif kind == "combination":
+                a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+                x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+                rows.append([x * u + y * v for u, v in zip(a, b)])
+            else:
+                rows.append([draw(entry) for _ in range(m)])
+        return rows
+
+    return sets()
 
 
 @settings(max_examples=200, deadline=None)
 @given(integer_generating_sets())
 def test_hnf_int_agrees_with_euclid_oracle(rows):
-    assert _hnf_int(rows) == _oracle_hnf_int(rows)
+    # the n-column xgcd kernel against the Euclid rounds, on every shape;
+    # on two columns the rank-2 kernel gives the same rows, as tuples
+    h = _oracle_hnf_xgcd(rows)
+    assert h == _oracle_hnf_int(rows)
+    if rows and len(rows[0]) == 2:
+        assert _hnf_int(rows) == tuple(map(tuple, h))
+
+
+@settings(max_examples=500, deadline=None)
+@given(integer_generating_sets(((0, 2), (1, 2), (2, 2), (3, 2), (6, 2), (12, 2))))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, -4], [0, 6]])  # first column zero: one row (0, gcd)
+@example([[3, 5], [-6, -10]])  # dependent: rank 1, the row with a positive pivot
+@example([[10**12, 1], [10**12 - 1, 0], [0, 10**12]])
+def test_rank2_hnf_agrees_with_both_oracles(rows):
+    # the rank-2 kernel, one xgcd fold of the first column, against the
+    # n-column xgcd kernel it replaced and the Euclid rounds before that:
+    # the same nonzero rows, as tuples, in HNF
+    h = _hnf_int(rows)
+    assert h == tuple(map(tuple, _oracle_hnf_xgcd(rows))) == tuple(map(tuple, _oracle_hnf_int(rows)))
+    assert type(h) is tuple and all(type(row) is tuple for row in h)
+    if len(h) == 2:
+        (alpha, beta), (zero, delta) = h
+        assert alpha > 0 and zero == 0 and 0 <= beta < delta
+    assert _hnf_int(h) == h
 
 
 # Trial division by 2, 3 and 6k +- 1, the primality test that strong

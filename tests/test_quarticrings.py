@@ -17,6 +17,7 @@ from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import (
     _oracle_divisor_sigma,
     _oracle_hnf_canonicalize,
+    _oracle_hnf_xgcd,
     _oracle_inv,
     _oracle_lattice_coords,
     _oracle_mat_det,
@@ -181,6 +182,41 @@ def _oracle_associative(ring):
     return True
 
 
+# The row vector r times the 4x4 matrix m, the sum of r[k] * m[k]: the
+# product _associative made 18 calls of before it compared the coordinates
+# as integer sums; kept as the product of the oracles below.
+def _oracle_times(r, m):
+    return tuple(sum(r[k] * m[k][j] for k in range(4)) for j in range(4))
+
+
+# The 9 triples x < z of _associative as 18 row-times-matrix products, the
+# check before it unpacked the rows; kept as its oracle.
+def _oracle_associative_by_products(t):
+    return all(
+        _oracle_times(t[x][y], t[z]) == _oracle_times(t[y][z], t[x])
+        for x in (1, 2)
+        for z in range(x + 1, 4)
+        for y in (1, 2, 3)
+    )
+
+
+class _CountedInt(int):
+    # an int that counts the products it is the left factor of, which
+    # return plain ints
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+
+def _associativity_products(t):
+    # the integer products _associative makes on table rows t
+    _CountedInt.products = 0
+    _associative(tuple(tuple(tuple(map(_CountedInt, row)) for row in m) for m in t))
+    return _CountedInt.products
+
+
 TABLE_KEYS = [(i, j, k) for i in range(1, 4) for j in range(i, 4) for k in range(4)]
 
 
@@ -208,6 +244,7 @@ def _associative_by_check(c):
 def test_associativity_check_agrees_with_27_triple_oracle(entries):
     c = dict(zip(TABLE_KEYS, entries))
     assert _associative_by_check(c) == _oracle_associative(_unchecked(c))
+    assert _associative(_rows(c)) == _oracle_associative_by_products(_rows(c))
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,19 +254,23 @@ def test_associativity_check_on_perturbed_tables(a, b, key, delta):
     c = dict(ring_from_pair((a, b)).c)
     c[key] += delta
     assert _associative_by_check(c) == _oracle_associative(_unchecked(c))
+    assert _associative(_rows(c)) == _oracle_associative_by_products(_rows(c))
     if delta == 0:
         assert _associative_by_check(c)
 
 
 def test_ring_from_pair_makes_at_most_18_products():
-    # structural guard for the reduced associativity check: 18 row-times-
-    # matrix products, 54 with all 27 triples; the table constants are
-    # integer arithmetic on the minors and make none, and no product of
-    # elements; the minors are one tuple, with no dict; counted, not timed
+    # structural guard for the reduced associativity check: one check, the
+    # 288 integer products of 18 row-times-matrix products (36 coordinates
+    # of 8), 864 with all 27 triples, on an associative table; the table
+    # constants are integer arithmetic on the minors and make none, and no
+    # product of elements; the minors are one tuple, with no dict; counted,
+    # not timed
     for pair in _random_pairs(50, 5) + [P_Z4]:
-        _, counts = call_counts(ring_from_pair, pair)
-        assert counts["quarticrings._times"] == 18 and counts["quarticrings.QuarticRing.mul"] == 0
+        ring, counts = call_counts(ring_from_pair, pair)
+        assert counts["quarticrings._associative"] == 1 and counts["quarticrings.QuarticRing.mul"] == 0
         assert counts["quarticrings._minors"] == 1 and counts["quarticrings.lambda_system"] == 0
+        assert _associativity_products(ring._t) == 18 * 16
 
 
 # The xi-coefficients c_ij^k (k >= 1) as linear expressions in the minors,
@@ -324,7 +365,7 @@ def _oracle_table_of(lam):
         c[(i, j, 0)] = 0
     t = _rows(c)
     for u, v, w in ((1, 2, 1), (1, 3, 1), (2, 3, 2), (1, 1, 2), (2, 2, 1), (3, 3, 1)):
-        c[(u, v, 0)] = quarticrings._times(t[u][w], t[v])[w] - quarticrings._times(t[u][v], t[w])[w]
+        c[(u, v, 0)] = _oracle_times(t[u][w], t[v])[w] - _oracle_times(t[u][v], t[w])[w]
     return c
 
 
@@ -339,14 +380,16 @@ def test_table_constants_agree_with_row_times_matrix_oracle(values):
 def test_tables_from_pairs_are_built_once_and_checked_once():
     # structural guard: ring_from_pair builds its ring with none of the
     # checks of QuarticRing(c), and pair_from_ring rebuilds the witness's
-    # table from its minors, computed once, with no row-times-matrix
-    # product, so no associativity check; counted, not timed
+    # table from its minors, computed once, with no associativity check
+    # and no check of the witness it built, whose entries are ints of its
+    # coordinate solve; counted, not timed
     pairs = _random_pairs(53, 10) + [P_Z4, (tuple(6 * v for v in P_A), P_B)]
     for pair in pairs:
         ring, counts = call_counts(ring_from_pair, pair)
         assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._minors"] == 1
         _, counts = call_counts(pair_from_ring, ring)
-        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._times"] == 0
+        assert counts["quarticrings.QuarticRing.__init__"] == 0 and counts["quarticrings._associative"] == 0
+        assert counts["quarticrings._coerce_pair"] == 0 and counts["errors._ints"] == 0
         assert counts["quarticrings._minors"] == 1 and counts["quarticrings.lambda_system"] == 0
         assert QuarticRing(ring.c) == ring
 
@@ -566,28 +609,34 @@ def test_content_of_any_fifteen_minors_is_their_gcd(m):
 def test_resolvent_data_is_computed_once_per_call():
     # counted, not timed: the ring keeps nothing, so each call of
     # pair_from_ring or enumerate_numerical_resolvents makes one mu-lattice
-    # _hnf_int (six rows), and none for the lattices, which are written
-    # down; count_numerical_resolvents reads the content off the table and
-    # makes none; each reads the minors off the table once
+    # _hnf_int (six rows of length 2, one xgcd fold: at most one xgcd per
+    # mu-vector with a nonzero first coordinate, five at most as mu_y has
+    # none), and none for the lattices, which are written down;
+    # count_numerical_resolvents reads the content off the table and makes
+    # none; each reads the minors off the table once
     for pair in _random_pairs(51, 20) + [(tuple(6 * v for v in P_A), P_B)]:
         ring = ring_from_pair(pair)
         count, counts = call_counts(count_numerical_resolvents, ring)
         assert counts["exactlattice._hnf_int"] == 0 and counts["quarticrings._lambda_from_c"] == 1
+        assert counts["exactlattice.xgcd"] == 0
         for fn in (pair_from_ring, enumerate_numerical_resolvents):
             first, counts = call_counts(fn, ring)
             assert counts["exactlattice._hnf_int"] == 1 and counts["quarticrings._lambda_from_c"] == 1
+            assert 1 <= counts["exactlattice.xgcd"] <= 5
             assert call_counts(fn, ring) == (first, counts)
         assert len(first) == count
 
 
 def test_enumerated_lattices_need_no_hnf():
     # counted: enumerate_numerical_resolvents makes one _hnf_int call, for
-    # the six mu-vectors, and none for the lattices, for contents up to 60
-    # times that of the unscaled pair; the lattices agree with the oracle's
+    # the six mu-vectors, at most five xgcd steps, and none for the
+    # lattices, for contents up to 60 times that of the unscaled pair; the
+    # lattices agree with the oracle's
     for k, (a, b) in enumerate(_random_pairs(52, 25)):
         ring = ring_from_pair((tuple((1, 2, 6, 12, 60)[k % 5] * v for v in a), b))
         lattices, counts = call_counts(enumerate_numerical_resolvents, ring)
         assert counts["exactlattice._hnf_int"] == 1 and len(lattices) == count_numerical_resolvents(ring)
+        assert counts["exactlattice.xgcd"] <= 5
         assert lattices == _oracle_enumerate_numerical_resolvents(ring)
 
 
@@ -598,7 +647,7 @@ def test_enumerated_lattices_need_no_hnf():
         # its minor times d^2, d != 0 the first minor
         ("mat2_det", lambda f: lambda rows: 2 * f(rows), "mu realization"),
         # a doubled HNF: 4 times the covolume of the mu-lattice
-        ("_hnf_int", lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)], "covolume"),
+        ("_hnf_int", lambda f: lambda rows: tuple(tuple(2 * e for e in row) for row in f(rows)), "covolume"),
         # a doubled content, the minors kept: the covolume checks it against them
         ("_content", lambda f: lambda ring: (lambda n, m: (2 * n, m))(*f(ring)), "covolume"),
     ],
@@ -735,7 +784,7 @@ def test_associativity_implies_the_plucker_relations_symbolically():
         for x in (1, 2, 3)
         for y in (1, 2, 3)
         for z in (1, 2, 3)
-        for u, v in zip(quarticrings._times(t[x][y], t[z]), quarticrings._times(t[y][z], t[x]))
+        for u, v in zip(_oracle_times(t[x][y], t[z]), _oracle_times(t[y][z], t[x]))
     ]
     associator = [e for e in associator if e != 0]
     plucker = [sympy.expand(e) for e in _plucker_quadrics(symbols)]
@@ -846,12 +895,13 @@ def test_bhargava_density_of_pairs_maximal_at_2():
 
 def test_associativity_is_checked_once_when_a_ring_is_built():
     # counted, not timed: a table built by hand gets its check once, in
-    # QuarticRing(c), 18 row-times-matrix products; then neither it nor a
+    # QuarticRing(c), with no product of elements; then neither it nor a
     # ring from ring_from_pair costs maximality or the resolvent count one
-    # associativity product
+    # associativity check
     rings = [ring_from_pair(pair) for pair in _random_pairs(52, 10) + [P_144]]
     built, counts = call_counts(QuarticRing, dict(rings[-1].c))
-    assert counts["quarticrings._times"] == 18 and built == rings[-1]
+    assert counts["quarticrings._associative"] == 1 and counts["quarticrings.QuarticRing.mul"] == 0
+    assert built == rings[-1]
 
     def answers():
         for ring in rings + [built]:
@@ -860,7 +910,7 @@ def test_associativity_is_checked_once_when_a_ring_is_built():
                 is_maximal(ring)
             count_numerical_resolvents(ring)
 
-    assert call_counts(answers)[1]["quarticrings._times"] == 0
+    assert call_counts(answers)[1]["quarticrings._associative"] == 0
     assert is_maximal(built) and is_maximal_at_p(built, 3) == (True, None)
 
 
@@ -940,7 +990,7 @@ def _subspaces_avoiding_one(p):
 def _oracle_walk_is_maximal_at_p(ring, p):
     p_rows = [tuple(p * int(i == j) for j in range(4)) for i in range(4)]
     for rows in _subspaces_avoiding_one(p):
-        h = _hnf_int(p_rows + rows)
+        h = _oracle_hnf_xgcd(p_rows + rows)
         ph = [[p * e for e in row] for row in h]
         if all(
             _oracle_lattice_coords(ph, [ring.mul(h[i], h[j])]) is not None
@@ -1087,7 +1137,7 @@ def test_rref_mod_p_is_the_pivot_one_rows_of_the_hnf(case):
     # the integer HNF of the rows and p*I_n is the oracle of the RREF over F_p
     rows, n, p = case
     p_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
-    hnf = _hnf_int(rows + p_rows)
+    hnf = _oracle_hnf_xgcd(rows + p_rows)
     # full rank: a pivot in every column, each pivot 1 or p
     assert len(hnf) == n
     assert all(not any(row[:i]) and row[i] in (1, p) for i, row in enumerate(hnf))
@@ -1100,11 +1150,12 @@ def test_rref_mod_p_is_the_pivot_one_rows_of_the_hnf(case):
 @example(([], 4, 2))
 @example(([[1, 2, 0, 3], [0, 0, 1, 4]], 4, 5))
 def test_hnf_from_rref_is_the_hnf_of_the_rows_and_p_times_the_identity(case):
-    # the witness HNF is written down from the RREF rows; _hnf_int is its oracle
+    # the witness HNF is written down from the RREF rows; the n-column xgcd
+    # HNF is its oracle
     rows, n, p = case
     rref = _rref_mod_p(rows, p)
     p_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
-    assert _hnf_from_rref(rref, p, n) == _hnf_int(p_rows + rref) == _hnf_int(rows + p_rows)
+    assert _hnf_from_rref(rref, p, n) == _oracle_hnf_xgcd(p_rows + rref) == _oracle_hnf_xgcd(rows + p_rows)
 
 
 # The subspace walk that _radical_subspaces ran before it built each
@@ -1149,7 +1200,7 @@ def _oracle_radical_subspaces(ring, p):
             x = tuple(t % p for t in ring.mul(x, x))
             k >>= 1
         rows.append(power + e)
-    echelon = _hnf_int(rows + [[p * int(i == j) for j in range(2 * n)] for i in range(2 * n)])
+    echelon = _oracle_hnf_xgcd(rows + [[p * int(i == j) for j in range(2 * n)] for i in range(2 * n)])
     rref = [row for row in echelon if next(filter(None, row)) == 1]
     radical = [row[n:] for row in rref if not any(row[:n])]
     for coeffs in _subspaces(p, len(radical)):
@@ -1543,7 +1594,7 @@ def test_table_self_checks_survive_optimize_flag():
         "    print(e)\n"
         "faults = (\n"
         "    ('mat2_det', lambda f: lambda rows: 2 * f(rows)),\n"
-        "    ('_hnf_int', lambda f: lambda rows: [[2 * e for e in row] for row in f(rows)]),\n"
+        "    ('_hnf_int', lambda f: lambda rows: tuple(tuple(2 * e for e in row) for row in f(rows))),\n"
         "    ('_content', lambda f: lambda ring: (lambda n, m: (2 * n, m))(*f(ring))),\n"
         ")\n"
         "for name, fault in faults:\n"
@@ -1712,7 +1763,7 @@ def test_walk_on_cubic_rings_agrees_with_the_davenport_heilbronn_criterion(form,
 # lies in pH, for H the integer HNF of pQ + L; kept as its oracle.
 def _oracle_closed(ring, rows, p):
     n = len(ring._t)
-    h = _hnf_int([tuple(p * e for e in row) for row in ring._t[0]] + rows)
+    h = _oracle_hnf_xgcd([tuple(p * e for e in row) for row in ring._t[0]] + rows)
     ph = [[p * e for e in row] for row in h]
     return all(
         _hnf_coords(ph, ring.mul(h[i], h[j])) is not None for i in range(n) for j in range(i, n)

@@ -10,6 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 BENCH_PAIR = ROOT / "tools" / "bench_pair.py"
+PYTHONS = ROOT / "tools" / "pythons.py"
 
 
 def test_src_lines_refuses_a_directory_that_is_no_package(tmp_path):
@@ -102,3 +103,38 @@ def test_bench_pair_summary_verdicts_on_synthetic_pairs():
     assert verdict([v + 100 for v in wide], runs=wide) == "ok"
     # no bound, no verdict
     assert verdict([v - 50 for v in parent], bound=None) == "-"
+
+
+def _pythons():
+    # tools/pythons.py as a module; importing it runs no check
+    spec = importlib.util.spec_from_file_location("pythons", PYTHONS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pythons_refuses_a_path_that_is_no_interpreter(tmp_path):
+    # refused before any check runs: one line on stderr, exit status 2
+    script = tmp_path / "python"
+    script.write_text("#!/bin/sh\necho hello\n")
+    script.chmod(0o755)
+    for bad in (tmp_path / "missing", script, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(PYTHONS), sys.executable, str(bad)], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and str(bad) in proc.stderr
+
+
+def test_pythons_replays_the_cli_goldens_in_an_interpreter():
+    # the replay, run here on this interpreter: the input files are those of
+    # test_cli, and every case passes or is skipped as test_golden_output does
+    from test_cli import GOLDEN, GOLDEN_FILES
+
+    pythons = _pythons()
+    assert pythons.golden_files() == GOLDEN_FILES
+    ok, summary = pythons.replay(sys.executable)
+    skipped = sum("usage:" in out + err for _, _, out, err in GOLDEN["cases"])
+    if "%d.%d" % sys.version_info[:2] == GOLDEN["python"]:
+        skipped = 0
+    assert ok and summary == "%d passed, %d skipped, 0 failed" % (len(GOLDEN["cases"]) - skipped, skipped)
