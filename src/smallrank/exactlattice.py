@@ -9,18 +9,22 @@ by ``_scaled``, and one kernel per primitive on those integers:
 ``_hnf_int`` for the HNF of rows of length 2, the only lattices the package
 reduces (ideals of quadratic rings and the mu-lattice of a quartic ring), by
 one xgcd fold of the first column, ``_bareiss`` for determinants, the trace-form
-discriminant among them (fraction-free elimination below each pivot, with
-no back-substitution, as no caller solves a system), and for coordinates
+discriminant of quadratic and cubic rings among them (fraction-free
+elimination below each pivot, with no back-substitution, as no caller
+solves a system), and for coordinates
 ``_hnf_coords`` against a basis already in HNF, by substitution column by
 column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
 ``mat2_det``.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan) gives the reduced
 row echelon form, and ``_hnf_from_rref`` lifts it to the HNF of its span
 and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that public
-functions return.  ``_form_act``, the substitution of a binary form of
-any degree, is behind every GL2 action of the package: the twisted actions
-on quadratic and cubic forms, and on cubes one degree-1 pass per axis.
+functions return, one ``Fraction`` per distinct value.  ``_form_act``, the
+substitution of a binary form of any degree, is behind every GL2 action of
+the package: the twisted actions on quadratic and cubic forms, and on cubes
+one degree-1 pass per axis.
 ``_Ring`` is the one ring state of every rank, its table ``_t``, which
-``_trace`` and ``_trace_disc`` read.
+``_trace`` and ``_trace_disc`` read; ``QuarticRing`` replaces the
+discriminant with a straight-line kernel of its own, and ``_trace_disc``
+stays its oracle in the tests.
 """
 
 import sys
@@ -127,10 +131,13 @@ def _scaled(rows):
 
 
 def _unscaled(rows, den):
-    # the Fraction rows of int_rows / den, as a tuple of tuples
+    # the Fraction rows of int_rows / den, as a tuple of tuples, with one
+    # Fraction per distinct entry: a Fraction is immutable and compares by
+    # value, so the rows can share it
     from fractions import Fraction
 
-    return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+    values = {e: Fraction(e, den) for e in {e for row in rows for e in row}}
+    return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
 
 def _bareiss(a):

@@ -228,6 +228,38 @@ class QuarticRing(_Ring):
     def __repr__(self):
         return "QuarticRing(%r)" % (self.c,)
 
+    def disc(self):
+        """Discriminant: det of the trace form Tr(e_i*e_j), as straight-line integer sums.
+
+        The same determinant as ``exactlattice._trace_disc``, which the tests
+        keep as its oracle, on any table, in any basis.  The traces are
+        T_k = sum_i c_ki^i, read off the diagonals, so row 0 of the form is
+        (4, T_1, T_2, T_3), as e_0 = 1, and each of the other six entries
+        is a table row dotted with (4, T_1, T_2, T_3).  The determinant is
+        the Laplace expansion over rows 0 and 1: the six 2x2 minors of rows
+        0-1 times their complementary minors in rows 2-3.
+        """
+        _, (_, a, b, d), (_, _, e, f), (_, _, _, g) = self._t
+        t1, t2, t3 = a[1] + b[2] + d[3], b[1] + e[2] + f[3], d[1] + f[2] + g[3]
+        # the trace form [[4, t1, t2, t3], [t1, A, B, D], [t2, B, E, F], [t3, D, F, G]]
+        A = 4 * a[0] + a[1] * t1 + a[2] * t2 + a[3] * t3
+        B = 4 * b[0] + b[1] * t1 + b[2] * t2 + b[3] * t3
+        D = 4 * d[0] + d[1] * t1 + d[2] * t2 + d[3] * t3
+        E = 4 * e[0] + e[1] * t1 + e[2] * t2 + e[3] * t3
+        F = 4 * f[0] + f[1] * t1 + f[2] * t2 + f[3] * t3
+        G = 4 * g[0] + g[1] * t1 + g[2] * t2 + g[3] * t3
+        # the minor of rows 0-1 in columns 2, 3 is that of rows 2-3 in
+        # columns 0, 1, by symmetry: its term is a square
+        s23 = t2 * D - t3 * B
+        return (
+            (4 * A - t1 * t1) * (E * G - F * F)
+            - (4 * B - t1 * t2) * (B * G - D * F)
+            + (4 * D - t1 * t3) * (B * F - D * E)
+            + (t1 * B - t2 * A) * (t2 * G - t3 * F)
+            - (t1 * D - t3 * A) * (t2 * F - t3 * E)
+            + s23 * s23
+        )
+
     def mul(self, x, y):
         """Product of two elements given as length-4 coordinate tuples.
 
@@ -520,19 +552,23 @@ def cubic_resolvent_form(pair):
 
         g(x, y) = 4 m11 m22 m33 + m12 m13 m23 - m11 m23^2 - m22 m13^2 - m33 m12^2.
 
-    The form ``p x^3 + q x^2 y + r x y^2 + s y^3`` is read off g at four
-    points: p = g(1, 0), s = g(0, 1), and g(1, +-1) = p +- q + r +- s, so
-    q = (g(1, 1) - g(1, -1))/2 - s and r = (g(1, 1) + g(1, -1))/2 - p, both
-    divisions exact.
+    The form ``p x^3 + q x^2 y + r x y^2 + s y^3`` is written out as
+    straight-line integer sums: p = g(1, 0) and s = g(0, 1) are 4 det(A)
+    and 4 det(B) expanded, and q and r are their polarizations, the sum
+    over the factors of each term of the term with that one factor taken
+    from B (for q) or A (for r) instead.
     """
-    a, b = _coerce_pair(pair)
-
-    def g(x, y):
-        m11, m22, m33, m12, m13, m23 = (x * u + y * v for u, v in zip(a, b))
-        return 4 * m11 * m22 * m33 + m12 * m13 * m23 - m11 * m23 * m23 - m22 * m13 * m13 - m33 * m12 * m12
-
-    p, s, plus, minus = g(1, 0), g(0, 1), g(1, 1), g(1, -1)
-    return p, (plus - minus) // 2 - s, (plus + minus) // 2 - p, s
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = _coerce_pair(pair)
+    return (
+        4 * a0 * a1 * a2 + a3 * a4 * a5 - a0 * a5 * a5 - a1 * a4 * a4 - a2 * a3 * a3,
+        4 * (b0 * a1 * a2 + a0 * b1 * a2 + a0 * a1 * b2)
+        + b3 * a4 * a5 + a3 * b4 * a5 + a3 * a4 * b5
+        - (b0 * a5 + 2 * a0 * b5) * a5 - (b1 * a4 + 2 * a1 * b4) * a4 - (b2 * a3 + 2 * a2 * b3) * a3,
+        4 * (a0 * b1 * b2 + b0 * a1 * b2 + b0 * b1 * a2)
+        + a3 * b4 * b5 + b3 * a4 * b5 + b3 * b4 * a5
+        - (a0 * b5 + 2 * b0 * a5) * b5 - (a1 * b4 + 2 * b1 * a4) * b4 - (a2 * b3 + 2 * b2 * a3) * b3,
+        4 * b0 * b1 * b2 + b3 * b4 * b5 - b0 * b5 * b5 - b1 * b4 * b4 - b2 * b3 * b3,
+    )
 
 
 def disc_match(pair):
@@ -580,8 +616,9 @@ def _radical_subspaces(ring, p):
     and the RREF of [matrix | I] over F_p ends with the rows [0 | b], an
     RREF basis B = (b_1..b_s) of its kernel.  The row of e_0 = 1 is written
     down; each other e_i^q is squared once per bit of q below the top one,
-    and multiplied by e_i after each square whose bit is set, left to right:
-    floor(log2(q)) + popcount(q) - 1 products, two at q = 4 and four at
+    and multiplied by e_i after each square whose bit is set, left to right,
+    the first square e_i^2 read off the table row ``_t[i][i]``:
+    floor(log2(q)) + popcount(q) - 2 products, one at q = 4 and three at
     q = 9, with no product by 1 and no square past the top bit.  Then one
     n x 2n RREF.  If C is in RREF then so is C*B, with pivot columns
     those of B picked by C's pivots, and an entry of C*B off B's pivot
@@ -592,18 +629,20 @@ def _radical_subspaces(ring, p):
     the rows are built one step at a time, each step adding one b_c mod p,
     so nothing is stored beyond the current candidate.
     """
-    unit = ring._t[0]
+    t = ring._t
+    unit = t[0]
     n = len(unit)
     q = p
     while q < n:
         q *= p
     rows = [unit[0] + unit[0]]
-    for e in unit[1:]:
-        power = e
-        for bit in bin(q)[3:]:
-            power = tuple(t % p for t in ring.mul(power, power))
+    for i, e in enumerate(unit[1:], 1):
+        power = tuple(x % p for x in t[i][i])  # the first square, e_i^2, is a table row
+        for k, bit in enumerate(bin(q)[3:]):
+            if k:
+                power = tuple(x % p for x in ring.mul(power, power))
             if bit == "1":
-                power = tuple(t % p for t in ring.mul(power, e))
+                power = tuple(x % p for x in ring.mul(power, e))
         rows.append(power + e)
     radical = [row[n:] for row in _rref_mod_p(rows, p) if not any(row[:n])]
     s = len(radical)
@@ -665,9 +704,9 @@ def is_maximal_at_p(ring, p):
 
     Cost: one discriminant, and nothing more when p^2 does not divide it.
     Otherwise the radical, n - 1 powers e_i^q of floor(log2(q)) +
-    popcount(q) - 1 products each and one n x 2n RREF over F_p (n = 4:
-    6 products at p = 2, q = 4; 12 at p = 3, q = 9; at most 6*log2(p) at
-    p > 3, q = p), then at most
+    popcount(q) - 2 products each, the first square read off the table, and
+    one n x 2n RREF over F_p (n = 4: 3 products at p = 2, q = 4; 9 at
+    p = 3, q = 9; at most 6*log2(p) - 3 at p > 3, q = p), then at most
     2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
     for a candidate of dimension r.  No integer HNF is built.  The walk
     stays O(p^2): the totally ramified pair

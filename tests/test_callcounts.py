@@ -16,7 +16,7 @@ def test_call_counts_keys_generators_and_an_outer_profiler():
     answer, counts = call_counts(is_maximal_at_p, ring, 11)
     assert answer == (True, None)
     # "<file stem>.<qualified name>" for Python functions, none for built-ins
-    assert counts["quarticrings.is_maximal_at_p"] == counts["exactlattice._trace_disc"] == 1
+    assert counts["quarticrings.is_maximal_at_p"] == counts["quarticrings.QuarticRing.disc"] == 1
     assert counts["quarticrings.QuarticRing.mul"] > 0 and counts["quarticrings.ring_from_pair"] == 0
     assert all(key.partition(".")[0] in ("errors", "exactlattice", "quarticrings") for key in counts)
     # a generator counts each resume, so one run to its end reads one more

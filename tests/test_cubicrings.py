@@ -123,8 +123,8 @@ def test_disc_equals_trace_form_disc(form):
 
 
 # The trace-matrix determinant that CubicRing.disc and QuarticRing.disc
-# took, as a Fraction, before both moved to one integer Bareiss pass; kept
-# as their oracle.
+# took, as a Fraction, before both moved to integer kernels (one Bareiss
+# pass, and in rank 4 a straight-line expansion); kept as their oracle.
 def _oracle_trace_disc(ring, n):
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     d = _oracle_mat_det([[ring.trace(ring.mul(u, v)) for v in basis] for u in basis])

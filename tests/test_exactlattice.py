@@ -454,6 +454,25 @@ def test_hnf_errors():
             _scaled(ragged)
 
 
+@pytest.mark.parametrize("den", [1, 2, 7, 10**9 + 7])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 1, 0, 2]],  # repeated entries
+        [(5, -7), (0, 11)],  # distinct entries
+        [[3, 3, 3], [-3, 3, 0], [6, 10**9 + 7, -(10**9 + 7)]],
+        [(0, 0)],
+        [],
+    ],
+)
+def test_unscaled_agrees_with_one_fraction_per_entry(rows, den):
+    # one Fraction per distinct entry, shared by the rows: the same values,
+    # all of type Fraction, as one Fraction(e, den) per entry
+    out = _unscaled(rows, den)
+    assert out == tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+    assert all(type(row) is tuple for row in out) and all(type(x) is Fraction for row in out for x in row)
+
+
 def test_mat_inverse_and_solve():
     rng = random.Random(13)
     for _ in range(50):

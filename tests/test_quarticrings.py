@@ -394,15 +394,16 @@ def test_tables_from_pairs_are_built_once_and_checked_once():
         assert QuarticRing(ring.c) == ring
 
 
-@pytest.mark.parametrize("p, products", [(2, 6), (3, 12), (5, 9), (7, 12), (11, 15), (13, 15)])
+@pytest.mark.parametrize("p, products", [(2, 3), (3, 9), (5, 6), (7, 9), (11, 12), (13, 12)])
 def test_radical_powers_make_no_product_by_one(p, products):
     # counted, not timed: e_0^q = 1 is written down, and each of the three
-    # other e_i^q takes floor(log2(q)) + popcount(q) - 1 products, q = 4 at
-    # p = 2, 9 at p = 3, else p; the walk that follows makes none
+    # other e_i^q takes floor(log2(q)) + popcount(q) - 2 products, q = 4 at
+    # p = 2, 9 at p = 3, else p, its first square e_i^2 read off the table
+    # row _t[i][i]; the walk that follows makes none
     ring = ring_from_pair(((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0)))
     walk, counts = call_counts(lambda: list(_radical_subspaces(ring, p)))
     q = {2: 4, 3: 9}.get(p, p)
-    assert counts["quarticrings.QuarticRing.mul"] == products == 3 * (q.bit_length() - 1 + bin(q).count("1") - 1)
+    assert counts["quarticrings.QuarticRing.mul"] == products == 3 * (q.bit_length() - 1 + bin(q).count("1") - 2)
     assert walk == list(_oracle_radical_subspaces(ring, p))
 
 
@@ -455,6 +456,32 @@ def test_resolvent_form_is_four_times_determinant():
                 assert 4 * _oracle_mat_det(m) == _cubic_eval(form, x, y)
 
 
+# cubic_resolvent_form as it was, reading the form off g(x, y) = 4 det(A x +
+# B y) at the four points (1, 0), (0, 1), (1, 1) and (1, -1): p = g(1, 0),
+# s = g(0, 1), and g(1, +-1) = p +- q + r +- s; kept as its oracle.
+def _oracle_cubic_resolvent_form(pair):
+    a, b = pair
+
+    def g(x, y):
+        m11, m22, m33, m12, m13, m23 = (x * u + y * v for u, v in zip(a, b))
+        return 4 * m11 * m22 * m33 + m12 * m13 * m23 - m11 * m23 * m23 - m22 * m13 * m13 - m33 * m12 * m12
+
+    p, s, plus, minus = g(1, 0), g(0, 1), g(1, 1), g(1, -1)
+    return p, (plus - minus) // 2 - s, (plus + minus) // 2 - p, s
+
+
+big_forms = st.tuples(*[st.integers(-(2**64), 2**64)] * 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(forms, big_forms), st.one_of(forms, big_forms))
+@example(P_A, P_B)
+@example((2**64, -(2**64), 2**64 - 1, 1, -1, 2**64), (-(2**64) + 1, 2**64, 3, -(2**64), 2**64, 0))
+def test_resolvent_form_agrees_with_four_point_oracle(a, b):
+    form = cubic_resolvent_form((a, b))
+    assert all(type(c) is int for c in form) and form == _oracle_cubic_resolvent_form((a, b))
+
+
 def test_resolvent_form_spot():
     assert cubic_resolvent_form(P_Z4) == (0, -1, -1, 0)
     scaled = (tuple(5 * v for v in P_A), P_B)
@@ -467,7 +494,7 @@ def test_disc_agrees_with_trace_matrix_oracle():
         for pair in ((a, b), (tuple(3 * v for v in a), b)):
             ring = ring_from_pair(pair)
             d = ring.disc()
-            assert type(d) is int and d == _oracle_trace_disc(ring, 4)
+            assert type(d) is int and d == _oracle_trace_disc(ring, 4) == _trace_disc(ring)
 
 
 def test_disc_match_and_identity():
@@ -1041,7 +1068,8 @@ def test_maximality_agrees_with_fraction_oracle():
 def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
     # structural guard: the closure tests and the ideal constructor use the
     # substitution and 2x2 helpers, never the generic Bareiss solve; Bareiss
-    # runs on square matrices only, for determinants
+    # runs on square matrices only, for determinants, and here not at all, as
+    # the quartic discriminant is QuarticRing.disc's straight-line kernel
     import sys
 
     from smallrank.quadrings import class_semigroup
@@ -1064,7 +1092,10 @@ def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
     assert not is_maximal_at_p(scaled, 2)[0]
     elements, table = class_semigroup(-300)
     assert len(table) == len(elements) > 1
-    assert squares  # the discriminants went through the patched kernel
+    assert squares == []
+    # the patched kernel is the one the package calls: the 3x3 determinant
+    # of resolvent_identity_check goes through it
+    assert resolvent_identity_check(P_Z4, (0, 1, 2)) and squares == [3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1451,14 +1482,17 @@ elements = st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 4)
 @given(tables, elements, elements)
 @example([0] * len(TABLE_KEYS), (1, 0, 0, 0), (0, 0, 0, 0))
 @example([int(k == (i, j)[0] == j) for i, j, k in TABLE_KEYS], (0, 1, 0, 2), (3, 0, 1, 0))
+@example([(-1) ** k * (2**64 - i * j - k) for i, j, k in TABLE_KEYS], (0, 1, -1, 2), (1, 0, 3, -1))
 def test_table_product_trace_and_disc_agree_with_oracles(entries, x, y):
     # any table, associative or not: the product, the trace and the trace
-    # form filled from the basis traces are linear algebra on the table
+    # form filled from the basis traces are linear algebra on the table, and
+    # QuarticRing.disc expands the same determinant that _trace_disc
+    # eliminates
     ring = _unchecked(dict(zip(TABLE_KEYS, entries)))
     assert ring.mul(x, y) == _oracle_mul(ring, x, y)
     assert ring.trace(x) == _oracle_trace(ring, x)
     d = ring.disc()
-    assert type(d) is int and d == _oracle_trace_disc(ring, 4)
+    assert type(d) is int and d == _oracle_trace_disc(ring, 4) == _trace_disc(ring)
 
 
 # The nested-loop check that plucker_check ran before it looped over the 15
@@ -1649,13 +1683,15 @@ P_144 = ((1, -2, -2, -2, -2, 2), (0, 0, 0, 0, 0, 1))
 
 
 def test_is_maximal_at_p_computes_the_discriminant_once():
-    # counted, not timed: each answer reads one discriminant, and walks the
-    # radical's subspaces only when p^2 divides it
+    # counted, not timed: each answer reads one discriminant, by the rank-4
+    # kernel with no generic elimination, and walks the radical's subspaces
+    # only when p^2 divides it
     for ring in (ring_from_pair((tuple(6 * v for v in P_A), P_B)), ring_from_pair(P_144)):
         d = ring.disc()
         for p in (2, 3, 5):
             _, counts = call_counts(is_maximal_at_p, ring, p)
-            assert counts["exactlattice._trace_disc"] == 1, (d, p)
+            assert counts["quarticrings.QuarticRing.disc"] == 1, (d, p)
+            assert counts["exactlattice._trace_disc"] == counts["exactlattice._bareiss"] == 0, (d, p)
             assert (counts["quarticrings._radical_subspaces"] > 0) == (d % (p * p) == 0), (d, p)
     assert ring.disc() == 144 and is_maximal(ring)
     assert is_maximal_at_p(ring, 2) == is_maximal_at_p(ring, 3) == (True, None)
