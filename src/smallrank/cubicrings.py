@@ -66,6 +66,14 @@ class CubicRing(_Ring):
             raise DomainError("multiplication table is not associative")
         return ring
 
+    def disc(self):
+        """Discriminant: that of the ring's binary cubic form, disc R(f) = disc f.
+
+        The table is normalized, so this is the determinant of the trace form
+        Tr(xi_i*xi_j) (Delone-Faddeev), in closed form.
+        """
+        return cubic_form_disc(form_from_cubic_ring(self))
+
     def mul(self, x, y):
         """Product of two elements given as coordinate triples over (1, xi1, xi2)."""
         x0, x1, x2 = x

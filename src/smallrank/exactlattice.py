@@ -8,28 +8,22 @@ One representation: integer rows over one positive denominator, produced
 by ``_scaled``, and one kernel per primitive on those integers:
 ``_hnf_int`` for the HNF of rows of length 2, the only lattices the package
 reduces (ideals of quadratic rings and the mu-lattice of a quartic ring), by
-one xgcd fold of the first column, ``_bareiss`` for determinants, the trace-form
-discriminant of quadratic and cubic rings among them (fraction-free
-elimination below each pivot, with no back-substitution, as no caller
-solves a system), and for coordinates
-``_hnf_coords`` against a basis already in HNF, by substitution column by
-column, and ``_coords2`` against a 2x2 basis, by Cramer's rule on
-``mat2_det``.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan) gives the reduced
-row echelon form, and ``_hnf_from_rref`` lifts it to the HNF of its span
-and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that public
-functions return, one ``Fraction`` per distinct value.  ``_form_act``, the
-substitution of a binary form of any degree, is behind every GL2 action of
-the package: the twisted actions on quadratic and cubic forms, and on cubes
-one degree-1 pass per axis.
-``_Ring`` is the one ring state of every rank, its table ``_t``, which
-``_trace`` and ``_trace_disc`` read; ``QuarticRing`` replaces the
-discriminant with a straight-line kernel of its own, and ``_trace_disc``
-stays its oracle in the tests.
+one xgcd fold of the first column, and for coordinates ``_hnf_coords``
+against a basis already in HNF, by substitution column by column, and
+``_coords2`` against a 2x2 basis, by Cramer's rule on ``mat2_det``, the
+one determinant kernel here.  Over F_p, ``_rref_mod_p`` (Gauss-Jordan)
+gives the reduced row echelon form, and ``_hnf_from_rref`` lifts it to the
+HNF of its span and p*Z^n.  ``_unscaled`` builds the ``Fraction`` rows that
+public functions return, one ``Fraction`` per distinct value.
+``_form_act``, the substitution of a binary form of any degree, is behind
+every GL2 action of the package: the twisted actions on quadratic and cubic
+forms, and on cubes one degree-1 pass per axis.  ``_Ring`` is the one ring
+state of every rank, its table ``_t``, which ``_trace`` reads; each ring
+class writes its own discriminant in closed form.
 """
 
 import sys
 from math import gcd, isfinite, isqrt, lcm
-from operator import mul
 
 from .errors import DimensionError, DomainError, RankError, _int
 
@@ -140,25 +134,6 @@ def _unscaled(rows, den):
     return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
 
-def _bareiss(a):
-    # the determinant of a square integer matrix a, not changed, by
-    # fraction-free elimination (Bareiss, Math. Comp. 22, 1968) below each
-    # pivot only: each step divides exactly by the previous pivot and drops
-    # the pivot row and column.  Moving row p up to the top is a cycle of
-    # p + 1 rows, sign (-1)^p
-    sign, prev = 1, 1
-    while a:
-        p = next((i for i, row in enumerate(a) if row[0]), None)
-        if p is None:
-            return 0
-        if p % 2:
-            sign = -sign
-        pk, *top = a[p]
-        a = [[(pk * e - row[0] * b) // prev for e, b in zip(row[1:], top)] for row in a[:p] + a[p + 1 :]]
-        prev = pk
-    return sign * prev
-
-
 def _trace(ring, x):
     """Trace of multiplication by the element ``x``.
 
@@ -168,26 +143,18 @@ def _trace(ring, x):
     return sum(xi * sum(row[k] for k, row in enumerate(m)) for xi, m in zip(x, ring._t))
 
 
-def _trace_disc(ring):
-    """Discriminant: det of the trace form, Tr(e_i*e_j) = sum_k _t[i][j][k] Tr(e_k)."""
-    t = ring._t
-    # Tr(e_k) is the trace of the matrix _t[k]: the sum of its diagonal
-    tr = [sum(row[i] for i, row in enumerate(m)) for m in t]
-    return _bareiss([[sum(map(mul, e, tr)) for e in m] for m in t])
-
-
 class _Ring:
     """A based ring of any rank, held as its table ``_t`` and nothing else.
 
-    Traces, the discriminant, equality and the hash read ``_t`` alone, and
-    the named coefficients of a subclass are read-only views of it, so no
-    second copy of the table can drift from it.
+    Traces, equality and the hash read ``_t`` alone, as does each
+    subclass's closed-form discriminant, and the named coefficients of a
+    subclass are read-only views of it, so no second copy of the table can
+    drift from it.
     """
 
     __slots__ = ("_t",)
 
     trace = _trace
-    disc = _trace_disc
 
     def __eq__(self, other):
         return type(other) is type(self) and self._t == other._t

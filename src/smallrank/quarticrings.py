@@ -35,7 +35,6 @@ from math import gcd
 from .errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _ints, _of
 from .exactlattice import (
     _Ring,
-    _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_from_rref,
@@ -231,8 +230,8 @@ class QuarticRing(_Ring):
     def disc(self):
         """Discriminant: det of the trace form Tr(e_i*e_j), as straight-line integer sums.
 
-        The same determinant as ``exactlattice._trace_disc``, which the tests
-        keep as its oracle, on any table, in any basis.  The traces are
+        It reads any table, in any basis; the tests check it against a
+        ``Fraction`` elimination of the trace form.  The traces are
         T_k = sum_i c_ki^i, read off the diagonals, so row 0 of the form is
         (4, T_1, T_2, T_3), as e_0 = 1, and each of the other six entries
         is a table row dotted with (4, T_1, T_2, T_3).  The determinant is
@@ -594,8 +593,10 @@ def resolvent_identity_check(pair, x):
     ring = ring_from_pair(pair)
     e = (0, x1, x2, x3)
     e2 = ring.mul(e, e)
-    e3 = ring.mul(e2, e)
-    lhs = _bareiss([e[1:], e2[1:], e3[1:]])
+    _, u1, u2, u3 = e2
+    _, v1, v2, v3 = ring.mul(e2, e)
+    # the 3x3 determinant of the xi-shadows, by cofactors along x's row
+    lhs = x1 * (u2 * v3 - u3 * v2) - x2 * (u1 * v3 - u3 * v1) + x3 * (u1 * v2 - u2 * v1)
 
     av = _ternary_eval(a, (x1, x2, x3))
     bv = _ternary_eval(b, (x1, x2, x3))

@@ -119,12 +119,14 @@ def test_from_table_rejects_non_associative():
 
 @given(forms)
 def test_disc_equals_trace_form_disc(form):
-    assert ring_from_cubic_form(form).disc() == cubic_form_disc(form)
+    # disc R(f) = disc f: the closed form against the trace form of the ring
+    assert cubic_form_disc(form) == _oracle_trace_disc(ring_from_cubic_form(form), 3)
 
 
-# The trace-matrix determinant that CubicRing.disc and QuarticRing.disc
-# took, as a Fraction, before both moved to integer kernels (one Bareiss
-# pass, and in rank 4 a straight-line expansion); kept as their oracle.
+# The trace-matrix determinant that the rings of rank 3 and 4 took, as a
+# Fraction, before each moved to a closed form (the discriminant of the
+# ring's cubic form, and in rank 4 a straight-line expansion); kept as the
+# discriminant oracle of ranks 2, 3 and 4.
 def _oracle_trace_disc(ring, n):
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     d = _oracle_mat_det([[ring.trace(ring.mul(u, v)) for v in basis] for u in basis])

@@ -24,7 +24,6 @@ from smallrank.errors import DimensionError, DomainError, RankError
 from smallrank.exactlattice import (
     _MR_BASES,
     _PSI_13,
-    _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_int,
@@ -99,9 +98,8 @@ def _oracle_hnf_canonicalize(basis):
     return _unscaled(hnf, den)
 
 
-# The fraction-free Gauss-Jordan solve that _bareiss ran before it kept the
-# determinant alone; kept as the solve of the coordinate oracles and as the
-# oracle of the determinant.
+# The fraction-free Gauss-Jordan solve, kept as the solve of the coordinate
+# oracles and checked against the Fraction elimination _oracle_det.
 def _oracle_bareiss_solve(a):
     # fraction-free Gauss-Jordan (Bareiss 1968) on integer rows a, n x m with
     # m >= n, in place; returns the determinant d of the leading n x n block.
@@ -123,15 +121,6 @@ def _oracle_bareiss_solve(a):
                 a[i] = [(pk * e - f * b) // prev for e, b in zip(a[i], pivot_row)]
         prev = pk
     return prev
-
-
-def _oracle_mat_det(rows):
-    """Determinant of a square rational matrix, as a Fraction."""
-    ints, den = _scaled(rows)
-    n = len(ints)
-    if ints and len(ints[0]) != n:
-        raise DimensionError("mat_det needs a square matrix")
-    return Fraction(_bareiss(ints), den**n)
 
 
 def _oracle_lattice_coords(basis, vectors):
@@ -157,7 +146,7 @@ def _oracle_lattice_coords(basis, vectors):
 
 
 # Reference Gaussian eliminations over Fraction, the implementation that the
-# fraction-free integer kernel replaced; kept as the oracle for it.
+# fraction-free integer kernels replaced; kept as the determinant of the tests.
 def _oracle_det(rows):
     rows = [[Fraction(e) for e in row] for row in rows]
     n = len(rows)
@@ -176,6 +165,13 @@ def _oracle_det(rows):
                 f = rows[i][col] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return det
+
+
+def _oracle_mat_det(rows):
+    """Determinant of a square rational matrix, as a Fraction."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionError("mat_det needs a square matrix")
+    return _oracle_det(rows)
 
 
 def _oracle_inv(rows):
@@ -236,7 +232,7 @@ def test_det_and_inverse_agree_with_fraction_oracle(m):
     ints, den = _scaled(m)
     aug = [row + e for row, e in zip(ints, _identity(n))]
     d = _oracle_bareiss_solve(aug)
-    assert Fraction(d, den**n) == det == Fraction(_bareiss(ints), den**n)
+    assert Fraction(d, den**n) == det
     if d:
         assert [row[:n] for row in aug] == _identity(n, d)
         assert [row[n:] for row in aug] == [[d * e for e in row] for row in _oracle_inv(ints)]
@@ -262,12 +258,9 @@ def integer_square_matrices(draw):
 @example([[2, 4, 6], [1, 2, 3], [0, 1, 1]])  # singular after one step: 0
 @example([[0, 0, 0, 0, 3], [0, 0, 0, 2, 0], [0, 0, 1, 0, 0], [0, 5, 0, 0, 0], [7, 0, 0, 0, 0]])
 def test_determinant_agrees_with_gauss_jordan_oracle(m):
-    # the elimination below each pivot against the Gauss-Jordan solve, which
-    # works in place on a copy; _bareiss leaves its argument as it was
-    copy = [row[:] for row in m]
-    d = _bareiss(m)
-    assert m == copy
-    assert d == _oracle_bareiss_solve(copy) == _oracle_det(m)
+    # the Gauss-Jordan solve, which works in place on a copy, against the
+    # Fraction elimination, on integer matrices whose pivots need row moves
+    assert _oracle_bareiss_solve([row[:] for row in m]) == _oracle_det(m)
 
 
 @st.composite
@@ -375,10 +368,11 @@ def test_lattice_coords_errors():
 
 @given(square_matrices(st.integers(min_value=-50, max_value=50)))
 def test_det_of_integer_matrix_is_an_integral_fraction(m):
-    # Bareiss divides exactly: an int, the integral Fraction of the oracle
-    det = _oracle_det(m)
+    # the fraction-free Gauss-Jordan solve divides exactly: an int, the
+    # integral Fraction of the Fraction elimination
+    det = _oracle_mat_det(m)
     assert det.denominator == 1
-    d = _bareiss(m)
+    d = _oracle_bareiss_solve([row[:] for row in m])
     assert type(d) is int and d == det
 
 
@@ -412,9 +406,9 @@ def test_hnf_shape_and_idempotence():
         )
         h = _oracle_hnf_xgcd(basis)
         if len(h) < n:
-            assert _bareiss(basis) == 0
+            assert _oracle_det(basis) == 0
             continue
-        assert _bareiss(basis) != 0
+        assert _oracle_det(basis) != 0
         # pivots positive, entries above each pivot reduced into [0, pivot)
         for i in range(n):
             assert h[i][i] > 0
@@ -503,17 +497,18 @@ def test_mat_inverse_and_solve():
 
 
 def test_det_multiplicative():
+    # the determinant of the tests, behind their trace-form discriminants
     rng = random.Random(14)
     for _ in range(50):
         a = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
         b = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        assert _bareiss(_oracle_mat_mul(a, b)) == _bareiss(a) * _bareiss(b)
+        assert _oracle_mat_det(_oracle_mat_mul(a, b)) == _oracle_mat_det(a) * _oracle_mat_det(b)
 
 
 def test_index_contains_intersect():
     ident = ((1, 0), (0, 1))
     double = ((2, 0), (0, 2))
-    assert _bareiss(double) // _bareiss(ident) == 4
+    assert _oracle_mat_det(double) / _oracle_mat_det(ident) == 4
     assert _coords2(ident, [(7, -3)]) == ((7, -3),)
     assert _coords2(double, [(1, 0)]) is None
     # the intersection oracle comes out in HNF

@@ -11,6 +11,7 @@ from math import gcd, isqrt
 import pytest
 from callcounts import call_counts
 from hypothesis import example, given, settings, strategies as st
+from test_cubicrings import _oracle_trace_disc
 from test_exactlattice import _oracle_hnf_canonicalize, _oracle_mat_det, _oracle_mat_mul
 from test_quadforms import _oracle_monoid_table, _raises_under_optimize_flag
 
@@ -92,6 +93,15 @@ def test_defining_relation_and_normalization(ring):
     n = ring.normalized()
     assert n.t in (0, 1)
     assert n.disc == ring.disc
+
+
+@given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+@example(0, 1)
+@example(1, 0)
+def test_disc_agrees_with_trace_matrix_oracle(t, u):
+    # rank 2: the closed form t^2 - 4u against the trace form of the ring
+    ring = QuadraticRing(t, u)
+    assert ring.disc == _oracle_trace_disc(ring, 2) == t * t - 4 * u
 
 
 def test_ring_from_disc():

@@ -29,14 +29,11 @@ from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, Tr
 from smallrank.cubicrings import CubicRing, _cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
     _Ring,
-    _bareiss,
     _coords2,
     _hnf_coords,
     _hnf_from_rref,
     _hnf_int,
     _rref_mod_p,
-    _trace,
-    _trace_disc,
     _unscaled,
     divisors,
     factorize,
@@ -496,7 +493,7 @@ def test_disc_agrees_with_trace_matrix_oracle():
         for pair in ((a, b), (tuple(3 * v for v in a), b)):
             ring = ring_from_pair(pair)
             d = ring.disc()
-            assert type(d) is int and d == _oracle_trace_disc(ring, 4) == _trace_disc(ring)
+            assert type(d) is int and d == _oracle_trace_disc(ring, 4)
 
 
 def test_disc_match_and_identity():
@@ -535,8 +532,9 @@ def _oracle_resolvent_identity_check(pair, x):
 @given(forms, forms, st.tuples(*[st.integers(-6, 6)] * 3))
 def test_resolvent_identity_check_agrees_with_fraction_determinant(a, b, x):
     assert resolvent_identity_check((a, b), x) == _oracle_resolvent_identity_check((a, b), x)
-    # the answer reads the integer determinant: one off, and the check fails
-    with mock.patch.object(quarticrings, "_bareiss", lambda rows: _bareiss(rows) + 1):
+    # the answer compares both sides: the resolvent side one off, and the
+    # check fails
+    with mock.patch.object(quarticrings, "mat2_det", lambda rows: mat2_det(rows) + 1):
         assert not resolvent_identity_check((a, b), x)
 
 def test_minimal_resolvent_of_z4():
@@ -1067,26 +1065,15 @@ def test_maximality_agrees_with_fraction_oracle():
     assert len(answers) >= 40 and set(answers) == {True, False}
 
 
-def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
-    # structural guard: the closure tests and the ideal constructor use the
-    # substitution and 2x2 helpers, never the generic Bareiss solve; Bareiss
-    # runs on square matrices only, for determinants, and here not at all, as
-    # the quartic discriminant is QuarticRing.disc's straight-line kernel
+def test_maximality_and_semigroup_run_without_generic_elimination():
+    # structural guard: the package has no generic determinant or trace-form
+    # elimination; the closure tests and the ideal constructor use the
+    # substitution and 2x2 helpers, and each ring class has its own
+    # closed-form discriminant
     import sys
 
     from smallrank.quadrings import class_semigroup
 
-    squares = []
-
-    def square_only(a):
-        if any(len(row) != len(a) for row in a):
-            raise RuntimeError("generic Bareiss solve called")
-        squares.append(len(a))
-        return _bareiss(a)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "smallrank" and hasattr(module, "_bareiss"):
-            monkeypatch.setattr(module, "_bareiss", square_only)
     # totally ramified and maximal at 3: every candidate's closure is tested
     ramified = ring_from_pair(((0, -1, 0, 0, 1, 0), (3, 0, 1, 0, 0, 0)))
     assert is_maximal_at_p(ramified, 3) == (True, None)
@@ -1094,10 +1081,12 @@ def test_maximality_and_semigroup_run_without_generic_elimination(monkeypatch):
     assert not is_maximal_at_p(scaled, 2)[0]
     elements, table = class_semigroup(-300)
     assert len(table) == len(elements) > 1
-    assert squares == []
-    # the patched kernel is the one the package calls: the 3x3 determinant
-    # of resolvent_identity_check goes through it
-    assert resolvent_identity_check(P_Z4, (0, 1, 2)) and squares == [3]
+    assert resolvent_identity_check(P_Z4, (0, 1, 2))
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "smallrank"]
+    assert len(modules) > 1
+    assert not any(hasattr(module, name) for module in modules for name in ("_bareiss", "_trace_disc"))
+    assert not hasattr(_Ring, "disc")
+    assert all("disc" in vars(cls) for cls in (QuadraticRing, CubicRing, QuarticRing))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1488,13 +1477,13 @@ elements = st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 4)
 def test_table_product_trace_and_disc_agree_with_oracles(entries, x, y):
     # any table, associative or not: the product, the trace and the trace
     # form filled from the basis traces are linear algebra on the table, and
-    # QuarticRing.disc expands the same determinant that _trace_disc
+    # QuarticRing.disc expands the determinant that the Fraction oracle
     # eliminates
     ring = _unchecked(dict(zip(TABLE_KEYS, entries)))
     assert ring.mul(x, y) == _oracle_mul(ring, x, y)
     assert ring.trace(x) == _oracle_trace(ring, x)
     d = ring.disc()
-    assert type(d) is int and d == _oracle_trace_disc(ring, 4) == _trace_disc(ring)
+    assert type(d) is int and d == _oracle_trace_disc(ring, 4)
 
 
 # The nested-loop check that plucker_check ran before it looped over the 15
@@ -1693,29 +1682,9 @@ def test_is_maximal_at_p_computes_the_discriminant_once():
         for p in (2, 3, 5):
             _, counts = call_counts(is_maximal_at_p, ring, p)
             assert counts["quarticrings.QuarticRing.disc"] == 1, (d, p)
-            assert counts["exactlattice._trace_disc"] == counts["exactlattice._bareiss"] == 0, (d, p)
             assert (counts["quarticrings._radical_subspaces"] > 0) == (d % (p * p) == 0), (d, p)
     assert ring.disc() == 144 and is_maximal(ring)
     assert is_maximal_at_p(ring, 2) == is_maximal_at_p(ring, 3) == (True, None)
-
-
-# The trace vector that _trace_disc built with one _trace per basis vector,
-# each summing all n matrix traces, before it read the diagonals; kept as
-# its oracle.
-def _oracle_trace_disc_by_traces(ring):
-    t = ring._t
-    tr = [_trace(ring, e) for e in t[0]]
-    return _bareiss([[sum(a * b for a, b in zip(e, tr)) for e in m] for m in t])
-
-
-@settings(max_examples=200, deadline=None)
-@given(forms, forms, st.integers(-6, 6), st.integers(-30, 30), st.tuples(*[st.integers(-4, 4)] * 4))
-@example(P_A, P_B, 0, 1, (1, 0, 1, 1))
-def test_trace_disc_agrees_with_per_vector_trace_oracle(a, b, t, u, form):
-    quadratic = QuadraticRing(t, u)
-    for ring in (ring_from_pair((a, b)), quadratic, ring_from_cubic_form(form)):
-        assert _trace_disc(ring) == _oracle_trace_disc_by_traces(ring)
-    assert _trace_disc(quadratic) == quadratic.disc == t * t - 4 * u
 
 
 def test_trace_and_disc_read_the_table():

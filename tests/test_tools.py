@@ -105,6 +105,32 @@ def test_bench_pair_summary_verdicts_on_synthetic_pairs():
     assert verdict([v - 50 for v in parent], bound=None) == "-"
 
 
+def test_bench_pair_revision_marks_a_dirty_checkout(tmp_path):
+    # a checkout with uncommitted changes is its HEAD plus "+dirty", so the
+    # two sides of a report cannot read the same revision while running
+    # different code; a directory that is no checkout has none
+    revision = _bench_pair()._revision
+    assert revision(tmp_path) is None
+
+    def git(*args):
+        config = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        subprocess.run(["git", *config, *args], cwd=tmp_path, check=True, capture_output=True, timeout=60)
+
+    git("init", "-q")
+    (tmp_path / "module.py").write_text("x = 1\n")
+    git("add", "module.py")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60).stdout.strip()
+    assert len(head) == 40 and revision(tmp_path) == head
+    (tmp_path / "module.py").write_text("x = 2\n")  # a modified file
+    assert revision(tmp_path) == head + "+dirty"
+    git("commit", "-q", "-am", "two")
+    assert revision(tmp_path) not in (head, None) and not revision(tmp_path).endswith("+dirty")
+    (tmp_path / "new.py").write_text("")  # an untracked file
+    assert revision(tmp_path).endswith("+dirty")
+
+
 def _pythons():
     # tools/pythons.py as a module; importing it runs no check
     spec = importlib.util.spec_from_file_location("pythons", PYTHONS)

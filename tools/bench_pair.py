@@ -34,8 +34,9 @@ With ``--out PATH`` it also writes what it printed to the JSON file PATH:
 for each workload, the number of pairs, the median ``attempted`` of each
 side and, for each metric, the median and quartiles of each side, the
 pairs won and the verdict; and the Python version, the git revision of
-each checkout and the CPU model from ``/proc/cpuinfo`` (``null`` where
-one cannot be read).  A WORKLOAD that the parent's ``BENCHMARK.json``
+each checkout (with ``+dirty`` appended when it has uncommitted changes)
+and the CPU model from ``/proc/cpuinfo`` (``null`` where one cannot be
+read).  A WORKLOAD that the parent's ``BENCHMARK.json``
 does not list is refused before any run, with exit status 2 and the
 names it lists on stderr.  The exit status is 1 when a workload ends with
 fewer than two finished pairs, too few to compare, and 0 otherwise.
@@ -147,12 +148,16 @@ def _compare(roots, workload, metrics):
 
 
 def _revision(root):
-    # the git revision checked out at root, or None
+    # the git revision checked out at root, with "+dirty" appended when
+    # "git status --porcelain" lists any change, or None
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+        status = subprocess.run(["git", "status", "--porcelain"], cwd=root, capture_output=True, text=True)
     except OSError:
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if head.returncode or status.returncode:
+        return None
+    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
 def _cpu_model():
