@@ -244,7 +244,9 @@ def _monoid_table(n, ident, product, conj):
 
     The two checks see a product that gives one entry two values and a
     finished table that is not symmetric; the second compares each column
-    of the joined byte rows, or of the transposed lists, with its row.
+    of the joined byte rows with its row, or above 256 each list row with
+    its column as ``zip`` yields them, one at a time, so no second table
+    is built.
     They cannot see every non-commutative product, since product(g, k) is
     only called with a generator on the left: of the 54 products on
     {0, 1, 2} with identity 0 and 1*2 != 2*1, 30 give a symmetric table.
@@ -292,7 +294,7 @@ def _monoid_table(n, ident, product, conj):
             if flat[j::n] != row:
                 raise InvariantViolation("monoid table must be symmetric")
         return [list(row) for row in table]
-    if table != [list(col) for col in zip(*table)]:
+    if any(tuple(row) != col for row, col in zip(table, zip(*table))):
         raise InvariantViolation("monoid table must be symmetric")
     return table
 
@@ -340,7 +342,8 @@ def class_group(d):
     classes, about h/2 compositions, under h for |d| <= 20000 (23 for the 24
     classes of d = -3780) and fewer than 2h always, the table of h^2
     ints built a row at a time (one ``bytes.translate`` per row for h <= 256,
-    one gather of a list above), and under h^2 steps for the orders: one
+    one gather of a list above) and returned as about 8h^2 bytes of list
+    slots plus the h rows, and under h^2 steps for the orders: one
     walk of the powers of each x whose order m is unknown, along row x of
     the table (x^(k+1) = x*x^k, one lookup a step), ord(x^k) =
     m / gcd(k, m); then, for each prime p | h, the counts of the orders

@@ -263,7 +263,8 @@ def class_semigroup(d):
     are invertible, at most 7h/3 for |d| < 3000 (21 for the 9 forms of
     d = -288), under h^2 always.  The table
     holds h^2 ints, built a row at a time: one ``bytes.translate`` per row
-    for h <= 256, one gather of a list above.
+    for h <= 256, one gather of a list above; it is returned as about 8h^2
+    bytes of list slots plus the h rows.
     """
     ring_from_disc(d)  # checked first: its message for a bad residue names it
     elements = enumerate_reduced(d)

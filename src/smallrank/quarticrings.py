@@ -607,28 +607,19 @@ def resolvent_identity_check(pair, x):
     return lhs == rhs
 
 
-def _radical_subspaces(ring, p):
-    """The nonzero subspaces of the nilradical R of Q/pQ, as RREF rows over F_p.
+def _radical(ring, p):
+    """The nilradical R of Q/pQ, as the rows of its RREF basis over F_p.
 
     The ring may have any rank n; its table row ``_t[0]`` is the unit basis.
     R is the kernel of x -> x^q, with q the least power of p that is >= n
     (a nilpotent element of a rank-n algebra has x^n = 0).  That map is
     Frobenius iterated, so it is F_p-linear: its matrix has the rows e_i^q,
     and the RREF of [matrix | I] over F_p ends with the rows [0 | b], an
-    RREF basis B = (b_1..b_s) of its kernel.  The row of e_0 = 1 is written
-    down; each other e_i^q is squared once per bit of q below the top one,
-    and multiplied by e_i after each square whose bit is set, left to right,
-    the first square e_i^2 read off the table row ``_t[i][i]``:
-    floor(log2(q)) + popcount(q) - 2 products, one at q = 4 and three at
-    q = 9, with no product by 1 and no square past the top bit.  Then one
-    n x 2n RREF.  If C is in RREF then so is C*B, with pivot columns
-    those of B picked by C's pivots, and an entry of C*B off B's pivot
-    columns depends only on the entries of C to its left.  So the subspaces
-    come out in the order of dimension, pivot columns and free entries in
-    row-major order, both of C over F_p^s and of C*B over F_p^n.  Row a of
-    C*B is b_(c_a) plus v*b_c for each free entry v of C in row a, column c;
-    the rows are built one step at a time, each step adding one b_c mod p,
-    so nothing is stored beyond the current candidate.
+    RREF basis of its kernel.  The row of e_0 = 1 is written down; each
+    other e_i^q is squared once per bit of q below the top one, and
+    multiplied by e_i after each square whose bit is set, left to right,
+    the first square e_i^2 read off the table row ``_t[i][i]``, with no
+    product by 1 and no square past the top bit.  Then one n x 2n RREF.
     """
     t = ring._t
     unit = t[0]
@@ -645,7 +636,23 @@ def _radical_subspaces(ring, p):
             if bit == "1":
                 power = tuple(x % p for x in ring.mul(power, e))
         rows.append(power + e)
-    radical = [row[n:] for row in _rref_mod_p(rows, p) if not any(row[:n])]
+    return [row[n:] for row in _rref_mod_p(rows, p) if not any(row[:n])]
+
+
+def _radical_subspaces(radical, p):
+    """The nonzero subspaces of the span of RREF rows B = (b_1..b_s) over F_p.
+
+    Each subspace is yielded as its RREF rows, a new list each time.  If C
+    is in RREF then so is C*B, with pivot columns those of B picked by C's
+    pivots, and an entry of C*B off B's pivot columns depends only on the
+    entries of C to its left.  So the subspaces come out in the order of
+    dimension, pivot columns and free entries in row-major order, both of C
+    over F_p^s and of C*B over F_p^n.  Row a of C*B is b_(c_a) plus v*b_c
+    for each free entry v of C in row a, column c; the rows are built one
+    step at a time, each step adding one b_c mod p, so nothing is stored
+    beyond the current candidate.  There are sum_(r=1..s) [s r]_p of them
+    (Gaussian binomials).
+    """
     s = len(radical)
     for r in range(1, s + 1):
         for pivots in combinations(range(s), r):
@@ -695,22 +702,20 @@ def is_maximal_at_p(ring, p):
     for a ring of rank n, each membership one reduction against W's
     pivot columns.  Returns ``(True, None)`` if no enlargement is closed,
     else ``(False, basis)`` with the canonical basis of the first ring
-    found in that order.  That basis is the integer HNF H of L over p,
-    written down from the w_a with no elimination: row j is the w_a with
-    pivot column j, else p*e_j.  It is checked closed by the integer
-    test: every H_i*H_j lies in pH, one substitution pass as p*H is an
-    HNF; a failure raises :class:`~smallrank.errors.InvariantViolation`.
+    found in that order: H/p, for H the integer HNF of L, checked closed
+    under multiplication; a failure raises
+    :class:`~smallrank.errors.InvariantViolation`.
     The ring was checked associative when it was built, so it is not
     checked here.
 
     Cost: one discriminant, and nothing more when p^2 does not divide it.
     Otherwise the radical, n - 1 powers e_i^q of floor(log2(q)) +
-    popcount(q) - 2 products each, the first square read off the table, and
-    one n x 2n RREF over F_p (n = 4: 3 products at p = 2, q = 4; 9 at
-    p = 3, q = 9; at most 6*log2(p) - 3 at p > 3, q = p), then at most
-    2p^2 + 2p + 3 candidates of at most r(n-1) + r(r+1)/2 products each,
-    for a candidate of dimension r.  No integer HNF is built.  The walk
-    stays O(p^2): the totally ramified pair
+    popcount(q) - 2 products each and one n x 2n RREF over F_p (n = 4: 3
+    products at p = 2, q = 4; 9 at p = 3, q = 9; at most 6*log2(p) - 3 at
+    p > 3, q = p), then at most 2p^2 + 2p + 3 candidates of at most
+    r(n-1) + r(r+1)/2 products each, for a candidate of dimension r, and
+    n(n+1)/2 for the witness's closure check.  No integer HNF is built.
+    The walk stays O(p^2): the totally ramified pair
     ``((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0))``, maximal at p, walks all
     20,607 candidates at p = 101.
     """
@@ -742,22 +747,28 @@ def _closed_mod_p(ring, rows, p):
     return all(in_w(ring.mul(e, w)) for e in ring._t[0][1:] for w in rows)
 
 
+def _witness(ring, rows, p):
+    # the enlargement Q' = H/p of a closed candidate, H the integer HNF of
+    # pQ + L written down from its RREF rows w_a, checked closed by the
+    # integer test: each H_i*H_j lies in pH, one substitution pass as p*H
+    # is an HNF
+    n = len(ring._t)
+    h = _hnf_from_rref(rows, p, n)
+    ph = [[p * e for e in row] for row in h]
+    for i in range(n):
+        for j in range(i, n):
+            if _hnf_coords(ph, ring.mul(h[i], h[j])) is None:
+                raise InvariantViolation("enlargement witness is not closed under multiplication")
+    return _unscaled(h, p)
+
+
 def _maximal_at_p(ring, p, d):
     # is_maximal_at_p on a ring of any rank, with discriminant d != 0, p prime
     if d % (p * p):
         return (True, None)
-    for rows in _radical_subspaces(ring, p):
+    for rows in _radical_subspaces(_radical(ring, p), p):
         if _closed_mod_p(ring, rows, p):
-            # the witness Q' = H/p, H the integer HNF of pQ + L, checked
-            # closed: each H_i*H_j lies in pH
-            n = len(ring._t)
-            h = _hnf_from_rref(rows, p, n)
-            ph = [[p * e for e in row] for row in h]
-            for i in range(n):
-                for j in range(i, n):
-                    if _hnf_coords(ph, ring.mul(h[i], h[j])) is None:
-                        raise InvariantViolation("enlargement witness is not closed under multiplication")
-            return (False, _unscaled(h, p))
+            return (False, _witness(ring, rows, p))
     return (True, None)
 
 

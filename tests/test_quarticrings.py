@@ -65,6 +65,7 @@ from smallrank.quarticrings import (
     _maximal_at_p,
     _minors,
     _nonzero_disc,
+    _radical,
     _radical_subspaces,
     _resolvent_data,
     _rows,
@@ -399,7 +400,7 @@ def test_radical_powers_make_no_product_by_one(p, square_and_multiply):
     # e_i^2 of each is read off the table row _t[i][i], so three fewer
     # products are made; the walk that follows makes none
     ring = ring_from_pair(((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0)))
-    walk, counts = call_counts(lambda: list(_radical_subspaces(ring, p)))
+    walk, counts = call_counts(lambda: list(_radical_subspaces(_radical(ring, p), p)))
     q = {2: 4, 3: 9}.get(p, p)
     assert square_and_multiply == 3 * (q.bit_length() - 1 + bin(q).count("1") - 1)
     assert counts["quarticrings.QuarticRing.mul"] == square_and_multiply - 3
@@ -1116,7 +1117,7 @@ def test_radical_subspaces(a, b, p, scaled):
     ring = ring_from_pair(pair)
     if ring.disc() == 0:
         return
-    walk = list(_radical_subspaces(ring, p))
+    walk = list(_radical_subspaces(_radical(ring, p), p))
     # exactly the nilpotent subspaces, in the order of the full walk
     assert walk == [
         rows
@@ -1245,10 +1246,64 @@ def test_radical_subspaces_agree_with_rref_oracle():
             rings += [ring_from_cubic_form(form), ring_from_cubic_form((p * p * form[0], p * form[1], *form[2:]))]
         rings += [ring_from_cubic_form((0, 0, 0, 0)), QuadraticRing(0, 0)]
         for ring in rings:
-            walk = list(_radical_subspaces(ring, p))
+            walk = list(_radical_subspaces(_radical(ring, p), p))
             assert walk == list(_oracle_radical_subspaces(ring, p))
             dims[len(ring._t)].add(max((len(rows) for rows in walk), default=0))
     assert dims == {2: {0, 1}, 3: {0, 1, 2}, 4: {0, 1, 2, 3}}
+
+
+def _gaussian_binomial(s, r, p):
+    # the number of subspaces of dimension r of F_p^s
+    num = den = 1
+    for i in range(r):
+        num *= p ** (s - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_radical_subspaces_walks_each_subspace_of_the_rows_once(s, p):
+    # the walk alone, on the unit rows e_1..e_s of F_p^4: every nonzero
+    # subspace once, each as its own RREF
+    rows = [tuple(int(j == i) for j in range(4)) for i in range(1, s + 1)]
+    walk = [tuple(candidate) for candidate in _radical_subspaces(rows, p)]
+    assert all(_rref_mod_p(candidate, p) == list(candidate) for candidate in walk)
+    assert len(set(walk)) == len(walk) == sum(_gaussian_binomial(s, r, p) for r in range(1, s + 1))
+    if s == 3:
+        assert len(walk) == 2 * p * p + 2 * p + 3
+
+
+def test_radical_is_the_rref_of_the_nilpotent_vectors():
+    # brute force over F_p^n: v is nilpotent mod p iff v^n = 0 mod p, and
+    # the nilpotent vectors of a commutative ring form a subspace, so there
+    # are p^(dim R) of them and their RREF is the radical's basis
+    dims = set()
+    for p in (2, 3):
+        rng = random.Random(70 + p)
+        rings = []
+        for a, b in _random_pairs(70 + p, 4):
+            rings += [ring_from_pair((a, b)), ring_from_pair((tuple(p * v for v in a), b))]
+        for _ in range(4):
+            t, u = rng.randint(-6, 6), rng.randint(-30, 30)
+            form = tuple(rng.randint(-4, 4) for _ in range(4))
+            rings += [QuadraticRing(t, u), QuadraticRing(p * t, p * p * u)]
+            rings += [ring_from_cubic_form(form), ring_from_cubic_form((p * p * form[0], p * form[1], *form[2:]))]
+        for ring in rings:
+            n = len(ring._t)
+            nilpotent = []
+            for v in iproduct(range(p), repeat=n):
+                power = v
+                for _ in range(n - 1):
+                    power = ring.mul(power, v)
+                if all(x % p == 0 for x in power):
+                    nilpotent.append(v)
+            radical = _radical(ring, p)
+            assert len(nilpotent) == p ** len(radical)
+            assert _rref_mod_p(nilpotent, p) == radical
+            dims.add((n, len(radical)))
+    # every rank, every radical dimension it allows: R never contains 1
+    assert dims == {(n, k) for n in (2, 3, 4) for k in range(n)}
 
 
 def test_condition_tags():
@@ -1779,7 +1834,7 @@ def _oracle_closed(ring, rows, p):
 
 def _closure_agrees(ring, p):
     # the F_p test against the oracle on every candidate of the walk
-    for rows in _radical_subspaces(ring, p):
+    for rows in _radical_subspaces(_radical(ring, p), p):
         assert _closed_mod_p(ring, rows, p) == _oracle_closed(ring, rows, p), rows
 
 

@@ -1,6 +1,6 @@
 """Every `$ smallrank ...` example in README.md, replayed byte for byte."""
 
-import re
+import importlib.util
 import shlex
 from pathlib import Path
 
@@ -8,23 +8,16 @@ import pytest
 
 from smallrank.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+# tools/pythons.py parses README.md for its stdlib-only replay; one parser
+# serves both
+_spec = importlib.util.spec_from_file_location(
+    "pythons", Path(__file__).resolve().parent.parent / "tools" / "pythons.py")
+_pythons = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_pythons)
 
-
-def _sessions():
-    # (command, expected output) for each `$ ` line of the ```text blocks
-    out = []
-    for block in re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
-        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
-            command, _, output = chunk.partition("\n")
-            out.append((command, output.rstrip("\n") + "\n"))
-    return out
-
-
-SESSIONS = _sessions()
+SESSIONS = _pythons.readme_sessions()
 # the `$ cat FILE` blocks give the input files of the later examples
-FILES = {command.split()[1]: text for command, text in SESSIONS if command.startswith("cat ")}
-COMMANDS = [(command, text) for command, text in SESSIONS if command.startswith("smallrank ")]
+FILES, COMMANDS = _pythons.readme_inputs(SESSIONS)
 
 
 def test_readme_sessions_are_all_replayed():

@@ -164,3 +164,40 @@ def test_pythons_replays_the_cli_goldens_in_an_interpreter():
     if "%d.%d" % sys.version_info[:2] == GOLDEN["python"]:
         skipped = 0
     assert ok and summary == "%d passed, %d skipped, 0 failed" % (len(GOLDEN["cases"]) - skipped, skipped)
+
+
+def test_pythons_replays_the_readme_sessions_in_an_interpreter():
+    # every session that test_readme replays passes
+    from test_readme import COMMANDS
+
+    pythons = _pythons()
+    assert pythons.readme_replay(sys.executable) == (True, "%d passed, 0 skipped, 0 failed" % len(COMMANDS))
+
+
+def test_pythons_readme_replay_names_a_session_whose_output_differs(tmp_path, monkeypatch):
+    # a README whose second session shows the wrong output, read by the
+    # replay from a checkout whose src is this one's
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / "README.md").write_text(
+        "```text\n$ smallrank reduce 1 0 1\nreduced: (1, 0, 1)\nmatrix:  ((1, 0), (0, 1))\n\n"
+        "$ smallrank reduce 15 27 13\nreduced: (1, 1, 13)\n```\n",
+        encoding="utf-8",
+    )
+    pythons = _pythons()
+    monkeypatch.setattr(pythons, "ROOT", tmp_path)
+    assert pythons.readme_replay(sys.executable) == (False, "1 passed, 0 skipped, 1 failed [smallrank reduce 15 27 13]")
+
+
+def test_pythons_runs_both_replays_where_pytest_does_not_import(tmp_path):
+    # a pytest on PYTHONPATH that fails to import makes this interpreter one
+    # without pytest: its line gives the golden replay and the README replay
+    from test_readme import COMMANDS
+
+    (tmp_path / "pytest.py").write_text("raise ImportError('no pytest here')\n")
+    proc = subprocess.run(
+        [sys.executable, str(PYTHONS), "--pythonpath", str(tmp_path), sys.executable],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("\n") == 1 and " golden replay: " in proc.stdout
+    assert proc.stdout.endswith("; README replay: %d passed, 0 skipped, 0 failed\n" % len(COMMANDS))

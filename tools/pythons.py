@@ -18,15 +18,20 @@ that interpreter, in a temporary directory holding the input files that
 syntax tree, not imported), with ``COLUMNS=80``, and skips the cases
 whose bytes are argparse's wording when the interpreter's minor version
 is not the one the goldens were printed by, as ``test_golden_output``
-does.  It prints one line per interpreter: its version, its path, which
-check ran and its counts.  The exit status is 1 when a check of some
-interpreter failed and 0 otherwise.  Stdlib only.
+does.  Then it replays every ``$ smallrank ...`` session of README.md the
+same way, parsed and given the input files of its ``$ cat FILE`` blocks
+as ``tests/test_readme.py`` does: exit status 0, the shown output on
+stdout and nothing on stderr.  It prints one line per interpreter: its
+version, its path, which checks ran and their counts.  The exit status
+is 1 when a check of some interpreter failed and 0 otherwise.  Stdlib
+only.
 """
 
 import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -35,24 +40,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
-# run in the interpreter under test, with the golden file as argv[1]: the
-# counts of the replay as one JSON line
+# run in the interpreter under test, with a JSON list of cases as argv[1],
+# each [label, argv, exit status, stdout, stderr, python]: a case whose
+# bytes hold argparse's "usage:" is skipped when python is not None and not
+# the interpreter's minor version; the counts of the replay as one JSON line
 REPLAY = """\
-import contextlib, io, json, shlex, sys
+import contextlib, io, json, sys
 from smallrank.cli import main
-golden = json.load(open(sys.argv[1], encoding="utf-8"))
 counts = {"passed": 0, "skipped": 0, "failed": []}
-for command, code, out, err in golden["cases"]:
-    if "usage:" in out + err and "%d.%d" % sys.version_info[:2] != golden["python"]:
+for label, argv, code, out, err, python in json.load(open(sys.argv[1], encoding="utf-8")):
+    if python and "usage:" in out + err and "%d.%d" % sys.version_info[:2] != python:
         counts["skipped"] += 1
         continue
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        got = main(shlex.split(command))
+        got = main(argv)
     if (got, stdout.getvalue(), stderr.getvalue()) == (code, out, err):
         counts["passed"] += 1
     else:
-        counts["failed"].append(command)
+        counts["failed"].append(label)
 print(json.dumps(counts))
 """
 
@@ -64,6 +70,29 @@ def golden_files():
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GOLDEN_FILES"]:
             return ast.literal_eval(node.value)
     raise LookupError("tests/test_cli.py assigns no GOLDEN_FILES")
+
+
+def readme_sessions():
+    """The ``(command, output)`` of each session of README.md.
+
+    Each ``$ `` line of a ```` ```text ```` block and the lines up to the
+    next one are a session.  ``tests/test_readme.py`` reads README.md
+    through this function too.
+    """
+    sessions = []
+    for block in re.findall(r"```text\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            sessions.append((command, output.rstrip("\n") + "\n"))
+    return sessions
+
+
+def readme_inputs(sessions):
+    """(files, commands) of ``sessions``: ``files`` maps the FILE of each
+    ``$ cat FILE`` session to its output, the input file of the later ones,
+    and ``commands`` lists each ``$ smallrank ...`` session."""
+    files = {command.split()[1]: text for command, text in sessions if command.startswith("cat ")}
+    return files, [(command, text) for command, text in sessions if command.startswith("smallrank ")]
 
 
 def _env(pythonpath):
@@ -90,12 +119,16 @@ def tier1(python, pythonpath=None):
     return proc.returncode == 0, re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
 
 
-def replay(python, pythonpath=None):
-    """(ok, summary) of the golden replay through ``cli.main`` under ``python``."""
-    with tempfile.TemporaryDirectory() as cwd:
-        for name, text in golden_files().items():
-            Path(cwd, name).write_text(text, encoding="utf-8")
-        proc = subprocess.run([python, "-c", REPLAY, str(ROOT / "tests" / "cli_golden.json")],
+def _replay(python, pythonpath, files, cases):
+    # (ok, summary) of REPLAY on cases under python, run in a temporary
+    # directory that holds files and nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp, "cwd")
+        cwd.mkdir()
+        for name, text in files.items():
+            (cwd / name).write_text(text, encoding="utf-8")
+        Path(tmp, "cases.json").write_text(json.dumps(cases), encoding="utf-8")
+        proc = subprocess.run([python, "-c", REPLAY, str(Path(tmp, "cases.json"))],
                               cwd=cwd, env=_env(pythonpath), capture_output=True, text=True)
     try:
         counts = json.loads(proc.stdout.splitlines()[-1])
@@ -103,7 +136,22 @@ def replay(python, pythonpath=None):
         return False, "no result: %s" % (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
     failed = counts["failed"]
     summary = "%d passed, %d skipped, %d failed" % (counts["passed"], counts["skipped"], len(failed))
-    return not failed, summary + "".join(" [%s]" % command for command in failed)
+    return not failed, summary + "".join(" [%s]" % label for label in failed)
+
+
+def replay(python, pythonpath=None):
+    """(ok, summary) of the golden replay through ``cli.main`` under ``python``."""
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    cases = [[command, shlex.split(command), code, out, err, golden["python"]]
+             for command, code, out, err in golden["cases"]]
+    return _replay(python, pythonpath, golden_files(), cases)
+
+
+def readme_replay(python, pythonpath=None):
+    """(ok, summary) of the README sessions replayed through ``cli.main`` under ``python``."""
+    files, commands = readme_inputs(readme_sessions())
+    cases = [[command, shlex.split(command)[1:], 0, out, "", None] for command, out in commands]
+    return _replay(python, pythonpath, files, cases)
 
 
 def main(argv):
@@ -122,10 +170,14 @@ def main(argv):
     for python, v in zip(argv, versions):
         probe = subprocess.run([python, "-c", "import pytest, hypothesis"], env=_env(pythonpath),
                                capture_output=True)
-        name, check = ("tier-1", tier1) if probe.returncode == 0 else ("golden replay", replay)
-        ok, summary = check(python, pythonpath)
-        print("%s %s %s: %s" % (v, python, name, summary), flush=True)
-        status = status or (0 if ok else 1)
+        if probe.returncode == 0:
+            checks = [("tier-1", tier1)]
+        else:
+            checks = [("golden replay", replay), ("README replay", readme_replay)]
+        results = [(name,) + check(python, pythonpath) for name, check in checks]
+        line = "; ".join("%s: %s" % (name, summary) for name, _, summary in results)
+        print("%s %s %s" % (v, python, line), flush=True)
+        status = status or (0 if all(ok for _, ok, _ in results) else 1)
     return status
 
 
