@@ -108,14 +108,23 @@ def _json_ring(payload):
         raise _UsageError('a ring is {"t": str, "u": str}')
 
 
+_IDEAL_SHAPE = 'an ideal is {"ring": {...}, "basis": [[..],[..]]}'
+
+
 def _json_ideal(payload):
     try:
-        ring = _json_ring(payload["ring"])
-        basis = tuple(
-            tuple(_parse_frac(v) for v in row) for row in payload["basis"]
-        )
+        ring, rows = _json_ring(payload["ring"]), payload["basis"]
     except (KeyError, TypeError):
-        raise _UsageError('an ideal is {"ring": {...}, "basis": [[..],[..]]}')
+        raise _UsageError(_IDEAL_SHAPE)
+    return _json_basis(ring, rows)
+
+
+def _json_basis(ring, rows):
+    # the ideal of an already parsed ring with the JSON basis rows
+    try:
+        basis = tuple(tuple(_parse_frac(v) for v in row) for row in rows)
+    except (KeyError, TypeError):
+        raise _UsageError(_IDEAL_SHAPE)
     if len(basis) != 2 or any(len(r) != 2 for r in basis):
         raise _UsageError("an ideal basis is a 2x2 matrix")
     return smallrank.quadrings.QuadIdeal(ring, basis)
@@ -261,7 +270,7 @@ def _cmd_cube_forms(*q):
 @_command("cube-ring", "quadratic ring of a cube", *"abcdefgh")
 def _cmd_cube_ring(*q):
     ring = smallrank.cubes.ring_of_cube(q)
-    return _ring_json(ring), [_ring_line(ring), "disc: %s" % _s(ring.disc)]
+    return _ring_json(ring), [_ring_line(ring), "disc: %s" % _s(ring.disc())]
 
 
 @_command("cube-triple", "balanced ideal triple of a cube", *"abcdefgh")
@@ -287,7 +296,7 @@ def _cmd_triple_cube(file):
             raise _UsageError("a triple has exactly 3 ideal bases")
     except (KeyError, TypeError):
         raise _UsageError('a triple is {"ring": {...}, "ideals": [b1, b2, b3]}')
-    ideals = tuple(_json_ideal({"ring": payload_in["ring"], "basis": b}) for b in bases)
+    ideals = tuple(_json_basis(ring, b) for b in bases)
     q = smallrank.cubes.cube_from_triple(smallrank.cubes.BalancedTriple(ring, ideals))
     return {"cube": _json(q)}, ["cube: %s" % " ".join(_s(t) for t in q)]
 

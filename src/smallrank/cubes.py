@@ -244,7 +244,7 @@ def triples_equivalent(t1, t2) -> bool:
     ring = t1.ring
     if t2.ring != ring:
         raise RingMismatch("triples live over different rings")
-    if ring.disc >= 0:
+    if ring.disc() >= 0:
         raise UnsupportedDiscriminant("scalar search needs a definite norm form")
     for a, b in ((i1, j1), (i2, j2), (i3, j3)):
         if form_from_ideal(a) != form_from_ideal(b):

@@ -18,8 +18,7 @@ public functions return, one ``Fraction`` per distinct value.
 ``_form_act``, the substitution of a binary form of any degree, is behind
 every GL2 action of the package: the twisted actions on quadratic and cubic
 forms, and on cubes one degree-1 pass per axis.  ``_Ring`` is the one ring
-state of every rank, its table ``_t``, which ``_trace`` reads; each ring
-class writes its own discriminant in closed form.
+state of every rank, its table ``_t``, and the protocol every rank shares.
 """
 
 import sys
@@ -134,27 +133,25 @@ def _unscaled(rows, den):
     return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
 
-def _trace(ring, x):
-    """Trace of multiplication by the element ``x``.
-
-    A ring's table ``_t[i][j]`` is e_i*e_j in its basis e_0 = 1, e_1, ...,
-    so ``_t[i]`` is the matrix of multiplication by e_i, and Tr is linear.
-    """
-    return sum(xi * sum(row[k] for k, row in enumerate(m)) for xi, m in zip(x, ring._t))
-
-
 class _Ring:
     """A based ring of any rank, held as its table ``_t`` and nothing else.
 
-    Traces, equality and the hash read ``_t`` alone, as does each
-    subclass's closed-form discriminant, and the named coefficients of a
-    subclass are read-only views of it, so no second copy of the table can
-    drift from it.
+    Every rank shares one protocol: the table ``_t``, the product ``mul``,
+    the discriminant ``disc()``, ``trace``, ``==`` and ``hash``.  Each
+    subclass writes ``mul`` and ``disc()`` in closed form; all of them read
+    ``_t`` alone, and the named coefficients of a subclass are read-only
+    views of it, so no second copy of the table can drift from it.
     """
 
     __slots__ = ("_t",)
 
-    trace = _trace
+    def trace(self, x):
+        """Trace of multiplication by the element ``x``.
+
+        The table ``_t[i][j]`` is e_i*e_j in the basis e_0 = 1, e_1, ...,
+        so ``_t[i]`` is the matrix of multiplication by e_i, and Tr is linear.
+        """
+        return sum(xi * sum(row[k] for k, row in enumerate(m)) for xi, m in zip(x, self._t))
 
     def __eq__(self, other):
         return type(other) is type(self) and self._t == other._t

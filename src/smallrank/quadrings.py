@@ -44,13 +44,12 @@ class QuadraticRing(_Ring):
     t = property(lambda self: self._t[1][1][1])
     u = property(lambda self: -self._t[1][1][0])
 
-    @property
     def disc(self):
         return self.t * self.t - 4 * self.u
 
     def normalized(self):
         """Isomorphic presentation with t in {0, 1} (xi shifted by an integer)."""
-        return ring_from_disc(self.disc)
+        return ring_from_disc(self.disc())
 
     def mul(self, x, y):
         _, (_, (v, t)) = self._t  # xi^2 = v + t*xi
@@ -154,7 +153,7 @@ def raw_form(ideal):
 def form_from_ideal(ideal):
     """Associated form; Lagrange-reduced when the discriminant is negative."""
     f = raw_form(ideal)
-    if ideal.ring.disc >= 0:
+    if ideal.ring.disc() >= 0:
         return f
     if f[0] < 0:
         f = twisted_act(((1, 0), (0, -1)), f)  # improper twist: (-a, b, -c)
@@ -166,8 +165,8 @@ def ideal_from_form(f, ring) -> QuadIdeal:
     f, ring = _ints(f, 3), _of(QuadraticRing, ring)
     if f == (0, 0, 0):
         raise ZeroForm("the zero form defines no ideal")
-    if discriminant(f) != ring.disc:
-        raise FormRingMismatch("form disc %d != ring disc %d" % (discriminant(f), ring.disc))
+    if discriminant(f) != ring.disc():
+        raise FormRingMismatch("form disc %d != ring disc %d" % (discriminant(f), ring.disc()))
     p, q, r = f
     # a basis over |p|, else over |r|, else over |q|; the last two are the
     # p != 0 basis of f moved by ((0, 1), (-1, 0)) or ((1, 1), (0, 1)),
@@ -228,7 +227,7 @@ def scale(i, elt) -> QuadIdeal:
 def endomorphism_ring(i) -> QuadraticRing:
     """Multiplier ring of the lattice, in normalized presentation."""
     c = content(raw_form(i))
-    return ring_from_disc(i.ring.disc // (c * c))
+    return ring_from_disc(i.ring.disc() // (c * c))
 
 
 def is_invertible(i) -> bool:

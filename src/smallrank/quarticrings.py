@@ -282,14 +282,6 @@ class QuarticRing(_Ring):
         )
 
 
-def _nonzero_disc(ring):
-    # the discriminant of a quartic ring, which maximality needs nonzero
-    d = _of(QuarticRing, ring).disc()
-    if d == 0:
-        raise DegenerateRing("maximality is undefined for discriminant zero")
-    return d
-
-
 def _prime(p):
     # the one check on the prime of a maximality test
     if not is_prime(p):
@@ -719,9 +711,7 @@ def is_maximal_at_p(ring, p):
     ``((0, -1, 0, 0, 1, 0), (p, 0, 1, 0, 0, 0))``, maximal at p, walks all
     20,607 candidates at p = 101.
     """
-    d = _nonzero_disc(ring)
-    _prime(p)
-    return _maximal_at_p(ring, p, d)
+    return _maximal_at_p(_of(QuarticRing, ring), p)
 
 
 def _closed_mod_p(ring, rows, p):
@@ -762,8 +752,12 @@ def _witness(ring, rows, p):
     return _unscaled(h, p)
 
 
-def _maximal_at_p(ring, p, d):
-    # is_maximal_at_p on a ring of any rank, with discriminant d != 0, p prime
+def _maximal_at_p(ring, p):
+    # is_maximal_at_p on a ring of any rank
+    d = ring.disc()
+    if d == 0:
+        raise DegenerateRing("maximality is undefined for discriminant zero")
+    _prime(p)
     if d % (p * p):
         return (True, None)
     for rows in _radical_subspaces(_radical(ring, p), p):

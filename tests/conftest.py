@@ -16,12 +16,14 @@ A failure it finds becomes an ``@example`` of the test, in the change that
 fixes it.
 
 Tests marked ``sweep`` are full-range output sweeps, too slow for tier-1:
-they are skipped unless ``--sweep`` is given,
+``pyproject.toml`` deselects them with ``-m "not sweep"``, and a later
+``-m`` overrides that, so
 
-    python -m pytest -m sweep --sweep
+    python -m pytest -m sweep
+
+runs them alone.
 """
 
-import pytest
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -31,16 +33,3 @@ settings.register_profile("explore", max_examples=1000, deadline=None)
 # file when this file is an initial conftest, and before it otherwise
 if settings.get_current_profile_name() == "default":
     settings.load_profile("tier1")
-
-
-def pytest_addoption(parser):
-    parser.addoption("--sweep", action="store_true", help="also run the tests marked sweep")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--sweep"):
-        return
-    skip = pytest.mark.skip(reason="a full-range sweep: run with --sweep")
-    for item in items:
-        if "sweep" in item.keywords:
-            item.add_marker(skip)

@@ -119,7 +119,7 @@ def test_criterion_03_two_boxes():
     box1 = (1, 2, 2, -1, 2, -1, -1, -2)
     box2 = (-1, 2, 2, 1, 2, 1, 1, -2)
     for box in (box1, box2):
-        assert ring_of_cube(box).disc == -100
+        assert ring_of_cube(box).disc() == -100
         assert all(qreduce(f)[0] == (5, 0, 5) for f in associated_forms(box))
     t1 = _normalize_triple(triple_from_cube(box1))
     t2 = _normalize_triple(triple_from_cube(box2))

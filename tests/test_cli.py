@@ -118,6 +118,17 @@ def test_cube_triple_round_trip(capsys, tmp_path):
     assert back == {"cube": cube}
 
 
+def test_triple_cube_parses_its_ring_once(capsys, tmp_path):
+    # counted, not timed: the three bases are read against one parsed ring
+    cube = ["1", "2", "2", "-1", "2", "-1", "-1", "-2"]
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(run_json(capsys, "cube-triple", "--", *cube)))
+    code, counts = call_counts(main, ["triple-cube", str(path)])
+    assert code == 0 and capsys.readouterr().out == "cube: %s\n" % " ".join(cube)
+    assert counts["cli._json_ring"] == 1 and counts["cli._json_basis"] == 3
+    assert counts["quadrings.QuadraticRing.__init__"] == 1
+
+
 def test_cubic_round_trip(capsys, tmp_path):
     data = run_json(capsys, "cubic-ring", "--", "1", "-3", "1", "2")
     path = tmp_path / "ring.json"

@@ -86,7 +86,7 @@ def test_invariants_and_form_discs():
         d = t * t - 4 * u
         for f in associated_forms(q):
             assert discriminant(f) == d
-        assert ring_of_cube(q).disc == d
+        assert ring_of_cube(q).disc() == d
 
 
 def test_xi_action_matrices_have_trace_t_det_u():
@@ -153,7 +153,7 @@ def test_unit_triple_reproduces_identity_cube():
 
 def test_two_boxes_forms_and_ring():
     for box in (BOX1, BOX2):
-        assert ring_of_cube(box).disc == -100
+        assert ring_of_cube(box).disc() == -100
         for f in associated_forms(box):
             assert qreduce(f)[0] == (5, 0, 5)
 
@@ -624,7 +624,7 @@ def _oracle_scalar_candidates(src, dst):
 
 # seeded cubes over a negative discriminant, 23 of the 78 with imprimitive
 # forms
-DEFINITE_CUBES = [q for q in _random_cubes(30, 400, bound=3) if ring_of_cube(q).disc < 0]
+DEFINITE_CUBES = [q for q in _random_cubes(30, 400, bound=3) if ring_of_cube(q).disc() < 0]
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -644,4 +644,4 @@ def test_scalar_candidates_agree_with_the_intersection_oracle(q, k, x, y):
     assert sorted(got) == sorted(_oracle_scalar_candidates(src, dst))
     assert (x, y) in got and all(scale(src, g) == dst for g in got)
     # one candidate per unit of the multiplier ring, of disc D / content^2
-    assert len(got) == {-3: 6, -4: 4}.get(triple.ring.disc // content(raw_form(src)) ** 2, 2)
+    assert len(got) == {-3: 6, -4: 4}.get(triple.ring.disc() // content(raw_form(src)) ** 2, 2)

@@ -230,7 +230,7 @@ def test_davenport_heilbronn_count_of_forms_maximal_at_p(p):
         while cubic_form_disc(form) == 0:
             form = tuple(c + q for c in form)
         ring = ring_from_cubic_form(form)
-        maximal += _maximal_at_p(ring, p, ring.disc())[0]
+        maximal += _maximal_at_p(ring, p)[0]
     assert maximal == p**3 * (p**2 - 1) * (p**3 - 1)  # 168 at p = 2, 5616 at p = 3
 
 
@@ -257,7 +257,7 @@ def test_davenport_heilbronn_count_by_orbits_and_cosets(p):
         while cubic_form_disc(w) == 0:
             w = [c + q for c in w]
         ring = ring_from_cubic_form(tuple(w))
-        return _maximal_at_p(ring, p, ring.disc())[0]
+        return _maximal_at_p(ring, p)[0]
 
     total, _ = count_maximal_lifts(p, forms, _form_tangents, maximal)
     assert total == p**3 * (p**2 - 1) * (p**3 - 1)

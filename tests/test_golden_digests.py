@@ -11,7 +11,7 @@ CHANGES.md which outputs changed and why, and then rewrite the file with
 
 The families in ``SWEEPS`` cover a whole input range, or 4,000 quartic
 pairs, and are too slow for tier-1: their tests carry the ``sweep``
-marker and run only with ``python -m pytest -m sweep --sweep``;
+marker and run only with ``python -m pytest -m sweep``;
 ``--update`` rewrites them too.
 """
 
@@ -264,7 +264,7 @@ def _triple_equivalences():
     for _ in range(750):
         q = tuple(rng.randint(-2, 2) for _ in range(8))
         triple = _outcome(triple_from_cube, q)
-        if isinstance(triple, BalancedTriple) and triple.ring.disc < 0:
+        if isinstance(triple, BalancedTriple) and triple.ring.disc() < 0:
             groups.setdefault(triple.ring, []).append((q, triple))
     for ring, group in groups.items():
         for (qa, a), (qb, b) in product(group, repeat=2):

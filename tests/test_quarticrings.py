@@ -25,7 +25,7 @@ from test_exactlattice import (
 )
 
 from smallrank import quarticrings
-from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing
+from smallrank.errors import DegenerateRing, DomainError, InvariantViolation, TrivialRing, _of
 from smallrank.cubicrings import CubicRing, _cubic_eval, cubic_form_disc, cubic_twisted_act, ring_from_cubic_form
 from smallrank.exactlattice import (
     _Ring,
@@ -64,7 +64,6 @@ from smallrank.quarticrings import (
     _lambda_from_c,
     _maximal_at_p,
     _minors,
-    _nonzero_disc,
     _radical,
     _radical_subspaces,
     _resolvent_data,
@@ -100,8 +99,10 @@ def _random_pairs(seed, count, bound=3):
 # divides the discriminant can carry a proper enlargement, so those are the
 # only ones tested, and it stops at the first where the ring is not maximal.
 def is_maximal(ring):
-    d = _nonzero_disc(ring)
-    return all(e < 2 or _maximal_at_p(ring, p, d)[0] for p, e in factorize(abs(d)).items())
+    d = _of(QuarticRing, ring).disc()
+    if d == 0:
+        raise DegenerateRing("maximality is undefined for discriminant zero")
+    return all(e < 2 or _maximal_at_p(ring, p)[0] for p, e in factorize(abs(d)).items())
 
 
 def test_six_ordering():
@@ -1085,9 +1086,22 @@ def test_maximality_and_semigroup_run_without_generic_elimination():
     assert resolvent_identity_check(P_Z4, (0, 1, 2))
     modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "smallrank"]
     assert len(modules) > 1
-    assert not any(hasattr(module, name) for module in modules for name in ("_bareiss", "_trace_disc"))
+    gone = ("_bareiss", "_trace_disc", "_nonzero_disc", "_trace")
+    assert not any(hasattr(module, name) for module in modules for name in gone)
     assert not hasattr(_Ring, "disc")
     assert all("disc" in vars(cls) for cls in (QuadraticRing, CubicRing, QuarticRing))
+    # one calling convention: disc() is a method on every rank
+    for n, ring in enumerate((QuadraticRing(1, 6), ring_from_cubic_form((1, -3, 1, 2)), scaled), 2):
+        d = ring.disc()
+        assert type(d) is int and d == _oracle_trace_disc(ring, n), n
+
+
+def test_maximality_walk_rejects_rank_2_and_3_rings_of_discriminant_zero():
+    # the walk reads the discriminant of a ring of any rank itself
+    for ring in (QuadraticRing(2, 1), ring_from_cubic_form((1, 0, 0, 0))):
+        assert ring.disc() == 0
+        with pytest.raises(DegenerateRing, match="^maximality is undefined for discriminant zero$"):
+            _maximal_at_p(ring, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1769,9 +1783,9 @@ def _nonmaximal_quadratic(d, p):
 @example(1, 2, 2)  # disc -7: maximal, 2^2 does not divide
 def test_walk_on_quadratic_rings_agrees_with_the_discriminant_criterion(t, u, p):
     ring = QuadraticRing(t, u)
-    d = ring.disc
+    d = ring.disc()
     assume(d)
-    ok, witness = _maximal_at_p(ring, p, d)
+    ok, witness = _maximal_at_p(ring, p)
     assert ok == (not _nonmaximal_quadratic(d, p))
     if witness is not None:
         # the overring has the integral discriminant d / [Q' : Q]^2
@@ -1814,7 +1828,7 @@ def test_walk_on_cubic_rings_agrees_with_the_davenport_heilbronn_criterion(form,
     d = cubic_form_disc(form)
     assume(d)
     ring = ring_from_cubic_form(form)
-    ok, witness = _maximal_at_p(ring, p, d)
+    ok, witness = _maximal_at_p(ring, p)
     assert ok == (not _nonmaximal_cubic(form, p))
     if witness is not None:
         assert (d * _oracle_mat_det(witness) ** 2).denominator == 1
@@ -1865,7 +1879,7 @@ def test_closure_over_fp_agrees_with_the_integer_test_on_quadratic_and_cubic_rin
     if tilt:
         t, u, form = p * t, p * p * u, (p * p * form[0], p * form[1], form[2], form[3])
     quadratic, cubic = QuadraticRing(t, u), ring_from_cubic_form(form)
-    if quadratic.disc:
+    if quadratic.disc():
         _closure_agrees(quadratic, p)
     if cubic_form_disc(form):
         _closure_agrees(cubic, p)
