@@ -11,9 +11,10 @@ Negative numbers can be passed after a ``--`` separator.  Exit codes:
 shell reports a process ended by SIGPIPE).
 
 Importing this module loads neither ``argparse`` nor ``json`` nor
-``fractions``, and of the package only ``errors``: ``main`` imports the
-first two when it builds a parser or reads or writes JSON, ``fractions``
-is imported where a ``Fraction`` is built, and each subcommand reaches
+``fractions``, and of the package only ``errors``: ``main`` imports
+``argparse`` when it builds a parser and ``json`` only to read a JSON file,
+as it writes ``--json`` output itself, ``fractions`` is imported where a
+``Fraction`` is built, and each subcommand reaches
 the pipeline modules it calls as ``smallrank.quadforms`` and so on, which
 the package loads on first use, so callers that need none of them do not
 pay for them.
@@ -49,6 +50,30 @@ def _s(v):
 def _json(v):
     """Nested tuples and lists of numbers as nested lists of ``_s`` strings."""
     return [_json(t) for t in v] if isinstance(v, (tuple, list)) else _s(v)
+
+
+def _dumps(v):
+    """``json.dumps(v, sort_keys=True)`` of a payload: dicts with str keys,
+    lists, tuples, str, bools and None; any other value raises TypeError."""
+    # every string is an _s number (digits, "-" and "/"), the str of a table
+    # index or a literal key, tag or label, so none needs an escape and each
+    # is written between quotes as it is
+    if isinstance(v, str):
+        return '"%s"' % v
+    if isinstance(v, dict):
+        return "{%s}" % ", ".join('"%s": %s' % (k, _dumps(v[k])) for k in sorted(v))
+    if isinstance(v, (list, tuple)):
+        try:  # a list of strings, such as a row of a class table, in one join
+            return '["%s"]' % '", "'.join(v) if v else "[]"
+        except TypeError:
+            return "[%s]" % ", ".join(map(_dumps, v))
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError(v)
 
 
 def _ring_json(ring):
@@ -477,12 +502,7 @@ def main(argv=None):
     except SmallRankError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
-    if args.json:
-        import json
-
-        text = json.dumps(payload, sort_keys=True)
-    else:
-        text = "\n".join(lines)
+    text = _dumps(payload) if args.json else "\n".join(lines)
     try:
         print(text)
         sys.stdout.flush()

@@ -429,16 +429,70 @@ def test_the_cli_reaches_the_library_through_the_package_alone():
 
 
 def test_importing_the_cli_loads_no_parser_or_json_module(capsys):
+    # nor does writing --json output load json
     argv = ["classgroup", "--json", "--", "-23"]
     cold = (
         "import smallrank, smallrank.cli\n"
         "loaded = sorted({'argparse', 'json'} & set(sys.modules))\n"
         "assert not loaded, 'imported at import time: %s' % loaded\n"
+        "code = smallrank.cli.main(sys.argv[1:])\n"
+        "assert 'json' not in sys.modules, 'json imported to write the output'\n"
+        "sys.exit(code)\n"
     )
-    proc = subprocess.run(child(cold + MAIN, *argv), capture_output=True, timeout=60)
+    proc = subprocess.run(child(cold, *argv), capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
     # the same bytes as the call made in this process
     assert run(capsys, *argv) == (0, proc.stdout.decode(), "")
+
+
+def test_a_subcommand_that_reads_a_json_file_imports_json(tmp_path):
+    # json loads only to read an input file: a cold call that reads one has
+    # it loaded, and prints the golden bytes
+    (tmp_path / "pair.json").write_text(GOLDEN_FILES["pair.json"], encoding="utf-8")
+    cold = (
+        "import smallrank.cli\n"
+        "code = smallrank.cli.main(sys.argv[1:])\n"
+        "assert 'json' in sys.modules, 'a JSON file read without json'\n"
+        "sys.exit(code)\n"
+    )
+    command = "resolvent --json pair.json"
+    proc = subprocess.run(child(cold, *command.split()), cwd=tmp_path, capture_output=True, timeout=60)
+    golden = next(case[1:] for case in GOLDEN["cases"] if case[0] == command)
+    assert [proc.returncode, proc.stdout.decode(), proc.stderr.decode()] == golden
+
+
+# payload trees of the grammar the handlers build: dicts with str keys,
+# lists, tuples, _s strings of ints and Fractions, literal strings, bools
+# and None
+payload_strings = st.one_of(
+    st.integers().map(cli._s),
+    st.fractions().map(cli._s),
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789,_", max_size=8),
+)
+payload_trees = st.recursive(
+    st.one_of(payload_strings, st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(payload_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=payload_trees)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [5, 0, 1.5, Fraction(1, 2)])
+def test_the_json_writer_refuses_a_value_outside_the_payload_grammar(value):
+    # a raw number is never a payload value (numbers go through _s): it
+    # fails loudly, alone or inside a list, and is not written as a bool
+    for tree in (value, [value], {"n": value}):
+        with pytest.raises(TypeError):
+            cli._dumps(tree)
 
 
 def test_importing_and_warming_up_loads_no_fractions_or_decimal_module():
@@ -711,6 +765,10 @@ def test_random_argv_exits_0_1_or_2(fuzz_files, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+    # a --json call that succeeds prints what json.dumps writes of its output
+    args = parse(cli._parse_args, argv)[0] if code == 0 else None
+    if isinstance(args, dict) and args["json"]:
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), sort_keys=True) + "\n"
 
 
 # ------------------------------------------------------------ parser per call

@@ -9,9 +9,13 @@ otherwise recompiles ``perfbench/workloads.py`` on every run, which adds
 1-2.5 MiB to ``peak_rss_mb``.  Then, for each workload in turn and for
 seeds 1 to 10, it runs ``perfbench/run.py --workload WORKLOAD --seed S
 --seconds 10 --trace 0`` in one checkout and then the other, the parent
-first on odd seeds and the change first on even ones.  It prints each
-run's verdict.  A run that exits non-zero, or prints no result line, is
-reported with the last line of its stderr, and its pair is left out; the
+first on odd seeds and the change first on even ones.  Each side runs
+its own harness on its own ``src``: a change to ``perfbench/`` is made
+with no change to ``src``, so its pair is a null pair, the same ``src``
+under two harnesses, and a change to ``src`` runs one harness on both
+sides.  It prints each run's verdict.  A run that exits non-zero, or
+prints no result line, is reported with the last line of its stderr, and
+its pair is left out; the
 pairs already finished are kept.  Then, for each end-to-end metric, it
 prints the median and quartiles of both sides, the ratio of the medians,
 the pairs (one seed each) that the change won by the direction
